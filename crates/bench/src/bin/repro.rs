@@ -967,12 +967,16 @@ fn shard_scaling(opts: &Opts) {
     for (label, topo, block) in arms {
         println!("\n   {label}, one {}KB dd stream per disk:", block / 1024);
         let mut rows = Vec::new();
+        let mut sync_tables = Vec::new();
         let mut base: Option<ShardScalingOutcome> = None;
         for &shards in &ladder {
             let out = run_shard_scaling(topo.clone(), shards, block);
             if let Some(b) = &base {
                 assert_eq!(out.quiesce_tick, b.quiesce_tick, "{label}: quiesce tick must match");
                 assert_eq!(out.stats_fnv, b.stats_fnv, "{label}: stats FNV must match");
+            }
+            if out.shards > 1 {
+                sync_tables.push(render_sync_stats(&out));
             }
             rows.push(vec![
                 out.shards.to_string(),
@@ -1000,7 +1004,52 @@ fn shard_scaling(opts: &Opts) {
                 &rows
             )
         );
+        for t in sync_tables {
+            println!("{t}");
+        }
     }
+}
+
+/// One ladder rung's `ShardedSimulator::sync_stats`: what the window
+/// protocol cost, overall and per shard thread.
+fn render_sync_stats(out: &ShardScalingOutcome) -> String {
+    let sync = &out.sync;
+    let rows: Vec<Vec<String>> = sync
+        .shards
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            vec![
+                i.to_string(),
+                s.idle_windows.to_string(),
+                s.messages_sent.to_string(),
+                s.spin_waits.to_string(),
+                format!("{:.1}", s.spin_ns as f64 / 1e6),
+                s.park_waits.to_string(),
+                format!("{:.1}", s.park_ns as f64 / 1e6),
+            ]
+        })
+        .collect();
+    format!(
+        "   sync at {} shards: {} windows, {:.1} events/window (max {}), {} mailbox messages\n{}",
+        out.shards,
+        sync.windows,
+        sync.mean_window_events(),
+        sync.max_window_events,
+        sync.mailbox_messages(),
+        table::render(
+            &[
+                "shard",
+                "idle windows",
+                "msgs sent",
+                "spin waits",
+                "spin ms",
+                "park waits",
+                "park ms"
+            ],
+            &rows
+        )
+    )
 }
 
 /// Re-runs the Table II 150 ns point with tracing, dumps Perfetto JSON to

@@ -8,14 +8,21 @@
 //! messages degenerate to a global window here because the fabric is a
 //! tree): if every shard has processed all events below tick `T`, no
 //! cross-shard message can be pending for any tick below `T + Δ`, where
-//! `Δ = min h` over all cut edges. So the driver repeatedly:
+//! `Δ = min h` over all cut edges. So every shard repeats, in lock step,
+//! one *round* with a single rendezvous in it:
 //!
-//! 1. computes `T = min` next-event tick over all shards;
-//! 2. lets every shard run `[T, T + Δ)` in parallel ([`Simulation::run_window`]);
-//! 3. at the barrier, drains each shard's outbox
-//!    ([`Ctx::remote_schedule`](crate::sim::Ctx::remote_schedule)) and
-//!    injects every message into its destination shard's queue with the
-//!    `(tick, order)` key minted on the sending side.
+//! 1. move its outbox ([`Ctx::remote_schedule`](crate::sim::Ctx::remote_schedule))
+//!    into the per-(source, destination) mailboxes, checking that every
+//!    message lands at or beyond the end of the window it just ran;
+//! 2. publish `min(next local event, earliest tick it sent)`, its event
+//!    count and its stop flag, and arrive at the barrier;
+//! 3. past the barrier, drain its inbox in source-shard order, injecting
+//!    every message into its own queue with the `(tick, order)` key minted
+//!    on the sending side;
+//! 4. compute — from the values *all* shards published, so every shard
+//!    reaches the same verdict — stop, quiesce, time limit, event budget,
+//!    or the next window `[T, T + Δ)` with `T = min` of the published
+//!    ticks, and run it ([`Simulation::run_window`]).
 //!
 //! **Bit-identity.** Events are globally ordered by `(tick, order stamp)`
 //! where the stamp is a pure function of the scheduling component — see
@@ -28,22 +35,25 @@
 //! eviction matches the serial ring, so even the trace stream (and its
 //! drop count) is bit-identical. DESIGN.md §14 gives the full argument.
 //!
-//! **Threading.** Plain `std::thread::scope` workers — one per shard —
-//! plus a generation-counting spin barrier; no async runtime. Workers
-//! only ever run inside `run_window`; the coordinator owns everything
-//! between barriers. `Simulation` is not `Send` (components hold `Rc`
-//! harness handles), so shards live in [`ShardCell`]s whose safety
-//! invariant is documented below.
+//! **Threading.** N shards use N threads: the thread that calls
+//! [`ShardedSimulator::run`] drives shard 0 itself and `N − 1` plain
+//! `std::thread::scope` workers drive the rest; no async runtime, no
+//! coordinator. `Simulation` is not `Send` (components hold `Rc` harness
+//! handles), so shards live in [`ShardCell`]s whose safety invariant is
+//! documented below. What the rendezvous cost is reported by
+//! [`ShardedSimulator::sync_stats`].
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::Thread;
+use std::time::Instant;
 
 use crate::calendar::CalendarQueue;
 use crate::component::{ComponentId, Event, PortId};
 use crate::sim::{
-    decode_action, encode_action, open_checkpoint, seal_checkpoint, Action, ActionBody, RunOutcome,
-    Simulation, NUM_STREAMS,
+    decode_action, encode_action, open_checkpoint, seal_checkpoint, Action, ActionBody,
+    OutboundMsg, RunOutcome, Simulation, NUM_STREAMS,
 };
 use crate::snapshot::{SnapshotError, StateReader, StateWriter};
 use crate::stats::StatsSnapshot;
@@ -117,7 +127,8 @@ pub struct ShardPlan {
     pub route_end: RouteEndFn,
 }
 
-/// A `Simulation` slot shared between the coordinator and one worker.
+/// A `Simulation` slot that a shard's thread drives during
+/// [`ShardedSimulator::run`] and the caller owns otherwise.
 ///
 /// # Safety invariant
 ///
@@ -125,87 +136,515 @@ pub struct ShardPlan {
 /// with the build-time harness, and all kernel state is `Cell`/`RefCell`).
 /// The driver upholds exclusive access by construction:
 ///
-/// * between barriers, *only* shard `i`'s worker touches shard `i` (and
-///   only via `run_window`);
-/// * outside the worker phase, *only* the coordinator thread touches any
-///   shard;
-/// * the spin barrier's acquire/release pairs order those phases, so all
-///   writes made by one side are visible to the other;
+/// * outside `run`, only the thread that owns the `ShardedSimulator`
+///   touches any shard (`&mut self`, or `&self` with no thread alive);
+/// * inside `run`, shard `i` is touched only by thread `i` — thread 0 is
+///   the caller itself, threads `1..N` are scoped workers spawned *after*
+///   the caller's last access and joined before `run` returns, and spawn
+///   and join order the caller's accesses with theirs. A thread never
+///   reaches into another shard: what crosses is an [`OutboundMsg`]
+///   (plain data, `Send`) through a mailbox `Mutex`, and the published
+///   atomics;
+/// * the one exception is the *trace quiesce*: between a rendezvous at
+///   which every shard saw the same "staged trace records ≥ batch" sum and
+///   the extra barrier crossing that follows it, threads `1..N` touch
+///   nothing at all and thread 0 reads every shard's staging tracer. The
+///   rendezvous' arrive(`AcqRel`)/release(`SeqCst` store, `Acquire` load)
+///   pair makes the workers' trace writes visible to thread 0, and the
+///   extra crossing hands the shards back the same way. No thread keeps a
+///   `&mut Simulation` alive across a barrier — each phase re-borrows;
 /// * `Rc` clones held by harness code (workload handles, config spaces)
 ///   are only dereferenced by the shard that owns their components —
 ///   the partitioner places every component of such a cluster in one
-///   shard — or by the coordinator outside `run`.
+///   shard — or by the caller outside `run`.
 struct ShardCell(UnsafeCell<Simulation>);
 
-// SAFETY: see the invariant above — access is phase-exclusive, never
-// actually concurrent, and the barrier provides the happens-before edges.
+// SAFETY: see the invariant above — every access is either thread `i` on
+// shard `i` between that thread's spawn and join, thread 0 on the staging
+// tracers inside a trace quiesce that the barrier brackets on both sides,
+// or the owning thread while no worker exists. Never two threads at once.
 unsafe impl Sync for ShardCell {}
 
-/// A generation-counting hybrid barrier for `parties` threads. Windows
-/// are typically tens of microseconds of work, so each waiter spins a
-/// bounded number of iterations first (near-free rendezvous when every
-/// thread has its own core), then parks on a condvar. Parking matters
-/// when threads outnumber cores: a spinner — even one yielding its
-/// timeslice — can burn whole scheduler quanta before the thread it
-/// waits on runs, turning microsecond windows into millisecond ones; a
-/// parked waiter instead guarantees an immediate handoff. On an
-/// oversubscribed host the spin phase is pointless by construction, so
-/// it is skipped entirely (`spin_limit` 0).
-struct SpinBarrier {
-    parties: usize,
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-    /// Iterations to busy-wait before parking; 0 when `parties` exceeds
-    /// the host's core count.
-    spin_limit: u32,
-    lock: Mutex<()>,
-    cv: Condvar,
+/// The per-(parity, source, destination) mailboxes. Source `s` fills
+/// `slot(p, s, d)` before arriving at a rendezvous of parity `p`;
+/// destination `d` drains it after that rendezvous and before its next
+/// arrival, while `s` — possibly a whole window ahead — is already filling
+/// parity `1 − p`. The protocol therefore never contends a mailbox; the
+/// `Mutex` is what lets the compiler check that instead of an `unsafe`
+/// block, at one uncontended compare-and-swap per use. The buffers live
+/// in the driver so their capacity survives windows and runs.
+struct Mailboxes {
+    shards: usize,
+    slots: Vec<Mailbox>,
 }
 
-impl SpinBarrier {
-    /// Spins this many iterations before parking (when cores suffice).
-    const SPIN_LIMIT: u32 = 1 << 12;
+/// One mailbox on a cache line of its own, so an inbox nobody wrote to
+/// stays in its reader's cache however busy its neighbours are.
+#[repr(align(64))]
+#[derive(Default)]
+struct Mailbox(Mutex<Vec<OutboundMsg>>);
+
+impl Mailbox {
+    fn lock(&self) -> MutexGuard<'_, Vec<OutboundMsg>> {
+        // A panicking shard poisons the run as a whole (see `Barrier`);
+        // the Vec itself is valid after any interrupted push or drain.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+// What crosses a cut between threads must be plain data. (`Mutex<Vec<T>>`
+// demands it anyway; this names the requirement where a new `Event`
+// variant holding an `Rc` would otherwise fail far from its cause.)
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<OutboundMsg>();
+};
+
+impl Mailboxes {
+    fn new(shards: usize) -> Self {
+        Self { shards, slots: (0..2 * shards * shards).map(|_| Mailbox::default()).collect() }
+    }
+
+    fn slot(&self, parity: usize, src: usize, dst: usize) -> MutexGuard<'_, Vec<OutboundMsg>> {
+        self.slots[(parity * self.shards + src) * self.shards + dst].lock()
+    }
+
+    fn all_empty(&self) -> bool {
+        self.slots.iter().all(|m| m.lock().is_empty())
+    }
+}
+
+/// "No event": the published next-event tick of a shard with an empty
+/// queue and nothing sent. An event saturated to the end of time is
+/// indistinguishable from it — such an event is never reached by a
+/// window either, since a window's end is capped at `Tick::MAX`.
+const NEVER: Tick = Tick::MAX;
+
+/// Staged trace records (summed over shards) at which the shards stop for
+/// a trace quiesce, bounding the staging memory of a long traced run.
+/// (Tiny under `cfg(test)` so the unit tests merge mid-run.)
+const TRACE_MERGE_BATCH: usize = if cfg!(test) { 4 } else { 1 << 16 };
+
+/// What one shard tells the others at a rendezvous. Double-buffered by
+/// round parity like the mailboxes: the owner stores (`Relaxed`) before
+/// arriving at the barrier, everyone loads (`Relaxed`) after crossing it,
+/// and the barrier's arrive/release pair orders the two.
+#[repr(align(64))]
+#[derive(Default)]
+struct Published {
+    /// `min(next local event, earliest tick sent this round)`, or [`NEVER`].
+    next: AtomicU64,
+    /// The shard's `events_processed`.
+    events: AtomicU64,
+    stop: AtomicBool,
+    /// Trace records staged in the shard's tracer (tracing runs only).
+    staged_traces: AtomicUsize,
+}
+
+/// The barrier was poisoned: a shard panicked and the run must unwind.
+#[derive(Debug)]
+struct Poisoned;
+
+/// A generation-counting hybrid barrier for `parties` threads.
+///
+/// The last thread to arrive releases the generation with one atomic
+/// store — no lock, no syscall — and then unparks exactly the waiters
+/// that announced (`Seat::parked`) they were going to sleep; when nobody
+/// did, that is a scan of clean flags. Waiters spin first and park
+/// ([`std::thread::park`], one futex per thread, so a release wakes no
+/// thundering herd onto a shared lock) when their spin budget runs out.
+/// Both the kind of spin and its budget follow from what the barrier
+/// observes. With a core per party an iteration is `spin_loop`; with
+/// fewer, the thread waited for may be waiting for this very core, so an
+/// iteration is `yield_now` — a hand-off that costs a context switch
+/// where a park costs a futex sleep, a wake and, across cores, an IPI —
+/// and the budget is small. Either budget doubles after a wait that ended
+/// by spin and halves after one that ended by park, so a core taken by
+/// another process degrades to parking instead of burning scheduler
+/// quanta. (`unpark` may leave the calling thread a stale token once
+/// `run` returns; `park` is specified to wake spuriously, so no correct
+/// user of it can tell.)
+///
+/// A panicking party poisons the barrier ([`PoisonOnUnwind`]) so that
+/// every other party — spinning, parked or yet to arrive — gets
+/// `Err(Poisoned)` instead of waiting forever.
+struct Barrier {
+    arrived: AtomicUsize,
+    generation: AtomicUsize,
+    poisoned: AtomicBool,
+    /// One per party, claimed by [`Barrier::waiter`].
+    seats: Vec<Seat>,
+    /// One iteration of a waiter's spin phase: [`std::hint::spin_loop`]
+    /// or [`std::thread::yield_now`].
+    relax: fn(),
+    /// Bounds of the adaptive spin budget, in `relax` iterations.
+    spin_range: (u32, u32),
+}
+
+/// What the releasing thread needs to wake one party.
+#[derive(Default)]
+struct Seat {
+    thread: OnceLock<Thread>,
+    /// Set by the party before it parks, cleared after it wakes.
+    parked: AtomicBool,
+}
+
+/// One party's private side of the barrier: its seat, its current spin
+/// budget and the record its waits are counted in.
+struct Waiter {
+    seat: usize,
+    spin_budget: u32,
+    stats: ShardSyncStats,
+}
+
+impl Barrier {
+    /// Budget bounds when every party has a core, in `spin_loop`
+    /// iterations: about a microsecond to about a scheduler wakeup.
+    const SPIN_RANGE: (u32, u32) = (1 << 7, 1 << 12);
+    /// Budget bounds when parties outnumber cores, in `yield_now` calls:
+    /// the thread waited for may well be waiting for this core.
+    const YIELD_RANGE: (u32, u32) = (1, 1 << 4);
 
     fn new(parties: usize) -> Self {
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        Self {
-            parties,
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            spin_limit: if cores >= parties { Self::SPIN_LIMIT } else { 0 },
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
+        if cores >= parties {
+            Self::with_spin(parties, std::hint::spin_loop, Self::SPIN_RANGE)
+        } else {
+            Self::with_spin(parties, std::thread::yield_now, Self::YIELD_RANGE)
         }
     }
 
-    fn wait(&self) {
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
+    fn with_spin(parties: usize, relax: fn(), spin_range: (u32, u32)) -> Self {
+        Self {
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
+            seats: (0..parties).map(|_| Seat::default()).collect(),
+            relax,
+            spin_range,
+        }
+    }
+
+    /// Seats the calling thread as party `seat`; it must make every one
+    /// of that party's `wait` calls itself.
+    fn waiter(&self, seat: usize) -> Waiter {
+        self.seats[seat].thread.set(std::thread::current()).expect("seat taken twice");
+        Waiter { seat, spin_budget: self.spin_range.1, stats: ShardSyncStats::default() }
+    }
+
+    /// Blocks until all parties have arrived. Everything a party wrote
+    /// before arriving is visible to every party after it returns.
+    ///
+    /// Orderings: arrivals form a release sequence on `arrived` (`AcqRel`
+    /// read-modify-writes), which the last arriver acquires before it
+    /// stores `generation`; waiters acquire that store. `generation`,
+    /// `parked` and `poisoned` use `SeqCst` where a store on one must be
+    /// seen by a load of another (waiter: announce park, then re-check
+    /// generation; releaser: publish generation, then look for parked
+    /// waiters — one of the two always sees the other, and an `unpark`
+    /// that comes too early leaves a token that ends the `park` at once).
+    fn wait(&self, w: &mut Waiter) -> Result<(), Poisoned> {
+        // Generation first, poison flag second: `poison` sets the flag
+        // before it bumps the generation, so a party that reads a bumped
+        // generation here is certain to see the flag.
+        let gen = self.generation.load(Ordering::SeqCst);
+        if self.poisoned.load(Ordering::SeqCst) {
+            return Err(Poisoned);
+        }
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.seats.len() {
             self.arrived.store(0, Ordering::Relaxed);
-            // Publish the new generation under the lock so a waiter that
-            // checked it just before parking cannot miss the wakeup.
-            let guard = self.lock.lock().expect("barrier lock");
-            self.generation.store(gen.wrapping_add(1), Ordering::Release);
-            drop(guard);
-            self.cv.notify_all();
+            self.generation.store(gen.wrapping_add(1), Ordering::SeqCst);
+            self.unpark(|seat| seat.parked.load(Ordering::SeqCst));
+            return Ok(());
+        }
+        let started = Instant::now();
+        let mut spins = 0u32;
+        let parked = loop {
+            if self.generation.load(Ordering::Acquire) != gen {
+                break false;
+            }
+            if spins < w.spin_budget {
+                spins += 1;
+                (self.relax)();
+                continue;
+            }
+            let seat = &self.seats[w.seat];
+            seat.parked.store(true, Ordering::SeqCst);
+            while self.generation.load(Ordering::SeqCst) == gen {
+                std::thread::park();
+            }
+            seat.parked.store(false, Ordering::SeqCst);
+            break true;
+        };
+        let waited = started.elapsed().as_nanos() as u64;
+        let (lo, hi) = self.spin_range;
+        if parked {
+            w.stats.park_waits += 1;
+            w.stats.park_ns += waited;
+            w.spin_budget = (w.spin_budget / 2).max(lo);
         } else {
-            let mut spins = 0u32;
-            loop {
-                if self.generation.load(Ordering::Acquire) != gen {
-                    return;
-                }
-                if spins < self.spin_limit {
-                    spins += 1;
-                    std::hint::spin_loop();
-                } else {
-                    let mut guard = self.lock.lock().expect("barrier lock");
-                    while self.generation.load(Ordering::Acquire) == gen {
-                        guard = self.cv.wait(guard).expect("barrier condvar");
-                    }
-                    return;
-                }
+            w.stats.spin_waits += 1;
+            w.stats.spin_ns += waited;
+            w.spin_budget = w.spin_budget.saturating_mul(2).min(hi);
+        }
+        if self.poisoned.load(Ordering::SeqCst) {
+            return Err(Poisoned);
+        }
+        Ok(())
+    }
+
+    fn unpark(&self, wants: impl Fn(&Seat) -> bool) {
+        for seat in self.seats.iter().filter(|seat| wants(seat)) {
+            if let Some(thread) = seat.thread.get() {
+                thread.unpark();
             }
         }
+    }
+
+    /// Wakes every current and future waiter with `Err(Poisoned)`.
+    fn poison(&self) {
+        self.poisoned.store(true, Ordering::SeqCst);
+        self.generation.fetch_add(1, Ordering::SeqCst);
+        self.unpark(|_| true);
+    }
+}
+
+/// Poisons the barrier when the thread holding it unwinds, so a panic in
+/// one shard (a component assert, a horizon violation) ends the run
+/// instead of leaving the other shards at the barrier forever.
+struct PoisonOnUnwind<'a>(&'a Barrier);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poison();
+        }
+    }
+}
+
+/// How one shard's thread spent its rendezvous, accumulated over every
+/// [`ShardedSimulator::run`] of the driver.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardSyncStats {
+    /// Windows in which this shard dispatched no event.
+    pub idle_windows: u64,
+    /// Cross-shard messages this shard put into mailboxes.
+    pub messages_sent: u64,
+    /// Barrier waits that ended while still spinning.
+    pub spin_waits: u64,
+    /// Host nanoseconds spent in those waits.
+    pub spin_ns: u64,
+    /// Barrier waits that ended by being woken from a park.
+    pub park_waits: u64,
+    /// Host nanoseconds spent in those waits (spin phase included).
+    pub park_ns: u64,
+}
+
+/// What synchronisation cost the sharded driver, as a standing number
+/// (the last shard to arrive at a rendezvous does not wait, so a shard's
+/// waits add up to fewer than `windows`). Deliberately *not* part of
+/// [`ShardedSimulator::stats`], which must hash like the serial run's.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SyncStats {
+    /// Windows run.
+    pub windows: u64,
+    /// Events dispatched inside windows, summed over shards.
+    pub window_events: u64,
+    /// The most events any one window dispatched, summed over shards.
+    pub max_window_events: u64,
+    /// Trace quiesces: rendezvous at which the shards paused for shard 0
+    /// to merge the staged trace records (tracing runs only).
+    pub trace_merges: u64,
+    /// Per-shard rendezvous behaviour, indexed by shard.
+    pub shards: Vec<ShardSyncStats>,
+}
+
+impl SyncStats {
+    /// Mean events per window (0 when no window ran).
+    pub fn mean_window_events(&self) -> f64 {
+        if self.windows == 0 {
+            0.0
+        } else {
+            self.window_events as f64 / self.windows as f64
+        }
+    }
+
+    /// Cross-shard messages carried, summed over shards.
+    pub fn mailbox_messages(&self) -> u64 {
+        self.shards.iter().map(|s| s.messages_sent).sum()
+    }
+}
+
+/// What one shard's thread brings back from [`Lockstep::drive`].
+struct Driven {
+    outcome: RunOutcome,
+    sync: ShardSyncStats,
+    /// Window totals (`shards` left empty). Every shard computes the same
+    /// ones from the published values; the driver keeps shard 0's.
+    totals: SyncStats,
+}
+
+/// Everything the shard threads of one `run` share.
+struct Lockstep<'a> {
+    shards: &'a [ShardCell],
+    edges: &'a [EdgeSpec],
+    mail: &'a Mailboxes,
+    barrier: Barrier,
+    /// `published[parity][shard]`.
+    published: [Vec<Published>; 2],
+    delta: Tick,
+    until: Tick,
+    budget_end: u64,
+    tracing: bool,
+}
+
+impl Lockstep<'_> {
+    /// Drives shard `me` round by round until every shard reaches the
+    /// same verdict; `None` when another shard panicked. `merged` is the
+    /// global trace ring, handed to shard 0 only.
+    fn drive(&self, me: usize, merged: Option<&Tracer>) -> Option<Driven> {
+        let _poison = PoisonOnUnwind(&self.barrier);
+        let mut waiter = self.barrier.waiter(me);
+        let mut totals = SyncStats::default();
+        // End of the window this shard just ran: nothing it sent may land
+        // below it. 0 for the first round, which only exchanges what
+        // `init` (or an earlier `run`) left behind.
+        let mut end: Tick = 0;
+        let mut events_before = 0u64;
+        let mut round = 0usize;
+        loop {
+            let parity = round & 1;
+            {
+                // SAFETY: thread `me` is the only one touching shard `me`
+                // (ShardCell invariant); the borrow ends before the barrier.
+                let sim = unsafe { &mut *self.shards[me].0.get() };
+                let mut sent_min = NEVER;
+                sim.drain_outbox(|msg| {
+                    let edge = self.edges[msg.edge as usize];
+                    debug_assert_eq!(edge.from_shard as usize, me, "edge staged on wrong shard");
+                    assert!(
+                        msg.tick >= end,
+                        "cross-shard message at tick {} inside window ending at {}: \
+                         the edge's lookahead horizon is wrong",
+                        msg.tick,
+                        end
+                    );
+                    sent_min = sent_min.min(msg.tick);
+                    waiter.stats.messages_sent += 1;
+                    self.mail.slot(parity, me, edge.to_shard as usize).push(msg);
+                });
+                let slot = &self.published[parity][me];
+                let next = sim.next_event_tick().unwrap_or(NEVER).min(sent_min);
+                slot.next.store(next, Ordering::Relaxed);
+                slot.events.store(sim.events_processed(), Ordering::Relaxed);
+                slot.stop.store(sim.take_stop_request(), Ordering::Relaxed);
+                if self.tracing {
+                    slot.staged_traces.store(sim.shared.tracer.len(), Ordering::Relaxed);
+                }
+            }
+            self.barrier.wait(&mut waiter).ok()?;
+
+            let (mut t_min, mut events, mut stop, mut staged) = (NEVER, 0u64, false, 0usize);
+            for p in &self.published[parity] {
+                t_min = t_min.min(p.next.load(Ordering::Relaxed));
+                events += p.events.load(Ordering::Relaxed);
+                stop |= p.stop.load(Ordering::Relaxed);
+                staged += p.staged_traces.load(Ordering::Relaxed);
+            }
+            if round > 0 {
+                let dispatched = events - events_before;
+                totals.windows += 1;
+                totals.window_events += dispatched;
+                totals.max_window_events = totals.max_window_events.max(dispatched);
+            }
+            events_before = events;
+
+            if staged >= TRACE_MERGE_BATCH {
+                // Trace quiesce: every shard saw the same sum, so every
+                // shard is here; only shard 0 works until the crossing.
+                totals.trace_merges += 1;
+                if let Some(ring) = merged {
+                    // SAFETY: ShardCell invariant, trace quiesce — the
+                    // other threads touch nothing until the barrier below.
+                    merge_traces(
+                        self.shards.iter().map(|c| unsafe { &(*c.0.get()).shared.tracer }),
+                        ring,
+                    );
+                }
+                self.barrier.wait(&mut waiter).ok()?;
+            }
+
+            // SAFETY: as above — shard `me` belongs to thread `me`.
+            let sim = unsafe { &mut *self.shards[me].0.get() };
+            for src in (0..self.shards.len()).filter(|&src| src != me) {
+                for msg in self.mail.slot(parity, src, me).drain(..) {
+                    sim.push_keyed(msg.tick, msg.order, self.edges[msg.edge as usize].dest, msg.ev);
+                }
+            }
+            let outcome = if stop {
+                RunOutcome::Stopped
+            } else if t_min == NEVER {
+                RunOutcome::QueueEmpty
+            } else if t_min > self.until {
+                RunOutcome::TimeLimit
+            } else if events >= self.budget_end {
+                RunOutcome::EventLimit
+            } else {
+                end = t_min.saturating_add(self.delta).min(self.until.saturating_add(1));
+                let before = sim.events_processed();
+                sim.run_window(end);
+                waiter.stats.idle_windows += u64::from(sim.events_processed() == before);
+                round += 1;
+                continue;
+            };
+            return Some(Driven { outcome, sync: waiter.stats, totals });
+        }
+    }
+}
+
+/// K-way-merges the staged trace records of `staged` (one tracer per
+/// shard, in shard order) into the global ring in serial record order.
+/// Each shard's stream is already in its local dispatch order, and the
+/// fused run's dispatch order restricted to one shard's events *is* that
+/// local order — so the merge must never reorder within a stream. It only
+/// picks between the streams' current heads by `(at, stamp)`, exactly the
+/// fused calendar's pop key. Because every stream is sorted by `at` and a
+/// window's records all lie below the next window's, merging at any set
+/// of window boundaries yields the same ring as merging once at the end.
+///
+/// A global sort by `(at, stamp)` would be wrong: a zero-delay push
+/// minted mid-tick can carry a numerically smaller stamp (another
+/// component's counter) than a dispatch that already ran at that tick.
+/// The serial run pops it later — it was not in the calendar yet — but
+/// a sort would move it earlier. Head-only comparison is immune: the
+/// late push sits behind its pusher in the same shard's stream.
+///
+/// Head ties are broken by the recording component id; across shards
+/// they only occur for stamp-0 `init` records, which the serial run
+/// emits in component order.
+fn merge_traces<'a>(staged: impl Iterator<Item = &'a Tracer>, ring: &Tracer) {
+    let mut streams: Vec<std::vec::IntoIter<(TraceEvent, u64)>> =
+        staged.map(|t| t.drain_stamped().into_iter()).collect();
+    let mut heads: Vec<Option<(TraceEvent, u64)>> = streams.iter_mut().map(|s| s.next()).collect();
+    loop {
+        let mut best: Option<usize> = None;
+        for (i, head) in heads.iter().enumerate() {
+            let Some((ev, stamp)) = head else { continue };
+            let better = match best {
+                None => true,
+                Some(b) => {
+                    let (bev, bstamp) = heads[b].as_ref().unwrap();
+                    (ev.at, *stamp, ev.component.0) < (bev.at, *bstamp, bev.component.0)
+                }
+            };
+            if better {
+                best = Some(i);
+            }
+        }
+        let Some(i) = best else { break };
+        let (ev, stamp) = heads[i].take().unwrap();
+        ring.record_stamped(ev, stamp);
+        heads[i] = streams[i].next();
     }
 }
 
@@ -220,10 +659,12 @@ pub struct ShardedSimulator {
     /// Global clock frontier, maintained like [`Simulation::now`].
     now: Tick,
     /// The merged trace ring; per-shard tracers are unbounded staging
-    /// buffers drained into this ring (with serial-faithful eviction)
-    /// every window.
+    /// buffers drained into this ring (with serial-faithful eviction) at
+    /// every trace quiesce and at the end of every `run`.
     tracer: Tracer,
     names: Vec<String>,
+    mail: Mailboxes,
+    sync: SyncStats,
 }
 
 impl ShardedSimulator {
@@ -259,6 +700,11 @@ impl ShardedSimulator {
             s.shared.tracer.set_capacity(usize::MAX);
         }
         Self {
+            mail: Mailboxes::new(shards.len()),
+            sync: SyncStats {
+                shards: vec![ShardSyncStats::default(); shards.len()],
+                ..SyncStats::default()
+            },
             shards: shards.into_iter().map(|s| ShardCell(UnsafeCell::new(s))).collect(),
             plan,
             delta,
@@ -281,18 +727,10 @@ impl ShardedSimulator {
     }
 
     fn shard(&self, i: usize) -> &Simulation {
-        // SAFETY: `&self` methods are only called from the coordinator
-        // while no worker phase is active (see ShardCell invariant).
+        // SAFETY: shard threads only exist inside `run`, which holds
+        // `&mut self`; any `&self` caller is therefore the sole accessor
+        // (see ShardCell invariant).
         unsafe { &*self.shards[i].0.get() }
-    }
-
-    #[allow(clippy::mut_from_ref)]
-    /// # Safety
-    ///
-    /// Caller must be the coordinator between worker phases, and must not
-    /// hold another reference to the same shard.
-    unsafe fn shard_raw(&self, i: usize) -> &mut Simulation {
-        unsafe { &mut *self.shards[i].0.get() }
     }
 
     /// Current simulated time (global frontier).
@@ -347,13 +785,26 @@ impl ShardedSimulator {
         StatsSnapshot::from_values(all)
     }
 
+    /// What the window protocol cost so far: windows, events per window,
+    /// and how each shard's barrier waits ended. All zero for a
+    /// single-shard driver, which never synchronises.
+    pub fn sync_stats(&self) -> &SyncStats {
+        &self.sync
+    }
+
     /// Runs until every queue drains, `until` is reached, a component
     /// requests a stop, or `max_events` dispatches happen. Semantics
     /// match [`Simulation::run`] except that stop requests and the event
     /// budget are honoured at window granularity (a stop or overrun
-    /// inside a window is noticed at its barrier).
+    /// inside a window is noticed by every shard at its rendezvous).
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of any shard (a component assert, or a
+    /// cross-shard message that undercuts its edge's lookahead horizon).
     pub fn run(&mut self, until: Tick, max_events: u64) -> RunOutcome {
-        if self.shards.len() == 1 {
+        let n = self.shards.len();
+        if n == 1 {
             // Single shard: plain serial semantics, including exact stop
             // and budget behaviour.
             let outcome = self.shard_mut(0).run(until, max_events);
@@ -365,78 +816,63 @@ impl ShardedSimulator {
             return outcome;
         }
         let budget_end = self.events_processed().saturating_add(max_events);
-        // Init every shard on the coordinator thread, before any worker
+        // Init every shard on the calling thread, before any worker
         // exists — keeps all Rc-held harness state single-threaded here.
-        for i in 0..self.shards.len() {
+        for i in 0..n {
             self.shard_mut(i).ensure_init();
         }
-        // `init` may already have staged cross-shard messages; deliver
-        // them before the first window's t_min scan.
-        let init_stopped = self.exchange_outboxes(0);
-        let barrier = SpinBarrier::new(self.shards.len() + 1);
-        let window_end = AtomicU64::new(0);
-        let outcome = std::thread::scope(|scope| {
-            for cell in &self.shards {
-                let barrier = &barrier;
-                let window_end = &window_end;
-                scope.spawn(move || loop {
-                    barrier.wait();
-                    let end = window_end.load(Ordering::Acquire);
-                    if end == 0 {
-                        break;
-                    }
-                    // SAFETY: between the two barrier crossings this
-                    // worker is the only thread touching this shard.
-                    unsafe { (*cell.0.get()).run_window(end) };
-                    barrier.wait();
-                });
+        let lockstep = Lockstep {
+            shards: &self.shards,
+            edges: &self.plan.edges,
+            mail: &self.mail,
+            barrier: Barrier::new(n),
+            published: std::array::from_fn(|_| (0..n).map(|_| Published::default()).collect()),
+            delta: self.delta,
+            until,
+            budget_end,
+            tracing: self.tracer.mask() != 0,
+        };
+        let tracer = &self.tracer;
+        let driven: Vec<Option<Driven>> = std::thread::scope(|scope| {
+            let lockstep = &lockstep;
+            let workers: Vec<_> =
+                (1..n).map(|i| scope.spawn(move || lockstep.drive(i, None))).collect();
+            let mut driven = vec![lockstep.drive(0, Some(tracer))];
+            for worker in workers {
+                // A worker's panic is this run's panic: hand it on with
+                // its own message (the scope joins the remaining workers,
+                // which the poisoned barrier has already turned around).
+                driven.push(worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
             }
-            let result = loop {
-                // All shard access below is coordinator-exclusive: the
-                // workers are parked on the start barrier.
-                if init_stopped {
-                    break RunOutcome::Stopped;
-                }
-                let mut t_min: Option<Tick> = None;
-                let mut total_events = 0u64;
-                for i in 0..self.shards.len() {
-                    // SAFETY: coordinator phase; workers are parked.
-                    let sim = unsafe { self.shard_raw(i) };
-                    if let Some(t) = sim.next_event_tick() {
-                        t_min = Some(t_min.map_or(t, |m| m.min(t)));
-                    }
-                    total_events += sim.events_processed();
-                }
-                let Some(t_min) = t_min else {
-                    break RunOutcome::QueueEmpty;
-                };
-                if t_min > until {
-                    break RunOutcome::TimeLimit;
-                }
-                if total_events >= budget_end {
-                    break RunOutcome::EventLimit;
-                }
-                let end = t_min.saturating_add(self.delta).min(until.saturating_add(1));
-                window_end.store(end, Ordering::Release);
-                barrier.wait(); // release the workers into [t_min, end)
-                barrier.wait(); // wait for every shard to drain the window
-                let stopped = self.exchange_outboxes(end);
-                if self.tracer.mask() != 0 {
-                    self.merge_window_traces();
-                }
-                if stopped {
-                    break RunOutcome::Stopped;
-                }
-            };
-            window_end.store(0, Ordering::Release);
-            barrier.wait(); // let the workers observe the exit sentinel
-            result
+            driven
         });
-        // A final merge catches records from init or a stop/limit exit.
+        let driven: Vec<Driven> = driven
+            .into_iter()
+            .map(|d| d.expect("barrier poisoned although no shard panicked"))
+            .collect();
+        let outcome = driven[0].outcome;
+        debug_assert!(
+            driven.iter().all(|d| d.outcome == outcome),
+            "shards disagree on the verdict"
+        );
+        let totals = &driven[0].totals;
+        self.sync.windows += totals.windows;
+        self.sync.window_events += totals.window_events;
+        self.sync.max_window_events = self.sync.max_window_events.max(totals.max_window_events);
+        self.sync.trace_merges += totals.trace_merges;
+        for (total, d) in self.sync.shards.iter_mut().zip(&driven) {
+            total.idle_windows += d.sync.idle_windows;
+            total.messages_sent += d.sync.messages_sent;
+            total.spin_waits += d.sync.spin_waits;
+            total.spin_ns += d.sync.spin_ns;
+            total.park_waits += d.sync.park_waits;
+            total.park_ns += d.sync.park_ns;
+        }
+        // The final merge: everything staged since the last trace quiesce.
         self.drain_shard_traces();
         self.now = match outcome {
             RunOutcome::TimeLimit => until,
-            _ => (0..self.shards.len()).map(|i| self.shard(i).last_event_tick()).max().unwrap_or(0),
+            _ => (0..n).map(|i| self.shard(i).last_event_tick()).max().unwrap_or(0),
         };
         outcome
     }
@@ -444,81 +880,6 @@ impl ShardedSimulator {
     /// Runs until every queue is empty or a component stops the run.
     pub fn run_to_quiesce(&mut self) -> RunOutcome {
         self.run(Tick::MAX, u64::MAX)
-    }
-
-    /// Drains every shard's outbox, injecting each cross-cut message
-    /// into its destination shard's queue with the `(tick, order)` key
-    /// minted by its sender, and collects pending stop requests. Must
-    /// only be called from the coordinator between worker phases.
-    /// `window_end` is the just-finished window's end tick (0 for the
-    /// pre-run init exchange): a message landing below it means a cut
-    /// edge's lookahead horizon was overstated.
-    fn exchange_outboxes(&self, window_end: Tick) -> bool {
-        let mut stopped = false;
-        for i in 0..self.shards.len() {
-            // SAFETY: coordinator phase; workers are parked.
-            let sim = unsafe { self.shard_raw(i) };
-            stopped |= sim.take_stop_request();
-            for msg in sim.take_outbox() {
-                let edge = self.plan.edges[msg.edge as usize];
-                debug_assert_eq!(edge.from_shard as usize, i, "edge staged on wrong shard");
-                assert!(
-                    msg.tick >= window_end,
-                    "cross-shard message at tick {} inside window ending at {}: \
-                     the edge's lookahead horizon is wrong",
-                    msg.tick,
-                    window_end
-                );
-                self.shard(edge.to_shard as usize)
-                    .push_keyed(msg.tick, msg.order, edge.dest, msg.ev);
-            }
-        }
-        stopped
-    }
-
-    /// K-way-merges the shards' staged trace records into the global ring
-    /// in serial record order. Each shard's stream is already in its local
-    /// dispatch order, and the fused run's dispatch order restricted to one
-    /// shard's events *is* that local order — so the merge must never
-    /// reorder within a stream. It only picks between the streams' current
-    /// heads by `(at, stamp)`, exactly the fused calendar's pop key.
-    ///
-    /// A global sort by `(at, stamp)` would be wrong: a zero-delay push
-    /// minted mid-tick can carry a numerically smaller stamp (another
-    /// component's counter) than a dispatch that already ran at that tick.
-    /// The serial run pops it later — it was not in the calendar yet — but
-    /// a sort would move it earlier. Head-only comparison is immune: the
-    /// late push sits behind its pusher in the same shard's stream.
-    ///
-    /// Head ties are broken by the recording component id; across shards
-    /// they only occur for stamp-0 `init` records, which the serial run
-    /// emits in component order.
-    fn merge_window_traces(&self) {
-        let mut streams: Vec<std::vec::IntoIter<(TraceEvent, u64)>> = (0..self.shards.len())
-            .map(|i| self.shard(i).shared.tracer.drain_stamped().into_iter())
-            .collect();
-        let mut heads: Vec<Option<(TraceEvent, u64)>> =
-            streams.iter_mut().map(|s| s.next()).collect();
-        loop {
-            let mut best: Option<usize> = None;
-            for (i, head) in heads.iter().enumerate() {
-                let Some((ev, stamp)) = head else { continue };
-                let better = match best {
-                    None => true,
-                    Some(b) => {
-                        let (bev, bstamp) = heads[b].as_ref().unwrap();
-                        (ev.at, *stamp, ev.component.0) < (bev.at, *bstamp, bev.component.0)
-                    }
-                };
-                if better {
-                    best = Some(i);
-                }
-            }
-            let Some(i) = best else { break };
-            let (ev, stamp) = heads[i].take().unwrap();
-            self.tracer.record_stamped(ev, stamp);
-            heads[i] = streams[i].next();
-        }
     }
 
     fn drain_shard_traces(&self) {
@@ -529,7 +890,7 @@ impl ShardedSimulator {
             dropped += self.shard(i).shared.tracer.dropped();
         }
         self.tracer.add_dropped(dropped);
-        self.merge_window_traces();
+        merge_traces((0..self.shards.len()).map(|i| &self.shard(i).shared.tracer), &self.tracer);
     }
 
     /// Serializes the complete dynamic state into the *same* checkpoint
@@ -564,14 +925,14 @@ impl ShardedSimulator {
             }
         }
         // Queue entries, globally sorted — the serial calendar's save
-        // order. Outboxes are empty between runs, so the shard queues
-        // hold every pending event.
-        for i in 0..self.shards.len() {
-            assert!(
-                self.shard(i).shared.outbox.borrow().is_empty(),
-                "checkpoint with undelivered cross-shard messages"
-            );
-        }
+        // order. Outboxes and mailboxes are empty between runs (every
+        // shard drains its inbox before it acts on a verdict), so the
+        // shard queues hold every pending event.
+        assert!(
+            self.mail.all_empty()
+                && (0..self.shards.len()).all(|i| self.shard(i).shared.outbox.borrow().is_empty()),
+            "checkpoint with undelivered cross-shard messages"
+        );
         let mut entries: Vec<(Tick, u64, Vec<u8>)> = Vec::new();
         for i in 0..self.shards.len() {
             self.shard(i).shared.queue.borrow().for_each_live(|tick, order, action| {
@@ -840,6 +1201,86 @@ mod tests {
         0
     }
 
+    /// Sends `parties` threads through `generations` crossings of
+    /// `barrier`. Before crossing `g` a thread stores `g + 1` into its own
+    /// cell of parity `g & 1` — `Relaxed`, so only the barrier orders it —
+    /// and after the crossing it must read `g + 1` from every other
+    /// thread's cell of that parity. The double buffering mirrors the
+    /// driver's: a thread that is already a generation ahead writes the
+    /// other parity, and cannot return to this one before everybody has
+    /// crossed again. No sleeps: a missed ordering is a wrong value.
+    fn hammer(barrier: &Barrier, generations: u64) -> Vec<Waiter> {
+        let parties = barrier.seats.len();
+        let cells: [Vec<AtomicU64>; 2] =
+            std::array::from_fn(|_| (0..parties).map(|_| AtomicU64::new(0)).collect());
+        std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..parties)
+                .map(|me| {
+                    let cells = &cells;
+                    scope.spawn(move || {
+                        let mut waiter = barrier.waiter(me);
+                        for g in 0..generations {
+                            let row = &cells[(g & 1) as usize];
+                            row[me].store(g + 1, Ordering::Relaxed);
+                            barrier.wait(&mut waiter).expect("nobody panics");
+                            for cell in row {
+                                assert_eq!(cell.load(Ordering::Relaxed), g + 1);
+                            }
+                        }
+                        waiter
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().expect("hammer thread")).collect()
+        })
+    }
+
+    #[test]
+    fn barrier_orders_every_generation_when_parking() {
+        // Spin budget 0: every wait that is not the last arrival parks.
+        let barrier = Barrier::with_spin(3, std::hint::spin_loop, (0, 0));
+        let waiters = hammer(&barrier, 100_000);
+        assert!(waiters.iter().all(|w| w.stats.spin_waits + w.stats.park_waits <= 100_000));
+        assert!(waiters.iter().map(|w| w.stats.park_waits).sum::<u64>() > 0);
+    }
+
+    #[test]
+    fn barrier_orders_every_generation_when_spinning() {
+        // Budget pinned at its maximum: waits end by spin unless the host
+        // deschedules the other thread for longer than that.
+        let max = Barrier::SPIN_RANGE.1;
+        let barrier = Barrier::with_spin(2, std::hint::spin_loop, (max, max));
+        let waiters = hammer(&barrier, 100_000);
+        assert_eq!(
+            waiters.iter().map(|w| w.stats.spin_waits + w.stats.park_waits).sum::<u64>(),
+            100_000,
+            "exactly one of two parties waits per generation"
+        );
+    }
+
+    #[test]
+    fn poisoned_barrier_turns_every_waiter_around() {
+        let barrier = Barrier::with_spin(3, std::hint::spin_loop, (0, 0));
+        std::thread::scope(|scope| {
+            let barrier = &barrier;
+            let waiting: Vec<_> = (0..2)
+                .map(|seat| scope.spawn(move || barrier.wait(&mut barrier.waiter(seat)).is_err()))
+                .collect();
+            // The third party never arrives; it unwinds instead.
+            let panicked = scope
+                .spawn(|| {
+                    let _poison = PoisonOnUnwind(barrier);
+                    panic!("shard blew up");
+                })
+                .join();
+            assert!(panicked.is_err());
+            for w in waiting {
+                assert!(w.join().expect("waiter"), "waiter must see the poison");
+            }
+        });
+        assert!(barrier.wait(&mut barrier.waiter(2)).is_err(), "late arrivals too");
+    }
+
     type FiredLog = Rc<RefCell<Vec<(Tick, String)>>>;
 
     /// Serial reference: both tickers in one simulation.
@@ -940,8 +1381,8 @@ mod tests {
     struct Volley {
         name: String,
         edge: u32,
-        horizon: Tick,
-        log: Rc<RefCell<Vec<(Tick, u64)>>>,
+        delay: Tick,
+        log: VolleyLog,
         serve: bool,
     }
     impl Component for Volley {
@@ -950,16 +1391,17 @@ mod tests {
         }
         fn init(&mut self, ctx: &mut Ctx<'_>) {
             if self.serve {
-                ctx.remote_schedule(self.edge, self.horizon, 0, Event::Timer { kind: 0, data: 8 });
+                ctx.remote_schedule(self.edge, self.delay, 0, Event::Timer { kind: 0, data: 8 });
             }
         }
         fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
             let Event::Timer { data, .. } = ev else { panic!() };
             self.log.borrow_mut().push((ctx.now(), data));
+            ctx.emit(TraceCategory::Device, crate::trace::TraceKind::DmaRead, None, None, data);
             if data > 0 {
                 ctx.remote_schedule(
                     self.edge,
-                    self.horizon,
+                    self.delay,
                     0,
                     Event::Timer { kind: 0, data: data - 1 },
                 );
@@ -967,46 +1409,180 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mailbox_volley_crosses_cuts_at_exact_ticks() {
-        let log_e = Rc::new(RefCell::new(Vec::new()));
-        let log_w = Rc::new(RefCell::new(Vec::new()));
-        let h: Tick = 13;
+    /// Fires one timer at tick `at` and, if `stop`, asks the run to stop.
+    struct Halt {
+        at: Option<Tick>,
+        stop: bool,
+    }
+    impl Component for Halt {
+        fn name(&self) -> &str {
+            "halt"
+        }
+        fn init(&mut self, ctx: &mut Ctx<'_>) {
+            if let Some(at) = self.at {
+                ctx.schedule(at, Event::Timer { kind: 0, data: 0 });
+            }
+        }
+        fn handle(&mut self, ctx: &mut Ctx<'_>, _: Event) {
+            if self.stop {
+                ctx.stop();
+            }
+        }
+    }
+
+    type VolleyLog = Rc<RefCell<Vec<(Tick, u64)>>>;
+
+    /// The horizon both volley edges declare.
+    const H: Tick = 13;
+
+    /// `east` (shard 0, the calling thread) serves a counter of 8 to
+    /// `west` (shard 1, a worker) and they volley it down to 0 over a cut
+    /// whose edges declare horizon [`H`]; `delays` is how long after
+    /// handling a hop east and west send the next. `halt` lives with
+    /// `west`. With both delays at `H` the hops land at `H, 2H, … 9H`.
+    fn volley_pair(delays: [Tick; 2], halt: Halt) -> (ShardedSimulator, VolleyLog, VolleyLog) {
+        let log_e: VolleyLog = Rc::new(RefCell::new(Vec::new()));
+        let log_w: VolleyLog = Rc::new(RefCell::new(Vec::new()));
         let mut s0 = Simulation::new();
         s0.add(Box::new(Volley {
             name: "east".into(),
             edge: 0,
-            horizon: h,
+            delay: delays[0],
             log: log_e.clone(),
             serve: true,
         }));
         s0.add_remote("west");
+        s0.add_remote("halt");
         let mut s1 = Simulation::new();
         s1.add_remote("east");
         s1.add(Box::new(Volley {
             name: "west".into(),
             edge: 1,
-            horizon: h,
+            delay: delays[1],
             log: log_w.clone(),
             serve: false,
         }));
+        s1.add(Box::new(halt));
         let plan = ShardPlan {
-            placements: vec![Placement::Shard(0), Placement::Shard(1)],
+            placements: vec![Placement::Shard(0), Placement::Shard(1), Placement::Shard(1)],
             edges: vec![
-                EdgeSpec { from_shard: 0, to_shard: 1, dest: ComponentId(1), horizon: h },
-                EdgeSpec { from_shard: 1, to_shard: 0, dest: ComponentId(0), horizon: h },
+                EdgeSpec { from_shard: 0, to_shard: 1, dest: ComponentId(1), horizon: H },
+                EdgeSpec { from_shard: 1, to_shard: 0, dest: ComponentId(0), horizon: H },
             ],
             route_end: trivial_route,
         };
-        let mut sharded = ShardedSimulator::new(vec![s0, s1], plan);
+        (ShardedSimulator::new(vec![s0, s1], plan), log_e, log_w)
+    }
+
+    const NO_HALT: Halt = Halt { at: None, stop: false };
+
+    #[test]
+    fn mailbox_volley_crosses_cuts_at_exact_ticks() {
+        let (mut sharded, log_e, log_w) = volley_pair([H, H], NO_HALT);
         assert_eq!(sharded.run_to_quiesce(), RunOutcome::QueueEmpty);
         let mut got: Vec<(Tick, u64)> = log_e.borrow().clone();
         got.extend(log_w.borrow().iter().copied());
         got.sort_unstable();
-        let want: Vec<(Tick, u64)> = (0..9).map(|i| ((i + 1) * h, 8 - i)).collect();
+        let want: Vec<(Tick, u64)> = (0..9).map(|i| ((i + 1) * H, 8 - i)).collect();
         assert_eq!(got, want, "each hop lands exactly one horizon later");
-        assert_eq!(sharded.now(), 9 * h);
+        assert_eq!(sharded.now(), 9 * H);
         assert_eq!(sharded.events_processed(), 9);
+    }
+
+    #[test]
+    fn sync_stats_count_windows_messages_and_waits() {
+        let (mut sharded, _e, _w) = volley_pair([H, H], NO_HALT);
+        let keys_before: Vec<String> = sharded.stats().iter().map(|(k, _)| k.to_owned()).collect();
+        assert_eq!(sharded.run_to_quiesce(), RunOutcome::QueueEmpty);
+        let sync = sharded.sync_stats().clone();
+        // One hop per window; east handles 4 of the 9 hops, west 5.
+        assert_eq!((sync.windows, sync.window_events, sync.max_window_events), (9, 9, 1));
+        assert_eq!(sync.mean_window_events(), 1.0);
+        assert_eq!(sync.mailbox_messages(), 9, "the serve from init plus eight returns");
+        assert_eq!(sync.shards.iter().map(|s| s.idle_windows).collect::<Vec<_>>(), [5, 4]);
+        assert_eq!(sync.shards.iter().map(|s| s.messages_sent).collect::<Vec<_>>(), [5, 4]);
+        // Ten rendezvous; at each, exactly one of the two shards waits.
+        let waits: u64 = sync.shards.iter().map(|s| s.spin_waits + s.park_waits).sum();
+        assert_eq!(waits, 10);
+        // The instrumentation stays out of `stats()`, whose hash must
+        // match the serial run's.
+        let keys_after: Vec<String> = sharded.stats().iter().map(|(k, _)| k.to_owned()).collect();
+        assert_eq!(keys_before, keys_after);
+    }
+
+    #[test]
+    fn trace_merged_mid_run_equals_the_serial_stream() {
+        // TRACE_MERGE_BATCH is 4 under cfg(test): the nine records are
+        // merged by trace quiesces during the run, not only at its end.
+        let (mut sharded, _e, _w) = volley_pair([H, H], NO_HALT);
+        sharded.set_trace_mask(TraceCategory::ALL);
+        assert_eq!(sharded.run_to_quiesce(), RunOutcome::QueueEmpty);
+        assert!(sharded.sync_stats().trace_merges >= 2, "{:?}", sharded.sync_stats());
+        let trace = sharded.take_trace();
+        assert_eq!(trace.dropped, 0);
+        // Serially the hops alternate west, east, … in tick order.
+        let got: Vec<(Tick, u32, u64)> =
+            trace.events.iter().map(|e| (e.at, e.component.0, e.arg)).collect();
+        let want: Vec<(Tick, u32, u64)> =
+            (0..9).map(|i| ((i + 1) * H, ((i + 1) % 2) as u32, 8 - i)).collect();
+        assert_eq!(got, want);
+    }
+
+    /// A cut edge that promises more lookahead than its link delivers must
+    /// fail the run with the horizon message — raised on the thread that
+    /// sent the message, here a worker — and must not leave the other
+    /// shard at the barrier.
+    #[test]
+    #[should_panic(expected = "lookahead horizon is wrong")]
+    fn overstated_horizon_on_a_worker_panics_instead_of_hanging() {
+        // The serve from init lands at tick 5 and passes (no window has
+        // run); west answers at 5 + 5 = 10, inside the window [5, 18).
+        let (mut sharded, _e, _w) = volley_pair([5, 5], NO_HALT);
+        sharded.run_to_quiesce();
+    }
+
+    /// The same on the calling thread, whose unwinding must turn the
+    /// worker around before the scope can join it.
+    #[test]
+    #[should_panic(expected = "lookahead horizon is wrong")]
+    fn overstated_horizon_on_the_caller_panics_instead_of_hanging() {
+        // West is honest (5 + 13 = 18, the end of [5, 18)); east answers
+        // at 18 + 5 = 23, inside the window [18, 31).
+        let (mut sharded, _e, _w) = volley_pair([5, H], NO_HALT);
+        sharded.run_to_quiesce();
+    }
+
+    /// Both shards' clocks after a run that ended on a window boundary.
+    fn shard_clocks(sharded: &mut ShardedSimulator) -> [Tick; 2] {
+        [sharded.shard_mut(0).now(), sharded.shard_mut(1).now()]
+    }
+
+    #[test]
+    fn stop_inside_a_window_is_seen_by_every_shard_at_one_rendezvous() {
+        // `halt` stops at tick 40, inside the window [39, 52) in which
+        // west also handles the hop at 39.
+        let (mut sharded, _e, _w) = volley_pair([H, H], Halt { at: Some(40), stop: true });
+        assert_eq!(sharded.run_to_quiesce(), RunOutcome::Stopped);
+        assert_eq!(shard_clocks(&mut sharded), [51, 51], "both shards ran the same last window");
+        assert_eq!(sharded.events_processed(), 4);
+        assert_eq!(sharded.pending_events(), 1, "the hop sent at 39 sits in east's queue");
+        // Resumed, the run quiesces where the uninterrupted one does.
+        assert_eq!(sharded.run_to_quiesce(), RunOutcome::QueueEmpty);
+        assert_eq!(sharded.now(), 9 * H);
+        assert_eq!(sharded.events_processed(), 10);
+    }
+
+    #[test]
+    fn event_budget_overrun_is_seen_by_every_shard_at_one_rendezvous() {
+        // A budget of 3 is overrun inside the window [39, 52), which
+        // dispatches the third and the fourth event (hop and halt timer).
+        let (mut sharded, _e, _w) = volley_pair([H, H], Halt { at: Some(40), stop: false });
+        assert_eq!(sharded.run(Tick::MAX, 3), RunOutcome::EventLimit);
+        assert_eq!(shard_clocks(&mut sharded), [51, 51], "both shards ran the same last window");
+        assert_eq!(sharded.events_processed(), 4);
+        assert_eq!(sharded.run_to_quiesce(), RunOutcome::QueueEmpty);
+        assert_eq!(sharded.now(), 9 * H);
+        assert_eq!(sharded.events_processed(), 10);
     }
 
     #[test]

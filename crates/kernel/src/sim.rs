@@ -758,10 +758,11 @@ impl Simulation {
         self.shared.queue.borrow_mut().next_tick()
     }
 
-    /// Drains the staged cross-shard messages recorded by
-    /// [`Ctx::remote_schedule`] since the last call.
-    pub fn take_outbox(&mut self) -> Vec<OutboundMsg> {
-        std::mem::take(&mut *self.shared.outbox.borrow_mut())
+    /// Hands every cross-shard message staged by [`Ctx::remote_schedule`]
+    /// since the last call to `sink`, in staging order. The outbox keeps
+    /// its buffer, so a steady-state window allocates nothing.
+    pub fn drain_outbox(&mut self, sink: impl FnMut(OutboundMsg)) {
+        self.shared.outbox.borrow_mut().drain(..).for_each(sink);
     }
 
     /// Whether a component requested a stop that has not been consumed.

@@ -671,19 +671,27 @@ impl Stage {
     }
 
     /// Default component-name → stage mapping, matching the names the
-    /// system builder assigns (`rc`, `switch`, `root_link`, `dev_link`,
-    /// `membus`, `dram`, `nic`, `disk`, …).
+    /// system builders assign (`rc`, `switch`, `sw3`, `root_link`,
+    /// `link7`, `membus`, `dram`, `nic`, `disk0_1_2`, `mem0`, `dd4`,
+    /// `vdrv0`, `cxlhost0`, …).
     pub fn classify(name: &str) -> Stage {
+        // `stem` followed only by decimal digits: the auto-numbered names
+        // of `system::topology` (`sw12`, `vdrv0`, `mem1`).
+        let numbered = |stem: &str| {
+            name.strip_prefix(stem).is_some_and(|rest| rest.bytes().all(|b| b.is_ascii_digit()))
+        };
         if name.contains("link") {
             Stage::Link
         } else if name == "rc" || name.contains("root_complex") {
             Stage::RootComplex
-        } else if name.contains("switch") {
+        } else if name.contains("switch") || numbered("sw") {
             Stage::Switch
         } else if name.contains("nic")
             || name.contains("disk")
             || name.contains("vblk")
             || name.contains("vnet")
+            || numbered("mem")
+            || numbered("ep")
         {
             Stage::Device
         } else if name.contains("membus")
@@ -695,6 +703,9 @@ impl Stage {
             || name.contains("gic")
             || name.contains("dd")
             || name.contains("probe")
+            || numbered("vdrv")
+            || numbered("pmd")
+            || numbered("cxlhost")
         {
             Stage::Host
         } else {
@@ -965,5 +976,13 @@ mod tests {
         assert_eq!(Stage::classify("disk0"), Stage::Device);
         assert_eq!(Stage::classify("mmio_probe"), Stage::Host);
         assert_eq!(Stage::classify("mystery"), Stage::Other);
+        // The auto-numbered names of `system::topology` (checked against
+        // the real trees in that crate's `default_stage_map_*` test).
+        assert_eq!(Stage::classify("sw12"), Stage::Switch);
+        assert_eq!(Stage::classify("mem0"), Stage::Device);
+        assert_eq!(Stage::classify("vdrv0"), Stage::Host);
+        assert_eq!(Stage::classify("pmd0"), Stage::Host);
+        assert_eq!(Stage::classify("cxlhost1"), Stage::Host);
+        assert_eq!(Stage::classify("swizzle"), Stage::Other);
     }
 }

@@ -1286,6 +1286,8 @@ pub struct ShardScalingOutcome {
     pub events: u64,
     /// Host wall-clock of the run (build and attach excluded).
     pub wall_secs: f64,
+    /// What the window protocol cost (all zero at one shard).
+    pub sync: pcisim_kernel::shard::SyncStats,
 }
 
 impl ShardScalingOutcome {
@@ -1334,6 +1336,7 @@ pub fn run_shard_scaling(
         stats_fnv: stats_fnv(&driver.stats()),
         events: driver.events_processed(),
         wall_secs,
+        sync: driver.sync_stats().clone(),
     }
 }
 
@@ -1708,6 +1711,7 @@ mod pmd_tests {
             stats_fnv: 0,
             events: 1000,
             wall_secs: 0.0,
+            sync: Default::default(),
         };
         assert_eq!(out.events_per_sec(), 0.0);
         assert!(!out.events_per_sec().is_nan());

@@ -1859,6 +1859,47 @@ mod tests {
     use crate::workload::nic_tx::NicTxConfig;
     use pcisim_kernel::sim::RunOutcome;
     use pcisim_kernel::tick::TICKS_PER_SEC;
+    use pcisim_kernel::trace::Stage;
+
+    /// Every component of `built`, classified by the kernel's default
+    /// name → stage map.
+    fn stages(mut built: TopologySystem) -> Vec<(Stage, String)> {
+        let names = built.sim.take_trace().names;
+        names.into_iter().map(|n| (Stage::classify(&n), n)).collect()
+    }
+
+    fn stage_of(stages: &[(Stage, String)], name: &str) -> Stage {
+        stages.iter().find(|(_, n)| n == name).unwrap_or_else(|| panic!("no component {name}")).0
+    }
+
+    #[test]
+    fn default_stage_map_covers_the_preset_trees() {
+        use pcisim_devices::cxl::CxlExpanderConfig;
+        use pcisim_devices::virtio::VirtioConfig;
+
+        let mut fanout = build_topology(Topology::fanout(2, 4, 4));
+        fanout.attach_dd(0, DdConfig::default());
+        let mut virtio = build_topology(Topology::virtio_blk_direct(VirtioConfig::default()));
+        virtio.attach_virtio(0, VirtioAppConfig::default());
+        let mut cxl = build_topology(Topology::cxl_direct(CxlExpanderConfig::default()));
+        cxl.attach_cxl_host(0, CxlHostConfig::default());
+        let mut local = build_topology(Topology::cxl_direct(CxlExpanderConfig::default()));
+        local.attach_dram_host(0, CxlHostConfig::default());
+        let (fanout, virtio, cxl, local) =
+            (stages(fanout), stages(virtio), stages(cxl), stages(local));
+
+        for (stage, name) in fanout.iter().chain(&virtio).chain(&cxl).chain(&local) {
+            assert_ne!(*stage, Stage::Other, "{name} is unclassified");
+        }
+        let switches = fanout.iter().filter(|(s, _)| *s == Stage::Switch).count();
+        assert_eq!(switches, 2 + 2 * 4, "fanout(2, 4, 4): two mid and eight leaf sw{{n}} switches");
+        assert_eq!(stage_of(&fanout, "dd0"), Stage::Host);
+        assert_eq!(stage_of(&virtio, "vdrv0"), Stage::Host);
+        assert_eq!(stage_of(&virtio, "vblk0"), Stage::Device);
+        assert_eq!(stage_of(&cxl, "cxlhost0"), Stage::Host);
+        assert_eq!(stage_of(&local, "dramhost0"), Stage::Host);
+        assert_eq!(stage_of(&cxl, "mem0"), Stage::Device);
+    }
 
     #[test]
     fn validation_preset_matches_the_system_config_layout() {

@@ -19,6 +19,8 @@ use proptest::prelude::*;
 
 use pcisim::devices::ide::IdeDiskConfig;
 use pcisim::devices::nic::NicConfig;
+use pcisim::kernel::shard::ShardedSimulator;
+use pcisim::kernel::sim::RunOutcome;
 use pcisim::kernel::tick::TICKS_PER_SEC;
 use pcisim::kernel::trace::TraceLog;
 use pcisim::pcie::params::{Generation, LinkConfig, LinkWidth};
@@ -380,18 +382,7 @@ fn mid_run_checkpoint_restores_under_a_different_shard_count() {
     let mid = serial.now / 2;
 
     // Pause a 3-shard run mid-flight and checkpoint at the barrier.
-    let mut sys = build_topology_sharded(mixed_tree().with_tracing(), 3);
-    let mut handles = Vec::new();
-    for i in 0..sys.endpoints.len() {
-        if sys.endpoints[i].is_disk {
-            handles
-                .push(sys.attach_dd(i, DdConfig { block_bytes: DD_BLOCK, ..DdConfig::default() }));
-        } else {
-            let _ =
-                sys.attach_nic_tx(i, NicTxConfig { frames: NIC_FRAMES, ..NicTxConfig::default() });
-        }
-    }
-    let mut paused = sys.into_driver();
+    let mut paused = mixed_driver(3);
     paused.run(mid, u64::MAX);
     let snapshot = paused.checkpoint();
 
@@ -423,6 +414,62 @@ fn mid_run_checkpoint_restores_under_a_different_shard_count() {
         reports.extend(nics.iter().map(|r| (r.borrow().done, r.borrow().frames)));
         assert_eq!(reports, serial.reports, "restored at {other} shards: workload reports");
     }
+}
+
+/// The mixed tree on `shards` shards with every workload attached and
+/// tracing on, sealed into a driver.
+fn mixed_driver(shards: usize) -> ShardedSimulator {
+    let mut sys = build_topology_sharded(mixed_tree().with_tracing(), shards);
+    for i in 0..sys.endpoints.len() {
+        if sys.endpoints[i].is_disk {
+            let _ = sys.attach_dd(i, DdConfig { block_bytes: DD_BLOCK, ..DdConfig::default() });
+        } else {
+            let _ =
+                sys.attach_nic_tx(i, NicTxConfig { frames: NIC_FRAMES, ..NicTxConfig::default() });
+        }
+    }
+    sys.into_driver()
+}
+
+/// Equality with the serial run leaves one thing unchecked: that the
+/// threads' interleaving cannot leak into the state at all. Two runs of
+/// the same sharded build must agree byte for byte — mid-run checkpoint,
+/// final checkpoint and trace stream.
+#[test]
+fn the_same_sharded_build_run_twice_is_byte_identical() {
+    let mid = serial_run(mixed_tree()).now / 2;
+    let run = || {
+        let mut driver = mixed_driver(3);
+        driver.run(mid, u64::MAX);
+        let paused = driver.checkpoint();
+        driver.run(TICKS_PER_SEC, u64::MAX);
+        let finished = driver.checkpoint();
+        (paused, finished, driver.take_trace())
+    };
+    let (first, second) = (run(), run());
+    assert!(first.0 == second.0, "mid-run checkpoints differ");
+    assert!(first.1 == second.1, "final checkpoints differ");
+    assert_eq!(first.2.dropped, second.2.dropped, "trace drops");
+    assert_eq!(first.2.events, second.2.events, "trace stream");
+}
+
+/// An event budget that runs out inside a window stops every shard at
+/// the same rendezvous (the overrun is at most that window), and the
+/// resumed run is the serial run: quiesce tick, events, stats, trace.
+#[test]
+fn event_budget_overrun_resumes_to_the_serial_quiesce_tick() {
+    let serial = serial_run(mixed_tree());
+    let budget = serial.events / 3;
+    let mut driver = mixed_driver(3);
+    assert_eq!(driver.run(TICKS_PER_SEC, budget), RunOutcome::EventLimit);
+    assert!(driver.events_processed() >= budget && driver.events_processed() < serial.events);
+    assert_eq!(driver.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
+    assert_eq!(driver.now(), serial.now, "quiesce tick");
+    assert_eq!(driver.events_processed(), serial.events, "events processed");
+    assert_eq!(stats_fnv(&driver.stats()), serial.fnv, "stats FNV");
+    let trace = driver.take_trace();
+    assert_eq!(trace.dropped, serial.trace.dropped, "trace drops");
+    assert_eq!(trace.events, serial.trace.events, "trace stream");
 }
 
 // --- Virtio functions across shard cuts ------------------------------------
