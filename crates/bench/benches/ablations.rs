@@ -16,7 +16,7 @@ fn posted_writes(c: &mut Criterion) {
     for (name, posted) in [("non_posted", false), ("posted", true)] {
         g.bench_function(name, |b| {
             b.iter(|| {
-                let out = run_dd_experiment(&DdExperiment {
+                let out = run_cold(&DdExperiment {
                     block_bytes: 1024 * 1024,
                     posted_writes: posted,
                     ..DdExperiment::default()
@@ -35,7 +35,7 @@ fn ack_batching(c: &mut Criterion) {
     for (name, immediate) in [("batched", false), ("immediate", true)] {
         g.bench_function(name, |b| {
             b.iter(|| {
-                let out = run_dd_experiment(&DdExperiment {
+                let out = run_cold(&DdExperiment {
                     block_bytes: 1024 * 1024,
                     ack_immediate: immediate,
                     ..DdExperiment::default()
@@ -54,7 +54,7 @@ fn sector_width(c: &mut Criterion) {
     for lanes in [1u8, 4, 8] {
         g.bench_function(format!("x{lanes}"), |b| {
             b.iter(|| {
-                let out = run_sector_microbench(LinkWidth::new(lanes), 64);
+                let out = run_cold(&SectorMicrobench { width: LinkWidth::new(lanes), sectors: 64 });
                 assert!(out.completed);
                 out.throughput_gbps
             });
@@ -64,8 +64,6 @@ fn sector_width(c: &mut Criterion) {
 }
 
 fn cut_through(c: &mut Criterion) {
-    use pcisim_system::builder::{build_system, SystemConfig};
-    use pcisim_system::workload::dd::DdConfig;
     let mut g = c.benchmark_group("ablation_cut_through");
     g.sample_size(10);
     for (name, cut) in [("store_and_forward", false), ("cut_through", true)] {
@@ -75,8 +73,8 @@ fn cut_through(c: &mut Criterion) {
                 config.root_link.cut_through = cut;
                 config.device_link.cut_through = cut;
                 let mut built = build_system(config);
-                let report =
-                    built.attach_dd(DdConfig { block_bytes: 1024 * 1024, ..DdConfig::default() });
+                let report = built
+                    .attach_dd(0, DdConfig { block_bytes: 1024 * 1024, ..DdConfig::default() });
                 built.sim.run(pcisim_kernel::tick::TICKS_PER_SEC, u64::MAX);
                 let r = report.borrow();
                 assert!(r.done);
@@ -93,7 +91,7 @@ fn credit_flow_control(c: &mut Criterion) {
     for (name, credits) in [("acknak_only", None), ("credit_fc_16", Some(16))] {
         g.bench_function(name, |b| {
             b.iter(|| {
-                let out = run_dd_experiment(&DdExperiment {
+                let out = run_cold(&DdExperiment {
                     block_bytes: 1024 * 1024,
                     width_all: Some(LinkWidth::X8),
                     credit_fc: credits,

@@ -12,7 +12,7 @@ fn bench(c: &mut Criterion) {
     for lat in [50u64, 100, 150] {
         g.bench_with_input(BenchmarkId::from_parameter(lat), &lat, |b, &lat| {
             b.iter(|| {
-                let out = run_dd_experiment(&DdExperiment {
+                let out = run_cold(&DdExperiment {
                     block_bytes: 1024 * 1024,
                     switch_latency: ns(lat),
                     ..DdExperiment::default()

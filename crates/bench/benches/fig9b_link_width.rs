@@ -10,7 +10,7 @@ fn bench(c: &mut Criterion) {
     for lanes in [1u8, 2, 4, 8] {
         g.bench_with_input(BenchmarkId::new("width", format!("x{lanes}")), &lanes, |b, &lanes| {
             b.iter(|| {
-                let out = run_dd_experiment(&DdExperiment {
+                let out = run_cold(&DdExperiment {
                     block_bytes: 1024 * 1024,
                     width_all: Some(LinkWidth::new(lanes)),
                     ..DdExperiment::default()

@@ -10,7 +10,7 @@ fn bench(c: &mut Criterion) {
     for rb in [1usize, 2, 3, 4] {
         g.bench_with_input(BenchmarkId::from_parameter(rb), &rb, |b, &rb| {
             b.iter(|| {
-                let out = run_dd_experiment(&DdExperiment {
+                let out = run_cold(&DdExperiment {
                     block_bytes: 1024 * 1024,
                     width_all: Some(LinkWidth::X8),
                     replay_buffer: rb,

@@ -11,7 +11,7 @@ fn bench(c: &mut Criterion) {
     for pb in [16usize, 20, 24, 28] {
         g.bench_with_input(BenchmarkId::from_parameter(pb), &pb, |b, &pb| {
             b.iter(|| {
-                let out = run_dd_experiment(&DdExperiment {
+                let out = run_cold(&DdExperiment {
                     block_bytes: 1024 * 1024,
                     width_all: Some(LinkWidth::X8),
                     port_buffers: pb,

@@ -11,7 +11,7 @@ fn bench(c: &mut Criterion) {
     for lat in [50u64, 75, 100, 125, 150] {
         g.bench_with_input(BenchmarkId::from_parameter(lat), &lat, |b, &lat| {
             b.iter(|| {
-                let out = run_mmio_experiment(&MmioExperiment {
+                let out = run_cold(&MmioExperiment {
                     rc_latency: ns(lat),
                     reads: 16,
                     ..MmioExperiment::default()

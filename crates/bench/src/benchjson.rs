@@ -24,6 +24,7 @@ use pcisim_kernel::prelude::*;
 use pcisim_kernel::testutil::{Requester, Responder, REQUESTER_PORT, RESPONDER_PORT};
 use pcisim_pcie::link::{PcieLink, PORT_DOWN_MASTER, PORT_UP_SLAVE};
 use pcisim_pcie::params::{Generation, LinkConfig, LinkWidth};
+use pcisim_system::prelude::*;
 
 /// Requests issued per microbenchmark scenario (matches
 /// `benches/simulator_speed.rs`).
@@ -115,64 +116,61 @@ fn run_link_writes() -> (u64, u64, f64) {
     (MICRO_OPS, sim.events_processed(), secs)
 }
 
+/// Runs `exp` cold on `shards` workers and returns `(ops, events, secs)`
+/// for the run alone: build, enumeration, probe and attach are outside
+/// the timed region. `ops` checks the outcome and says how many
+/// operations it stands for.
+fn measure<E: Experiment>(
+    exp: &E,
+    shards: usize,
+    ops: impl FnOnce(E::Outcome) -> u64,
+) -> (u64, u64, f64) {
+    let (fin, reports) = execute(exp, Exec::Cold { shards });
+    (ops(exp.collect(&fin, &reports)), fin.events, fin.wall_secs)
+}
+
 fn run_msix_tx() -> (u64, u64, f64) {
-    use pcisim_system::prelude::*;
-    let mut built = build_system(SystemConfig::nic_msix(4, 0));
-    let report = built.attach_msix_tx(MsixTxConfig {
+    let exp = MsixTxExperiment {
         queues: 4,
         frames: MICRO_OPS as u32,
-        ..Default::default()
-    });
-    let start = Instant::now();
-    built.sim.run_to_quiesce();
-    let secs = start.elapsed().as_secs_f64();
-    assert!(report.borrow().done, "msix bench transmit must complete");
-    (MICRO_OPS, built.sim.events_processed(), secs)
+        width: LinkWidth::X1,
+        ..MsixTxExperiment::default()
+    };
+    measure(&exp, 1, |out| {
+        assert!(out.completed, "msix bench transmit must complete");
+        MICRO_OPS
+    })
 }
 
 /// A multi-shard `dd` run over `topo` under the sharded driver; ops are
 /// scheduler events (the sharded acceptance metric is aggregate
 /// events/sec, so the ops gate and the event rate coincide here).
-fn run_sharded_dd(
-    topo: pcisim_system::topology::Topology,
-    shards: usize,
-    block: u64,
-) -> (u64, u64, f64) {
-    use pcisim_system::prelude::*;
-    let mut sys = build_topology_sharded(topo, shards);
-    let mut reports = Vec::new();
-    for i in 0..sys.endpoints.len() {
-        if sys.endpoints[i].is_disk {
-            reports.push(sys.attach_dd(i, DdConfig { block_bytes: block, ..DdConfig::default() }));
-        }
-    }
-    let mut driver = sys.into_driver();
-    let start = Instant::now();
-    driver.run_to_quiesce();
-    let secs = start.elapsed().as_secs_f64();
-    for r in &reports {
-        assert!(r.borrow().done, "sharded bench dd must complete");
-    }
-    (driver.events_processed(), driver.events_processed(), secs)
+fn run_sharded_dd(topo: Topology, shards: usize, block: u64) -> (u64, u64, f64) {
+    let out = run(&ShardScaling { topo, block_bytes: block }, Exec::Cold { shards });
+    (out.events, out.events, out.wall_secs)
 }
 
 /// 2-shard cascade: `cascaded(3)`'s disk stream crossing one cut link.
 fn run_sharded_cascaded3() -> (u64, u64, f64) {
-    run_sharded_dd(pcisim_system::topology::Topology::cascaded(3), 2, 4 * 1024 * 1024)
+    run_sharded_dd(Topology::cascaded(3), 2, 4 * 1024 * 1024)
 }
 
 /// 4-shard fanout: 32 disks over `fanout(2, 4, 4)`, three cut subtrees.
 fn run_sharded_fanout() -> (u64, u64, f64) {
-    run_sharded_dd(pcisim_system::topology::Topology::fanout(2, 4, 4), 4, 256 * 1024)
+    run_sharded_dd(Topology::fanout(2, 4, 4), 4, 256 * 1024)
 }
 
 /// Frames settled per poll-mode benchmark scenario.
 const PMD_FRAMES: u32 = 4096;
 
-fn pmd_bench_experiment() -> pcisim_system::experiments::PmdExperiment {
-    use pcisim_system::prelude::*;
-    PmdExperiment {
+/// Poll-mode NIC receive: busy-poll driver settling `PMD_FRAMES` frames
+/// from a million-flow heavy-tailed source beside a 64-frame transmit
+/// burst, interrupts fully masked — on the serial kernel, or with the NIC
+/// subtree on its own shard behind a conservative-window barrier.
+fn run_pmd(shards: usize) -> (u64, u64, f64) {
+    let exp = PmdExperiment {
         burst: 16,
+        tx_frames: 64,
         traffic: Some(TrafficSpec::Generate(heavy_traffic(
             0xb43c_4a11,
             1 << 20,
@@ -180,171 +178,69 @@ fn pmd_bench_experiment() -> pcisim_system::experiments::PmdExperiment {
             ns(1000),
         ))),
         ..PmdExperiment::default()
-    }
-}
-
-/// Poll-mode NIC receive: busy-poll driver settling `PMD_FRAMES` frames
-/// from a million-flow heavy-tailed source, interrupts fully masked.
-/// Timed region includes enumeration + driver probe (like the MSI-X
-/// scenario, they are part of the datapath being measured).
-fn run_pmd_poll() -> (u64, u64, f64) {
-    use pcisim_system::experiments::pmd_system_config;
-    use pcisim_system::prelude::*;
-    let exp = pmd_bench_experiment();
-    let mut built = build_system(pmd_system_config(&exp));
-    let report = built.attach_pmd(PmdConfig {
-        burst: exp.burst,
-        rx_expect: PMD_FRAMES,
-        ..PmdConfig::default()
-    });
-    let start = Instant::now();
-    built.sim.run_to_quiesce();
-    let secs = start.elapsed().as_secs_f64();
-    let r = report.borrow();
-    assert!(r.done, "pmd bench poll loop must settle");
-    assert_eq!(r.rx_frames + r.rx_dropped, u64::from(PMD_FRAMES));
-    assert_eq!(
-        built.sim.stats().get("gic.raised").unwrap_or(0.0),
-        0.0,
-        "poll mode must take zero interrupts"
-    );
-    (u64::from(PMD_FRAMES), built.sim.events_processed(), secs)
-}
-
-/// The same poll-mode receive under the 2-shard driver (NIC subtree on
-/// its own shard, conservative-window barrier on the cut link).
-fn run_pmd_sharded2() -> (u64, u64, f64) {
-    use pcisim_system::experiments::pmd_system_config;
-    use pcisim_system::prelude::*;
-    let exp = pmd_bench_experiment();
-    let topo = Topology::from_system_config(&pmd_system_config(&exp));
-    let mut sys = build_topology_sharded(topo, 2);
-    let report = sys.attach_pmd(
-        0,
-        PmdConfig { burst: exp.burst, rx_expect: PMD_FRAMES, ..PmdConfig::default() },
-    );
-    let mut driver = sys.into_driver();
-    let start = Instant::now();
-    driver.run_to_quiesce();
-    let secs = start.elapsed().as_secs_f64();
-    let r = report.borrow();
-    assert!(r.done, "sharded pmd bench poll loop must settle");
-    assert_eq!(r.rx_frames + r.rx_dropped, u64::from(PMD_FRAMES));
-    (u64::from(PMD_FRAMES), driver.events_processed(), secs)
+    };
+    measure(&exp, shards, |out| {
+        assert!(out.completed, "pmd bench poll loop must settle: {out:?}");
+        assert_eq!(out.irqs, 0, "poll mode must take zero interrupts");
+        u64::from(PMD_FRAMES)
+    })
 }
 
 /// Accesses per CXL.mem benchmark scenario.
 const CXL_ACCESSES: u32 = 2048;
 
+fn run_cxl(exp: CxlExperiment) -> (u64, u64, f64) {
+    measure(&exp, 1, |out| {
+        assert!(out.completed, "cxl bench stream must complete: {out:?}");
+        out.completed_accesses
+    })
+}
+
 /// Serial pointer chase through a CXL.mem expander behind a switch: the
 /// worst-case latency path, every hop a dependent CxlMemRd round trip.
 fn run_cxl_chase() -> (u64, u64, f64) {
-    use pcisim_system::prelude::*;
-    let mut sys = build_topology(Topology::cxl_behind_switch(CxlExpanderConfig::default()));
-    let report = sys.attach_cxl_host(
-        0,
-        CxlHostConfig {
-            mode: CxlHostMode::PointerChase,
-            requests: CXL_ACCESSES,
-            chain_blocks: 256,
-            ..CxlHostConfig::default()
-        },
-    );
-    let start = Instant::now();
-    sys.sim.run_to_quiesce();
-    let secs = start.elapsed().as_secs_f64();
-    assert!(report.borrow().done, "cxl bench chase must complete");
-    (u64::from(CXL_ACCESSES), sys.sim.events_processed(), secs)
+    run_cxl(CxlExperiment {
+        placement: CxlPlacement::BehindSwitch,
+        mode: CxlHostMode::PointerChase,
+        requests: CXL_ACCESSES,
+        chain_blocks: 256,
+        ..CxlExperiment::default()
+    })
 }
 
 /// Two open-loop load/store streams interleaved across two directly
 /// attached expanders — the bandwidth-side CXL.mem scenario.
 fn run_cxl_interleave2() -> (u64, u64, f64) {
-    use pcisim_system::prelude::*;
-    let mut sys = build_topology(Topology::cxl_interleaved(2, CxlExpanderConfig::default()));
-    let mut reports = Vec::new();
-    for i in 0..sys.endpoints.len() {
-        reports.push(sys.attach_cxl_host(
-            i,
-            CxlHostConfig {
-                mode: CxlHostMode::OpenLoop,
-                requests: CXL_ACCESSES,
-                write_every: 4,
-                ..CxlHostConfig::default()
-            },
-        ));
-    }
-    let start = Instant::now();
-    sys.sim.run_to_quiesce();
-    let secs = start.elapsed().as_secs_f64();
-    let ops: u64 = reports
-        .iter()
-        .map(|r| {
-            let r = r.borrow();
-            assert!(r.done, "cxl bench interleave must complete");
-            r.completed
-        })
-        .sum();
-    (ops, sys.sim.events_processed(), secs)
+    run_cxl(CxlExperiment {
+        placement: CxlPlacement::Interleaved(2),
+        requests: CXL_ACCESSES,
+        write_every: 4,
+        ..CxlExperiment::default()
+    })
 }
 
 /// Requests per virtio benchmark scenario.
 const VIRTIO_REQUESTS: u32 = 2048;
 
-/// virtio-blk read stream at queue depth 8: descriptor chains, avail/used
-/// ring DMA, payload bursts and completion interrupts all on the timed
-/// path (enumeration + driver probe included, like the MSI-X scenario).
-fn run_virtio_blk_qd8() -> (u64, u64, f64) {
-    use pcisim_system::prelude::*;
-    let mut sys = build_topology(Topology::virtio_blk_direct(VirtioConfig::default()));
-    let report = sys.attach_virtio(
-        0,
-        VirtioAppConfig {
-            requests: VIRTIO_REQUESTS,
-            queue_depth: 8,
-            request_bytes: 4096,
-            ..VirtioAppConfig::default()
-        },
-    );
-    let start = Instant::now();
-    sys.sim.run_to_quiesce();
-    let secs = start.elapsed().as_secs_f64();
-    let r = report.borrow();
-    assert!(r.done, "virtio-blk bench stream must complete");
-    assert_eq!(r.requests, u64::from(VIRTIO_REQUESTS));
-    (u64::from(VIRTIO_REQUESTS), sys.sim.events_processed(), secs)
-}
-
-/// virtio-net transmit: MTU-sized frames through the TX virtqueue and
-/// out a 10 Gb/s wire, the virtio counterpart of the e1000e scenarios.
-fn run_virtio_net_tx() -> (u64, u64, f64) {
-    use pcisim_system::prelude::*;
-    let mut sys = build_topology(Topology::virtio_net_direct(VirtioConfig {
-        class: VirtioClass::Net,
-        ..VirtioConfig::default()
-    }));
-    let report = sys.attach_virtio(
-        0,
-        VirtioAppConfig {
-            requests: VIRTIO_REQUESTS,
-            queue_depth: 8,
-            request_bytes: 1514,
-            ..VirtioAppConfig::default()
-        },
-    );
-    let start = Instant::now();
-    sys.sim.run_to_quiesce();
-    let secs = start.elapsed().as_secs_f64();
-    let r = report.borrow();
-    assert!(r.done, "virtio-net bench transmit must complete");
-    assert_eq!(r.requests, u64::from(VIRTIO_REQUESTS));
-    (u64::from(VIRTIO_REQUESTS), sys.sim.events_processed(), secs)
+/// A queue-depth-8 virtio stream: descriptor chains, avail/used ring DMA,
+/// payload bursts and completion interrupts all on the timed path.
+fn run_virtio(arm: VirtioArm, request_bytes: u32) -> (u64, u64, f64) {
+    let exp = VirtioExperiment {
+        arm,
+        requests: VIRTIO_REQUESTS,
+        queue_depth: 8,
+        request_bytes,
+        ..VirtioExperiment::default()
+    };
+    measure(&exp, 1, |out| {
+        assert!(out.completed, "virtio bench stream must complete: {out:?}");
+        assert_eq!(out.requests, u64::from(VIRTIO_REQUESTS));
+        out.requests
+    })
 }
 
 /// Runs the microbenchmark scenarios, best-of-`samples`, and returns the
-/// per-scenario rates. Build setup is excluded from the timed region
-/// (the MSI-X scenario's timed region does include enumeration and driver
-/// probe — they are part of the system datapath being measured).
+/// per-scenario rates. Build setup is excluded from the timed region.
 pub fn run_micro_benchmarks(samples: u32) -> Vec<MicroResult> {
     type Scenario = (&'static str, Option<u32>, fn() -> (u64, u64, f64));
     let scenarios: [Scenario; 11] = [
@@ -353,12 +249,12 @@ pub fn run_micro_benchmarks(samples: u32) -> Vec<MicroResult> {
         ("msix_4q_tx_10k_frames", None, run_msix_tx),
         ("sharded_cascaded3_tx", Some(2), run_sharded_cascaded3),
         ("sharded_fanout32_dd", Some(4), run_sharded_fanout),
-        ("pmd_poll_rx_4k_frames", None, run_pmd_poll),
-        ("pmd_poll_sharded2_rx", Some(2), run_pmd_sharded2),
+        ("pmd_poll_rx_4k_frames", None, || run_pmd(1)),
+        ("pmd_poll_sharded2_rx", Some(2), || run_pmd(2)),
         ("cxl_pointer_chase", None, run_cxl_chase),
         ("cxl_interleave2", None, run_cxl_interleave2),
-        ("virtio_blk_qd8", None, run_virtio_blk_qd8),
-        ("virtio_net_tx", None, run_virtio_net_tx),
+        ("virtio_blk_qd8", None, || run_virtio(VirtioArm::Blk, 4096)),
+        ("virtio_net_tx", None, || run_virtio(VirtioArm::NetTx, 1514)),
     ];
     scenarios
         .iter()
@@ -433,12 +329,11 @@ impl WarmStartResult {
 /// the warm arm skipped: the warmup events per point and the setup
 /// passes per arm.
 pub fn run_warm_start_benchmark(samples: u32) -> WarmStartResult {
-    use pcisim_system::prelude::*;
     let configs: Vec<DdExperiment> = [50u64, 75, 100, 125, 150, 175]
         .into_iter()
         .map(|lat| DdExperiment {
             block_bytes: 256 * 1024,
-            switch_latency: pcisim_kernel::tick::ns(lat),
+            switch_latency: ns(lat),
             ..DdExperiment::default()
         })
         .collect();
@@ -448,10 +343,10 @@ pub fn run_warm_start_benchmark(samples: u32) -> WarmStartResult {
     let mut warm_out = Vec::new();
     for _ in 0..samples.max(1) {
         let start = Instant::now();
-        cold_out = run_sweep(&configs, 1, run_dd_experiment);
+        cold_out = run_sweep(&configs, 1, run_cold);
         cold_best = cold_best.min(start.elapsed().as_secs_f64());
         let start = Instant::now();
-        warm_out = run_dd_sweep_warm(&configs, 1);
+        warm_out = run_sweep_warm(&configs, 1);
         warm_best = warm_best.min(start.elapsed().as_secs_f64());
     }
     for (c, w) in cold_out.iter().zip(&warm_out) {
@@ -462,7 +357,7 @@ pub fn run_warm_start_benchmark(samples: u32) -> WarmStartResult {
     // What the warm arm actually skipped, measured outside the timed
     // region (the warm start is deterministic, so this matches the ones
     // the timed arm prepared internally).
-    let warm = prepare_dd_warm_start(configs[0].block_bytes);
+    let warm = warm_start(&configs[0]);
     WarmStartResult {
         configs: configs.len(),
         cold_ms: cold_best * 1e3,

@@ -110,16 +110,53 @@ fn fmt_block(bytes: u64) -> String {
     format!("{}MB", bytes / MB)
 }
 
-/// Runs every `DdExperiment` in `configs` across the sweep runner —
-/// warm-started from one checkpoint per block size under `--warm-start`,
-/// cold otherwise — asserting completion, and returns outcomes in input
-/// order. Both paths produce bit-identical tables.
-fn dd_sweep(opts: &Opts, label: &str, configs: &[DdExperiment]) -> Vec<DdOutcome> {
-    let outcomes = if opts.warm_start {
-        run_dd_sweep_warm(configs, opts.jobs)
+/// Runs a `dd` or fault sweep across the sweep runner — warm-started from
+/// one checkpoint per warm key under `--warm-start`, cold otherwise. Both
+/// paths produce bit-identical tables.
+fn sweep<E>(opts: &Opts, configs: &[E]) -> Vec<E::Outcome>
+where
+    E: Experiment + Sync,
+    E::WarmKey: Sync,
+    E::Outcome: Send,
+{
+    if opts.warm_start {
+        run_sweep_warm(configs, opts.jobs)
     } else {
-        run_sweep(configs, opts.jobs, run_dd_experiment)
+        run_sweep(configs, opts.jobs, run_cold)
+    }
+}
+
+/// Prints one table row per `(label, outcome)` pair.
+fn print_rows<L, O>(
+    headers: &[&str],
+    labels: impl IntoIterator<Item = L>,
+    outcomes: &[O],
+    row: impl Fn(L, &O) -> Vec<String>,
+) {
+    let rows: Vec<_> = labels.into_iter().zip(outcomes).map(|(l, o)| row(l, o)).collect();
+    println!("{}", table::render(headers, &rows));
+}
+
+/// Asserts that `exp` on two shards reproduces its serial run bit-for-bit,
+/// prints the identity anchors and returns the serial outcome.
+fn identity_check<E: Experiment>(exp: &E, what: &str) -> E::Outcome
+where
+    E::Outcome: PartialEq + std::fmt::Debug,
+{
+    let at = |shards| {
+        let (fin, reports) = execute(exp, Exec::Cold { shards });
+        (exp.collect(&fin, &reports), fin.now, fin.stats.fnv())
     };
+    let (serial, sharded) = (at(1), at(2));
+    assert_eq!(serial, sharded, "sharded {what} must reproduce the serial run bit-for-bit");
+    println!("   serial == 2-shard: quiesce tick {}, stats fnv {:#018x}", serial.1, serial.2);
+    serial.0
+}
+
+/// Runs every `DdExperiment` in `configs` through [`sweep`], asserting
+/// completion, and returns outcomes in input order.
+fn dd_sweep(opts: &Opts, label: &str, configs: &[DdExperiment]) -> Vec<DdOutcome> {
+    let outcomes = sweep(opts, configs);
     for (out, config) in outcomes.iter().zip(configs) {
         assert!(out.completed, "{label} run must complete: {config:?}");
     }
@@ -202,36 +239,46 @@ fn fig9b(opts: &Opts) {
     println!("{}", table::render(&["block", "x1", "x2", "x1→x2", "x4", "x8"], &rows));
 }
 
+/// The two x8 sweeps of Fig. 9: one knob of `DdExperiment` swept with every
+/// link at x8, timeouts printed beside the paper's.
+fn x8_sweep(
+    opts: &Opts,
+    label: &str,
+    knob: &str,
+    paper_timeouts: &[(usize, f64)],
+    with_knob: impl Fn(DdExperiment, usize) -> DdExperiment,
+) {
+    let base = DdExperiment {
+        block_bytes: if opts.full { 256 * MB } else { 16 * MB },
+        width_all: Some(LinkWidth::X8),
+        ..DdExperiment::default()
+    };
+    let configs: Vec<DdExperiment> =
+        paper_timeouts.iter().map(|&(value, _)| with_knob(base.clone(), value)).collect();
+    let outcomes = dd_sweep(opts, label, &configs);
+    print_rows(
+        &[knob, "dd (Gb/s)", "timeout%", "replay%", "paper timeout%"],
+        paper_timeouts,
+        &outcomes,
+        |&(value, paper), out| {
+            vec![
+                value.to_string(),
+                format!("{:.3}", out.throughput_gbps),
+                format!("{:.1}%", out.timeout_pct),
+                format!("{:.1}%", out.replay_pct),
+                format!("{paper:.0}%"),
+            ]
+        },
+    );
+}
+
 fn fig9c(opts: &Opts) {
     println!("\n== Fig. 9(c): x8 links, replay buffer size sweep ==");
     println!("   paper timeout rates: rb1=0%, rb2=6%, rb3~27%, rb4~27%; rb3/4 throughput considerably lower");
-    let block = if opts.full { 256 * MB } else { 16 * MB };
-    const RBS: [usize; 4] = [1, 2, 3, 4];
-    let configs: Vec<DdExperiment> = RBS
-        .iter()
-        .map(|&rb| DdExperiment {
-            block_bytes: block,
-            width_all: Some(LinkWidth::X8),
-            replay_buffer: rb,
-            ..DdExperiment::default()
-        })
-        .collect();
-    let outcomes = dd_sweep(opts, "fig9c", &configs);
-    let mut rows = Vec::new();
-    for (&rb, out) in RBS.iter().zip(&outcomes) {
-        let paper = reference::FIG9C_TIMEOUT_PCT.iter().find(|&&(b, _)| b == rb).unwrap().1;
-        rows.push(vec![
-            rb.to_string(),
-            format!("{:.3}", out.throughput_gbps),
-            format!("{:.1}%", out.timeout_pct),
-            format!("{:.1}%", out.replay_pct),
-            format!("{paper:.0}%"),
-        ]);
-    }
-    println!(
-        "{}",
-        table::render(&["replay buf", "dd (Gb/s)", "timeout%", "replay%", "paper timeout%"], &rows)
-    );
+    x8_sweep(opts, "fig9c", "replay buf", &reference::FIG9C_TIMEOUT_PCT, |exp, rb| DdExperiment {
+        replay_buffer: rb,
+        ..exp
+    });
 }
 
 fn fig9d(opts: &Opts) {
@@ -240,33 +287,10 @@ fn fig9d(opts: &Opts) {
         "   paper: jump from 16→20, saturation at ~{:.2} Gb/s; timeouts 27%→20%→0%→0%",
         reference::SATURATION_GBPS
     );
-    let block = if opts.full { 256 * MB } else { 16 * MB };
-    const PBS: [usize; 4] = [16, 20, 24, 28];
-    let configs: Vec<DdExperiment> = PBS
-        .iter()
-        .map(|&pb| DdExperiment {
-            block_bytes: block,
-            width_all: Some(LinkWidth::X8),
-            port_buffers: pb,
-            ..DdExperiment::default()
-        })
-        .collect();
-    let outcomes = dd_sweep(opts, "fig9d", &configs);
-    let mut rows = Vec::new();
-    for (&pb, out) in PBS.iter().zip(&outcomes) {
-        let paper = reference::FIG9D_TIMEOUT_PCT.iter().find(|&&(b, _)| b == pb).unwrap().1;
-        rows.push(vec![
-            pb.to_string(),
-            format!("{:.3}", out.throughput_gbps),
-            format!("{:.1}%", out.timeout_pct),
-            format!("{:.1}%", out.replay_pct),
-            format!("{paper:.0}%"),
-        ]);
-    }
-    println!(
-        "{}",
-        table::render(&["port buf", "dd (Gb/s)", "timeout%", "replay%", "paper timeout%"], &rows)
-    );
+    x8_sweep(opts, "fig9d", "port buf", &reference::FIG9D_TIMEOUT_PCT, |exp, pb| DdExperiment {
+        port_buffers: pb,
+        ..exp
+    });
 }
 
 fn table2(opts: &Opts) {
@@ -275,26 +299,26 @@ fn table2(opts: &Opts) {
         .iter()
         .map(|&(lat, _)| MmioExperiment { rc_latency: ns(lat), ..MmioExperiment::default() })
         .collect();
-    let outcomes = run_sweep(&configs, opts.jobs, run_mmio_experiment);
-    let mut rows = Vec::new();
-    for (&(lat, paper), out) in reference::TABLE_II.iter().zip(&outcomes) {
-        assert!(out.completed, "table2 run must complete");
-        rows.push(vec![
-            lat.to_string(),
-            format!("{:.0}", out.mean_ns),
-            format!("{paper:.0}"),
-            format!("{:+.0}", out.mean_ns - paper),
-        ]);
-    }
-    println!(
-        "{}",
-        table::render(&["rc latency (ns)", "measured (ns)", "paper (ns)", "delta"], &rows)
+    let outcomes = run_sweep(&configs, opts.jobs, run_cold);
+    print_rows(
+        &["rc latency (ns)", "measured (ns)", "paper (ns)", "delta"],
+        &reference::TABLE_II,
+        &outcomes,
+        |&(lat, paper), out| {
+            assert!(out.completed, "table2 run must complete");
+            vec![
+                lat.to_string(),
+                format!("{:.0}", out.mean_ns),
+                format!("{paper:.0}"),
+                format!("{:+.0}", out.mean_ns - paper),
+            ]
+        },
     );
 }
 
 fn sector(_opts: &Opts) {
     println!("\n== §VI-B device-level: sector throughput over Gen 2 x1 ==");
-    let out = run_sector_microbench(LinkWidth::X1, 256);
+    let out = run_cold(&SectorMicrobench { width: LinkWidth::X1, sectors: 256 });
     assert!(out.completed);
     println!(
         "measured {:.3} Gb/s   paper {:.3} Gb/s   (wire limit 64/84 x 4 = 3.048 Gb/s)",
@@ -305,24 +329,23 @@ fn sector(_opts: &Opts) {
 
 fn ext(opts: &Opts) {
     use pcisim_kernel::tick::TICKS_PER_SEC;
-    use pcisim_system::builder::{
-        build_dual_disk_system, build_legacy_system, build_system, LegacySystemConfig, SystemConfig,
-    };
-    use pcisim_system::workload::dd::DdConfig;
 
     let block = if opts.full { 64 * MB } else { 4 * MB };
+    // One `dd` block per disk of `sys`, run to completion: Gb/s per disk.
+    let dd_gbps = |mut sys: TopologySystem| -> Vec<f64> {
+        let dd = DdConfig { block_bytes: block, ..DdConfig::default() };
+        let disks = sys.endpoints_of(EndpointKind::Disk);
+        let reports: Vec<_> = disks.into_iter().map(|i| sys.attach_dd(i, dd.clone())).collect();
+        sys.sim.run(TICKS_PER_SEC, u64::MAX);
+        reports.iter().map(|r| r.borrow().throughput_gbps()).collect()
+    };
 
     println!(
         "
 == Extension: legacy crossbar baseline vs the PCI-Express model =="
     );
-    let mut legacy = build_legacy_system(LegacySystemConfig::default());
-    let lr = legacy.attach_dd(DdConfig { block_bytes: block, ..DdConfig::default() });
-    legacy.sim.run(TICKS_PER_SEC, u64::MAX);
-    let mut pcie = build_system(SystemConfig::validation());
-    let pr = pcie.attach_dd(DdConfig { block_bytes: block, ..DdConfig::default() });
-    pcie.sim.run(TICKS_PER_SEC, u64::MAX);
-    let (l, p) = (lr.borrow().throughput_gbps(), pr.borrow().throughput_gbps());
+    let l = dd_gbps(build_legacy_system(LegacySystemConfig::default()))[0];
+    let p = dd_gbps(build_system(SystemConfig::validation()))[0];
     println!(
         "legacy IOBus (no PCIe model): {l:.3} Gb/s   PCIe Gen2 x1 reality: {p:.3} Gb/s   ({:.1}x overstated)",
         l / p
@@ -333,19 +356,9 @@ fn ext(opts: &Opts) {
 == Extension: dual-disk contention on the shared root link =="
     );
     let mut rows = Vec::new();
-    for width in [
-        pcisim_pcie::params::LinkWidth::X1,
-        pcisim_pcie::params::LinkWidth::X2,
-        pcisim_pcie::params::LinkWidth::X4,
-    ] {
-        let mut config = SystemConfig::validation();
-        config.root_link =
-            pcisim_pcie::params::LinkConfig::new(pcisim_pcie::params::Generation::Gen2, width);
-        let mut sys = build_dual_disk_system(config);
-        let r0 = sys.attach_dd(0, DdConfig { block_bytes: block, ..DdConfig::default() });
-        let r1 = sys.attach_dd(1, DdConfig { block_bytes: block, ..DdConfig::default() });
-        sys.sim.run(TICKS_PER_SEC, u64::MAX);
-        let (a, b) = (r0.borrow().throughput_gbps(), r1.borrow().throughput_gbps());
+    for width in [LinkWidth::X1, LinkWidth::X2, LinkWidth::X4] {
+        let gbps = dd_gbps(build_topology(Topology::dual_disk(width)));
+        let (a, b) = (gbps[0], gbps[1]);
         rows.push(vec![
             width.to_string(),
             format!("{a:.3}"),
@@ -367,17 +380,15 @@ fn ext(opts: &Opts) {
             ..NicTxExperiment::default()
         })
         .collect();
-    let outcomes = run_sweep(&nic_tx_configs, opts.jobs, run_nic_tx_experiment);
-    let mut rows = Vec::new();
-    for (config, out) in nic_tx_configs.iter().zip(&outcomes) {
+    let outcomes = run_sweep(&nic_tx_configs, opts.jobs, run_cold);
+    print_rows(&["width", "Gb/s", "frames/s"], &nic_tx_configs, &outcomes, |config, out| {
         assert!(out.completed);
-        rows.push(vec![
+        vec![
             config.width.to_string(),
             format!("{:.3}", out.throughput_gbps),
             format!("{:.0}", out.frames_per_sec),
-        ]);
-    }
-    println!("{}", table::render(&["width", "Gb/s", "frames/s"], &rows));
+        ]
+    });
 
     println!("\n== Extension: NIC receive at ~5 Gb/s line rate (DMA writes) ==");
     let nic_rx_configs: Vec<NicRxExperiment> = [1u8, 2, 4, 8]
@@ -388,23 +399,26 @@ fn ext(opts: &Opts) {
             ..NicRxExperiment::default()
         })
         .collect();
-    let outcomes = run_sweep(&nic_rx_configs, opts.jobs, run_nic_rx_experiment);
-    let mut rows = Vec::new();
-    for (config, out) in nic_rx_configs.iter().zip(&outcomes) {
-        assert!(out.completed);
-        let total = out.frames_delivered + out.frames_dropped;
-        rows.push(vec![
-            config.width.to_string(),
-            format!("{:.3}", out.delivered_gbps),
-            format!("{:.1}%", 100.0 * out.frames_dropped as f64 / total as f64),
-        ]);
-    }
-    println!("{}", table::render(&["width", "delivered Gb/s", "dropped"], &rows));
+    let outcomes = run_sweep(&nic_rx_configs, opts.jobs, run_cold);
+    print_rows(
+        &["width", "delivered Gb/s", "dropped"],
+        &nic_rx_configs,
+        &outcomes,
+        |config, out| {
+            assert!(out.completed);
+            let total = out.frames_delivered + out.frames_dropped;
+            vec![
+                config.width.to_string(),
+                format!("{:.3}", out.delivered_gbps),
+                format!("{:.1}%", 100.0 * out.frames_dropped as f64 / total as f64),
+            ]
+        },
+    );
 
     println!("\n== Extension: credit-based flow control at x8 (vs the paper's ACK/NAK) ==");
     let mut rows = Vec::new();
     for (name, credits) in [("ack/nak only", None), ("credit FC (16)", Some(16usize))] {
-        let out = run_dd_experiment(&DdExperiment {
+        let out = run_cold(&DdExperiment {
             block_bytes: block,
             width_all: Some(LinkWidth::X8),
             credit_fc: credits,
@@ -440,18 +454,15 @@ fn faults(opts: &Opts) {
         .iter()
         .flat_map(|&(generation, width_all, _)| error_rate_ladder(generation, width_all, block))
         .collect();
-    let outcomes = if opts.warm_start {
-        run_fault_sweep_warm(&configs, opts.jobs)
-    } else {
-        run_sweep(&configs, opts.jobs, run_fault_experiment)
-    };
+    let outcomes = sweep(opts, &configs);
     let ladder_len = configs.len() / POINTS.len();
-    let mut rows = Vec::new();
-    for (pi, &(_, _, label)) in POINTS.iter().enumerate() {
-        for li in 0..ladder_len {
-            let out = &outcomes[pi * ladder_len + li];
+    print_rows(
+        &["links", "err rate", "dd (Gb/s)", "corrupt", "replays", "naks", "dev AER cor"],
+        (0..configs.len()).map(|i| POINTS[i / ladder_len].2),
+        &outcomes,
+        |label, out| {
             assert!(out.completed, "fault campaign point must converge: {out:?}");
-            rows.push(vec![
+            vec![
                 label.to_string(),
                 if out.error_interval == 0 {
                     "none".to_string()
@@ -463,15 +474,8 @@ fn faults(opts: &Opts) {
                 out.replays.to_string(),
                 out.naks.to_string(),
                 format!("{:#06x}", out.device_aer_cor),
-            ]);
-        }
-    }
-    println!(
-        "{}",
-        table::render(
-            &["links", "err rate", "dd (Gb/s)", "corrupt", "replays", "naks", "dev AER cor"],
-            &rows
-        )
+            ]
+        },
     );
 }
 
@@ -485,24 +489,21 @@ fn topology(opts: &Opts) {
         frames: if opts.full { 2048 } else { 256 },
         ..TopologyExperiment::default()
     });
-    let mut rows = Vec::new();
-    for (label, arm) in [("shared uplink", &out.shared), ("split root ports", &out.split)] {
-        assert!(arm.completed, "topology arm must complete: {arm:?}");
-        rows.push(vec![
-            label.to_string(),
-            format!("{:.3}", arm.per_stream_gbps[0]),
-            format!("{:.3}", arm.per_stream_gbps[1]),
-            format!("{:.3}", arm.aggregate_gbps()),
-            format!("{:.0}", arm.p99_dma_read_ns[0]),
-            format!("{:.0}", arm.p99_dma_read_ns[1]),
-        ]);
-    }
-    println!(
-        "{}",
-        table::render(
-            &["placement", "nic0 Gb/s", "nic1 Gb/s", "aggregate", "nic0 p99 (ns)", "nic1 p99 (ns)"],
-            &rows
-        )
+    print_rows(
+        &["placement", "nic0 Gb/s", "nic1 Gb/s", "aggregate", "nic0 p99 (ns)", "nic1 p99 (ns)"],
+        ["shared uplink", "split root ports"],
+        &[out.shared, out.split],
+        |label, arm| {
+            assert!(arm.completed, "topology arm must complete: {arm:?}");
+            vec![
+                label.to_string(),
+                format!("{:.3}", arm.per_stream_gbps[0]),
+                format!("{:.3}", arm.per_stream_gbps[1]),
+                format!("{:.3}", arm.aggregate_gbps()),
+                format!("{:.0}", arm.p99_dma_read_ns[0]),
+                format!("{:.0}", arm.p99_dma_read_ns[1]),
+            ]
+        },
     );
 }
 
@@ -522,41 +523,48 @@ fn msix(opts: &Opts) {
         MsixTxExperiment { frames, queues: 4, ..MsixTxExperiment::default() },
     ];
     let labels = ["INTx, 1 queue", "MSI-X, 1 queue", "MSI-X, 4 queues"];
-    let outcomes = run_sweep(&mode_configs, opts.jobs, run_msix_tx_experiment);
-    let mut rows = Vec::new();
-    for (label, out) in labels.iter().zip(&outcomes) {
-        assert!(out.completed, "msix mode run must complete: {label}");
-        rows.push(vec![
-            (*label).to_string(),
-            format!("{:.3}", out.throughput_gbps),
-            format!("{:.0}", out.frames_per_sec),
-            out.irqs.to_string(),
-            format!("{:.2}", out.irqs as f64 / f64::from(frames)),
-        ]);
-    }
-    println!("{}", table::render(&["mode", "Gb/s", "frames/s", "irqs", "irqs/frame"], &rows));
+    let outcomes = run_sweep(&mode_configs, opts.jobs, run_cold);
+    print_rows(
+        &["mode", "Gb/s", "frames/s", "irqs", "irqs/frame"],
+        labels,
+        &outcomes,
+        |label, out| {
+            assert!(out.completed, "msix mode run must complete: {label}");
+            vec![
+                label.to_string(),
+                format!("{:.3}", out.throughput_gbps),
+                format!("{:.0}", out.frames_per_sec),
+                out.irqs.to_string(),
+                format!("{:.2}", out.irqs as f64 / f64::from(frames)),
+            ]
+        },
+    );
 
     println!("\n== MSI-X: queue-count sweep (per-queue vectors, no moderation) ==");
     let queue_configs: Vec<MsixTxExperiment> = [1u32, 2, 4]
         .iter()
         .map(|&queues| MsixTxExperiment { frames, queues, ..MsixTxExperiment::default() })
         .collect();
-    let outcomes = run_sweep(&queue_configs, opts.jobs, run_msix_tx_experiment);
-    let mut rows = Vec::new();
-    for (config, out) in queue_configs.iter().zip(&outcomes) {
-        assert!(out.completed, "msix queue sweep must complete: {config:?}");
-        rows.push(vec![
-            config.queues.to_string(),
-            format!("{:.3}", out.throughput_gbps),
-            format!("{:.0}", out.frames_per_sec),
-            out.irqs.to_string(),
-        ]);
-    }
-    println!("{}", table::render(&["queues", "Gb/s", "frames/s", "irqs"], &rows));
+    let outcomes = run_sweep(&queue_configs, opts.jobs, run_cold);
+    print_rows(
+        &["queues", "Gb/s", "frames/s", "irqs"],
+        &queue_configs,
+        &outcomes,
+        |config, out| {
+            assert!(out.completed, "msix queue sweep must complete: {config:?}");
+            vec![
+                config.queues.to_string(),
+                format!("{:.3}", out.throughput_gbps),
+                format!("{:.0}", out.frames_per_sec),
+                out.irqs.to_string(),
+            ]
+        },
+    );
 
     println!("\n== MSI-X: per-vector moderation sweep (4 queues) ==");
     println!("   holdoff coalesces completions into one doorbell per timer expiry");
-    let mod_configs: Vec<MsixTxExperiment> = [0u64, 10, 50]
+    const HOLDOFFS_US: [u64; 3] = [0, 10, 50];
+    let mod_configs: Vec<MsixTxExperiment> = HOLDOFFS_US
         .iter()
         .map(|&usecs| MsixTxExperiment {
             frames,
@@ -565,19 +573,18 @@ fn msix(opts: &Opts) {
             ..MsixTxExperiment::default()
         })
         .collect();
-    let outcomes = run_sweep(&mod_configs, opts.jobs, run_msix_tx_experiment);
-    let mut rows = Vec::new();
-    for (&usecs, out) in [0u64, 10, 50].iter().zip(&outcomes) {
+    let outcomes = run_sweep(&mod_configs, opts.jobs, run_cold);
+    let headers = ["holdoff", "Gb/s", "irqs", "irqs/frame", "coalesced"];
+    print_rows(&headers, HOLDOFFS_US, &outcomes, |usecs, out| {
         assert!(out.completed, "msix moderation sweep must complete: {usecs} us");
-        rows.push(vec![
+        vec![
             if usecs == 0 { "none".to_string() } else { format!("{usecs} us") },
             format!("{:.3}", out.throughput_gbps),
             out.irqs.to_string(),
             format!("{:.2}", out.irqs as f64 / f64::from(frames)),
             out.irqs_coalesced.to_string(),
-        ]);
-    }
-    println!("{}", table::render(&["holdoff", "Gb/s", "irqs", "irqs/frame", "coalesced"], &rows));
+        ]
+    });
 }
 
 /// The heavy-traffic poll-mode tables: the interrupt-driven receive
@@ -596,31 +603,28 @@ fn pmd(opts: &Opts) {
     println!("\n== PMD: interrupt-driven vs busy-poll receive on identical traffic ==");
     println!("   2^20 flows, heavy-tailed frame sizes, Poisson arrivals (mean gap 1.5 us);");
     println!("   poll mode never unmasks IMS — the NIC raises zero doorbells");
-    let irq = run_irq_rx_experiment(&base);
-    let poll = run_pmd_experiment(&base);
+    let irq = run_cold(&IrqRxBaseline(&base));
+    let poll = run_cold(&base);
     assert!(irq.completed, "interrupt baseline must settle every frame: {irq:?}");
     assert!(poll.completed, "poll-mode run must settle every frame: {poll:?}");
     assert!(irq.irqs > 0, "the interrupt baseline takes a doorbell per writeback");
     assert_eq!(poll.irqs, 0, "poll mode must run with interrupts fully masked");
-    let mut rows = Vec::new();
-    for (label, out) in [("interrupt-driven", &irq), ("busy-poll (PMD)", &poll)] {
-        rows.push(vec![
-            label.to_string(),
-            format!("{:.3}", out.rx_gbps),
-            out.rx_delivered.to_string(),
-            out.rx_dropped.to_string(),
-            out.irqs.to_string(),
-            out.polls.to_string(),
-            format!("{:.0}", out.frame_latency_p50_ns),
-            format!("{:.0}", out.frame_latency_p99_ns),
-        ]);
-    }
-    println!(
-        "{}",
-        table::render(
-            &["mode", "rx Gb/s", "delivered", "dropped", "irqs", "polls", "p50 (ns)", "p99 (ns)"],
-            &rows
-        )
+    print_rows(
+        &["mode", "rx Gb/s", "delivered", "dropped", "irqs", "polls", "p50 (ns)", "p99 (ns)"],
+        ["interrupt-driven", "busy-poll (PMD)"],
+        &[&irq, &poll],
+        |label, out| {
+            vec![
+                label.to_string(),
+                format!("{:.3}", out.rx_gbps),
+                out.rx_delivered.to_string(),
+                out.rx_dropped.to_string(),
+                out.irqs.to_string(),
+                out.polls.to_string(),
+                format!("{:.0}", out.frame_latency_p50_ns),
+                format!("{:.0}", out.frame_latency_p99_ns),
+            ]
+        },
     );
     println!("   poll mode settled {} frames with 0 interrupts", poll.rx_delivered);
 
@@ -632,42 +636,32 @@ fn pmd(opts: &Opts) {
         .into_iter()
         .map(|t| PmdExperiment { traffic: Some(TrafficSpec::Generate(t)), ..base.clone() })
         .collect();
-    let outcomes = run_pmd_sweep_warm(&configs, opts.jobs);
-    let mut rows = Vec::new();
-    for (&gap, out) in gaps.iter().zip(&outcomes) {
-        assert!(out.completed, "ladder rung must settle: gap {gap}");
-        let total = out.rx_delivered + out.rx_dropped;
-        rows.push(vec![
-            format!("{}", gap / 1000),
-            format!("{:.3}", out.rx_gbps),
-            out.rx_delivered.to_string(),
-            format!("{:.1}%", 100.0 * out.rx_dropped as f64 / total as f64),
-            out.polls.to_string(),
-            format!("{:.0}", out.frame_latency_p50_ns),
-            format!("{:.0}", out.frame_latency_p99_ns),
-        ]);
-    }
-    println!(
-        "{}",
-        table::render(
-            &["mean gap (ns)", "rx Gb/s", "delivered", "dropped", "polls", "p50 (ns)", "p99 (ns)"],
-            &rows
-        )
+    let outcomes = run_sweep_warm(&configs, opts.jobs);
+    print_rows(
+        &["mean gap (ns)", "rx Gb/s", "delivered", "dropped", "polls", "p50 (ns)", "p99 (ns)"],
+        gaps,
+        &outcomes,
+        |gap, out| {
+            assert!(out.completed, "ladder rung must settle: gap {gap}");
+            let total = out.rx_delivered + out.rx_dropped;
+            vec![
+                format!("{}", gap / 1000),
+                format!("{:.3}", out.rx_gbps),
+                out.rx_delivered.to_string(),
+                format!("{:.1}%", 100.0 * out.rx_dropped as f64 / total as f64),
+                out.polls.to_string(),
+                format!("{:.0}", out.frame_latency_p50_ns),
+                format!("{:.0}", out.frame_latency_p99_ns),
+            ]
+        },
     );
 
     println!("\n== PMD: identity checks on the middle rung ==");
     let mid = &configs[gaps.len() / 2];
-    let serial = run_pmd_sharded(mid, 1);
-    let sharded = run_pmd_sharded(mid, 2);
-    assert_eq!(serial, sharded, "sharded pmd must reproduce the serial run bit-for-bit");
-    println!(
-        "   serial == 2-shard: quiesce tick {}, stats fnv {:#018x}",
-        serial.quiesce_tick, serial.stats_fnv
-    );
+    let live = identity_check(mid, "pmd");
     let Some(TrafficSpec::Generate(mid_cfg)) = &mid.traffic else { unreachable!() };
     let trace = record_trace(mid_cfg);
-    let live = run_pmd_experiment(mid);
-    let replayed = run_pmd_experiment(&PmdExperiment {
+    let replayed = run_cold(&PmdExperiment {
         traffic: Some(TrafficSpec::Replay(Arc::new(trace.clone()))),
         ..mid.clone()
     });
@@ -702,26 +696,20 @@ fn cxl(opts: &Opts) {
             })
         })
         .collect();
-    let outcomes = run_sweep(&configs, opts.jobs, run_cxl_experiment);
-    let mut rows = Vec::new();
-    for (ai, &(label, _)) in arms.iter().enumerate() {
-        for (wi, &window) in WINDOWS.iter().enumerate() {
-            let out = &outcomes[ai * WINDOWS.len() + wi];
-            assert!(out.completed, "cxl curve point must complete: {out:?}");
-            rows.push(vec![
-                label.to_string(),
-                window.to_string(),
-                format!("{:.0}", out.mean_ns),
-                format!("{:.0}", out.max_ns),
-                format!("{:.3}", out.gbps),
-                out.stalls.to_string(),
-            ]);
-        }
-    }
-    println!(
-        "{}",
-        table::render(&["target", "window", "mean (ns)", "max (ns)", "Gb/s", "stalls"], &rows)
-    );
+    let outcomes = run_sweep(&configs, opts.jobs, run_cold);
+    let headers = ["target", "window", "mean (ns)", "max (ns)", "Gb/s", "stalls"];
+    print_rows(&headers, &configs, &outcomes, |config, out| {
+        assert!(out.completed, "cxl curve point must complete: {out:?}");
+        let (label, _) = arms.iter().find(|(_, p)| *p == config.placement).expect("a swept arm");
+        vec![
+            label.to_string(),
+            config.outstanding.to_string(),
+            format!("{:.0}", out.mean_ns),
+            format!("{:.0}", out.max_ns),
+            format!("{:.3}", out.gbps),
+            out.stalls.to_string(),
+        ]
+    });
 
     println!("\n== CXL: placement penalty — fully dependent pointer chase ==");
     println!("   every load's address comes from the previous completion's data;");
@@ -739,7 +727,7 @@ fn cxl(opts: &Opts) {
         chase(CxlPlacement::BehindSwitch),
     ];
     let chase_labels = ["local DRAM", "CXL direct", "CXL behind switch"];
-    let chase_outcomes = run_sweep(&chase_configs, opts.jobs, run_cxl_experiment);
+    let chase_outcomes = run_sweep(&chase_configs, opts.jobs, run_cold);
     for out in &chase_outcomes {
         assert!(out.completed, "cxl chase arm must complete: {out:?}");
     }
@@ -752,20 +740,16 @@ fn cxl(opts: &Opts) {
         "the switch hop must add latency"
     );
     let local_mean = chase_outcomes[0].mean_ns;
-    let mut rows = Vec::new();
-    for (label, out) in chase_labels.iter().zip(&chase_outcomes) {
-        rows.push(vec![
-            (*label).to_string(),
+    let headers = ["placement", "mean (ns)", "min (ns)", "max (ns)", "vs local"];
+    print_rows(&headers, chase_labels, &chase_outcomes, |label, out| {
+        vec![
+            label.to_string(),
             format!("{:.0}", out.mean_ns),
             format!("{:.0}", out.min_ns),
             format!("{:.0}", out.max_ns),
             format!("{:+.0}", out.mean_ns - local_mean),
-        ]);
-    }
-    println!(
-        "{}",
-        table::render(&["placement", "mean (ns)", "min (ns)", "max (ns)", "vs local"], &rows)
-    );
+        ]
+    });
 
     println!("\n== CXL: HDM interleaving — one open-loop stream per expander ==");
     println!("   block-granule windows, one root port per expander; aggregate = sum of streams");
@@ -778,36 +762,22 @@ fn cxl(opts: &Opts) {
             ..CxlExperiment::default()
         })
         .collect();
-    let ileave_outcomes = run_sweep(&ileave_configs, opts.jobs, run_cxl_experiment);
+    let ileave_outcomes = run_sweep(&ileave_configs, opts.jobs, run_cold);
     let base = ileave_outcomes[0].gbps;
-    let mut rows = Vec::new();
-    for (&n, out) in ways.iter().zip(&ileave_outcomes) {
+    let headers = ["interleave", "accesses", "mean (ns)", "aggregate Gb/s", "vs 1-way"];
+    print_rows(&headers, ways, &ileave_outcomes, |n, out| {
         assert!(out.completed, "cxl interleave point must complete: {out:?}");
-        rows.push(vec![
+        vec![
             format!("{n}-way"),
             out.completed_accesses.to_string(),
             format!("{:.0}", out.mean_ns),
             format!("{:.3}", out.gbps),
             format!("{:.2}x", out.gbps / base),
-        ]);
-    }
-    println!(
-        "{}",
-        table::render(
-            &["interleave", "accesses", "mean (ns)", "aggregate Gb/s", "vs 1-way"],
-            &rows
-        )
-    );
+        ]
+    });
 
     println!("\n== CXL: identity check on the 2-way interleaved tree ==");
-    let mid = &ileave_configs[1];
-    let serial = run_cxl_sharded(mid, 1);
-    let sharded = run_cxl_sharded(mid, 2);
-    assert_eq!(serial, sharded, "sharded cxl must reproduce the serial run bit-for-bit");
-    println!(
-        "   serial == 2-shard: quiesce tick {}, stats fnv {:#018x}",
-        serial.quiesce_tick, serial.stats_fnv
-    );
+    identity_check(&ileave_configs[1], "cxl");
 }
 
 /// The virtio-over-PCIe tables: virtio-blk vs the IDE `dd` baseline on
@@ -822,7 +792,7 @@ fn virtio(opts: &Opts) {
     let blk_arm = |arm| VirtioExperiment { arm, requests, ..VirtioExperiment::default() };
     let lat_configs = vec![blk_arm(VirtioArm::IdeBaseline), blk_arm(VirtioArm::Blk)];
     let lat_labels = ["IDE (PIO regs + INTx)", "virtio-blk (virtqueue)"];
-    let lat_outcomes = run_sweep(&lat_configs, opts.jobs, run_virtio_experiment);
+    let lat_outcomes = run_sweep(&lat_configs, opts.jobs, run_cold);
     for out in &lat_outcomes {
         assert!(out.completed, "latency arm must complete: {out:?}");
     }
@@ -831,24 +801,20 @@ fn virtio(opts: &Opts) {
         "the paravirtual queue must beat the IDE register dance"
     );
     let ide_mean = lat_outcomes[0].mean_ns;
-    let mut rows = Vec::new();
-    for (label, out) in lat_labels.iter().zip(&lat_outcomes) {
-        rows.push(vec![
-            (*label).to_string(),
+    let headers = ["driver", "requests", "mean (ns)", "max (ns)", "speedup"];
+    print_rows(&headers, lat_labels, &lat_outcomes, |label, out| {
+        vec![
+            label.to_string(),
             out.requests.to_string(),
             format!("{:.0}", out.mean_ns),
             format!("{:.0}", out.max_ns),
             format!("{:.2}x", ide_mean / out.mean_ns),
-        ]);
-    }
-    println!(
-        "{}",
-        table::render(&["driver", "requests", "mean (ns)", "max (ns)", "speedup"], &rows)
-    );
+        ]
+    });
 
     println!("\n== Virtio: virtio-net TX vs e1000e — 1514 B frames, payload Gb/s ==");
     println!("   both on a Gen2 x4 link with a 10 Gb/s wire; virtio at QD8 over MSI-X");
-    let nic = run_nic_tx_experiment(&NicTxExperiment {
+    let nic = run_cold(&NicTxExperiment {
         width: LinkWidth::X4,
         frames: requests,
         ..NicTxExperiment::default()
@@ -863,7 +829,7 @@ fn virtio(opts: &Opts) {
         ..VirtioExperiment::default()
     };
     let net_configs = vec![vnet(false), vnet(true)];
-    let net_outcomes = run_sweep(&net_configs, opts.jobs, run_virtio_experiment);
+    let net_outcomes = run_sweep(&net_configs, opts.jobs, run_cold);
     for out in &net_outcomes {
         assert!(out.completed, "net arm must complete: {out:?}");
     }
@@ -873,9 +839,7 @@ fn virtio(opts: &Opts) {
         format!("{:.3}", nic.throughput_gbps),
         "-".to_string(),
     ]];
-    for (label, out) in
-        ["virtio-net (INTx)", "virtio-net (MSI-X)"].iter().zip(&net_outcomes)
-    {
+    for (label, out) in ["virtio-net (INTx)", "virtio-net (MSI-X)"].iter().zip(&net_outcomes) {
         rows.push(vec![
             (*label).to_string(),
             out.requests.to_string(),
@@ -895,22 +859,22 @@ fn virtio(opts: &Opts) {
             ..VirtioExperiment::default()
         })
         .collect();
-    let qd_outcomes = run_sweep(&qd_configs, opts.jobs, run_virtio_experiment);
+    let qd_outcomes = run_sweep(&qd_configs, opts.jobs, run_cold);
     let base = qd_outcomes[0].gbps;
-    let mut rows = Vec::new();
-    for (&qd, out) in DEPTHS.iter().zip(&qd_outcomes) {
-        assert!(out.completed, "queue-depth point must complete: {out:?}");
-        rows.push(vec![
-            qd.to_string(),
-            format!("{:.0}", out.mean_ns),
-            format!("{:.3}", out.gbps),
-            out.irqs.to_string(),
-            format!("{:.2}x", out.gbps / base),
-        ]);
-    }
-    println!(
-        "{}",
-        table::render(&["depth", "mean (ns)", "Gb/s", "irqs", "vs QD1"], &rows)
+    print_rows(
+        &["depth", "mean (ns)", "Gb/s", "irqs", "vs QD1"],
+        DEPTHS,
+        &qd_outcomes,
+        |qd, out| {
+            assert!(out.completed, "queue-depth point must complete: {out:?}");
+            vec![
+                qd.to_string(),
+                format!("{:.0}", out.mean_ns),
+                format!("{:.3}", out.gbps),
+                out.irqs.to_string(),
+                format!("{:.2}x", out.gbps / base),
+            ]
+        },
     );
 
     println!("\n== Virtio: identity check on the mixed fleet (blk + net + IDE) ==");
@@ -920,14 +884,8 @@ fn virtio(opts: &Opts) {
         queue_depth: 2,
         ..VirtioExperiment::default()
     };
-    let serial = run_virtio_sharded(&mixed, 1);
-    let sharded = run_virtio_sharded(&mixed, 2);
+    let serial = identity_check(&mixed, "virtio");
     assert!(serial.completed, "mixed fleet must complete: {serial:?}");
-    assert_eq!(serial, sharded, "sharded virtio must reproduce the serial run bit-for-bit");
-    println!(
-        "   serial == 2-shard: quiesce tick {}, stats fnv {:#018x}",
-        serial.quiesce_tick, serial.stats_fnv
-    );
 }
 
 /// The shard-scaling tables: the same multi-endpoint `dd` run partitioned
@@ -935,7 +893,6 @@ fn virtio(opts: &Opts) {
 /// Every shard count must reproduce the serial quiesce tick and stats FNV
 /// bit-for-bit; what varies is only the aggregate event rate.
 fn shard_scaling(opts: &Opts) {
-    use pcisim_system::topology::Topology;
     println!("\n== Shard scaling: conservative link-lookahead parallel runs ==");
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!(
@@ -970,7 +927,8 @@ fn shard_scaling(opts: &Opts) {
         let mut sync_tables = Vec::new();
         let mut base: Option<ShardScalingOutcome> = None;
         for &shards in &ladder {
-            let out = run_shard_scaling(topo.clone(), shards, block);
+            let scaling = ShardScaling { topo: topo.clone(), block_bytes: block };
+            let out = run(&scaling, Exec::Cold { shards });
             if let Some(b) = &base {
                 assert_eq!(out.quiesce_tick, b.quiesce_tick, "{label}: quiesce tick must match");
                 assert_eq!(out.stats_fnv, b.stats_fnv, "{label}: stats FNV must match");
@@ -1057,12 +1015,8 @@ fn render_sync_stats(out: &ShardScalingOutcome) -> String {
 /// does the access latency go" question, answered from the trace).
 fn trace_dump(path: &str) {
     println!("\n== Traced run: Table II @ rc=150 ns, full event trace ==");
-    let out = run_mmio_experiment(&MmioExperiment {
-        rc_latency: ns(150),
-        reads: 8,
-        cpu_overhead: 0,
-        trace: true,
-    });
+    let out =
+        run_cold(&MmioExperiment { rc_latency: ns(150), reads: 8, cpu_overhead: 0, trace: true });
     assert!(out.completed, "traced run must complete");
     let log = out.trace.expect("trace requested");
     std::fs::write(path, log.to_perfetto_json()).expect("write trace file");
@@ -1072,45 +1026,27 @@ fn trace_dump(path: &str) {
 
 /// Demonstrates file-backed checkpoint/restore: warms up the validation
 /// `dd` system, saves it to `path`, rebuilds the tree from the warm seed
-/// (no enumeration, no driver probe), restores from the file and resumes
-/// to completion — asserting the restored run is bit-identical to an
-/// uninterrupted cold run.
+/// (no enumeration, no driver probe), restores the file's bytes and
+/// resumes to completion — asserting the restored run is bit-identical to
+/// an uninterrupted cold run.
 fn checkpoint_demo(path: &str) {
-    use pcisim_kernel::sim::RunOutcome;
-    use pcisim_kernel::tick::TICKS_PER_SEC;
-    use pcisim_system::builder::{build_system, build_system_warm, SystemConfig};
-    use pcisim_system::workload::dd::DdConfig;
-
     println!("\n== Checkpoint demo: warm up, save, restore from file, resume ==");
-    let block = MB;
+    let exp = DdExperiment { block_bytes: MB, ..DdExperiment::default() };
+    let cold = run_cold(&exp);
 
-    // Cold reference: one uninterrupted run.
-    let mut cold = build_system(SystemConfig::validation());
-    let cold_report = cold.attach_dd(DdConfig { block_bytes: block, ..DdConfig::default() });
-    assert_eq!(cold.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
+    let mut warm = warm_start(&exp);
+    std::fs::write(path, &warm.snapshot).expect("checkpoint written");
+    warm.snapshot = std::fs::read(path).expect("checkpoint read back");
+    let restored = run(&exp, Exec::Warm(&warm));
 
-    // Warm up a second system to WARMUP_TICK and save it to disk.
-    let mut warm = build_system(SystemConfig::validation());
-    let seed = warm.warm_seed();
-    let _ = warm.attach_dd(DdConfig { block_bytes: block, ..DdConfig::default() });
-    assert_eq!(warm.sim.run(WARMUP_TICK, u64::MAX), RunOutcome::TimeLimit);
-    let bytes = warm.checkpoint_to(path).expect("checkpoint written");
-
-    // Rebuild from the seed, restore the file, resume.
-    let mut restored = build_system_warm(SystemConfig::validation(), &seed);
-    let report = restored.attach_dd(DdConfig { block_bytes: block, ..DdConfig::default() });
-    restored.restore_from(path).expect("checkpoint restores");
-    assert_eq!(restored.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
-
-    let (c, r) = (cold_report.borrow().clone(), report.borrow().clone());
-    assert_eq!(cold.sim.now(), restored.sim.now(), "restored run must match the cold run");
-    assert_eq!(c.throughput_gbps().to_bits(), r.throughput_gbps().to_bits());
+    assert_eq!(cold.sim_time, restored.sim_time, "restored run must match the cold run");
+    assert_eq!(cold.throughput_gbps.to_bits(), restored.throughput_gbps.to_bits());
+    let bytes = warm.snapshot.len();
     println!("checkpoint: {bytes} bytes (taken at tick {WARMUP_TICK}) -> {path}");
-    println!("cold run:     {:.3} Gb/s, done at tick {}", c.throughput_gbps(), cold.sim.now());
+    println!("cold run:     {:.3} Gb/s, done at tick {}", cold.throughput_gbps, cold.sim_time);
     println!(
         "restored run: {:.3} Gb/s, done at tick {} (bit-identical)",
-        r.throughput_gbps(),
-        restored.sim.now()
+        restored.throughput_gbps, restored.sim_time
     );
 }
 
@@ -1217,6 +1153,27 @@ fn bench_check(path: &str) -> i32 {
     }
 }
 
+/// A figure's name on the command line and the function printing it.
+type Figure = (&'static str, fn(&Opts));
+
+/// Every figure `repro` can regenerate, in the order `all` runs them.
+const FIGURES: &[Figure] = &[
+    ("sector", sector),
+    ("fig9a", fig9a),
+    ("fig9b", fig9b),
+    ("fig9c", fig9c),
+    ("fig9d", fig9d),
+    ("table2", table2),
+    ("ext", ext),
+    ("faults", faults),
+    ("topology", topology),
+    ("msix", msix),
+    ("pmd", pmd),
+    ("shard", shard_scaling),
+    ("cxl", cxl),
+    ("virtio", virtio),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
@@ -1248,6 +1205,7 @@ fn main() {
     const VALUE_FLAGS: [&str; 6] =
         ["--trace", "--jobs", "--shards", "--bench-json", "--bench-check", "--checkpoint"];
     let mut skip_next = false;
+    // A figure is picked by name or, as CI spells some of them, `--name`.
     let picked: Vec<&str> = args
         .iter()
         .map(|s| s.as_str())
@@ -1262,7 +1220,14 @@ fn main() {
             }
             *a != "--full" && *a != "--warm-start"
         })
+        .map(|a| a.strip_prefix("--").unwrap_or(a))
         .collect();
+    let known = |name: &str| name == "all" || FIGURES.iter().any(|(n, _)| *n == name);
+    if let Some(unknown) = picked.iter().find(|name| !known(name)) {
+        let names: Vec<&str> = FIGURES.iter().map(|(n, _)| *n).collect();
+        eprintln!("repro: unknown figure {unknown:?}; valid names: {} all", names.join(" "));
+        std::process::exit(2);
+    }
     let run_all = picked.is_empty() || picked.contains(&"all");
 
     println!(
@@ -1277,52 +1242,12 @@ fn main() {
         if warm_start { ", warm-started dd/fault sweeps" } else { "" },
     );
     let mut sweep_wall_ms: Vec<(String, u64)> = Vec::new();
-    let mut timed = |name: &str, f: &dyn Fn(&Opts)| {
-        let start = Instant::now();
-        f(&opts);
-        sweep_wall_ms.push((name.to_string(), start.elapsed().as_millis() as u64));
-    };
-    if run_all || picked.contains(&"sector") {
-        timed("sector", &sector);
-    }
-    if run_all || picked.contains(&"fig9a") {
-        timed("fig9a", &fig9a);
-    }
-    if run_all || picked.contains(&"fig9b") {
-        timed("fig9b", &fig9b);
-    }
-    if run_all || picked.contains(&"fig9c") {
-        timed("fig9c", &fig9c);
-    }
-    if run_all || picked.contains(&"fig9d") {
-        timed("fig9d", &fig9d);
-    }
-    if run_all || picked.contains(&"table2") {
-        timed("table2", &table2);
-    }
-    if run_all || picked.contains(&"ext") {
-        timed("ext", &ext);
-    }
-    if run_all || picked.contains(&"faults") || picked.contains(&"--faults") {
-        timed("faults", &faults);
-    }
-    if run_all || picked.contains(&"topology") || picked.contains(&"--topology") {
-        timed("topology", &topology);
-    }
-    if run_all || picked.contains(&"msix") || picked.contains(&"--msix") {
-        timed("msix", &msix);
-    }
-    if run_all || picked.contains(&"pmd") || picked.contains(&"--pmd") {
-        timed("pmd", &pmd);
-    }
-    if run_all || picked.contains(&"shard") || picked.contains(&"--shard") {
-        timed("shard", &shard_scaling);
-    }
-    if run_all || picked.contains(&"cxl") || picked.contains(&"--cxl") {
-        timed("cxl", &cxl);
-    }
-    if run_all || picked.contains(&"virtio") || picked.contains(&"--virtio") {
-        timed("virtio", &virtio);
+    for &(name, figure) in FIGURES {
+        if run_all || picked.contains(&name) {
+            let start = Instant::now();
+            figure(&opts);
+            sweep_wall_ms.push((name.to_string(), start.elapsed().as_millis() as u64));
+        }
     }
     if let Some(path) = trace_path {
         trace_dump(&path);

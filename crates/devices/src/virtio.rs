@@ -813,13 +813,7 @@ impl Virtio {
             common::DEVICE_STATUS => self.device_status,
             common::CONFIG_MSIX_VECTOR => self.config_msix_vector,
             common::QUEUE_SELECT => self.queue_select,
-            common::QUEUE_SIZE => {
-                if self.selected().is_some() {
-                    u32::from(self.config.queue_size)
-                } else {
-                    0
-                }
-            }
+            common::QUEUE_SIZE => self.selected().map_or(0, |_| u32::from(self.config.queue_size)),
             common::QUEUE_MSIX_VECTOR => {
                 self.selected().map_or(MSIX_NO_VECTOR, |q| self.queues[q].msix_vector)
             }
@@ -860,7 +854,7 @@ impl Virtio {
                 self.common_write(ctx, o - COMMON_OFFSET, value)
             }
             o if (NOTIFY_OFFSET..NOTIFY_OFFSET + 0x100).contains(&o) => {
-                let q = ((o - NOTIFY_OFFSET) / u64::from(NOTIFY_MULTIPLIER)) as u64;
+                let q = (o - NOTIFY_OFFSET) / u64::from(NOTIFY_MULTIPLIER);
                 // The walk starts off a fresh event: the doorbell write
                 // arrived through the link this device would immediately
                 // DMA back into.
@@ -1924,13 +1918,9 @@ impl Component for Virtio {
         self.irq_stalled = decode_packet_queue(r)?;
         self.rx_started = r.bool()?;
         let emitted = r.u32()?;
-        self.rx_feed = if self.rx_started && self.config.rx_source.is_some() {
-            Some(TrafficFeed::resume(
-                self.config.rx_source.as_ref().expect("checked above"),
-                emitted,
-            ))
-        } else {
-            None
+        self.rx_feed = match &self.config.rx_source {
+            Some(source) if self.rx_started => Some(TrafficFeed::resume(source, emitted)),
+            _ => None,
         };
         self.rx_fifo.clear();
         let n = r.usize()?;

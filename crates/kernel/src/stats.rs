@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::snapshot::{SnapshotError, StateReader, StateWriter};
+use crate::snapshot::{fnv1a, SnapshotError, StateReader, StateWriter, FNV_OFFSET};
 
 /// A monotonically increasing event counter.
 ///
@@ -307,6 +307,15 @@ impl StatsSnapshot {
             *values.entry(k.clone()).or_insert(0.0) -= v;
         }
         StatsSnapshot::from_values(values)
+    }
+
+    /// FNV-1a fingerprint over every `(key, value)` pair in name order —
+    /// the compact hash the determinism anchors record. Two snapshots with
+    /// equal fingerprints agree on every counter in the simulation.
+    pub fn fnv(&self) -> u64 {
+        self.values
+            .iter()
+            .fold(FNV_OFFSET, |h, (k, v)| fnv1a(fnv1a(h, k.as_bytes()), &v.to_bits().to_le_bytes()))
     }
 }
 

@@ -3,19 +3,20 @@
 //! Builds the topologies the paper evaluates — the IDE disk behind a
 //! switch (the validation setup), a NIC directly on a root port (the
 //! Table II setup), and the legacy pre-PCIe arrangement — as thin
-//! wrappers over the declarative [`Topology`](crate::topology::Topology)
-//! tree (`build_legacy_system` excepted: it carries no PCI-Express
-//! fabric at all). After wiring, the builder runs the enumeration
-//! software and the device driver probe, so a built system is ready for
-//! a workload.
+//! wrappers over the declarative [`Topology`] tree (`build_legacy_system`
+//! excepted: it carries no PCI-Express fabric at all, and fills its one
+//! [`EndpointHandle`] by hand). Every
+//! builder returns the same [`TopologySystem`], enumerated and
+//! driver-probed, so a built system is ready for a workload.
 
 use pcisim_devices::cxl::CxlExpanderConfig;
-use pcisim_devices::driver::{ide_probe, ProbeInfo};
+use pcisim_devices::driver::{ide_probe, InterruptMode};
 use pcisim_devices::ide::{IdeDisk, IdeDiskConfig, IDE_DMA_PORT, IDE_PIO_PORT};
 use pcisim_devices::intc::{InterruptController, INTC_FABRIC_PORT};
 use pcisim_devices::nic::NicConfig;
 use pcisim_devices::virtio::VirtioConfig;
-use pcisim_kernel::component::{ComponentId, PortId};
+use pcisim_kernel::addr::AddrRange;
+use pcisim_kernel::component::PortId;
 use pcisim_kernel::dram::{Dram, DRAM_PORT};
 use pcisim_kernel::iocache::{IoCache, IOCACHE_DEV_SIDE, IOCACHE_MEM_SIDE};
 use pcisim_kernel::sim::Simulation;
@@ -23,28 +24,13 @@ use pcisim_kernel::tick::{ns, us, Tick};
 use pcisim_kernel::trace::TraceCategory;
 use pcisim_kernel::xbar::Crossbar;
 use pcisim_pci::ecam::Bdf;
-use pcisim_pci::enumeration::{enumerate, EnumerationReport};
-use pcisim_pci::host::{shared_registry, PciHost, SharedRegistry, PCI_HOST_PORT};
+use pcisim_pci::enumeration::enumerate;
+use pcisim_pci::host::{shared_registry, PciHost, PCI_HOST_PORT};
 use pcisim_pcie::params::LinkConfig;
 use pcisim_pcie::router::RouterConfig;
 
 use crate::platform;
-use crate::snapshot::WarmSeed;
-use crate::topology::{
-    build_topology, build_topology_warm, Attachment, Node, Topology, TopologySystem, MSI_VECTOR,
-};
-use crate::workload::dd::{DdApp, DdConfig, DdReportHandle, DD_IRQ_PORT, DD_MEM_PORT};
-use crate::workload::mmio::{MmioProbe, MmioProbeConfig, MmioReportHandle, MMIO_MEM_PORT};
-use crate::workload::msix::{
-    msix_tx_irq_port, MsixTxApp, MsixTxConfig, MsixTxReportHandle, MSIX_TX_MEM_PORT,
-};
-use crate::workload::nic_rx::{
-    NicRxApp, NicRxConfig, NicRxReportHandle, NIC_RX_IRQ_PORT, NIC_RX_MEM_PORT,
-};
-use crate::workload::nic_tx::{
-    NicTxApp, NicTxConfig, NicTxReportHandle, NIC_TX_IRQ_PORT, NIC_TX_MEM_PORT,
-};
-use crate::workload::pmd::{PmdApp, PmdConfig, PmdReportHandle, PMD_MEM_PORT};
+use crate::topology::{build_topology, EndpointHandle, EndpointKind, Topology, TopologySystem};
 
 /// Which PCI-Express endpoint the system carries.
 #[derive(Debug, Clone)]
@@ -164,225 +150,17 @@ impl SystemConfig {
             ..Self::nic_direct()
         }
     }
-
-    /// The poll-mode setup: a multi-queue NIC directly on root port 0 with
-    /// an open-loop traffic source on its receive path. Interrupts are
-    /// left entirely alone — the poll-mode driver masks everything.
-    pub fn nic_pmd(queues: u32, rx_source: Option<pcisim_devices::traffic::TrafficSpec>) -> Self {
-        Self {
-            device: DeviceSpec::Nic(NicConfig { queues, rx_source, ..NicConfig::default() }),
-            ..Self::nic_direct()
-        }
-    }
 }
 
-/// A wired, enumerated, probed system awaiting a workload.
-pub struct BuiltSystem {
-    /// The simulation holding every component.
-    pub sim: Simulation,
-    /// The PCI host registry (for further functional config access).
-    pub registry: SharedRegistry,
-    /// What the enumeration software found.
-    pub report: EnumerationReport,
-    /// The device driver's probe result (BAR0, IRQ, link).
-    pub probe: ProbeInfo,
-    /// Reserved memory-bus endpoint for the CPU-side workload.
-    pub cpu_mem_port: (ComponentId, PortId),
-    /// Interrupt-controller endpoint delivering the device's IRQ.
-    pub cpu_irq_port: (ComponentId, PortId),
-    /// One interrupt-controller endpoint per MSI-X vector (vector `v` at
-    /// index `v`); a single entry for legacy INTx/MSI.
-    pub cpu_irq_ports: Vec<(ComponentId, PortId)>,
-}
-
-impl BuiltSystem {
-    /// Attaches a `dd` workload (block reads against the probed disk) and
-    /// returns its report handle.
-    pub fn attach_dd(&mut self, mut config: DdConfig) -> DdReportHandle {
-        config.disk_bar = self.probe.bar0;
-        config.dma_target = platform::DRAM_BASE;
-        let (dd, report) = DdApp::new("dd", config);
-        let id = self.sim.add(Box::new(dd));
-        self.sim.connect((id, DD_MEM_PORT), self.cpu_mem_port);
-        self.sim.connect((id, DD_IRQ_PORT), self.cpu_irq_port);
-        report
-    }
-
-    /// Attaches a NIC transmit workload against the probed NIC and
-    /// returns its report handle.
-    pub fn attach_nic_tx(&mut self, mut config: NicTxConfig) -> NicTxReportHandle {
-        config.nic_bar = self.probe.bar0;
-        let (app, report) = NicTxApp::new("nictx", config);
-        let id = self.sim.add(Box::new(app));
-        self.sim.connect((id, NIC_TX_MEM_PORT), self.cpu_mem_port);
-        self.sim.connect((id, NIC_TX_IRQ_PORT), self.cpu_irq_port);
-        report
-    }
-
-    /// Attaches a NIC receive workload against the probed NIC (whose
-    /// `rx_stream` must be configured) and returns its report handle.
-    pub fn attach_nic_rx(&mut self, mut config: NicRxConfig) -> NicRxReportHandle {
-        config.nic_bar = self.probe.bar0;
-        let (app, report) = NicRxApp::new("nicrx", config);
-        let id = self.sim.add(Box::new(app));
-        self.sim.connect((id, NIC_RX_MEM_PORT), self.cpu_mem_port);
-        self.sim.connect((id, NIC_RX_IRQ_PORT), self.cpu_irq_port);
-        report
-    }
-
-    /// Attaches the multi-queue MSI-X transmit driver against the probed
-    /// NIC and returns its report handle.
-    ///
-    /// The probe must have negotiated MSI-X (build with
-    /// [`SystemConfig::nic_msix`]); each TX queue's vector port is wired
-    /// to its own interrupt-controller doorbell endpoint.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the driver probe did not negotiate MSI-X or the NIC's
-    /// table is too small for `config.queues` queue pairs.
-    pub fn attach_msix_tx(&mut self, mut config: MsixTxConfig) -> MsixTxReportHandle {
-        config.nic_bar = self.probe.bar0;
-        config.doorbell_base = platform::INTC_BASE;
-        config.base_vector = MSI_VECTOR;
-        let vectors = match self.probe.interrupt {
-            pcisim_devices::driver::InterruptMode::Msix { vectors } => vectors,
-            ref other => panic!("MSI-X workload needs an MSI-X probe, got {other:?}"),
-        };
-        assert!(
-            vectors >= pcisim_devices::nic::num_msix_vectors(config.queues),
-            "NIC exposes {vectors} vectors; {} queue pairs need {}",
-            config.queues,
-            pcisim_devices::nic::num_msix_vectors(config.queues)
-        );
-        let queues = config.queues;
-        let (app, report) = MsixTxApp::new("msixtx", config);
-        let id = self.sim.add(Box::new(app));
-        self.sim.connect((id, MSIX_TX_MEM_PORT), self.cpu_mem_port);
-        for q in 0..queues {
-            let v = pcisim_devices::nic::tx_vector(q);
-            self.sim.connect((id, msix_tx_irq_port(v)), self.cpu_irq_ports[usize::from(v)]);
-        }
-        report
-    }
-
-    /// Attaches the poll-mode (DPDK-style) driver against the probed NIC
-    /// and returns its report handle. Only the memory port is wired — a
-    /// poll-mode driver has no interrupt path at all.
-    pub fn attach_pmd(&mut self, mut config: PmdConfig) -> PmdReportHandle {
-        config.nic_bar = self.probe.bar0;
-        let (app, report) = PmdApp::new("pmd", config);
-        let id = self.sim.add(Box::new(app));
-        self.sim.connect((id, PMD_MEM_PORT), self.cpu_mem_port);
-        report
-    }
-
-    /// Attaches the MMIO latency probe against the probed device's BAR0
-    /// and returns its report handle.
-    pub fn attach_mmio_probe(&mut self, mut config: MmioProbeConfig) -> MmioReportHandle {
-        config.target = self.probe.bar0 + 0x0008; // the NIC status register
-        let (probe, report) = MmioProbe::new("mmio_probe", config);
-        let id = self.sim.add(Box::new(probe));
-        self.sim.connect((id, MMIO_MEM_PORT), self.cpu_mem_port);
-        report
-    }
-}
-
-/// Builds the full system per `config`.
+/// Builds the full system per `config`: the two-link chain as a
+/// [`Topology`], through the one builder.
 ///
 /// # Panics
 ///
 /// Panics when enumeration or the driver probe fails — a built-in
 /// topology that does not enumerate is a bug, not a runtime condition.
-pub fn build_system(config: SystemConfig) -> BuiltSystem {
-    finish_built_system(build_topology(Topology::from_system_config(&config)))
-}
-
-/// Builds the full system per `config` from a [`WarmSeed`], skipping
-/// enumeration and the driver probe (see
-/// [`build_topology_warm`](crate::topology::build_topology_warm)).
-///
-/// The returned system's config spaces are at reset values until a
-/// checkpoint from the seeding run is restored into it.
-///
-/// # Panics
-///
-/// Panics when the seed does not match the tree's endpoint count.
-pub fn build_system_warm(config: SystemConfig, seed: &WarmSeed) -> BuiltSystem {
-    finish_built_system(build_topology_warm(&Topology::from_system_config(&config), seed))
-}
-
-fn finish_built_system(built: TopologySystem) -> BuiltSystem {
-    let probe = built.probe.expect("built-in topology must probe");
-    let endpoint = &built.endpoints[0];
-    BuiltSystem {
-        cpu_mem_port: endpoint.cpu_mem_port,
-        cpu_irq_port: endpoint.cpu_irq_port,
-        cpu_irq_ports: endpoint.cpu_irq_ports.clone(),
-        sim: built.sim,
-        registry: built.registry,
-        report: built.report,
-        probe,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pcisim_kernel::sim::RunOutcome;
-    use pcisim_kernel::tick::us;
-
-    #[test]
-    fn validation_system_enumerates_the_paper_topology() {
-        let built = build_system(SystemConfig::validation());
-        // 3 root ports + switch upstream + 2 switch downstream = 6 bridges,
-        // 1 endpoint.
-        assert_eq!(built.report.bridges().count(), 6);
-        assert_eq!(built.report.endpoints().count(), 1);
-        let disk = built.report.find(0x8086, 0x2922).unwrap();
-        assert_eq!(disk.bdf, Bdf::new(3, 0, 0));
-        assert!(built.probe.bar0 >= platform::PCI_MEM_BASE);
-    }
-
-    #[test]
-    fn nic_direct_system_probes_e1000e() {
-        let built = build_system(SystemConfig::nic_direct());
-        let nic = built.report.find(0x8086, 0x10d3).unwrap();
-        assert_eq!(nic.bdf, Bdf::new(1, 0, 0));
-        assert!(matches!(built.probe.interrupt, pcisim_devices::driver::InterruptMode::Legacy(_)));
-    }
-
-    #[test]
-    fn dd_runs_end_to_end_through_the_full_fabric() {
-        let mut built = build_system(SystemConfig::validation());
-        let report = built.attach_dd(DdConfig {
-            block_bytes: 64 * 1024,
-            request_sectors: 8,
-            os_block_setup: us(10),
-            os_request_overhead: us(1),
-            ..DdConfig::default()
-        });
-        let outcome = built.sim.run(pcisim_kernel::tick::TICKS_PER_SEC, 200_000_000);
-        assert_eq!(outcome, RunOutcome::QueueEmpty, "dd must quiesce");
-        let r = report.borrow();
-        assert!(r.done, "dd must complete its block");
-        assert_eq!(r.bytes, 64 * 1024);
-        assert!(r.throughput_gbps() > 0.1, "got {}", r.throughput_gbps());
-    }
-
-    #[test]
-    fn mmio_probe_runs_against_the_nic() {
-        let mut built = build_system(SystemConfig::nic_direct());
-        let report = built.attach_mmio_probe(MmioProbeConfig { reads: 8, ..Default::default() });
-        let outcome = built.sim.run(pcisim_kernel::tick::TICKS_PER_SEC, 10_000_000);
-        assert_eq!(outcome, RunOutcome::QueueEmpty);
-        let r = report.borrow();
-        assert!(r.done);
-        assert_eq!(r.latencies.len(), 8);
-        // Two root-complex crossings at 150 ns each bound the latency from
-        // below.
-        assert!(r.mean_ns() > 300.0, "got {}", r.mean_ns());
-    }
+pub fn build_system(config: SystemConfig) -> TopologySystem {
+    build_topology(Topology::from_system_config(&config))
 }
 
 /// Knobs of the legacy (pre-PCIe) topology: gem5's stock arrangement
@@ -433,7 +211,7 @@ impl Default for LegacySystemConfig {
 ///
 /// Panics when enumeration or the driver probe fails (a bug in the
 /// built-in topology).
-pub fn build_legacy_system(config: LegacySystemConfig) -> BuiltSystem {
+pub fn build_legacy_system(config: LegacySystemConfig) -> TopologySystem {
     use pcisim_kernel::bridge::{Bridge, BRIDGE_IO_SIDE, BRIDGE_MEM_SIDE};
 
     let registry = shared_registry();
@@ -445,7 +223,7 @@ pub fn build_legacy_system(config: LegacySystemConfig) -> BuiltSystem {
         .expect("legacy topology must enumerate");
     let probe = ide_probe(&mut registry.clone(), &report).expect("legacy topology must probe");
     let irq = match probe.interrupt {
-        pcisim_devices::driver::InterruptMode::Legacy(irq) => irq,
+        InterruptMode::Legacy(irq) => irq,
         other => panic!("IDE probe must fall back to a legacy interrupt, got {other:?}"),
     };
     let mut disk = disk;
@@ -509,23 +287,90 @@ pub fn build_legacy_system(config: LegacySystemConfig) -> BuiltSystem {
     sim.connect((iobus_id, PortId(3)), (iocache_id, IOCACHE_DEV_SIDE));
     sim.connect((iocache_id, IOCACHE_MEM_SIDE), (membus_id, PortId(5)));
 
-    BuiltSystem {
-        sim,
-        registry,
-        report,
-        probe,
+    let endpoint = EndpointHandle {
+        name: "disk".into(),
+        bdf: probe.bdf,
+        bar0: probe.bar0,
+        irq,
+        kind: EndpointKind::Disk,
+        hdm: AddrRange::empty(),
+        virtio_ring: AddrRange::empty(),
         cpu_mem_port: (membus_id, PortId(0)),
         cpu_irq_port: (intc_id, cpu_irq),
         cpu_irq_ports: vec![(intc_id, cpu_irq)],
-    }
+    };
+    TopologySystem { sim, registry, report, probe: Some(probe), endpoints: vec![endpoint] }
 }
 
 #[cfg(test)]
-mod legacy_tests {
+mod tests {
     use super::*;
     use crate::workload::dd::DdConfig;
+    use crate::workload::mmio::MmioProbeConfig;
+    use crate::workload::msix::MsixTxConfig;
     use pcisim_kernel::sim::RunOutcome;
-    use pcisim_kernel::tick::{us, TICKS_PER_SEC};
+    use pcisim_kernel::tick::TICKS_PER_SEC;
+
+    fn probe(built: &TopologySystem) -> &pcisim_devices::driver::ProbeInfo {
+        built.probe.as_ref().expect("single-endpoint systems go through the driver probe")
+    }
+
+    #[test]
+    fn validation_system_enumerates_the_paper_topology() {
+        let built = build_system(SystemConfig::validation());
+        // 3 root ports + switch upstream + 2 switch downstream = 6 bridges,
+        // 1 endpoint.
+        assert_eq!(built.report.bridges().count(), 6);
+        assert_eq!(built.report.endpoints().count(), 1);
+        let disk = built.report.find(0x8086, 0x2922).unwrap();
+        assert_eq!(disk.bdf, Bdf::new(3, 0, 0));
+        assert!(probe(&built).bar0 >= platform::PCI_MEM_BASE);
+        assert_eq!(built.endpoints[0].bar0, probe(&built).bar0);
+    }
+
+    #[test]
+    fn nic_direct_system_probes_e1000e() {
+        let built = build_system(SystemConfig::nic_direct());
+        let nic = built.report.find(0x8086, 0x10d3).unwrap();
+        assert_eq!(nic.bdf, Bdf::new(1, 0, 0));
+        assert!(matches!(probe(&built).interrupt, InterruptMode::Legacy(_)));
+        assert_eq!(built.endpoints[0].kind, EndpointKind::Nic);
+    }
+
+    #[test]
+    fn dd_runs_end_to_end_through_the_full_fabric() {
+        let mut built = build_system(SystemConfig::validation());
+        let report = built.attach_dd(
+            0,
+            DdConfig {
+                block_bytes: 64 * 1024,
+                request_sectors: 8,
+                os_block_setup: us(10),
+                os_request_overhead: us(1),
+                ..DdConfig::default()
+            },
+        );
+        let outcome = built.sim.run(TICKS_PER_SEC, 200_000_000);
+        assert_eq!(outcome, RunOutcome::QueueEmpty, "dd must quiesce");
+        let r = report.borrow();
+        assert!(r.done, "dd must complete its block");
+        assert_eq!(r.bytes, 64 * 1024);
+        assert!(r.throughput_gbps() > 0.1, "got {}", r.throughput_gbps());
+    }
+
+    #[test]
+    fn mmio_probe_runs_against_the_nic() {
+        let mut built = build_system(SystemConfig::nic_direct());
+        let report = built.attach_mmio_probe(0, MmioProbeConfig { reads: 8, ..Default::default() });
+        let outcome = built.sim.run(TICKS_PER_SEC, 10_000_000);
+        assert_eq!(outcome, RunOutcome::QueueEmpty);
+        let r = report.borrow();
+        assert!(r.done);
+        assert_eq!(r.latencies.len(), 8);
+        // Two root-complex crossings at 150 ns each bound the latency from
+        // below.
+        assert!(r.mean_ns() > 300.0, "got {}", r.mean_ns());
+    }
 
     #[test]
     fn legacy_system_enumerates_a_flat_bus() {
@@ -533,81 +378,40 @@ mod legacy_tests {
         assert_eq!(built.report.bridges().count(), 0, "no VP2Ps in the legacy topology");
         assert_eq!(built.report.endpoints().count(), 1);
         assert_eq!(built.report.bus_count, 1);
-        assert_eq!(built.probe.bdf, Bdf::new(0, 4, 0));
+        assert_eq!(built.endpoints[0].bdf, Bdf::new(0, 4, 0));
     }
 
-    #[test]
-    fn legacy_dd_runs_end_to_end() {
-        let mut built = build_legacy_system(LegacySystemConfig::default());
-        let report = built.attach_dd(DdConfig {
-            block_bytes: 256 * 1024,
-            os_block_setup: us(10),
-            os_request_overhead: us(1),
-            ..DdConfig::default()
-        });
+    /// Runs one `dd` block over `built`'s only endpoint and returns the
+    /// throughput it reports.
+    fn dd_gbps(mut built: TopologySystem, block_bytes: u64) -> f64 {
+        let report = built.attach_dd(0, DdConfig { block_bytes, ..DdConfig::default() });
         assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
         let r = report.borrow();
         assert!(r.done);
-        assert_eq!(r.bytes, 256 * 1024);
+        assert_eq!(r.bytes, block_bytes);
+        r.throughput_gbps()
     }
 
     #[test]
     fn legacy_crossbar_overstates_io_throughput() {
         // The paper's motivation (§I/§III): without a PCI-Express
         // bandwidth model, device throughput is unrealistically high.
-        let dd_cfg = DdConfig { block_bytes: 1024 * 1024, ..DdConfig::default() };
-
-        let mut legacy = build_legacy_system(LegacySystemConfig::default());
-        let legacy_report = legacy.attach_dd(dd_cfg.clone());
-        assert_eq!(legacy.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
-
-        let mut pcie = build_system(SystemConfig::validation());
-        let pcie_report = pcie.attach_dd(dd_cfg);
-        assert_eq!(pcie.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
-
-        let legacy_gbps = legacy_report.borrow().throughput_gbps();
-        let pcie_gbps = pcie_report.borrow().throughput_gbps();
+        let legacy_gbps = dd_gbps(build_legacy_system(LegacySystemConfig::default()), 1024 * 1024);
+        let pcie_gbps = dd_gbps(build_system(SystemConfig::validation()), 1024 * 1024);
         assert!(
             legacy_gbps > 1.5 * pcie_gbps,
             "crossbar-only I/O must look much faster than the Gen2 x1 reality: \
              {legacy_gbps:.2} vs {pcie_gbps:.2} Gb/s"
         );
     }
-}
-
-#[cfg(test)]
-mod msi_tests {
-    use super::*;
-    use crate::workload::dd::DdConfig;
-    use pcisim_devices::driver::InterruptMode;
-    use pcisim_kernel::sim::RunOutcome;
-    use pcisim_kernel::tick::TICKS_PER_SEC;
 
     #[test]
-    fn msi_request_engages_on_a_capable_device() {
-        let config = SystemConfig { use_msi: true, ..SystemConfig::validation() };
-        let built = build_system(config);
-        assert_eq!(built.probe.interrupt, InterruptMode::Msi);
-    }
-
-    #[test]
-    fn msi_request_bounces_on_the_papers_disabled_structure() {
-        // use_msi=false keeps the paper's MsiDisabled capability; even an
-        // explicit MSI request would bounce, which the driver-level tests
-        // cover — here check the default stays legacy.
-        let built = build_system(SystemConfig::validation());
-        assert!(matches!(built.probe.interrupt, InterruptMode::Legacy(_)));
-    }
-
-    #[test]
-    fn dd_completes_over_msi_interrupts() {
-        let config = SystemConfig { use_msi: true, ..SystemConfig::validation() };
-        let mut built = build_system(config);
-        let report = built.attach_dd(DdConfig { block_bytes: 256 * 1024, ..DdConfig::default() });
-        assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
-        let r = report.borrow();
-        assert!(r.done, "dd must complete with MSI delivery");
-        assert_eq!(r.bytes, 256 * 1024);
+    fn msi_engages_only_when_requested() {
+        let msi = build_system(SystemConfig { use_msi: true, ..SystemConfig::validation() });
+        assert_eq!(probe(&msi).interrupt, InterruptMode::Msi);
+        // use_msi=false keeps the paper's MsiDisabled capability.
+        let intx = build_system(SystemConfig::validation());
+        assert!(matches!(probe(&intx).interrupt, InterruptMode::Legacy(_)));
     }
 
     #[test]
@@ -615,8 +419,11 @@ mod msi_tests {
         let run = |use_msi: bool| {
             let config = SystemConfig { use_msi, ..SystemConfig::validation() };
             let mut built = build_system(config);
-            let _ = built.attach_dd(DdConfig { block_bytes: 256 * 1024, ..DdConfig::default() });
+            let report =
+                built.attach_dd(0, DdConfig { block_bytes: 256 * 1024, ..DdConfig::default() });
             assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
+            assert!(report.borrow().done, "dd must complete under either delivery");
+            assert_eq!(report.borrow().bytes, 256 * 1024);
             built.sim.stats().get("gic.raised").unwrap()
         };
         assert_eq!(run(false), run(true));
@@ -625,15 +432,15 @@ mod msi_tests {
     #[test]
     fn msix_probe_negotiates_per_queue_vectors() {
         let built = build_system(SystemConfig::nic_msix(4, 0));
-        assert_eq!(built.probe.interrupt, InterruptMode::Msix { vectors: 8 });
-        assert_eq!(built.cpu_irq_ports.len(), 8);
+        assert_eq!(probe(&built).interrupt, InterruptMode::Msix { vectors: 8 });
+        assert_eq!(built.endpoints[0].cpu_irq_ports.len(), 8);
     }
 
     #[test]
     fn msix_tx_transmits_on_every_queue() {
         let mut built = build_system(SystemConfig::nic_msix(4, 0));
-        let report =
-            built.attach_msix_tx(MsixTxConfig { queues: 4, frames: 64, ..MsixTxConfig::default() });
+        let report = built
+            .attach_msix_tx(0, MsixTxConfig { queues: 4, frames: 64, ..MsixTxConfig::default() });
         assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
         let r = report.borrow();
         assert!(r.done, "all queues must drain");
@@ -645,14 +452,20 @@ mod msi_tests {
     }
 
     #[test]
+    #[should_panic(expected = "MSI-X queue pairs need")]
+    fn msix_tx_refuses_a_tree_built_without_msix() {
+        let mut built = build_system(SystemConfig::nic_direct());
+        let _ = built.attach_msix_tx(0, MsixTxConfig::default());
+    }
+
+    #[test]
     fn msix_moderation_coalesces_interrupts() {
         let run = |moderation| {
             let mut built = build_system(SystemConfig::nic_msix(2, moderation));
-            let report = built.attach_msix_tx(MsixTxConfig {
-                queues: 2,
-                frames: 64,
-                ..MsixTxConfig::default()
-            });
+            let report = built.attach_msix_tx(
+                0,
+                MsixTxConfig { queues: 2, frames: 64, ..MsixTxConfig::default() },
+            );
             assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
             let r = report.borrow().clone();
             assert!(r.done);
@@ -664,129 +477,5 @@ mod msi_tests {
         assert_eq!(imm_coalesced, 0.0);
         assert!(mod_irqs < imm_irqs, "holdoff must coalesce: {mod_irqs} vs {imm_irqs} interrupts");
         assert!(mod_coalesced > 0.0);
-    }
-}
-
-/// A built system with a disk on *each* switch downstream port — the
-/// fan-out the paper's Fig. 2 architecture exists to support. Both disks
-/// share the root link, so running both workloads at once measures
-/// contention in the PCI-Express fabric.
-pub struct DualDiskSystem {
-    /// The simulation holding every component.
-    pub sim: Simulation,
-    /// What the enumeration software found.
-    pub report: EnumerationReport,
-    /// BAR0 of each disk.
-    pub disk_bars: [u64; 2],
-    /// Reserved memory-bus endpoints for the two workloads.
-    cpu_mem_ports: [(ComponentId, PortId); 2],
-    /// Interrupt endpoints for the two workloads.
-    cpu_irq_ports: [(ComponentId, PortId); 2],
-}
-
-impl DualDiskSystem {
-    /// Attaches a `dd` workload to disk `index` (0 or 1).
-    pub fn attach_dd(&mut self, index: usize, mut config: DdConfig) -> DdReportHandle {
-        config.disk_bar = self.disk_bars[index];
-        // Distinct DMA buffers so DRAM traffic does not alias.
-        config.dma_target = platform::DRAM_BASE + index as u64 * 0x1000_0000;
-        let (dd, report) = DdApp::new(format!("dd{index}"), config);
-        let id = self.sim.add(Box::new(dd));
-        self.sim.connect((id, DD_MEM_PORT), self.cpu_mem_ports[index]);
-        self.sim.connect((id, DD_IRQ_PORT), self.cpu_irq_ports[index]);
-        report
-    }
-}
-
-/// Builds the dual-disk topology: the validation system with a second IDE
-/// disk on the switch's other downstream port, both behind the shared
-/// root link.
-///
-/// # Panics
-///
-/// Panics when the configuration carries no switch or when enumeration
-/// fails.
-pub fn build_dual_disk_system(config: SystemConfig) -> DualDiskSystem {
-    let switch_cfg = config.switch.clone().expect("dual-disk topology needs a switch");
-    let disk_cfg = match &config.device {
-        DeviceSpec::Disk(d) => d.clone(),
-        _ => panic!("dual-disk topology needs DeviceSpec::Disk"),
-    };
-
-    // Two disks: behind downstream port 0 (bus 3) and port 1 (bus 4).
-    let ports = (0..2)
-        .map(|i| {
-            let disk = Node::endpoint(format!("disk{i}"), DeviceSpec::Disk(disk_cfg.clone()));
-            let link_name = if i == 0 { "dev_link".to_string() } else { format!("dev_link{i}") };
-            Some(Attachment::named(link_name, config.device_link.clone(), disk))
-        })
-        .collect();
-    let switch = Node::Switch { config: switch_cfg, name: Some("switch".into()), ports };
-    let root = Attachment::named("root_link", config.root_link.clone(), switch);
-    let mut topo = Topology::new(config.rc.clone(), vec![Some(root), None, None]);
-    topo.membus_frontend = config.membus_frontend;
-    topo.dram_latency = config.dram_latency;
-    topo.dram_bandwidth = config.dram_bandwidth;
-    topo.iocache_mshrs = config.iocache_mshrs;
-    topo.pcihost_latency = config.pcihost_latency;
-    topo.trace_mask = config.trace_mask;
-
-    let built = build_topology(topo);
-    DualDiskSystem {
-        disk_bars: [built.endpoints[0].bar0, built.endpoints[1].bar0],
-        cpu_mem_ports: [built.endpoints[0].cpu_mem_port, built.endpoints[1].cpu_mem_port],
-        cpu_irq_ports: [built.endpoints[0].cpu_irq_port, built.endpoints[1].cpu_irq_port],
-        sim: built.sim,
-        report: built.report,
-    }
-}
-
-#[cfg(test)]
-mod dual_disk_tests {
-    use super::*;
-    use crate::workload::dd::DdConfig;
-    use pcisim_kernel::sim::RunOutcome;
-    use pcisim_kernel::tick::TICKS_PER_SEC;
-
-    #[test]
-    fn both_disks_enumerate_on_separate_buses() {
-        let sys = build_dual_disk_system(SystemConfig::validation());
-        assert_eq!(sys.report.endpoints().count(), 2);
-        assert_ne!(sys.disk_bars[0], sys.disk_bars[1]);
-        let d0 = sys.report.at(Bdf::new(3, 0, 0)).unwrap();
-        let d1 = sys.report.at(Bdf::new(4, 0, 0)).unwrap();
-        assert_ne!(d0.irq, d1.irq, "each disk gets its own interrupt line");
-    }
-
-    #[test]
-    fn concurrent_dds_complete_and_contend() {
-        let block = 1024 * 1024u64;
-        // Solo run for the baseline.
-        let mut solo = build_system(SystemConfig::validation());
-        let solo_report = solo.attach_dd(DdConfig { block_bytes: block, ..DdConfig::default() });
-        assert_eq!(solo.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
-        let solo_gbps = solo_report.borrow().throughput_gbps();
-
-        // Dual run: both disks stream simultaneously over the shared
-        // x4 root link.
-        let mut dual = build_dual_disk_system(SystemConfig::validation());
-        let r0 = dual.attach_dd(0, DdConfig { block_bytes: block, ..DdConfig::default() });
-        let r1 = dual.attach_dd(1, DdConfig { block_bytes: block, ..DdConfig::default() });
-        assert_eq!(dual.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
-        let (g0, g1) = (r0.borrow().throughput_gbps(), r1.borrow().throughput_gbps());
-        assert!(r0.borrow().done && r1.borrow().done);
-
-        // Each stream cannot beat its solo self, but the pair in
-        // aggregate must beat one stream (the fabric really fans out).
-        assert!(g0 <= solo_gbps * 1.01, "disk0 under contention: {g0} vs solo {solo_gbps}");
-        assert!(g1 <= solo_gbps * 1.01, "disk1 under contention: {g1} vs solo {solo_gbps}");
-        assert!(g0 + g1 > solo_gbps * 1.2, "aggregate must scale: {g0} + {g1} vs solo {solo_gbps}");
-    }
-
-    #[test]
-    #[should_panic(expected = "needs a switch")]
-    fn dual_disk_without_switch_panics() {
-        let config = SystemConfig { switch: None, ..SystemConfig::validation() };
-        let _ = build_dual_disk_system(config);
     }
 }

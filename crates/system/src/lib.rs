@@ -3,13 +3,16 @@
 //! * [`platform`] — the ARM `Vexpress_GEM5_V1` address map (§III);
 //! * [`topology`] — declarative PCI-Express trees: N root ports,
 //!   switches nested to arbitrary depth, any mix of endpoints (Fig. 2);
-//! * [`builder`] — wires memory bus, DRAM, IOCache, PCI host, interrupt
-//!   controller, root complex, switch, links and a device into one
-//!   enumerated, driver-probed system (Fig. 6);
-//! * [`workload`] — the `dd` block-read workload (§VI-A) and the
-//!   kernel-module MMIO latency probe (Table II);
-//! * [`experiments`] — one entry point per figure/table of the paper's
-//!   evaluation;
+//!   the one builder and the one system type every workload attaches to;
+//! * [`builder`] — the paper's two-link chain ([`builder::SystemConfig`],
+//!   Fig. 6) as a description of such a tree, plus the legacy pre-PCIe
+//!   arrangement;
+//! * [`workload`] — the CPU-side drivers (`dd`, the MMIO probe, the NIC,
+//!   poll-mode, CXL and virtio drivers) behind one
+//!   [`Workload`](workload::Workload) attach surface;
+//! * [`experiments`] — one [`Experiment`](experiments::Experiment) per
+//!   figure/table of the paper's evaluation and the one
+//!   [`run`](experiments::run) that drives them;
 //! * [`snapshot`] — checkpoint/restore over built systems and the
 //!   [`WarmSeed`](snapshot::WarmSeed) that lets warm-started sweeps skip
 //!   enumeration and driver probing.
@@ -29,29 +32,24 @@ pub mod workload;
 /// Convenient glob import for examples and benches.
 pub mod prelude {
     pub use crate::builder::{
-        build_dual_disk_system, build_legacy_system, build_system, build_system_warm, BuiltSystem,
-        DeviceSpec, DualDiskSystem, LegacySystemConfig, SystemConfig,
+        build_legacy_system, build_system, DeviceSpec, LegacySystemConfig, SystemConfig,
     };
     pub use crate::experiments::{
-        error_rate_ladder, error_rate_sweep, error_rate_sweep_warm, prepare_dd_warm_start,
-        run_cxl_experiment, run_cxl_sharded, run_dd_experiment, run_dd_experiment_warm,
-        run_dd_sweep_warm, run_fault_experiment, run_fault_experiment_warm, run_fault_sweep_warm,
-        run_irq_rx_experiment, run_mmio_experiment, run_msix_tx_experiment, run_nic_rx_experiment,
-        run_nic_tx_experiment, run_pmd_experiment, run_pmd_experiment_warm, run_pmd_sharded,
-        run_pmd_sweep_warm, run_sector_microbench, run_shard_scaling, run_topology_experiment,
-        run_virtio_experiment, run_virtio_sharded, stats_fnv, ContentionOutcome, CxlExperiment,
-        CxlOutcome, CxlPlacement, DdExperiment, DdOutcome, DdWarmStart, FaultExperiment,
-        FaultOutcome, MmioExperiment, MmioOutcome, MsixTxExperiment, MsixTxOutcome,
-        NicRxExperiment, NicRxOutcome, NicTxExperiment, NicTxOutcome, PmdExperiment, PmdOutcome,
-        PmdWarmStart, ShardScalingOutcome, TopologyExperiment, TopologyOutcome, VirtioArm,
-        VirtioExperiment, VirtioOutcome, WARMUP_TICK,
+        error_rate_ladder, execute, run, run_cold, run_sweep_warm, run_topology_experiment,
+        warm_start, ContentionOutcome, CxlExperiment, CxlOutcome, CxlPlacement, DdExperiment,
+        DdOutcome, Exec, Experiment, FaultExperiment, FaultOutcome, Finished, IrqRxBaseline,
+        MmioExperiment, MmioOutcome, MsixTxExperiment, MsixTxOutcome, NicRxExperiment,
+        NicRxOutcome, NicTxExperiment, NicTxOutcome, PmdExperiment, PmdOutcome, SectorMicrobench,
+        ShardScaling, ShardScalingOutcome, TopologyExperiment, TopologyOutcome, VirtioArm,
+        VirtioExperiment, VirtioOutcome, WarmStart, WARMUP_TICK,
     };
     pub use crate::platform;
     pub use crate::snapshot::{SystemHandle, WarmSeed};
-    pub use crate::sweep::{default_jobs, run_sweep, run_sweep_warm};
+    pub use crate::sweep::{default_jobs, run_sweep};
     pub use crate::topology::{
-        build_topology, build_topology_sharded, build_topology_warm, Attachment, EndpointHandle,
-        Node, PlannedTopology, ShardedTopologySystem, Topology, TopologySystem,
+        build_topology, build_topology_sharded, build_topology_warm, Attachment, Backend,
+        EndpointHandle, EndpointKind, Node, PlannedTopology, ShardedTopologySystem, System,
+        Topology, TopologySystem,
     };
     pub use crate::traffic::{
         heavy_traffic, offered_load_ladder, record_trace, ArrivalProcess, SizeDist, TrafficConfig,
@@ -67,6 +65,7 @@ pub mod prelude {
     pub use crate::workload::nic_tx::{NicTxConfig, NicTxReport, NicTxReportHandle};
     pub use crate::workload::pmd::{PmdConfig, PmdReport, PmdReportHandle};
     pub use crate::workload::virtio::{VirtioAppConfig, VirtioReport, VirtioReportHandle};
+    pub use crate::workload::{Attached, Workload};
     pub use pcisim_devices::cxl::CxlExpanderConfig;
     pub use pcisim_devices::virtio::{VirtioClass, VirtioConfig};
     pub use pcisim_kernel::shard::ShardedSimulator;

@@ -4,31 +4,27 @@
 //! the complete dynamic state of a component tree; this module adds the
 //! system-side plumbing around them:
 //!
-//! * [`SystemHandle`] — one trait over every built system
-//!   ([`BuiltSystem`], [`TopologySystem`], [`DualDiskSystem`]) exposing
-//!   `checkpoint`/`restore` plus file-backed `checkpoint_to`/
-//!   `restore_from`. The on-disk format is the kernel's checksummed
-//!   checkpoint, whose body leads with the topology fingerprint — a
-//!   checkpoint written from one tree refuses to restore into a
-//!   differently shaped one.
+//! * [`SystemHandle`] — `checkpoint`/`restore` plus file-backed
+//!   `checkpoint_to`/`restore_from` over a [`TopologySystem`]. The on-disk
+//!   format is the kernel's checksummed checkpoint, whose body leads with
+//!   the topology fingerprint — a checkpoint written from one tree refuses
+//!   to restore into a differently shaped one.
 //! * [`WarmSeed`] — the plain-data record of what the functional
 //!   enumeration software and driver probe computed for a tree. Building
 //!   a second, identically shaped tree from a seed
-//!   ([`build_topology_warm`](crate::topology::build_topology_warm) /
-//!   [`build_system_warm`](crate::builder::build_system_warm)) skips both
-//!   walks; restoring a checkpoint then supplies every config-space
+//!   ([`build_topology_warm`](crate::topology::build_topology_warm)) skips
+//!   both walks; restoring a checkpoint then supplies every config-space
 //!   image. The seed is `Send + Sync`, so one warmed-up reference run can
 //!   fork every point of a parallel sweep.
 
 use std::path::Path;
 
-use pcisim_devices::driver::{InterruptMode, ProbeInfo};
+use pcisim_devices::driver::ProbeInfo;
 use pcisim_kernel::sim::Simulation;
 use pcisim_kernel::snapshot::SnapshotError;
 use pcisim_pci::enumeration::EnumerationReport;
 
-use crate::builder::{BuiltSystem, DualDiskSystem};
-use crate::topology::{TopologySystem, MSI_VECTOR};
+use crate::topology::{System, TopologySystem};
 
 /// What one functional enumeration + driver-probe pass over a topology
 /// computed, captured as plain data so it can be shared across sweep
@@ -42,7 +38,7 @@ pub struct WarmSeed {
     /// What the enumeration software found (BDFs, BARs, bus ranges).
     pub report: EnumerationReport,
     /// The driver probe result — present when the tree carries exactly
-    /// one endpoint, mirroring [`TopologySystem::probe`].
+    /// one endpoint, mirroring [`System::probe`].
     pub probe: Option<ProbeInfo>,
     /// Interrupt line of each endpoint, in depth-first endpoint order.
     pub irqs: Vec<u8>,
@@ -108,31 +104,13 @@ pub trait SystemHandle {
     }
 }
 
-impl SystemHandle for Simulation {
-    fn sim_mut(&mut self) -> &mut Simulation {
-        self
-    }
-}
-
-impl SystemHandle for BuiltSystem {
-    fn sim_mut(&mut self) -> &mut Simulation {
-        &mut self.sim
-    }
-}
-
 impl SystemHandle for TopologySystem {
     fn sim_mut(&mut self) -> &mut Simulation {
         &mut self.sim
     }
 }
 
-impl SystemHandle for DualDiskSystem {
-    fn sim_mut(&mut self) -> &mut Simulation {
-        &mut self.sim
-    }
-}
-
-impl TopologySystem {
+impl<B> System<B> {
     /// Captures the warm-start seed of this system: everything the
     /// enumeration software and driver probe computed, as plain data.
     pub fn warm_seed(&self) -> WarmSeed {
@@ -144,32 +122,18 @@ impl TopologySystem {
     }
 }
 
-impl BuiltSystem {
-    /// Captures the warm-start seed of this system (see
-    /// [`TopologySystem::warm_seed`]).
-    pub fn warm_seed(&self) -> WarmSeed {
-        let irq = match self.probe.interrupt {
-            InterruptMode::Legacy(irq) => irq,
-            // Message-signaled modes route from the base vector; MSI-X
-            // per-queue vectors are base + vector index.
-            InterruptMode::Msi | InterruptMode::Msix { .. } => MSI_VECTOR,
-        };
-        WarmSeed { report: self.report.clone(), probe: Some(self.probe.clone()), irqs: vec![irq] }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{build_system, build_system_warm, SystemConfig};
+    use crate::topology::{build_topology, build_topology_warm, Topology};
     use crate::workload::dd::DdConfig;
     use pcisim_kernel::sim::RunOutcome;
     use pcisim_kernel::tick::{us, TICKS_PER_SEC};
 
-    fn warm_system() -> (BuiltSystem, WarmSeed) {
-        let mut built = build_system(SystemConfig::validation());
+    fn warm_system() -> (TopologySystem, WarmSeed) {
+        let mut built = build_topology(Topology::validation());
         let seed = built.warm_seed();
-        let _ = built.attach_dd(DdConfig { block_bytes: 64 * 1024, ..DdConfig::default() });
+        let _ = built.attach_dd(0, DdConfig { block_bytes: 64 * 1024, ..DdConfig::default() });
         assert_eq!(built.sim.run(us(100), u64::MAX), RunOutcome::TimeLimit);
         (built, seed)
     }
@@ -183,8 +147,8 @@ mod tests {
         let written = built.checkpoint_to(&path).expect("checkpoint written");
         assert_eq!(written, std::fs::metadata(&path).unwrap().len() as usize);
 
-        let mut fresh = build_system_warm(SystemConfig::validation(), &seed);
-        let report = fresh.attach_dd(DdConfig { block_bytes: 64 * 1024, ..DdConfig::default() });
+        let mut fresh = build_topology_warm(&Topology::validation(), &seed);
+        let report = fresh.attach_dd(0, DdConfig { block_bytes: 64 * 1024, ..DdConfig::default() });
         fresh.restore_from(&path).expect("checkpoint restores");
         assert_eq!(fresh.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
         assert!(report.borrow().done);
@@ -204,7 +168,7 @@ mod tests {
         let snap = built.checkpoint();
         // A dual-disk tree has a different shape; the fingerprint gate
         // must refuse the checkpoint.
-        let mut other = crate::builder::build_dual_disk_system(SystemConfig::validation());
+        let mut other = build_topology(Topology::dual_disk(pcisim_pcie::params::LinkWidth::X4));
         let err = other.restore(&snap).unwrap_err();
         assert!(matches!(err, SnapshotError::TopologyMismatch { .. }), "{err:?}");
     }

@@ -63,32 +63,6 @@ where
         .collect()
 }
 
-/// Warm-started variant of [`run_sweep`]: runs `prepare` exactly once to
-/// produce shared warm-start state (e.g. a warmed-up checkpoint plus its
-/// [`WarmSeed`](crate::snapshot::WarmSeed)), then fans `run(config,
-/// &shared)` across workers exactly like [`run_sweep`].
-///
-/// When `configs` is empty, `prepare` is never called — an empty sweep
-/// pays for no warmup.
-///
-/// # Panics
-///
-/// Propagates a panic from `prepare` or any worker.
-pub fn run_sweep_warm<C, S, R, P, F>(configs: &[C], jobs: usize, prepare: P, run: F) -> Vec<R>
-where
-    C: Sync,
-    S: Sync,
-    R: Send,
-    P: FnOnce() -> S,
-    F: Fn(&C, &S) -> R + Sync,
-{
-    if configs.is_empty() {
-        return Vec::new();
-    }
-    let shared = prepare();
-    run_sweep(configs, jobs, |c| run(c, &shared))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,30 +95,8 @@ mod tests {
     }
 
     #[test]
-    fn warm_sweep_prepares_once_and_only_when_needed() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let prepared = AtomicUsize::new(0);
-        let configs: Vec<u64> = (0..9).collect();
-        let out = run_sweep_warm(
-            &configs,
-            4,
-            || {
-                prepared.fetch_add(1, Ordering::SeqCst);
-                100u64
-            },
-            |&c, &base| base + c,
-        );
-        assert_eq!(prepared.load(Ordering::SeqCst), 1);
-        assert_eq!(out, (100..109).collect::<Vec<_>>());
-
-        let empty: Vec<u64> = Vec::new();
-        let out = run_sweep_warm(&empty, 4, || panic!("prepare must be lazy"), |&c, &(): &()| c);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn runs_real_simulations_concurrently() {
-        use crate::experiments::{run_dd_experiment, DdExperiment};
+        use crate::experiments::{run_cold, DdExperiment};
         let configs: Vec<DdExperiment> =
             [pcisim_kernel::tick::ns(50), pcisim_kernel::tick::ns(150)]
                 .into_iter()
@@ -154,7 +106,7 @@ mod tests {
                     ..DdExperiment::default()
                 })
                 .collect();
-        let out = run_sweep(&configs, 2, run_dd_experiment);
+        let out = run_sweep(&configs, 2, run_cold);
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|o| o.completed));
         assert!(out[0].throughput_gbps >= out[1].throughput_gbps);

@@ -19,9 +19,9 @@
 //!    and one [`PcieLink`] per tree edge.
 //!
 //! The paper's validation chain (disk behind a switch on root port 0) is
-//! [`Topology::validation`]; [`build_system`](crate::builder::build_system)
-//! is now a thin wrapper over this module and reproduces the original
-//! golden anchors bit-identically.
+//! [`Topology::validation`]. Every build returns the one [`System`] type,
+//! whose generic [`attach`](System::attach) is the single surface CPU-side
+//! workloads are wired through — on the serial kernel and sharded alike.
 
 use std::collections::HashMap;
 
@@ -32,9 +32,7 @@ use pcisim_devices::driver::{probe_with_policy, InterruptMode, MsiPolicy, ProbeI
 use pcisim_devices::ide::{IdeDisk, IdeDiskConfig, IDE_DMA_PORT, IDE_PIO_PORT};
 use pcisim_devices::intc::{InterruptController, INTC_FABRIC_PORT};
 use pcisim_devices::nic::{Nic, NicConfig, NIC_DMA_PORT, NIC_PIO_PORT};
-use pcisim_devices::virtio::{
-    Virtio, VirtioClass, VirtioConfig, VIRTIO_DMA_PORT, VIRTIO_PIO_PORT,
-};
+use pcisim_devices::virtio::{Virtio, VirtioClass, VirtioConfig, VIRTIO_DMA_PORT, VIRTIO_PIO_PORT};
 use pcisim_kernel::addr::AddrRange;
 use pcisim_kernel::component::{Component, ComponentId, PortId};
 use pcisim_kernel::dram::{Dram, DRAM_PORT};
@@ -62,20 +60,15 @@ use pcisim_pcie::router::{
 use crate::builder::DeviceSpec;
 use crate::platform;
 use crate::snapshot::WarmSeed;
-use crate::workload::cxl::{CxlHostApp, CxlHostConfig, CxlHostReportHandle, CXL_HOST_MEM_PORT};
-use crate::workload::dd::{DdApp, DdConfig, DdReportHandle, DD_IRQ_PORT, DD_MEM_PORT};
-use crate::workload::mmio::{MmioProbe, MmioProbeConfig, MmioReportHandle, MMIO_MEM_PORT};
-use crate::workload::nic_rx::{
-    NicRxApp, NicRxConfig, NicRxReportHandle, NIC_RX_IRQ_PORT, NIC_RX_MEM_PORT,
-};
-use crate::workload::nic_tx::{
-    NicTxApp, NicTxConfig, NicTxReportHandle, NIC_TX_IRQ_PORT, NIC_TX_MEM_PORT,
-};
-use crate::workload::pmd::{PmdApp, PmdConfig, PmdReportHandle, PMD_MEM_PORT};
-use crate::workload::virtio::{
-    virtio_app_irq_port, VirtioApp, VirtioAppConfig, VirtioReportHandle, VIRTIO_APP_IRQ_PORT,
-    VIRTIO_APP_MEM_PORT,
-};
+use crate::workload::cxl::{CxlHostConfig, CxlHostReportHandle};
+use crate::workload::dd::{DdConfig, DdReportHandle};
+use crate::workload::mmio::{MmioProbeConfig, MmioReportHandle};
+use crate::workload::msix::{MsixTxConfig, MsixTxReportHandle};
+use crate::workload::nic_rx::{NicRxConfig, NicRxReportHandle};
+use crate::workload::nic_tx::{NicTxConfig, NicTxReportHandle};
+use crate::workload::pmd::{PmdConfig, PmdReportHandle};
+use crate::workload::virtio::{VirtioAppConfig, VirtioReportHandle};
+use crate::workload::{Attached, Workload};
 
 /// MSI vectors (when requested) live above the legacy IRQ range.
 pub(crate) const MSI_VECTOR: u8 = 96;
@@ -199,28 +192,36 @@ impl Topology {
         RouterConfig { completion_timeout: Some(us(50)), ..RouterConfig::default() }
     }
 
-    /// The paper's validation chain as a one-liner: IDE disk behind a
-    /// switch on root port 0, Gen 2 x4 root link, Gen 2 x1 device link,
-    /// two empty root ports and one empty switch port.
+    /// The paper's validation chain: IDE disk behind a switch on root port
+    /// 0, Gen 2 x4 root link, Gen 2 x1 device link, two empty root ports
+    /// and one empty switch port.
     pub fn validation() -> Self {
-        let disk = Node::endpoint("disk", DeviceSpec::Disk(IdeDiskConfig::default()));
-        let switch = Node::Switch {
-            config: RouterConfig::default(),
-            name: Some("switch".into()),
-            ports: vec![
+        Self::from_system_config(&crate::builder::SystemConfig::validation())
+    }
+
+    /// The validation chain with a second IDE disk on the switch's other
+    /// downstream port — the fan-out the paper's Fig. 2 architecture
+    /// exists to support. Both disks share the root link (Gen 2,
+    /// `root_width`), so running both workloads at once measures
+    /// contention in the PCI-Express fabric.
+    pub fn dual_disk(root_width: LinkWidth) -> Self {
+        let ports = ["dev_link", "dev_link1"]
+            .into_iter()
+            .enumerate()
+            .map(|(i, link)| {
+                let disk =
+                    Node::endpoint(format!("disk{i}"), DeviceSpec::Disk(IdeDiskConfig::default()));
                 Some(Attachment::named(
-                    "dev_link",
+                    link,
                     LinkConfig::new(Generation::Gen2, LinkWidth::X1),
                     disk,
-                )),
-                None,
-            ],
-        };
-        let root = Attachment::named(
-            "root_link",
-            LinkConfig::new(Generation::Gen2, LinkWidth::X4),
-            switch,
-        );
+                ))
+            })
+            .collect();
+        let switch =
+            Node::Switch { config: RouterConfig::default(), name: Some("switch".into()), ports };
+        let root =
+            Attachment::named("root_link", LinkConfig::new(Generation::Gen2, root_width), switch);
         Self::new(Self::preset_rc(), vec![Some(root), None, None])
     }
 
@@ -597,14 +598,8 @@ pub struct PlannedEndpoint {
     pub parent: PlannedEdge,
     /// The endpoint's configuration space.
     pub config_space: SharedConfigSpace,
-    /// Whether the endpoint is the IDE disk (else a NIC or expander).
-    pub is_disk: bool,
-    /// Whether the endpoint is a CXL.mem expander.
-    pub is_cxl: bool,
-    /// Whether the endpoint is a virtio-blk function.
-    pub is_virtio_blk: bool,
-    /// Whether the endpoint is a virtio-net function.
-    pub is_virtio_net: bool,
+    /// Which device model sits here.
+    pub kind: EndpointKind,
     /// The HDM decoder window assigned to the expander (empty for every
     /// other device class).
     pub hdm: AddrRange,
@@ -761,16 +756,7 @@ impl Planner {
                     bdf,
                     parent: edge,
                     config_space: cs,
-                    is_disk: matches!(device, DeviceSpec::Disk(_)),
-                    is_cxl: matches!(device, DeviceSpec::CxlExpander(_)),
-                    is_virtio_blk: matches!(
-                        device,
-                        DeviceSpec::Virtio(c) if c.class == VirtioClass::Blk
-                    ),
-                    is_virtio_net: matches!(
-                        device,
-                        DeviceSpec::Virtio(c) if c.class == VirtioClass::Net
-                    ),
+                    kind: EndpointKind::of(device),
                     hdm,
                     virtio_ring,
                 });
@@ -828,8 +814,55 @@ impl Planner {
     }
 }
 
-/// One endpoint of a built [`TopologySystem`]: everything a workload
-/// needs to attach to it.
+/// Which device model an endpoint is — what a
+/// [`Workload`] checks before wiring a driver to
+/// the endpoint's BAR.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EndpointKind {
+    /// The IDE disk.
+    Disk,
+    /// The 8254x-pcie NIC.
+    Nic,
+    /// The CXL.mem memory expander.
+    CxlExpander,
+    /// A virtio-blk function.
+    VirtioBlk,
+    /// A virtio-net function.
+    VirtioNet,
+}
+
+impl EndpointKind {
+    /// Every kind, for workloads that only need the endpoint's reserved
+    /// CPU-side ports.
+    pub const ALL: [EndpointKind; 5] = [
+        EndpointKind::Disk,
+        EndpointKind::Nic,
+        EndpointKind::CxlExpander,
+        EndpointKind::VirtioBlk,
+        EndpointKind::VirtioNet,
+    ];
+
+    /// The kind of endpoint `device` builds.
+    pub fn of(device: &DeviceSpec) -> Self {
+        match device {
+            DeviceSpec::Disk(_) => EndpointKind::Disk,
+            DeviceSpec::Nic(_) => EndpointKind::Nic,
+            DeviceSpec::CxlExpander(_) => EndpointKind::CxlExpander,
+            DeviceSpec::Virtio(cfg) => match cfg.class {
+                VirtioClass::Blk => EndpointKind::VirtioBlk,
+                VirtioClass::Net => EndpointKind::VirtioNet,
+            },
+        }
+    }
+
+    /// Whether this is one of the two virtio functions.
+    pub fn is_virtio(self) -> bool {
+        matches!(self, EndpointKind::VirtioBlk | EndpointKind::VirtioNet)
+    }
+}
+
+/// One endpoint of a built [`System`]: everything a workload needs to
+/// attach to it.
 #[derive(Debug, Clone)]
 pub struct EndpointHandle {
     /// Component name of the device.
@@ -840,14 +873,8 @@ pub struct EndpointHandle {
     pub bar0: u64,
     /// Its interrupt line (legacy INTx or the MSI vector).
     pub irq: u8,
-    /// Whether it is the IDE disk (else a NIC or expander).
-    pub is_disk: bool,
-    /// Whether it is a CXL.mem expander.
-    pub is_cxl: bool,
-    /// Whether it is a virtio-blk function.
-    pub is_virtio_blk: bool,
-    /// Whether it is a virtio-net function.
-    pub is_virtio_net: bool,
+    /// Which device model it is.
+    pub kind: EndpointKind,
     /// The expander's HDM decoder window (empty for other devices).
     pub hdm: AddrRange,
     /// The function's virtqueue window in host DRAM (empty for other
@@ -862,12 +889,42 @@ pub struct EndpointHandle {
     pub cpu_irq_ports: Vec<(ComponentId, PortId)>,
 }
 
+/// Where a built system's components live: the serial kernel or the
+/// per-shard simulation set. The only backend-specific step of attaching
+/// a workload is "add this CPU-side component (to shard 0) and replicate
+/// its connections".
+pub trait Backend {
+    /// Adds a CPU-side workload component. Workloads model code talking
+    /// to the memory bus and interrupt controller, so under sharding they
+    /// always run with the host cluster in shard 0.
+    fn add_cpu_side(&mut self, component: Box<dyn Component>) -> ComponentId;
+
+    /// Connects two component ports.
+    fn connect(&mut self, a: (ComponentId, PortId), b: (ComponentId, PortId));
+}
+
+impl Backend for Simulation {
+    fn add_cpu_side(&mut self, component: Box<dyn Component>) -> ComponentId {
+        self.add(component)
+    }
+
+    fn connect(&mut self, a: (ComponentId, PortId), b: (ComponentId, PortId)) {
+        Simulation::connect(self, a, b);
+    }
+}
+
 /// A wired, enumerated, driver-initialized system built from a
-/// [`Topology`], awaiting workloads.
-pub struct TopologySystem {
-    /// The simulation holding every component.
-    pub sim: Simulation,
-    /// The PCI host registry (for further functional config access).
+/// [`Topology`], awaiting workloads. `B` is where the components live:
+/// [`TopologySystem`] holds one [`Simulation`], [`ShardedTopologySystem`]
+/// the per-shard set that [`into_driver`](System::into_driver) seals into
+/// a [`ShardedSimulator`]. Everything else — the endpoint handles and the
+/// attach surface — is this one definition.
+pub struct System<B> {
+    /// The simulation (or simulations) holding every component.
+    pub sim: B,
+    /// The PCI host registry (for further functional config access; under
+    /// sharding only before or after the driver runs — config spaces are
+    /// not synchronized across shards mid-run).
     pub registry: SharedRegistry,
     /// What the enumeration software found.
     pub report: EnumerationReport,
@@ -878,7 +935,12 @@ pub struct TopologySystem {
     pub endpoints: Vec<EndpointHandle>,
 }
 
-impl TopologySystem {
+/// A system on the serial kernel.
+pub type TopologySystem = System<Simulation>;
+/// A system partitioned across N shards.
+pub type ShardedTopologySystem = System<ShardSet>;
+
+impl<B: Backend> System<B> {
     /// The endpoint with component name `name`.
     ///
     /// # Panics
@@ -891,146 +953,113 @@ impl TopologySystem {
             .unwrap_or_else(|| panic!("no endpoint named {name}"))
     }
 
-    /// Attaches a `dd` workload (named `dd{index}`) to endpoint `index`,
-    /// which must be a disk.
-    pub fn attach_dd(&mut self, index: usize, mut config: DdConfig) -> DdReportHandle {
-        let ep = &self.endpoints[index];
-        assert!(ep.is_disk, "endpoint {index} ({}) is not a disk", ep.name);
-        config.disk_bar = ep.bar0;
-        // Distinct DMA buffers so DRAM traffic does not alias.
-        config.dma_target = platform::DRAM_BASE + index as u64 * 0x1000_0000;
-        let (dd, report) = DdApp::new(format!("dd{index}"), config);
-        let id = self.sim.add(Box::new(dd));
-        self.sim.connect((id, DD_MEM_PORT), ep.cpu_mem_port);
-        self.sim.connect((id, DD_IRQ_PORT), ep.cpu_irq_port);
-        report
+    /// Indices of the endpoints of `kind`, in depth-first order — what a
+    /// "one workload per disk" loop iterates.
+    pub fn endpoints_of(&self, kind: EndpointKind) -> Vec<usize> {
+        (0..self.endpoints.len()).filter(|&i| self.endpoints[i].kind == kind).collect()
     }
 
-    /// Attaches a NIC transmit workload (named `nictx{index}`) to
-    /// endpoint `index`, which must be a NIC.
-    pub fn attach_nic_tx(&mut self, index: usize, mut config: NicTxConfig) -> NicTxReportHandle {
+    /// Attaches `workload` to endpoint `index`: the component is named
+    /// `{prefix}{index}`, wired to the endpoint's reserved CPU-side ports,
+    /// and its report handle returned.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the endpoint is not of a kind the workload drives.
+    pub fn attach<W: Workload>(&mut self, index: usize, workload: W) -> W::Report {
         let ep = &self.endpoints[index];
-        assert!(!ep.is_disk, "endpoint {index} ({}) is not a NIC", ep.name);
-        config.nic_bar = ep.bar0;
-        let (app, report) = NicTxApp::new(format!("nictx{index}"), config);
-        let id = self.sim.add(Box::new(app));
-        self.sim.connect((id, NIC_TX_MEM_PORT), ep.cpu_mem_port);
-        self.sim.connect((id, NIC_TX_IRQ_PORT), ep.cpu_irq_port);
-        report
-    }
-
-    /// Attaches a NIC receive workload (named `nicrx{index}`) to endpoint
-    /// `index`, which must be a NIC with `rx_stream` configured.
-    pub fn attach_nic_rx(&mut self, index: usize, mut config: NicRxConfig) -> NicRxReportHandle {
-        let ep = &self.endpoints[index];
-        assert!(!ep.is_disk, "endpoint {index} ({}) is not a NIC", ep.name);
-        config.nic_bar = ep.bar0;
-        let (app, report) = NicRxApp::new(format!("nicrx{index}"), config);
-        let id = self.sim.add(Box::new(app));
-        self.sim.connect((id, NIC_RX_MEM_PORT), ep.cpu_mem_port);
-        self.sim.connect((id, NIC_RX_IRQ_PORT), ep.cpu_irq_port);
-        report
-    }
-
-    /// Attaches the MMIO latency probe (named `mmio_probe{index}`)
-    /// against endpoint `index`'s BAR0.
-    pub fn attach_mmio_probe(
-        &mut self,
-        index: usize,
-        mut config: MmioProbeConfig,
-    ) -> MmioReportHandle {
-        let ep = &self.endpoints[index];
-        config.target = ep.bar0 + 0x0008;
-        let (probe, report) = MmioProbe::new(format!("mmio_probe{index}"), config);
-        let id = self.sim.add(Box::new(probe));
-        self.sim.connect((id, MMIO_MEM_PORT), ep.cpu_mem_port);
-        report
-    }
-
-    /// Attaches a poll-mode driver workload (named `pmd{index}`) to
-    /// endpoint `index`, which must be a NIC. Only the memory port is
-    /// wired — the poll-mode datapath never takes an interrupt.
-    pub fn attach_pmd(&mut self, index: usize, mut config: PmdConfig) -> PmdReportHandle {
-        let ep = &self.endpoints[index];
-        assert!(!ep.is_disk, "endpoint {index} ({}) is not a NIC", ep.name);
-        config.nic_bar = ep.bar0;
-        let (app, report) = PmdApp::new(format!("pmd{index}"), config);
-        let id = self.sim.add(Box::new(app));
-        self.sim.connect((id, PMD_MEM_PORT), ep.cpu_mem_port);
-        report
-    }
-
-    /// Attaches a CXL.mem host load/store stream (named `cxlhost{index}`)
-    /// against endpoint `index`'s HDM window, which must be an expander.
-    pub fn attach_cxl_host(
-        &mut self,
-        index: usize,
-        mut config: CxlHostConfig,
-    ) -> CxlHostReportHandle {
-        let ep = &self.endpoints[index];
-        assert!(ep.is_cxl, "endpoint {index} ({}) is not a CXL expander", ep.name);
-        config.window = ep.hdm;
-        config.use_cxl = true;
-        let (app, report) = CxlHostApp::new(format!("cxlhost{index}"), config);
-        let id = self.sim.add(Box::new(app));
-        self.sim.connect((id, CXL_HOST_MEM_PORT), ep.cpu_mem_port);
-        report
-    }
-
-    /// Attaches the same engine (named `dramhost{index}`) against a local
-    /// DRAM slice with plain Memory Read/Write TLPs — the local arm of the
-    /// local-vs-CXL comparison, using endpoint `index`'s reserved CPU
-    /// port.
-    pub fn attach_dram_host(
-        &mut self,
-        index: usize,
-        mut config: CxlHostConfig,
-    ) -> CxlHostReportHandle {
-        let ep = &self.endpoints[index];
-        config.window =
-            AddrRange::with_size(platform::DRAM_BASE + 0x2000_0000, platform::CXL_HDM_STRIDE);
-        config.use_cxl = false;
-        let (app, report) = CxlHostApp::new(format!("dramhost{index}"), config);
-        let id = self.sim.add(Box::new(app));
-        self.sim.connect((id, CXL_HOST_MEM_PORT), ep.cpu_mem_port);
-        report
-    }
-
-    /// Attaches a virtio guest driver (named `vdrv{index}`) to endpoint
-    /// `index`, which must be a virtio function. The device class, BAR0
-    /// and virtqueue window come from the handle; under MSI-X every
-    /// table vector's doorbell port is wired.
-    pub fn attach_virtio(
-        &mut self,
-        index: usize,
-        mut config: VirtioAppConfig,
-    ) -> VirtioReportHandle {
-        let ep = &self.endpoints[index];
+        let accepted = workload.accepts();
         assert!(
-            ep.is_virtio_blk || ep.is_virtio_net,
-            "endpoint {index} ({}) is not a virtio function",
-            ep.name
+            accepted.contains(&ep.kind),
+            "endpoint {index} ({}) is a {:?}; this workload drives {accepted:?}",
+            ep.name,
+            ep.kind
         );
-        config.class = if ep.is_virtio_blk { VirtioClass::Blk } else { VirtioClass::Net };
-        config.bar0 = ep.bar0;
-        config.ring_base = ep.virtio_ring.start();
-        if config.use_msix {
-            assert!(ep.cpu_irq_ports.len() > 1, "MSI-X vectors not enabled for {}", ep.name);
-        }
-        let use_msix = config.use_msix;
-        let (mem, irq) = (ep.cpu_mem_port, ep.cpu_irq_port);
-        let vector_ports = ep.cpu_irq_ports.clone();
-        let (app, report) = VirtioApp::new(format!("vdrv{index}"), config);
-        let id = self.sim.add(Box::new(app));
-        self.sim.connect((id, VIRTIO_APP_MEM_PORT), mem);
-        if use_msix {
-            for (v, port) in vector_ports.iter().enumerate() {
-                self.sim.connect((id, virtio_app_irq_port(v as u16)), *port);
-            }
-        } else {
-            self.sim.connect((id, VIRTIO_APP_IRQ_PORT), irq);
+        let Attached { component, wires, report } = workload.instantiate(index, ep);
+        let id = self.sim.add_cpu_side(component);
+        for (port, peer) in wires {
+            self.sim.connect((id, port), peer);
         }
         report
+    }
+
+    /// Attaches a `dd` block-read workload (`dd{index}`) to a disk.
+    pub fn attach_dd(&mut self, index: usize, config: DdConfig) -> DdReportHandle {
+        self.attach(index, config)
+    }
+
+    /// Attaches a NIC transmit workload (`nictx{index}`) to a NIC.
+    pub fn attach_nic_tx(&mut self, index: usize, config: NicTxConfig) -> NicTxReportHandle {
+        self.attach(index, config)
+    }
+
+    /// Attaches a NIC receive workload (`nicrx{index}`) to a NIC with
+    /// `rx_stream` configured.
+    pub fn attach_nic_rx(&mut self, index: usize, config: NicRxConfig) -> NicRxReportHandle {
+        self.attach(index, config)
+    }
+
+    /// Attaches the multi-queue MSI-X transmit driver (`msixtx{index}`) to
+    /// a NIC on a tree built with `use_msix`.
+    pub fn attach_msix_tx(&mut self, index: usize, config: MsixTxConfig) -> MsixTxReportHandle {
+        self.attach(index, config)
+    }
+
+    /// Attaches the MMIO latency probe (`mmio_probe{index}`) against the
+    /// endpoint's BAR0.
+    pub fn attach_mmio_probe(&mut self, index: usize, config: MmioProbeConfig) -> MmioReportHandle {
+        self.attach(index, config)
+    }
+
+    /// Attaches the poll-mode driver (`pmd{index}`) to a NIC.
+    pub fn attach_pmd(&mut self, index: usize, config: PmdConfig) -> PmdReportHandle {
+        self.attach(index, config)
+    }
+
+    /// Attaches a CXL.mem host load/store stream (`cxlhost{index}`)
+    /// against an expander's HDM window.
+    pub fn attach_cxl_host(&mut self, index: usize, config: CxlHostConfig) -> CxlHostReportHandle {
+        self.attach(index, CxlHostConfig { use_cxl: true, ..config })
+    }
+
+    /// Attaches the same engine (`dramhost{index}`) against a local DRAM
+    /// slice — the local arm of the local-vs-CXL comparison, using
+    /// endpoint `index`'s reserved CPU port.
+    pub fn attach_dram_host(&mut self, index: usize, config: CxlHostConfig) -> CxlHostReportHandle {
+        self.attach(index, CxlHostConfig { use_cxl: false, ..config })
+    }
+
+    /// Attaches a virtio guest driver (`vdrv{index}`) to a virtio
+    /// function.
+    pub fn attach_virtio(&mut self, index: usize, config: VirtioAppConfig) -> VirtioReportHandle {
+        self.attach(index, config)
+    }
+}
+
+impl ShardedTopologySystem {
+    /// Number of shards the tree was partitioned across.
+    pub fn shard_count(&self) -> usize {
+        self.sim.sims.len()
+    }
+
+    /// Number of cut links (half the directed edge count).
+    pub fn cut_count(&self) -> usize {
+        self.sim.edges.len() / 2
+    }
+
+    /// Seals the system into the conservative parallel driver. Call after
+    /// every workload is attached.
+    pub fn into_driver(self) -> ShardedSimulator {
+        let ShardSet { sims, placements, edges } = self.sim;
+        ShardedSimulator::new(sims, ShardPlan { placements, edges, route_end: link_event_dest_end })
+    }
+
+    /// The one-shard set's simulation, moved onto the serial kernel.
+    fn into_serial(self) -> TopologySystem {
+        let System { sim, registry, report, probe, endpoints } = self;
+        let [sim] = <[Simulation; 1]>::try_from(sim.sims)
+            .unwrap_or_else(|sims| panic!("a serial system has one shard, got {}", sims.len()));
+        System { sim, registry, report, probe, endpoints }
     }
 }
 
@@ -1043,13 +1072,70 @@ impl TopologySystem {
 /// Panics when enumeration or the driver probe fails, or when `use_msi`
 /// is set on a tree that does not carry exactly one endpoint.
 pub fn build_topology(topo: Topology) -> TopologySystem {
-    let plan = topo.plan();
-    let (report, probe, irqs) = enumerate_and_probe(&topo, &plan);
-    build_planned(&topo, plan, report, probe, irqs)
+    build(&topo, None, 1).into_serial()
 }
 
-/// Shared functional front half of every build: runs enumeration over the
-/// planned registry and the driver setup that assigns interrupts.
+/// Builds the system for a [`Topology`] *without* running enumeration or
+/// the driver probe, replaying a [`WarmSeed`] captured from a previous
+/// build of an identically shaped tree instead.
+///
+/// Because the functional walks are skipped, every configuration space
+/// stays at its reset values: the returned system is only meaningful once
+/// a checkpoint from the seeding run is restored into it (the checkpoint
+/// carries every config-space image through the PCI host section). The
+/// tree's *configuration* — link widths, latencies, buffer depths — comes
+/// entirely from `topo`, which is what makes warm-started parameter
+/// sweeps possible: one warmed-up reference run forks into many
+/// differently parameterized points.
+///
+/// # Panics
+///
+/// Panics when the seed does not match the tree's endpoint count.
+pub fn build_topology_warm(topo: &Topology, seed: &WarmSeed) -> TopologySystem {
+    build(topo, Some(seed), 1).into_serial()
+}
+
+/// Builds the full system for a [`Topology`] partitioned across `shards`
+/// simulations. `shards == 1` is the serial build driven through the
+/// sharded API (the bit-identity reference). The partition is chosen by
+/// `partition_plan`: deterministic, cut only at link boundaries, host
+/// cluster in shard 0.
+///
+/// # Panics
+///
+/// Same contract as [`build_topology`], plus `shards >= 1`.
+pub fn build_topology_sharded(topo: Topology, shards: usize) -> ShardedTopologySystem {
+    build(&topo, None, shards)
+}
+
+/// The one build path: the functional front half (fresh, or replayed from
+/// `seed`), the partition, then instantiation and wiring. The serial
+/// builders are the one-shard case, so every topology — sharded or not —
+/// is wired by the same code in the same component order, which is what
+/// makes `--shards N` bit-identical to `--shards 1`.
+pub(crate) fn build(
+    topo: &Topology,
+    seed: Option<&WarmSeed>,
+    shards: usize,
+) -> ShardedTopologySystem {
+    let plan = topo.plan();
+    let (report, probe, irqs) = match seed {
+        None => enumerate_and_probe(topo, &plan),
+        Some(seed) => {
+            assert_eq!(
+                plan.endpoints.len(),
+                seed.irqs.len(),
+                "warm seed records {} endpoints, tree has {}",
+                seed.irqs.len(),
+                plan.endpoints.len()
+            );
+            (seed.report.clone(), seed.probe.clone(), seed.irqs.clone())
+        }
+    };
+    let assignment = partition_plan(&plan, shards);
+    build_planned(topo, plan, report, probe, irqs, &assignment, shards)
+}
+
 fn enumerate_and_probe(
     topo: &Topology,
     plan: &PlannedTopology,
@@ -1074,16 +1160,12 @@ fn enumerate_and_probe(
         } else {
             MsiPolicy::LegacyOnly
         };
-        let table = if plan.endpoints[0].is_disk {
-            pcisim_devices::driver::IDE_DEVICE_TABLE
-        } else if plan.endpoints[0].is_cxl {
-            pcisim_devices::driver::CXL_DEVICE_TABLE
-        } else if plan.endpoints[0].is_virtio_blk {
-            pcisim_devices::driver::VIRTIO_BLK_DEVICE_TABLE
-        } else if plan.endpoints[0].is_virtio_net {
-            pcisim_devices::driver::VIRTIO_NET_DEVICE_TABLE
-        } else {
-            pcisim_devices::driver::E1000E_DEVICE_TABLE
+        let table = match plan.endpoints[0].kind {
+            EndpointKind::Disk => pcisim_devices::driver::IDE_DEVICE_TABLE,
+            EndpointKind::Nic => pcisim_devices::driver::E1000E_DEVICE_TABLE,
+            EndpointKind::CxlExpander => pcisim_devices::driver::CXL_DEVICE_TABLE,
+            EndpointKind::VirtioBlk => pcisim_devices::driver::VIRTIO_BLK_DEVICE_TABLE,
+            EndpointKind::VirtioNet => pcisim_devices::driver::VIRTIO_NET_DEVICE_TABLE,
         };
         let info = probe_with_policy(&mut plan.registry.clone(), &report, table, msi_policy)
             .expect("topology must probe");
@@ -1110,47 +1192,42 @@ fn enumerate_and_probe(
     (report, probe, irqs)
 }
 
-/// Builds the system for a [`Topology`] *without* running enumeration or
-/// the driver probe, replaying a [`WarmSeed`] captured from a previous
-/// build of an identically shaped tree instead.
-///
-/// Because the functional walks are skipped, every configuration space
-/// stays at its reset values: the returned system is only meaningful once
-/// a checkpoint from the seeding run is restored into it (the checkpoint
-/// carries every config-space image through the PCI host section). The
-/// tree's *configuration* — link widths, latencies, buffer depths — comes
-/// entirely from `topo`, which is what makes warm-started parameter
-/// sweeps possible: one warmed-up reference run forks into many
-/// differently parameterized points.
-pub fn build_topology_warm(topo: &Topology, seed: &WarmSeed) -> TopologySystem {
-    let plan = topo.plan();
-    assert_eq!(
-        plan.endpoints.len(),
-        seed.irqs.len(),
-        "warm seed records {} endpoints, tree has {}",
-        seed.irqs.len(),
-        plan.endpoints.len()
-    );
-    build_planned(topo, plan, seed.report.clone(), seed.probe.clone(), seed.irqs.clone())
-}
-
-/// One simulation per shard plus the placement table built alongside it.
-/// The serial builder is the one-shard special case, so every topology —
-/// sharded or not — is wired by the same code in the same component
-/// order, which is what makes `--shards N` bit-identical to `--shards 1`.
+/// One simulation per shard plus the placement table and cut edges built
+/// alongside them — the [`Backend`] of a [`ShardedTopologySystem`].
 ///
 /// Every shard carries the full-length arena: the owning shard gets the
 /// real component, every other shard an empty *remote* slot under the
 /// same name, so global component ids, names and the connection table
 /// (and hence the topology fingerprint) agree across shards.
-struct SimSet {
+pub struct ShardSet {
     sims: Vec<Simulation>,
     placements: Vec<Placement>,
+    edges: Vec<EdgeSpec>,
 }
 
-impl SimSet {
-    fn new(n: usize) -> Self {
-        Self { sims: (0..n).map(|_| Simulation::new()).collect(), placements: Vec::new() }
+impl Backend for ShardSet {
+    fn add_cpu_side(&mut self, component: Box<dyn Component>) -> ComponentId {
+        self.add(0, component)
+    }
+
+    /// Replicates a connection into every shard's table.
+    fn connect(&mut self, a: (ComponentId, PortId), b: (ComponentId, PortId)) {
+        for sim in &mut self.sims {
+            sim.connect(a, b);
+        }
+    }
+}
+
+impl ShardSet {
+    fn new(n: usize, trace_mask: u32) -> Self {
+        let sims = (0..n)
+            .map(|_| {
+                let mut sim = Simulation::new();
+                sim.set_trace_mask(trace_mask);
+                sim
+            })
+            .collect();
+        Self { sims, placements: Vec::new(), edges: Vec::new() }
     }
 
     /// Adds `comp` to shard `shard`, remote slots elsewhere.
@@ -1198,13 +1275,6 @@ impl SimSet {
         }
         self.placements.push(Placement::Split { end0: s0, end1: s1 });
         id.expect("at least one shard")
-    }
-
-    /// Replicates a connection into every shard's table.
-    fn connect(&mut self, a: (ComponentId, PortId), b: (ComponentId, PortId)) {
-        for sim in &mut self.sims {
-            sim.connect(a, b);
-        }
     }
 }
 
@@ -1324,45 +1394,12 @@ fn partition_plan(plan: &PlannedTopology, shards: usize) -> Assignment {
     assignment
 }
 
-/// Shared back half of [`build_topology`]/[`build_topology_warm`]:
-/// instantiates and wires every component from the plan plus the
-/// (freshly computed or seed-replayed) enumeration and probe results.
-fn build_planned(
-    topo: &Topology,
-    plan: PlannedTopology,
-    report: EnumerationReport,
-    probe: Option<ProbeInfo>,
-    irqs: Vec<u8>,
-) -> TopologySystem {
-    let assignment = Assignment::serial(&plan);
-    let (set, parts) = build_planned_multi(topo, plan, report, probe, irqs, &assignment, 1);
-    let SimSet { mut sims, .. } = set;
-    let mut sim = sims.pop().expect("one shard");
-    sim.set_trace_mask(topo.trace_mask);
-    TopologySystem {
-        sim,
-        registry: parts.registry,
-        report: parts.report,
-        probe: parts.probe,
-        endpoints: parts.endpoints,
-    }
-}
-
-/// The build products shared by the serial and sharded front ends.
-struct BuiltParts {
-    registry: SharedRegistry,
-    report: EnumerationReport,
-    probe: Option<ProbeInfo>,
-    endpoints: Vec<EndpointHandle>,
-    edges: Vec<EdgeSpec>,
-}
-
 /// Instantiates and wires every component of the plan across `shards`
 /// simulations according to `assignment`. Tree links whose two sides land
 /// in different shards become [`PcieLinkHalf`] pairs sharing the fused
 /// link's name and gid, with a directed [`EdgeSpec`] pair whose lookahead
 /// horizon is [`link_lookahead`] of the cut link's configuration.
-fn build_planned_multi(
+fn build_planned(
     topo: &Topology,
     plan: PlannedTopology,
     report: EnumerationReport,
@@ -1370,7 +1407,7 @@ fn build_planned_multi(
     irqs: Vec<u8>,
     assignment: &Assignment,
     shards: usize,
-) -> (SimSet, BuiltParts) {
+) -> ShardedTopologySystem {
     // Patch each device's interrupt target now that the IRQs are known.
     let mut devices = plan.devices;
     for (dev, &irq) in devices.iter_mut().zip(&irqs) {
@@ -1401,8 +1438,7 @@ fn build_planned_multi(
     }
 
     // --- Components: memory side first, then the PCIe tree depth-first.
-    let mut set = SimSet::new(shards);
-    let mut edges: Vec<EdgeSpec> = Vec::new();
+    let mut set = ShardSet::new(shards, topo.trace_mask);
     let mut intc = InterruptController::new("gic", platform::intc_range());
     // Per-endpoint interrupt vector lists: one legacy line or MSI vector,
     // or — under MSI-X — one doorbell word per table entry, base + index.
@@ -1445,7 +1481,7 @@ fn build_planned_multi(
     // The HDM region routes toward the root complex only when the tree
     // actually carries an expander, so CXL-free topologies keep their
     // exact historical route table (and golden fingerprints).
-    if plan.endpoints.iter().any(|e| e.is_cxl) {
+    if plan.endpoints.iter().any(|e| e.kind == EndpointKind::CxlExpander) {
         membus = membus.route(platform::cxl_hdm_range(), PortId(4));
     }
     let membus_id = set.add(0, Box::new(membus.build()));
@@ -1453,7 +1489,7 @@ fn build_planned_multi(
     // carrying a virtio function need the functional backing store. Gated
     // so virtio-free topologies keep their exact historical DRAM snapshot
     // layout (and golden fingerprints).
-    let functional_dram = plan.endpoints.iter().any(|e| e.is_virtio_blk || e.is_virtio_net);
+    let functional_dram = plan.endpoints.iter().any(|e| e.kind.is_virtio());
     let dram_id = set.add(
         0,
         Box::new(
@@ -1526,15 +1562,15 @@ fn build_planned_multi(
         } else {
             let horizon = link_lookahead(&edge.link);
             assert!(horizon > 0, "cut link {} has zero lookahead", edge.link_name);
-            let fwd = edges.len() as u32;
-            edges.push(EdgeSpec {
+            let fwd = set.edges.len() as u32;
+            set.edges.push(EdgeSpec {
                 from_shard: parent_shard,
                 to_shard: child_shard,
                 dest: ComponentId(0), // patched below, once the gid is known
                 horizon,
             });
-            let rev = edges.len() as u32;
-            edges.push(EdgeSpec {
+            let rev = set.edges.len() as u32;
+            set.edges.push(EdgeSpec {
                 from_shard: child_shard,
                 to_shard: parent_shard,
                 dest: ComponentId(0),
@@ -1546,8 +1582,8 @@ fn build_planned_multi(
                 PcieLinkHalf::new_downstream(edge.link_name.clone(), edge.link.clone(), rev);
             down.attach_aer(Some(child_cs));
             let id = set.add_split(parent_shard, Box::new(up), child_shard, Box::new(down));
-            edges[fwd as usize].dest = id;
-            edges[rev as usize].dest = id;
+            set.edges[fwd as usize].dest = id;
+            set.edges[rev as usize].dest = id;
             id
         };
         set.connect((parent_id, port_downstream_master(edge.pair)), (link_id, PORT_UP_SLAVE));
@@ -1599,10 +1635,7 @@ fn build_planned_multi(
                     bdf: ep.bdf,
                     bar0,
                     irq: irqs[*i],
-                    is_disk: ep.is_disk,
-                    is_cxl: ep.is_cxl,
-                    is_virtio_blk: ep.is_virtio_blk,
-                    is_virtio_net: ep.is_virtio_net,
+                    kind: ep.kind,
                     hdm: ep.hdm,
                     virtio_ring: ep.virtio_ring,
                     cpu_mem_port: (membus_id, mem_port),
@@ -1613,243 +1646,7 @@ fn build_planned_multi(
         }
     }
 
-    let parts =
-        BuiltParts { registry: plan.registry, report, probe, endpoints: endpoint_handles, edges };
-    (set, parts)
-}
-
-/// A wired, enumerated, driver-initialized system partitioned across N
-/// shards, awaiting workloads — the sharded sibling of
-/// [`TopologySystem`]. Workloads always attach to shard 0 (they model
-/// CPU-side code talking to the memory bus and interrupt controller,
-/// which live there). [`ShardedTopologySystem::into_driver`] seals the
-/// system into a [`ShardedSimulator`].
-pub struct ShardedTopologySystem {
-    set: SimSet,
-    edges: Vec<EdgeSpec>,
-    trace_mask: u32,
-    /// The PCI host registry (for further functional config access —
-    /// only before the driver runs; config spaces are not synchronized
-    /// across shards mid-run).
-    pub registry: SharedRegistry,
-    /// What the enumeration software found.
-    pub report: EnumerationReport,
-    /// The driver probe result — present when the tree carries exactly
-    /// one endpoint.
-    pub probe: Option<ProbeInfo>,
-    /// One handle per endpoint, in depth-first order.
-    pub endpoints: Vec<EndpointHandle>,
-}
-
-impl ShardedTopologySystem {
-    /// Number of shards the tree was partitioned across.
-    pub fn shard_count(&self) -> usize {
-        self.set.sims.len()
-    }
-
-    /// Number of cut links (half the directed edge count).
-    pub fn cut_count(&self) -> usize {
-        self.edges.len() / 2
-    }
-
-    /// The endpoint with component name `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no endpoint carries that name.
-    pub fn endpoint(&self, name: &str) -> &EndpointHandle {
-        self.endpoints
-            .iter()
-            .find(|e| e.name == name)
-            .unwrap_or_else(|| panic!("no endpoint named {name}"))
-    }
-
-    /// Adds a CPU-side workload component to shard 0 (remote slots
-    /// elsewhere) and wires it — the sharded mirror of the
-    /// [`TopologySystem`] attach helpers.
-    fn attach_cpu_side(
-        &mut self,
-        comp: Box<dyn Component>,
-        wires: &[(PortId, (ComponentId, PortId))],
-    ) -> ComponentId {
-        let id = self.set.add(0, comp);
-        for (port, peer) in wires {
-            self.set.connect((id, *port), *peer);
-        }
-        id
-    }
-
-    /// Attaches a `dd` workload (named `dd{index}`) to endpoint `index`,
-    /// which must be a disk. See [`TopologySystem::attach_dd`].
-    pub fn attach_dd(&mut self, index: usize, mut config: DdConfig) -> DdReportHandle {
-        let ep = &self.endpoints[index];
-        assert!(ep.is_disk, "endpoint {index} ({}) is not a disk", ep.name);
-        config.disk_bar = ep.bar0;
-        config.dma_target = platform::DRAM_BASE + index as u64 * 0x1000_0000;
-        let (mem, irq) = (ep.cpu_mem_port, ep.cpu_irq_port);
-        let (dd, report) = DdApp::new(format!("dd{index}"), config);
-        self.attach_cpu_side(Box::new(dd), &[(DD_MEM_PORT, mem), (DD_IRQ_PORT, irq)]);
-        report
-    }
-
-    /// Attaches a NIC transmit workload (named `nictx{index}`) to
-    /// endpoint `index`, which must be a NIC.
-    pub fn attach_nic_tx(&mut self, index: usize, mut config: NicTxConfig) -> NicTxReportHandle {
-        let ep = &self.endpoints[index];
-        assert!(!ep.is_disk, "endpoint {index} ({}) is not a NIC", ep.name);
-        config.nic_bar = ep.bar0;
-        let (mem, irq) = (ep.cpu_mem_port, ep.cpu_irq_port);
-        let (app, report) = NicTxApp::new(format!("nictx{index}"), config);
-        self.attach_cpu_side(Box::new(app), &[(NIC_TX_MEM_PORT, mem), (NIC_TX_IRQ_PORT, irq)]);
-        report
-    }
-
-    /// Attaches a NIC receive workload (named `nicrx{index}`) to endpoint
-    /// `index`, which must be a NIC with `rx_stream` configured.
-    pub fn attach_nic_rx(&mut self, index: usize, mut config: NicRxConfig) -> NicRxReportHandle {
-        let ep = &self.endpoints[index];
-        assert!(!ep.is_disk, "endpoint {index} ({}) is not a NIC", ep.name);
-        config.nic_bar = ep.bar0;
-        let (mem, irq) = (ep.cpu_mem_port, ep.cpu_irq_port);
-        let (app, report) = NicRxApp::new(format!("nicrx{index}"), config);
-        self.attach_cpu_side(Box::new(app), &[(NIC_RX_MEM_PORT, mem), (NIC_RX_IRQ_PORT, irq)]);
-        report
-    }
-
-    /// Attaches the MMIO latency probe (named `mmio_probe{index}`)
-    /// against endpoint `index`'s BAR0.
-    pub fn attach_mmio_probe(
-        &mut self,
-        index: usize,
-        mut config: MmioProbeConfig,
-    ) -> MmioReportHandle {
-        let ep = &self.endpoints[index];
-        config.target = ep.bar0 + 0x0008;
-        let mem = ep.cpu_mem_port;
-        let (probe, report) = MmioProbe::new(format!("mmio_probe{index}"), config);
-        self.attach_cpu_side(Box::new(probe), &[(MMIO_MEM_PORT, mem)]);
-        report
-    }
-
-    /// Attaches a poll-mode driver workload (named `pmd{index}`) to
-    /// endpoint `index`, which must be a NIC. Only the memory port is
-    /// wired — the poll-mode datapath never takes an interrupt.
-    pub fn attach_pmd(&mut self, index: usize, mut config: PmdConfig) -> PmdReportHandle {
-        let ep = &self.endpoints[index];
-        assert!(!ep.is_disk, "endpoint {index} ({}) is not a NIC", ep.name);
-        config.nic_bar = ep.bar0;
-        let mem = ep.cpu_mem_port;
-        let (app, report) = PmdApp::new(format!("pmd{index}"), config);
-        self.attach_cpu_side(Box::new(app), &[(PMD_MEM_PORT, mem)]);
-        report
-    }
-
-    /// Attaches a CXL.mem host load/store stream (named `cxlhost{index}`)
-    /// against endpoint `index`'s HDM window, which must be an expander.
-    pub fn attach_cxl_host(
-        &mut self,
-        index: usize,
-        mut config: CxlHostConfig,
-    ) -> CxlHostReportHandle {
-        let ep = &self.endpoints[index];
-        assert!(ep.is_cxl, "endpoint {index} ({}) is not a CXL expander", ep.name);
-        config.window = ep.hdm;
-        config.use_cxl = true;
-        let mem = ep.cpu_mem_port;
-        let (app, report) = CxlHostApp::new(format!("cxlhost{index}"), config);
-        self.attach_cpu_side(Box::new(app), &[(CXL_HOST_MEM_PORT, mem)]);
-        report
-    }
-
-    /// Attaches the same engine (named `dramhost{index}`) against a local
-    /// DRAM slice with plain Memory Read/Write TLPs — the local arm of the
-    /// local-vs-CXL comparison. See [`TopologySystem::attach_dram_host`].
-    pub fn attach_dram_host(
-        &mut self,
-        index: usize,
-        mut config: CxlHostConfig,
-    ) -> CxlHostReportHandle {
-        let ep = &self.endpoints[index];
-        config.window =
-            AddrRange::with_size(platform::DRAM_BASE + 0x2000_0000, platform::CXL_HDM_STRIDE);
-        config.use_cxl = false;
-        let mem = ep.cpu_mem_port;
-        let (app, report) = CxlHostApp::new(format!("dramhost{index}"), config);
-        self.attach_cpu_side(Box::new(app), &[(CXL_HOST_MEM_PORT, mem)]);
-        report
-    }
-
-    /// Attaches a virtio guest driver (named `vdrv{index}`) to endpoint
-    /// `index`, which must be a virtio function. See
-    /// [`TopologySystem::attach_virtio`].
-    pub fn attach_virtio(
-        &mut self,
-        index: usize,
-        mut config: VirtioAppConfig,
-    ) -> VirtioReportHandle {
-        let ep = &self.endpoints[index];
-        assert!(
-            ep.is_virtio_blk || ep.is_virtio_net,
-            "endpoint {index} ({}) is not a virtio function",
-            ep.name
-        );
-        config.class = if ep.is_virtio_blk { VirtioClass::Blk } else { VirtioClass::Net };
-        config.bar0 = ep.bar0;
-        config.ring_base = ep.virtio_ring.start();
-        if config.use_msix {
-            assert!(ep.cpu_irq_ports.len() > 1, "MSI-X vectors not enabled for {}", ep.name);
-        }
-        let use_msix = config.use_msix;
-        let mut wires = vec![(VIRTIO_APP_MEM_PORT, ep.cpu_mem_port)];
-        if use_msix {
-            for (v, port) in ep.cpu_irq_ports.iter().enumerate() {
-                wires.push((virtio_app_irq_port(v as u16), *port));
-            }
-        } else {
-            wires.push((VIRTIO_APP_IRQ_PORT, ep.cpu_irq_port));
-        }
-        let (app, report) = VirtioApp::new(format!("vdrv{index}"), config);
-        self.attach_cpu_side(Box::new(app), &wires);
-        report
-    }
-
-    /// Seals the system into the conservative parallel driver. Call after
-    /// every workload is attached.
-    pub fn into_driver(self) -> ShardedSimulator {
-        let SimSet { mut sims, placements } = self.set;
-        for sim in &mut sims {
-            sim.set_trace_mask(self.trace_mask);
-        }
-        ShardedSimulator::new(
-            sims,
-            ShardPlan { placements, edges: self.edges, route_end: link_event_dest_end },
-        )
-    }
-}
-
-/// Builds the full system for a [`Topology`] partitioned across `shards`
-/// simulations. `shards == 1` degenerates to the serial build driven
-/// through the sharded API (useful as the bit-identity reference). The
-/// partition is chosen by [`partition_plan`]: deterministic, cut only at
-/// link boundaries, host cluster in shard 0.
-///
-/// # Panics
-///
-/// Same contract as [`build_topology`], plus `shards >= 1`.
-pub fn build_topology_sharded(topo: Topology, shards: usize) -> ShardedTopologySystem {
-    let plan = topo.plan();
-    let (report, probe, irqs) = enumerate_and_probe(&topo, &plan);
-    let assignment = partition_plan(&plan, shards);
-    let (set, parts) = build_planned_multi(&topo, plan, report, probe, irqs, &assignment, shards);
-    ShardedTopologySystem {
-        set,
-        edges: parts.edges,
-        trace_mask: topo.trace_mask,
-        registry: parts.registry,
-        report: parts.report,
-        probe: parts.probe,
-        endpoints: parts.endpoints,
-    }
+    System { sim: set, registry: plan.registry, report, probe, endpoints: endpoint_handles }
 }
 
 #[cfg(test)]
@@ -1902,15 +1699,6 @@ mod tests {
     }
 
     #[test]
-    fn validation_preset_matches_the_system_config_layout() {
-        let built = build_topology(Topology::validation());
-        assert_eq!(built.report.bridges().count(), 6);
-        assert_eq!(built.report.endpoints().count(), 1);
-        assert_eq!(built.endpoints[0].bdf, Bdf::new(3, 0, 0));
-        assert!(built.probe.is_some(), "single endpoint goes through the driver probe");
-    }
-
-    #[test]
     fn three_root_ports_enumerate_three_endpoints() {
         let built = build_topology(Topology::three_root_ports());
         // 3 root ports + switch up + 2 switch downs = 6 bridges.
@@ -1954,32 +1742,24 @@ mod tests {
         assert!(dd.borrow().done, "dd must complete through three switch hops");
     }
 
+    /// A 16 KB `dd` on every disk of `sys`, through either backend.
+    fn attach_dds<B: Backend>(sys: &mut System<B>) -> Vec<DdReportHandle> {
+        sys.endpoints_of(EndpointKind::Disk)
+            .into_iter()
+            .map(|i| sys.attach_dd(i, DdConfig { block_bytes: 16 * 1024, ..DdConfig::default() }))
+            .collect()
+    }
+
     /// Serial and N-shard runs of the same topology + workloads must be
     /// indistinguishable: quiesce tick, event count, stats, trace.
     fn assert_shards_match_serial(topo: Topology, shards: usize) {
         let mut serial = build_topology(topo.clone().with_tracing());
-        let dd_configs: Vec<usize> = (0..serial.endpoints.len()).collect();
-        let mut serial_dds = Vec::new();
-        for &i in &dd_configs {
-            if serial.endpoints[i].is_disk {
-                serial_dds.push(
-                    serial.attach_dd(i, DdConfig { block_bytes: 16 * 1024, ..DdConfig::default() }),
-                );
-            }
-        }
+        let serial_dds = attach_dds(&mut serial);
         let outcome = serial.sim.run(TICKS_PER_SEC, u64::MAX);
 
         let mut sharded = build_topology_sharded(topo.with_tracing(), shards);
         assert_eq!(sharded.shard_count(), shards);
-        let mut sharded_dds = Vec::new();
-        for &i in &dd_configs {
-            if sharded.endpoints[i].is_disk {
-                sharded_dds.push(
-                    sharded
-                        .attach_dd(i, DdConfig { block_bytes: 16 * 1024, ..DdConfig::default() }),
-                );
-            }
-        }
+        let sharded_dds = attach_dds(&mut sharded);
         let mut driver = sharded.into_driver();
         assert_eq!(driver.run(TICKS_PER_SEC, u64::MAX), outcome);
 
@@ -2042,7 +1822,7 @@ mod tests {
         let built = build_topology(Topology::cxl_direct(Default::default()));
         assert_eq!(built.report.endpoints().count(), 1);
         let ep = &built.endpoints[0];
-        assert!(ep.is_cxl && !ep.is_disk);
+        assert_eq!(ep.kind, EndpointKind::CxlExpander);
         assert_eq!(ep.hdm, platform::cxl_hdm_window(0));
         assert!(built.probe.is_some(), "the CXL device table must match the expander");
     }
@@ -2148,7 +1928,7 @@ mod tests {
         use crate::workload::virtio::VirtioAppConfig;
         let mut built = build_topology(Topology::virtio_blk_direct(VirtioConfig::default()));
         let ep = &built.endpoints[0];
-        assert!(ep.is_virtio_blk && !ep.is_virtio_net && !ep.is_disk);
+        assert_eq!(ep.kind, EndpointKind::VirtioBlk);
         assert_eq!(ep.virtio_ring, platform::virtio_ring_window(0));
         assert!(built.probe.is_some(), "the virtio-blk device table must match");
         let drv = built.attach_virtio(
@@ -2193,16 +1973,13 @@ mod tests {
     fn virtio_mixed_tree_runs_blk_and_net_concurrently() {
         use crate::workload::virtio::VirtioAppConfig;
         let net = VirtioConfig { class: VirtioClass::Net, ..Default::default() };
-        let mut built =
-            build_topology(Topology::virtio_mixed(VirtioConfig::default(), net));
+        let mut built = build_topology(Topology::virtio_mixed(VirtioConfig::default(), net));
         assert_eq!(built.endpoints.len(), 3);
-        assert!(built.endpoint("vblk0").is_virtio_blk);
-        assert!(built.endpoint("vnet0").is_virtio_net);
-        assert!(built.endpoint("disk").is_disk);
-        let blk = built.attach_virtio(
-            0,
-            VirtioAppConfig { requests: 4, ..VirtioAppConfig::default() },
-        );
+        assert_eq!(built.endpoint("vblk0").kind, EndpointKind::VirtioBlk);
+        assert_eq!(built.endpoint("vnet0").kind, EndpointKind::VirtioNet);
+        assert_eq!(built.endpoint("disk").kind, EndpointKind::Disk);
+        let blk =
+            built.attach_virtio(0, VirtioAppConfig { requests: 4, ..VirtioAppConfig::default() });
         let tx = built.attach_virtio(
             1,
             VirtioAppConfig { requests: 8, request_bytes: 1514, ..VirtioAppConfig::default() },
@@ -2210,6 +1987,77 @@ mod tests {
         let dd = built.attach_dd(2, DdConfig { block_bytes: 64 * 1024, ..DdConfig::default() });
         assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
         assert!(blk.borrow().done && tx.borrow().done && dd.borrow().done);
+    }
+
+    #[test]
+    fn dual_disks_enumerate_on_separate_buses() {
+        let sys = build_topology(Topology::dual_disk(LinkWidth::X4));
+        assert_eq!(sys.report.endpoints().count(), 2);
+        assert_ne!(sys.endpoints[0].bar0, sys.endpoints[1].bar0);
+        assert_eq!(sys.endpoints[0].bdf, Bdf::new(3, 0, 0));
+        assert_eq!(sys.endpoints[1].bdf, Bdf::new(4, 0, 0));
+        assert_ne!(sys.endpoints[0].irq, sys.endpoints[1].irq, "each disk gets its own line");
+    }
+
+    #[test]
+    fn concurrent_dds_complete_and_contend() {
+        let dd = || DdConfig { block_bytes: 1024 * 1024, ..DdConfig::default() };
+        // Solo run for the baseline.
+        let mut solo = build_topology(Topology::validation());
+        let solo_report = solo.attach_dd(0, dd());
+        assert_eq!(solo.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
+        let solo_gbps = solo_report.borrow().throughput_gbps();
+
+        // Dual run: both disks stream simultaneously over the shared
+        // x4 root link.
+        let mut dual = build_topology(Topology::dual_disk(LinkWidth::X4));
+        let (r0, r1) = (dual.attach_dd(0, dd()), dual.attach_dd(1, dd()));
+        assert_eq!(dual.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
+        let (g0, g1) = (r0.borrow().throughput_gbps(), r1.borrow().throughput_gbps());
+        assert!(r0.borrow().done && r1.borrow().done);
+
+        // Each stream cannot beat its solo self, but the pair in
+        // aggregate must beat one stream (the fabric really fans out).
+        assert!(g0 <= solo_gbps * 1.01, "disk0 under contention: {g0} vs solo {solo_gbps}");
+        assert!(g1 <= solo_gbps * 1.01, "disk1 under contention: {g1} vs solo {solo_gbps}");
+        assert!(g0 + g1 > solo_gbps * 1.2, "aggregate must scale: {g0} + {g1} vs solo {solo_gbps}");
+    }
+
+    // A NIC driver must not be wired to a foreign BAR — an expander's or a
+    // virtio function's. The generic `attach` makes the kind check once;
+    // each backend is exercised once per device.
+
+    fn nic_tx_on_expander<B: Backend>(mut sys: System<B>) {
+        let _ = sys.attach_nic_tx(0, NicTxConfig::default());
+    }
+
+    fn pmd_on_virtio<B: Backend>(mut sys: System<B>) {
+        let _ = sys.attach_pmd(0, crate::workload::pmd::PmdConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "endpoint 0 (mem0) is a CxlExpander; this workload drives [Nic]")]
+    fn nic_driver_on_a_cxl_expander_panics_serial() {
+        nic_tx_on_expander(build_topology(Topology::cxl_direct(Default::default())));
+    }
+
+    #[test]
+    #[should_panic(expected = "endpoint 0 (mem0) is a CxlExpander; this workload drives [Nic]")]
+    fn nic_driver_on_a_cxl_expander_panics_sharded() {
+        nic_tx_on_expander(build_topology_sharded(Topology::cxl_direct(Default::default()), 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "endpoint 0 (vblk0) is a VirtioBlk; this workload drives [Nic]")]
+    fn nic_driver_on_a_virtio_function_panics_serial() {
+        pmd_on_virtio(build_topology(Topology::virtio_blk_direct(VirtioConfig::default())));
+    }
+
+    #[test]
+    #[should_panic(expected = "endpoint 0 (vblk0) is a VirtioBlk; this workload drives [Nic]")]
+    fn nic_driver_on_a_virtio_function_panics_sharded() {
+        let topo = Topology::virtio_blk_direct(VirtioConfig::default());
+        pmd_on_virtio(build_topology_sharded(topo, 2));
     }
 
     #[test]

@@ -22,6 +22,10 @@ use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
 use pcisim_kernel::stats::StatsBuilder;
 use pcisim_kernel::tick::{ns, to_ns, Tick, TICKS_PER_SEC};
 
+use crate::platform;
+use crate::topology::{EndpointHandle, EndpointKind};
+use crate::workload::{Attached, Workload};
+
 /// The engine's single port, wired toward the memory bus.
 pub const CXL_HOST_MEM_PORT: PortId = PortId(0);
 
@@ -39,8 +43,8 @@ pub enum CxlHostMode {
 /// Engine parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CxlHostConfig {
-    /// Address window the stream walks (patched by the attach helpers to
-    /// the endpoint's HDM window, or to a DRAM slice for the local arm).
+    /// Address window the stream walks (patched at attach to the
+    /// endpoint's HDM window, or to a DRAM slice for the local arm).
     pub window: AddrRange,
     /// Access pattern.
     pub mode: CxlHostMode,
@@ -82,6 +86,34 @@ impl Default for CxlHostConfig {
             chain_blocks: 64,
             use_cxl: true,
         }
+    }
+}
+
+/// Both arms of the local-vs-CXL comparison: with `use_cxl` the stream
+/// (named `cxlhost{index}`) walks the expander's HDM window; without it
+/// the same engine (named `dramhost{index}`) walks a local DRAM slice with
+/// plain Memory Read/Write TLPs through any endpoint's reserved CPU port.
+impl Workload for CxlHostConfig {
+    type Report = CxlHostReportHandle;
+
+    fn accepts(&self) -> &'static [EndpointKind] {
+        if self.use_cxl {
+            &[EndpointKind::CxlExpander]
+        } else {
+            &EndpointKind::ALL
+        }
+    }
+
+    fn instantiate(mut self, index: usize, ep: &EndpointHandle) -> Attached<CxlHostReportHandle> {
+        let name = if self.use_cxl {
+            self.window = ep.hdm;
+            format!("cxlhost{index}")
+        } else {
+            self.window =
+                AddrRange::with_size(platform::DRAM_BASE + 0x2000_0000, platform::CXL_HDM_STRIDE);
+            format!("dramhost{index}")
+        };
+        Attached::new(CxlHostApp::new(name, self), vec![(CXL_HOST_MEM_PORT, ep.cpu_mem_port)])
     }
 }
 

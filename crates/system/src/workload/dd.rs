@@ -19,6 +19,10 @@ use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
 use pcisim_kernel::stats::StatsBuilder;
 use pcisim_kernel::tick::{gbps, ns, us, Tick};
 
+use crate::platform;
+use crate::topology::{EndpointHandle, EndpointKind};
+use crate::workload::{Attached, Workload};
+
 /// Port wired to the memory bus (MMIO master).
 pub const DD_MEM_PORT: PortId = PortId(0);
 /// Port wired to the interrupt controller.
@@ -58,6 +62,24 @@ impl Default for DdConfig {
             disk_bar: 0x4000_0000,
             dma_target: 0x8000_0000,
         }
+    }
+}
+
+impl Workload for DdConfig {
+    type Report = DdReportHandle;
+
+    fn accepts(&self) -> &'static [EndpointKind] {
+        &[EndpointKind::Disk]
+    }
+
+    fn instantiate(mut self, index: usize, ep: &EndpointHandle) -> Attached<DdReportHandle> {
+        self.disk_bar = ep.bar0;
+        // Distinct DMA buffers so DRAM traffic does not alias.
+        self.dma_target = platform::DRAM_BASE + index as u64 * 0x1000_0000;
+        Attached::new(
+            DdApp::new(format!("dd{index}"), self),
+            vec![(DD_MEM_PORT, ep.cpu_mem_port), (DD_IRQ_PORT, ep.cpu_irq_port)],
+        )
     }
 }
 

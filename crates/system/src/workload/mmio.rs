@@ -17,6 +17,9 @@ use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
 use pcisim_kernel::stats::StatsBuilder;
 use pcisim_kernel::tick::{to_ns, us, Tick};
 
+use crate::topology::{EndpointHandle, EndpointKind};
+use crate::workload::{Attached, Workload};
+
 /// The probe's single port, wired toward the fabric.
 pub const MMIO_MEM_PORT: PortId = PortId(0);
 
@@ -37,6 +40,22 @@ pub struct MmioProbeConfig {
 impl Default for MmioProbeConfig {
     fn default() -> Self {
         Self { target: 0x4000_0000, reads: 64, gap: us(1), cpu_overhead: 0 }
+    }
+}
+
+impl Workload for MmioProbeConfig {
+    type Report = MmioReportHandle;
+
+    fn accepts(&self) -> &'static [EndpointKind] {
+        &EndpointKind::ALL
+    }
+
+    fn instantiate(mut self, index: usize, ep: &EndpointHandle) -> Attached<MmioReportHandle> {
+        self.target = ep.bar0 + 0x0008; // the NIC status register
+        Attached::new(
+            MmioProbe::new(format!("mmio_probe{index}"), self),
+            vec![(MMIO_MEM_PORT, ep.cpu_mem_port)],
+        )
     }
 }
 

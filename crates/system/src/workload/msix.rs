@@ -16,7 +16,9 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use pcisim_devices::intc::irq_message_addr;
-use pcisim_devices::nic::{msix_entry_offset, regs, tx_cause, tx_vector, MAX_QUEUES};
+use pcisim_devices::nic::{
+    msix_entry_offset, num_msix_vectors, regs, tx_cause, tx_vector, MAX_QUEUES,
+};
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, Packet};
 use pcisim_kernel::sim::Ctx;
@@ -24,6 +26,9 @@ use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
 use pcisim_kernel::stats::StatsBuilder;
 use pcisim_kernel::tick::{gbps, ns, us, Tick};
 use pcisim_pci::caps::msix;
+
+use crate::topology::{EndpointHandle, EndpointKind};
+use crate::workload::{Attached, Workload};
 
 /// Port wired to the memory bus (MMIO master).
 pub const MSIX_TX_MEM_PORT: PortId = PortId(0);
@@ -71,6 +76,39 @@ impl Default for MsixTxConfig {
             doorbell_base: crate::platform::INTC_BASE,
             base_vector: crate::topology::MSI_VECTOR,
         }
+    }
+}
+
+impl Workload for MsixTxConfig {
+    type Report = MsixTxReportHandle;
+
+    fn accepts(&self) -> &'static [EndpointKind] {
+        &[EndpointKind::Nic]
+    }
+
+    /// Each TX queue's vector port is wired to its own interrupt-controller
+    /// doorbell endpoint.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the tree was not built with `use_msix` or the NIC's
+    /// table is too small for `self.queues` queue pairs.
+    fn instantiate(mut self, index: usize, ep: &EndpointHandle) -> Attached<MsixTxReportHandle> {
+        let (have, need) = (ep.cpu_irq_ports.len(), usize::from(num_msix_vectors(self.queues)));
+        assert!(
+            have >= need,
+            "{} exposes {have} interrupt vector(s); {} MSI-X queue pairs need {need}",
+            ep.name,
+            self.queues
+        );
+        self.nic_bar = ep.bar0;
+        self.doorbell_base = crate::platform::INTC_BASE;
+        self.base_vector = crate::topology::MSI_VECTOR;
+        let mut wires = vec![(MSIX_TX_MEM_PORT, ep.cpu_mem_port)];
+        for v in (0..self.queues).map(tx_vector) {
+            wires.push((msix_tx_irq_port(v), ep.cpu_irq_ports[usize::from(v)]));
+        }
+        Attached::new(MsixTxApp::new(format!("msixtx{index}"), self), wires)
     }
 }
 

@@ -18,6 +18,9 @@ use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
 use pcisim_kernel::stats::StatsBuilder;
 use pcisim_kernel::tick::{gbps, ns, Tick};
 
+use crate::topology::{EndpointHandle, EndpointKind};
+use crate::workload::{Attached, Workload};
+
 /// Port wired to the memory bus (MMIO master).
 pub const NIC_RX_MEM_PORT: PortId = PortId(0);
 /// Port wired to the interrupt controller.
@@ -42,6 +45,22 @@ pub struct NicRxConfig {
 impl Default for NicRxConfig {
     fn default() -> Self {
         Self { expect_frames: 256, frame_bytes: 1514, ring_entries: 256, nic_bar: 0x4000_0000 }
+    }
+}
+
+impl Workload for NicRxConfig {
+    type Report = NicRxReportHandle;
+
+    fn accepts(&self) -> &'static [EndpointKind] {
+        &[EndpointKind::Nic]
+    }
+
+    fn instantiate(mut self, index: usize, ep: &EndpointHandle) -> Attached<NicRxReportHandle> {
+        self.nic_bar = ep.bar0;
+        Attached::new(
+            NicRxApp::new(format!("nicrx{index}"), self),
+            vec![(NIC_RX_MEM_PORT, ep.cpu_mem_port), (NIC_RX_IRQ_PORT, ep.cpu_irq_port)],
+        )
     }
 }
 

@@ -18,6 +18,9 @@ use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
 use pcisim_kernel::stats::StatsBuilder;
 use pcisim_kernel::tick::{gbps, ns, us, Tick};
 
+use crate::topology::{EndpointHandle, EndpointKind};
+use crate::workload::{Attached, Workload};
+
 /// Port wired to the memory bus (MMIO master).
 pub const NIC_TX_MEM_PORT: PortId = PortId(0);
 /// Port wired to the interrupt controller.
@@ -50,6 +53,22 @@ impl Default for NicTxConfig {
             os_batch_overhead: us(2),
             nic_bar: 0x4000_0000,
         }
+    }
+}
+
+impl Workload for NicTxConfig {
+    type Report = NicTxReportHandle;
+
+    fn accepts(&self) -> &'static [EndpointKind] {
+        &[EndpointKind::Nic]
+    }
+
+    fn instantiate(mut self, index: usize, ep: &EndpointHandle) -> Attached<NicTxReportHandle> {
+        self.nic_bar = ep.bar0;
+        Attached::new(
+            NicTxApp::new(format!("nictx{index}"), self),
+            vec![(NIC_TX_MEM_PORT, ep.cpu_mem_port), (NIC_TX_IRQ_PORT, ep.cpu_irq_port)],
+        )
     }
 }
 

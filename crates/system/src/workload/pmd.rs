@@ -26,6 +26,9 @@ use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
 use pcisim_kernel::stats::StatsBuilder;
 use pcisim_kernel::tick::{gbps, ns, to_seconds, us, Tick};
 
+use crate::topology::{EndpointHandle, EndpointKind};
+use crate::workload::{Attached, Workload};
+
 /// Port wired to the memory bus (MMIO master). A poll-mode driver has no
 /// interrupt port at all.
 pub const PMD_MEM_PORT: PortId = PortId(0);
@@ -72,6 +75,24 @@ impl Default for PmdConfig {
             setup_delay: us(400),
             nic_bar: 0x4000_0000,
         }
+    }
+}
+
+impl Workload for PmdConfig {
+    type Report = PmdReportHandle;
+
+    fn accepts(&self) -> &'static [EndpointKind] {
+        &[EndpointKind::Nic]
+    }
+
+    /// Only the memory port is wired — the poll-mode datapath never takes
+    /// an interrupt.
+    fn instantiate(mut self, index: usize, ep: &EndpointHandle) -> Attached<PmdReportHandle> {
+        self.nic_bar = ep.bar0;
+        Attached::new(
+            PmdApp::new(format!("pmd{index}"), self),
+            vec![(PMD_MEM_PORT, ep.cpu_mem_port)],
+        )
     }
 }
 

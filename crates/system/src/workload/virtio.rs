@@ -35,6 +35,9 @@ use pcisim_kernel::stats::StatsBuilder;
 use pcisim_kernel::tick::{gbps, ns, us, Tick};
 use pcisim_pci::caps::msix;
 
+use crate::topology::{EndpointHandle, EndpointKind};
+use crate::workload::{Attached, Workload};
+
 /// Port wired to the memory bus (MMIO + DRAM master).
 pub const VIRTIO_APP_MEM_PORT: PortId = PortId(0);
 /// Port wired to the interrupt controller under legacy INTx (the
@@ -100,6 +103,33 @@ impl Default for VirtioAppConfig {
             base_vector: crate::topology::MSI_VECTOR,
             capacity_sectors: 1 << 21,
         }
+    }
+}
+
+impl Workload for VirtioAppConfig {
+    type Report = VirtioReportHandle;
+
+    fn accepts(&self) -> &'static [EndpointKind] {
+        &[EndpointKind::VirtioBlk, EndpointKind::VirtioNet]
+    }
+
+    /// The device class, BAR0 and virtqueue window come from the handle;
+    /// under MSI-X every table vector's doorbell port is wired.
+    fn instantiate(mut self, index: usize, ep: &EndpointHandle) -> Attached<VirtioReportHandle> {
+        self.class =
+            if ep.kind == EndpointKind::VirtioBlk { VirtioClass::Blk } else { VirtioClass::Net };
+        self.bar0 = ep.bar0;
+        self.ring_base = ep.virtio_ring.start();
+        let mut wires = vec![(VIRTIO_APP_MEM_PORT, ep.cpu_mem_port)];
+        if self.use_msix {
+            assert!(ep.cpu_irq_ports.len() > 1, "MSI-X vectors not enabled for {}", ep.name);
+            for (v, port) in ep.cpu_irq_ports.iter().enumerate() {
+                wires.push((virtio_app_irq_port(v as u16), *port));
+            }
+        } else {
+            wires.push((VIRTIO_APP_IRQ_PORT, ep.cpu_irq_port));
+        }
+        Attached::new(VirtioApp::new(format!("vdrv{index}"), self), wires)
     }
 }
 
@@ -308,11 +338,9 @@ impl VirtioApp {
         if self.config.use_msix {
             let vectors = pcisim_devices::virtio::num_msix_vectors(self.config.class);
             for v in 0..vectors {
-                let entry = MSIX_TABLE_OFFSET + u64::from(v) * u64::from(msix::ENTRY_SIZE);
-                let target = irq_message_addr(
-                    self.config.doorbell_base,
-                    self.config.base_vector + v as u8,
-                );
+                let entry = MSIX_TABLE_OFFSET + u64::from(v) * msix::ENTRY_SIZE;
+                let target =
+                    irq_message_addr(self.config.doorbell_base, self.config.base_vector + v as u8);
                 self.push_mmio_write(entry + msix::ENTRY_ADDR_LO, target as u32);
                 self.push_mmio_write(entry + msix::ENTRY_ADDR_HI, (target >> 32) as u32);
                 self.push_mmio_write(entry + msix::ENTRY_DATA, 0x4000 | u32::from(v));
@@ -341,12 +369,24 @@ impl VirtioApp {
             match (self.config.class, self.config.rx, self.config.write) {
                 (VirtioClass::Blk, _, write) => {
                     let data_flags = DESC_F_NEXT | if write { 0 } else { DESC_F_WRITE };
-                    self.push_desc(head, self.hdr_addr(slot), BLK_HEADER_BYTES, DESC_F_NEXT, head + 1);
+                    self.push_desc(
+                        head,
+                        self.hdr_addr(slot),
+                        BLK_HEADER_BYTES,
+                        DESC_F_NEXT,
+                        head + 1,
+                    );
                     self.push_desc(head + 1, self.payload_addr(slot), bytes, data_flags, head + 2);
                     self.push_desc(head + 2, self.status_addr(slot), 1, DESC_F_WRITE, 0);
                 }
                 (VirtioClass::Net, false, _) => {
-                    self.push_desc(head, self.hdr_addr(slot), NET_HEADER_BYTES, DESC_F_NEXT, head + 1);
+                    self.push_desc(
+                        head,
+                        self.hdr_addr(slot),
+                        NET_HEADER_BYTES,
+                        DESC_F_NEXT,
+                        head + 1,
+                    );
                     self.push_desc(head + 1, self.payload_addr(slot), bytes, 0, 0);
                 }
                 (VirtioClass::Net, true, _) => {
@@ -405,9 +445,14 @@ impl VirtioApp {
             match op {
                 Op::Write { addr, data } => {
                     let id = ctx.alloc_packet_id();
-                    let pkt =
-                        Packet::request(id, Command::WriteReq, addr, data.len() as u32, ctx.self_id())
-                            .with_payload(data);
+                    let pkt = Packet::request(
+                        id,
+                        Command::WriteReq,
+                        addr,
+                        data.len() as u32,
+                        ctx.self_id(),
+                    )
+                    .with_payload(data);
                     self.inflight = true;
                     if let Err(back) = ctx.try_send_request(VIRTIO_APP_MEM_PORT, pkt) {
                         self.stalled = Some(back);

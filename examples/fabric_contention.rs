@@ -12,33 +12,34 @@
 
 use pcisim::kernel::tick::TICKS_PER_SEC;
 use pcisim::pcie::params::{Generation, LinkConfig, LinkWidth};
-use pcisim::system::builder::{build_dual_disk_system, build_system, SystemConfig};
-use pcisim::system::workload::dd::DdConfig;
+use pcisim::system::prelude::*;
 
 const BLOCK: u64 = 4 * 1024 * 1024;
+
+/// Streams one block from every disk of `sys` at once: Gb/s per disk.
+fn stream(mut sys: TopologySystem) -> Vec<f64> {
+    let dd = DdConfig { block_bytes: BLOCK, ..DdConfig::default() };
+    let disks = sys.endpoints_of(EndpointKind::Disk);
+    let reports: Vec<_> = disks.into_iter().map(|i| sys.attach_dd(i, dd.clone())).collect();
+    sys.sim.run(TICKS_PER_SEC, u64::MAX);
+    reports
+        .iter()
+        .map(|r| {
+            assert!(r.borrow().done);
+            r.borrow().throughput_gbps()
+        })
+        .collect()
+}
 
 fn solo(root_width: LinkWidth) -> f64 {
     let mut config = SystemConfig::validation();
     config.root_link = LinkConfig::new(Generation::Gen2, root_width);
-    let mut built = build_system(config);
-    let report = built.attach_dd(DdConfig { block_bytes: BLOCK, ..DdConfig::default() });
-    built.sim.run(TICKS_PER_SEC, u64::MAX);
-    let r = report.borrow();
-    assert!(r.done);
-    r.throughput_gbps()
+    stream(build_system(config))[0]
 }
 
 fn dual(root_width: LinkWidth) -> (f64, f64) {
-    let mut config = SystemConfig::validation();
-    config.root_link = LinkConfig::new(Generation::Gen2, root_width);
-    let mut sys = build_dual_disk_system(config);
-    let r0 = sys.attach_dd(0, DdConfig { block_bytes: BLOCK, ..DdConfig::default() });
-    let r1 = sys.attach_dd(1, DdConfig { block_bytes: BLOCK, ..DdConfig::default() });
-    sys.sim.run(TICKS_PER_SEC, u64::MAX);
-    assert!(r0.borrow().done && r1.borrow().done);
-    let a = r0.borrow().throughput_gbps();
-    let b = r1.borrow().throughput_gbps();
-    (a, b)
+    let gbps = stream(build_topology(Topology::dual_disk(root_width)));
+    (gbps[0], gbps[1])
 }
 
 fn main() {

@@ -21,7 +21,7 @@ fn main() {
     );
     let mut previous: Option<f64> = None;
     for lanes in [1u8, 2, 4, 8] {
-        let out = run_dd_experiment(&DdExperiment {
+        let out = run_cold(&DdExperiment {
             block_bytes: block_mb * 1024 * 1024,
             width_all: Some(LinkWidth::new(lanes)),
             ..DdExperiment::default()

@@ -27,7 +27,7 @@ fn main() {
         "rc latency (ns)", "measured (ns)", "paper (ns)", "delta"
     );
     for (lat, paper) in PAPER {
-        let out = run_mmio_experiment(&MmioExperiment {
+        let out = run_cold(&MmioExperiment {
             rc_latency: ns(lat),
             reads: 64,
             ..MmioExperiment::default()
@@ -49,12 +49,8 @@ fn main() {
 /// per-stage attribution. `cpu_overhead` is zeroed so that the traced
 /// stages partition the measured latency exactly.
 fn trace_run(path: &str) {
-    let out = run_mmio_experiment(&MmioExperiment {
-        rc_latency: ns(150),
-        reads: 8,
-        cpu_overhead: 0,
-        trace: true,
-    });
+    let out =
+        run_cold(&MmioExperiment { rc_latency: ns(150), reads: 8, cpu_overhead: 0, trace: true });
     assert!(out.completed);
     let log = out.trace.expect("trace requested");
     std::fs::write(path, log.to_perfetto_json()).expect("write trace file");

@@ -23,7 +23,7 @@ fn main() {
     println!("NIC TX of 256 x 1514 B frames, link width swept (Gen 2):\n");
     println!("{:>6} {:>12} {:>14} {:>12}", "width", "Gb/s", "frames/s", "DMA TLPs");
     for lanes in [1u8, 2, 4, 8, 16] {
-        let out = run_nic_tx_experiment(&NicTxExperiment {
+        let out = run_cold(&NicTxExperiment {
             width: LinkWidth::new(lanes),
             frames: 256,
             ..NicTxExperiment::default()
@@ -46,7 +46,7 @@ fn main() {
     println!("\nNIC RX of 256 x 1514 B frames at ~5 Gb/s line rate:\n");
     println!("{:>6} {:>16} {:>10}", "width", "delivered Gb/s", "dropped");
     for lanes in [1u8, 2, 4, 8] {
-        let out = run_nic_rx_experiment(&NicRxExperiment {
+        let out = run_cold(&NicRxExperiment {
             width: LinkWidth::new(lanes),
             frames: 256,
             ..NicRxExperiment::default()
@@ -67,11 +67,8 @@ fn main() {
 
     if let Some(pos) = args.iter().position(|a| a == "--trace") {
         let path = args.get(pos + 1).cloned().unwrap_or_else(|| "nic_tx_trace.json".into());
-        let out = run_nic_tx_experiment(&NicTxExperiment {
-            frames: 8,
-            trace: true,
-            ..NicTxExperiment::default()
-        });
+        let out =
+            run_cold(&NicTxExperiment { frames: 8, trace: true, ..NicTxExperiment::default() });
         assert!(out.completed);
         let log = out.trace.expect("trace requested");
         std::fs::write(&path, log.to_perfetto_json()).expect("write trace file");

@@ -21,8 +21,8 @@ fn main() {
             width_all: Some(LinkWidth::new(lanes)),
             ..DdExperiment::default()
         };
-        let nonposted = run_dd_experiment(&base);
-        let posted = run_dd_experiment(&DdExperiment { posted_writes: true, ..base });
+        let nonposted = run_cold(&base);
+        let posted = run_cold(&DdExperiment { posted_writes: true, ..base });
         assert!(nonposted.completed && posted.completed);
         println!(
             "{:>6} {:>16.3} {:>13.3} {:>7.1}%",

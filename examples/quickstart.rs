@@ -5,7 +5,6 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use pcisim::system::builder::build_system;
 use pcisim::system::prelude::*;
 
 fn main() {
@@ -15,13 +14,15 @@ fn main() {
 
     println!("enumeration found:");
     println!("{}", built.report);
+    let probe = built.probe.as_ref().expect("a single endpoint goes through the driver probe");
     println!(
         "driver probe: disk at {} BAR0={:#x} interrupt={:?}\n",
-        built.probe.bdf, built.probe.bar0, built.probe.interrupt
+        probe.bdf, probe.bar0, probe.interrupt
     );
 
     // dd if=/dev/disk of=/dev/null bs=8M count=1 iflag=direct
-    let report = built.attach_dd(DdConfig { block_bytes: 8 * 1024 * 1024, ..DdConfig::default() });
+    let report =
+        built.attach_dd(0, DdConfig { block_bytes: 8 * 1024 * 1024, ..DdConfig::default() });
 
     let outcome = built.sim.run(pcisim::kernel::tick::TICKS_PER_SEC, u64::MAX);
     let r = report.borrow();

@@ -20,9 +20,10 @@
 //! use pcisim::system::builder::{build_system, SystemConfig};
 //! use pcisim::system::workload::dd::DdConfig;
 //!
-//! // The paper's validation topology, enumerated and driver-probed.
+//! // The paper's validation topology, enumerated and driver-probed; the
+//! // `dd` driver attaches to endpoint 0, the disk.
 //! let mut built = build_system(SystemConfig::validation());
-//! let report = built.attach_dd(DdConfig {
+//! let report = built.attach_dd(0, DdConfig {
 //!     block_bytes: 256 * 1024,
 //!     ..DdConfig::default()
 //! });
@@ -30,6 +31,11 @@
 //! let report = report.borrow();
 //! assert!(report.done);
 //! assert!(report.throughput_gbps() > 0.0);
+//!
+//! // The same run as an experiment of the paper's evaluation.
+//! use pcisim::system::experiments::{run_cold, DdExperiment};
+//! let outcome = run_cold(&DdExperiment { block_bytes: 256 * 1024, ..DdExperiment::default() });
+//! assert!(outcome.completed);
 //! ```
 
 pub use pcisim_devices as devices;

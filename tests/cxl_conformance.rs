@@ -33,7 +33,7 @@ use pcisim::pcie::params::{Generation, LinkConfig, LinkWidth};
 use pcisim::pcie::router::RouterConfig;
 use pcisim::system::builder::DeviceSpec;
 use pcisim::system::platform;
-use pcisim::system::topology::{build_topology, Attachment, Node, Topology};
+use pcisim::system::topology::{build_topology, Attachment, EndpointKind, Node, Topology};
 use pcisim::system::workload::cxl::{CxlHostConfig, CxlHostMode};
 
 /// The spec caps HDM windows: the platform region holds four.
@@ -111,11 +111,12 @@ proptest! {
         let plan = grow_cxl_topology(&shape).plan();
         let report = plan.enumerate().expect("random cxl tree must enumerate");
 
-        let windows: Vec<AddrRange> =
-            plan.endpoints.iter().filter(|e| e.is_cxl).map(|e| e.hdm).collect();
+        let expanders =
+            || plan.endpoints.iter().filter(|e| e.kind == EndpointKind::CxlExpander);
+        let windows: Vec<AddrRange> = expanders().map(|e| e.hdm).collect();
         prop_assert!(!windows.is_empty(), "generator must place at least one expander");
         let region = platform::cxl_hdm_range();
-        for ep in plan.endpoints.iter().filter(|e| e.is_cxl) {
+        for ep in expanders() {
             let w = ep.hdm;
             prop_assert!(!w.is_empty(), "HDM window must be non-empty");
             prop_assert_eq!(w.start() % 64, 0, "HDM base must be 64-byte aligned");
@@ -172,10 +173,7 @@ proptest! {
         let mut sys = build_topology(grow_cxl_topology(&shape));
         let mut reports = Vec::new();
         let mut requested = Vec::new();
-        for i in 0..sys.endpoints.len() {
-            if !sys.endpoints[i].is_cxl {
-                continue;
-            }
+        for i in sys.endpoints_of(EndpointKind::CxlExpander) {
             let chase = (flavor.wrapping_add(i as u8)) & 1 == 1;
             let config = if chase {
                 CxlHostConfig {
@@ -383,7 +381,7 @@ fn read_your_write_holds_per_address_under_concurrent_streams() {
     let mut handles = Vec::new();
     for i in 0..built.endpoints.len() {
         let ep = &built.endpoints[i];
-        assert!(ep.is_cxl);
+        assert_eq!(ep.kind, EndpointKind::CxlExpander);
         let (racer, verified) = WriteReadRacer::new(format!("racer{i}"), ep.hdm, PAIRS);
         let id = built.sim.add(Box::new(racer));
         let port = ep.cpu_mem_port;

@@ -5,40 +5,18 @@
 //! change the paper's metrics.
 
 use pcisim::kernel::sim::RunOutcome;
-use pcisim::kernel::stats::StatsSnapshot;
 use pcisim::kernel::tick::{ns, TICKS_PER_SEC};
 use pcisim::pcie::params::Generation;
-use pcisim::system::builder::{build_system, build_system_warm, SystemConfig};
+use pcisim::system::builder::{build_system, SystemConfig};
 use pcisim::system::experiments::{
-    error_rate_sweep, error_rate_sweep_warm, prepare_dd_warm_start, run_dd_experiment,
-    run_dd_sweep_warm, run_fault_experiment, DdExperiment, DdOutcome, FaultExperiment,
-    FaultOutcome,
+    error_rate_ladder, execute, run_cold, run_sweep_warm, warm_start, DdExperiment, DdOutcome,
+    Exec, FaultExperiment, FaultOutcome,
 };
-use pcisim::system::snapshot::SystemHandle;
 use pcisim::system::sweep::run_sweep;
 use pcisim::system::workload::dd::DdConfig;
 
 const KB: u64 = 1024;
 const MB: u64 = 1024 * 1024;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// FNV-1a over every `(key, value)` pair of a stats snapshot: a compact
-/// fingerprint of every counter in the simulation.
-fn stats_fnv(stats: &StatsSnapshot) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325;
-    for (k, v) in stats.iter() {
-        h = fnv1a(h, k.as_bytes());
-        h = fnv1a(h, &v.to_bits().to_le_bytes());
-    }
-    h
-}
 
 /// Every field of a [`DdOutcome`] that a regression could disturb, with
 /// floats compared bit-for-bit.
@@ -57,8 +35,8 @@ fn outcome_fingerprint(o: &DdOutcome) -> [u64; 7] {
 #[test]
 fn identical_configs_produce_identical_outcomes_and_traces() {
     let exp = DdExperiment { block_bytes: 64 * KB, trace: true, ..DdExperiment::default() };
-    let a = run_dd_experiment(&exp);
-    let b = run_dd_experiment(&exp);
+    let a = run_cold(&exp);
+    let b = run_cold(&exp);
     assert_eq!(outcome_fingerprint(&a), outcome_fingerprint(&b));
     let (ta, tb) = (a.trace.expect("traced run"), b.trace.expect("traced run"));
     assert_eq!(ta.dropped, tb.dropped);
@@ -75,7 +53,7 @@ fn identical_configs_produce_identical_outcomes_and_traces() {
 /// computes or when it quiesces.
 #[test]
 fn golden_anchors_pin_the_paper_metrics() {
-    let o = run_dd_experiment(&DdExperiment { block_bytes: MB, ..DdExperiment::default() });
+    let o = run_cold(&DdExperiment { block_bytes: MB, ..DdExperiment::default() });
     assert!(o.completed);
     assert_eq!(o.bytes, MB);
     assert_eq!(o.upstream_tlps, 16432);
@@ -86,11 +64,11 @@ fn golden_anchors_pin_the_paper_metrics() {
 }
 
 const GOLDEN_SIM_TIME: u64 = 4_161_336_600;
-// Re-recorded when the error-handling work added counters (unsupported
-// requests, completion timeouts, late completions) to the snapshot; every
-// timing anchor above stayed bit-identical across that change — only the
-// set of keys grew.
-const GOLDEN_STATS_FNV: u64 = 0x0db9_78ce_1ae3_b94b;
+// Re-recorded when `{prefix}{index}` became the one workload naming rule
+// and the single-endpoint `dd` component became `dd0`: every value of the
+// snapshot — and every timing anchor above — stayed bit-identical across
+// that change, only the `dd.` key prefix moved.
+const GOLDEN_STATS_FNV: u64 = 0x28e0_5435_bbfc_efe7;
 
 /// Two full system builds with the same config agree on every statistic,
 /// and the whole snapshot matches its recorded fingerprint.
@@ -98,7 +76,7 @@ const GOLDEN_STATS_FNV: u64 = 0x0db9_78ce_1ae3_b94b;
 fn stats_snapshot_is_reproducible_and_matches_golden() {
     let run = || {
         let mut built = build_system(SystemConfig::validation());
-        let report = built.attach_dd(DdConfig { block_bytes: 64 * KB, ..DdConfig::default() });
+        let report = built.attach_dd(0, DdConfig { block_bytes: 64 * KB, ..DdConfig::default() });
         let outcome = built.sim.run(TICKS_PER_SEC, u64::MAX);
         assert_eq!(outcome, RunOutcome::QueueEmpty, "system must quiesce");
         assert!(report.borrow().done);
@@ -107,7 +85,7 @@ fn stats_snapshot_is_reproducible_and_matches_golden() {
     let a = run();
     let b = run();
     assert_eq!(a, b, "repeated builds must produce identical snapshots");
-    assert_eq!(stats_fnv(&a), GOLDEN_STATS_FNV, "got {:#018x}", stats_fnv(&a));
+    assert_eq!(a.fnv(), GOLDEN_STATS_FNV, "got {:#018x}", a.fnv());
 }
 
 /// Every field of a [`FaultOutcome`], floats compared bit-for-bit.
@@ -133,8 +111,8 @@ fn fault_fingerprint(o: &FaultOutcome) -> [u64; 9] {
 fn faulty_run_is_deterministic_and_matches_golden() {
     let exp =
         FaultExperiment { block_bytes: 64 * KB, error_interval: 13, ..FaultExperiment::default() };
-    let a = run_fault_experiment(&exp);
-    let b = run_fault_experiment(&exp);
+    let a = run_cold(&exp);
+    let b = run_cold(&exp);
     assert_eq!(fault_fingerprint(&a), fault_fingerprint(&b));
     assert!(a.completed);
     assert_eq!(a.sim_time, 659_238_200);
@@ -151,8 +129,9 @@ fn faulty_run_is_deterministic_and_matches_golden() {
 /// must be bit-identical to the serial reference.
 #[test]
 fn fault_sweep_serial_equals_parallel() {
-    let serial = error_rate_sweep(Generation::Gen2, None, 64 * KB, 1);
-    let parallel = error_rate_sweep(Generation::Gen2, None, 64 * KB, 4);
+    let ladder = error_rate_ladder(Generation::Gen2, None, 64 * KB);
+    let serial = run_sweep(&ladder, 1, run_cold);
+    let parallel = run_sweep(&ladder, 4, run_cold);
     let fingerprints = |v: &[FaultOutcome]| v.iter().map(fault_fingerprint).collect::<Vec<_>>();
     assert_eq!(fingerprints(&serial), fingerprints(&parallel));
 }
@@ -173,8 +152,8 @@ fn serial_and_parallel_sweeps_are_bit_identical() {
             })
         })
         .collect();
-    let serial = run_sweep(&configs, 1, run_dd_experiment);
-    let parallel = run_sweep(&configs, 4, run_dd_experiment);
+    let serial = run_sweep(&configs, 1, run_cold);
+    let parallel = run_sweep(&configs, 4, run_cold);
     let fingerprints = |v: &[DdOutcome]| v.iter().map(outcome_fingerprint).collect::<Vec<_>>();
     assert_eq!(fingerprints(&serial), fingerprints(&parallel));
 }
@@ -193,7 +172,8 @@ const GOLDEN_CASCADE_FNV: u64 = 0x4d7c_4d2f_37ce_d7bf;
 
 /// The paper's three-root-port platform (disk + NIC + disk, concurrent
 /// workloads) quiesces at the recorded tick with the recorded stats
-/// fingerprint — and does so twice in a row.
+/// fingerprint — and does so twice in a row. The anchor predates
+/// `StatsSnapshot::fnv`, so matching it also pins the hash definition.
 #[test]
 fn three_root_port_topology_matches_golden() {
     use pcisim::system::topology::{build_topology, Topology};
@@ -208,7 +188,7 @@ fn three_root_port_topology_matches_golden() {
         assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
         assert!(dd0.borrow().done && dd2.borrow().done);
         assert_eq!(tx.borrow().frames, 64);
-        (built.sim.now(), stats_fnv(&built.sim.stats()))
+        (built.sim.now(), built.sim.stats().fnv())
     };
     let (time, fnv) = run();
     assert_eq!(run(), (time, fnv), "repeated builds must agree");
@@ -228,7 +208,7 @@ fn cascaded_switch_topology_matches_golden() {
         let dd = built.attach_dd(0, Dd { block_bytes: 64 * KB, ..Dd::default() });
         assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
         assert!(dd.borrow().done);
-        (built.sim.now(), stats_fnv(&built.sim.stats()))
+        (built.sim.now(), built.sim.stats().fnv())
     };
     let (time, fnv) = run();
     assert_eq!(run(), (time, fnv), "repeated builds must agree");
@@ -273,7 +253,7 @@ fn cxl_interleaved_topology_matches_golden() {
         );
         assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
         assert!(open.borrow().done && chase.borrow().done);
-        (built.sim.now(), stats_fnv(&built.sim.stats()))
+        (built.sim.now(), built.sim.stats().fnv())
     };
     let (time, fnv) = run();
     assert_eq!(run(), (time, fnv), "repeated builds must agree");
@@ -292,7 +272,7 @@ fn cxl_latency_deltas_match_hand_computed_span_sums() {
     use pcisim::pcie::params::{LinkConfig, LinkWidth};
     use pcisim::pcie::router::RouterConfig;
     use pcisim::pcie::tlp::tlp_wire_bytes;
-    use pcisim::system::experiments::{run_cxl_experiment, CxlExperiment, CxlPlacement};
+    use pcisim::system::experiments::{run_cold, CxlExperiment, CxlPlacement};
     use pcisim::system::prelude::CxlExpanderConfig;
     use pcisim::system::workload::cxl::{CxlHostConfig, CxlHostMode};
 
@@ -303,9 +283,9 @@ fn cxl_latency_deltas_match_hand_computed_span_sums() {
         chain_blocks: 16,
         ..CxlExperiment::default()
     };
-    let local = run_cxl_experiment(&chase(CxlPlacement::LocalDram));
-    let direct = run_cxl_experiment(&chase(CxlPlacement::Direct));
-    let switched = run_cxl_experiment(&chase(CxlPlacement::BehindSwitch));
+    let local = run_cold(&chase(CxlPlacement::LocalDram));
+    let direct = run_cold(&chase(CxlPlacement::Direct));
+    let switched = run_cold(&chase(CxlPlacement::BehindSwitch));
     for o in [&local, &direct, &switched] {
         assert!(o.completed);
         // A serial chase over an idle fabric: every hop costs the same.
@@ -376,7 +356,7 @@ fn topology_sweep_serial_equals_parallel() {
 #[test]
 fn msix_sweep_serial_equals_parallel() {
     use pcisim::kernel::tick::us;
-    use pcisim::system::experiments::{run_msix_tx_experiment, MsixTxExperiment, MsixTxOutcome};
+    use pcisim::system::experiments::{run_cold, MsixTxExperiment, MsixTxOutcome};
 
     let fingerprint = |o: &MsixTxOutcome| {
         [
@@ -396,8 +376,8 @@ fn msix_sweep_serial_equals_parallel() {
             ..MsixTxExperiment::default()
         })
         .collect();
-    let serial = run_sweep(&configs, 1, run_msix_tx_experiment);
-    let parallel = run_sweep(&configs, 4, run_msix_tx_experiment);
+    let serial = run_sweep(&configs, 1, run_cold);
+    let parallel = run_sweep(&configs, 4, run_cold);
     let fp = |v: &[MsixTxOutcome]| v.iter().map(fingerprint).collect::<Vec<_>>();
     assert_eq!(fp(&serial), fp(&parallel));
 }
@@ -420,8 +400,8 @@ fn warm_dd_sweep_matches_cold_serial() {
             ..DdExperiment::default()
         })
         .collect();
-    let cold = run_sweep(&configs, 1, run_dd_experiment);
-    let warm = run_dd_sweep_warm(&configs, 4);
+    let cold = run_sweep(&configs, 1, run_cold);
+    let warm = run_sweep_warm(&configs, 4);
     let fingerprints = |v: &[DdOutcome]| v.iter().map(outcome_fingerprint).collect::<Vec<_>>();
     assert_eq!(fingerprints(&cold), fingerprints(&warm));
 }
@@ -430,8 +410,9 @@ fn warm_dd_sweep_matches_cold_serial() {
 /// error injection, replays and AER state all survive the fork.
 #[test]
 fn warm_fault_sweep_matches_cold_serial() {
-    let cold = error_rate_sweep(Generation::Gen2, None, 64 * KB, 1);
-    let warm = error_rate_sweep_warm(Generation::Gen2, None, 64 * KB, 4);
+    let ladder = error_rate_ladder(Generation::Gen2, None, 64 * KB);
+    let cold = run_sweep(&ladder, 1, run_cold);
+    let warm = run_sweep_warm(&ladder, 4);
     let fingerprints = |v: &[FaultOutcome]| v.iter().map(fault_fingerprint).collect::<Vec<_>>();
     assert_eq!(fingerprints(&cold), fingerprints(&warm));
 }
@@ -441,17 +422,21 @@ fn warm_fault_sweep_matches_cold_serial() {
 /// and finishes with exactly the cold run's final allocator state.
 #[test]
 fn warm_start_preserves_packet_id_continuity() {
+    use pcisim::system::snapshot::SystemHandle;
+    use pcisim::system::topology::{build_topology_warm, Topology};
+
+    let exp = DdExperiment { block_bytes: 64 * KB, ..DdExperiment::default() };
     let config = DdConfig { block_bytes: 64 * KB, ..DdConfig::default() };
 
     let mut cold = build_system(SystemConfig::validation());
-    let _ = cold.attach_dd(config.clone());
+    let _ = cold.attach_dd(0, config.clone());
     assert_eq!(cold.sim.run(5 * TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
     let cold_final_id = cold.sim.packet_ids_allocated();
     let cold_quiesce = cold.sim.now();
 
-    let warm = prepare_dd_warm_start(64 * KB);
-    let mut resumed = build_system_warm(SystemConfig::validation(), &warm.seed);
-    let _ = resumed.attach_dd(config);
+    let warm = warm_start(&exp);
+    let mut resumed = build_topology_warm(&Topology::validation(), &warm.seed);
+    let _ = resumed.attach_dd(0, config);
     resumed.restore(&warm.snapshot).expect("warm snapshot restores");
     let id_at_fork = resumed.sim.packet_ids_allocated();
     assert_eq!(resumed.sim.run(5 * TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
@@ -459,7 +444,11 @@ fn warm_start_preserves_packet_id_continuity() {
     assert!(id_at_fork <= cold_final_id, "fork cannot start past the cold run's allocator");
     assert_eq!(resumed.sim.packet_ids_allocated(), cold_final_id, "allocator continuity");
     assert_eq!(resumed.sim.now(), cold_quiesce, "quiesce tick");
-    assert_eq!(stats_fnv(&resumed.sim.stats()), stats_fnv(&cold.sim.stats()), "stats");
+    assert_eq!(resumed.sim.stats().fnv(), cold.sim.stats().fnv(), "stats");
+
+    // The runner's warm path lands on the same run.
+    let (fin, _) = execute(&exp, Exec::Warm(&warm));
+    assert_eq!((fin.now, fin.stats.fnv()), (cold_quiesce, cold.sim.stats().fnv()));
 }
 
 // Golden anchor for the virtio device family: the mixed virtio tree
@@ -499,7 +488,7 @@ fn virtio_mixed_topology_matches_golden() {
         let dd = built.attach_dd(2, DdConfig { block_bytes: 64 * KB, ..DdConfig::default() });
         assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
         assert!(blk.borrow().done && net.borrow().done && dd.borrow().done);
-        (built.sim.now(), stats_fnv(&built.sim.stats()))
+        (built.sim.now(), built.sim.stats().fnv())
     };
     let (time, fnv) = run();
     assert_eq!(run(), (time, fnv), "repeated builds must agree");
@@ -557,9 +546,5 @@ fn virtio_blk_latency_deltas_match_hand_computed_span_sums() {
     let media_delta = us(3) - us(1);
     let sector_delta = (ns(700) - ns(300)) * sectors;
     assert_eq!(slow_media.lat_min, baseline.lat_min + media_delta, "access-latency span sum");
-    assert_eq!(
-        slow_sectors.lat_min,
-        baseline.lat_min + sector_delta,
-        "per-sector span sum"
-    );
+    assert_eq!(slow_sectors.lat_min, baseline.lat_min + sector_delta, "per-sector span sum");
 }

@@ -13,7 +13,8 @@ use pcisim::kernel::tick::{ns, TICKS_PER_SEC};
 use pcisim::pci::caps::aer_status;
 use pcisim::pci::ecam::Bdf;
 use pcisim::pci::regs::{aer, common, status};
-use pcisim::system::builder::{build_system, BuiltSystem, SystemConfig};
+use pcisim::system::builder::{build_system, SystemConfig};
+use pcisim::system::topology::TopologySystem;
 
 type Completion = (CompletionStatus, Option<Vec<u8>>);
 type Seen = Rc<RefCell<Vec<Completion>>>;
@@ -70,11 +71,11 @@ impl Component for CpuReader {
 /// Builds the validation system with a [`CpuReader`] attached on the CPU
 /// memory port, runs it to quiescence and returns what the reader saw
 /// plus the finished system for register inspection.
-fn run_cpu_reads(config: SystemConfig, targets: Vec<u64>) -> (Vec<Completion>, BuiltSystem) {
+fn run_cpu_reads(config: SystemConfig, targets: Vec<u64>) -> (Vec<Completion>, TopologySystem) {
     let mut built = build_system(config);
     let (reader, seen) = CpuReader::new(targets);
     let id = built.sim.add(Box::new(reader));
-    let cpu_mem_port = built.cpu_mem_port;
+    let cpu_mem_port = built.endpoints[0].cpu_mem_port;
     built.sim.connect((id, PortId(0)), cpu_mem_port);
     let outcome = built.sim.run(TICKS_PER_SEC, u64::MAX);
     assert_eq!(outcome, RunOutcome::QueueEmpty, "system must quiesce, not hang");
@@ -84,7 +85,7 @@ fn run_cpu_reads(config: SystemConfig, targets: Vec<u64>) -> (Vec<Completion>, B
 }
 
 /// The root port 0 configuration space (the RC's requester-side registers).
-fn root_port_cs(built: &BuiltSystem) -> (u16, u32, u32) {
+fn root_port_cs(built: &TopologySystem) -> (u16, u32, u32) {
     let cs = built.registry.borrow().lookup(Bdf::new(0, 1, 0)).expect("root port 0 registered");
     let cs = cs.borrow();
     let st = cs.read(common::STATUS, 2) as u16;
@@ -119,7 +120,7 @@ fn non_responding_completer_times_out_with_all_ones() {
     let mut config = SystemConfig::validation();
     config.rc.completion_timeout = Some(ns(300));
     let built = build_system(SystemConfig::validation());
-    let disk_bar = built.probe.bar0;
+    let disk_bar = built.endpoints[0].bar0;
     drop(built);
 
     let (seen, built) = run_cpu_reads(config, vec![disk_bar]);
@@ -146,7 +147,7 @@ fn mixed_good_and_bad_reads_all_complete_in_order() {
     // A valid BAR read sandwiched between two unmapped ones: the good read
     // must succeed untouched while both bad ones master-abort.
     let built = build_system(SystemConfig::validation());
-    let disk_bar = built.probe.bar0;
+    let disk_bar = built.endpoints[0].bar0;
     drop(built);
 
     let (seen, built) =

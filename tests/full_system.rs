@@ -13,7 +13,7 @@ fn run_validation_dd(
     block: u64,
 ) -> (pcisim::system::workload::dd::DdReport, pcisim::kernel::stats::StatsSnapshot) {
     let mut built = build_system(SystemConfig::validation());
-    let report = built.attach_dd(DdConfig { block_bytes: block, ..DdConfig::default() });
+    let report = built.attach_dd(0, DdConfig { block_bytes: block, ..DdConfig::default() });
     let outcome = built.sim.run(TICKS_PER_SEC, u64::MAX);
     assert_eq!(outcome, RunOutcome::QueueEmpty, "system must quiesce");
     assert_eq!(built.sim.pending_events(), 0);
@@ -42,7 +42,7 @@ fn write_responses_match_write_requests_when_not_posted() {
     // MMIO requests are answered too, and interrupt messages are posted
     // (requests without responses): commands * 5 MMIO writes each, plus
     // one message per command.
-    let commands = stats.get("dd.commands").unwrap();
+    let commands = stats.get("dd0.commands").unwrap();
     assert_eq!(rc_req - rc_resp, commands, "only interrupt messages lack responses");
 }
 
@@ -101,7 +101,7 @@ fn topology_matches_the_paper() {
     assert_eq!(rp0.bus_range, Some((1, 4)));
     // The probe's negotiated link matches the configured device link
     // (Gen 2 x1 in the validation setup).
-    let (gen, width) = built.probe.link.expect("link status present");
+    let (gen, width) = built.probe.unwrap().link.expect("link status present");
     assert_eq!(gen, pcisim::pcie::params::Generation::Gen2);
     assert_eq!(width, 1);
 }
@@ -120,16 +120,12 @@ fn throughput_is_deterministic_across_runs() {
 #[test]
 fn mmio_trace_spans_sum_to_end_to_end_latency() {
     use pcisim::kernel::tick::{ns, Tick};
-    use pcisim::system::prelude::{run_mmio_experiment, MmioExperiment, Stage};
+    use pcisim::system::prelude::{run_cold, MmioExperiment, Stage};
 
     // With the CPU-side overhead zeroed, the traced custody intervals
     // must partition each read's measured end-to-end latency exactly.
-    let out = run_mmio_experiment(&MmioExperiment {
-        rc_latency: ns(150),
-        reads: 4,
-        cpu_overhead: 0,
-        trace: true,
-    });
+    let out =
+        run_cold(&MmioExperiment { rc_latency: ns(150), reads: 4, cpu_overhead: 0, trace: true });
     assert!(out.completed);
     let log = out.trace.expect("trace requested");
     assert_eq!(log.dropped, 0, "a 4-read run must fit the ring");
@@ -161,11 +157,11 @@ fn mmio_trace_spans_sum_to_end_to_end_latency() {
 #[test]
 fn tracing_disabled_leaves_no_events_and_identical_results() {
     use pcisim::kernel::tick::ns;
-    use pcisim::system::prelude::{run_mmio_experiment, MmioExperiment};
+    use pcisim::system::prelude::{run_cold, MmioExperiment};
 
     let base = MmioExperiment { rc_latency: ns(150), reads: 4, cpu_overhead: 0, trace: false };
-    let off = run_mmio_experiment(&base);
-    let on = run_mmio_experiment(&MmioExperiment { trace: true, ..base });
+    let off = run_cold(&base);
+    let on = run_cold(&MmioExperiment { trace: true, ..base });
     assert!(off.trace.is_none(), "no trace unless asked");
     assert_eq!(off.mean_ns, on.mean_ns, "tracing must not perturb timing");
 }
@@ -179,7 +175,7 @@ fn posted_writes_beat_non_posted() {
             disk.posted_writes = posted;
         }
         let mut built = build_system(config);
-        let report = built.attach_dd(DdConfig { block_bytes: MB, ..DdConfig::default() });
+        let report = built.attach_dd(0, DdConfig { block_bytes: MB, ..DdConfig::default() });
         assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
         let r = report.borrow().clone();
         assert!(r.done);
@@ -211,11 +207,10 @@ fn msix_four_queue_doorbells_are_traced_through_the_fabric() {
     let mut config = SystemConfig::nic_msix(QUEUES, 0);
     config.trace_mask = TraceCategory::ALL;
     let mut built = build_system(config);
-    let report = built.attach_msix_tx(MsixTxConfig {
-        queues: QUEUES,
-        frames: FRAMES,
-        ..MsixTxConfig::default()
-    });
+    let report = built.attach_msix_tx(
+        0,
+        MsixTxConfig { queues: QUEUES, frames: FRAMES, ..MsixTxConfig::default() },
+    );
     assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
 
     // Every queue carried its share and every completion interrupted.
@@ -244,7 +239,7 @@ fn msix_four_queue_doorbells_are_traced_through_the_fabric() {
     // The doorbell is a real posted write contending in the fabric: the
     // same packet appears in custody events at the NIC, the PCIe fabric
     // and finally the interrupt controller.
-    let intc_id = built.cpu_irq_ports[0].0;
+    let intc_id = built.endpoints[0].cpu_irq_port.0;
     let pkt = doorbells[0].packet.expect("interrupt events name their TLP");
     let custody: BTreeSet<_> =
         log.events.iter().filter(|e| e.packet == Some(pkt)).map(|e| e.component).collect();
@@ -270,7 +265,7 @@ fn msix_moderation_coalesces_under_load_end_to_end() {
 
     let mut built = build_system(SystemConfig::nic_msix(4, us(100)));
     let report =
-        built.attach_msix_tx(MsixTxConfig { queues: 4, frames: 64, ..MsixTxConfig::default() });
+        built.attach_msix_tx(0, MsixTxConfig { queues: 4, frames: 64, ..MsixTxConfig::default() });
     assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
     let r = report.borrow().clone();
     assert!(r.done);

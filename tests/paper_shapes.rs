@@ -12,7 +12,7 @@ const MB: u64 = 1024 * 1024;
 fn dd(mutate: impl FnOnce(&mut DdExperiment)) -> DdOutcome {
     let mut exp = DdExperiment { block_bytes: 2 * MB, ..DdExperiment::default() };
     mutate(&mut exp);
-    let out = run_dd_experiment(&exp);
+    let out = run_cold(&exp);
     assert!(out.completed, "experiment must finish: {out:?}");
     out
 }
@@ -127,7 +127,7 @@ fn table2_mmio_latency_tracks_root_complex_latency() {
     let means: Vec<f64> = [50u64, 75, 100, 125, 150]
         .iter()
         .map(|&l| {
-            let out = run_mmio_experiment(&MmioExperiment {
+            let out = run_cold(&MmioExperiment {
                 rc_latency: ns(l),
                 reads: 16,
                 ..MmioExperiment::default()
@@ -152,7 +152,7 @@ fn table2_mmio_latency_tracks_root_complex_latency() {
 
 #[test]
 fn sector_microbench_sits_at_the_wire_limit() {
-    let out = run_sector_microbench(LinkWidth::X1, 128);
+    let out = run_cold(&SectorMicrobench { width: LinkWidth::X1, sectors: 128 });
     assert!(out.completed);
     // The Gen 2 x1 payload limit for 64 B TLPs is 64/84 * 4 = 3.048 Gb/s;
     // the paper reports 3.072 at the device level. The sector barrier

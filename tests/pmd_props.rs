@@ -18,7 +18,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use pcisim::kernel::tick::ns;
-use pcisim::system::experiments::{run_pmd_experiment, run_pmd_sharded, PmdExperiment, PmdOutcome};
+use pcisim::system::experiments::{run, run_cold, Exec, PmdExperiment, PmdOutcome};
 use pcisim::system::traffic::{record_trace, ArrivalProcess, SizeDist, TrafficConfig, TrafficSpec};
 use pcisim::system::workload::pmd::PmdReport;
 
@@ -64,8 +64,8 @@ proptest! {
         let cfg = traffic_from(seed, frames, shape, gap_ns);
         prop_assert_eq!(record_trace(&cfg), record_trace(&cfg), "trace bytes");
         let exp = experiment(TrafficSpec::Generate(cfg), 8);
-        let a = run_pmd_experiment(&exp);
-        let b = run_pmd_experiment(&exp);
+        let a = run_cold(&exp);
+        let b = run_cold(&exp);
         prop_assert!(a.completed, "run must settle: {:?}", a);
         assert_outcomes_identical(&a, &b, "same seed, two live runs");
     }
@@ -81,8 +81,8 @@ proptest! {
     ) {
         let cfg = traffic_from(seed, frames, shape, gap_ns);
         let trace = Arc::new(record_trace(&cfg));
-        let live = run_pmd_experiment(&experiment(TrafficSpec::Generate(cfg), 8));
-        let replayed = run_pmd_experiment(&experiment(TrafficSpec::Replay(trace), 8));
+        let live = run_cold(&experiment(TrafficSpec::Generate(cfg), 8));
+        let replayed = run_cold(&experiment(TrafficSpec::Replay(trace), 8));
         prop_assert!(live.completed, "live run must settle: {:?}", live);
         assert_outcomes_identical(&live, &replayed, "record -> replay");
     }
@@ -98,10 +98,10 @@ proptest! {
     ) {
         let cfg = traffic_from(seed, frames, shape, 1200);
         let exp = experiment(TrafficSpec::Generate(cfg), burst);
-        let serial = run_pmd_sharded(&exp, 1);
+        let serial = run_cold(&exp);
         prop_assert!(serial.completed, "serial run must settle: {:?}", serial);
         for shards in [2usize, 4] {
-            let sharded = run_pmd_sharded(&exp, shards);
+            let sharded = run(&exp, Exec::Cold { shards });
             assert_outcomes_identical(&serial, &sharded, &format!("{shards} shards"));
         }
     }

@@ -17,8 +17,10 @@
 
 use proptest::prelude::*;
 
+use pcisim::devices::cxl::CxlExpanderConfig;
 use pcisim::devices::ide::IdeDiskConfig;
 use pcisim::devices::nic::NicConfig;
+use pcisim::devices::virtio::{VirtioClass, VirtioConfig};
 use pcisim::kernel::shard::ShardedSimulator;
 use pcisim::kernel::sim::RunOutcome;
 use pcisim::kernel::tick::TICKS_PER_SEC;
@@ -26,12 +28,15 @@ use pcisim::kernel::trace::TraceLog;
 use pcisim::pcie::params::{Generation, LinkConfig, LinkWidth};
 use pcisim::pcie::router::RouterConfig;
 use pcisim::system::builder::DeviceSpec;
-use pcisim::system::experiments::stats_fnv;
+use pcisim::system::experiments::{execute, Exec, Experiment, MsixTxExperiment};
 use pcisim::system::topology::{
-    build_topology, build_topology_sharded, Attachment, Node, Topology,
+    build_topology, build_topology_sharded, Attachment, Backend, EndpointKind, Node, System,
+    Topology,
 };
+use pcisim::system::workload::cxl::{CxlHostConfig, CxlHostMode};
 use pcisim::system::workload::dd::DdConfig;
 use pcisim::system::workload::nic_tx::NicTxConfig;
+use pcisim::system::workload::virtio::VirtioAppConfig;
 
 /// Everything a run leaves behind that sharding must not disturb.
 struct RunResult {
@@ -39,64 +44,116 @@ struct RunResult {
     events: u64,
     fnv: u64,
     trace: TraceLog,
-    /// Per-disk `(done, bytes)` and per-NIC `(done, frames_sent)`.
+    /// Per endpoint, `(done, amount)`: bytes for disks and virtio
+    /// functions, frames for NICs, completed accesses for expanders.
     reports: Vec<(bool, u64)>,
 }
 
 const DD_BLOCK: u64 = 64 * 1024;
 const NIC_FRAMES: u32 = 24;
 
+/// Reads one workload's `(done, amount)` after the run.
+type Report = Box<dyn Fn() -> (bool, u64)>;
+
+/// Attaches one small workload to every endpoint, by device kind — `dd`
+/// on disks, a transmit stream on NICs, a load/store stream per expander
+/// (open-loop mixes alternating with pointer chases, so both datapaths
+/// cross a cut), a guest driver per virtio function (a queued blk read
+/// stream and a net transmit stream). One body serves both backends.
+fn attach_all<B: Backend>(sys: &mut System<B>) -> Vec<Report> {
+    let mut expanders = 0;
+    (0..sys.endpoints.len())
+        .map(|i| -> Report {
+            match sys.endpoints[i].kind {
+                EndpointKind::Disk => {
+                    let dd = DdConfig { block_bytes: DD_BLOCK, ..DdConfig::default() };
+                    let r = sys.attach_dd(i, dd);
+                    Box::new(move || (r.borrow().done, r.borrow().bytes))
+                }
+                EndpointKind::Nic => {
+                    let tx = NicTxConfig { frames: NIC_FRAMES, ..NicTxConfig::default() };
+                    let r = sys.attach_nic_tx(i, tx);
+                    Box::new(move || (r.borrow().done, r.borrow().frames))
+                }
+                EndpointKind::CxlExpander => {
+                    expanders += 1;
+                    let host = if expanders % 2 == 1 {
+                        CxlHostConfig {
+                            mode: CxlHostMode::OpenLoop,
+                            requests: 48,
+                            write_every: 3,
+                            ..CxlHostConfig::default()
+                        }
+                    } else {
+                        CxlHostConfig {
+                            mode: CxlHostMode::PointerChase,
+                            requests: 40,
+                            chain_blocks: 16,
+                            ..CxlHostConfig::default()
+                        }
+                    };
+                    let r = sys.attach_cxl_host(i, host);
+                    Box::new(move || (r.borrow().done, r.borrow().completed))
+                }
+                kind @ (EndpointKind::VirtioBlk | EndpointKind::VirtioNet) => {
+                    let app = if kind == EndpointKind::VirtioBlk {
+                        VirtioAppConfig { requests: 24, queue_depth: 2, ..Default::default() }
+                    } else {
+                        VirtioAppConfig {
+                            requests: 24,
+                            queue_depth: 4,
+                            request_bytes: 1514,
+                            ..Default::default()
+                        }
+                    };
+                    let r = sys.attach_virtio(i, app);
+                    Box::new(move || (r.borrow().done, r.borrow().bytes))
+                }
+            }
+        })
+        .collect()
+}
+
 fn serial_run(topo: Topology) -> RunResult {
     let mut sys = build_topology(topo.with_tracing());
-    let mut dds = Vec::new();
-    let mut nics = Vec::new();
-    for i in 0..sys.endpoints.len() {
-        if sys.endpoints[i].is_disk {
-            dds.push(sys.attach_dd(i, DdConfig { block_bytes: DD_BLOCK, ..DdConfig::default() }));
-        } else {
-            nics.push(
-                sys.attach_nic_tx(i, NicTxConfig { frames: NIC_FRAMES, ..NicTxConfig::default() }),
-            );
-        }
-    }
+    let reports = attach_all(&mut sys);
     sys.sim.run(TICKS_PER_SEC, u64::MAX);
-    let mut reports = Vec::new();
-    reports.extend(dds.iter().map(|r| (r.borrow().done, r.borrow().bytes)));
-    reports.extend(nics.iter().map(|r| (r.borrow().done, r.borrow().frames)));
     RunResult {
         now: sys.sim.now(),
         events: sys.sim.events_processed(),
-        fnv: stats_fnv(&sys.sim.stats()),
+        fnv: sys.sim.stats().fnv(),
         trace: sys.sim.take_trace(),
-        reports,
+        reports: reports.iter().map(|r| r()).collect(),
     }
 }
 
-fn sharded_run(topo: Topology, shards: usize) -> RunResult {
+/// `topo` on `shards` shards with every workload attached and tracing
+/// on, sealed into a driver.
+fn sharded_driver(topo: Topology, shards: usize) -> (ShardedSimulator, Vec<Report>) {
     let mut sys = build_topology_sharded(topo.with_tracing(), shards);
-    let mut dds = Vec::new();
-    let mut nics = Vec::new();
-    for i in 0..sys.endpoints.len() {
-        if sys.endpoints[i].is_disk {
-            dds.push(sys.attach_dd(i, DdConfig { block_bytes: DD_BLOCK, ..DdConfig::default() }));
-        } else {
-            nics.push(
-                sys.attach_nic_tx(i, NicTxConfig { frames: NIC_FRAMES, ..NicTxConfig::default() }),
-            );
-        }
-    }
-    let mut driver = sys.into_driver();
+    let reports = attach_all(&mut sys);
+    (sys.into_driver(), reports)
+}
+
+fn sharded_run(topo: Topology, shards: usize) -> RunResult {
+    let (mut driver, reports) = sharded_driver(topo, shards);
     driver.run(TICKS_PER_SEC, u64::MAX);
-    let mut reports = Vec::new();
-    reports.extend(dds.iter().map(|r| (r.borrow().done, r.borrow().bytes)));
-    reports.extend(nics.iter().map(|r| (r.borrow().done, r.borrow().frames)));
     RunResult {
         now: driver.now(),
         events: driver.events_processed(),
-        fnv: stats_fnv(&driver.stats()),
+        fnv: driver.stats().fnv(),
         trace: driver.take_trace(),
-        reports,
+        reports: reports.iter().map(|r| r()).collect(),
     }
+}
+
+/// The serial run of `topo`, checked bit-identical to its `shards`-way
+/// partition — after checking the workloads actually ran.
+fn tree_at(topo: Topology, shards: usize, what: &str) {
+    let serial = serial_run(topo.clone());
+    assert!(serial.reports.iter().all(|&(done, n)| done && n > 0), "{what}: every stream finishes");
+    let sharded = sharded_run(topo, shards);
+    assert_bit_identical(&serial, &sharded, &format!("{what} at {shards} shards"));
 }
 
 fn assert_bit_identical(serial: &RunResult, sharded: &RunResult, what: &str) {
@@ -149,9 +206,7 @@ fn mixed_tree() -> Topology {
 }
 
 fn mixed_tree_at(shards: usize) {
-    let serial = serial_run(mixed_tree());
-    let sharded = sharded_run(mixed_tree(), shards);
-    assert_bit_identical(&serial, &sharded, &format!("mixed tree at {shards} shards"));
+    tree_at(mixed_tree(), shards, "mixed tree");
 }
 
 #[test]
@@ -170,9 +225,6 @@ fn mixed_tree_at_four_shards() {
 }
 
 // --- CXL.mem expanders across shard cuts -----------------------------------
-
-use pcisim::devices::cxl::CxlExpanderConfig;
-use pcisim::system::workload::cxl::{CxlHostConfig, CxlHostMode};
 
 /// A mixed tree with two expanders: `mem0` shares a switch with a disk
 /// on the first root port (the partitioner keeps it with the host shard
@@ -210,81 +262,8 @@ fn cxl_mixed_tree() -> Topology {
     )
 }
 
-/// One stream per expander, alternating open-loop load/store mixes with
-/// pointer chases so both datapaths cross the shard cut.
-fn cxl_host_config(index: usize) -> CxlHostConfig {
-    if index.is_multiple_of(2) {
-        CxlHostConfig {
-            mode: CxlHostMode::OpenLoop,
-            requests: 48,
-            write_every: 3,
-            ..CxlHostConfig::default()
-        }
-    } else {
-        CxlHostConfig {
-            mode: CxlHostMode::PointerChase,
-            requests: 40,
-            chain_blocks: 16,
-            ..CxlHostConfig::default()
-        }
-    }
-}
-
-fn cxl_serial_run(topo: Topology) -> RunResult {
-    let mut sys = build_topology(topo.with_tracing());
-    let mut cxls = Vec::new();
-    let mut dds = Vec::new();
-    for i in 0..sys.endpoints.len() {
-        if sys.endpoints[i].is_cxl {
-            cxls.push(sys.attach_cxl_host(i, cxl_host_config(cxls.len())));
-        } else if sys.endpoints[i].is_disk {
-            dds.push(sys.attach_dd(i, DdConfig { block_bytes: DD_BLOCK, ..DdConfig::default() }));
-        }
-    }
-    sys.sim.run(TICKS_PER_SEC, u64::MAX);
-    let mut reports = Vec::new();
-    reports.extend(cxls.iter().map(|r| (r.borrow().done, r.borrow().completed)));
-    reports.extend(dds.iter().map(|r| (r.borrow().done, r.borrow().bytes)));
-    RunResult {
-        now: sys.sim.now(),
-        events: sys.sim.events_processed(),
-        fnv: stats_fnv(&sys.sim.stats()),
-        trace: sys.sim.take_trace(),
-        reports,
-    }
-}
-
-fn cxl_sharded_run(topo: Topology, shards: usize) -> RunResult {
-    let mut sys = build_topology_sharded(topo.with_tracing(), shards);
-    let mut cxls = Vec::new();
-    let mut dds = Vec::new();
-    for i in 0..sys.endpoints.len() {
-        if sys.endpoints[i].is_cxl {
-            cxls.push(sys.attach_cxl_host(i, cxl_host_config(cxls.len())));
-        } else if sys.endpoints[i].is_disk {
-            dds.push(sys.attach_dd(i, DdConfig { block_bytes: DD_BLOCK, ..DdConfig::default() }));
-        }
-    }
-    let mut driver = sys.into_driver();
-    driver.run(TICKS_PER_SEC, u64::MAX);
-    let mut reports = Vec::new();
-    reports.extend(cxls.iter().map(|r| (r.borrow().done, r.borrow().completed)));
-    reports.extend(dds.iter().map(|r| (r.borrow().done, r.borrow().bytes)));
-    RunResult {
-        now: driver.now(),
-        events: driver.events_processed(),
-        fnv: stats_fnv(&driver.stats()),
-        trace: driver.take_trace(),
-        reports,
-    }
-}
-
 fn cxl_tree_at(shards: usize) {
-    let serial = cxl_serial_run(cxl_mixed_tree());
-    let sharded = cxl_sharded_run(cxl_mixed_tree(), shards);
-    assert_bit_identical(&serial, &sharded, &format!("cxl tree at {shards} shards"));
-    // The workload actually ran: both expander streams finished.
-    assert!(serial.reports[..2].iter().all(|&(done, n)| done && n > 0));
+    tree_at(cxl_mixed_tree(), shards, "cxl tree");
 }
 
 /// Expander streams with the host on the same shard: 1-way partition.
@@ -388,47 +367,19 @@ fn mid_run_checkpoint_restores_under_a_different_shard_count() {
 
     for other in [1usize, 2, 5] {
         // Rebuild the same tree partitioned differently, restore, resume.
-        let mut sys = build_topology_sharded(mixed_tree().with_tracing(), other);
-        let mut dds = Vec::new();
-        let mut nics = Vec::new();
-        for i in 0..sys.endpoints.len() {
-            if sys.endpoints[i].is_disk {
-                dds.push(
-                    sys.attach_dd(i, DdConfig { block_bytes: DD_BLOCK, ..DdConfig::default() }),
-                );
-            } else {
-                nics.push(sys.attach_nic_tx(
-                    i,
-                    NicTxConfig { frames: NIC_FRAMES, ..NicTxConfig::default() },
-                ));
-            }
-        }
-        let mut driver = sys.into_driver();
+        let (mut driver, reports) = sharded_driver(mixed_tree(), other);
         driver.restore(&snapshot).expect("checkpoint restores under any shard count");
         driver.run(TICKS_PER_SEC, u64::MAX);
         assert_eq!(driver.now(), serial.now, "restored at {other} shards: quiesce tick");
         assert_eq!(driver.events_processed(), serial.events, "restored at {other} shards: events");
-        assert_eq!(stats_fnv(&driver.stats()), serial.fnv, "restored at {other} shards: stats FNV");
-        let mut reports = Vec::new();
-        reports.extend(dds.iter().map(|r| (r.borrow().done, r.borrow().bytes)));
-        reports.extend(nics.iter().map(|r| (r.borrow().done, r.borrow().frames)));
+        assert_eq!(driver.stats().fnv(), serial.fnv, "restored at {other} shards: stats FNV");
+        let reports: Vec<_> = reports.iter().map(|r| r()).collect();
         assert_eq!(reports, serial.reports, "restored at {other} shards: workload reports");
     }
 }
 
-/// The mixed tree on `shards` shards with every workload attached and
-/// tracing on, sealed into a driver.
 fn mixed_driver(shards: usize) -> ShardedSimulator {
-    let mut sys = build_topology_sharded(mixed_tree().with_tracing(), shards);
-    for i in 0..sys.endpoints.len() {
-        if sys.endpoints[i].is_disk {
-            let _ = sys.attach_dd(i, DdConfig { block_bytes: DD_BLOCK, ..DdConfig::default() });
-        } else {
-            let _ =
-                sys.attach_nic_tx(i, NicTxConfig { frames: NIC_FRAMES, ..NicTxConfig::default() });
-        }
-    }
-    sys.into_driver()
+    sharded_driver(mixed_tree(), shards).0
 }
 
 /// Equality with the serial run leaves one thing unchecked: that the
@@ -466,16 +417,13 @@ fn event_budget_overrun_resumes_to_the_serial_quiesce_tick() {
     assert_eq!(driver.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
     assert_eq!(driver.now(), serial.now, "quiesce tick");
     assert_eq!(driver.events_processed(), serial.events, "events processed");
-    assert_eq!(stats_fnv(&driver.stats()), serial.fnv, "stats FNV");
+    assert_eq!(driver.stats().fnv(), serial.fnv, "stats FNV");
     let trace = driver.take_trace();
     assert_eq!(trace.dropped, serial.trace.dropped, "trace drops");
     assert_eq!(trace.events, serial.trace.events, "trace stream");
 }
 
 // --- Virtio functions across shard cuts ------------------------------------
-
-use pcisim::devices::virtio::{VirtioClass, VirtioConfig};
-use pcisim::system::workload::virtio::VirtioAppConfig;
 
 /// The virtio preset tree: `vblk0` and `vnet0` share a switch on the
 /// first root port (the partitioner keeps them with the host shard or
@@ -488,77 +436,8 @@ fn virtio_mixed_tree() -> Topology {
     )
 }
 
-/// One driver per virtio function: a queued blk read stream and a net
-/// transmit stream, both crossing any cut between the CPU shard and the
-/// device shard (doorbell MMIO one way, DMA + interrupts the other).
-fn virtio_app_config(index: usize) -> VirtioAppConfig {
-    if index == 0 {
-        VirtioAppConfig { requests: 24, queue_depth: 2, ..VirtioAppConfig::default() }
-    } else {
-        VirtioAppConfig {
-            requests: 24,
-            queue_depth: 4,
-            request_bytes: 1514,
-            ..VirtioAppConfig::default()
-        }
-    }
-}
-
-fn virtio_serial_run(topo: Topology) -> RunResult {
-    let mut sys = build_topology(topo.with_tracing());
-    let mut vios = Vec::new();
-    let mut dds = Vec::new();
-    for i in 0..sys.endpoints.len() {
-        if sys.endpoints[i].is_virtio_blk || sys.endpoints[i].is_virtio_net {
-            vios.push(sys.attach_virtio(i, virtio_app_config(vios.len())));
-        } else if sys.endpoints[i].is_disk {
-            dds.push(sys.attach_dd(i, DdConfig { block_bytes: DD_BLOCK, ..DdConfig::default() }));
-        }
-    }
-    sys.sim.run(TICKS_PER_SEC, u64::MAX);
-    let mut reports = Vec::new();
-    reports.extend(vios.iter().map(|r| (r.borrow().done, r.borrow().bytes)));
-    reports.extend(dds.iter().map(|r| (r.borrow().done, r.borrow().bytes)));
-    RunResult {
-        now: sys.sim.now(),
-        events: sys.sim.events_processed(),
-        fnv: stats_fnv(&sys.sim.stats()),
-        trace: sys.sim.take_trace(),
-        reports,
-    }
-}
-
-fn virtio_sharded_run(topo: Topology, shards: usize) -> RunResult {
-    let mut sys = build_topology_sharded(topo.with_tracing(), shards);
-    let mut vios = Vec::new();
-    let mut dds = Vec::new();
-    for i in 0..sys.endpoints.len() {
-        if sys.endpoints[i].is_virtio_blk || sys.endpoints[i].is_virtio_net {
-            vios.push(sys.attach_virtio(i, virtio_app_config(vios.len())));
-        } else if sys.endpoints[i].is_disk {
-            dds.push(sys.attach_dd(i, DdConfig { block_bytes: DD_BLOCK, ..DdConfig::default() }));
-        }
-    }
-    let mut driver = sys.into_driver();
-    driver.run(TICKS_PER_SEC, u64::MAX);
-    let mut reports = Vec::new();
-    reports.extend(vios.iter().map(|r| (r.borrow().done, r.borrow().bytes)));
-    reports.extend(dds.iter().map(|r| (r.borrow().done, r.borrow().bytes)));
-    RunResult {
-        now: driver.now(),
-        events: driver.events_processed(),
-        fnv: stats_fnv(&driver.stats()),
-        trace: driver.take_trace(),
-        reports,
-    }
-}
-
 fn virtio_tree_at(shards: usize) {
-    let serial = virtio_serial_run(virtio_mixed_tree());
-    let sharded = virtio_sharded_run(virtio_mixed_tree(), shards);
-    assert_bit_identical(&serial, &sharded, &format!("virtio tree at {shards} shards"));
-    // The workload actually ran: both virtio streams moved payload.
-    assert!(serial.reports[..2].iter().all(|&(done, n)| done && n > 0));
+    tree_at(virtio_mixed_tree(), shards, "virtio tree");
 }
 
 /// Virtqueue walks with the host on the same shard: 1-way partition.
@@ -579,4 +458,27 @@ fn virtio_tree_at_two_shards() {
 #[test]
 fn virtio_tree_at_four_shards() {
     virtio_tree_at(4);
+}
+
+// --- MSI-X through the sharded attach surface ------------------------------
+
+/// The multi-queue MSI-X driver attaches through the same surface as every
+/// other workload, so it runs sharded too: the NIC lands away from the
+/// host shard, and every per-queue doorbell write crosses the cut on its
+/// way to the interrupt controller.
+#[test]
+fn msix_tx_at_two_shards() {
+    let exp = MsixTxExperiment { frames: 64, ..MsixTxExperiment::default() };
+    let at = |shards| {
+        let (fin, reports) = execute(&exp, Exec::Cold { shards });
+        let outcome = exp.collect(&fin, &reports);
+        assert!(outcome.completed && outcome.irqs > 0, "at {shards} shards: {outcome:?}");
+        (fin.now, fin.events, fin.stats.fnv(), format!("{outcome:?}"), fin.cut_links)
+    };
+    let (serial, sharded) = (at(1), at(2));
+    assert_eq!((serial.4, sharded.4), (0, 1), "the root link must be cut");
+    assert_eq!(serial.0, sharded.0, "quiesce tick");
+    assert_eq!(serial.1, sharded.1, "events processed");
+    assert_eq!(serial.2, sharded.2, "stats FNV");
+    assert_eq!(serial.3, sharded.3, "outcome");
 }

@@ -17,14 +17,15 @@ use pcisim::devices::ide::IdeDiskConfig;
 use pcisim::devices::nic::NicConfig;
 use pcisim::kernel::sim::RunOutcome;
 use pcisim::kernel::snapshot::{SnapshotError, StateReader, StateWriter, SNAPSHOT_VERSION};
-use pcisim::kernel::stats::StatsSnapshot;
 use pcisim::kernel::tick::{us, Tick, TICKS_PER_SEC};
 use pcisim::kernel::trace::{TraceCategory, TraceLog};
 use pcisim::pcie::params::{Generation, LinkConfig, LinkWidth};
 use pcisim::pcie::router::RouterConfig;
 use pcisim::system::builder::{build_system, DeviceSpec, SystemConfig};
 use pcisim::system::snapshot::SystemHandle;
-use pcisim::system::topology::{build_topology, Attachment, Node, Topology, TopologySystem};
+use pcisim::system::topology::{
+    build_topology, Attachment, EndpointKind, Node, Topology, TopologySystem,
+};
 use pcisim::system::workload::dd::DdConfig;
 use pcisim::system::workload::nic_tx::NicTxConfig;
 
@@ -32,25 +33,6 @@ use pcisim::system::workload::nic_tx::NicTxConfig;
 /// these.
 const MAX_TIME: Tick = 5 * TICKS_PER_SEC;
 const MAX_EVENTS: u64 = 2_000_000_000;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// FNV-1a over every `(key, value)` pair of a stats snapshot (the same
-/// fingerprint the determinism suite uses).
-fn stats_fnv(stats: &StatsSnapshot) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325;
-    for (k, v) in stats.iter() {
-        h = fnv1a(h, k.as_bytes());
-        h = fnv1a(h, &v.to_bits().to_le_bytes());
-    }
-    h
-}
 
 /// Derives a link configuration from one generator byte so the sweep
 /// covers every generation/width pairing the paper models.
@@ -114,7 +96,7 @@ fn grow_topology(shape: &[u8]) -> Topology {
 fn build_with_workloads(shape: &[u8]) -> TopologySystem {
     let mut sys = build_topology(grow_topology(shape));
     for i in 0..sys.endpoints.len() {
-        if sys.endpoints[i].is_disk {
+        if sys.endpoints[i].kind == EndpointKind::Disk {
             let _ = sys.attach_dd(
                 i,
                 DdConfig {
@@ -145,7 +127,7 @@ fn run_to_quiesce(mut sys: TopologySystem) -> RunFacts {
     assert_eq!(outcome, RunOutcome::QueueEmpty, "random workload mix must quiesce");
     RunFacts {
         quiesce_tick: sys.sim.now(),
-        stats: stats_fnv(&sys.sim.stats()),
+        stats: sys.sim.stats().fnv(),
         packet_ids_allocated: sys.sim.packet_ids_allocated(),
         trace: sys.sim.take_trace(),
     }
@@ -248,9 +230,9 @@ proptest! {
 
 /// Builds the warmed-up validation `dd` system the corruption tests and
 /// the golden fixture use, paused at the warm-start tick.
-fn warmed_validation(block_bytes: u64) -> pcisim::system::builder::BuiltSystem {
+fn warmed_validation(block_bytes: u64) -> TopologySystem {
     let mut built = build_system(SystemConfig::validation());
-    let _ = built.attach_dd(DdConfig { block_bytes, ..DdConfig::default() });
+    let _ = built.attach_dd(0, DdConfig { block_bytes, ..DdConfig::default() });
     assert_eq!(
         built.sim.run(pcisim::system::experiments::WARMUP_TICK, u64::MAX),
         RunOutcome::TimeLimit
@@ -270,8 +252,8 @@ fn msix_moderation_checkpoint_restores_bit_identically() {
 
     let build = || {
         let mut built = build_system(SystemConfig::nic_msix(4, us(100)));
-        let report =
-            built.attach_msix_tx(MsixTxConfig { queues: 4, frames: 64, ..MsixTxConfig::default() });
+        let report = built
+            .attach_msix_tx(0, MsixTxConfig { queues: 4, frames: 64, ..MsixTxConfig::default() });
         (built, report)
     };
 
@@ -283,7 +265,7 @@ fn msix_moderation_checkpoint_restores_bit_identically() {
     assert!(r.done);
     assert!(r.irqs < 64, "holdoff must be coalescing during this run, took {}", r.irqs);
     let ref_tick = reference.sim.now();
-    let ref_fnv = stats_fnv(&reference.sim.stats());
+    let ref_fnv = reference.sim.stats().fnv();
     let ref_pid = reference.sim.packet_ids_allocated();
 
     for frac in [25u64, 50, 75] {
@@ -297,7 +279,7 @@ fn msix_moderation_checkpoint_restores_bit_identically() {
         assert_eq!(resumed.sim.run(MAX_TIME, MAX_EVENTS), RunOutcome::QueueEmpty);
         assert!(report.borrow().done);
         assert_eq!(resumed.sim.now(), ref_tick, "quiesce tick at {frac}%");
-        assert_eq!(stats_fnv(&resumed.sim.stats()), ref_fnv, "stats fingerprint at {frac}%");
+        assert_eq!(resumed.sim.stats().fnv(), ref_fnv, "stats fingerprint at {frac}%");
         assert_eq!(resumed.sim.packet_ids_allocated(), ref_pid, "PacketId allocator at {frac}%");
     }
 }
@@ -331,7 +313,7 @@ fn mid_pointer_chase_checkpoint_restores_bit_identically() {
     assert_eq!(reference.sim.run(MAX_TIME, MAX_EVENTS), RunOutcome::QueueEmpty);
     assert!(ref_report.borrow().done, "reference chase must finish");
     let ref_tick = reference.sim.now();
-    let ref_fnv = stats_fnv(&reference.sim.stats());
+    let ref_fnv = reference.sim.stats().fnv();
     let ref_pid = reference.sim.packet_ids_allocated();
 
     for frac in [25u64, 50, 75] {
@@ -345,7 +327,7 @@ fn mid_pointer_chase_checkpoint_restores_bit_identically() {
         assert_eq!(resumed.sim.run(MAX_TIME, MAX_EVENTS), RunOutcome::QueueEmpty);
         assert!(report.borrow().done, "restored chase must finish at {frac}%");
         assert_eq!(resumed.sim.now(), ref_tick, "quiesce tick at {frac}%");
-        assert_eq!(stats_fnv(&resumed.sim.stats()), ref_fnv, "stats fingerprint at {frac}%");
+        assert_eq!(resumed.sim.stats().fnv(), ref_fnv, "stats fingerprint at {frac}%");
         assert_eq!(resumed.sim.packet_ids_allocated(), ref_pid, "PacketId allocator at {frac}%");
     }
 }
@@ -421,7 +403,7 @@ fn golden_checkpoint_fixture_restores_and_matches_anchors() {
     const FIXTURE: &str =
         concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/validation_dd64k_warm.ckpt");
     const GOLDEN_QUIESCE_TICK: Tick = 633_960_600;
-    const GOLDEN_STATS_FNV: u64 = 0x0db9_78ce_1ae3_b94b;
+    const GOLDEN_STATS_FNV: u64 = 0x28e0_5435_bbfc_efe7;
 
     if std::env::var_os("PCISIM_BLESS_FIXTURE").is_some() {
         let mut built = warmed_validation(64 * 1024);
@@ -430,12 +412,12 @@ fn golden_checkpoint_fixture_restores_and_matches_anchors() {
     }
 
     let mut built = build_system(SystemConfig::validation());
-    let report = built.attach_dd(DdConfig { block_bytes: 64 * 1024, ..DdConfig::default() });
+    let report = built.attach_dd(0, DdConfig { block_bytes: 64 * 1024, ..DdConfig::default() });
     built.restore_from(FIXTURE).expect("golden fixture must restore on this build");
     assert_eq!(built.sim.run(MAX_TIME, MAX_EVENTS), RunOutcome::QueueEmpty);
     assert!(report.borrow().done, "restored run must complete the block");
     assert_eq!(built.sim.now(), GOLDEN_QUIESCE_TICK, "quiesce tick anchor");
-    assert_eq!(stats_fnv(&built.sim.stats()), GOLDEN_STATS_FNV, "stats fingerprint anchor");
+    assert_eq!(built.sim.stats().fnv(), GOLDEN_STATS_FNV, "stats fingerprint anchor");
 }
 
 /// Checkpoint a virtio-blk run in mid-request — descriptor chains in
@@ -475,7 +457,7 @@ fn mid_virtio_request_checkpoint_restores_bit_identically() {
     assert!(ref_blk.borrow().done, "reference blk stream must finish");
     assert!(ref_net.borrow().done, "reference net stream must finish");
     let ref_tick = reference.sim.now();
-    let ref_fnv = stats_fnv(&reference.sim.stats());
+    let ref_fnv = reference.sim.stats().fnv();
     let ref_pid = reference.sim.packet_ids_allocated();
 
     for frac in [25u64, 50, 75] {
@@ -490,7 +472,7 @@ fn mid_virtio_request_checkpoint_restores_bit_identically() {
         assert!(blk.borrow().done, "restored blk stream must finish at {frac}%");
         assert!(net.borrow().done, "restored net stream must finish at {frac}%");
         assert_eq!(resumed.sim.now(), ref_tick, "quiesce tick at {frac}%");
-        assert_eq!(stats_fnv(&resumed.sim.stats()), ref_fnv, "stats fingerprint at {frac}%");
+        assert_eq!(resumed.sim.stats().fnv(), ref_fnv, "stats fingerprint at {frac}%");
         assert_eq!(resumed.sim.packet_ids_allocated(), ref_pid, "PacketId allocator at {frac}%");
     }
 }

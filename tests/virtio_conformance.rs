@@ -43,7 +43,7 @@ use pcisim::pcie::params::{Generation, LinkConfig, LinkWidth};
 use pcisim::pcie::router::RouterConfig;
 use pcisim::system::builder::DeviceSpec;
 use pcisim::system::platform;
-use pcisim::system::topology::{build_topology, Attachment, Node, Topology};
+use pcisim::system::topology::{build_topology, Attachment, EndpointKind, Node, Topology};
 use pcisim::system::workload::virtio::VirtioAppConfig;
 
 /// The platform reserves sixteen ring windows.
@@ -91,10 +91,9 @@ fn grow_port(
                     )
                 }
                 0x20 | 0x60 => (format!("disk{count}"), DeviceSpec::Disk(IdeDiskConfig::default())),
-                0x30 => (
-                    format!("mem{count}"),
-                    DeviceSpec::CxlExpander(CxlExpanderConfig::default()),
-                ),
+                0x30 => {
+                    (format!("mem{count}"), DeviceSpec::CxlExpander(CxlExpanderConfig::default()))
+                }
                 _ => (format!("nic{count}"), DeviceSpec::Nic(NicConfig::default())),
             };
             Some(Attachment::new(link_for(b), Node::endpoint(name, device)))
@@ -137,20 +136,20 @@ proptest! {
         let rings: Vec<AddrRange> = plan
             .endpoints
             .iter()
-            .filter(|e| e.is_virtio_blk || e.is_virtio_net)
+            .filter(|e| e.kind.is_virtio())
             .map(|e| e.virtio_ring)
             .collect();
         prop_assert!(!rings.is_empty(), "generator must place at least one virtio function");
         let dram = platform::dram_range();
-        for ep in plan.endpoints.iter().filter(|e| e.is_virtio_blk || e.is_virtio_net) {
+        for ep in plan.endpoints.iter().filter(|e| e.kind.is_virtio()) {
             let cs = ep.config_space.borrow();
             prop_assert_eq!(
                 cs.read(pci_regs::VENDOR_ID, 2) as u16,
                 VIRTIO_VENDOR_ID,
                 "virtio function must carry the virtio vendor ID"
             );
-            let want_dev =
-                if ep.is_virtio_blk { VIRTIO_BLK_DEVICE_ID } else { VIRTIO_NET_DEVICE_ID };
+            let is_blk = ep.kind == EndpointKind::VirtioBlk;
+            let want_dev = if is_blk { VIRTIO_BLK_DEVICE_ID } else { VIRTIO_NET_DEVICE_ID };
             prop_assert_eq!(cs.read(pci_regs::DEVICE_ID, 2) as u16, want_dev);
             let regions =
                 discover_regions(&cs).expect("the capability walk must find all structures");
@@ -186,7 +185,7 @@ proptest! {
                 }
             }
         }
-        for ep in plan.endpoints.iter().filter(|e| e.is_cxl) {
+        for ep in plan.endpoints.iter().filter(|e| e.kind == EndpointKind::CxlExpander) {
             for ring in &rings {
                 prop_assert!(
                     !ring.overlaps(&ep.hdm),
@@ -218,18 +217,18 @@ proptest! {
         let mut attached = Vec::new();
         for i in 0..sys.endpoints.len() {
             let ep = &sys.endpoints[i];
-            if !(ep.is_virtio_blk || ep.is_virtio_net) {
+            if !ep.kind.is_virtio() {
                 continue;
             }
-            let name = ep.name.clone();
+            let (name, is_net) = (ep.name.clone(), ep.kind == EndpointKind::VirtioNet);
             let requests = 4 + u32::from(flavor.wrapping_add(i as u8) % 5);
             let report = sys.attach_virtio(
                 i,
                 VirtioAppConfig {
                     requests,
                     queue_depth: 1 + u32::from(flavor.wrapping_add(i as u8)) % 3,
-                    request_bytes: if sys.endpoints[i].is_virtio_net { 1514 } else { 4096 },
-                    write: flavor & 1 == 1 && sys.endpoints[i].is_virtio_blk,
+                    request_bytes: if is_net { 1514 } else { 4096 },
+                    write: flavor & 1 == 1 && !is_net,
                     ..VirtioAppConfig::default()
                 },
             );

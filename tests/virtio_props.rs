@@ -443,7 +443,7 @@ proptest! {
             .iter()
             .map(|&(at_us, what)| {
                 let op = match what {
-                    0 | 1 | 2 => ChaosOp::Publish,
+                    0..=2 => ChaosOp::Publish,
                     3 | 4 => ChaosOp::Doorbell,
                     _ => ChaosOp::Mask { vector: u16::from(what) % VECTORS, mask: what & 1 == 1 },
                 };
