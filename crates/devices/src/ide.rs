@@ -14,10 +14,8 @@
 //! Ports: [`IDE_PIO_PORT`] (doorbell/status registers behind BAR0) and
 //! [`IDE_DMA_PORT`] (DMA master).
 
-use std::collections::VecDeque;
-
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
-use pcisim_kernel::packet::{decode_packet_queue, encode_packet_queue, Command, Packet};
+use pcisim_kernel::packet::{Command, Packet};
 use pcisim_kernel::sim::Ctx;
 use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
 use pcisim_kernel::stats::{Counter, StatsBuilder};
@@ -26,7 +24,9 @@ use pcisim_pci::caps::{write_aer_capability, CapChain, Capability, Generation, P
 use pcisim_pci::config::{shared, ConfigSpace, SharedConfigSpace};
 use pcisim_pci::header::{bar_base, Bar, Type0Header};
 
-use crate::intc::irq_message_addr;
+use crate::dma::DmaEngine;
+use crate::mmio::{self, set_hi32, set_lo32, RegisterPort};
+use crate::msix::legacy_message;
 
 /// MMIO register port (slave).
 pub const IDE_PIO_PORT: PortId = PortId(0);
@@ -132,14 +132,12 @@ const K_ACCESS_DONE: u32 = 0;
 const K_SECTOR_GAP: u32 = 1;
 const K_PUMP: u32 = 2;
 const TAG_PIO_RESP: u32 = 0;
+const BAR0_SIZE: u64 = 0x1000;
 
 #[derive(Debug, Default)]
 struct DiskStats {
     commands: Counter,
     sectors: Counter,
-    dma_bytes: Counter,
-    dma_tlps: Counter,
-    dma_stalls: Counter,
     irqs: Counter,
 }
 
@@ -153,18 +151,15 @@ pub struct IdeDisk {
     dma_addr: u64,
     busy: bool,
     irq_pending: bool,
-    // Transfer state.
+    // Transfer state: the sector chunker feeding the DMA engine.
     sectors_remaining: u32,
     cur_addr: u64,
     tlps_to_send: u32,
-    tlps_outstanding: u32,
     /// A sector is mid-transfer; guards against spurious completion checks
     /// from stacked pump events.
     sector_active: bool,
-    stalled: Option<Packet>,
-    // PIO response queue.
-    pio_waiting: bool,
-    pio_blocked: VecDeque<Packet>,
+    dma: DmaEngine<()>,
+    pio: RegisterPort,
     stats: DiskStats,
 }
 
@@ -181,7 +176,6 @@ impl IdeDisk {
         (
             Self {
                 name: name.into(),
-                config,
                 config_space: cs.clone(),
                 sector_count: 0,
                 dma_addr: 0,
@@ -190,12 +184,11 @@ impl IdeDisk {
                 sectors_remaining: 0,
                 cur_addr: 0,
                 tlps_to_send: 0,
-                tlps_outstanding: 0,
                 sector_active: false,
-                stalled: None,
-                pio_waiting: false,
-                pio_blocked: VecDeque::new(),
+                dma: DmaEngine::new(IDE_DMA_PORT, K_PUMP, cs.clone()),
+                pio: RegisterPort::new(IDE_PIO_PORT, TAG_PIO_RESP, config.pio_latency),
                 stats: DiskStats::default(),
+                config,
             },
             cs,
         )
@@ -209,15 +202,6 @@ impl IdeDisk {
 
     fn bar0(&self) -> u64 {
         bar_base(&self.config_space.borrow(), 0)
-    }
-
-    /// Where to send the next interrupt message: the programmed MSI
-    /// address when software enabled MSI, else the INTx emulation target.
-    fn interrupt_message_addr(&self) -> Option<u64> {
-        if let Some((addr, _data)) = pcisim_pci::caps::msi_target(&self.config_space.borrow()) {
-            return Some(addr);
-        }
-        self.config.intx.map(|(irq, base)| irq_message_addr(base, irq))
     }
 
     fn reg_read(&mut self, offset: u64) -> u32 {
@@ -235,12 +219,8 @@ impl IdeDisk {
     fn reg_write(&mut self, ctx: &mut Ctx<'_>, offset: u64, value: u32) {
         match offset {
             regs::SECTOR_COUNT => self.sector_count = value,
-            regs::DMA_ADDR_LO => {
-                self.dma_addr = (self.dma_addr & !0xffff_ffff) | u64::from(value);
-            }
-            regs::DMA_ADDR_HI => {
-                self.dma_addr = (self.dma_addr & 0xffff_ffff) | (u64::from(value) << 32);
-            }
+            regs::DMA_ADDR_LO => set_lo32(&mut self.dma_addr, value),
+            regs::DMA_ADDR_HI => set_hi32(&mut self.dma_addr, value),
             regs::COMMAND if value == CMD_READ_DMA => self.start_command(ctx),
             regs::IRQ_ACK => self.irq_pending = false,
             _ => {}
@@ -263,36 +243,21 @@ impl IdeDisk {
         self.pump_dma(ctx);
     }
 
-    /// Issues DMA write TLPs as fast as the fabric accepts them.
+    /// Feeds the sector's DMA write TLPs to the engine as fast as the
+    /// fabric accepts them; the sector barrier is the engine draining.
     fn pump_dma(&mut self, ctx: &mut Ctx<'_>) {
-        while self.stalled.is_none() && self.tlps_to_send > 0 {
+        while self.dma.ready() && self.tlps_to_send > 0 {
             let id = ctx.alloc_packet_id();
             let size = self.config.cacheline;
             let mut pkt =
                 Packet::request(id, Command::WriteReq, self.cur_addr, size, ctx.self_id())
                     .with_payload(ctx.alloc_payload(size as usize));
             pkt.set_posted(self.config.posted_writes);
-            match ctx.try_send_request(IDE_DMA_PORT, pkt) {
-                Ok(()) => {
-                    self.tlps_to_send -= 1;
-                    self.cur_addr += u64::from(size);
-                    self.stats.dma_tlps.inc();
-                    self.stats.dma_bytes.add(u64::from(size));
-                    if !self.config.posted_writes {
-                        self.tlps_outstanding += 1;
-                    }
-                }
-                Err(back) => {
-                    self.stats.dma_stalls.inc();
-                    self.stalled = Some(back);
-                }
-            }
+            self.tlps_to_send -= 1;
+            self.cur_addr += u64::from(size);
+            self.dma.send(ctx, pkt, None);
         }
-        if self.sector_active
-            && self.tlps_to_send == 0
-            && self.tlps_outstanding == 0
-            && self.stalled.is_none()
-        {
+        if self.sector_active && self.tlps_to_send == 0 && self.dma.drained() {
             self.sector_active = false;
             self.sector_complete(ctx);
         }
@@ -310,32 +275,9 @@ impl IdeDisk {
             self.busy = false;
             self.irq_pending = true;
             self.stats.irqs.inc();
-            if let Some(addr) = self.interrupt_message_addr() {
-                let id = ctx.alloc_packet_id();
-                let msg = Packet::request(id, Command::Message, addr, 4, ctx.self_id())
-                    .with_payload(ctx.alloc_payload(4));
-                // Interrupt messages are posted; if the fabric refuses, we
-                // retry through the normal stall path.
-                match ctx.try_send_request(IDE_DMA_PORT, msg) {
-                    Ok(()) => {}
-                    Err(back) => {
-                        self.stats.dma_stalls.inc();
-                        self.stalled = Some(back);
-                    }
-                }
-            }
-        }
-    }
-
-    fn flush_pio(&mut self, ctx: &mut Ctx<'_>) {
-        while !self.pio_waiting {
-            let Some(pkt) = self.pio_blocked.pop_front() else { return };
-            match ctx.try_send_response(IDE_PIO_PORT, pkt) {
-                Ok(()) => {}
-                Err(back) => {
-                    self.pio_blocked.push_front(back);
-                    self.pio_waiting = true;
-                }
+            let msg = legacy_message(ctx, &self.config_space.borrow(), self.config.intx);
+            if let Some(msg) = msg {
+                self.dma.send(ctx, msg, None);
             }
         }
     }
@@ -347,46 +289,15 @@ impl Component for IdeDisk {
     }
 
     fn recv_request(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) -> RecvResult {
-        assert_eq!(port, IDE_PIO_PORT, "{}: MMIO arrives on the PIO port", self.name);
-        let offset = pkt.addr().wrapping_sub(self.bar0());
-        assert!(offset < 0x1000, "{}: access outside BAR0 at {:#x}", self.name, pkt.addr());
-        let resp = match pkt.cmd() {
-            Command::ReadReq => {
-                let v = self.reg_read(offset);
-                let data = v.to_le_bytes()[..pkt.size().min(4) as usize].to_vec();
-                let mut full = vec![0u8; pkt.size() as usize];
-                let n = data.len().min(full.len());
-                full[..n].copy_from_slice(&data[..n]);
-                pkt.into_read_response(full)
-            }
-            Command::WriteReq => {
-                let v = pkt
-                    .payload()
-                    .map(|p| {
-                        let mut b = [0u8; 4];
-                        let n = p.len().min(4);
-                        b[..n].copy_from_slice(&p[..n]);
-                        u32::from_le_bytes(b)
-                    })
-                    .unwrap_or(0);
-                self.reg_write(ctx, offset, v);
-                pkt.into_response()
-            }
-            other => panic!("{}: unexpected PIO command {other:?}", self.name),
-        };
-        ctx.schedule(
-            self.config.pio_latency,
-            Event::DelayedPacket { tag: TAG_PIO_RESP, pkt: resp },
-        );
+        let bar0 = self.bar0();
+        let resp = mmio::serve(self, ctx, bar0, BAR0_SIZE, pkt, Self::reg_read, Self::reg_write);
+        self.pio.respond(ctx, port, resp);
         RecvResult::Accepted
     }
 
     fn recv_response(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) -> RecvResult {
         assert_eq!(port, IDE_DMA_PORT);
-        assert_eq!(pkt.cmd(), Command::WriteResp, "{}: unexpected DMA response", self.name);
-        self.tlps_outstanding -= 1;
-        // Never send from inside a receive handler: pump on a fresh event.
-        ctx.schedule(0, Event::Timer { kind: K_PUMP, data: 0 });
+        self.dma.on_response(ctx, pkt);
         RecvResult::Accepted
     }
 
@@ -400,10 +311,7 @@ impl Component for IdeDisk {
                 }
             }
             Event::Timer { kind, .. } => panic!("{}: unknown timer {kind}", self.name),
-            Event::DelayedPacket { tag: TAG_PIO_RESP, pkt } => {
-                self.pio_blocked.push_back(pkt);
-                self.flush_pio(ctx);
-            }
+            Event::DelayedPacket { tag: TAG_PIO_RESP, pkt } => self.pio.deliver(ctx, pkt),
             Event::DelayedPacket { tag, .. } => panic!("{}: unknown tag {tag}", self.name),
             Event::StampedPacket { .. } => panic!("{}: unexpected stamped packet", self.name),
         }
@@ -412,36 +320,11 @@ impl Component for IdeDisk {
     fn retry_granted(&mut self, ctx: &mut Ctx<'_>, port: PortId) {
         match port {
             IDE_DMA_PORT => {
-                if let Some(pkt) = self.stalled.take() {
-                    let is_write = pkt.cmd() == Command::WriteReq;
-                    let posted = pkt.is_posted();
-                    let size = pkt.size();
-                    match ctx.try_send_request(IDE_DMA_PORT, pkt) {
-                        Ok(()) => {
-                            if is_write {
-                                self.tlps_to_send -= 1;
-                                self.cur_addr += u64::from(size);
-                                self.stats.dma_tlps.inc();
-                                self.stats.dma_bytes.add(u64::from(size));
-                                if !posted {
-                                    self.tlps_outstanding += 1;
-                                }
-                            }
-                        }
-                        Err(back) => {
-                            self.stalled = Some(back);
-                            return;
-                        }
-                    }
-                }
-                if self.busy {
+                if self.dma.retry(ctx) && self.busy {
                     self.pump_dma(ctx);
                 }
             }
-            IDE_PIO_PORT => {
-                self.pio_waiting = false;
-                self.flush_pio(ctx);
-            }
+            IDE_PIO_PORT => self.pio.retry(ctx),
             other => panic!("{}: retry on unknown port {other}", self.name),
         }
     }
@@ -449,9 +332,9 @@ impl Component for IdeDisk {
     fn report_stats(&self, out: &mut StatsBuilder) {
         out.counter("commands", &self.stats.commands);
         out.counter("sectors", &self.stats.sectors);
-        out.counter("dma_bytes", &self.stats.dma_bytes);
-        out.counter("dma_tlps", &self.stats.dma_tlps);
-        out.counter("dma_stalls", &self.stats.dma_stalls);
+        out.counter("dma_bytes", &self.dma.bytes);
+        out.counter("dma_tlps", &self.dma.write_tlps);
+        out.counter("dma_stalls", &self.dma.stalls);
         out.counter("irqs", &self.stats.irqs);
     }
 
@@ -465,22 +348,11 @@ impl Component for IdeDisk {
         w.u32(self.sectors_remaining);
         w.u64(self.cur_addr);
         w.u32(self.tlps_to_send);
-        w.u32(self.tlps_outstanding);
         w.bool(self.sector_active);
-        match &self.stalled {
-            Some(pkt) => {
-                w.bool(true);
-                pkt.encode(w);
-            }
-            None => w.bool(false),
-        }
-        w.bool(self.pio_waiting);
-        encode_packet_queue(w, &self.pio_blocked);
+        self.dma.save(w);
+        self.pio.save(w);
         self.stats.commands.encode(w);
         self.stats.sectors.encode(w);
-        self.stats.dma_bytes.encode(w);
-        self.stats.dma_tlps.encode(w);
-        self.stats.dma_stalls.encode(w);
         self.stats.irqs.encode(w);
     }
 
@@ -492,16 +364,11 @@ impl Component for IdeDisk {
         self.sectors_remaining = r.u32()?;
         self.cur_addr = r.u64()?;
         self.tlps_to_send = r.u32()?;
-        self.tlps_outstanding = r.u32()?;
         self.sector_active = r.bool()?;
-        self.stalled = if r.bool()? { Some(Packet::decode(r)?) } else { None };
-        self.pio_waiting = r.bool()?;
-        self.pio_blocked = decode_packet_queue(r)?;
+        self.dma.restore(r)?;
+        self.pio.restore(r)?;
         self.stats.commands = Counter::decode(r)?;
         self.stats.sectors = Counter::decode(r)?;
-        self.stats.dma_bytes = Counter::decode(r)?;
-        self.stats.dma_tlps = Counter::decode(r)?;
-        self.stats.dma_stalls = Counter::decode(r)?;
         self.stats.irqs = Counter::decode(r)?;
         Ok(())
     }
@@ -512,6 +379,8 @@ mod tests {
     use super::*;
     use pcisim_kernel::sim::{RunOutcome, Simulation};
     use pcisim_kernel::testutil::{Responder, RESPONDER_PORT};
+
+    use crate::testkit::Guest;
 
     const BAR0: u64 = 0x4000_0000;
 
@@ -526,46 +395,14 @@ mod tests {
     fn run_transfer(config: IdeDiskConfig, sectors: u32) -> (Simulation, u64) {
         let mut sim = Simulation::new();
         let (disk, _cs) = programmed_disk(config);
-        let script = vec![
-            (Command::WriteReq, BAR0 + regs::SECTOR_COUNT, 4),
-            (Command::WriteReq, BAR0 + regs::DMA_ADDR_LO, 4),
-            (Command::WriteReq, BAR0 + regs::COMMAND, 4),
-        ];
-        // The Requester writes zero payloads; poke registers directly via
-        // a custom driver component instead.
-        struct Driver {
-            sectors: u32,
-            sent: bool,
-        }
-        impl Component for Driver {
-            fn name(&self) -> &str {
-                "drv"
-            }
-            fn init(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.schedule(0, Event::Timer { kind: 0, data: 0 });
-            }
-            fn handle(&mut self, ctx: &mut Ctx<'_>, _ev: Event) {
-                if self.sent {
-                    return;
-                }
-                self.sent = true;
-                for (off, val) in [
-                    (regs::SECTOR_COUNT, self.sectors),
-                    (regs::DMA_ADDR_LO, 0x8000_0000u32),
-                    (regs::COMMAND, CMD_READ_DMA),
-                ] {
-                    let id = ctx.alloc_packet_id();
-                    let pkt = Packet::request(id, Command::WriteReq, BAR0 + off, 4, ctx.self_id())
-                        .with_payload(val.to_le_bytes().to_vec());
-                    ctx.try_send_request(PortId(0), pkt).expect("disk accepts PIO");
-                }
-            }
-            fn recv_response(&mut self, _c: &mut Ctx<'_>, _p: PortId, _k: Packet) -> RecvResult {
-                RecvResult::Accepted
-            }
-        }
-        let _ = script;
-        let drv = sim.add(Box::new(Driver { sectors, sent: false }));
+        let drv = sim.add(Box::new(Guest::new(
+            BAR0,
+            vec![
+                (regs::SECTOR_COUNT, sectors),
+                (regs::DMA_ADDR_LO, 0x8000_0000),
+                (regs::COMMAND, CMD_READ_DMA),
+            ],
+        )));
         let d = sim.add(Box::new(disk));
         let (mem, _) = Responder::new("mem", ns(30));
         let m = sim.add(Box::new(mem));
@@ -672,32 +509,13 @@ mod tests {
         let mut sim = Simulation::new();
         let (disk, cs) = IdeDisk::new("disk", cfg);
         cs.borrow_mut().write(0x10, 4, BAR0 as u32);
-        struct Kick;
-        impl Component for Kick {
-            fn name(&self) -> &str {
-                "kick"
-            }
-            fn init(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.schedule(0, Event::Timer { kind: 0, data: 0 });
-            }
-            fn handle(&mut self, ctx: &mut Ctx<'_>, _: Event) {
-                for (off, val) in [(regs::SECTOR_COUNT, 1), (regs::COMMAND, CMD_READ_DMA)] {
-                    let id = ctx.alloc_packet_id();
-                    let pkt = Packet::request(id, Command::WriteReq, BAR0 + off, 4, ctx.self_id())
-                        .with_payload(val.to_le_bytes().to_vec());
-                    ctx.try_send_request(PortId(0), pkt).unwrap();
-                }
-            }
-            fn recv_response(&mut self, _c: &mut Ctx<'_>, _p: PortId, _k: Packet) -> RecvResult {
-                RecvResult::Accepted
-            }
-        }
-        let k = sim.add(Box::new(Kick));
+        let kick = Guest::new(BAR0, vec![(regs::SECTOR_COUNT, 1), (regs::COMMAND, CMD_READ_DMA)]);
+        let k = sim.add(Box::new(kick));
         let d = sim.add(Box::new(disk));
         let s = sim.add(Box::new(Sniffer { seen: seen.clone() }));
         sim.connect((k, PortId(0)), (d, IDE_PIO_PORT));
         sim.connect((d, IDE_DMA_PORT), (s, PortId(0)));
         sim.run_to_quiesce();
-        assert_eq!(*seen.borrow(), vec![irq_message_addr(0x2c00_0000, 32)]);
+        assert_eq!(*seen.borrow(), vec![crate::intc::irq_message_addr(0x2c00_0000, 32)]);
     }
 }

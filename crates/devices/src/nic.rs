@@ -29,25 +29,22 @@
 //! MSI-X function enable is clear the device falls back to the paper's
 //! legacy INTx (or MSI) path, bit-identically to the single-queue model.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
-use pcisim_kernel::packet::{
-    decode_packet_queue, encode_packet_queue, Command, CompletionStatus, Packet,
-};
+use pcisim_kernel::packet::{Command, Packet};
 use pcisim_kernel::sim::Ctx;
 use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
 use pcisim_kernel::stats::{Counter, Histogram, StatsBuilder};
 use pcisim_kernel::tick::{ns, Tick};
 use pcisim_kernel::trace::{TraceCategory, TraceKind};
-use pcisim_pci::caps::{
-    aer_record_uncorrectable, write_aer_capability, CapChain, Capability, Generation, PortType,
-};
+use pcisim_pci::caps::{write_aer_capability, CapChain, Capability, Generation, PortType};
 use pcisim_pci::config::{shared, ConfigSpace, SharedConfigSpace};
 use pcisim_pci::header::{bar_base, Bar, Type0Header};
-use pcisim_pci::regs::{aer, common, status};
 
-use crate::intc::irq_message_addr;
+use crate::dma::DmaEngine;
+use crate::mmio::{self, set_hi32, set_lo32, RegisterPort};
+use crate::msix::{legacy_message, MsixBlock};
 use crate::traffic::{TrafficFeed, TrafficSpec};
 
 /// MMIO register port (slave).
@@ -331,16 +328,7 @@ const K_RX_FRAME: u32 = 3;
 const K_ITR: u32 = 4;
 const K_RX_TRAFFIC: u32 = 5;
 const TAG_PIO_RESP: u32 = 0;
-
-/// Packs a traffic frame into a timer's `data` word: flow in the low 32
-/// bits, frame bytes in the high 32.
-fn pack_traffic_frame(flow: u32, bytes: u32) -> u64 {
-    u64::from(flow) | (u64::from(bytes) << 32)
-}
-
-fn unpack_traffic_frame(data: u64) -> (u32, u32) {
-    (data as u32, (data >> 32) as u32)
-}
+const BAR0_SIZE: u64 = 0x2_0000;
 
 /// Which engine a DMA job belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -349,7 +337,8 @@ enum Engine {
     Rx,
 }
 
-/// One queued DMA transfer.
+/// One queued DMA transfer. While a job is active, `addr`/`len` are the
+/// chunker's cursor: what it has yet to hand to the DMA engine.
 #[derive(Debug, Clone, Copy)]
 struct DmaJob {
     engine: Engine,
@@ -357,15 +346,6 @@ struct DmaJob {
     write: bool,
     addr: u64,
     len: u32,
-}
-
-/// Progress of the active job.
-#[derive(Debug, Clone, Copy)]
-struct ActiveJob {
-    job: DmaJob,
-    next_addr: u64,
-    remaining: u32,
-    outstanding: u32,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -426,19 +406,7 @@ struct NicStats {
     frames_tx: Counter,
     frames_rx: Counter,
     rx_overruns: Counter,
-    dma_read_tlps: Counter,
-    dma_write_tlps: Counter,
-    dma_bytes: Counter,
-    /// DMA requests that completed with an error status (UR/CA/timeout)
-    /// instead of data; reads consumed all-ones.
-    dma_error_completions: Counter,
-    /// Round-trip fabric latency of DMA read TLPs, issue to completion,
-    /// in ticks — the per-stream tail-latency view the contention
-    /// experiments compare.
-    dma_read_latency: Histogram,
     irqs: Counter,
-    /// MSI-X doorbell memory writes actually put on the fabric.
-    msix_irqs: Counter,
     /// Interrupt causes absorbed by a running moderation holdoff window.
     irqs_coalesced: Counter,
     /// Medium-arrival to memory-writeback latency of traffic-source
@@ -457,12 +425,10 @@ pub struct Nic {
     ims: u32,
     txq: Vec<TxQueue>,
     rxq: Vec<RxQueue>,
-    // Shared DMA pipeline.
+    // Shared DMA pipeline: jobs are chunked lazily into the engine.
     jobs: VecDeque<DmaJob>,
-    active: Option<ActiveJob>,
-    stalled: Option<Packet>,
-    /// Issue tick of each in-flight DMA read, by packet id.
-    dma_read_issue: HashMap<u64, Tick>,
+    active: Option<DmaJob>,
+    dma: DmaEngine<()>,
     // RX stream.
     rx_frames_left: u32,
     rx_stream_started: bool,
@@ -476,20 +442,12 @@ pub struct Nic {
     rx_fifo_meta: Vec<VecDeque<(u32, Tick)>>,
     rx_cur: Vec<(u32, Tick)>,
     rx_octets: u64,
-    // MSI-X table (4 dwords per vector), pending-bit array, and the
-    // per-vector moderation holdoff / deferred-cause flags.
-    msix_table: Vec<u32>,
-    msix_pba: u64,
+    // MSI-X, and the per-vector moderation holdoff / deferred-cause
+    // flags layered over it.
+    msix: MsixBlock,
     itr_holdoff: Vec<bool>,
     itr_pending: Vec<bool>,
-    /// Packet ids of in-flight MSI-X doorbell writes: their completions
-    /// must not be confused with DMA job completions.
-    irq_inflight: BTreeSet<u64>,
-    /// Doorbell writes refused by the fabric, awaiting a retry grant.
-    irq_stalled: VecDeque<Packet>,
-    // PIO responses.
-    pio_waiting: bool,
-    pio_blocked: VecDeque<Packet>,
+    pio: RegisterPort,
     stats: NicStats,
 }
 
@@ -507,14 +465,8 @@ impl Nic {
             "rx_stream and rx_source are mutually exclusive receive mediums"
         );
         let cs = shared(nic_config_space_for(&config));
-        let vectors = usize::from(num_msix_vectors(config.queues));
-        // Vectors power up masked (vector control bit 0 set), per spec.
-        let mut msix_table = Vec::new();
-        if config.msix_capable {
-            for _ in 0..vectors {
-                msix_table.extend_from_slice(&[0, 0, 0, pcisim_pci::caps::msix::VECTOR_CTRL_MASK]);
-            }
-        }
+        let vectors = num_msix_vectors(config.queues);
+        let msix_vectors = if config.msix_capable { vectors } else { 0 };
         (
             Self {
                 name: name.into(),
@@ -526,8 +478,7 @@ impl Nic {
                 rxq: vec![RxQueue::default(); config.queues as usize],
                 jobs: VecDeque::new(),
                 active: None,
-                stalled: None,
-                dma_read_issue: HashMap::new(),
+                dma: DmaEngine::new(NIC_DMA_PORT, K_DMA_RESP, cs.clone()),
                 rx_frames_left: 0,
                 rx_stream_started: false,
                 rx_frame_seq: 0,
@@ -535,14 +486,10 @@ impl Nic {
                 rx_fifo_meta: (0..config.queues).map(|_| VecDeque::new()).collect(),
                 rx_cur: vec![(0, 0); config.queues as usize],
                 rx_octets: 0,
-                msix_table,
-                msix_pba: 0,
-                itr_holdoff: vec![false; vectors],
-                itr_pending: vec![false; vectors],
-                irq_inflight: BTreeSet::new(),
-                irq_stalled: VecDeque::new(),
-                pio_waiting: false,
-                pio_blocked: VecDeque::new(),
+                msix: MsixBlock::new(cs.clone(), msix_vectors, MSIX_TABLE_OFFSET, MSIX_PBA_OFFSET),
+                itr_holdoff: vec![false; usize::from(vectors)],
+                itr_pending: vec![false; usize::from(vectors)],
+                pio: RegisterPort::new(NIC_PIO_PORT, TAG_PIO_RESP, config.pio_latency),
                 stats: NicStats::default(),
                 config,
             },
@@ -561,20 +508,6 @@ impl Nic {
     }
 
     // --- registers ---------------------------------------------------------
-
-    /// Maps a BAR0 offset inside the MSI-X table to its dword index.
-    fn msix_dword(&self, offset: u64) -> Option<usize> {
-        if !self.config.msix_capable {
-            return None;
-        }
-        let end = MSIX_TABLE_OFFSET
-            + u64::from(num_msix_vectors(self.config.queues)) * pcisim_pci::caps::msix::ENTRY_SIZE;
-        if (MSIX_TABLE_OFFSET..end).contains(&offset) {
-            Some(((offset - MSIX_TABLE_OFFSET) / 4) as usize)
-        } else {
-            None
-        }
-    }
 
     fn reg_read(&mut self, offset: u64) -> u32 {
         self.stats.mmio_reads.inc();
@@ -613,15 +546,7 @@ impl Nic {
                     _ => 0,
                 }
             }
-            o if self.msix_dword(o).is_some() => {
-                let i = self.msix_dword(o).expect("checked by guard");
-                self.msix_table[i]
-            }
-            o if self.config.msix_capable && o == MSIX_PBA_OFFSET => self.msix_pba as u32,
-            o if self.config.msix_capable && o == MSIX_PBA_OFFSET + 4 => {
-                (self.msix_pba >> 32) as u32
-            }
-            _ => 0,
+            o => self.msix.mmio_read(o).unwrap_or(0),
         }
     }
 
@@ -635,13 +560,8 @@ impl Nic {
             o if (regs::RDBAL..regs::RDBAL + nq * regs::QUEUE_STRIDE).contains(&o) => {
                 let q = ((o - regs::RDBAL) / regs::QUEUE_STRIDE) as usize;
                 match o - (q as u64) * regs::QUEUE_STRIDE {
-                    regs::RDBAL => {
-                        self.rxq[q].rdba = (self.rxq[q].rdba & !0xffff_ffff) | u64::from(value)
-                    }
-                    regs::RDBAH => {
-                        self.rxq[q].rdba =
-                            (self.rxq[q].rdba & 0xffff_ffff) | (u64::from(value) << 32)
-                    }
+                    regs::RDBAL => set_lo32(&mut self.rxq[q].rdba, value),
+                    regs::RDBAH => set_hi32(&mut self.rxq[q].rdba, value),
                     regs::RDLEN => self.rxq[q].rdlen = value,
                     regs::RDT => {
                         self.rxq[q].rdt = value;
@@ -655,13 +575,8 @@ impl Nic {
             o if (regs::TDBAL..regs::TDBAL + nq * regs::QUEUE_STRIDE).contains(&o) => {
                 let q = ((o - regs::TDBAL) / regs::QUEUE_STRIDE) as usize;
                 match o - (q as u64) * regs::QUEUE_STRIDE {
-                    regs::TDBAL => {
-                        self.txq[q].tdba = (self.txq[q].tdba & !0xffff_ffff) | u64::from(value)
-                    }
-                    regs::TDBAH => {
-                        self.txq[q].tdba =
-                            (self.txq[q].tdba & 0xffff_ffff) | (u64::from(value) << 32)
-                    }
+                    regs::TDBAL => set_lo32(&mut self.txq[q].tdba, value),
+                    regs::TDBAH => set_hi32(&mut self.txq[q].tdba, value),
                     regs::TDLEN => self.txq[q].tdlen = value,
                     regs::TX_BUFLEN => self.txq[q].tx_buflen = value,
                     regs::TDT => {
@@ -674,100 +589,54 @@ impl Nic {
                     _ => {}
                 }
             }
-            o if self.msix_dword(o).is_some() => {
-                let i = self.msix_dword(o).expect("checked by guard");
-                self.msix_table[i] = value;
-            }
-            _ => {}
+            o => self.msix.mmio_write(o, value),
         }
     }
 
     // --- shared DMA pipeline -------------------------------------------------
 
-    fn enqueue_job(&mut self, ctx: &mut Ctx<'_>, job: DmaJob) {
-        self.jobs.push_back(job);
+    fn enqueue_job(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        engine: Engine,
+        q: usize,
+        write: bool,
+        addr: u64,
+        len: u32,
+    ) {
+        self.jobs.push_back(DmaJob { engine, queue: q as u8, write, addr, len });
         self.pump_dma(ctx);
     }
 
+    /// Chunks the active job into cache-line TLPs, materialising each
+    /// only when the engine can offer it to the port.
     fn pump_dma(&mut self, ctx: &mut Ctx<'_>) {
         if self.active.is_none() {
-            let Some(job) = self.jobs.pop_front() else { return };
-            self.active =
-                Some(ActiveJob { job, next_addr: job.addr, remaining: job.len, outstanding: 0 });
+            self.active = self.jobs.pop_front();
         }
-        while self.stalled.is_none() {
-            let Some(active) = &self.active else { return };
-            if active.remaining == 0 {
-                break;
-            }
-            let chunk = active.remaining.min(self.config.cacheline);
-            let write = active.job.write;
+        let Some(job) = &mut self.active else { return };
+        while self.dma.ready() && job.len > 0 {
+            let chunk = job.len.min(self.config.cacheline);
             let id = ctx.alloc_packet_id();
-            let pkt = if write {
-                Packet::request(id, Command::WriteReq, active.next_addr, chunk, ctx.self_id())
+            let pkt = if job.write {
+                Packet::request(id, Command::WriteReq, job.addr, chunk, ctx.self_id())
                     .with_payload(ctx.alloc_payload(chunk as usize))
             } else {
-                Packet::request(id, Command::ReadReq, active.next_addr, chunk, ctx.self_id())
+                Packet::request(id, Command::ReadReq, job.addr, chunk, ctx.self_id())
             };
-            match ctx.try_send_request(NIC_DMA_PORT, pkt) {
-                Ok(()) => {
-                    let kind = if write { TraceKind::DmaWrite } else { TraceKind::DmaRead };
-                    ctx.emit(TraceCategory::Device, kind, Some(id), None, u64::from(chunk));
-                    if !write {
-                        self.dma_read_issue.insert(id.0, ctx.now());
-                    }
-                    self.chunk_issued(chunk);
-                }
-                Err(back) => {
-                    self.stalled = Some(back);
-                }
-            }
+            job.len -= chunk;
+            job.addr += u64::from(chunk);
+            self.dma.send(ctx, pkt, None);
         }
         self.check_job_done(ctx);
     }
 
-    /// Latches a failed DMA completion into the config space: the legacy
-    /// Status bit a requester sets on receiving a UR/CA completion, plus
-    /// the corresponding AER uncorrectable bit for timeouts.
-    fn record_dma_error(&mut self, completion: CompletionStatus) {
-        let mut cs = self.config_space.borrow_mut();
-        match completion {
-            CompletionStatus::UnsupportedRequest => {
-                let st = cs.read(common::STATUS, 2) as u16;
-                cs.init_u16(common::STATUS, st | status::RECEIVED_MASTER_ABORT);
-                aer_record_uncorrectable(&mut cs, aer::uncor::UNSUPPORTED_REQUEST, 0);
-            }
-            CompletionStatus::CompleterAbort => {
-                let st = cs.read(common::STATUS, 2) as u16;
-                cs.init_u16(common::STATUS, st | status::RECEIVED_TARGET_ABORT);
-            }
-            CompletionStatus::CompletionTimeout => {
-                aer_record_uncorrectable(&mut cs, aer::uncor::COMPLETION_TIMEOUT, 0);
-            }
-            CompletionStatus::SuccessfulCompletion => {}
-        }
-    }
-
-    fn chunk_issued(&mut self, chunk: u32) {
-        let active = self.active.as_mut().expect("issue without active job");
-        active.remaining -= chunk;
-        active.next_addr += u64::from(chunk);
-        active.outstanding += 1;
-        if active.job.write {
-            self.stats.dma_write_tlps.inc();
-        } else {
-            self.stats.dma_read_tlps.inc();
-        }
-        self.stats.dma_bytes.add(u64::from(chunk));
-    }
-
     fn check_job_done(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(active) = &self.active else { return };
-        if active.remaining != 0 || active.outstanding != 0 || self.stalled.is_some() {
+        let Some(job) = &self.active else { return };
+        if job.len != 0 || !self.dma.drained() {
             return;
         }
-        let engine = active.job.engine;
-        let q = active.job.queue as usize;
+        let (engine, q) = (job.engine, job.queue as usize);
         self.active = None;
         match engine {
             Engine::Tx => self.tx_job_done(ctx, q),
@@ -785,16 +654,7 @@ impl Nic {
         }
         self.txq[q].phase = TxPhase::FetchDescriptor;
         let desc_addr = txq.tdba + u64::from(txq.tdh) * u64::from(DESC_BYTES);
-        self.enqueue_job(
-            ctx,
-            DmaJob {
-                engine: Engine::Tx,
-                queue: q as u8,
-                write: false,
-                addr: desc_addr,
-                len: DESC_BYTES,
-            },
-        );
+        self.enqueue_job(ctx, Engine::Tx, q, false, desc_addr, DESC_BYTES);
     }
 
     fn tx_job_done(&mut self, ctx: &mut Ctx<'_>, q: usize) {
@@ -807,16 +667,7 @@ impl Nic {
                 let buf_addr =
                     0x9000_0000 + (q as u64) * 0x100_0000 + u64::from(self.txq[q].tdh) * 0x1_0000;
                 let len = self.txq[q].tx_buflen.max(64);
-                self.enqueue_job(
-                    ctx,
-                    DmaJob {
-                        engine: Engine::Tx,
-                        queue: q as u8,
-                        write: false,
-                        addr: buf_addr,
-                        len,
-                    },
-                );
+                self.enqueue_job(ctx, Engine::Tx, q, false, buf_addr, len);
             }
             TxPhase::FetchBuffer => {
                 self.txq[q].phase = TxPhase::OnWire;
@@ -846,16 +697,7 @@ impl Nic {
     fn tx_wire_done(&mut self, ctx: &mut Ctx<'_>, q: usize) {
         self.txq[q].phase = TxPhase::Writeback;
         let desc_addr = self.txq[q].tdba + u64::from(self.txq[q].tdh) * u64::from(DESC_BYTES);
-        self.enqueue_job(
-            ctx,
-            DmaJob {
-                engine: Engine::Tx,
-                queue: q as u8,
-                write: true,
-                addr: desc_addr + 12,
-                len: 4,
-            },
-        );
+        self.enqueue_job(ctx, Engine::Tx, q, true, desc_addr + 12, 4);
     }
 
     // --- RX engine -------------------------------------------------------------
@@ -864,9 +706,9 @@ impl Nic {
         if self.rx_stream_started {
             return;
         }
-        if self.rx_feed.is_some() {
+        if let Some(feed) = &mut self.rx_feed {
             self.rx_stream_started = true;
-            self.schedule_next_traffic_frame(ctx);
+            feed.schedule_next(ctx, K_RX_TRAFFIC);
             return;
         }
         let Some((_, interval, frames)) = self.config.rx_stream else { return };
@@ -877,28 +719,13 @@ impl Nic {
         }
     }
 
-    /// Pulls the next open-loop frame from the traffic feed and schedules
-    /// its arrival; the frame itself rides in the timer's data word so a
-    /// checkpoint taken between pull and arrival stays consistent (the
-    /// kernel snapshots the pending event, the feed only its position).
-    fn schedule_next_traffic_frame(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(feed) = &mut self.rx_feed else { return };
-        if let Some(frame) = feed.next_frame() {
-            ctx.schedule(
-                frame.delta,
-                Event::Timer {
-                    kind: K_RX_TRAFFIC,
-                    data: pack_traffic_frame(frame.flow, frame.bytes),
-                },
-            );
-        }
-    }
-
     /// An open-loop frame reaches the medium: steer it by RSS onto a
     /// queue FIFO (or count an overrun) and pull the next arrival.
     fn rx_traffic_arrived(&mut self, ctx: &mut Ctx<'_>, data: u64) {
-        let (flow, bytes) = unpack_traffic_frame(data);
-        self.schedule_next_traffic_frame(ctx);
+        let (flow, bytes) = TrafficFeed::unpack_frame(data);
+        if let Some(feed) = &mut self.rx_feed {
+            feed.schedule_next(ctx, K_RX_TRAFFIC);
+        }
         let q = rss_queue(flow, self.config.queues) as usize;
         if self.rxq[q].fifo >= RX_FIFO_FRAMES {
             self.stats.rx_overruns.inc();
@@ -952,16 +779,7 @@ impl Nic {
         };
         self.rxq[q].phase = RxPhase::FetchDescriptor;
         let desc_addr = self.rxq[q].rdba + u64::from(self.rxq[q].rdh) * u64::from(DESC_BYTES);
-        self.enqueue_job(
-            ctx,
-            DmaJob {
-                engine: Engine::Rx,
-                queue: q as u8,
-                write: false,
-                addr: desc_addr,
-                len: DESC_BYTES,
-            },
-        );
+        self.enqueue_job(ctx, Engine::Rx, q, false, desc_addr, DESC_BYTES);
     }
 
     fn rx_job_done(&mut self, ctx: &mut Ctx<'_>, q: usize) {
@@ -972,31 +790,13 @@ impl Nic {
                 // The descriptor names the buffer; the model fabricates it.
                 let buf_addr =
                     0xa000_0000 + (q as u64) * 0x100_0000 + u64::from(self.rxq[q].rdh) * 0x1_0000;
-                self.enqueue_job(
-                    ctx,
-                    DmaJob {
-                        engine: Engine::Rx,
-                        queue: q as u8,
-                        write: true,
-                        addr: buf_addr,
-                        len: frame_bytes.max(64),
-                    },
-                );
+                self.enqueue_job(ctx, Engine::Rx, q, true, buf_addr, frame_bytes.max(64));
             }
             RxPhase::WriteData => {
                 self.rxq[q].phase = RxPhase::Writeback;
                 let desc_addr =
                     self.rxq[q].rdba + u64::from(self.rxq[q].rdh) * u64::from(DESC_BYTES);
-                self.enqueue_job(
-                    ctx,
-                    DmaJob {
-                        engine: Engine::Rx,
-                        queue: q as u8,
-                        write: true,
-                        addr: desc_addr + 12,
-                        len: 4,
-                    },
-                );
+                self.enqueue_job(ctx, Engine::Rx, q, true, desc_addr + 12, 4);
             }
             RxPhase::Writeback => {
                 let rxq = &mut self.rxq[q];
@@ -1021,21 +821,10 @@ impl Nic {
 
     // --- interrupts & PIO -------------------------------------------------------
 
-    fn msix_active(&self) -> bool {
-        self.config.msix_capable && pcisim_pci::caps::msix_enabled(&self.config_space.borrow())
-    }
-
-    fn vector_masked(&self, v: u16) -> bool {
-        if pcisim_pci::caps::msix_function_masked(&self.config_space.borrow()) {
-            return true;
-        }
-        self.msix_table[v as usize * 4 + 3] & pcisim_pci::caps::msix::VECTOR_CTRL_MASK != 0
-    }
-
     /// Routes an unmasked interrupt cause: MSI-X when the function enable
     /// is set, otherwise the legacy MSI/INTx message path.
     fn deliver(&mut self, ctx: &mut Ctx<'_>, vector: u16) {
-        if self.msix_active() {
+        if self.msix.active() {
             self.msix_deliver(ctx, vector);
         } else {
             self.raise_irq(ctx);
@@ -1043,10 +832,7 @@ impl Nic {
     }
 
     fn msix_deliver(&mut self, ctx: &mut Ctx<'_>, v: u16) {
-        if self.vector_masked(v) {
-            // Pending latches in the PBA while the vector is masked; the
-            // unmask drains it.
-            self.msix_pba |= 1 << v;
+        if self.msix.latch_if_masked(v) {
             return;
         }
         if self.itr_holdoff[v as usize] {
@@ -1056,26 +842,14 @@ impl Nic {
             self.stats.irqs_coalesced.inc();
             return;
         }
-        self.msix_send(ctx, v);
+        self.msix_fire(ctx, v);
     }
 
-    /// Puts the vector's doorbell memory write on the fabric and, when
-    /// moderation is on, opens the holdoff window.
-    fn msix_send(&mut self, ctx: &mut Ctx<'_>, v: u16) {
-        let base = v as usize * 4;
-        let addr = u64::from(self.msix_table[base]) | (u64::from(self.msix_table[base + 1]) << 32);
-        let data = self.msix_table[base + 2];
+    /// Sends the vector's doorbell and, when moderation is on, opens the
+    /// holdoff window.
+    fn msix_fire(&mut self, ctx: &mut Ctx<'_>, v: u16) {
         self.stats.irqs.inc();
-        self.stats.msix_irqs.inc();
-        let id = ctx.alloc_packet_id();
-        ctx.emit(TraceCategory::Device, TraceKind::Interrupt, Some(id), None, addr);
-        let mut buf = ctx.alloc_payload(4);
-        buf.copy_from_slice(&data.to_le_bytes());
-        let pkt = Packet::request(id, Command::WriteReq, addr, 4, ctx.self_id()).with_payload(buf);
-        self.irq_inflight.insert(id.0);
-        if let Err(back) = ctx.try_send_request(NIC_DMA_PORT, pkt) {
-            self.irq_stalled.push_back(back);
-        }
+        self.msix.msix_send(ctx, &mut self.dma, v);
         if self.config.moderation > 0 {
             self.itr_holdoff[v as usize] = true;
             ctx.schedule(self.config.moderation, Event::Timer { kind: K_ITR, data: u64::from(v) });
@@ -1091,53 +865,26 @@ impl Nic {
         }
     }
 
-    /// Fires PBA-latched vectors that are no longer masked. Runs after
-    /// every MMIO access, which is how the model observes unmasking done
-    /// through config space (function mask / enable) as well as through
-    /// the vector-control table writes themselves.
-    fn msix_drain(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.msix_active() {
-            return;
-        }
-        for v in 0..num_msix_vectors(self.config.queues) {
-            let bit = 1u64 << v;
-            if self.msix_pba & bit == 0 || self.vector_masked(v) {
-                continue;
-            }
-            self.msix_pba &= !bit;
+    /// Fires PBA-latched vectors that software has just unmasked.
+    fn msix_unmasked(&mut self, ctx: &mut Ctx<'_>) {
+        let mut ready = self.msix.msix_drain();
+        while ready != 0 {
+            let v = ready.trailing_zeros() as u16;
+            ready &= ready - 1;
             if self.itr_holdoff[v as usize] {
                 self.itr_pending[v as usize] = true;
             } else {
-                self.msix_send(ctx, v);
+                self.msix_fire(ctx, v);
             }
         }
     }
 
     fn raise_irq(&mut self, ctx: &mut Ctx<'_>) {
         self.stats.irqs.inc();
-        let msi = pcisim_pci::caps::msi_target(&self.config_space.borrow()).map(|(a, _)| a);
-        let addr = msi.or_else(|| self.config.intx.map(|(irq, base)| irq_message_addr(base, irq)));
-        if let Some(addr) = addr {
-            let id = ctx.alloc_packet_id();
-            ctx.emit(TraceCategory::Device, TraceKind::Interrupt, Some(id), None, addr);
-            let msg = Packet::request(id, Command::Message, addr, 4, ctx.self_id())
-                .with_payload(ctx.alloc_payload(4));
-            if let Err(back) = ctx.try_send_request(NIC_DMA_PORT, msg) {
-                self.stalled = Some(back);
-            }
-        }
-    }
-
-    fn flush_pio(&mut self, ctx: &mut Ctx<'_>) {
-        while !self.pio_waiting {
-            let Some(pkt) = self.pio_blocked.pop_front() else { return };
-            match ctx.try_send_response(NIC_PIO_PORT, pkt) {
-                Ok(()) => {}
-                Err(back) => {
-                    self.pio_blocked.push_front(back);
-                    self.pio_waiting = true;
-                }
-            }
+        let msg = legacy_message(ctx, &self.config_space.borrow(), self.config.intx);
+        if let Some(msg) = msg {
+            ctx.emit(TraceCategory::Device, TraceKind::Interrupt, Some(msg.id()), None, msg.addr());
+            self.dma.send(ctx, msg, None);
         }
     }
 }
@@ -1148,78 +895,20 @@ impl Component for Nic {
     }
 
     fn recv_request(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) -> RecvResult {
-        assert_eq!(port, NIC_PIO_PORT, "{}: MMIO arrives on the PIO port", self.name);
-        let offset = pkt.addr().wrapping_sub(self.bar0());
-        assert!(offset < 0x2_0000, "{}: access outside BAR0 at {:#x}", self.name, pkt.addr());
-        let resp = match pkt.cmd() {
-            Command::ReadReq => {
-                let v = self.reg_read(offset);
-                let mut full = vec![0u8; pkt.size() as usize];
-                let n = full.len().min(4);
-                full[..n].copy_from_slice(&v.to_le_bytes()[..n]);
-                pkt.into_read_response(full)
-            }
-            Command::WriteReq => {
-                let v = pkt
-                    .payload()
-                    .map(|p| {
-                        let mut b = [0u8; 4];
-                        let n = p.len().min(4);
-                        b[..n].copy_from_slice(&p[..n]);
-                        u32::from_le_bytes(b)
-                    })
-                    .unwrap_or(0);
-                self.reg_write(ctx, offset, v);
-                pkt.into_response()
-            }
-            other => panic!("{}: unexpected PIO command {other:?}", self.name),
-        };
-        ctx.schedule(
-            self.config.pio_latency,
-            Event::DelayedPacket { tag: TAG_PIO_RESP, pkt: resp },
-        );
+        let bar0 = self.bar0();
+        let resp = mmio::serve(self, ctx, bar0, BAR0_SIZE, pkt, Self::reg_read, Self::reg_write);
+        self.pio.respond(ctx, port, resp);
         // Any MMIO access re-evaluates PBA-latched vectors (software may
         // just have unmasked one, via the table or config space).
-        if self.msix_pba != 0 {
-            self.msix_drain(ctx);
+        if self.msix.any_pending() {
+            self.msix_unmasked(ctx);
         }
         RecvResult::Accepted
     }
 
-    fn recv_response(&mut self, ctx: &mut Ctx<'_>, port: PortId, mut pkt: Packet) -> RecvResult {
+    fn recv_response(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) -> RecvResult {
         assert_eq!(port, NIC_DMA_PORT);
-        assert!(matches!(pkt.cmd(), Command::ReadResp | Command::WriteResp));
-        if self.irq_inflight.remove(&pkt.id().0) {
-            // Completion of an MSI-X doorbell write: unrelated to the DMA
-            // pipeline, so it must not touch the active job's accounting.
-            if pkt.is_error() {
-                self.stats.dma_error_completions.inc();
-                self.record_dma_error(pkt.status());
-            }
-            if let Some(buf) = pkt.take_payload() {
-                ctx.recycle_payload(buf);
-            }
-            return RecvResult::Accepted;
-        }
-        if pkt.is_error() {
-            // A DMA request master-aborted or timed out somewhere in the
-            // fabric: reads delivered all-ones. The engine keeps running —
-            // a real device DMAs garbage, it does not wedge — but the
-            // failure latches in the legacy Status register and AER so
-            // software can see it.
-            self.stats.dma_error_completions.inc();
-            self.record_dma_error(pkt.status());
-        }
-        if let Some(buf) = pkt.take_payload() {
-            ctx.recycle_payload(buf);
-        }
-        if let Some(issued) = self.dma_read_issue.remove(&pkt.id().0) {
-            self.stats.dma_read_latency.record((ctx.now() - issued) as f64);
-        }
-        if let Some(active) = &mut self.active {
-            active.outstanding -= 1;
-        }
-        ctx.schedule(0, Event::Timer { kind: K_DMA_RESP, data: 0 });
+        self.dma.on_response(ctx, pkt);
         RecvResult::Accepted
     }
 
@@ -1232,10 +921,7 @@ impl Component for Nic {
             Event::Timer { kind: K_RX_TRAFFIC, data } => self.rx_traffic_arrived(ctx, data),
             Event::Timer { kind: K_ITR, data } => self.itr_expired(ctx, data as u16),
             Event::Timer { kind, .. } => panic!("{}: unknown timer {kind}", self.name),
-            Event::DelayedPacket { tag: TAG_PIO_RESP, pkt } => {
-                self.pio_blocked.push_back(pkt);
-                self.flush_pio(ctx);
-            }
+            Event::DelayedPacket { tag: TAG_PIO_RESP, pkt } => self.pio.deliver(ctx, pkt),
             Event::DelayedPacket { tag, .. } => panic!("{}: unknown tag {tag}", self.name),
             Event::StampedPacket { .. } => panic!("{}: unexpected stamped packet", self.name),
         }
@@ -1244,39 +930,11 @@ impl Component for Nic {
     fn retry_granted(&mut self, ctx: &mut Ctx<'_>, port: PortId) {
         match port {
             NIC_DMA_PORT => {
-                // Stalled doorbell writes retry ahead of the DMA pipeline
-                // (interrupts are latency-critical).
-                while let Some(pkt) = self.irq_stalled.pop_front() {
-                    if let Err(back) = ctx.try_send_request(NIC_DMA_PORT, pkt) {
-                        self.irq_stalled.push_front(back);
-                        return;
-                    }
+                if self.dma.retry(ctx) {
+                    self.pump_dma(ctx);
                 }
-                if let Some(pkt) = self.stalled.take() {
-                    let chunk = pkt.size();
-                    let is_msg = pkt.cmd() == Command::Message;
-                    let read_id = (pkt.cmd() == Command::ReadReq).then(|| pkt.id().0);
-                    match ctx.try_send_request(NIC_DMA_PORT, pkt) {
-                        Ok(()) => {
-                            if let Some(id) = read_id {
-                                self.dma_read_issue.insert(id, ctx.now());
-                            }
-                            if !is_msg {
-                                self.chunk_issued(chunk);
-                            }
-                        }
-                        Err(back) => {
-                            self.stalled = Some(back);
-                            return;
-                        }
-                    }
-                }
-                self.pump_dma(ctx);
             }
-            NIC_PIO_PORT => {
-                self.pio_waiting = false;
-                self.flush_pio(ctx);
-            }
+            NIC_PIO_PORT => self.pio.retry(ctx),
             other => panic!("{}: retry on unknown port {other}", self.name),
         }
     }
@@ -1287,13 +945,13 @@ impl Component for Nic {
         out.counter("frames_tx", &self.stats.frames_tx);
         out.counter("frames_rx", &self.stats.frames_rx);
         out.counter("rx_overruns", &self.stats.rx_overruns);
-        out.counter("dma_read_tlps", &self.stats.dma_read_tlps);
-        out.counter("dma_write_tlps", &self.stats.dma_write_tlps);
-        out.counter("dma_bytes", &self.stats.dma_bytes);
-        out.counter("dma_error_completions", &self.stats.dma_error_completions);
-        out.histogram("dma_read_latency", &self.stats.dma_read_latency);
+        out.counter("dma_read_tlps", &self.dma.read_tlps);
+        out.counter("dma_write_tlps", &self.dma.write_tlps);
+        out.counter("dma_bytes", &self.dma.bytes);
+        out.counter("dma_error_completions", &self.dma.error_completions);
+        out.histogram("dma_read_latency", &self.dma.read_latency);
         out.counter("irqs", &self.stats.irqs);
-        out.counter("msix_irqs", &self.stats.msix_irqs);
+        out.counter("msix_irqs", &self.msix.sent);
         out.counter("irqs_coalesced", &self.stats.irqs_coalesced);
         // Traffic-source keys appear only when the source is configured,
         // so legacy systems keep their recorded stats fingerprints.
@@ -1338,41 +996,15 @@ impl Component for Nic {
         for job in &self.jobs {
             encode_dma_job(w, job);
         }
-        match &self.active {
-            Some(a) => {
-                w.bool(true);
-                encode_dma_job(w, &a.job);
-                w.u64(a.next_addr);
-                w.u32(a.remaining);
-                w.u32(a.outstanding);
-            }
-            None => w.bool(false),
+        w.bool(self.active.is_some());
+        if let Some(job) = &self.active {
+            encode_dma_job(w, job);
         }
-        match &self.stalled {
-            Some(pkt) => {
-                w.bool(true);
-                pkt.encode(w);
-            }
-            None => w.bool(false),
-        }
-        // HashMap iterates in hash order; sort so the byte stream is
-        // deterministic.
-        let mut issues: Vec<(u64, Tick)> =
-            self.dma_read_issue.iter().map(|(&id, &t)| (id, t)).collect();
-        issues.sort_unstable();
-        w.usize(issues.len());
-        for (id, t) in issues {
-            w.u64(id);
-            w.u64(t);
-        }
+        self.dma.save(w);
         w.u32(self.rx_frames_left);
         w.bool(self.rx_stream_started);
         w.u32(self.rx_frame_seq);
-        w.usize(self.msix_table.len());
-        for dword in &self.msix_table {
-            w.u32(*dword);
-        }
-        w.u64(self.msix_pba);
+        self.msix.save(w);
         // Holdoff/pending flags pack into bitmasks (≤ 12 vectors).
         let mut holdoff = 0u64;
         let mut pending = 0u64;
@@ -1384,25 +1016,13 @@ impl Component for Nic {
         }
         w.u64(holdoff);
         w.u64(pending);
-        w.usize(self.irq_inflight.len());
-        for id in &self.irq_inflight {
-            w.u64(*id);
-        }
-        encode_packet_queue(w, &self.irq_stalled);
-        w.bool(self.pio_waiting);
-        encode_packet_queue(w, &self.pio_blocked);
+        self.pio.save(w);
         self.stats.mmio_reads.encode(w);
         self.stats.mmio_writes.encode(w);
         self.stats.frames_tx.encode(w);
         self.stats.frames_rx.encode(w);
         self.stats.rx_overruns.encode(w);
-        self.stats.dma_read_tlps.encode(w);
-        self.stats.dma_write_tlps.encode(w);
-        self.stats.dma_bytes.encode(w);
-        self.stats.dma_error_completions.encode(w);
-        self.stats.dma_read_latency.encode(w);
         self.stats.irqs.encode(w);
-        self.stats.msix_irqs.encode(w);
         self.stats.irqs_coalesced.encode(w);
         // Traffic-source state rides at the tail, only when configured,
         // so legacy checkpoints keep their exact byte layout. The feed
@@ -1463,62 +1083,25 @@ impl Component for Nic {
             jobs.push_back(decode_dma_job(r)?);
         }
         self.jobs = jobs;
-        self.active = if r.bool()? {
-            let job = decode_dma_job(r)?;
-            Some(ActiveJob { job, next_addr: r.u64()?, remaining: r.u32()?, outstanding: r.u32()? })
-        } else {
-            None
-        };
-        self.stalled = if r.bool()? { Some(Packet::decode(r)?) } else { None };
-        let n_issues = r.usize()?;
-        let mut issues = HashMap::with_capacity(n_issues.min(4096));
-        for _ in 0..n_issues {
-            let id = r.u64()?;
-            let t = r.u64()?;
-            issues.insert(id, t);
-        }
-        self.dma_read_issue = issues;
+        self.active = if r.bool()? { Some(decode_dma_job(r)?) } else { None };
+        self.dma.restore(r)?;
         self.rx_frames_left = r.u32()?;
         self.rx_stream_started = r.bool()?;
         self.rx_frame_seq = r.u32()?;
-        let n_table = r.usize()?;
-        if n_table != self.msix_table.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "MSI-X table size mismatch: snapshot has {n_table} dwords, device {}",
-                self.msix_table.len()
-            )));
-        }
-        for dword in self.msix_table.iter_mut() {
-            *dword = r.u32()?;
-        }
-        self.msix_pba = r.u64()?;
+        self.msix.restore(r)?;
         let holdoff = r.u64()?;
         let pending = r.u64()?;
         for v in 0..self.itr_holdoff.len() {
             self.itr_holdoff[v] = holdoff & (1 << v) != 0;
             self.itr_pending[v] = pending & (1 << v) != 0;
         }
-        let n_inflight = r.usize()?;
-        let mut inflight = BTreeSet::new();
-        for _ in 0..n_inflight {
-            inflight.insert(r.u64()?);
-        }
-        self.irq_inflight = inflight;
-        self.irq_stalled = decode_packet_queue(r)?;
-        self.pio_waiting = r.bool()?;
-        self.pio_blocked = decode_packet_queue(r)?;
+        self.pio.restore(r)?;
         self.stats.mmio_reads = Counter::decode(r)?;
         self.stats.mmio_writes = Counter::decode(r)?;
         self.stats.frames_tx = Counter::decode(r)?;
         self.stats.frames_rx = Counter::decode(r)?;
         self.stats.rx_overruns = Counter::decode(r)?;
-        self.stats.dma_read_tlps = Counter::decode(r)?;
-        self.stats.dma_write_tlps = Counter::decode(r)?;
-        self.stats.dma_bytes = Counter::decode(r)?;
-        self.stats.dma_error_completions = Counter::decode(r)?;
-        self.stats.dma_read_latency = Histogram::decode(r)?;
         self.stats.irqs = Counter::decode(r)?;
-        self.stats.msix_irqs = Counter::decode(r)?;
         self.stats.irqs_coalesced = Counter::decode(r)?;
         if let Some(spec) = self.config.rx_source.as_ref() {
             let emitted = r.u32()?;
@@ -1545,6 +1128,8 @@ mod tests {
     use super::*;
     use pcisim_kernel::sim::{RunOutcome, Simulation};
     use pcisim_kernel::testutil::{Requester, Responder, REQUESTER_PORT, RESPONDER_PORT};
+
+    use crate::testkit::Guest;
 
     const BAR0: u64 = 0x4010_0000;
 
@@ -1610,42 +1195,13 @@ mod tests {
         assert_eq!(nic.reg_read(regs::IMS), 0);
     }
 
-    /// A driver that programs registers at init, then absorbs responses.
-    struct ScriptDriver {
-        writes: Vec<(u64, u32)>,
-        sent: bool,
-    }
-    impl Component for ScriptDriver {
-        fn name(&self) -> &str {
-            "drv"
-        }
-        fn init(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.schedule(0, Event::Timer { kind: 0, data: 0 });
-        }
-        fn handle(&mut self, ctx: &mut Ctx<'_>, _ev: Event) {
-            if self.sent {
-                return;
-            }
-            self.sent = true;
-            for (off, val) in &self.writes {
-                let id = ctx.alloc_packet_id();
-                let pkt = Packet::request(id, Command::WriteReq, BAR0 + off, 4, ctx.self_id())
-                    .with_payload(val.to_le_bytes().to_vec());
-                ctx.try_send_request(PortId(0), pkt).expect("nic accepts PIO");
-            }
-        }
-        fn recv_response(&mut self, _c: &mut Ctx<'_>, _p: PortId, _k: Packet) -> RecvResult {
-            RecvResult::Accepted
-        }
-    }
-
     fn run_with_driver(
         config: NicConfig,
         writes: Vec<(u64, u32)>,
     ) -> pcisim_kernel::stats::StatsSnapshot {
         let mut sim = Simulation::new();
         let (nic, _cs) = programmed_nic(config);
-        let drv = sim.add(Box::new(ScriptDriver { writes, sent: false }));
+        let drv = sim.add(Box::new(Guest::new(BAR0, writes)));
         let n = sim.add(Box::new(nic));
         let (mem, _) = Responder::new("mem", ns(30));
         let m = sim.add(Box::new(mem));
@@ -1747,10 +1303,8 @@ mod tests {
         let config = NicConfig { rx_stream: Some((1514, ns(100), 128)), ..NicConfig::default() };
         let mut sim = Simulation::new();
         let (nic, _cs) = programmed_nic(config);
-        let drv = sim.add(Box::new(ScriptDriver {
-            writes: vec![(regs::RDBAL, 0x8900_0000), (regs::RDLEN, 512), (regs::RDT, 511)],
-            sent: false,
-        }));
+        let writes = vec![(regs::RDBAL, 0x8900_0000), (regs::RDLEN, 512), (regs::RDT, 511)];
+        let drv = sim.add(Box::new(Guest::new(BAR0, writes)));
         let n = sim.add(Box::new(nic));
         let (mem, _) = Responder::new("mem", pcisim_kernel::tick::us(2));
         let m = sim.add(Box::new(mem));
@@ -1974,7 +1528,7 @@ mod tests {
         (sim.stats(), seen)
     }
 
-    /// Like [`ScriptDriver`] but with a second write batch at t = 1 ms
+    /// Like [`Guest`] but with a second write batch at t = 1 ms
     /// (after any plausible TX/RX activity settles).
     struct TwoPhaseDriver {
         writes: Vec<(u64, u32)>,

@@ -1,0 +1,173 @@
+//! Test fixtures shared by the building-block tests and the
+//! cross-device tables: a fabric stub that pushes back, errors and
+//! remembers what it was offered, and a scripted MMIO guest. Both
+//! checkpoint their state, so a whole test simulation can be cut and
+//! resumed at any event.
+
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::rc::Rc;
+
+use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
+use pcisim_kernel::packet::{Command, CompletionStatus, Packet};
+use pcisim_kernel::sim::Ctx;
+use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
+use pcisim_kernel::tick::{ns, Tick};
+
+/// The single port of a [`Gate`].
+pub(crate) const GATE_PORT: PortId = PortId(0);
+
+/// Requests a [`Gate`] accepted, in acceptance order: `(command, address)`.
+pub(crate) type GateLog = Rc<RefCell<Vec<(Command, u64)>>>;
+
+/// What the DMA port of a device under test is wired to: a functional
+/// memory that serves at most `capacity` requests at a time — anything
+/// beyond is refused and retried when a slot frees up — and completes
+/// non-posted ones with `status`.
+pub(crate) struct Gate {
+    pub latency: Tick,
+    pub capacity: usize,
+    pub status: CompletionStatus,
+    pub mem: BTreeMap<u64, u8>,
+    pub log: GateLog,
+    /// Offers turned away, in order.
+    pub refusals: GateLog,
+    in_service: usize,
+    refused: bool,
+}
+
+impl Gate {
+    pub fn new(latency: Tick, capacity: usize) -> Self {
+        Self {
+            latency,
+            capacity,
+            status: CompletionStatus::SuccessfulCompletion,
+            mem: BTreeMap::new(),
+            log: GateLog::default(),
+            refusals: GateLog::default(),
+            in_service: 0,
+            refused: false,
+        }
+    }
+
+    pub fn write(&mut self, addr: u64, data: &[u8]) {
+        for (i, &b) in data.iter().enumerate() {
+            self.mem.insert(addr + i as u64, b);
+        }
+    }
+}
+
+impl Component for Gate {
+    fn name(&self) -> &str {
+        "mem"
+    }
+
+    fn recv_request(&mut self, ctx: &mut Ctx<'_>, _port: PortId, pkt: Packet) -> RecvResult {
+        if self.in_service >= self.capacity {
+            self.refused = true;
+            self.refusals.borrow_mut().push((pkt.cmd(), pkt.addr()));
+            return RecvResult::Refused(pkt);
+        }
+        self.in_service += 1;
+        self.log.borrow_mut().push((pkt.cmd(), pkt.addr()));
+        ctx.schedule(self.latency, Event::DelayedPacket { tag: 0, pkt });
+        RecvResult::Accepted
+    }
+
+    fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+        let Event::DelayedPacket { mut pkt, .. } = ev else { panic!("mem: unexpected timer") };
+        self.in_service -= 1;
+        if !pkt.is_posted() {
+            let resp = if self.status.is_error() {
+                pkt.into_error_response(self.status)
+            } else if pkt.cmd() == Command::ReadReq {
+                let data = (0..u64::from(pkt.size()))
+                    .map(|i| self.mem.get(&(pkt.addr() + i)).copied().unwrap_or(0))
+                    .collect();
+                pkt.into_read_response(data)
+            } else {
+                let addr = pkt.addr();
+                self.write(addr, &pkt.take_payload().unwrap_or_default());
+                pkt.into_response()
+            };
+            ctx.try_send_response(GATE_PORT, resp).expect("devices accept completions");
+        }
+        if std::mem::take(&mut self.refused) {
+            ctx.send_retry(GATE_PORT);
+        }
+    }
+
+    fn save_state(&self, w: &mut StateWriter) {
+        w.usize(self.in_service);
+        w.bool(self.refused);
+    }
+
+    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        self.in_service = r.usize()?;
+        self.refused = r.bool()?;
+        Ok(())
+    }
+}
+
+/// Scripted guest: issues its 4-byte MMIO writes to `bar0 + offset` at
+/// t = 0 and, to exercise a device's blocked-response path, refuses the
+/// first `refuse_responses` completions for 300 ns each.
+pub(crate) struct Guest {
+    pub bar0: u64,
+    pub writes: Vec<(u64, u32)>,
+    pub refuse_responses: u32,
+    sent: bool,
+}
+
+impl Guest {
+    pub fn new(bar0: u64, writes: Vec<(u64, u32)>) -> Self {
+        Self { bar0, writes, refuse_responses: 0, sent: false }
+    }
+}
+
+impl Component for Guest {
+    fn name(&self) -> &str {
+        "guest"
+    }
+
+    fn init(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.schedule(0, Event::Timer { kind: 0, data: 0 });
+    }
+
+    fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+        match ev {
+            Event::Timer { kind: 0, .. } if !self.sent => {
+                self.sent = true;
+                for &(offset, value) in &self.writes {
+                    let id = ctx.alloc_packet_id();
+                    let addr = self.bar0 + offset;
+                    let pkt = Packet::request(id, Command::WriteReq, addr, 4, ctx.self_id())
+                        .with_payload(value.to_le_bytes().to_vec());
+                    ctx.try_send_request(PortId(0), pkt).expect("devices accept MMIO");
+                }
+            }
+            Event::Timer { kind: 1, .. } => ctx.send_retry(PortId(0)),
+            other => panic!("guest: unexpected {other:?}"),
+        }
+    }
+
+    fn recv_response(&mut self, ctx: &mut Ctx<'_>, _port: PortId, pkt: Packet) -> RecvResult {
+        if self.refuse_responses == 0 {
+            return RecvResult::Accepted;
+        }
+        self.refuse_responses -= 1;
+        ctx.schedule(ns(300), Event::Timer { kind: 1, data: 0 });
+        RecvResult::Refused(pkt)
+    }
+
+    fn save_state(&self, w: &mut StateWriter) {
+        w.u32(self.refuse_responses);
+        w.bool(self.sent);
+    }
+
+    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        self.refuse_responses = r.u32()?;
+        self.sent = r.bool()?;
+        Ok(())
+    }
+}

@@ -23,6 +23,8 @@
 
 use std::sync::Arc;
 
+use pcisim_kernel::component::Event;
+use pcisim_kernel::sim::Ctx;
 use pcisim_kernel::tick::Tick;
 
 /// Magic bytes opening a binary traffic trace ("PTRC").
@@ -409,6 +411,29 @@ impl TrafficFeed {
             TrafficFeed::Replay(c) => c.next_frame(),
         }
     }
+
+    /// Pulls the next frame and schedules its arrival at the calling
+    /// device as `Event::Timer { kind, data }`. The frame itself rides in
+    /// the timer's data word (decode it with [`Self::unpack_frame`]), so a
+    /// checkpoint taken between pull and arrival stays consistent: the
+    /// kernel snapshots the pending event, the feed only its position.
+    pub(crate) fn schedule_next(&mut self, ctx: &mut Ctx<'_>, kind: u32) {
+        if let Some(frame) = self.next_frame() {
+            let data = pack_traffic_frame(frame.flow, frame.bytes);
+            ctx.schedule(frame.delta, Event::Timer { kind, data });
+        }
+    }
+
+    /// `(flow, bytes)` of the frame a [`Self::schedule_next`] timer carries.
+    pub(crate) fn unpack_frame(data: u64) -> (u32, u32) {
+        (data as u32, (data >> 32) as u32)
+    }
+}
+
+/// Packs a traffic frame into a timer's `data` word: flow in the low 32
+/// bits, frame bytes in the high 32.
+fn pack_traffic_frame(flow: u32, bytes: u32) -> u64 {
+    u64::from(flow) | (u64::from(bytes) << 32)
 }
 
 #[cfg(test)]

@@ -32,10 +32,10 @@
 //! Ports: [`VIRTIO_PIO_PORT`] (BAR0 registers) and [`VIRTIO_DMA_PORT`]
 //! (DMA master).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
-use pcisim_kernel::packet::{decode_packet_queue, encode_packet_queue, Command, Packet};
+use pcisim_kernel::packet::{Command, Packet};
 use pcisim_kernel::sim::Ctx;
 use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
 use pcisim_kernel::stats::{Counter, StatsBuilder};
@@ -47,7 +47,9 @@ use pcisim_pci::caps::{
 use pcisim_pci::config::{shared, ConfigSpace, SharedConfigSpace};
 use pcisim_pci::header::{bar_base, Bar, Type0Header};
 
-use crate::intc::irq_message_addr;
+use crate::dma::{self, DmaEngine};
+use crate::mmio::{self, set_hi32, set_lo32, RegisterPort};
+use crate::msix::{legacy_message, MsixBlock};
 use crate::traffic::{TrafficFeed, TrafficSpec};
 
 /// MMIO register port (slave).
@@ -228,7 +230,7 @@ impl Default for VirtioConfig {
             pio_latency: ns(50),
             access_latency: us(1),
             per_sector_overhead: ns(300),
-            capacity_sectors: 1 << 21, // 1 GB
+            capacity_sectors: 1 << 21,         // 1 GB
             wire_bytes_per_sec: 1_250_000_000, // 10 Gb/s
             rx_source: None,
             intx: None,
@@ -301,10 +303,13 @@ pub fn virtio_config_space(config: &VirtioConfig) -> ConfigSpace {
     let mut cs = Type0Header::new(VIRTIO_VENDOR_ID, config.class.device_id())
         .class_code(class_code, subclass, 0x00)
         .revision(0x01)
-        .subsystem(VIRTIO_VENDOR_ID, match config.class {
-            VirtioClass::Net => 1,
-            VirtioClass::Blk => 2,
-        })
+        .subsystem(
+            VIRTIO_VENDOR_ID,
+            match config.class {
+                VirtioClass::Net => 1,
+                VirtioClass::Blk => 2,
+            },
+        )
         .bar(0, Bar::Memory32 { size: BAR0_SIZE, prefetchable: false })
         .interrupt_pin(1)
         .capabilities_at(0x40)
@@ -387,15 +392,6 @@ const K_DOORBELL: u32 = 5;
 const K_MSIX_DRAIN: u32 = 6;
 const TAG_PIO_RESP: u32 = 0;
 
-/// Packs a traffic frame into a timer's `data` word: flow low, bytes high.
-fn pack_traffic_frame(flow: u32, bytes: u32) -> u64 {
-    u64::from(flow) | (u64::from(bytes) << 32)
-}
-
-fn unpack_traffic_frame(data: u64) -> (u32, u32) {
-    (data as u32, (data >> 32) as u32)
-}
-
 /// One parsed virtqueue descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Desc {
@@ -440,48 +436,33 @@ enum DmaTag {
     UsedIdx { q: u8 },
 }
 
-fn encode_tag(w: &mut StateWriter, tag: DmaTag) {
-    match tag {
-        DmaTag::AvailIdx { q } => {
-            w.u8(0);
-            w.u8(q);
-            w.u32(0);
-        }
-        DmaTag::AvailEntry { q } => {
-            w.u8(1);
-            w.u8(q);
-            w.u32(0);
-        }
-        DmaTag::Desc { q } => {
-            w.u8(2);
-            w.u8(q);
-            w.u32(0);
-        }
-        DmaTag::Payload { q, offset } => {
-            w.u8(3);
-            w.u8(q);
-            w.u32(offset);
-        }
-        DmaTag::UsedIdx { q } => {
-            w.u8(4);
-            w.u8(q);
-            w.u32(0);
-        }
+impl dma::DmaTag for DmaTag {
+    fn encode(self, w: &mut StateWriter) {
+        let (kind, q, arg) = match self {
+            DmaTag::AvailIdx { q } => (0, q, 0),
+            DmaTag::AvailEntry { q } => (1, q, 0),
+            DmaTag::Desc { q } => (2, q, 0),
+            DmaTag::Payload { q, offset } => (3, q, offset),
+            DmaTag::UsedIdx { q } => (4, q, 0),
+        };
+        w.u8(kind);
+        w.u8(q);
+        w.u32(arg);
     }
-}
 
-fn decode_tag(r: &mut StateReader<'_>) -> Result<DmaTag, SnapshotError> {
-    let kind = r.u8()?;
-    let q = r.u8()?;
-    let arg = r.u32()?;
-    Ok(match kind {
-        0 => DmaTag::AvailIdx { q },
-        1 => DmaTag::AvailEntry { q },
-        2 => DmaTag::Desc { q },
-        3 => DmaTag::Payload { q, offset: arg },
-        4 => DmaTag::UsedIdx { q },
-        other => return Err(SnapshotError::Corrupt(format!("virtio dma tag {other}"))),
-    })
+    fn decode(r: &mut StateReader<'_>) -> Result<Self, SnapshotError> {
+        let kind = r.u8()?;
+        let q = r.u8()?;
+        let arg = r.u32()?;
+        Ok(match kind {
+            0 => DmaTag::AvailIdx { q },
+            1 => DmaTag::AvailEntry { q },
+            2 => DmaTag::Desc { q },
+            3 => DmaTag::Payload { q, offset: arg },
+            4 => DmaTag::UsedIdx { q },
+            other => return Err(SnapshotError::Corrupt(format!("virtio dma tag {other}"))),
+        })
+    }
 }
 
 /// Where a queue's walk currently is.
@@ -605,15 +586,10 @@ struct VirtioStats {
     doorbells: Counter,
     chains_used: Counter,
     desc_reads: Counter,
-    dma_read_tlps: Counter,
-    dma_write_tlps: Counter,
-    dma_bytes: Counter,
-    dma_error_completions: Counter,
     payload_bytes_read: Counter,
     payload_bytes_written: Counter,
     desc_faults: Counter,
     irqs: Counter,
-    msix_irqs: Counter,
     frames_tx: Counter,
     frames_rx: Counter,
     rx_overruns: Counter,
@@ -633,26 +609,14 @@ pub struct Virtio {
     queues: Vec<Virtqueue>,
     // blk block store: 512 B sectors, sparse.
     store: BTreeMap<u64, Vec<u8>>,
-    // DMA plumbing.
-    out_queue: VecDeque<Packet>,
-    stalled: Option<Packet>,
-    dma_tags: HashMap<u64, DmaTag>,
-    // Completions stashed in the receive handler; drained on a
-    // zero-delay timer so the walk never issues requests from recv.
-    pending_data: VecDeque<(DmaTag, Vec<u8>)>,
-    // MSI-X.
-    msix_table: Vec<u32>,
-    msix_pba: u64,
-    irq_inflight: std::collections::BTreeSet<u64>,
-    irq_stalled: VecDeque<Packet>,
+    dma: DmaEngine<DmaTag>,
+    msix: MsixBlock,
     // net RX.
     rx_feed: Option<TrafficFeed>,
     rx_started: bool,
     rx_fifo: VecDeque<(u32, u32)>,
     rx_octets: u64,
-    // PIO response queue.
-    pio_waiting: bool,
-    pio_blocked: VecDeque<Packet>,
+    pio: RegisterPort,
     stats: VirtioStats,
 }
 
@@ -670,16 +634,10 @@ impl Virtio {
         }
         let cs = shared(virtio_config_space(&config));
         let queues = (0..config.class.queues()).map(|_| Virtqueue::new()).collect();
-        let vectors = usize::from(num_msix_vectors(config.class));
-        let mut msix_table = vec![0u32; vectors * 4];
-        for v in 0..vectors {
-            // Vectors power up masked, like the NIC model.
-            msix_table[v * 4 + 3] = pcisim_pci::caps::msix::VECTOR_CTRL_MASK;
-        }
+        let vectors = if config.msix_capable { num_msix_vectors(config.class) } else { 0 };
         (
             Self {
                 name: name.into(),
-                config,
                 config_space: cs.clone(),
                 device_status: 0,
                 driver_features: 0,
@@ -688,21 +646,15 @@ impl Virtio {
                 isr_status: 0,
                 queues,
                 store: BTreeMap::new(),
-                out_queue: VecDeque::new(),
-                stalled: None,
-                dma_tags: HashMap::new(),
-                pending_data: VecDeque::new(),
-                msix_table,
-                msix_pba: 0,
-                irq_inflight: std::collections::BTreeSet::new(),
-                irq_stalled: VecDeque::new(),
+                dma: DmaEngine::new(VIRTIO_DMA_PORT, K_PUMP, cs.clone()),
+                msix: MsixBlock::new(cs.clone(), vectors, MSIX_TABLE_OFFSET, MSIX_PBA_OFFSET),
                 rx_feed: None,
                 rx_started: false,
                 rx_fifo: VecDeque::new(),
                 rx_octets: 0,
-                pio_waiting: false,
-                pio_blocked: VecDeque::new(),
+                pio: RegisterPort::new(VIRTIO_PIO_PORT, TAG_PIO_RESP, config.pio_latency),
                 stats: VirtioStats::default(),
+                config,
             },
             cs,
         )
@@ -764,20 +716,6 @@ impl Virtio {
 
     // --- registers ---------------------------------------------------------
 
-    /// Maps a BAR0 offset inside the MSI-X table to its dword index.
-    fn msix_dword(&self, offset: u64) -> Option<usize> {
-        if !self.config.msix_capable {
-            return None;
-        }
-        let end = MSIX_TABLE_OFFSET
-            + u64::from(num_msix_vectors(self.config.class)) * pcisim_pci::caps::msix::ENTRY_SIZE;
-        if (MSIX_TABLE_OFFSET..end).contains(&offset) {
-            Some(((offset - MSIX_TABLE_OFFSET) / 4) as usize)
-        } else {
-            None
-        }
-    }
-
     fn selected(&self) -> Option<usize> {
         let q = self.queue_select as usize;
         (q < self.queues.len()).then_some(q)
@@ -793,15 +731,7 @@ impl Virtio {
             o if (DEVICE_CFG_OFFSET..DEVICE_CFG_OFFSET + 0x40).contains(&o) => {
                 self.device_cfg_read(o - DEVICE_CFG_OFFSET)
             }
-            o if self.msix_dword(o).is_some() => {
-                let i = self.msix_dword(o).expect("checked by guard");
-                self.msix_table[i]
-            }
-            o if self.config.msix_capable && o == MSIX_PBA_OFFSET => self.msix_pba as u32,
-            o if self.config.msix_capable && o == MSIX_PBA_OFFSET + 4 => {
-                (self.msix_pba >> 32) as u32
-            }
-            _ => 0,
+            o => self.msix.mmio_read(o).unwrap_or(0),
         }
     }
 
@@ -813,26 +743,24 @@ impl Virtio {
             common::DEVICE_STATUS => self.device_status,
             common::CONFIG_MSIX_VECTOR => self.config_msix_vector,
             common::QUEUE_SELECT => self.queue_select,
-            common::QUEUE_SIZE => self.selected().map_or(0, |_| u32::from(self.config.queue_size)),
-            common::QUEUE_MSIX_VECTOR => {
-                self.selected().map_or(MSIX_NO_VECTOR, |q| self.queues[q].msix_vector)
+            // Everything else reads the selected queue.
+            _ => {
+                let Some(vq) = self.selected().map(|q| &self.queues[q]) else {
+                    return if offset == common::QUEUE_MSIX_VECTOR { MSIX_NO_VECTOR } else { 0 };
+                };
+                match offset {
+                    common::QUEUE_SIZE => u32::from(self.config.queue_size),
+                    common::QUEUE_MSIX_VECTOR => vq.msix_vector,
+                    common::QUEUE_ENABLE => u32::from(vq.enable),
+                    common::QUEUE_DESC_LO => vq.desc as u32,
+                    common::QUEUE_DESC_HI => (vq.desc >> 32) as u32,
+                    common::QUEUE_AVAIL_LO => vq.avail as u32,
+                    common::QUEUE_AVAIL_HI => (vq.avail >> 32) as u32,
+                    common::QUEUE_USED_LO => vq.used as u32,
+                    common::QUEUE_USED_HI => (vq.used >> 32) as u32,
+                    _ => 0,
+                }
             }
-            common::QUEUE_ENABLE => {
-                self.selected().map_or(0, |q| u32::from(self.queues[q].enable))
-            }
-            common::QUEUE_DESC_LO => self.selected().map_or(0, |q| self.queues[q].desc as u32),
-            common::QUEUE_DESC_HI => {
-                self.selected().map_or(0, |q| (self.queues[q].desc >> 32) as u32)
-            }
-            common::QUEUE_AVAIL_LO => self.selected().map_or(0, |q| self.queues[q].avail as u32),
-            common::QUEUE_AVAIL_HI => {
-                self.selected().map_or(0, |q| (self.queues[q].avail >> 32) as u32)
-            }
-            common::QUEUE_USED_LO => self.selected().map_or(0, |q| self.queues[q].used as u32),
-            common::QUEUE_USED_HI => {
-                self.selected().map_or(0, |q| (self.queues[q].used >> 32) as u32)
-            }
-            _ => 0,
         }
     }
 
@@ -860,11 +788,7 @@ impl Virtio {
                 // DMA back into.
                 ctx.schedule(0, Event::Timer { kind: K_DOORBELL, data: q });
             }
-            o if self.msix_dword(o).is_some() => {
-                let i = self.msix_dword(o).expect("checked by guard");
-                self.msix_table[i] = value;
-            }
-            _ => {}
+            o => self.msix.mmio_write(o, value),
         }
     }
 
@@ -886,53 +810,22 @@ impl Virtio {
             }
             common::CONFIG_MSIX_VECTOR => self.config_msix_vector = value,
             common::QUEUE_SELECT => self.queue_select = value,
-            common::QUEUE_MSIX_VECTOR => {
-                if let Some(q) = self.selected() {
-                    self.queues[q].msix_vector = value;
+            // Everything else addresses the selected queue; writes with
+            // no queue selected are dropped.
+            _ => {
+                let Some(vq) = self.selected().map(|q| &mut self.queues[q]) else { return };
+                match offset {
+                    common::QUEUE_MSIX_VECTOR => vq.msix_vector = value,
+                    common::QUEUE_ENABLE => vq.enable = value & 1 != 0,
+                    common::QUEUE_DESC_LO => set_lo32(&mut vq.desc, value),
+                    common::QUEUE_DESC_HI => set_hi32(&mut vq.desc, value),
+                    common::QUEUE_AVAIL_LO => set_lo32(&mut vq.avail, value),
+                    common::QUEUE_AVAIL_HI => set_hi32(&mut vq.avail, value),
+                    common::QUEUE_USED_LO => set_lo32(&mut vq.used, value),
+                    common::QUEUE_USED_HI => set_hi32(&mut vq.used, value),
+                    _ => {}
                 }
             }
-            common::QUEUE_ENABLE => {
-                if let Some(q) = self.selected() {
-                    self.queues[q].enable = value & 1 != 0;
-                }
-            }
-            common::QUEUE_DESC_LO => {
-                if let Some(q) = self.selected() {
-                    let old = self.queues[q].desc;
-                    self.queues[q].desc = (old & !0xffff_ffff) | u64::from(value);
-                }
-            }
-            common::QUEUE_DESC_HI => {
-                if let Some(q) = self.selected() {
-                    let old = self.queues[q].desc;
-                    self.queues[q].desc = (old & 0xffff_ffff) | (u64::from(value) << 32);
-                }
-            }
-            common::QUEUE_AVAIL_LO => {
-                if let Some(q) = self.selected() {
-                    let old = self.queues[q].avail;
-                    self.queues[q].avail = (old & !0xffff_ffff) | u64::from(value);
-                }
-            }
-            common::QUEUE_AVAIL_HI => {
-                if let Some(q) = self.selected() {
-                    let old = self.queues[q].avail;
-                    self.queues[q].avail = (old & 0xffff_ffff) | (u64::from(value) << 32);
-                }
-            }
-            common::QUEUE_USED_LO => {
-                if let Some(q) = self.selected() {
-                    let old = self.queues[q].used;
-                    self.queues[q].used = (old & !0xffff_ffff) | u64::from(value);
-                }
-            }
-            common::QUEUE_USED_HI => {
-                if let Some(q) = self.selected() {
-                    let old = self.queues[q].used;
-                    self.queues[q].used = (old & 0xffff_ffff) | (u64::from(value) << 32);
-                }
-            }
-            _ => {}
         }
     }
 
@@ -989,66 +882,28 @@ impl Virtio {
         self.deliver_config_irq(ctx);
     }
 
-    /// Issues a tagged DMA read through the ordered output queue.
+    /// Issues a tagged DMA read through the engine's ordered lane.
     fn dma_read(&mut self, ctx: &mut Ctx<'_>, addr: u64, size: u32, tag: DmaTag) {
         let id = ctx.alloc_packet_id();
         let pkt = Packet::request(id, Command::ReadReq, addr, size, ctx.self_id());
-        self.dma_tags.insert(id.0, tag);
-        ctx.emit(TraceCategory::Device, TraceKind::DmaRead, Some(id), None, u64::from(size));
-        self.out_queue.push_back(pkt);
-        self.pump(ctx);
+        self.dma.send(ctx, pkt, Some(tag));
     }
 
-    /// Issues a posted DMA write carrying `data`.
-    fn dma_write_posted(&mut self, ctx: &mut Ctx<'_>, addr: u64, data: &[u8]) {
+    /// Issues a DMA write carrying `data`: posted, or — with a tag — the
+    /// non-posted kind whose completion the walk waits for.
+    fn dma_write(&mut self, ctx: &mut Ctx<'_>, addr: u64, data: &[u8], tag: Option<DmaTag>) {
         let id = ctx.alloc_packet_id();
-        let size = data.len() as u32;
         let mut buf = ctx.alloc_payload(data.len());
         buf.copy_from_slice(data);
         let mut pkt =
-            Packet::request(id, Command::WriteReq, addr, size, ctx.self_id()).with_payload(buf);
-        pkt.set_posted(true);
-        ctx.emit(TraceCategory::Device, TraceKind::DmaWrite, Some(id), None, u64::from(size));
-        self.out_queue.push_back(pkt);
-        self.pump(ctx);
+            Packet::request(id, Command::WriteReq, addr, data.len() as u32, ctx.self_id())
+                .with_payload(buf);
+        pkt.set_posted(tag.is_none());
+        self.dma.send(ctx, pkt, tag);
     }
 
-    /// Issues the non-posted used-index write that caps a completion.
-    fn dma_write_used_idx(&mut self, ctx: &mut Ctx<'_>, q: usize) {
-        let vq = &self.queues[q];
-        let addr = vq.used + 2;
-        let data = vq.used_idx.to_le_bytes();
-        let id = ctx.alloc_packet_id();
-        let mut buf = ctx.alloc_payload(2);
-        buf.copy_from_slice(&data);
-        let pkt =
-            Packet::request(id, Command::WriteReq, addr, 2, ctx.self_id()).with_payload(buf);
-        self.dma_tags.insert(id.0, DmaTag::UsedIdx { q: q as u8 });
-        ctx.emit(TraceCategory::Device, TraceKind::DmaWrite, Some(id), None, 2);
-        self.out_queue.push_back(pkt);
-        self.pump(ctx);
-    }
-
-    /// Drains the ordered output queue as fast as the fabric accepts.
-    fn pump(&mut self, ctx: &mut Ctx<'_>) {
-        while self.stalled.is_none() {
-            let Some(pkt) = self.out_queue.pop_front() else { return };
-            let is_read = pkt.cmd() == Command::ReadReq;
-            let size = pkt.size();
-            match ctx.try_send_request(VIRTIO_DMA_PORT, pkt) {
-                Ok(()) => {
-                    if is_read {
-                        self.stats.dma_read_tlps.inc();
-                    } else {
-                        self.stats.dma_write_tlps.inc();
-                    }
-                    self.stats.dma_bytes.add(u64::from(size));
-                }
-                Err(back) => {
-                    self.stalled = Some(back);
-                }
-            }
-        }
+    fn dma_write_posted(&mut self, ctx: &mut Ctx<'_>, addr: u64, data: &[u8]) {
+        self.dma_write(ctx, addr, data, None);
     }
 
     /// A tagged DMA response arrived; advance the owning queue's walk.
@@ -1233,8 +1088,7 @@ impl Virtio {
         };
         let sectors = u64::from(data_len.div_ceil(BLK_SECTOR_SIZE));
         self.queues[q].phase = VqPhase::Access;
-        let latency = self.config.access_latency
-            + self.config.per_sector_overhead * sectors.max(1);
+        let latency = self.config.access_latency + self.config.per_sector_overhead * sectors.max(1);
         ctx.schedule(
             latency,
             Event::Timer { kind: K_ACCESS_DONE, data: pack_access(q, req_type, sector) },
@@ -1251,11 +1105,8 @@ impl Virtio {
         let mut used_len = 1u32; // the status byte is always written
         match req_type {
             BLK_T_IN => {
-                let data_descs: Vec<Desc> = chain[1..chain.len() - 1]
-                    .iter()
-                    .copied()
-                    .filter(|d| d.writable())
-                    .collect();
+                let data_descs: Vec<Desc> =
+                    chain[1..chain.len() - 1].iter().copied().filter(|d| d.writable()).collect();
                 let total: u32 = data_descs.iter().map(|d| d.len).sum();
                 if sector + u64::from(total.div_ceil(BLK_SECTOR_SIZE))
                     > self.config.capacity_sectors
@@ -1378,7 +1229,9 @@ impl Virtio {
         entry[0..4].copy_from_slice(&u32::from(head).to_le_bytes());
         entry[4..8].copy_from_slice(&used_len.to_le_bytes());
         self.dma_write_posted(ctx, entry_addr, &entry);
-        self.dma_write_used_idx(ctx, q);
+        // The non-posted used-index write caps the completion.
+        let (idx_addr, idx) = (self.queues[q].used + 2, self.queues[q].used_idx.to_le_bytes());
+        self.dma_write(ctx, idx_addr, &idx, Some(DmaTag::UsedIdx { q: q as u8 }));
     }
 
     /// The used-index write completed: the chain is visibly retired.
@@ -1418,94 +1271,51 @@ impl Virtio {
 
     // --- interrupts --------------------------------------------------------
 
-    fn msix_active(&self) -> bool {
-        self.config.msix_capable && pcisim_pci::caps::msix_enabled(&self.config_space.borrow())
-    }
-
-    fn vector_masked(&self, v: u16) -> bool {
-        if pcisim_pci::caps::msix_function_masked(&self.config_space.borrow()) {
-            return true;
-        }
-        self.msix_table[v as usize * 4 + 3] & pcisim_pci::caps::msix::VECTOR_CTRL_MASK != 0
-    }
-
     fn deliver_queue_irq(&mut self, ctx: &mut Ctx<'_>, q: usize) {
         let vector = self.queues[q].msix_vector;
-        if self.msix_active() {
-            if vector != MSIX_NO_VECTOR {
-                self.msix_deliver(ctx, vector as u16);
-            }
-        } else {
-            self.isr_status |= isr::QUEUE;
-            self.raise_intx(ctx);
-        }
+        self.deliver_irq(ctx, vector, isr::QUEUE);
     }
 
     fn deliver_config_irq(&mut self, ctx: &mut Ctx<'_>) {
-        let vector = self.config_msix_vector;
-        if self.msix_active() {
-            if vector != MSIX_NO_VECTOR {
-                self.msix_deliver(ctx, vector as u16);
+        self.deliver_irq(ctx, self.config_msix_vector, isr::CONFIG);
+    }
+
+    /// MSI-X to `vector` when the function enable is set (a masked vector
+    /// latches in the PBA until unmasked), else ISR bit + INTx message.
+    fn deliver_irq(&mut self, ctx: &mut Ctx<'_>, vector: u32, isr_bit: u32) {
+        if self.msix.active() {
+            if vector != MSIX_NO_VECTOR && !self.msix.latch_if_masked(vector as u16) {
+                self.msix_fire(ctx, vector as u16);
             }
         } else {
-            self.isr_status |= isr::CONFIG;
+            self.isr_status |= isr_bit;
             self.raise_intx(ctx);
         }
     }
 
-    fn msix_deliver(&mut self, ctx: &mut Ctx<'_>, v: u16) {
-        if self.vector_masked(v) {
-            // Pending latches in the PBA while the vector is masked; the
-            // unmask drains it.
-            self.msix_pba |= 1 << v;
-            return;
-        }
-        self.msix_send(ctx, v);
-    }
-
-    fn msix_send(&mut self, ctx: &mut Ctx<'_>, v: u16) {
-        let base = v as usize * 4;
-        let addr = u64::from(self.msix_table[base]) | (u64::from(self.msix_table[base + 1]) << 32);
-        let data = self.msix_table[base + 2];
+    fn msix_fire(&mut self, ctx: &mut Ctx<'_>, v: u16) {
         self.stats.irqs.inc();
-        self.stats.msix_irqs.inc();
-        let id = ctx.alloc_packet_id();
-        ctx.emit(TraceCategory::Device, TraceKind::Interrupt, Some(id), None, addr);
-        let mut buf = ctx.alloc_payload(4);
-        buf.copy_from_slice(&data.to_le_bytes());
-        let pkt = Packet::request(id, Command::WriteReq, addr, 4, ctx.self_id()).with_payload(buf);
-        self.irq_inflight.insert(id.0);
-        if let Err(back) = ctx.try_send_request(VIRTIO_DMA_PORT, pkt) {
-            self.irq_stalled.push_back(back);
+        self.msix.msix_send(ctx, &mut self.dma, v);
+    }
+
+    /// Fires PBA-latched vectors that software has just unmasked.
+    fn msix_unmasked(&mut self, ctx: &mut Ctx<'_>) {
+        let mut ready = self.msix.msix_drain();
+        while ready != 0 {
+            self.msix_fire(ctx, ready.trailing_zeros() as u16);
+            ready &= ready - 1;
         }
     }
 
-    /// Fires PBA-latched vectors that are no longer masked (runs after
-    /// every MMIO access, mirroring the NIC model).
-    fn msix_drain(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.msix_active() {
-            return;
-        }
-        for v in 0..num_msix_vectors(self.config.class) {
-            let bit = 1u64 << v;
-            if self.msix_pba & bit == 0 || self.vector_masked(v) {
-                continue;
-            }
-            self.msix_pba &= !bit;
-            self.msix_send(ctx, v);
-        }
-    }
-
+    /// The INTx message is a posted write like any other: it queues behind
+    /// the used-ring writes it announces.
     fn raise_intx(&mut self, ctx: &mut Ctx<'_>) {
         self.stats.irqs.inc();
-        let Some((irq, base)) = self.config.intx else { return };
-        let addr = irq_message_addr(base, irq);
-        let id = ctx.alloc_packet_id();
-        ctx.emit(TraceCategory::Device, TraceKind::Interrupt, Some(id), None, addr);
-        let msg = Packet::request(id, Command::Message, addr, 4, ctx.self_id())
-            .with_payload(ctx.alloc_payload(4));
-        self.out_queue.push_back(msg);
-        self.pump(ctx);
+        let msg = legacy_message(ctx, &self.config_space.borrow(), self.config.intx);
+        if let Some(msg) = msg {
+            ctx.emit(TraceCategory::Device, TraceKind::Interrupt, Some(msg.id()), None, msg.addr());
+            self.dma.send(ctx, msg, None);
+        }
     }
 
     // --- net RX source -----------------------------------------------------
@@ -1515,29 +1325,22 @@ impl Virtio {
             return;
         }
         self.rx_started = true;
-        self.rx_feed =
-            Some(TrafficFeed::new(self.config.rx_source.as_ref().expect("checked above")));
-        self.schedule_next_traffic_frame(ctx);
-    }
-
-    fn schedule_next_traffic_frame(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(feed) = &mut self.rx_feed else { return };
-        let Some(frame) = feed.next_frame() else { return };
-        ctx.schedule(
-            frame.delta,
-            Event::Timer { kind: K_RX_TRAFFIC, data: pack_traffic_frame(frame.flow, frame.bytes) },
-        );
+        let mut feed = TrafficFeed::new(self.config.rx_source.as_ref().expect("checked above"));
+        feed.schedule_next(ctx, K_RX_TRAFFIC);
+        self.rx_feed = Some(feed);
     }
 
     fn rx_traffic_arrived(&mut self, ctx: &mut Ctx<'_>, data: u64) {
-        let (flow, bytes) = unpack_traffic_frame(data);
+        let (flow, bytes) = TrafficFeed::unpack_frame(data);
         if self.rx_fifo.len() as u32 >= RX_FIFO_FRAMES {
             self.stats.rx_overruns.inc();
         } else {
             self.rx_fifo.push_back((flow, bytes));
             self.rx_kick(ctx);
         }
-        self.schedule_next_traffic_frame(ctx);
+        if let Some(feed) = &mut self.rx_feed {
+            feed.schedule_next(ctx, K_RX_TRAFFIC);
+        }
     }
 
     /// Starts the RX queue walking when a frame is waiting and buffers
@@ -1549,19 +1352,6 @@ impl Virtio {
         let vq = &self.queues[0];
         if vq.enable && !vq.broken && vq.phase == VqPhase::Idle {
             self.begin_poll(ctx, 0);
-        }
-    }
-
-    fn flush_pio(&mut self, ctx: &mut Ctx<'_>) {
-        while !self.pio_waiting {
-            let Some(pkt) = self.pio_blocked.pop_front() else { return };
-            match ctx.try_send_response(VIRTIO_PIO_PORT, pkt) {
-                Ok(()) => {}
-                Err(back) => {
-                    self.pio_blocked.push_front(back);
-                    self.pio_waiting = true;
-                }
-            }
         }
     }
 }
@@ -1582,86 +1372,31 @@ impl Component for Virtio {
     }
 
     fn recv_request(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) -> RecvResult {
-        assert_eq!(port, VIRTIO_PIO_PORT, "{}: MMIO arrives on the PIO port", self.name);
-        let offset = pkt.addr().wrapping_sub(self.bar0());
-        assert!(offset < BAR0_SIZE, "{}: access outside BAR0 at {:#x}", self.name, pkt.addr());
-        let resp = match pkt.cmd() {
-            Command::ReadReq => {
-                let v = self.reg_read(offset);
-                let mut full = vec![0u8; pkt.size() as usize];
-                let n = full.len().min(4);
-                full[..n].copy_from_slice(&v.to_le_bytes()[..n]);
-                pkt.into_read_response(full)
-            }
-            Command::WriteReq => {
-                let v = pkt
-                    .payload()
-                    .map(|p| {
-                        let mut b = [0u8; 4];
-                        let n = p.len().min(4);
-                        b[..n].copy_from_slice(&p[..n]);
-                        u32::from_le_bytes(b)
-                    })
-                    .unwrap_or(0);
-                self.reg_write(ctx, offset, v);
-                pkt.into_response()
-            }
-            other => panic!("{}: unexpected PIO command {other:?}", self.name),
-        };
-        ctx.schedule(
-            self.config.pio_latency,
-            Event::DelayedPacket { tag: TAG_PIO_RESP, pkt: resp },
-        );
+        let bar0 = self.bar0();
+        let resp = mmio::serve(self, ctx, bar0, BAR0_SIZE, pkt, Self::reg_read, Self::reg_write);
+        self.pio.respond(ctx, port, resp);
         // Any MMIO access re-evaluates PBA-latched vectors (off a fresh
         // event — the doorbell write rides the link the vector would
         // immediately ride back).
-        if self.msix_pba != 0 {
+        if self.msix.any_pending() {
             ctx.schedule(0, Event::Timer { kind: K_MSIX_DRAIN, data: 0 });
         }
         RecvResult::Accepted
     }
 
-    fn recv_response(&mut self, ctx: &mut Ctx<'_>, port: PortId, mut pkt: Packet) -> RecvResult {
+    fn recv_response(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) -> RecvResult {
         assert_eq!(port, VIRTIO_DMA_PORT);
-        assert!(matches!(pkt.cmd(), Command::ReadResp | Command::WriteResp));
-        if self.irq_inflight.remove(&pkt.id().0) {
-            if pkt.is_error() {
-                self.stats.dma_error_completions.inc();
-            }
-            if let Some(buf) = pkt.take_payload() {
-                ctx.recycle_payload(buf);
-            }
-            return RecvResult::Accepted;
-        }
-        if pkt.is_error() {
-            self.stats.dma_error_completions.inc();
-        }
-        let tag = self.dma_tags.remove(&pkt.id().0);
-        if let Some(tag) = tag {
-            // Advance the walk on a fresh event, never from the receive
-            // handler (the continuation issues new requests).
-            let payload = pkt.take_payload().unwrap_or_default();
-            self.pending_data.push_back((tag, payload));
-            ctx.schedule(0, Event::Timer { kind: K_PUMP, data: 1 });
-        } else {
-            if let Some(buf) = pkt.take_payload() {
-                ctx.recycle_payload(buf);
-            }
-            ctx.schedule(0, Event::Timer { kind: K_PUMP, data: 0 });
-        }
+        self.dma.on_response(ctx, pkt);
         RecvResult::Accepted
     }
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
         match ev {
             Event::Timer { kind: K_PUMP, data } => {
-                if data == 1 {
-                    if let Some((tag, payload)) = self.pending_data.pop_front() {
-                        let data_opt = (!payload.is_empty()).then_some(payload.as_slice());
-                        self.dma_completed(ctx, tag, data_opt);
-                    }
+                if let Some((tag, payload)) = self.dma.take_completion(data) {
+                    let data_opt = (!payload.is_empty()).then_some(payload.as_slice());
+                    self.dma_completed(ctx, tag, data_opt);
                 }
-                self.pump(ctx);
             }
             Event::Timer { kind: K_ACCESS_DONE, data } => {
                 let (q, req_type, sector) = unpack_access(data);
@@ -1673,12 +1408,9 @@ impl Component for Virtio {
             Event::Timer { kind: K_RX_TRAFFIC, data } => self.rx_traffic_arrived(ctx, data),
             Event::Timer { kind: K_RX_KICK, .. } => self.rx_kick(ctx),
             Event::Timer { kind: K_DOORBELL, data } => self.doorbell(ctx, data as usize),
-            Event::Timer { kind: K_MSIX_DRAIN, .. } => self.msix_drain(ctx),
+            Event::Timer { kind: K_MSIX_DRAIN, .. } => self.msix_unmasked(ctx),
             Event::Timer { kind, .. } => panic!("{}: unknown timer {kind}", self.name),
-            Event::DelayedPacket { tag: TAG_PIO_RESP, pkt } => {
-                self.pio_blocked.push_back(pkt);
-                self.flush_pio(ctx);
-            }
+            Event::DelayedPacket { tag: TAG_PIO_RESP, pkt } => self.pio.deliver(ctx, pkt),
             Event::DelayedPacket { tag, .. } => panic!("{}: unknown tag {tag}", self.name),
             Event::StampedPacket { .. } => panic!("{}: unexpected stamped packet", self.name),
         }
@@ -1687,37 +1419,9 @@ impl Component for Virtio {
     fn retry_granted(&mut self, ctx: &mut Ctx<'_>, port: PortId) {
         match port {
             VIRTIO_DMA_PORT => {
-                // Stalled MSI-X doorbells retry ahead of the DMA pipeline.
-                while let Some(pkt) = self.irq_stalled.pop_front() {
-                    if let Err(back) = ctx.try_send_request(VIRTIO_DMA_PORT, pkt) {
-                        self.irq_stalled.push_front(back);
-                        return;
-                    }
-                }
-                if let Some(pkt) = self.stalled.take() {
-                    let is_read = pkt.cmd() == Command::ReadReq;
-                    let size = pkt.size();
-                    match ctx.try_send_request(VIRTIO_DMA_PORT, pkt) {
-                        Ok(()) => {
-                            if is_read {
-                                self.stats.dma_read_tlps.inc();
-                            } else {
-                                self.stats.dma_write_tlps.inc();
-                            }
-                            self.stats.dma_bytes.add(u64::from(size));
-                        }
-                        Err(back) => {
-                            self.stalled = Some(back);
-                            return;
-                        }
-                    }
-                }
-                self.pump(ctx);
+                self.dma.retry(ctx);
             }
-            VIRTIO_PIO_PORT => {
-                self.pio_waiting = false;
-                self.flush_pio(ctx);
-            }
+            VIRTIO_PIO_PORT => self.pio.retry(ctx),
             other => panic!("{}: retry on unknown port {other}", self.name),
         }
     }
@@ -1728,15 +1432,18 @@ impl Component for Virtio {
         out.counter("doorbells", &self.stats.doorbells);
         out.counter("chains_used", &self.stats.chains_used);
         out.counter("desc_reads", &self.stats.desc_reads);
-        out.counter("dma_read_tlps", &self.stats.dma_read_tlps);
-        out.counter("dma_write_tlps", &self.stats.dma_write_tlps);
-        out.counter("dma_bytes", &self.stats.dma_bytes);
-        out.counter("dma_error_completions", &self.stats.dma_error_completions);
+        // INTx messages ride the ordered lane as 4-byte posted writes and
+        // have always been counted with the write TLPs here.
+        let messages = self.dma.message_tlps.value();
+        out.counter("dma_read_tlps", &self.dma.read_tlps);
+        out.scalar("dma_write_tlps", (self.dma.write_tlps.value() + messages) as f64);
+        out.scalar("dma_bytes", (self.dma.bytes.value() + 4 * messages) as f64);
+        out.counter("dma_error_completions", &self.dma.error_completions);
         out.counter("payload_bytes_read", &self.stats.payload_bytes_read);
         out.counter("payload_bytes_written", &self.stats.payload_bytes_written);
         out.counter("desc_faults", &self.stats.desc_faults);
         out.counter("irqs", &self.stats.irqs);
-        out.counter("msix_irqs", &self.stats.msix_irqs);
+        out.counter("msix_irqs", &self.msix.sent);
         if self.config.class == VirtioClass::Net {
             out.counter("frames_tx", &self.stats.frames_tx);
             out.counter("frames_rx", &self.stats.frames_rx);
@@ -1782,36 +1489,8 @@ impl Component for Virtio {
             w.u64(sector);
             w.bytes(buf);
         }
-        encode_packet_queue(w, &self.out_queue);
-        match &self.stalled {
-            Some(pkt) => {
-                w.bool(true);
-                pkt.encode(w);
-            }
-            None => w.bool(false),
-        }
-        let mut tags: Vec<(u64, DmaTag)> = self.dma_tags.iter().map(|(&k, &v)| (k, v)).collect();
-        tags.sort_unstable_by_key(|&(k, _)| k);
-        w.usize(tags.len());
-        for (id, tag) in tags {
-            w.u64(id);
-            encode_tag(w, tag);
-        }
-        w.usize(self.pending_data.len());
-        for (tag, payload) in &self.pending_data {
-            encode_tag(w, *tag);
-            w.bytes(payload);
-        }
-        w.usize(self.msix_table.len());
-        for &dw in &self.msix_table {
-            w.u32(dw);
-        }
-        w.u64(self.msix_pba);
-        w.usize(self.irq_inflight.len());
-        for &id in &self.irq_inflight {
-            w.u64(id);
-        }
-        encode_packet_queue(w, &self.irq_stalled);
+        self.dma.save(w);
+        self.msix.save(w);
         w.bool(self.rx_started);
         w.u32(self.rx_feed.as_ref().map_or(0, |f| f.emitted()));
         w.usize(self.rx_fifo.len());
@@ -1820,22 +1499,16 @@ impl Component for Virtio {
             w.u32(bytes);
         }
         w.u64(self.rx_octets);
-        w.bool(self.pio_waiting);
-        encode_packet_queue(w, &self.pio_blocked);
+        self.pio.save(w);
         self.stats.mmio_reads.encode(w);
         self.stats.mmio_writes.encode(w);
         self.stats.doorbells.encode(w);
         self.stats.chains_used.encode(w);
         self.stats.desc_reads.encode(w);
-        self.stats.dma_read_tlps.encode(w);
-        self.stats.dma_write_tlps.encode(w);
-        self.stats.dma_bytes.encode(w);
-        self.stats.dma_error_completions.encode(w);
         self.stats.payload_bytes_read.encode(w);
         self.stats.payload_bytes_written.encode(w);
         self.stats.desc_faults.encode(w);
         self.stats.irqs.encode(w);
-        self.stats.msix_irqs.encode(w);
         self.stats.frames_tx.encode(w);
         self.stats.frames_rx.encode(w);
         self.stats.rx_overruns.encode(w);
@@ -1887,35 +1560,8 @@ impl Component for Virtio {
             }
             self.store.insert(sector, buf);
         }
-        self.out_queue = decode_packet_queue(r)?;
-        self.stalled = if r.bool()? { Some(Packet::decode(r)?) } else { None };
-        self.dma_tags.clear();
-        let n = r.usize()?;
-        for _ in 0..n {
-            let id = r.u64()?;
-            self.dma_tags.insert(id, decode_tag(r)?);
-        }
-        self.pending_data.clear();
-        let n = r.usize()?;
-        for _ in 0..n {
-            let tag = decode_tag(r)?;
-            let payload = r.bytes()?.to_vec();
-            self.pending_data.push_back((tag, payload));
-        }
-        let n = r.usize()?;
-        if n != self.msix_table.len() {
-            return Err(SnapshotError::Corrupt(format!("msix table of {n} dwords")));
-        }
-        for dw in &mut self.msix_table {
-            *dw = r.u32()?;
-        }
-        self.msix_pba = r.u64()?;
-        self.irq_inflight.clear();
-        let n = r.usize()?;
-        for _ in 0..n {
-            self.irq_inflight.insert(r.u64()?);
-        }
-        self.irq_stalled = decode_packet_queue(r)?;
+        self.dma.restore(r)?;
+        self.msix.restore(r)?;
         self.rx_started = r.bool()?;
         let emitted = r.u32()?;
         self.rx_feed = match &self.config.rx_source {
@@ -1930,22 +1576,16 @@ impl Component for Virtio {
             self.rx_fifo.push_back((flow, bytes));
         }
         self.rx_octets = r.u64()?;
-        self.pio_waiting = r.bool()?;
-        self.pio_blocked = decode_packet_queue(r)?;
+        self.pio.restore(r)?;
         self.stats.mmio_reads = Counter::decode(r)?;
         self.stats.mmio_writes = Counter::decode(r)?;
         self.stats.doorbells = Counter::decode(r)?;
         self.stats.chains_used = Counter::decode(r)?;
         self.stats.desc_reads = Counter::decode(r)?;
-        self.stats.dma_read_tlps = Counter::decode(r)?;
-        self.stats.dma_write_tlps = Counter::decode(r)?;
-        self.stats.dma_bytes = Counter::decode(r)?;
-        self.stats.dma_error_completions = Counter::decode(r)?;
         self.stats.payload_bytes_read = Counter::decode(r)?;
         self.stats.payload_bytes_written = Counter::decode(r)?;
         self.stats.desc_faults = Counter::decode(r)?;
         self.stats.irqs = Counter::decode(r)?;
-        self.stats.msix_irqs = Counter::decode(r)?;
         self.stats.frames_tx = Counter::decode(r)?;
         self.stats.frames_rx = Counter::decode(r)?;
         self.stats.rx_overruns = Counter::decode(r)?;
@@ -1959,6 +1599,8 @@ mod tests {
     use pcisim_kernel::sim::{RunOutcome, Simulation};
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    use crate::testkit::Guest;
 
     const BAR0: u64 = 0x4000_0000;
     const RING: u64 = 0x8000_0000;
@@ -2011,36 +1653,6 @@ mod tests {
                 }
                 other => panic!("mem: unexpected {other:?}"),
             }
-        }
-    }
-
-    /// Scripted guest: issues a burst of 4 B MMIO writes at t=0.
-    struct Script {
-        writes: Vec<(u64, u32)>,
-        sent: bool,
-    }
-
-    impl Component for Script {
-        fn name(&self) -> &str {
-            "drv"
-        }
-        fn init(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.schedule(0, Event::Timer { kind: 0, data: 0 });
-        }
-        fn handle(&mut self, ctx: &mut Ctx<'_>, _ev: Event) {
-            if self.sent {
-                return;
-            }
-            self.sent = true;
-            for &(off, val) in &self.writes {
-                let id = ctx.alloc_packet_id();
-                let pkt = Packet::request(id, Command::WriteReq, BAR0 + off, 4, ctx.self_id())
-                    .with_payload(val.to_le_bytes().to_vec());
-                ctx.try_send_request(PortId(0), pkt).expect("device accepts MMIO");
-            }
-        }
-        fn recv_response(&mut self, _c: &mut Ctx<'_>, _p: PortId, _k: Packet) -> RecvResult {
-            RecvResult::Accepted
         }
     }
 
@@ -2106,7 +1718,7 @@ mod tests {
             dev.store_preload(*sector, data);
         }
         patch_cs(&cs);
-        let drv = sim.add(Box::new(Script { writes, sent: false }));
+        let drv = sim.add(Box::new(Guest::new(BAR0, writes)));
         let d = sim.add(Box::new(dev));
         let m = sim.add(Box::new(FuncMem { mem: mem.clone(), latency: ns(30) }));
         sim.connect((drv, PortId(0)), (d, VIRTIO_PIO_PORT));
@@ -2147,10 +1759,8 @@ mod tests {
         use pcisim_pci::regs::cap_id;
         let plain = virtio_config_space(&VirtioConfig::default());
         assert!(!pcisim_pci::caps::msix_enabled(&plain));
-        let capable = virtio_config_space(&VirtioConfig {
-            msix_capable: true,
-            ..VirtioConfig::default()
-        });
+        let capable =
+            virtio_config_space(&VirtioConfig { msix_capable: true, ..VirtioConfig::default() });
         let caps = pcisim_pci::caps::walk_capabilities(&capable);
         assert!(caps.iter().any(|&(_, id)| id == cap_id::MSI_X));
         assert_eq!(pcisim_pci::caps::msix_table_size(&capable), 2, "1 queue + config");
@@ -2166,13 +1776,8 @@ mod tests {
         mem_write(&mem, RING + 0x4000, &blk_header(BLK_T_IN, 3));
         mem_write(&mem, RING + 0x6000, &[0xee]); // stale status must be overwritten
         publish(&mem, &[0]);
-        let sim = run(
-            VirtioConfig::default(),
-            &mem,
-            setup_writes(0),
-            &[(3, pattern.clone())],
-            |_| {},
-        );
+        let sim =
+            run(VirtioConfig::default(), &mem, setup_writes(0), &[(3, pattern.clone())], |_| {});
         assert_eq!(mem_read(&mem, RING + 0x5000, 512), pattern, "payload DMA-written");
         assert_eq!(mem_read(&mem, RING + 0x6000, 1), vec![BLK_S_OK]);
         assert_eq!(mem_read(&mem, RING + 0x2002, 2), 1u16.to_le_bytes().to_vec(), "used idx");

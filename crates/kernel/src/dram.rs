@@ -392,9 +392,8 @@ mod tests {
 
     #[test]
     fn functional_store_roundtrips_unaligned_spans() {
-        let mut d = Dram::builder("dram", AddrRange::with_size(BASE, 0x1000_0000))
-            .functional(true)
-            .build();
+        let mut d =
+            Dram::builder("dram", AddrRange::with_size(BASE, 0x1000_0000)).functional(true).build();
         // A write straddling three 64 B blocks, at an unaligned offset.
         let data: Vec<u8> = (0..150u8).collect();
         d.store_write(BASE + 37, &data);
@@ -414,16 +413,14 @@ mod tests {
 
     #[test]
     fn functional_store_survives_snapshot() {
-        let mut d = Dram::builder("dram", AddrRange::with_size(BASE, 0x1000_0000))
-            .functional(true)
-            .build();
+        let mut d =
+            Dram::builder("dram", AddrRange::with_size(BASE, 0x1000_0000)).functional(true).build();
         d.store_write(BASE + 0x100, &[1, 2, 3, 4]);
         let mut w = StateWriter::new();
         d.save_state(&mut w);
         let bytes = w.into_bytes();
-        let mut fresh = Dram::builder("dram", AddrRange::with_size(BASE, 0x1000_0000))
-            .functional(true)
-            .build();
+        let mut fresh =
+            Dram::builder("dram", AddrRange::with_size(BASE, 0x1000_0000)).functional(true).build();
         let mut r = StateReader::new(&bytes);
         fresh.restore_state(&mut r).unwrap();
         let mut back = vec![0; 4];

@@ -934,10 +934,7 @@ mod tests {
             .write_into(&mut cs);
         cs.init_u8(crate::regs::common::CAP_PTR, first);
         let walked = walk_capabilities(&cs);
-        assert_eq!(
-            walked,
-            vec![(0x40, cap_id::VENDOR_SPECIFIC), (0xc8, cap_id::POWER_MANAGEMENT)]
-        );
+        assert_eq!(walked, vec![(0x40, cap_id::VENDOR_SPECIFIC), (0xc8, cap_id::POWER_MANAGEMENT)]);
         assert_eq!(vendor_structures(&cs), vec![(vendor_cap::TYPE_DEVICE, 2, 0x3000, 0x40, None)]);
     }
 
@@ -948,7 +945,13 @@ mod tests {
         CapChain::new()
             .add(
                 0x40,
-                Capability::VendorSpecific { cfg_type: 0, bar: 0, offset: 0, length: 4, extra: None },
+                Capability::VendorSpecific {
+                    cfg_type: 0,
+                    bar: 0,
+                    offset: 0,
+                    length: 4,
+                    extra: None,
+                },
             )
             .write_into(&mut cs);
     }

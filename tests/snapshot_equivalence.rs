@@ -240,6 +240,40 @@ fn warmed_validation(block_bytes: u64) -> TopologySystem {
     built
 }
 
+/// The cut-point property every mid-run checkpoint test below asserts:
+/// run `build()` to quiesce as the reference, then at 25/50/75 % of its
+/// quiesce tick checkpoint an interrupted run, restore it into a *freshly
+/// built* system and resume — the quiesce tick, statistics and PacketId
+/// allocator must be bit-identical to the uninterrupted run, and the
+/// workloads (`done`) must finish. Returns the finished reference.
+fn assert_cut_points_resume_bit_identically<R>(
+    build: impl Fn() -> (TopologySystem, R),
+    done: impl Fn(&R) -> bool,
+) -> (TopologySystem, R) {
+    let (mut reference, ref_reports) = build();
+    assert_eq!(reference.sim.run(MAX_TIME, MAX_EVENTS), RunOutcome::QueueEmpty);
+    assert!(done(&ref_reports), "reference run must finish its workloads");
+    let ref_tick = reference.sim.now();
+    let ref_fnv = reference.sim.stats().fnv();
+    let ref_pid = reference.sim.packet_ids_allocated();
+
+    for frac in [25u64, 50, 75] {
+        let (mut interrupted, _) = build();
+        let outcome = interrupted.sim.run(ref_tick * frac / 100, MAX_EVENTS);
+        assert!(matches!(outcome, RunOutcome::TimeLimit | RunOutcome::QueueEmpty), "{outcome:?}");
+        let snap = interrupted.checkpoint();
+
+        let (mut resumed, reports) = build();
+        resumed.restore(&snap).expect("mid-run checkpoint restores");
+        assert_eq!(resumed.sim.run(MAX_TIME, MAX_EVENTS), RunOutcome::QueueEmpty);
+        assert!(done(&reports), "restored run must finish its workloads at {frac}%");
+        assert_eq!(resumed.sim.now(), ref_tick, "quiesce tick at {frac}%");
+        assert_eq!(resumed.sim.stats().fnv(), ref_fnv, "stats fingerprint at {frac}%");
+        assert_eq!(resumed.sim.packet_ids_allocated(), ref_pid, "PacketId allocator at {frac}%");
+    }
+    (reference, ref_reports)
+}
+
 /// Checkpoint an MSI-X run in the middle of its moderation holdoff
 /// windows — armed per-vector timers, coalesced-pending flags, per-queue
 /// rings and the programmed MSI-X table all live state — restore into a
@@ -257,31 +291,41 @@ fn msix_moderation_checkpoint_restores_bit_identically() {
         (built, report)
     };
 
-    // Reference: the uninterrupted run, with moderation demonstrably
-    // active (fewer doorbells than frames).
-    let (mut reference, ref_report) = build();
-    assert_eq!(reference.sim.run(MAX_TIME, MAX_EVENTS), RunOutcome::QueueEmpty);
-    let r = ref_report.borrow().clone();
-    assert!(r.done);
-    assert!(r.irqs < 64, "holdoff must be coalescing during this run, took {}", r.irqs);
-    let ref_tick = reference.sim.now();
-    let ref_fnv = reference.sim.stats().fnv();
-    let ref_pid = reference.sim.packet_ids_allocated();
+    // Moderation must be demonstrably active (fewer doorbells than
+    // frames) during the run that is cut.
+    let (_, report) = assert_cut_points_resume_bit_identically(build, |r| r.borrow().done);
+    let irqs = report.borrow().irqs;
+    assert!(irqs < 64, "holdoff must be coalescing during this run, took {irqs}");
+}
 
-    for frac in [25u64, 50, 75] {
-        let (mut interrupted, _) = build();
-        let outcome = interrupted.sim.run(ref_tick * frac / 100, MAX_EVENTS);
-        assert!(matches!(outcome, RunOutcome::TimeLimit | RunOutcome::QueueEmpty), "{outcome:?}");
-        let snap = interrupted.checkpoint();
+/// Checkpoints of endpoints under fabric backpressure — the DMA engine
+/// holding a stalled TLP with a sector's worth queued behind the barrier,
+/// MSI-X doorbells competing with data for an x1 link — restore
+/// bit-identically: an IDE disk streaming through a 1-deep replay buffer,
+/// and a 4-queue MSI-X NIC with immediate (unmoderated) delivery.
+#[test]
+fn backpressured_endpoint_checkpoints_restore_bit_identically() {
+    use pcisim::system::prelude::MsixTxConfig;
 
-        let (mut resumed, report) = build();
-        resumed.restore(&snap).expect("mid-holdoff checkpoint restores");
-        assert_eq!(resumed.sim.run(MAX_TIME, MAX_EVENTS), RunOutcome::QueueEmpty);
-        assert!(report.borrow().done);
-        assert_eq!(resumed.sim.now(), ref_tick, "quiesce tick at {frac}%");
-        assert_eq!(resumed.sim.stats().fnv(), ref_fnv, "stats fingerprint at {frac}%");
-        assert_eq!(resumed.sim.packet_ids_allocated(), ref_pid, "PacketId allocator at {frac}%");
-    }
+    let disk = || {
+        let mut config = SystemConfig::validation();
+        config.device_link.replay_buffer_size = 1;
+        let mut built = build_system(config);
+        let report = built.attach_dd(0, DdConfig { block_bytes: 32 * 1024, ..DdConfig::default() });
+        (built, report)
+    };
+    let (reference, _) = assert_cut_points_resume_bit_identically(disk, |r| r.borrow().done);
+    let stalls = reference.sim.stats().get("disk.dma_stalls").expect("disk stat");
+    assert!(stalls > 0.0, "the x1 link must have pushed back on the disk");
+
+    let nic = || {
+        let mut built = build_system(SystemConfig::nic_msix(4, 0));
+        let report = built
+            .attach_msix_tx(0, MsixTxConfig { queues: 4, frames: 32, ..MsixTxConfig::default() });
+        (built, report)
+    };
+    let (_, report) = assert_cut_points_resume_bit_identically(nic, |r| r.borrow().done);
+    assert_eq!(report.borrow().irqs, 32, "unmoderated: one doorbell per frame");
 }
 
 /// Checkpoint a CXL.mem pointer chase in mid-flight — the chase's
@@ -309,27 +353,7 @@ fn mid_pointer_chase_checkpoint_restores_bit_identically() {
         (sys, report)
     };
 
-    let (mut reference, ref_report) = build();
-    assert_eq!(reference.sim.run(MAX_TIME, MAX_EVENTS), RunOutcome::QueueEmpty);
-    assert!(ref_report.borrow().done, "reference chase must finish");
-    let ref_tick = reference.sim.now();
-    let ref_fnv = reference.sim.stats().fnv();
-    let ref_pid = reference.sim.packet_ids_allocated();
-
-    for frac in [25u64, 50, 75] {
-        let (mut interrupted, _) = build();
-        let outcome = interrupted.sim.run(ref_tick * frac / 100, MAX_EVENTS);
-        assert!(matches!(outcome, RunOutcome::TimeLimit | RunOutcome::QueueEmpty), "{outcome:?}");
-        let snap = interrupted.sim.checkpoint();
-
-        let (mut resumed, report) = build();
-        resumed.sim.restore(&snap).expect("mid-chase checkpoint restores");
-        assert_eq!(resumed.sim.run(MAX_TIME, MAX_EVENTS), RunOutcome::QueueEmpty);
-        assert!(report.borrow().done, "restored chase must finish at {frac}%");
-        assert_eq!(resumed.sim.now(), ref_tick, "quiesce tick at {frac}%");
-        assert_eq!(resumed.sim.stats().fnv(), ref_fnv, "stats fingerprint at {frac}%");
-        assert_eq!(resumed.sim.packet_ids_allocated(), ref_pid, "PacketId allocator at {frac}%");
-    }
+    assert_cut_points_resume_bit_identically(build, |r| r.borrow().done);
 }
 
 #[test]
@@ -449,30 +473,10 @@ fn mid_virtio_request_checkpoint_restores_bit_identically() {
                 ..VirtioAppConfig::default()
             },
         );
-        (sys, blk, net)
+        (sys, (blk, net))
     };
 
-    let (mut reference, ref_blk, ref_net) = build();
-    assert_eq!(reference.sim.run(MAX_TIME, MAX_EVENTS), RunOutcome::QueueEmpty);
-    assert!(ref_blk.borrow().done, "reference blk stream must finish");
-    assert!(ref_net.borrow().done, "reference net stream must finish");
-    let ref_tick = reference.sim.now();
-    let ref_fnv = reference.sim.stats().fnv();
-    let ref_pid = reference.sim.packet_ids_allocated();
-
-    for frac in [25u64, 50, 75] {
-        let (mut interrupted, _, _) = build();
-        let outcome = interrupted.sim.run(ref_tick * frac / 100, MAX_EVENTS);
-        assert!(matches!(outcome, RunOutcome::TimeLimit | RunOutcome::QueueEmpty), "{outcome:?}");
-        let snap = interrupted.sim.checkpoint();
-
-        let (mut resumed, blk, net) = build();
-        resumed.sim.restore(&snap).expect("mid-request checkpoint restores");
-        assert_eq!(resumed.sim.run(MAX_TIME, MAX_EVENTS), RunOutcome::QueueEmpty);
-        assert!(blk.borrow().done, "restored blk stream must finish at {frac}%");
-        assert!(net.borrow().done, "restored net stream must finish at {frac}%");
-        assert_eq!(resumed.sim.now(), ref_tick, "quiesce tick at {frac}%");
-        assert_eq!(resumed.sim.stats().fnv(), ref_fnv, "stats fingerprint at {frac}%");
-        assert_eq!(resumed.sim.packet_ids_allocated(), ref_pid, "PacketId allocator at {frac}%");
-    }
+    assert_cut_points_resume_bit_identically(build, |(blk, net)| {
+        blk.borrow().done && net.borrow().done
+    });
 }

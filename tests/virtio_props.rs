@@ -177,10 +177,7 @@ impl ChaosDriver {
         setup.extend([
             (common::DEVICE_STATUS, status::ACKNOWLEDGE),
             (common::DEVICE_STATUS, status::ACKNOWLEDGE | status::DRIVER),
-            (
-                common::DEVICE_STATUS,
-                status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK,
-            ),
+            (common::DEVICE_STATUS, status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK),
             (common::CONFIG_MSIX_VECTOR, 0),
             (common::QUEUE_SELECT, 0),
             (common::QUEUE_MSIX_VECTOR, 1),
