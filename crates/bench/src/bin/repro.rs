@@ -2,14 +2,15 @@
 //!
 //! ```text
 //! repro [--full] [--jobs N] [--shards N] [--warm-start] [--trace PATH]
-//!       [--checkpoint PATH] [--bench-json PATH] [--bench-check PATH]
+//!       [--checkpoint PATH] [--bench-json PATH]
 //!       [fig9a] [fig9b] [fig9c] [fig9d] [table2] [sector] [ext] [faults] [topology]
 //!       [msix] [pmd] [shard] [cxl] [virtio] [all]
 //! ```
 //!
 //! `ext` runs the extension experiments beyond the paper's evaluation:
-//! the legacy-crossbar baseline, dual-disk fabric contention, and the
-//! NIC transmit sweep.
+//! the legacy-crossbar baseline, dual-disk fabric contention, the NIC
+//! transmit and receive sweeps, and the `dd` ablation table (posted
+//! writes, ACK per TLP, cut-through links, credit flow control at x8).
 //!
 //! `faults` (alias `--faults`) runs the deterministic fault campaign:
 //! `dd` goodput under link-level error injection, swept over the
@@ -70,13 +71,11 @@
 //! tracing: a Chrome/Perfetto trace is written to PATH and a per-stage
 //! latency attribution of the MMIO read is printed.
 //!
-//! `--bench-json PATH` measures the `simulator_speed` microbenchmark
-//! scenarios and writes a machine-readable speed report (events/sec,
-//! per-sweep wall-clock, host metadata) to PATH.
-//!
-//! `--bench-check PATH` re-measures the scenarios and exits non-zero if
-//! ops/sec regressed more than 30% against the `current` section of the
-//! JSON at PATH (the CI smoke gate). No figures run in this mode.
+//! `--bench-json PATH` measures the four full-system scenarios the repo
+//! benchmark (`benchmark/`) does not cover and writes a machine-readable
+//! speed record (ops/sec, events/sec, the wall-clock of each figure this
+//! invocation ran, host metadata) to PATH; it exits non-zero when a
+//! scenario's event rate is non-finite or under the 100 k events/s floor.
 //!
 //! By default block sizes are scaled down 16× (4–32 MB instead of the
 //! paper's 64–512 MB) so the whole suite finishes in seconds; `--full`
@@ -85,8 +84,10 @@
 use std::time::Instant;
 
 use pcisim_bench::{benchjson, reference, table};
+use pcisim_devices::ide::IdeDiskConfig;
 use pcisim_kernel::tick::ns;
-use pcisim_pcie::params::{Generation, LinkWidth};
+use pcisim_pcie::params::{Generation, LinkConfig, LinkWidth};
+use pcisim_pcie::router::RouterConfig;
 use pcisim_system::prelude::*;
 
 const MB: u64 = 1024 * 1024;
@@ -344,8 +345,8 @@ fn ext(opts: &Opts) {
         "
 == Extension: legacy crossbar baseline vs the PCI-Express model =="
     );
-    let l = dd_gbps(build_legacy_system(LegacySystemConfig::default()))[0];
-    let p = dd_gbps(build_system(SystemConfig::validation()))[0];
+    let l = dd_gbps(build_legacy_system())[0];
+    let p = dd_gbps(build_topology(Topology::validation()))[0];
     println!(
         "legacy IOBus (no PCIe model): {l:.3} Gb/s   PCIe Gen2 x1 reality: {p:.3} Gb/s   ({:.1}x overstated)",
         l / p
@@ -415,24 +416,71 @@ fn ext(opts: &Opts) {
         },
     );
 
-    println!("\n== Extension: credit-based flow control at x8 (vs the paper's ACK/NAK) ==");
-    let mut rows = Vec::new();
-    for (name, credits) in [("ack/nak only", None), ("credit FC (16)", Some(16usize))] {
-        let out = run_cold(&DdExperiment {
-            block_bytes: block,
-            width_all: Some(LinkWidth::X8),
-            credit_fc: credits,
-            ..DdExperiment::default()
-        });
-        assert!(out.completed);
-        rows.push(vec![
-            name.to_string(),
+    println!("\n== Extension: dd ablations over design choices the paper calls out ==");
+    println!("   validation chain (x4 root / x1 device) unless the arm says x8 on every link");
+    let base = DdExperiment { block_bytes: block, ..DdExperiment::default() };
+    let x8 = DdExperiment { width_all: Some(LinkWidth::X8), ..base.clone() };
+    let arms = [
+        ("baseline", base.clone()),
+        ("posted DMA writes", DdExperiment { posted_writes: true, ..base.clone() }),
+        ("ACK per TLP", DdExperiment { ack_immediate: true, ..base }),
+        ("x8, ACK/NAK only", x8.clone()),
+        ("x8, credit FC (16)", DdExperiment { credit_fc: Some(16), ..x8 }),
+    ];
+    let configs: Vec<DdExperiment> = arms.iter().map(|(_, exp)| exp.clone()).collect();
+    // Cold even under `--warm-start`: only the Fig. 9 knobs are pinned as
+    // fork-safe, not the disk and link-protocol switches flipped here.
+    let outcomes = run_sweep(&configs, opts.jobs, run_cold);
+    let cut_through = run_cold(&CutThroughDd { block_bytes: block });
+    let row = |label: &str, out: &DdOutcome| {
+        assert!(out.completed, "ablation arm must complete: {label}");
+        vec![
+            label.to_string(),
             format!("{:.3}", out.throughput_gbps),
             format!("{:.1}%", out.replay_pct),
             format!("{:.1}%", out.timeout_pct),
-        ]);
+        ]
+    };
+    let mut rows: Vec<_> =
+        arms.iter().zip(&outcomes).map(|((label, _), out)| row(label, out)).collect();
+    rows.insert(3, row("cut-through links", &cut_through));
+    println!("{}", table::render(&["arm", "dd (Gb/s)", "replay%", "timeout%"], &rows));
+}
+
+/// The validation `dd` run with cut-through forwarding on both links
+/// (`LinkConfig::cut_through`; the paper's links store and forward).
+struct CutThroughDd {
+    block_bytes: u64,
+}
+
+impl CutThroughDd {
+    fn dd(&self) -> DdExperiment {
+        DdExperiment { block_bytes: self.block_bytes, ..DdExperiment::default() }
     }
-    println!("{}", table::render(&["flow control", "dd (Gb/s)", "replay%", "timeout%"], &rows));
+}
+
+impl Experiment for CutThroughDd {
+    type Reports = DdReportHandle;
+    type Outcome = DdOutcome;
+    type WarmKey = ();
+
+    fn topology(&self) -> Topology {
+        let link =
+            |width| LinkConfig { cut_through: true, ..LinkConfig::new(Generation::Gen2, width) };
+        Topology::chain(
+            link(LinkWidth::X4),
+            Some((RouterConfig::default(), link(LinkWidth::X1))),
+            DeviceSpec::Disk(IdeDiskConfig::default()),
+        )
+    }
+
+    fn attach(&self, sys: &mut ShardedTopologySystem) -> DdReportHandle {
+        self.dd().attach(sys)
+    }
+
+    fn collect(&self, fin: &Finished, report: &DdReportHandle) -> DdOutcome {
+        self.dd().collect(fin, report)
+    }
 }
 
 /// The deterministic fault campaign: `dd` goodput under link-level error
@@ -1050,106 +1098,29 @@ fn checkpoint_demo(path: &str) {
     );
 }
 
-/// Number of microbenchmark samples; `PCISIM_BENCH_SAMPLES` overrides the
-/// default of 3 (the same knob the criterion shim honours).
-fn bench_samples() -> u32 {
-    std::env::var("PCISIM_BENCH_SAMPLES").ok().and_then(|s| s.parse().ok()).unwrap_or(3)
-}
-
-/// Measures the microbenchmark scenarios plus the warm-start cold/warm
-/// comparison and writes the speed report.
+/// Measures the scenarios the repo benchmark does not cover and writes the
+/// speed record. Exits non-zero when a scenario's event rate is non-finite
+/// or under the floor (a broken build or an unusable timer reading, not a
+/// noisy host).
 fn bench_json(path: &str, sweep_wall_ms: &[(String, u64)]) {
-    println!("\n== simulator_speed microbenchmarks (for {path}) ==");
-    let micro = benchjson::run_micro_benchmarks(bench_samples());
+    const SAMPLES: u32 = 3;
+    println!("\n== simulator_speed scenarios (for {path}) ==");
+    let micro = benchjson::run_micro_benchmarks(SAMPLES);
     for m in &micro {
         println!(
-            "{:>16}: {:>12.0} ops/s  {:>12.0} events/s  ({:.2} ms)",
+            "{:>22}: {:>12.0} ops/s  {:>12.0} events/s  ({:.2} ms)",
             m.name, m.ops_per_sec, m.events_per_sec, m.wall_ms
         );
     }
-    let warm = benchjson::run_warm_start_benchmark(bench_samples());
-    println!(
-        "{:>16}: cold {:>8.1} ms vs warm {:>8.1} ms over {} configs ({:.2}x; warm arm \
-         skips {} setup passes + {} warmup events/point, still runs each workload tail)",
-        "warm_start",
-        warm.cold_ms,
-        warm.warm_ms,
-        warm.configs,
-        warm.speedup(),
-        warm.cold_setups - warm.warm_setups,
-        warm.warm_events_skipped,
-    );
-    std::fs::write(path, benchjson::render_json(&micro, sweep_wall_ms, Some(&warm)))
-        .expect("write bench json");
-    println!("speed report written to {path}");
-}
-
-/// CI smoke gate: re-measures the scenarios and compares against the
-/// `current` section of the checked-in JSON. Exits non-zero on a >30%
-/// ops/sec regression, on any scenario dipping under the absolute
-/// events/sec floor, or on a `null`/non-finite baseline entry (a `null`
-/// means a broken measurement was checked in — regenerate the file with
-/// `--bench-json` instead of gating against garbage).
-fn bench_check(path: &str) -> i32 {
-    const MAX_REGRESSION: f64 = 0.30;
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read bench baseline {path}: {e}"));
-    let doc = benchjson::parse(&text).unwrap_or_else(|e| panic!("bad JSON in {path}: {e}"));
-    let floor = match doc.path(&["floors", "events_per_sec"]) {
-        // Baselines written before the floor existed fall back to the
-        // compiled-in value.
-        None => benchjson::EVENTS_PER_SEC_FLOOR,
-        Some(v) => v.as_f64().filter(|f| f.is_finite() && *f > 0.0).unwrap_or_else(|| {
-            panic!("floors.events_per_sec in {path} is {v:?}, not a positive finite number")
-        }),
-    };
-    let micro = benchjson::run_micro_benchmarks(bench_samples());
-    let mut failed = false;
-    println!("== bench smoke: measured vs baseline ({path}), events/s floor {floor:.0} ==");
-    for m in &micro {
-        let mut verdict = "ok";
-        if m.events_per_sec < floor {
-            failed = true;
-            verdict = "UNDER FLOOR";
-        }
-        match doc.path(&["current", "ops_per_sec", m.name]) {
-            None => {
-                println!(
-                    "{:>22}: {:>12.0} ops/s  {:>12.0} events/s — no baseline entry {verdict}",
-                    m.name, m.ops_per_sec, m.events_per_sec
-                );
-            }
-            Some(entry) => {
-                let base =
-                    entry.as_f64().filter(|b| b.is_finite() && *b > 0.0).unwrap_or_else(|| {
-                        panic!(
-                            "baseline ops_per_sec for {} in {path} is {entry:?} — a null or \
-                             non-finite baseline means a broken measurement was checked in; \
-                             regenerate with --bench-json",
-                            m.name
-                        )
-                    });
-                let ratio = m.ops_per_sec / base;
-                if ratio < 1.0 - MAX_REGRESSION {
-                    failed = true;
-                    verdict = "REGRESSION";
-                }
-                println!(
-                    "{:>22}: {:>12.0} ops/s vs baseline {:>12.0} ({:>5.2}x) {verdict}",
-                    m.name, m.ops_per_sec, base, ratio
-                );
-            }
-        }
-    }
-    if failed {
+    std::fs::write(path, benchjson::render_json(&micro, sweep_wall_ms)).expect("write bench json");
+    println!("speed record written to {path}");
+    let slow: Vec<&str> = micro.iter().filter(|m| !m.clears_floor()).map(|m| m.name).collect();
+    if !slow.is_empty() {
         eprintln!(
-            "bench smoke FAILED: ops/sec regressed more than {:.0}% or events/sec \
-             fell under the {floor:.0} floor",
-            MAX_REGRESSION * 100.0
+            "bench FAILED: {slow:?} under the {:.0} events/s floor (or non-finite)",
+            benchjson::EVENTS_PER_SEC_FLOOR
         );
-        1
-    } else {
-        0
+        std::process::exit(1);
     }
 }
 
@@ -1194,16 +1165,13 @@ fn main() {
         .map(|i| args.get(i + 1).cloned().unwrap_or_else(|| "repro_trace.json".into()));
     let bench_json_path = value_of("--bench-json");
     let checkpoint_path = value_of("--checkpoint");
-    if let Some(path) = value_of("--bench-check") {
-        std::process::exit(bench_check(&path));
-    }
     let warm_start = args.iter().any(|a| a == "--warm-start");
     let shards = value_of("--shards")
         .map(|v| v.parse::<usize>().unwrap_or_else(|_| panic!("--shards needs a number, got {v}")))
         .unwrap_or(4);
     let opts = Opts { full, jobs, warm_start, shards };
-    const VALUE_FLAGS: [&str; 6] =
-        ["--trace", "--jobs", "--shards", "--bench-json", "--bench-check", "--checkpoint"];
+    const VALUE_FLAGS: [&str; 5] =
+        ["--trace", "--jobs", "--shards", "--bench-json", "--checkpoint"];
     let mut skip_next = false;
     // A figure is picked by name or, as CI spells some of them, `--name`.
     let picked: Vec<&str> = args
@@ -1246,7 +1214,9 @@ fn main() {
         if run_all || picked.contains(&name) {
             let start = Instant::now();
             figure(&opts);
-            sweep_wall_ms.push((name.to_string(), start.elapsed().as_millis() as u64));
+            let wall_ms = start.elapsed().as_millis() as u64;
+            println!("   [{name}: {wall_ms} ms of host time]");
+            sweep_wall_ms.push((name.to_string(), wall_ms));
         }
     }
     if let Some(path) = trace_path {

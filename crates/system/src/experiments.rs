@@ -15,6 +15,7 @@
 use std::time::Instant;
 
 use pcisim_devices::cxl::CxlExpanderConfig;
+use pcisim_devices::ide::IdeDiskConfig;
 use pcisim_devices::nic::NicConfig;
 use pcisim_devices::virtio::{VirtioClass, VirtioConfig};
 use pcisim_kernel::shard::SyncStats;
@@ -25,11 +26,13 @@ use pcisim_kernel::trace::{TraceCategory, TraceLog};
 use pcisim_pci::caps::aer_status;
 use pcisim_pci::host::SharedRegistry;
 use pcisim_pcie::params::{Generation, LinkConfig, LinkWidth};
+use pcisim_pcie::router::RouterConfig;
 
-use crate::builder::{DeviceSpec, SystemConfig};
 use crate::snapshot::WarmSeed;
 use crate::sweep::run_sweep;
-use crate::topology::{build, EndpointHandle, EndpointKind, ShardedTopologySystem, Topology};
+use crate::topology::{
+    build, DeviceSpec, EndpointHandle, EndpointKind, ShardedTopologySystem, Topology,
+};
 use crate::traffic::TrafficSpec;
 use crate::workload::cxl::{CxlHostConfig, CxlHostMode, CxlHostReportHandle};
 use crate::workload::dd::{DdConfig, DdReportHandle};
@@ -360,41 +363,6 @@ fn validation_links(
     (knobs(LinkConfig::new(generation, root)), knobs(LinkConfig::new(generation, device)))
 }
 
-/// Translates a [`DdExperiment`]'s knobs into the two-link-chain
-/// description its tree is built from.
-fn dd_system_config(exp: &DdExperiment) -> SystemConfig {
-    let mut config = SystemConfig::validation();
-    config.rc.latency = exp.rc_latency;
-    config.rc.buffer_size = exp.port_buffers;
-    if let Some(si) = exp.service_interval {
-        config.rc.service_interval = si;
-    }
-    if let Some(sw) = &mut config.switch {
-        sw.latency = exp.switch_latency;
-        sw.buffer_size = exp.port_buffers;
-        if let Some(si) = exp.service_interval {
-            sw.service_interval = si;
-        }
-    }
-    (config.root_link, config.device_link) =
-        validation_links(exp.generation, exp.width_all, |link| LinkConfig {
-            replay_buffer_size: exp.replay_buffer,
-            ack_immediate: exp.ack_immediate,
-            credit_fc: exp.credit_fc,
-            ..link
-        });
-    if let DeviceSpec::Disk(disk) = &mut config.device {
-        disk.posted_writes = exp.posted_writes;
-        if let Some(oh) = exp.per_sector_overhead {
-            disk.per_sector_overhead = oh;
-        }
-    }
-    if exp.trace {
-        config.trace_mask = TraceCategory::ALL;
-    }
-    config
-}
-
 /// Distils a finished `dd` run over the validation chain.
 fn dd_outcome(fin: &Finished, report: &DdReportHandle) -> DdOutcome {
     let r = report.borrow();
@@ -428,7 +396,34 @@ impl Experiment for DdExperiment {
     type WarmKey = u64;
 
     fn topology(&self) -> Topology {
-        Topology::from_system_config(&dd_system_config(self))
+        let tune = |router: &mut RouterConfig, latency| {
+            router.latency = latency;
+            router.buffer_size = self.port_buffers;
+            if let Some(si) = self.service_interval {
+                router.service_interval = si;
+            }
+        };
+        let mut switch = RouterConfig::default();
+        tune(&mut switch, self.switch_latency);
+        let (root_link, device_link) =
+            validation_links(self.generation, self.width_all, |link| LinkConfig {
+                replay_buffer_size: self.replay_buffer,
+                ack_immediate: self.ack_immediate,
+                credit_fc: self.credit_fc,
+                ..link
+            });
+        let mut disk =
+            IdeDiskConfig { posted_writes: self.posted_writes, ..IdeDiskConfig::default() };
+        if let Some(oh) = self.per_sector_overhead {
+            disk.per_sector_overhead = oh;
+        }
+        let mut topo =
+            Topology::chain(root_link, Some((switch, device_link)), DeviceSpec::Disk(disk));
+        tune(&mut topo.rc, self.rc_latency);
+        if self.trace {
+            topo.trace_mask = TraceCategory::ALL;
+        }
+        topo
     }
 
     fn attach(&self, sys: &mut ShardedTopologySystem) -> DdReportHandle {
@@ -532,13 +527,14 @@ impl Experiment for SectorMicrobench {
     type WarmKey = ();
 
     fn topology(&self) -> Topology {
-        let mut config = SystemConfig::validation();
-        config.device_link = LinkConfig::new(Generation::Gen2, self.width);
-        if let DeviceSpec::Disk(disk) = &mut config.device {
-            disk.access_latency = 0;
-            disk.per_sector_overhead = 0;
-        }
-        Topology::from_system_config(&config)
+        let gen2 = |width| LinkConfig::new(Generation::Gen2, width);
+        let disk =
+            IdeDiskConfig { access_latency: 0, per_sector_overhead: 0, ..IdeDiskConfig::default() };
+        Topology::chain(
+            gen2(LinkWidth::X4),
+            Some((RouterConfig::default(), gen2(self.width))),
+            DeviceSpec::Disk(disk),
+        )
     }
 
     fn attach(&self, sys: &mut ShardedTopologySystem) -> DdReportHandle {
@@ -628,13 +624,14 @@ impl Experiment for FaultExperiment {
     type WarmKey = u64;
 
     fn topology(&self) -> Topology {
-        let mut config = SystemConfig::validation();
-        (config.root_link, config.device_link) =
-            validation_links(self.generation, self.width_all, |link| LinkConfig {
-                error_interval: self.error_interval,
-                ..link
-            });
-        Topology::from_system_config(&config)
+        let (root_link, device_link) = validation_links(self.generation, self.width_all, |link| {
+            LinkConfig { error_interval: self.error_interval, ..link }
+        });
+        Topology::chain(
+            root_link,
+            Some((RouterConfig::default(), device_link)),
+            DeviceSpec::Disk(IdeDiskConfig::default()),
+        )
     }
 
     fn attach(&self, sys: &mut ShardedTopologySystem) -> DdReportHandle {
@@ -749,15 +746,13 @@ fn nic_direct_topology(
     trace: bool,
     nic: impl FnOnce(&mut NicConfig),
 ) -> Topology {
-    let mut config = SystemConfig::nic_direct();
-    config.root_link = LinkConfig::new(Generation::Gen2, width);
-    if let DeviceSpec::Nic(cfg) = &mut config.device {
-        nic(cfg);
-    }
+    let mut config = NicConfig::default();
+    nic(&mut config);
+    let mut topo = Topology::nic_direct(width, config);
     if trace {
-        config.trace_mask = TraceCategory::ALL;
+        topo.trace_mask = TraceCategory::ALL;
     }
-    Topology::from_system_config(&config)
+    topo
 }
 
 /// A NIC transmit run: NIC directly on root port 0, frames fetched over

@@ -3,10 +3,10 @@
 //! * [`platform`] — the ARM `Vexpress_GEM5_V1` address map (§III);
 //! * [`topology`] — declarative PCI-Express trees: N root ports,
 //!   switches nested to arbitrary depth, any mix of endpoints (Fig. 2);
-//!   the one builder and the one system type every workload attaches to;
-//! * [`builder`] — the paper's two-link chain ([`builder::SystemConfig`],
-//!   Fig. 6) as a description of such a tree, plus the legacy pre-PCIe
-//!   arrangement;
+//!   the paper's two-link chain ([`Topology::chain`](topology::Topology::chain),
+//!   Fig. 6) and the other presets, the one builder and the one system
+//!   type every workload attaches to, plus the legacy pre-PCIe arrangement
+//!   ([`build_legacy_system`](topology::build_legacy_system), Fig. 3);
 //! * [`workload`] — the CPU-side drivers (`dd`, the MMIO probe, the NIC,
 //!   poll-mode, CXL and virtio drivers) behind one
 //!   [`Workload`](workload::Workload) attach surface;
@@ -29,11 +29,8 @@ pub mod topology;
 pub mod traffic;
 pub mod workload;
 
-/// Convenient glob import for examples and benches.
+/// Convenient glob import for examples and the `repro` binary.
 pub mod prelude {
-    pub use crate::builder::{
-        build_legacy_system, build_system, DeviceSpec, LegacySystemConfig, SystemConfig,
-    };
     pub use crate::experiments::{
         error_rate_ladder, execute, run, run_cold, run_sweep_warm, run_topology_experiment,
         warm_start, ContentionOutcome, CxlExperiment, CxlOutcome, CxlPlacement, DdExperiment,
@@ -47,9 +44,9 @@ pub mod prelude {
     pub use crate::snapshot::{SystemHandle, WarmSeed};
     pub use crate::sweep::{default_jobs, run_sweep};
     pub use crate::topology::{
-        build_topology, build_topology_sharded, build_topology_warm, Attachment, Backend,
-        EndpointHandle, EndpointKind, Node, PlannedTopology, ShardedTopologySystem, System,
-        Topology, TopologySystem,
+        build_legacy_system, build_topology, build_topology_sharded, build_topology_warm,
+        Attachment, Backend, DeviceSpec, EndpointHandle, EndpointKind, Node, PlannedTopology,
+        ShardedTopologySystem, System, Topology, TopologySystem,
     };
     pub use crate::traffic::{
         heavy_traffic, offered_load_ladder, record_trace, ArrivalProcess, SizeDist, TrafficConfig,

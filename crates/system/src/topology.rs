@@ -18,7 +18,8 @@
 //!    DRAM, interrupt controller, PCI host, IOCache, the root complex,
 //!    and one [`PcieLink`] per tree edge.
 //!
-//! The paper's validation chain (disk behind a switch on root port 0) is
+//! The paper's two-link chain (Fig. 6) is [`Topology::chain`]; its
+//! validation setup (disk behind a switch on root port 0) is
 //! [`Topology::validation`]. Every build returns the one [`System`] type,
 //! whose generic [`attach`](System::attach) is the single surface CPU-side
 //! workloads are wired through — on the serial kernel and sharded alike.
@@ -28,12 +29,13 @@ use std::collections::HashMap;
 use pcisim_devices::cxl::{
     program_hdm, CxlExpander, CxlExpanderConfig, CXL_DMA_PORT, CXL_PIO_PORT,
 };
-use pcisim_devices::driver::{probe_with_policy, InterruptMode, MsiPolicy, ProbeInfo};
+use pcisim_devices::driver::{ide_probe, probe_with_policy, InterruptMode, MsiPolicy, ProbeInfo};
 use pcisim_devices::ide::{IdeDisk, IdeDiskConfig, IDE_DMA_PORT, IDE_PIO_PORT};
 use pcisim_devices::intc::{InterruptController, INTC_FABRIC_PORT};
 use pcisim_devices::nic::{Nic, NicConfig, NIC_DMA_PORT, NIC_PIO_PORT};
 use pcisim_devices::virtio::{Virtio, VirtioClass, VirtioConfig, VIRTIO_DMA_PORT, VIRTIO_PIO_PORT};
 use pcisim_kernel::addr::AddrRange;
+use pcisim_kernel::bridge::{Bridge, BRIDGE_IO_SIDE, BRIDGE_MEM_SIDE};
 use pcisim_kernel::component::{Component, ComponentId, PortId};
 use pcisim_kernel::dram::{Dram, DRAM_PORT};
 use pcisim_kernel::iocache::{IoCache, IOCACHE_DEV_SIDE, IOCACHE_MEM_SIDE};
@@ -57,7 +59,6 @@ use pcisim_pcie::router::{
     PORT_UPSTREAM_MASTER, PORT_UPSTREAM_SLAVE,
 };
 
-use crate::builder::DeviceSpec;
 use crate::platform;
 use crate::snapshot::WarmSeed;
 use crate::workload::cxl::{CxlHostConfig, CxlHostReportHandle};
@@ -72,6 +73,20 @@ use crate::workload::{Attached, Workload};
 
 /// MSI vectors (when requested) live above the legacy IRQ range.
 pub(crate) const MSI_VECTOR: u8 = 96;
+
+/// Which PCI-Express endpoint sits at a leaf of the tree.
+#[derive(Debug, Clone)]
+pub enum DeviceSpec {
+    /// The IDE disk (the `dd` experiments).
+    Disk(IdeDiskConfig),
+    /// The 8254x-pcie NIC (the Table II experiment).
+    Nic(NicConfig),
+    /// The CXL.mem memory expander (the `repro cxl` experiments).
+    CxlExpander(CxlExpanderConfig),
+    /// A virtio-pci function — blk or net by
+    /// [`VirtioConfig::class`] (the `repro virtio` experiments).
+    Virtio(VirtioConfig),
+}
 
 /// A subtree hanging off a downstream port: the link to it plus what sits
 /// at the far end.
@@ -170,7 +185,7 @@ pub struct Topology {
 
 impl Topology {
     /// A topology over `root_ports` with the paper's platform defaults
-    /// (the memory-side values of `SystemConfig::validation()`).
+    /// on the memory side, INTx delivery and tracing off.
     pub fn new(rc: RouterConfig, root_ports: Vec<Option<Attachment>>) -> Self {
         Self {
             rc,
@@ -192,11 +207,58 @@ impl Topology {
         RouterConfig { completion_timeout: Some(us(50)), ..RouterConfig::default() }
     }
 
-    /// The paper's validation chain: IDE disk behind a switch on root port
-    /// 0, Gen 2 x4 root link, Gen 2 x1 device link, two empty root ports
-    /// and one empty switch port.
+    /// The paper's two-link chain (Fig. 6): `device` on root port 0 over
+    /// `root_link` — or, when `switch` is given, that switch on
+    /// `root_link` with the device behind it over the switch's own link —
+    /// and two empty root ports beside it.
+    pub fn chain(
+        root_link: LinkConfig,
+        switch: Option<(RouterConfig, LinkConfig)>,
+        device: DeviceSpec,
+    ) -> Self {
+        let name = match EndpointKind::of(&device) {
+            EndpointKind::Disk => "disk",
+            EndpointKind::Nic => "nic",
+            EndpointKind::CxlExpander => "mem0",
+            EndpointKind::VirtioBlk => "vblk0",
+            EndpointKind::VirtioNet => "vnet0",
+        };
+        let mut node = Node::endpoint(name, device);
+        if let Some((config, device_link)) = switch {
+            node = Node::Switch {
+                config,
+                name: Some("switch".into()),
+                ports: vec![Some(Attachment::named("dev_link", device_link, node)), None],
+            };
+        }
+        let root = Attachment::named("root_link", root_link, node);
+        Self::new(Self::preset_rc(), vec![Some(root), None, None])
+    }
+
+    /// The paper's validation setup (§VI-A): IDE disk behind a switch on
+    /// root port 0, Gen 2 x4 root link, Gen 2 x1 device link, root complex
+    /// and switch at 150 ns with 16-deep port buffers, replay buffer 4.
     pub fn validation() -> Self {
-        Self::from_system_config(&crate::builder::SystemConfig::validation())
+        Self::chain(
+            LinkConfig::new(Generation::Gen2, LinkWidth::X4),
+            Some((RouterConfig::default(), LinkConfig::new(Generation::Gen2, LinkWidth::X1))),
+            DeviceSpec::Disk(IdeDiskConfig::default()),
+        )
+    }
+
+    /// The Table II setup: `nic` directly on root port 0 over a Gen 2 link
+    /// of `width`.
+    pub fn nic_direct(width: LinkWidth, nic: NicConfig) -> Self {
+        Self::chain(LinkConfig::new(Generation::Gen2, width), None, DeviceSpec::Nic(nic))
+    }
+
+    /// The MSI-X exploration setup: a multi-queue NIC directly on root
+    /// port 0 (Gen 2 x1) with its MSI-X structure enabled by the driver,
+    /// per-vector interrupt moderation set to `moderation` (0 = immediate
+    /// delivery).
+    pub fn nic_msix(queues: u32, moderation: Tick) -> Self {
+        let nic = NicConfig { queues, msix_capable: true, moderation, ..NicConfig::default() };
+        Self { use_msix: true, ..Self::nic_direct(LinkWidth::X1, nic) }
     }
 
     /// The validation chain with a second IDE disk on the switch's other
@@ -386,19 +448,13 @@ impl Topology {
     /// A virtio-blk function directly on root port 0 (Gen 2 x1, the IDE
     /// disk's class of link, so `repro virtio` compares like for like).
     pub fn virtio_blk_direct(cfg: VirtioConfig) -> Self {
-        let dev = Node::endpoint("vblk0", DeviceSpec::Virtio(cfg));
-        let root =
-            Attachment::named("root_link", LinkConfig::new(Generation::Gen2, LinkWidth::X1), dev);
-        Self::new(Self::preset_rc(), vec![Some(root), None, None])
+        Self::chain(LinkConfig::new(Generation::Gen2, LinkWidth::X1), None, DeviceSpec::Virtio(cfg))
     }
 
     /// A virtio-net function directly on root port 0 (Gen 2 x4, the
     /// e1000e NIC's class of link).
     pub fn virtio_net_direct(cfg: VirtioConfig) -> Self {
-        let dev = Node::endpoint("vnet0", DeviceSpec::Virtio(cfg));
-        let root =
-            Attachment::named("root_link", LinkConfig::new(Generation::Gen2, LinkWidth::X4), dev);
-        Self::new(Self::preset_rc(), vec![Some(root), None, None])
+        Self::chain(LinkConfig::new(Generation::Gen2, LinkWidth::X4), None, DeviceSpec::Virtio(cfg))
     }
 
     /// A mixed endpoint fleet: virtio-blk and virtio-net behind a switch
@@ -429,46 +485,6 @@ impl Topology {
             None,
         ];
         Self::new(Self::preset_rc(), ports)
-    }
-
-    /// The tree a [`SystemConfig`](crate::builder::SystemConfig)
-    /// describes: the device on root port 0, behind a switch when one is
-    /// configured, with two empty root ports beside it.
-    pub fn from_system_config(config: &crate::builder::SystemConfig) -> Self {
-        let device_name = match &config.device {
-            DeviceSpec::Disk(_) => "disk",
-            DeviceSpec::Nic(_) => "nic",
-            DeviceSpec::CxlExpander(_) => "mem0",
-            DeviceSpec::Virtio(cfg) => match cfg.class {
-                VirtioClass::Blk => "vblk0",
-                VirtioClass::Net => "vnet0",
-            },
-        };
-        let device = Node::endpoint(device_name, config.device.clone());
-        let node = match &config.switch {
-            Some(switch) => Node::Switch {
-                config: switch.clone(),
-                name: Some("switch".into()),
-                ports: vec![
-                    Some(Attachment::named("dev_link", config.device_link.clone(), device)),
-                    None,
-                ],
-            },
-            None => device,
-        };
-        let root = Attachment::named("root_link", config.root_link.clone(), node);
-        Self {
-            rc: config.rc.clone(),
-            root_ports: vec![Some(root), None, None],
-            membus_frontend: config.membus_frontend,
-            dram_latency: config.dram_latency,
-            dram_bandwidth: config.dram_bandwidth,
-            iocache_mshrs: config.iocache_mshrs,
-            pcihost_latency: config.pcihost_latency,
-            use_msi: config.use_msi,
-            use_msix: config.use_msix,
-            trace_mask: config.trace_mask,
-        }
     }
 
     /// Enables structured tracing of every category.
@@ -950,7 +966,12 @@ impl<B: Backend> System<B> {
         self.endpoints
             .iter()
             .find(|e| e.name == name)
-            .unwrap_or_else(|| panic!("no endpoint named {name}"))
+            .unwrap_or_else(|| panic!("no endpoint named {name}; have {:?}", self.names()))
+    }
+
+    /// Component names of the endpoints, in depth-first order.
+    fn names(&self) -> Vec<&str> {
+        self.endpoints.iter().map(|e| e.name.as_str()).collect()
     }
 
     /// Indices of the endpoints of `kind`, in depth-first order — what a
@@ -965,9 +986,16 @@ impl<B: Backend> System<B> {
     ///
     /// # Panics
     ///
-    /// Panics when the endpoint is not of a kind the workload drives.
+    /// Panics when there is no endpoint `index`, or it is not of a kind the
+    /// workload drives.
     pub fn attach<W: Workload>(&mut self, index: usize, workload: W) -> W::Report {
-        let ep = &self.endpoints[index];
+        let Some(ep) = self.endpoints.get(index) else {
+            panic!(
+                "no endpoint {index}: the tree has {} ({:?})",
+                self.endpoints.len(),
+                self.names()
+            )
+        };
         let accepted = workload.accepts();
         assert!(
             accepted.contains(&ep.kind),
@@ -1106,6 +1134,113 @@ pub fn build_topology_warm(topo: &Topology, seed: &WarmSeed) -> TopologySystem {
 /// Same contract as [`build_topology`], plus `shards >= 1`.
 pub fn build_topology_sharded(topo: Topology, shards: usize) -> ShardedTopologySystem {
     build(&topo, None, shards)
+}
+
+/// Builds the legacy (pre-PCIe) topology: gem5's stock arrangement, where
+/// off-chip devices sit on a non-coherent IOBus crossbar behind a bridge
+/// (paper §III, Fig. 3). The disk's PIO port hangs directly off the IOBus
+/// and its DMA flows through the IOCache — no links, no root complex, no
+/// switches, and therefore no bandwidth model between chip and device.
+/// It shares no code path with the [`Topology`] builder: there is no tree
+/// to plan, and its one [`EndpointHandle`] is filled by hand. The memory
+/// side takes its values from [`Topology::new`], so the two cannot drift.
+///
+/// Comparing `dd` over this system against [`Topology::validation`]
+/// quantifies the paper's motivation: without a PCI-Express model, I/O
+/// throughput is limited only by the crossbar and looks unrealistically
+/// fast.
+///
+/// # Panics
+///
+/// Panics when enumeration or the driver probe fails (a bug in the
+/// built-in topology).
+pub fn build_legacy_system() -> TopologySystem {
+    let mem = Topology::new(RouterConfig::default(), Vec::new());
+    let registry = shared_registry();
+    let (mut disk, disk_cs) = IdeDisk::new("disk", IdeDiskConfig::default());
+    // Stock gem5 registers PCI devices directly on bus 0.
+    registry.borrow_mut().register(Bdf::new(0, 4, 0), disk_cs);
+
+    let report = enumerate(&mut registry.clone(), platform::enumeration_config())
+        .expect("legacy topology must enumerate");
+    let probe = ide_probe(&mut registry.clone(), &report).expect("legacy topology must probe");
+    let irq = match probe.interrupt {
+        InterruptMode::Legacy(irq) => irq,
+        other => panic!("IDE probe must fall back to a legacy interrupt, got {other:?}"),
+    };
+    disk.set_intx(Some((irq, platform::INTC_BASE)));
+
+    let mut sim = Simulation::new();
+    let mut intc = InterruptController::new("gic", platform::intc_range());
+    let cpu_irq = intc.route_irq(irq);
+
+    // MemBus: 0 = CPU, 1 = DRAM, 2 = INTC, 3 = PCI host, 4 = bridge,
+    // 5 = IOCache memory side.
+    let membus = Crossbar::builder("membus")
+        .num_ports(6)
+        .frontend_latency(mem.membus_frontend)
+        .queue_capacity(64)
+        .route(platform::dram_range(), PortId(1))
+        .route(platform::intc_range(), PortId(2))
+        .route(platform::config_range(), PortId(3))
+        .route(platform::mem_range(), PortId(4))
+        .route(platform::io_range(), PortId(4))
+        .build();
+    // IOBus: 0 = bridge IO side (requests in), 1 = disk PIO,
+    // 2 = disk DMA in, routes DMA targets out port 3 to the IOCache.
+    let iobus = Crossbar::builder("iobus")
+        .num_ports(4)
+        .frontend_latency(ns(10))
+        .queue_capacity(16)
+        .route(platform::mem_range(), PortId(1))
+        .route(platform::dram_range(), PortId(3))
+        .route(platform::intc_range(), PortId(3))
+        .build();
+
+    let membus_id = sim.add(Box::new(membus));
+    let iobus_id = sim.add(Box::new(iobus));
+    let dram_id = sim.add(Box::new(
+        Dram::builder("dram", platform::dram_range())
+            .latency(mem.dram_latency)
+            .bandwidth(mem.dram_bandwidth)
+            .build(),
+    ));
+    let intc_id = sim.add(Box::new(intc));
+    let host_id = sim.add(Box::new(PciHost::new(
+        "pcihost",
+        platform::PCI_CONFIG_BASE,
+        platform::PCI_CONFIG_SIZE,
+        mem.pcihost_latency,
+        registry.clone(),
+    )));
+    let iocache_id =
+        sim.add(Box::new(IoCache::builder("iocache").mshrs(mem.iocache_mshrs).build()));
+    let bridge_id = sim.add(Box::new(Bridge::builder("bridge").delay(ns(50)).build()));
+    let disk_id = sim.add(Box::new(disk));
+
+    sim.connect((membus_id, PortId(1)), (dram_id, DRAM_PORT));
+    sim.connect((membus_id, PortId(2)), (intc_id, INTC_FABRIC_PORT));
+    sim.connect((membus_id, PortId(3)), (host_id, PCI_HOST_PORT));
+    sim.connect((membus_id, PortId(4)), (bridge_id, BRIDGE_MEM_SIDE));
+    sim.connect((bridge_id, BRIDGE_IO_SIDE), (iobus_id, PortId(0)));
+    sim.connect((iobus_id, PortId(1)), (disk_id, IDE_PIO_PORT));
+    sim.connect((disk_id, IDE_DMA_PORT), (iobus_id, PortId(2)));
+    sim.connect((iobus_id, PortId(3)), (iocache_id, IOCACHE_DEV_SIDE));
+    sim.connect((iocache_id, IOCACHE_MEM_SIDE), (membus_id, PortId(5)));
+
+    let endpoint = EndpointHandle {
+        name: "disk".into(),
+        bdf: probe.bdf,
+        bar0: probe.bar0,
+        irq,
+        kind: EndpointKind::Disk,
+        hdm: AddrRange::empty(),
+        virtio_ring: AddrRange::empty(),
+        cpu_mem_port: (membus_id, PortId(0)),
+        cpu_irq_port: (intc_id, cpu_irq),
+        cpu_irq_ports: vec![(intc_id, cpu_irq)],
+    };
+    System { sim, registry, report, probe: Some(probe), endpoints: vec![endpoint] }
 }
 
 /// The one build path: the functional front half (fresh, or replayed from
@@ -1696,6 +1831,185 @@ mod tests {
         assert_eq!(stage_of(&cxl, "cxlhost0"), Stage::Host);
         assert_eq!(stage_of(&local, "dramhost0"), Stage::Host);
         assert_eq!(stage_of(&cxl, "mem0"), Stage::Device);
+    }
+
+    fn probe(built: &TopologySystem) -> &ProbeInfo {
+        built.probe.as_ref().expect("single-endpoint systems go through the driver probe")
+    }
+
+    #[test]
+    fn validation_system_enumerates_the_paper_topology() {
+        let built = build_topology(Topology::validation());
+        // 3 root ports + switch upstream + 2 switch downstream = 6 bridges,
+        // 1 endpoint.
+        assert_eq!(built.report.bridges().count(), 6);
+        assert_eq!(built.report.endpoints().count(), 1);
+        let disk = built.report.find(0x8086, 0x2922).unwrap();
+        assert_eq!(disk.bdf, Bdf::new(3, 0, 0));
+        assert!(probe(&built).bar0 >= platform::PCI_MEM_BASE);
+        assert_eq!(built.endpoints[0].bar0, probe(&built).bar0);
+    }
+
+    #[test]
+    fn nic_direct_system_probes_e1000e() {
+        let built = build_topology(Topology::nic_direct(LinkWidth::X1, NicConfig::default()));
+        let nic = built.report.find(0x8086, 0x10d3).unwrap();
+        assert_eq!(nic.bdf, Bdf::new(1, 0, 0));
+        assert!(matches!(probe(&built).interrupt, InterruptMode::Legacy(_)));
+        assert_eq!(built.endpoints[0].kind, EndpointKind::Nic);
+    }
+
+    #[test]
+    fn dd_runs_end_to_end_through_the_full_fabric() {
+        let mut built = build_topology(Topology::validation());
+        let report = built.attach_dd(
+            0,
+            DdConfig {
+                block_bytes: 64 * 1024,
+                request_sectors: 8,
+                os_block_setup: us(10),
+                os_request_overhead: us(1),
+                ..DdConfig::default()
+            },
+        );
+        let outcome = built.sim.run(TICKS_PER_SEC, 200_000_000);
+        assert_eq!(outcome, RunOutcome::QueueEmpty, "dd must quiesce");
+        let r = report.borrow();
+        assert!(r.done, "dd must complete its block");
+        assert_eq!(r.bytes, 64 * 1024);
+        assert!(r.throughput_gbps() > 0.1, "got {}", r.throughput_gbps());
+    }
+
+    #[test]
+    fn mmio_probe_runs_against_the_nic() {
+        let mut built = build_topology(Topology::nic_direct(LinkWidth::X1, NicConfig::default()));
+        let report = built.attach_mmio_probe(0, MmioProbeConfig { reads: 8, ..Default::default() });
+        let outcome = built.sim.run(TICKS_PER_SEC, 10_000_000);
+        assert_eq!(outcome, RunOutcome::QueueEmpty);
+        let r = report.borrow();
+        assert!(r.done);
+        assert_eq!(r.latencies.len(), 8);
+        // Two root-complex crossings at 150 ns each bound the latency from
+        // below.
+        assert!(r.mean_ns() > 300.0, "got {}", r.mean_ns());
+    }
+
+    #[test]
+    fn legacy_system_enumerates_a_flat_bus() {
+        let built = build_legacy_system();
+        assert_eq!(built.report.bridges().count(), 0, "no VP2Ps in the legacy topology");
+        assert_eq!(built.report.endpoints().count(), 1);
+        assert_eq!(built.report.bus_count, 1);
+        assert_eq!(built.endpoints[0].bdf, Bdf::new(0, 4, 0));
+    }
+
+    /// Runs one `dd` block over `built`'s only endpoint and returns the
+    /// throughput it reports.
+    fn dd_gbps(mut built: TopologySystem, block_bytes: u64) -> f64 {
+        let report = built.attach_dd(0, DdConfig { block_bytes, ..DdConfig::default() });
+        assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
+        let r = report.borrow();
+        assert!(r.done);
+        assert_eq!(r.bytes, block_bytes);
+        r.throughput_gbps()
+    }
+
+    #[test]
+    fn legacy_crossbar_overstates_io_throughput() {
+        // The paper's motivation (§I/§III): without a PCI-Express
+        // bandwidth model, device throughput is unrealistically high.
+        let legacy_gbps = dd_gbps(build_legacy_system(), 1024 * 1024);
+        let pcie_gbps = dd_gbps(build_topology(Topology::validation()), 1024 * 1024);
+        assert!(
+            legacy_gbps > 1.5 * pcie_gbps,
+            "crossbar-only I/O must look much faster than the Gen2 x1 reality: \
+             {legacy_gbps:.2} vs {pcie_gbps:.2} Gb/s"
+        );
+    }
+
+    #[test]
+    fn msi_engages_only_when_requested() {
+        let msi = build_topology(Topology { use_msi: true, ..Topology::validation() });
+        assert_eq!(probe(&msi).interrupt, InterruptMode::Msi);
+        // use_msi=false keeps the paper's MsiDisabled capability.
+        let intx = build_topology(Topology::validation());
+        assert!(matches!(probe(&intx).interrupt, InterruptMode::Legacy(_)));
+    }
+
+    #[test]
+    fn msi_and_intx_deliver_identical_interrupt_counts() {
+        let run = |use_msi: bool| {
+            let mut built = build_topology(Topology { use_msi, ..Topology::validation() });
+            let report =
+                built.attach_dd(0, DdConfig { block_bytes: 256 * 1024, ..DdConfig::default() });
+            assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
+            assert!(report.borrow().done, "dd must complete under either delivery");
+            assert_eq!(report.borrow().bytes, 256 * 1024);
+            built.sim.stats().get("gic.raised").unwrap()
+        };
+        assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn msix_probe_negotiates_per_queue_vectors() {
+        let built = build_topology(Topology::nic_msix(4, 0));
+        assert_eq!(probe(&built).interrupt, InterruptMode::Msix { vectors: 8 });
+        assert_eq!(built.endpoints[0].cpu_irq_ports.len(), 8);
+    }
+
+    #[test]
+    fn msix_tx_transmits_on_every_queue() {
+        let mut built = build_topology(Topology::nic_msix(4, 0));
+        let report = built
+            .attach_msix_tx(0, MsixTxConfig { queues: 4, frames: 64, ..MsixTxConfig::default() });
+        assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
+        let r = report.borrow();
+        assert!(r.done, "all queues must drain");
+        assert_eq!(r.frames, 64);
+        assert_eq!(r.per_queue_frames, vec![16, 16, 16, 16]);
+        // Without moderation every completion raises its own vector.
+        assert_eq!(r.irqs, 64);
+        assert_eq!(built.sim.stats().get("nic.msix_irqs"), Some(64.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "MSI-X queue pairs need")]
+    fn msix_tx_refuses_a_tree_built_without_msix() {
+        let mut built = build_topology(Topology::nic_direct(LinkWidth::X1, NicConfig::default()));
+        let _ = built.attach_msix_tx(0, MsixTxConfig::default());
+    }
+
+    #[test]
+    fn msix_moderation_coalesces_interrupts() {
+        let run = |moderation| {
+            let mut built = build_topology(Topology::nic_msix(2, moderation));
+            let report = built.attach_msix_tx(
+                0,
+                MsixTxConfig { queues: 2, frames: 64, ..MsixTxConfig::default() },
+            );
+            assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
+            let r = report.borrow().clone();
+            assert!(r.done);
+            assert_eq!(r.frames, 64);
+            (r.irqs, built.sim.stats().get("nic.irqs_coalesced").unwrap_or(0.0))
+        };
+        let (imm_irqs, imm_coalesced) = run(0);
+        let (mod_irqs, mod_coalesced) = run(us(20));
+        assert_eq!(imm_coalesced, 0.0);
+        assert!(mod_irqs < imm_irqs, "holdoff must coalesce: {mod_irqs} vs {imm_irqs} interrupts");
+        assert!(mod_coalesced > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "no endpoint 3: the tree has 1 ([\"disk\"])")]
+    fn attach_past_the_last_endpoint_names_what_exists() {
+        let _ = build_topology(Topology::validation()).attach_dd(3, DdConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "no endpoint named nic0; have [\"disk0\", \"nic1\", \"disk2\"]")]
+    fn endpoint_lookup_miss_lists_the_names_that_exist() {
+        let _ = build_topology(Topology::three_root_ports()).endpoint("nic0");
     }
 
     #[test]

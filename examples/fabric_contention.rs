@@ -10,8 +10,10 @@
 //! cargo run --release --example fabric_contention
 //! ```
 
+use pcisim::devices::ide::IdeDiskConfig;
 use pcisim::kernel::tick::TICKS_PER_SEC;
 use pcisim::pcie::params::{Generation, LinkConfig, LinkWidth};
+use pcisim::pcie::router::RouterConfig;
 use pcisim::system::prelude::*;
 
 const BLOCK: u64 = 4 * 1024 * 1024;
@@ -32,9 +34,13 @@ fn stream(mut sys: TopologySystem) -> Vec<f64> {
 }
 
 fn solo(root_width: LinkWidth) -> f64 {
-    let mut config = SystemConfig::validation();
-    config.root_link = LinkConfig::new(Generation::Gen2, root_width);
-    stream(build_system(config))[0]
+    let gen2 = |width| LinkConfig::new(Generation::Gen2, width);
+    let topo = Topology::chain(
+        gen2(root_width),
+        Some((RouterConfig::default(), gen2(LinkWidth::X1))),
+        DeviceSpec::Disk(IdeDiskConfig::default()),
+    );
+    stream(build_topology(topo))[0]
 }
 
 fn dual(root_width: LinkWidth) -> (f64, f64) {

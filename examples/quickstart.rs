@@ -10,7 +10,7 @@ use pcisim::system::prelude::*;
 fn main() {
     // The validation topology of §VI-A: root complex —x4— switch —x1— IDE
     // disk, everything Gen 2, 150 ns routers, 16-deep port buffers.
-    let mut built = build_system(SystemConfig::validation());
+    let mut built = build_topology(Topology::validation());
 
     println!("enumeration found:");
     println!("{}", built.report);

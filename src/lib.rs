@@ -17,12 +17,12 @@
 //! # Example
 //!
 //! ```
-//! use pcisim::system::builder::{build_system, SystemConfig};
+//! use pcisim::system::topology::{build_topology, Topology};
 //! use pcisim::system::workload::dd::DdConfig;
 //!
 //! // The paper's validation topology, enumerated and driver-probed; the
 //! // `dd` driver attaches to endpoint 0, the disk.
-//! let mut built = build_system(SystemConfig::validation());
+//! let mut built = build_topology(Topology::validation());
 //! let report = built.attach_dd(0, DdConfig {
 //!     block_bytes: 256 * 1024,
 //!     ..DdConfig::default()

@@ -31,9 +31,10 @@ use pcisim::kernel::sim::{Ctx, RunOutcome};
 use pcisim::kernel::tick::{ns, TICKS_PER_SEC};
 use pcisim::pcie::params::{Generation, LinkConfig, LinkWidth};
 use pcisim::pcie::router::RouterConfig;
-use pcisim::system::builder::DeviceSpec;
 use pcisim::system::platform;
-use pcisim::system::topology::{build_topology, Attachment, EndpointKind, Node, Topology};
+use pcisim::system::topology::{
+    build_topology, Attachment, DeviceSpec, EndpointKind, Node, Topology,
+};
 use pcisim::system::workload::cxl::{CxlHostConfig, CxlHostMode};
 
 /// The spec caps HDM windows: the platform region holds four.

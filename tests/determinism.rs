@@ -7,7 +7,6 @@
 use pcisim::kernel::sim::RunOutcome;
 use pcisim::kernel::tick::{ns, TICKS_PER_SEC};
 use pcisim::pcie::params::Generation;
-use pcisim::system::builder::{build_system, SystemConfig};
 use pcisim::system::experiments::{
     error_rate_ladder, execute, run_cold, run_sweep_warm, warm_start, DdExperiment, DdOutcome,
     Exec, FaultExperiment, FaultOutcome,
@@ -74,8 +73,9 @@ const GOLDEN_STATS_FNV: u64 = 0x28e0_5435_bbfc_efe7;
 /// and the whole snapshot matches its recorded fingerprint.
 #[test]
 fn stats_snapshot_is_reproducible_and_matches_golden() {
+    use pcisim::system::topology::{build_topology, Topology};
     let run = || {
-        let mut built = build_system(SystemConfig::validation());
+        let mut built = build_topology(Topology::validation());
         let report = built.attach_dd(0, DdConfig { block_bytes: 64 * KB, ..DdConfig::default() });
         let outcome = built.sim.run(TICKS_PER_SEC, u64::MAX);
         assert_eq!(outcome, RunOutcome::QueueEmpty, "system must quiesce");
@@ -423,12 +423,12 @@ fn warm_fault_sweep_matches_cold_serial() {
 #[test]
 fn warm_start_preserves_packet_id_continuity() {
     use pcisim::system::snapshot::SystemHandle;
-    use pcisim::system::topology::{build_topology_warm, Topology};
+    use pcisim::system::topology::{build_topology, build_topology_warm, Topology};
 
     let exp = DdExperiment { block_bytes: 64 * KB, ..DdExperiment::default() };
     let config = DdConfig { block_bytes: 64 * KB, ..DdConfig::default() };
 
-    let mut cold = build_system(SystemConfig::validation());
+    let mut cold = build_topology(Topology::validation());
     let _ = cold.attach_dd(0, config.clone());
     assert_eq!(cold.sim.run(5 * TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
     let cold_final_id = cold.sim.packet_ids_allocated();

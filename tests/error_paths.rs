@@ -13,8 +13,7 @@ use pcisim::kernel::tick::{ns, TICKS_PER_SEC};
 use pcisim::pci::caps::aer_status;
 use pcisim::pci::ecam::Bdf;
 use pcisim::pci::regs::{aer, common, status};
-use pcisim::system::builder::{build_system, SystemConfig};
-use pcisim::system::topology::TopologySystem;
+use pcisim::system::topology::{build_topology, Topology, TopologySystem};
 
 type Completion = (CompletionStatus, Option<Vec<u8>>);
 type Seen = Rc<RefCell<Vec<Completion>>>;
@@ -71,8 +70,8 @@ impl Component for CpuReader {
 /// Builds the validation system with a [`CpuReader`] attached on the CPU
 /// memory port, runs it to quiescence and returns what the reader saw
 /// plus the finished system for register inspection.
-fn run_cpu_reads(config: SystemConfig, targets: Vec<u64>) -> (Vec<Completion>, TopologySystem) {
-    let mut built = build_system(config);
+fn run_cpu_reads(topo: Topology, targets: Vec<u64>) -> (Vec<Completion>, TopologySystem) {
+    let mut built = build_topology(topo);
     let (reader, seen) = CpuReader::new(targets);
     let id = built.sim.add(Box::new(reader));
     let cpu_mem_port = built.endpoints[0].cpu_mem_port;
@@ -97,7 +96,7 @@ fn root_port_cs(built: &TopologySystem) -> (u16, u32, u32) {
 fn unmapped_address_read_completes_as_unsupported_request() {
     // High in the PCI memory window: routed to the root complex by the
     // memory bus, claimed by no root port.
-    let (seen, built) = run_cpu_reads(SystemConfig::validation(), vec![0x7fff_0000]);
+    let (seen, built) = run_cpu_reads(Topology::validation(), vec![0x7fff_0000]);
     assert_eq!(seen.len(), 1, "the read must complete");
     let (completion, payload) = &seen[0];
     assert_eq!(*completion, CompletionStatus::UnsupportedRequest);
@@ -117,13 +116,13 @@ fn non_responding_completer_times_out_with_all_ones() {
     // A read of the real disk BAR, but with the completion timeout set far
     // below the fabric's round-trip time: the root complex must synthesize
     // an all-ones timeout completion, then swallow the late real one.
-    let mut config = SystemConfig::validation();
-    config.rc.completion_timeout = Some(ns(300));
-    let built = build_system(SystemConfig::validation());
+    let mut topo = Topology::validation();
+    topo.rc.completion_timeout = Some(ns(300));
+    let built = build_topology(Topology::validation());
     let disk_bar = built.endpoints[0].bar0;
     drop(built);
 
-    let (seen, built) = run_cpu_reads(config, vec![disk_bar]);
+    let (seen, built) = run_cpu_reads(topo, vec![disk_bar]);
     assert_eq!(seen.len(), 1, "the read must complete despite the silent completer");
     let (completion, payload) = &seen[0];
     assert_eq!(*completion, CompletionStatus::CompletionTimeout);
@@ -146,12 +145,12 @@ fn non_responding_completer_times_out_with_all_ones() {
 fn mixed_good_and_bad_reads_all_complete_in_order() {
     // A valid BAR read sandwiched between two unmapped ones: the good read
     // must succeed untouched while both bad ones master-abort.
-    let built = build_system(SystemConfig::validation());
+    let built = build_topology(Topology::validation());
     let disk_bar = built.endpoints[0].bar0;
     drop(built);
 
     let (seen, built) =
-        run_cpu_reads(SystemConfig::validation(), vec![0x7ff0_0000, disk_bar, 0x7ff8_0000]);
+        run_cpu_reads(Topology::validation(), vec![0x7ff0_0000, disk_bar, 0x7ff8_0000]);
     assert_eq!(seen.len(), 3);
     assert_eq!(seen[0].0, CompletionStatus::UnsupportedRequest);
     assert_eq!(seen[1].0, CompletionStatus::SuccessfulCompletion);

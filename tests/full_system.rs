@@ -4,7 +4,7 @@
 use pcisim::kernel::sim::RunOutcome;
 use pcisim::kernel::tick::TICKS_PER_SEC;
 use pcisim::pci::ecam::Bdf;
-use pcisim::system::builder::{build_system, SystemConfig};
+use pcisim::system::topology::{build_topology, Topology};
 use pcisim::system::workload::dd::DdConfig;
 
 const MB: u64 = 1024 * 1024;
@@ -12,7 +12,7 @@ const MB: u64 = 1024 * 1024;
 fn run_validation_dd(
     block: u64,
 ) -> (pcisim::system::workload::dd::DdReport, pcisim::kernel::stats::StatsSnapshot) {
-    let mut built = build_system(SystemConfig::validation());
+    let mut built = build_topology(Topology::validation());
     let report = built.attach_dd(0, DdConfig { block_bytes: block, ..DdConfig::default() });
     let outcome = built.sim.run(TICKS_PER_SEC, u64::MAX);
     assert_eq!(outcome, RunOutcome::QueueEmpty, "system must quiesce");
@@ -90,7 +90,7 @@ fn dram_receives_every_dma_byte() {
 
 #[test]
 fn topology_matches_the_paper() {
-    let built = build_system(SystemConfig::validation());
+    let built = build_topology(Topology::validation());
     // Bus plan: 0 = root bus, 1 = root port 0's secondary (switch
     // upstream), 2 = switch internal, 3/4 = downstream secondaries,
     // 5/6 = the other root ports.
@@ -168,18 +168,12 @@ fn tracing_disabled_leaves_no_events_and_identical_results() {
 
 #[test]
 fn posted_writes_beat_non_posted() {
-    use pcisim::system::builder::DeviceSpec;
-    let run = |posted: bool| {
-        let mut config = SystemConfig::validation();
-        if let DeviceSpec::Disk(disk) = &mut config.device {
-            disk.posted_writes = posted;
-        }
-        let mut built = build_system(config);
-        let report = built.attach_dd(0, DdConfig { block_bytes: MB, ..DdConfig::default() });
-        assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
-        let r = report.borrow().clone();
-        assert!(r.done);
-        r.throughput_gbps()
+    use pcisim::system::experiments::{run_cold, DdExperiment};
+    let run = |posted_writes: bool| {
+        let out =
+            run_cold(&DdExperiment { block_bytes: MB, posted_writes, ..DdExperiment::default() });
+        assert!(out.completed);
+        out.throughput_gbps
     };
     let nonposted = run(false);
     let posted = run(true);
@@ -198,15 +192,13 @@ fn posted_writes_beat_non_posted() {
 fn msix_four_queue_doorbells_are_traced_through_the_fabric() {
     use std::collections::BTreeSet;
 
-    use pcisim::kernel::trace::{TraceCategory, TraceKind};
+    use pcisim::kernel::trace::TraceKind;
     use pcisim::system::platform;
     use pcisim::system::prelude::MsixTxConfig;
 
     const QUEUES: u32 = 4;
     const FRAMES: u32 = 32;
-    let mut config = SystemConfig::nic_msix(QUEUES, 0);
-    config.trace_mask = TraceCategory::ALL;
-    let mut built = build_system(config);
+    let mut built = build_topology(Topology::nic_msix(QUEUES, 0).with_tracing());
     let report = built.attach_msix_tx(
         0,
         MsixTxConfig { queues: QUEUES, frames: FRAMES, ..MsixTxConfig::default() },
@@ -263,7 +255,7 @@ fn msix_moderation_coalesces_under_load_end_to_end() {
     use pcisim::kernel::tick::us;
     use pcisim::system::prelude::MsixTxConfig;
 
-    let mut built = build_system(SystemConfig::nic_msix(4, us(100)));
+    let mut built = build_topology(Topology::nic_msix(4, us(100)));
     let report =
         built.attach_msix_tx(0, MsixTxConfig { queues: 4, frames: 64, ..MsixTxConfig::default() });
     assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);

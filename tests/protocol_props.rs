@@ -345,8 +345,7 @@ mod routing_props {
         port_downstream_master, port_downstream_slave, PcieRouter, RouterConfig,
         PORT_UPSTREAM_MASTER, PORT_UPSTREAM_SLAVE,
     };
-    use pcisim::system::builder::DeviceSpec;
-    use pcisim::system::topology::{Attachment, Node, PlannedTopology, Topology};
+    use pcisim::system::topology::{Attachment, DeviceSpec, Node, PlannedTopology, Topology};
 
     /// Consumes generator bytes into one port: empty, an endpoint, or a
     /// nested switch while depth remains.

@@ -27,11 +27,10 @@ use pcisim::kernel::tick::TICKS_PER_SEC;
 use pcisim::kernel::trace::TraceLog;
 use pcisim::pcie::params::{Generation, LinkConfig, LinkWidth};
 use pcisim::pcie::router::RouterConfig;
-use pcisim::system::builder::DeviceSpec;
 use pcisim::system::experiments::{execute, Exec, Experiment, MsixTxExperiment};
 use pcisim::system::topology::{
-    build_topology, build_topology_sharded, Attachment, Backend, EndpointKind, Node, System,
-    Topology,
+    build_topology, build_topology_sharded, Attachment, Backend, DeviceSpec, EndpointKind, Node,
+    System, Topology,
 };
 use pcisim::system::workload::cxl::{CxlHostConfig, CxlHostMode};
 use pcisim::system::workload::dd::DdConfig;

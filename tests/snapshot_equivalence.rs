@@ -21,10 +21,9 @@ use pcisim::kernel::tick::{us, Tick, TICKS_PER_SEC};
 use pcisim::kernel::trace::{TraceCategory, TraceLog};
 use pcisim::pcie::params::{Generation, LinkConfig, LinkWidth};
 use pcisim::pcie::router::RouterConfig;
-use pcisim::system::builder::{build_system, DeviceSpec, SystemConfig};
 use pcisim::system::snapshot::SystemHandle;
 use pcisim::system::topology::{
-    build_topology, Attachment, EndpointKind, Node, Topology, TopologySystem,
+    build_topology, Attachment, DeviceSpec, EndpointKind, Node, Topology, TopologySystem,
 };
 use pcisim::system::workload::dd::DdConfig;
 use pcisim::system::workload::nic_tx::NicTxConfig;
@@ -231,7 +230,7 @@ proptest! {
 /// Builds the warmed-up validation `dd` system the corruption tests and
 /// the golden fixture use, paused at the warm-start tick.
 fn warmed_validation(block_bytes: u64) -> TopologySystem {
-    let mut built = build_system(SystemConfig::validation());
+    let mut built = build_topology(Topology::validation());
     let _ = built.attach_dd(0, DdConfig { block_bytes, ..DdConfig::default() });
     assert_eq!(
         built.sim.run(pcisim::system::experiments::WARMUP_TICK, u64::MAX),
@@ -285,7 +284,7 @@ fn msix_moderation_checkpoint_restores_bit_identically() {
     use pcisim::system::prelude::MsixTxConfig;
 
     let build = || {
-        let mut built = build_system(SystemConfig::nic_msix(4, us(100)));
+        let mut built = build_topology(Topology::nic_msix(4, us(100)));
         let report = built
             .attach_msix_tx(0, MsixTxConfig { queues: 4, frames: 64, ..MsixTxConfig::default() });
         (built, report)
@@ -308,9 +307,12 @@ fn backpressured_endpoint_checkpoints_restore_bit_identically() {
     use pcisim::system::prelude::MsixTxConfig;
 
     let disk = || {
-        let mut config = SystemConfig::validation();
-        config.device_link.replay_buffer_size = 1;
-        let mut built = build_system(config);
+        let x1 = LinkConfig::new(Generation::Gen2, LinkWidth::X1);
+        let mut built = build_topology(Topology::chain(
+            LinkConfig::new(Generation::Gen2, LinkWidth::X4),
+            Some((RouterConfig::default(), LinkConfig { replay_buffer_size: 1, ..x1 })),
+            DeviceSpec::Disk(IdeDiskConfig::default()),
+        ));
         let report = built.attach_dd(0, DdConfig { block_bytes: 32 * 1024, ..DdConfig::default() });
         (built, report)
     };
@@ -319,7 +321,7 @@ fn backpressured_endpoint_checkpoints_restore_bit_identically() {
     assert!(stalls > 0.0, "the x1 link must have pushed back on the disk");
 
     let nic = || {
-        let mut built = build_system(SystemConfig::nic_msix(4, 0));
+        let mut built = build_topology(Topology::nic_msix(4, 0));
         let report = built
             .attach_msix_tx(0, MsixTxConfig { queues: 4, frames: 32, ..MsixTxConfig::default() });
         (built, report)
@@ -435,7 +437,7 @@ fn golden_checkpoint_fixture_restores_and_matches_anchors() {
         println!("blessed {FIXTURE} ({written} bytes)");
     }
 
-    let mut built = build_system(SystemConfig::validation());
+    let mut built = build_topology(Topology::validation());
     let report = built.attach_dd(0, DdConfig { block_bytes: 64 * 1024, ..DdConfig::default() });
     built.restore_from(FIXTURE).expect("golden fixture must restore on this build");
     assert_eq!(built.sim.run(MAX_TIME, MAX_EVENTS), RunOutcome::QueueEmpty);

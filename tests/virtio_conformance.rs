@@ -41,9 +41,10 @@ use pcisim::kernel::tick::{ns, us, TICKS_PER_SEC};
 use pcisim::pci::regs::common as pci_regs;
 use pcisim::pcie::params::{Generation, LinkConfig, LinkWidth};
 use pcisim::pcie::router::RouterConfig;
-use pcisim::system::builder::DeviceSpec;
 use pcisim::system::platform;
-use pcisim::system::topology::{build_topology, Attachment, EndpointKind, Node, Topology};
+use pcisim::system::topology::{
+    build_topology, Attachment, DeviceSpec, EndpointKind, Node, Topology,
+};
 use pcisim::system::workload::virtio::VirtioAppConfig;
 
 /// The platform reserves sixteen ring windows.
