@@ -308,6 +308,42 @@ impl Ctx<'_> {
         )
     }
 
+    /// Mints the next order stamp of (this component, `stream`) without
+    /// queuing anything — the first half of a reserve-then-schedule pair.
+    /// A component whose wake-up may turn out to be a no-op reserves the
+    /// stamp where an eager [`Ctx::schedule_stream`] would have minted it,
+    /// and queues the event with [`Ctx::schedule_reserved`] only once it
+    /// matters. A reservation that is never scheduled is a gap in this
+    /// component's counter: every other stamp keeps its relative order, so
+    /// dropping it moves no other event.
+    #[inline]
+    pub fn reserve_order(&mut self, stream: u8) -> u64 {
+        self.shared.order_key(self.self_id.0, stream)
+    }
+
+    /// Queues `ev` for this component after `delay` ticks under `order`, a
+    /// stamp it reserved earlier with [`Ctx::reserve_order`] and has not
+    /// used since. The event pops exactly where an eager schedule at
+    /// reservation time would have, provided its key is still ahead of the
+    /// dispatching event ([`Ctx::is_ahead`]).
+    #[inline]
+    pub fn schedule_reserved(&mut self, delay: Tick, order: u64, ev: Event) -> EventHandle {
+        debug_assert_eq!(order >> ORDER_GID_SHIFT, u64::from(self.self_id.0), "foreign stamp");
+        let tick = self.now().saturating_add(delay);
+        debug_assert!(self.is_ahead(tick, order), "reserved key already dispatched past");
+        let action = Action { target: self.self_id, body: ActionBody::Event(ev) };
+        self.shared.queue.borrow_mut().push(tick, order, action)
+    }
+
+    /// Whether an event keyed `(tick, order)` pops after the event being
+    /// dispatched now — the `(now, stamp)` key `dispatch` hands the
+    /// tracer. A reserved key that is no longer ahead is one an eager
+    /// schedule would already have dispatched.
+    #[inline]
+    pub fn is_ahead(&self, tick: Tick, order: u64) -> bool {
+        (tick, order) > (self.now(), self.shared.tracer.stamp())
+    }
+
     /// Schedules `ev` for delivery to the component at the far side of
     /// directed cut edge `edge` (a shard-plan index), after `delay` ticks.
     /// The event is staged in this shard's outbox and injected into the
@@ -1455,6 +1491,109 @@ mod tests {
         sim.add(Box::new(Recorder { name: "r".into(), log: log.clone() }));
         sim.run_to_quiesce();
         assert_eq!(*log.borrow(), vec![0, 1, 2, 3, 4]);
+    }
+
+    /// At init, schedules timers `data = 0..5` at tick 10, optionally
+    /// minting a stamp after the second: eagerly as timer 99, as an unused
+    /// reservation, or as a reservation a tick-5 timer (data 7) queues.
+    struct Stamper {
+        stamp: StampUse,
+        reserved: u64,
+        log: Rc<RefCell<Vec<u64>>>,
+    }
+    #[derive(Clone, Copy, PartialEq)]
+    enum StampUse {
+        Eager,
+        Unused,
+        Late,
+    }
+    impl Component for Stamper {
+        fn name(&self) -> &str {
+            "stamper"
+        }
+        fn init(&mut self, ctx: &mut Ctx<'_>) {
+            for data in 0..5 {
+                if data == 2 {
+                    match self.stamp {
+                        StampUse::Eager => {
+                            ctx.schedule(10, Event::Timer { kind: 0, data: 99 });
+                        }
+                        StampUse::Unused | StampUse::Late => self.reserved = ctx.reserve_order(0),
+                    }
+                }
+                ctx.schedule(10, Event::Timer { kind: 0, data });
+            }
+            if self.stamp == StampUse::Late {
+                ctx.schedule(5, Event::Timer { kind: 0, data: 7 });
+            }
+        }
+        fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+            let Event::Timer { data, .. } = ev else { panic!() };
+            if data == 7 {
+                assert!(ctx.is_ahead(10, self.reserved));
+                ctx.schedule_reserved(5, self.reserved, Event::Timer { kind: 0, data: 99 });
+                return;
+            }
+            self.log.borrow_mut().push(data);
+        }
+    }
+
+    fn stamper_order(stamp: StampUse) -> Vec<u64> {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulation::new();
+        sim.add(Box::new(Stamper { stamp, reserved: 0, log: log.clone() }));
+        assert_eq!(sim.run_to_quiesce(), RunOutcome::QueueEmpty);
+        log.take()
+    }
+
+    #[test]
+    fn an_unused_reservation_moves_no_other_event() {
+        let eager = stamper_order(StampUse::Eager);
+        assert_eq!(eager, vec![0, 1, 99, 2, 3, 4]);
+        let without: Vec<u64> = eager.iter().copied().filter(|&d| d != 99).collect();
+        assert_eq!(stamper_order(StampUse::Unused), without);
+    }
+
+    #[test]
+    fn a_reservation_queued_later_pops_where_the_eager_push_would_have() {
+        assert_eq!(stamper_order(StampUse::Late), stamper_order(StampUse::Eager));
+    }
+
+    #[test]
+    fn is_ahead_compares_against_the_dispatching_key() {
+        /// Reserves a stamp before and after its tick-10 timer, then asks
+        /// from inside that timer's dispatch.
+        struct Asker {
+            answers: Rc<RefCell<Vec<bool>>>,
+            reserved: [u64; 2],
+        }
+        impl Component for Asker {
+            fn name(&self) -> &str {
+                "asker"
+            }
+            fn init(&mut self, ctx: &mut Ctx<'_>) {
+                self.reserved[0] = ctx.reserve_order(0);
+                ctx.schedule(10, Event::Timer { kind: 0, data: 0 });
+                self.reserved[1] = ctx.reserve_order(0);
+            }
+            fn handle(&mut self, ctx: &mut Ctx<'_>, _ev: Event) {
+                let [before, after] = self.reserved;
+                self.answers.borrow_mut().extend([
+                    ctx.is_ahead(10, before),
+                    ctx.is_ahead(10, after),
+                    ctx.is_ahead(11, before),
+                    ctx.is_ahead(9, after),
+                ]);
+            }
+        }
+        let answers = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulation::new();
+        sim.add(Box::new(Asker { answers: answers.clone(), reserved: [0; 2] }));
+        sim.run_to_quiesce();
+        // Same tick: the earlier stamp is behind the dispatching event,
+        // the later one ahead; a later tick is always ahead, an earlier
+        // one never.
+        assert_eq!(*answers.borrow(), vec![false, true, true, false]);
     }
 
     #[test]

@@ -3,15 +3,18 @@
 //! [`Requester`] pumps a scripted list of requests through a port as fast as
 //! flow control allows and records completion times; [`Responder`] answers
 //! every request after a fixed service delay. Both follow the kernel's
-//! refusal/retry protocol, so they are safe to wire to any fabric component.
+//! refusal/retry protocol, so they are safe to wire to any fabric component,
+//! and both checkpoint their progress (the logs they share with the harness
+//! are the harness's, not simulation state).
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
 use crate::component::{Component, Event, PortId, RecvResult};
-use crate::packet::{Command, Packet, PacketId};
+use crate::packet::{decode_packet_queue, encode_packet_queue, Command, Packet, PacketId};
 use crate::sim::Ctx;
+use crate::snapshot::{SnapshotError, StateReader, StateWriter};
 use crate::tick::Tick;
 
 /// Completion log shared between a [`Requester`] and the test harness:
@@ -110,6 +113,28 @@ impl Component for Requester {
         }
         self.pump(ctx);
     }
+
+    /// The script is configuration; what evolves is how much of it is left.
+    fn save_state(&self, w: &mut StateWriter) {
+        w.usize(self.script.len());
+        w.bool(self.stalled.is_some());
+        if let Some(pkt) = &self.stalled {
+            pkt.encode(w);
+        }
+    }
+
+    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        let left = r.usize()?;
+        let issued = self.script.len().checked_sub(left).ok_or_else(|| {
+            SnapshotError::Corrupt(format!(
+                "{left} requests left of a {}-entry script",
+                self.script.len()
+            ))
+        })?;
+        self.script.drain(..issued);
+        self.stalled = if r.bool()? { Some(Packet::decode(r)?) } else { None };
+        Ok(())
+    }
 }
 
 /// Served-request counter shared between a [`Responder`] and the harness.
@@ -197,6 +222,17 @@ impl Component for Responder {
     fn retry_granted(&mut self, ctx: &mut Ctx<'_>, _port: PortId) {
         self.waiting_retry = false;
         self.flush(ctx);
+    }
+
+    fn save_state(&self, w: &mut StateWriter) {
+        encode_packet_queue(w, &self.blocked);
+        w.bool(self.waiting_retry);
+    }
+
+    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        self.blocked = decode_packet_queue(r)?;
+        self.waiting_retry = r.bool()?;
+        Ok(())
     }
 }
 

@@ -326,6 +326,13 @@ impl Tracer {
         self.stamp.set(stamp);
     }
 
+    /// The order stamp of the dispatch in progress (see
+    /// [`Tracer::set_stamp`]).
+    #[inline]
+    pub fn stamp(&self) -> u64 {
+        self.stamp.get()
+    }
+
     /// Enables exactly the categories in `mask` (a bit-or of
     /// [`TraceCategory::bit`] values, or [`TraceCategory::ALL`]).
     pub fn set_mask(&self, mask: u32) {

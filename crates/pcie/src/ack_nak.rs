@@ -25,6 +25,22 @@ use pcisim_kernel::tick::Tick;
 use crate::params::LinkConfig;
 use crate::tlp::TLP_OVERHEAD_BYTES;
 
+/// Sequence numbers count modulo 2^28, the width of the sequence field a
+/// TLP carries across the wire (the link's event tag), so a long run wraps
+/// around instead of exhausting it. (Real hardware counts modulo 2^12; the
+/// wider space only has to exceed twice any replay window.)
+pub(crate) const SEQ_MODULUS: u32 = 1 << 28;
+
+/// The sequence number after `seq`.
+fn seq_next(seq: u32) -> u32 {
+    seq.wrapping_add(1) & (SEQ_MODULUS - 1)
+}
+
+/// The sequence number before `seq`.
+pub(crate) fn seq_prev(seq: u32) -> u32 {
+    seq.wrapping_sub(1) & (SEQ_MODULUS - 1)
+}
+
 /// AckFactor from the specification's replay-timer table, scaled by 10 to
 /// stay in integers. Indexed by link width and max payload size; the values
 /// grow with payload (larger packets amortize ACK traffic) and with very
@@ -126,7 +142,7 @@ impl ReplayBuffer {
     pub fn admit_at(&mut self, now: Tick, pkt: Packet) -> u32 {
         assert!(self.can_admit(), "replay buffer full or replaying");
         let seq = self.next_seq;
-        self.next_seq = self.next_seq.wrapping_add(1);
+        self.next_seq = seq_next(seq);
         self.entries.push_back((seq, now, pkt));
         seq
     }
@@ -266,7 +282,7 @@ impl ReplayBuffer {
         }
         let mut entries = VecDeque::with_capacity(self.capacity);
         for _ in 0..n {
-            let seq = r.u32()?;
+            let seq = decode_seq(r)?;
             let tick = r.u64()?;
             let pkt = Packet::decode(r)?;
             entries.push_back((seq, tick, pkt));
@@ -281,25 +297,37 @@ impl ReplayBuffer {
             )));
         }
         self.replaying = r.bool()?;
-        self.next_seq = r.u32()?;
+        self.next_seq = decode_seq(r)?;
         Ok(())
     }
 }
 
-/// Sequence comparison tolerant of u32 wraparound (window comparison, as
-/// the 12-bit hardware counters do): `a ≤ b` when `b` is at most half the
-/// sequence space ahead of `a`. Equivalently, values more than half the
-/// space "ahead" are interpreted as being behind — which is what makes a
-/// `nak(u32::MAX)` from a receiver that has seen nothing yet release no
-/// live entries (all of 0, 1, 2… are *ahead* of u32::MAX).
+/// Reads a sequence number, rejecting values outside the sequence space.
+fn decode_seq(r: &mut StateReader<'_>) -> Result<u32, SnapshotError> {
+    let seq = r.u32()?;
+    if seq >= SEQ_MODULUS {
+        return Err(SnapshotError::Corrupt(format!("sequence number {seq} exceeds 2^28")));
+    }
+    Ok(seq)
+}
+
+/// Sequence comparison modulo [`SEQ_MODULUS`] (window comparison, as the
+/// 12-bit hardware counters do): `a ≤ b` when `b` is less than half the
+/// sequence space ahead of `a`. Equivalently, values half the space or
+/// more "ahead" are interpreted as being behind — which is what makes the
+/// NAK of `seq_prev(0)` from a receiver that has seen nothing yet release
+/// no live entries (0, 1, 2… are all *ahead* of it).
 pub(crate) fn seq_le(a: u32, b: u32) -> bool {
-    b.wrapping_sub(a) < u32::MAX / 2
+    b.wrapping_sub(a) & (SEQ_MODULUS - 1) < SEQ_MODULUS / 2
 }
 
 /// The receiver half: tracks the next expected sequence number.
 #[derive(Debug, Default)]
 pub struct RxState {
     next_seq: u32,
+    /// Whether anything was received yet — the counter alone cannot say,
+    /// since it wraps back to 0.
+    received_any: bool,
 }
 
 impl RxState {
@@ -322,29 +350,46 @@ impl RxState {
     /// number to acknowledge.
     pub fn advance(&mut self) -> u32 {
         let acked = self.next_seq;
-        self.next_seq = self.next_seq.wrapping_add(1);
+        self.next_seq = seq_next(acked);
+        self.received_any = true;
         acked
     }
 
     /// The cumulative-ACK value for everything received so far, if
     /// anything was received.
     pub fn last_received(&self) -> Option<u32> {
-        if self.next_seq == 0 {
-            None
-        } else {
-            Some(self.next_seq.wrapping_sub(1))
-        }
+        self.received_any.then(|| seq_prev(self.next_seq))
     }
 
     /// Serializes the receiver state for a checkpoint.
     pub fn encode(&self, w: &mut StateWriter) {
         w.u32(self.next_seq);
+        w.bool(self.received_any);
     }
 
     /// Restores state written by [`RxState::encode`].
     pub fn decode_into(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.next_seq = r.u32()?;
+        self.next_seq = decode_seq(r)?;
+        self.received_any = r.bool()?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl ReplayBuffer {
+    /// Starts an empty buffer's sequence counter at `seq` (wrap tests).
+    pub(crate) fn start_sequence_at(&mut self, seq: u32) {
+        assert!(self.entries.is_empty() && seq < SEQ_MODULUS);
+        self.next_seq = seq;
+    }
+}
+
+#[cfg(test)]
+impl RxState {
+    /// Starts a fresh receiver expecting `seq` (wrap tests).
+    pub(crate) fn start_sequence_at(&mut self, seq: u32) {
+        assert!(!self.received_any && seq < SEQ_MODULUS);
+        self.next_seq = seq;
     }
 }
 
@@ -484,7 +529,7 @@ mod tests {
     #[test]
     fn nak_before_any_receipt_rewinds_everything() {
         // A receiver that has accepted nothing NAKs `expected() - 1`,
-        // which wraps to u32::MAX. The window comparison puts u32::MAX
+        // which wraps to 2^28 - 1. The window comparison puts that value
         // *behind* every live sequence number, so the wrapped NAK must
         // acknowledge nothing and rewind the whole buffer.
         let mut rb = ReplayBuffer::new(4);
@@ -492,7 +537,7 @@ mod tests {
             rb.admit(pkt(i));
             rb.mark_transmitted();
         }
-        let replayed = rb.nak(u32::MAX);
+        let replayed = rb.nak(seq_prev(0));
         assert_eq!(replayed, 3, "wrapped NAK must replay everything");
         assert_eq!(rb.len(), 3, "wrapped NAK must release nothing");
         let (s, _) = rb.next_to_transmit().unwrap();
@@ -521,15 +566,37 @@ mod tests {
 
     #[test]
     fn seq_comparison_survives_wraparound() {
-        assert!(seq_le(u32::MAX, 0));
-        assert!(seq_le(u32::MAX - 1, 1));
-        assert!(!seq_le(1, u32::MAX));
+        let max = SEQ_MODULUS - 1;
+        assert_eq!(seq_prev(0), max);
+        assert!(seq_le(max, 0));
+        assert!(seq_le(max - 1, 1));
+        assert!(!seq_le(1, max));
         let mut rb = ReplayBuffer::new(2);
-        rb.next_seq = u32::MAX;
-        rb.admit(pkt(0)); // seq MAX
-        rb.admit(pkt(1)); // seq 0 after wrap
+        rb.start_sequence_at(max);
+        assert_eq!(rb.admit(pkt(0)), max);
+        assert_eq!(rb.admit(pkt(1)), 0, "the counter wraps at 2^28");
         rb.mark_transmitted();
         rb.mark_transmitted();
-        assert_eq!(rb.ack(0), 2, "ack of wrapped seq 0 covers seq MAX too");
+        assert_eq!(rb.ack(0), 2, "ack of wrapped seq 0 covers seq 2^28 - 1 too");
+    }
+
+    #[test]
+    fn receiver_wrapping_to_zero_still_reports_its_last_seq() {
+        let mut rx = RxState::new();
+        rx.start_sequence_at(SEQ_MODULUS - 1);
+        assert_eq!(rx.last_received(), None);
+        assert_eq!(rx.advance(), SEQ_MODULUS - 1);
+        assert_eq!(rx.expected(), 0);
+        assert_eq!(rx.last_received(), Some(SEQ_MODULUS - 1));
+    }
+
+    #[test]
+    fn out_of_space_sequence_numbers_are_rejected_on_restore() {
+        let mut w = StateWriter::new();
+        w.u32(SEQ_MODULUS);
+        w.bool(true);
+        let bytes = w.into_bytes();
+        let err = RxState::new().decode_into(&mut StateReader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
     }
 }

@@ -25,6 +25,9 @@ pub mod params;
 pub mod router;
 pub mod tlp;
 
+#[cfg(test)]
+mod link_kick_props;
+
 /// Convenient glob import for downstream crates and examples.
 pub mod prelude {
     pub use crate::ack_nak::{ack_timeout, replay_timeout, ReplayBuffer, RxState};

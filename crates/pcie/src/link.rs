@@ -56,7 +56,9 @@ use pcisim_pci::caps::aer_record_correctable;
 use pcisim_pci::config::SharedConfigSpace;
 use pcisim_pci::regs::aer::cor;
 
-use crate::ack_nak::{ack_timeout, replay_timeout, seq_le, ReplayBuffer, RxState};
+use crate::ack_nak::{
+    ack_timeout, replay_timeout, seq_le, seq_prev, ReplayBuffer, RxState, SEQ_MODULUS,
+};
 use crate::params::LinkConfig;
 use crate::tlp::{tlp_wire_bytes, Dllp, DLLP_WIRE_BYTES};
 
@@ -102,8 +104,8 @@ const K_REPLAY_TIMEOUT: u32 = 2;
 const K_ACK_TIMER: u32 = 4;
 const K_DLLP_ARRIVE: u32 = 6;
 
-// StampedPacket tag layout.
-const TAG_SEQ_MASK: u32 = (1 << 28) - 1;
+// StampedPacket tag layout: the sequence number fills the low 28 bits.
+const TAG_SEQ_MASK: u32 = SEQ_MODULUS - 1;
 const TAG_DIR_BIT: u32 = 1 << 30;
 const TAG_CORRUPT_BIT: u32 = 1 << 31;
 
@@ -295,6 +297,28 @@ impl RxStats {
     }
 }
 
+/// The transmitter's wake-up at the tick its wire comes free. The order
+/// stamp is reserved when the wire goes busy — exactly where the eager
+/// kick of earlier builds was minted after every frame — but the event is
+/// queued only once a frame is waiting behind the wire. The eager stream's
+/// no-op kicks are therefore never dispatched, and every event that does
+/// dispatch keeps its `(tick, order)` key (DESIGN §7).
+#[derive(Debug, Clone, Copy)]
+struct Kick {
+    at: Tick,
+    order: u64,
+    /// Queued in the calendar, or only reserved.
+    queued: bool,
+}
+
+impl Kick {
+    fn queue(&mut self, ctx: &mut Ctx<'_>, dir: Dir) {
+        let kind = K_TX_KICK + dir as u32;
+        ctx.schedule_reserved(self.at - ctx.now(), self.order, Event::Timer { kind, data: 0 });
+        self.queued = true;
+    }
+}
+
 /// Dynamic state of one physical end: the transmit machinery of its own
 /// wire and the receive machinery of the peer's wire.
 struct EndState {
@@ -304,7 +328,8 @@ struct EndState {
     /// the peer wire's TLPs).
     pending_dllps: VecDeque<Dllp>,
     wire_busy_until: Tick,
-    kick_scheduled: bool,
+    /// The wake-up owed at `wire_busy_until` while the wire is busy.
+    kick: Option<Kick>,
     replay_armed: bool,
     /// Lazy replay timer: the tick the armed timeout is due. Re-arming on
     /// an ACK only moves this deadline; at most one timer event is
@@ -344,7 +369,7 @@ impl EndState {
             tx: ReplayBuffer::new(capacity),
             pending_dllps: VecDeque::new(),
             wire_busy_until: 0,
-            kick_scheduled: false,
+            kick: None,
             replay_armed: false,
             replay_deadline: 0,
             replay_timer_outstanding: false,
@@ -412,6 +437,40 @@ struct LinkEnd {
     /// receiver-side errors at the receiving end, replay errors at the
     /// transmitting end.
     aer: Option<SharedConfigSpace>,
+    #[cfg(test)]
+    oracle: KickOracle,
+}
+
+/// Test-only oracle hooks: the eager kick rule of earlier builds (queue a
+/// kick after every frame, needed or not) and, per end, a log of every
+/// event the end handled.
+#[cfg(test)]
+#[derive(Debug, Default, Clone)]
+pub(crate) struct KickOracle {
+    pub(crate) eager: bool,
+    pub(crate) log: std::sync::Arc<[std::sync::Mutex<Vec<Dispatch>>; 2]>,
+}
+
+/// One event a link end handled, as a [`KickOracle`] logs it.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Dispatch {
+    pub(crate) at: Tick,
+    /// The timer kind; a TLP arrival logs as `u32::MAX`.
+    pub(crate) kind: u32,
+    /// A kick that found the wire free and no frame waiting.
+    pub(crate) idle_kick: bool,
+}
+
+#[cfg(test)]
+impl KickOracle {
+    /// Logs `ev` as handled by `end` at `at`; `tx_idle` says the end's
+    /// wire was free with no frame waiting.
+    fn record(&self, end: u8, at: Tick, ev: &Event, tx_idle: bool) {
+        let kind = if let Event::Timer { kind, .. } = ev { *kind } else { u32::MAX };
+        let idle_kick = kind & !1 == K_TX_KICK && tx_idle;
+        self.log[usize::from(end)].lock().unwrap().push(Dispatch { at, kind, idle_kick });
+    }
 }
 
 impl LinkEnd {
@@ -429,6 +488,8 @@ impl LinkEnd {
             st: EndState::new(cap, credits),
             aer: None,
             config,
+            #[cfg(test)]
+            oracle: KickOracle::default(),
         }
     }
 
@@ -495,23 +556,79 @@ impl LinkEnd {
         self.pump(ctx);
     }
 
+    /// Whether a DLLP, a replayed TLP or a new TLP is waiting for the wire.
+    fn frame_waiting(&self) -> bool {
+        !self.st.pending_dllps.is_empty() || self.st.tx.has_pending_tx()
+    }
+
+    /// Whether kicks are queued after every frame, needed or not — the
+    /// rule of earlier builds, kept only as the test oracle.
+    #[cfg(test)]
+    fn eager_kicks(&self) -> bool {
+        self.oracle.eager
+    }
+
+    #[cfg(not(test))]
+    fn eager_kicks(&self) -> bool {
+        false
+    }
+
+    /// The wire is busy: owe the transmitter a wake-up at the wire-free
+    /// tick, reserving its stamp if none is owed yet, and queue it once a
+    /// frame is waiting. With nothing waiting, the reservation stays
+    /// unqueued — the eager kick it stands for would have found nothing to
+    /// send. Every frame's arrival at the peer is an event at or after the
+    /// tick its wire frees, so a deleted kick is never a run's last event —
+    /// except on a cut-through link, where a TLP arrives at header time;
+    /// there kicks stay eager, or the quiesce tick could move.
+    fn arm_kick(&mut self, ctx: &mut Ctx<'_>) {
+        let (at, stream, dir) = (self.st.wire_busy_until, self.end, self.tx_dir());
+        let queue = self.eager_kicks() || self.config.cut_through || self.frame_waiting();
+        let kick = self.st.kick.get_or_insert_with(|| Kick {
+            at,
+            order: ctx.reserve_order(stream),
+            queued: false,
+        });
+        if queue && !kick.queued {
+            kick.queue(ctx, dir);
+        }
+    }
+
+    /// A frame takes the wire now, at or after the tick it came free. An
+    /// unqueued kick reserved for that tick is, in the eager stream,
+    /// either already dispatched with nothing to send — its key is behind
+    /// the event being dispatched: forget it — or still due at this very
+    /// tick, where it will find this frame's wire busy and re-arm: queue it.
+    fn settle_kick(&mut self, ctx: &mut Ctx<'_>) {
+        let dir = self.tx_dir();
+        let Some(kick) = &mut self.st.kick else { return };
+        if kick.queued {
+            return;
+        }
+        if ctx.is_ahead(kick.at, kick.order) {
+            kick.queue(ctx, dir);
+        } else {
+            self.st.kick = None;
+        }
+    }
+
     /// The transmission engine: one frame per iteration while the wire is
-    /// free, priority ACK/NAK > replayed TLPs > new TLPs. After every
-    /// frame a TX kick is left at the wire-free tick, so transmission
-    /// resumes without any help from the (possibly remote) receiving end.
+    /// free, priority ACK/NAK > replayed TLPs > new TLPs. While the wire is
+    /// busy with a frame waiting, a TX kick is queued at the wire-free
+    /// tick, so transmission resumes without any help from the (possibly
+    /// remote) receiving end.
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
         loop {
             let now = ctx.now();
             let prop = self.config.propagation_delay;
             if now < self.st.wire_busy_until {
-                if !self.st.kick_scheduled {
-                    self.st.kick_scheduled = true;
-                    let delay = self.st.wire_busy_until - now;
-                    let kind = K_TX_KICK + self.tx_dir() as u32;
-                    ctx.schedule_stream(delay, self.end, Event::Timer { kind, data: 0 });
-                }
+                self.arm_kick(ctx);
                 return;
             }
+            if !self.frame_waiting() {
+                return;
+            }
+            self.settle_kick(ctx);
             if let Some(dllp) = self.st.pending_dllps.pop_front() {
                 let t = self.config.tx_time(DLLP_WIRE_BYTES);
                 self.st.wire_busy_until = now + t;
@@ -527,7 +644,6 @@ impl LinkEnd {
                 continue;
             }
             if let Some((seq, held)) = self.st.tx.next_to_transmit_ref() {
-                assert!(seq <= TAG_SEQ_MASK, "sequence numbers exhausted the tag space");
                 // Wire copy via the pooled allocator; the replay buffer
                 // keeps the original until it is acknowledged.
                 let pkt = ctx.clone_packet(held);
@@ -689,13 +805,13 @@ impl LinkEnd {
             );
             ctx.recycle_packet(pkt);
             // NAK the last good sequence number back to the sender.
-            // Before anything has been received, `expected() - 1` wraps
-            // to u32::MAX; that is sound because the replay buffer's
-            // window comparison (`seq_le`) places u32::MAX *behind*
-            // every live sequence number — `nak(u32::MAX)` acknowledges
-            // nothing and rewinds everything, exactly the intent of
-            // "NAK from the start".
-            let nak_seq = self.st.rx.expected().wrapping_sub(1);
+            // Before anything has been received, `expected() - 1` is the
+            // sequence number just behind the first one sent; the replay
+            // buffer's window comparison (`seq_le`) places it *behind*
+            // every live sequence number, so the NAK acknowledges nothing
+            // and rewinds everything, exactly the intent of "NAK from the
+            // start".
+            let nak_seq = seq_prev(self.st.rx.expected());
             self.record_cor(cor::RECEIVER_ERROR | cor::BAD_TLP);
             self.queue_dllp(ctx, Dllp::Nak { seq: nak_seq });
             return;
@@ -928,6 +1044,13 @@ impl LinkEnd {
     /// Dispatches a self-addressed event that [`event_dest_end`] routed to
     /// this end.
     fn handle_event(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+        #[cfg(test)]
+        self.oracle.record(
+            self.end,
+            ctx.now(),
+            &ev,
+            ctx.now() >= self.st.wire_busy_until && !self.frame_waiting(),
+        );
         match ev {
             Event::StampedPacket { tag, stamp, pkt } => {
                 let corrupt = tag & TAG_CORRUPT_BIT != 0;
@@ -936,7 +1059,8 @@ impl LinkEnd {
             }
             Event::Timer { kind, data } => match kind & !1 {
                 K_TX_KICK => {
-                    self.st.kick_scheduled = false;
+                    debug_assert!(matches!(self.st.kick, Some(Kick { queued: true, .. })));
+                    self.st.kick = None;
                     self.pump(ctx);
                 }
                 K_REPLAY_TIMEOUT => self.replay_timeout_fired(ctx),
@@ -1007,7 +1131,12 @@ impl LinkEnd {
             encode_dllp(w, dllp);
         }
         w.u64(st.wire_busy_until);
-        w.bool(st.kick_scheduled);
+        w.bool(st.kick.is_some());
+        if let Some(kick) = st.kick {
+            w.u64(kick.at);
+            w.u64(kick.order);
+            w.bool(kick.queued);
+        }
         w.bool(st.replay_armed);
         w.u64(st.replay_deadline);
         w.bool(st.replay_timer_outstanding);
@@ -1036,7 +1165,11 @@ impl LinkEnd {
         }
         st.pending_dllps = dllps;
         st.wire_busy_until = r.u64()?;
-        st.kick_scheduled = r.bool()?;
+        st.kick = if r.bool()? {
+            Some(Kick { at: r.u64()?, order: r.u64()?, queued: r.bool()? })
+        } else {
+            None
+        };
         st.replay_armed = r.bool()?;
         st.replay_deadline = r.u64()?;
         st.replay_timer_outstanding = r.bool()?;
@@ -1047,9 +1180,12 @@ impl LinkEnd {
         st.replay_num = r.u32()?;
         st.rx.decode_into(r)?;
         st.pending_ack = match r.opt_u64()? {
-            Some(v) => Some(u32::try_from(v).map_err(|_| {
-                SnapshotError::Corrupt(format!("pending ACK {v} exceeds the sequence space"))
-            })?),
+            Some(v) if v < u64::from(SEQ_MODULUS) => Some(v as u32),
+            Some(v) => {
+                return Err(SnapshotError::Corrupt(format!(
+                    "pending ACK {v} exceeds the sequence space"
+                )))
+            }
             None => None,
         };
         st.ack_timer_armed = r.bool()?;
@@ -1105,6 +1241,23 @@ impl PcieLink {
     /// The computed replay-timeout interval.
     pub fn replay_timeout(&self) -> Tick {
         self.ends[0].replay_timeout
+    }
+
+    /// Installs the test oracle on both ends.
+    #[cfg(test)]
+    pub(crate) fn set_kick_oracle(&mut self, oracle: &KickOracle) {
+        for end in &mut self.ends {
+            end.oracle = oracle.clone();
+        }
+    }
+
+    /// Starts both directions' sequence counters at `seq` (wrap tests).
+    #[cfg(test)]
+    pub(crate) fn start_sequences_at(&mut self, seq: u32) {
+        for end in &mut self.ends {
+            end.st.tx.start_sequence_at(seq);
+            end.st.rx.start_sequence_at(seq);
+        }
     }
 }
 
@@ -1204,6 +1357,12 @@ impl PcieLinkHalf {
     pub fn config(&self) -> &LinkConfig {
         &self.end.config
     }
+
+    /// Installs the test oracle on this end.
+    #[cfg(test)]
+    pub(crate) fn set_kick_oracle(&mut self, oracle: &KickOracle) {
+        self.end.oracle = oracle.clone();
+    }
 }
 
 impl Component for PcieLinkHalf {
@@ -1263,7 +1422,10 @@ impl Component for PcieLinkHalf {
 mod tests {
     use super::*;
     use crate::params::{Generation, LinkWidth};
-    use pcisim_kernel::packet::Command;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use pcisim_kernel::packet::{Command, PacketId};
     use pcisim_kernel::sim::{RunOutcome, Simulation};
     use pcisim_kernel::testutil::{Requester, Responder, REQUESTER_PORT, RESPONDER_PORT};
     use pcisim_kernel::tick::ns;
@@ -1280,10 +1442,18 @@ mod tests {
         script: Vec<(Command, u64, u32)>,
         service: Tick,
     ) -> (Simulation, pcisim_kernel::testutil::CompletionLog) {
+        build_with(PcieLink::new("link", config), script, service)
+    }
+
+    fn build_with(
+        link: PcieLink,
+        script: Vec<(Command, u64, u32)>,
+        service: Tick,
+    ) -> (Simulation, pcisim_kernel::testutil::CompletionLog) {
         let mut sim = Simulation::new();
         let (req, done) = Requester::new("cpu", script);
         let r = sim.add(Box::new(req));
-        let l = sim.add(Box::new(PcieLink::new("link", config)));
+        let l = sim.add(Box::new(link));
         let (resp, _) = Responder::new("dev", service);
         let d = sim.add(Box::new(resp));
         sim.connect((r, REQUESTER_PORT), (l, PORT_UP_SLAVE));
@@ -1301,6 +1471,95 @@ mod tests {
         let done = done.borrow();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].1, ns(168 + 10 + 40));
+    }
+
+    /// Events dispatched by `script` over `config`, under the on-demand
+    /// kick rule and under the eager rule of earlier builds.
+    fn event_counts(config: LinkConfig, script: Vec<(Command, u64, u32)>) -> (u64, u64) {
+        let run = |eager| {
+            let mut link = PcieLink::new("link", config.clone());
+            link.set_kick_oracle(&KickOracle { eager, ..KickOracle::default() });
+            let (mut sim, done) = build_with(link, script.clone(), 0);
+            assert_eq!(sim.run_to_quiesce(), RunOutcome::QueueEmpty);
+            assert_eq!(done.borrow().len(), script.len());
+            sim.events_processed()
+        };
+        (run(false), run(true))
+    }
+
+    #[test]
+    fn one_posted_write_over_an_idle_link_costs_five_events() {
+        // Requester issue, TLP arrival, responder service, ACK arrival and
+        // the disarmed replay timer. The eager rule also woke each end's
+        // idle transmitter once, after the TLP and after the ACK.
+        let cfg = LinkConfig::new(Generation::Gen2, LinkWidth::X4);
+        let write = vec![(Command::Message, 0x4000_0000, 64)];
+        assert_eq!(event_counts(cfg, write), (5, 7));
+    }
+
+    #[test]
+    fn the_link_write_storm_dispatches_its_pinned_event_count() {
+        // The `[M] pcie.link.*` scenario of the repo benchmark: 10 000
+        // 64-byte writes over Gen 2 x8.
+        let cfg = LinkConfig::new(Generation::Gen2, LinkWidth::X8);
+        let storm =
+            (0..10_000).map(|i| (Command::WriteReq, 0x4000_0000 + (i % 64) * 64, 64)).collect();
+        assert_eq!(event_counts(cfg, storm), (83_092, 93_094));
+    }
+
+    /// Accepts every (posted) request and logs its id.
+    struct OrderSink {
+        name: &'static str,
+        log: Rc<RefCell<Vec<PacketId>>>,
+    }
+    impl Component for OrderSink {
+        fn name(&self) -> &str {
+            self.name
+        }
+        fn recv_request(&mut self, ctx: &mut Ctx<'_>, _p: PortId, pkt: Packet) -> RecvResult {
+            self.log.borrow_mut().push(pkt.id());
+            ctx.recycle_packet(pkt);
+            RecvResult::Accepted
+        }
+    }
+
+    #[test]
+    fn sequence_numbers_wrap_at_the_tag_width() {
+        // Both directions start 3 below 2^28 and carry 10 posted writes.
+        // The injector corrupts each end's third transmission (sequence
+        // 2^28 - 1), so the NAK and the replay burst straddle the wrap.
+        let cfg =
+            LinkConfig { error_interval: 227, ..LinkConfig::new(Generation::Gen2, LinkWidth::X1) };
+        let mut link = PcieLink::new("link", cfg);
+        link.start_sequences_at(SEQ_MODULUS - 3);
+        let writes = |base: u64| (0..10).map(|i| (Command::Message, base + i * 64, 64)).collect();
+        let mut sim = Simulation::new();
+        let (cpu, cpu_sent) = Requester::new("cpu", writes(0x4000_0000));
+        let c = sim.add(Box::new(cpu));
+        let l = sim.add(Box::new(link));
+        let dev_log = Rc::new(RefCell::new(Vec::new()));
+        let d = sim.add(Box::new(OrderSink { name: "dev", log: dev_log.clone() }));
+        let (dma, dma_sent) = Requester::new("dma", writes(0x8000_0000));
+        let m = sim.add(Box::new(dma));
+        let mem_log = Rc::new(RefCell::new(Vec::new()));
+        let h = sim.add(Box::new(OrderSink { name: "mem", log: mem_log.clone() }));
+        sim.connect((c, REQUESTER_PORT), (l, PORT_UP_SLAVE));
+        sim.connect((l, PORT_DOWN_MASTER), (d, PortId(0)));
+        sim.connect((m, REQUESTER_PORT), (l, PORT_DOWN_SLAVE));
+        sim.connect((l, PORT_UP_MASTER), (h, PortId(0)));
+        assert_eq!(sim.run_to_quiesce(), RunOutcome::QueueEmpty);
+        let ids = |log: &pcisim_kernel::testutil::CompletionLog| {
+            log.borrow().iter().map(|&(id, _)| id).collect::<Vec<_>>()
+        };
+        assert_eq!(*dev_log.borrow(), ids(&cpu_sent), "down: all 10, in order");
+        assert_eq!(*mem_log.borrow(), ids(&dma_sent), "up: all 10, in order");
+        let stats = sim.stats();
+        for dir in ["down", "up"] {
+            assert_eq!(stats.get(&format!("link.{dir}.rx_delivered")), Some(10.0));
+            assert_eq!(stats.get(&format!("link.{dir}.rx_dropped_corrupt")), Some(1.0));
+            assert_eq!(stats.get(&format!("link.{dir}.naks_rx")), Some(1.0));
+            assert!(stats.get(&format!("link.{dir}.replays")).unwrap() >= 2.0, "{dir}");
+        }
     }
 
     #[test]

@@ -15,10 +15,18 @@ use proptest::prelude::*;
 
 use pcisim::devices::ide::IdeDiskConfig;
 use pcisim::devices::nic::NicConfig;
-use pcisim::kernel::sim::RunOutcome;
+use pcisim::kernel::component::ComponentId;
+use pcisim::kernel::packet::Command;
+use pcisim::kernel::shard::{EdgeSpec, Placement, ShardPlan, ShardedSimulator};
+use pcisim::kernel::sim::{RunOutcome, Simulation};
 use pcisim::kernel::snapshot::{SnapshotError, StateReader, StateWriter, SNAPSHOT_VERSION};
+use pcisim::kernel::testutil::{Requester, Responder, REQUESTER_PORT, RESPONDER_PORT};
 use pcisim::kernel::tick::{us, Tick, TICKS_PER_SEC};
 use pcisim::kernel::trace::{TraceCategory, TraceLog};
+use pcisim::pcie::link::{
+    link_event_dest_end, link_lookahead, PcieLink, PcieLinkHalf, PORT_DOWN_MASTER, PORT_DOWN_SLAVE,
+    PORT_UP_MASTER, PORT_UP_SLAVE,
+};
 use pcisim::pcie::params::{Generation, LinkConfig, LinkWidth};
 use pcisim::pcie::router::RouterConfig;
 use pcisim::system::snapshot::SystemHandle;
@@ -481,4 +489,120 @@ fn mid_virtio_request_checkpoint_restores_bit_identically() {
     assert_cut_points_resume_bit_identically(build, |(blk, net)| {
         blk.borrow().done && net.borrow().done
     });
+}
+
+/// Gen 2 x1 with a 2-TLP replay buffer and a corrupt TLP every ~7: the
+/// wire is congested both ways, and replays, NAKs and admission refusals
+/// are all live.
+fn congested_link_config() -> LinkConfig {
+    LinkConfig {
+        replay_buffer_size: 2,
+        error_interval: 7,
+        ..LinkConfig::new(Generation::Gen2, LinkWidth::X1)
+    }
+}
+
+/// Builds one shard of the congested-link rig — `cpu` (requester, down),
+/// `link`, `dev` (responder), `dma` (requester, up), `mem` (responder) —
+/// owning both sides (`end = None`, the serial build) or only the side of
+/// link end `Some(end)`.
+fn congested_link_shard(end: Option<u8>) -> Simulation {
+    let config = congested_link_config();
+    let mix = |base: u64| -> Vec<(Command, u64, u32)> {
+        (0..12)
+            .map(|i| {
+                let cmd = if i % 3 == 0 { Command::ReadReq } else { Command::WriteReq };
+                (cmd, base + i * 64, 64)
+            })
+            .collect()
+    };
+    let owns = |side: u8| end.is_none_or(|e| e == side);
+    let mut sim = Simulation::new();
+    let cpu = if owns(0) {
+        sim.add(Box::new(Requester::new("cpu", mix(0x4000_0000)).0))
+    } else {
+        sim.add_remote("cpu")
+    };
+    let link = match end {
+        None => sim.add(Box::new(PcieLink::new("link", config))),
+        Some(0) => sim.add(Box::new(PcieLinkHalf::new_upstream("link", config, 0))),
+        Some(_) => sim.add(Box::new(PcieLinkHalf::new_downstream("link", config, 1))),
+    };
+    let dev = if owns(1) {
+        sim.add(Box::new(Responder::new("dev", 30_000).0))
+    } else {
+        sim.add_remote("dev")
+    };
+    let dma = if owns(1) {
+        sim.add(Box::new(Requester::new("dma", mix(0x8000_0000)).0))
+    } else {
+        sim.add_remote("dma")
+    };
+    let mem = if owns(0) {
+        sim.add(Box::new(Responder::new("mem", 50_000).0))
+    } else {
+        sim.add_remote("mem")
+    };
+    sim.connect((cpu, REQUESTER_PORT), (link, PORT_UP_SLAVE));
+    sim.connect((link, PORT_DOWN_MASTER), (dev, RESPONDER_PORT));
+    sim.connect((dma, REQUESTER_PORT), (link, PORT_DOWN_SLAVE));
+    sim.connect((link, PORT_UP_MASTER), (mem, RESPONDER_PORT));
+    sim
+}
+
+fn congested_link_sharded() -> ShardedSimulator {
+    let horizon = link_lookahead(&congested_link_config());
+    let link = ComponentId(1);
+    let plan = ShardPlan {
+        placements: vec![
+            Placement::Shard(0),
+            Placement::Split { end0: 0, end1: 1 },
+            Placement::Shard(1),
+            Placement::Shard(1),
+            Placement::Shard(0),
+        ],
+        edges: vec![
+            EdgeSpec { from_shard: 0, to_shard: 1, dest: link, horizon },
+            EdgeSpec { from_shard: 1, to_shard: 0, dest: link, horizon },
+        ],
+        route_end: link_event_dest_end,
+    };
+    ShardedSimulator::new(vec![congested_link_shard(Some(0)), congested_link_shard(Some(1))], plan)
+}
+
+/// A congested link checkpointed at *every* event boundary — wire
+/// arrivals, replay-timer chases, ACK timers and TX-kick reservations
+/// (queued or not) all live at one cut or another — restores into a fresh
+/// serial build and a fresh 2-shard build, and both finish exactly like
+/// the uninterrupted run.
+#[test]
+fn congested_link_checkpoints_at_every_event_restore_serial_and_sharded() {
+    let mut reference = congested_link_shard(None);
+    assert_eq!(reference.run_to_quiesce(), RunOutcome::QueueEmpty);
+    let stats = reference.stats();
+    assert!(stats.get("link.down.replays").unwrap() > 0.0, "the wire must replay");
+    assert!(stats.get("link.up.admission_refusals").unwrap() > 0.0, "and refuse");
+    let (ref_tick, ref_fnv) = (reference.now(), stats.fnv());
+    let ref_pid = reference.packet_ids_allocated();
+
+    for cut in 1..reference.events_processed() {
+        let mut interrupted = congested_link_shard(None);
+        assert_eq!(interrupted.run(Tick::MAX, cut), RunOutcome::EventLimit);
+        let snap = interrupted.checkpoint();
+
+        let mut serial = congested_link_shard(None);
+        serial.restore(&snap).expect("restores serially");
+        assert_eq!(serial.run_to_quiesce(), RunOutcome::QueueEmpty);
+        assert_eq!(serial.now(), ref_tick, "serial quiesce tick after cut {cut}");
+        assert_eq!(serial.stats().fnv(), ref_fnv, "serial stats after cut {cut}");
+        assert_eq!(serial.packet_ids_allocated(), ref_pid, "serial packet ids after cut {cut}");
+
+        let mut sharded = congested_link_sharded();
+        sharded.restore(&snap).expect("restores into two shards");
+        assert_eq!(sharded.run_to_quiesce(), RunOutcome::QueueEmpty);
+        assert_eq!(sharded.now(), ref_tick, "sharded quiesce tick after cut {cut}");
+        assert_eq!(sharded.stats().fnv(), ref_fnv, "sharded stats after cut {cut}");
+        let pid: u64 = (0..2).map(|i| sharded.shard_mut(i).packet_ids_allocated()).sum();
+        assert_eq!(pid, ref_pid, "sharded packet ids after cut {cut}");
+    }
 }
