@@ -38,7 +38,7 @@
 //!   | CA                | Received Target Abort  | —                   |
 //!   | timeout           | —                      | Completion Timeout  |
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use pcisim_kernel::component::{Event, PortId};
 use pcisim_kernel::packet::{
@@ -99,7 +99,7 @@ pub(crate) struct DmaEngine<T> {
     /// not be confused with ordered-lane completions.
     irq_inflight: BTreeSet<u64>,
     /// Acceptance tick and tag of every in-flight read or tagged request.
-    inflight: HashMap<u64, (Tick, Option<T>)>,
+    inflight: BTreeMap<u64, (Tick, Option<T>)>,
     /// Non-posted ordered-lane requests accepted and not yet completed.
     outstanding: u32,
     /// Tagged completions waiting for their pump event.
@@ -134,7 +134,7 @@ impl<T: DmaTag> DmaEngine<T> {
             stalled_tag: None,
             irq_stalled: VecDeque::new(),
             irq_inflight: BTreeSet::new(),
-            inflight: HashMap::new(),
+            inflight: BTreeMap::new(),
             outstanding: 0,
             completed: VecDeque::new(),
             read_tlps: Counter::default(),
@@ -326,12 +326,8 @@ impl<T: DmaTag> DmaEngine<T> {
         for id in &self.irq_inflight {
             w.u64(*id);
         }
-        // HashMap iterates in hash order; sort so the byte stream is
-        // deterministic.
-        let mut inflight: Vec<_> = self.inflight.iter().map(|(&id, &v)| (id, v)).collect();
-        inflight.sort_unstable_by_key(|&(id, _)| id);
-        w.usize(inflight.len());
-        for (id, (issued, tag)) in inflight {
+        w.usize(self.inflight.len());
+        for (&id, &(issued, tag)) in &self.inflight {
             w.u64(id);
             w.u64(issued);
             encode_opt_tag(w, tag);
@@ -370,9 +366,8 @@ impl<T: DmaTag> DmaEngine<T> {
         for _ in 0..r.usize()? {
             self.irq_inflight.insert(r.u64()?);
         }
-        let n = r.usize()?;
-        self.inflight = HashMap::with_capacity(n.min(4096));
-        for _ in 0..n {
+        self.inflight.clear();
+        for _ in 0..r.usize()? {
             let id = r.u64()?;
             self.inflight.insert(id, (r.u64()?, decode_opt_tag(r)?));
         }

@@ -12,15 +12,20 @@
 //! - time is divided into fixed windows of `2^BUCKET_BITS` ticks;
 //! - a ring of [`NUM_BUCKETS`] buckets covers the windows immediately
 //!   after the currently open one (`cur_window`);
-//! - entries for the open window live in a small binary heap (`cur`) so
-//!   same-window entries pop in exact `(tick, order)` order;
+//! - entries for the open window live in a *sorted run* plus a small
+//!   *late heap*: opening a bucket sorts it once into the run, a push
+//!   into the open window that sorts after the run's tail is appended to
+//!   it, any other one goes to the heap, and a pop takes the smaller of
+//!   the two heads — so same-window entries pop in exact `(tick, order)`
+//!   order at `O(1)` for in-order arrivals and `O(log n)` at worst;
 //! - entries beyond the ring horizon go to an overflow heap and migrate
 //!   into the ring as the calendar advances.
 //!
 //! Items themselves live in a slab and are addressed by slot index from
-//! the ring/heaps, so bucket drains and heap sifts move small keys
-//! instead of full event payloads (~128 bytes for a packet-carrying
-//! action); each item is written and read exactly once.
+//! the ring, run and heaps, so bucket drains, sorts and heap sifts move
+//! 24-byte keys instead of items; each item is written and read exactly
+//! once. The kernel's items are 24-byte queued entries whose packets
+//! wait outside the calendar (see `crate::sim`).
 //!
 //! Determinism: every push carries a caller-supplied **order stamp**, and
 //! [`CalendarQueue::pop`] always yields the globally smallest
@@ -121,12 +126,18 @@ impl Ord for Key {
 ///    most one distinct window and can be drained wholesale when opened;
 /// 2. every overflow entry has window `>= cur_window + NUM_BUCKETS`, so
 ///    the ring always contains the earliest pending window whenever it is
-///    non-empty.
+///    non-empty;
+/// 3. `run[run_head..]` is sorted ascending; together with `late` it
+///    holds exactly the open window's entries.
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
     buckets: Vec<Vec<Key>>,
-    /// Entries belonging to the currently open window, ordered.
-    cur: BinaryHeap<Reverse<Key>>,
+    /// Open-window entries that arrived in order; `run[..run_head]` has
+    /// already popped.
+    run: Vec<Key>,
+    run_head: usize,
+    /// Open-window entries that arrived out of order.
+    late: BinaryHeap<Reverse<Key>>,
     /// Entries at or beyond `cur_window + NUM_BUCKETS` windows.
     overflow: BinaryHeap<Reverse<Key>>,
     /// Item storage addressed by `Key::slot`, stamped with the order of
@@ -135,8 +146,8 @@ pub struct CalendarQueue<T> {
     /// Vacant slab slots available for reuse.
     free: Vec<u32>,
     cur_window: u64,
-    /// Total keys held in the ring buckets (not `cur` / `overflow`),
-    /// tombstones included.
+    /// Total keys held in the ring buckets (not the open window or
+    /// `overflow`), tombstones included.
     ring_len: usize,
     /// Live (non-cancelled) entries.
     len: usize,
@@ -158,7 +169,9 @@ impl<T> CalendarQueue<T> {
     pub fn new() -> Self {
         Self {
             buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
-            cur: BinaryHeap::new(),
+            run: Vec::new(),
+            run_head: 0,
+            late: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             slab: Vec::new(),
             free: Vec::new(),
@@ -202,7 +215,7 @@ impl<T> CalendarQueue<T> {
         let key = Key { tick, order, slot };
         let w = tick >> BUCKET_BITS;
         if w <= self.cur_window {
-            self.cur.push(Reverse(key));
+            self.push_open(key);
         } else if w - self.cur_window < NUM_BUCKETS {
             self.ring_len += 1;
             self.buckets[(w & MASK) as usize].push(key);
@@ -212,13 +225,49 @@ impl<T> CalendarQueue<T> {
         EventHandle { slot, order }
     }
 
+    /// Files `key` into the open window: appended to the run when it
+    /// sorts after the run's tail (or the run is spent), else into `late`.
+    #[inline]
+    fn push_open(&mut self, key: Key) {
+        if self.run_head == self.run.len() {
+            self.run.clear();
+            self.run_head = 0;
+        }
+        match self.run.last() {
+            Some(tail) if key < *tail => self.late.push(Reverse(key)),
+            _ => self.run.push(key),
+        }
+    }
+
+    /// The open window's smallest key, if any.
+    #[inline]
+    fn open_head(&self) -> Option<Key> {
+        let run = self.run.get(self.run_head).copied();
+        match (run, self.late.peek()) {
+            (Some(r), Some(&Reverse(l))) => Some(if l < r { l } else { r }),
+            (r, l) => r.or(l.map(|&Reverse(l)| l)),
+        }
+    }
+
+    /// Removes the open window's smallest key, which must be `head` (the
+    /// value [`CalendarQueue::open_head`] just returned).
+    #[inline]
+    fn remove_open_head(&mut self, head: Key) {
+        if self.run.get(self.run_head) == Some(&head) {
+            self.run_head += 1;
+        } else {
+            self.late.pop();
+        }
+    }
+
     /// Cancels the entry named by `handle`, returning its item; `None`
     /// when the entry has already popped or been cancelled (stale handle).
     ///
-    /// The cancelled key stays where it physically sits (bucket or heap)
-    /// as a tombstone and is reclaimed when the dispatch loop reaches it;
-    /// tombstones are skipped silently, so a cancelled event never fires,
-    /// never advances time, and never perturbs the order of live events.
+    /// The cancelled key stays where it physically sits (bucket, run or
+    /// heap) as a tombstone and is reclaimed when the dispatch loop
+    /// reaches it; tombstones are skipped silently, so a cancelled event
+    /// never fires, never advances time, and never perturbs the order of
+    /// live events.
     pub fn cancel(&mut self, handle: EventHandle) -> Option<T> {
         let slot = match self.slab.get(handle.slot as usize) {
             Some((stamp, _)) if *stamp == handle.order => handle.slot,
@@ -236,16 +285,17 @@ impl<T> CalendarQueue<T> {
         };
         let item = self.slab[slot as usize].1.take()?;
         self.len -= 1;
-        // The slot is NOT freed here: its key still sits in a bucket or
-        // heap, and a reused slot would make that stale key resurrect the
-        // new occupant. The slot frees when the tombstone key pops.
+        // The slot is NOT freed here: its key still sits in a bucket, the
+        // run or a heap, and a reused slot would make that stale key
+        // resurrect the new occupant. The slot frees when the tombstone
+        // key pops.
         Some(item)
     }
 
-    /// Advances the calendar until the open-window heap holds the globally
+    /// Advances the calendar until the open window holds the globally
     /// earliest entry (no-op when it already does, or the queue is empty).
     fn settle(&mut self) {
-        while self.cur.is_empty() && self.len > 0 {
+        while self.run_head == self.run.len() && self.late.is_empty() && self.len > 0 {
             // Find the earliest occupied window. By invariant 2 the ring
             // (when non-empty) always beats the overflow heap, and by
             // invariant 1 the first non-empty bucket after the cursor
@@ -256,12 +306,24 @@ impl<T> CalendarQueue<T> {
                     .find(|w| !self.buckets[(w & MASK) as usize].is_empty())
                     .expect("ring_len > 0 implies an occupied bucket within the horizon")
             } else {
-                let Reverse(head) = self.overflow.peek().expect("len > 0 with empty ring and cur");
+                let Reverse(head) =
+                    self.overflow.peek().expect("len > 0 with empty ring and window");
                 head.tick >> BUCKET_BITS
             };
             self.cur_window = target;
+            // Open the bucket for the new cursor window: it becomes the
+            // run (the spent run's buffer goes back to the ring), sorted
+            // once.
+            self.run.clear();
+            self.run_head = 0;
+            let bucket = &mut self.buckets[(target & MASK) as usize];
+            self.ring_len -= bucket.len();
+            std::mem::swap(&mut self.run, bucket);
+            debug_assert!(self.run.iter().all(|k| k.tick >> BUCKET_BITS == target));
+            self.run.sort_unstable();
             // Re-establish invariant 2: migrate overflow entries that now
-            // fall inside the ring horizon.
+            // fall inside the ring horizon. They leave the heap in order,
+            // so open-window ones append to the run.
             while let Some(Reverse(head)) = self.overflow.peek() {
                 let w = head.tick >> BUCKET_BITS;
                 if w >= self.cur_window + NUM_BUCKETS {
@@ -269,34 +331,27 @@ impl<T> CalendarQueue<T> {
                 }
                 let Reverse(key) = self.overflow.pop().expect("peeked");
                 if w <= self.cur_window {
-                    self.cur.push(Reverse(key));
+                    self.push_open(key);
                 } else {
                     self.ring_len += 1;
                     self.buckets[(w & MASK) as usize].push(key);
                 }
             }
-            // Open the bucket for the new cursor window.
-            let bucket = &mut self.buckets[(self.cur_window & MASK) as usize];
-            self.ring_len -= bucket.len();
-            for key in bucket.drain(..) {
-                debug_assert_eq!(key.tick >> BUCKET_BITS, self.cur_window);
-                self.cur.push(Reverse(key));
-            }
         }
     }
 
     /// Like [`CalendarQueue::settle`], but additionally discards cancelled
-    /// tombstone keys at the head of the open-window heap (reclaiming their
-    /// slab slots), so afterwards the head of `cur` — when present — is a
-    /// live entry.
-    fn settle_live(&mut self) {
+    /// tombstone keys at the head of the open window (reclaiming their
+    /// slab slots), so the returned head — when present — is live.
+    #[inline]
+    fn settle_live(&mut self) -> Option<Key> {
         loop {
             self.settle();
-            let Some(&Reverse(head)) = self.cur.peek() else { return };
+            let head = self.open_head()?;
             if self.slab[head.slot as usize].1.is_some() {
-                return;
+                return Some(head);
             }
-            self.cur.pop();
+            self.remove_open_head(head);
             self.free.push(head.slot);
         }
     }
@@ -304,49 +359,31 @@ impl<T> CalendarQueue<T> {
     /// The tick of the earliest queued (live) entry, if any.
     #[inline]
     pub fn next_tick(&mut self) -> Option<Tick> {
-        self.settle_live();
-        self.cur.peek().map(|&Reverse(key)| key.tick)
+        self.settle_live().map(|key| key.tick)
     }
 
     /// Removes and returns the entry with the smallest `(tick, order)`.
     #[inline]
     pub fn pop(&mut self) -> Option<(Tick, T)> {
-        self.settle_live();
-        let Reverse(key) = self.cur.pop()?;
-        self.len -= 1;
-        let item = self.slab[key.slot as usize].1.take().expect("live head after settle_live");
-        self.free.push(key.slot);
-        Some((key.tick, item))
-    }
-
-    /// Like [`CalendarQueue::pop`], but also yields the popped entry's
-    /// order stamp — the dispatch loop forwards it to the tracer so trace
-    /// streams from different shards can be merged deterministically.
-    #[inline]
-    pub fn pop_stamped(&mut self) -> Option<(Tick, u64, T)> {
-        self.settle_live();
-        let Reverse(key) = self.cur.pop()?;
-        self.len -= 1;
-        let item = self.slab[key.slot as usize].1.take().expect("live head after settle_live");
-        self.free.push(key.slot);
-        Some((key.tick, key.order, item))
+        // No tick exceeds `Tick::MAX`, so the limit never holds a head back.
+        self.pop_if_at_most(Tick::MAX).ok().flatten().map(|(tick, _, item)| (tick, item))
     }
 
     /// Fused peek-and-pop for the dispatch loop: settles once, then pops
-    /// the head only if its tick is `<= limit`. `Err(head_tick)` reports a
-    /// head beyond the limit without disturbing it; `Ok(None)` means empty.
+    /// the head (with its order stamp) only if its tick is `<= limit`.
+    /// `Err(head_tick)` reports a head beyond the limit without disturbing
+    /// it; `Ok(None)` means empty.
     #[inline]
     pub fn pop_if_at_most(&mut self, limit: Tick) -> Result<Option<(Tick, u64, T)>, Tick> {
-        self.settle_live();
-        let Some(&Reverse(head)) = self.cur.peek() else { return Ok(None) };
+        let Some(head) = self.settle_live() else { return Ok(None) };
         if head.tick > limit {
             return Err(head.tick);
         }
-        let Reverse(key) = self.cur.pop().expect("peeked");
+        self.remove_open_head(head);
         self.len -= 1;
-        let item = self.slab[key.slot as usize].1.take().expect("live head after settle_live");
-        self.free.push(key.slot);
-        Ok(Some((key.tick, key.order, item)))
+        let item = self.slab[head.slot as usize].1.take().expect("live head after settle_live");
+        self.free.push(head.slot);
+        Ok(Some((head.tick, head.order, item)))
     }
 
     /// Creates an empty queue with the calendar cursor positioned for
@@ -366,24 +403,22 @@ impl<T> CalendarQueue<T> {
         self.restored.insert(order, handle.slot);
     }
 
+    /// Every queued key, tombstones included, in arbitrary order.
+    fn keys(&self) -> impl Iterator<Item = &Key> {
+        self.run[self.run_head..]
+            .iter()
+            .chain(self.late.iter().map(|Reverse(k)| k))
+            .chain(self.overflow.iter().map(|Reverse(k)| k))
+            .chain(self.buckets.iter().flatten())
+    }
+
     /// Visits every live (non-cancelled) entry in arbitrary order. Used by
     /// checkpointing and by the sharded driver's global state gather.
     pub fn for_each_live(&self, mut f: impl FnMut(Tick, u64, &T)) {
-        let mut visit = |key: &Key| {
+        for key in self.keys() {
             if let (stamp, Some(item)) = &self.slab[key.slot as usize] {
                 debug_assert_eq!(*stamp, key.order);
                 f(key.tick, key.order, item);
-            }
-        };
-        for Reverse(k) in self.cur.iter() {
-            visit(k);
-        }
-        for Reverse(k) in self.overflow.iter() {
-            visit(k);
-        }
-        for bucket in &self.buckets {
-            for k in bucket {
-                visit(k);
             }
         }
     }
@@ -395,63 +430,69 @@ impl<T> CalendarQueue<T> {
     /// checkpoint taken by an N-shard run restore into an M-shard (or
     /// serial) run. Live items are encoded by `enc`.
     pub fn save(&self, w: &mut StateWriter, mut enc: impl FnMut(&mut StateWriter, &T)) {
-        let mut keys: Vec<(Tick, u64)> = Vec::with_capacity(self.len);
-        self.for_each_live(|tick, order, _| keys.push((tick, order)));
-        keys.sort_unstable();
-        w.usize(keys.len());
-        // Entries are located slot-by-slot; build an order → slot index to
-        // emit them in sorted order without cloning items.
-        let mut slots: BTreeMap<u64, u32> = BTreeMap::new();
-        for (slot, (stamp, item)) in self.slab.iter().enumerate() {
-            if item.is_some() {
-                slots.insert(*stamp, slot as u32);
-            }
-        }
-        for (tick, order) in keys {
-            w.u64(tick);
-            w.u64(order);
-            let slot = slots[&order];
-            enc(w, self.slab[slot as usize].1.as_ref().expect("live entry"));
+        let mut live: Vec<Key> =
+            self.keys().filter(|key| self.slab[key.slot as usize].1.is_some()).copied().collect();
+        live.sort_unstable();
+        w.usize(live.len());
+        for key in live {
+            w.u64(key.tick);
+            w.u64(key.order);
+            enc(w, self.slab[key.slot as usize].1.as_ref().expect("live entry"));
         }
     }
 
     /// Rebuilds a queue from [`CalendarQueue::save`] output, with the
     /// calendar cursor positioned for simulated time `now`. Items are
-    /// decoded by `dec`. The rebuilt queue pops in the identical global
-    /// `(tick, order)` order; [`EventHandle`]s saved before the checkpoint
-    /// resolve through the order-stamp side map, so post-restore
-    /// cancellation behaves exactly like the uninterrupted original.
+    /// decoded by `dec`, which also sees each entry's order stamp. The
+    /// rebuilt queue pops in the identical global `(tick, order)` order;
+    /// [`EventHandle`]s saved before the checkpoint resolve through the
+    /// order-stamp side map, so post-restore cancellation behaves exactly
+    /// like the uninterrupted original.
     pub fn restore(
         now: Tick,
         r: &mut StateReader<'_>,
-        mut dec: impl FnMut(&mut StateReader<'_>) -> Result<T, SnapshotError>,
+        mut dec: impl FnMut(&mut StateReader<'_>, u64) -> Result<T, SnapshotError>,
     ) -> Result<Self, SnapshotError> {
-        let n = r.usize()?;
         let mut q = Self::with_cursor(now);
-        let mut last: Option<(Tick, u64)> = None;
-        for _ in 0..n {
-            let tick = r.u64()?;
-            let order = r.u64()?;
-            if tick < now {
-                return Err(SnapshotError::Corrupt("queued entry is in the past".into()));
-            }
-            if let Some(prev) = last {
-                if prev >= (tick, order) {
-                    return Err(SnapshotError::Corrupt(
-                        "queue entries out of order or duplicated".into(),
-                    ));
-                }
-            }
-            last = Some((tick, order));
-            let item = dec(r)?;
+        read_entries(now, r, |r, tick, order| {
+            let item = dec(r, order)?;
             q.push_restored(tick, order, item);
-        }
+            Ok(())
+        })?;
         Ok(q)
     }
 }
 
+/// Reads the entry list [`CalendarQueue::save`] wrote, rejecting entries
+/// in the past of `now` and keys out of order or duplicated, and hands
+/// each `(tick, order)` to `entry` to decode its item from `r`. The
+/// sharded restore uses this directly to route entries among shards.
+pub(crate) fn read_entries(
+    now: Tick,
+    r: &mut StateReader<'_>,
+    mut entry: impl FnMut(&mut StateReader<'_>, Tick, u64) -> Result<(), SnapshotError>,
+) -> Result<(), SnapshotError> {
+    let n = r.usize()?;
+    let mut last: Option<(Tick, u64)> = None;
+    for _ in 0..n {
+        let tick = r.u64()?;
+        let order = r.u64()?;
+        if tick < now {
+            return Err(SnapshotError::Corrupt("queued entry is in the past".into()));
+        }
+        if last.is_some_and(|prev| prev >= (tick, order)) {
+            return Err(SnapshotError::Corrupt("queue entries out of order or duplicated".into()));
+        }
+        last = Some((tick, order));
+        entry(r, tick, order)?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     /// Pushes with a test-local monotonically increasing order stamp, the
@@ -620,7 +661,7 @@ mod tests {
         q.save(&mut w, |w, v| w.u64(*v));
         let bytes = w.into_bytes();
         let mut r = StateReader::new(&bytes);
-        let mut q2: CalendarQueue<u64> = CalendarQueue::restore(0, &mut r, |r| r.u64()).unwrap();
+        let mut q2: CalendarQueue<u64> = CalendarQueue::restore(0, &mut r, |r, _| r.u64()).unwrap();
         assert!(r.is_empty());
         assert_eq!(q2.len(), 3, "tombstones are not saved");
         // A handle from the pre-restore queue cancels through the side map.
@@ -641,7 +682,7 @@ mod tests {
         w.u64(1); // item
         let bytes = w.into_bytes();
         let mut r = StateReader::new(&bytes);
-        assert!(CalendarQueue::<u64>::restore(10, &mut r, |r| r.u64()).is_err());
+        assert!(CalendarQueue::<u64>::restore(10, &mut r, |r, _| r.u64()).is_err());
         // Duplicated key.
         let mut w = StateWriter::new();
         w.usize(2);
@@ -653,96 +694,219 @@ mod tests {
         w.u64(2);
         let bytes = w.into_bytes();
         let mut r = StateReader::new(&bytes);
-        assert!(CalendarQueue::<u64>::restore(0, &mut r, |r| r.u64()).is_err());
+        assert!(CalendarQueue::<u64>::restore(0, &mut r, |r, _| r.u64()).is_err());
+    }
+
+    /// Drives a calendar beside a sorted reference set of the same
+    /// `(tick, stamp)` keys through a seeded operation mix, checking every
+    /// pop against the reference. Stamps are shaped like the kernel's
+    /// (`gid << 48 | per-gid counter`) and items equal their stamps.
+    struct ModelCheck {
+        q: CalendarQueue<u64>,
+        reference: BTreeSet<(Tick, u64)>,
+        handles: Vec<(EventHandle, Tick, u64)>,
+        counters: [u64; 8],
+        now: Tick,
+        rng: u64,
+    }
+
+    impl ModelCheck {
+        fn new(seed: u64) -> Self {
+            Self {
+                q: CalendarQueue::new(),
+                reference: BTreeSet::new(),
+                handles: Vec::new(),
+                counters: [0; 8],
+                now: 0,
+                rng: seed,
+            }
+        }
+
+        fn rand(&mut self) -> u64 {
+            self.rng = self.rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            self.rng >> 33
+        }
+
+        fn mint(&mut self, gid: usize) -> u64 {
+            let counter = self.counters[gid];
+            self.counters[gid] += 1;
+            ((gid as u64) << 48) | counter
+        }
+
+        /// First tick past the window `now` falls in.
+        fn window_end(&self) -> Tick {
+            ((self.now >> BUCKET_BITS) + 1) << BUCKET_BITS
+        }
+
+        fn push(&mut self, tick: Tick, order: u64) {
+            let handle = self.q.push(tick, order, order);
+            self.reference.insert((tick, order));
+            self.handles.push((handle, tick, order));
+        }
+
+        /// One push: mostly link/timer-sized delays, some across the
+        /// ring, a few into the overflow heap.
+        fn push_scattered(&mut self) {
+            let r = self.rand();
+            let delay = match r % 10 {
+                0..=6 => r % 300_000,
+                7 | 8 => r % (NUM_BUCKETS << BUCKET_BITS),
+                _ => (NUM_BUCKETS << BUCKET_BITS) * 3 + r % 1_000_000,
+            };
+            let order = self.mint((r % 8) as usize);
+            self.push(self.now + delay, order);
+        }
+
+        /// A burst inside the open window, stamps minted in order and
+        /// pushed in reverse, so all but the first arrive out of order.
+        fn push_reversed_burst(&mut self) {
+            let span = self.window_end() - self.now;
+            let k = 2 + self.rand() % 15;
+            let keys: Vec<(Tick, u64)> =
+                (0..k).map(|_| (self.now + self.rand() % span, self.mint(0))).collect();
+            for &(tick, order) in keys.iter().rev() {
+                self.push(tick, order);
+            }
+        }
+
+        /// One entry per component at a single tick, components visited
+        /// in a scrambled order: a lower gid lands mid-window.
+        fn push_gid_interleaved(&mut self) {
+            let tick = self.now + self.rand() % 4;
+            let start = self.rand() as usize;
+            for i in 0..8 {
+                let order = self.mint((start + 5 * i) % 8);
+                self.push(tick, order);
+            }
+        }
+
+        fn pop(&mut self) {
+            let got = self.q.pop();
+            assert_eq!(got, self.reference.pop_first(), "pop");
+            if let Some((tick, _)) = got {
+                self.now = tick;
+            }
+        }
+
+        /// A limit inside the open window.
+        fn pop_if_at_most_in_window(&mut self) {
+            let limit = self.now + self.rand() % (self.window_end() - self.now);
+            match self.q.pop_if_at_most(limit) {
+                Ok(Some((tick, order, item))) => {
+                    assert_eq!(item, order);
+                    assert_eq!(self.reference.pop_first(), Some((tick, order)));
+                    assert!(tick <= limit);
+                    self.now = tick;
+                }
+                Ok(None) => assert!(self.reference.is_empty()),
+                Err(head) => {
+                    let &(tick, _) = self.reference.first().expect("a head beyond the limit");
+                    assert_eq!(head, tick);
+                    assert!(head > limit);
+                }
+            }
+        }
+
+        /// Cancels a random handle — live, popped or already cancelled —
+        /// preferring one in the open window when `open_window`.
+        fn cancel(&mut self, open_window: bool) {
+            if self.handles.is_empty() {
+                return;
+            }
+            let n = self.handles.len();
+            let start = self.rand() as usize % n;
+            let end = self.window_end();
+            let pick = (0..n)
+                .map(|i| (start + i) % n)
+                .find(|&i| {
+                    !open_window || (self.handles[i].1 < end && self.handles[i].1 >= self.now)
+                })
+                .unwrap_or(start);
+            let (handle, tick, order) = self.handles.swap_remove(pick);
+            let live = self.reference.remove(&(tick, order));
+            assert_eq!(self.q.cancel(handle), live.then_some(order), "cancel");
+            assert_eq!(self.q.len(), self.reference.len());
+        }
+
+        /// Replaces the queue with its own checkpoint; handles minted
+        /// before keep working.
+        fn save_restore(&mut self) {
+            let mut w = StateWriter::new();
+            self.q.save(&mut w, |w, v| w.u64(*v));
+            let bytes = w.into_bytes();
+            let mut r = StateReader::new(&bytes);
+            self.q = CalendarQueue::restore(self.now, &mut r, |r, order| {
+                let item = r.u64()?;
+                assert_eq!(item, order);
+                Ok(item)
+            })
+            .expect("own checkpoint restores");
+            assert!(r.is_empty());
+            assert_eq!(self.q.len(), self.reference.len());
+        }
+
+        fn drain(mut self) {
+            while !self.reference.is_empty() {
+                self.pop();
+            }
+            assert_eq!(self.q.pop(), None);
+        }
     }
 
     #[test]
     fn interleaved_cancel_matches_reference_heap() {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut q = CalendarQueue::new();
-        let mut reference: BinaryHeap<Reverse<(Tick, u64)>> = BinaryHeap::new();
-        let mut handles: Vec<(EventHandle, Tick, u64)> = Vec::new();
-        let mut seq = 0u64;
-        let mut now: Tick = 0;
-        let mut state = 0x1234_5678u64;
-        for step in 0..5_000 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let r = state >> 33;
-            match step % 4 {
-                0 | 1 => {
-                    let delay = match r % 10 {
-                        0..=7 => r % 300_000,
-                        _ => (NUM_BUCKETS << BUCKET_BITS) + r % 1_000_000,
-                    };
-                    let h = q.push(now + delay, seq, seq);
-                    reference.push(Reverse((now + delay, seq)));
-                    handles.push((h, now + delay, seq));
-                    seq += 1;
-                }
-                2 => {
-                    if !handles.is_empty() {
-                        let (h, tick, item) =
-                            handles.swap_remove((r % handles.len() as u64) as usize);
-                        // Only cancel entries still in the future of the cursor
-                        // (the reference heap cannot express cancelling a
-                        // popped entry, and the queue would refuse anyway).
-                        if tick >= now && q.cancel(h).is_some() {
-                            let mut rest: Vec<_> = reference.drain().collect();
-                            rest.retain(|&Reverse((t, i))| (t, i) != (tick, item));
-                            reference = rest.into_iter().collect();
-                        }
-                    }
-                }
-                _ => {
-                    if let Some((tick, item)) = q.pop() {
-                        let Reverse((rt, ri)) = reference.pop().expect("reference in sync");
-                        assert_eq!((tick, item), (rt, ri), "divergence at step {step}");
-                        now = tick;
-                    }
+        for seed in [0x1234_5678, 7, 99, 0xdead_beef] {
+            let mut m = ModelCheck::new(seed);
+            for _ in 0..5_000 {
+                match m.rand() % 16 {
+                    0..=4 => m.push_scattered(),
+                    5 => m.push_reversed_burst(),
+                    6 => m.push_gid_interleaved(),
+                    7 | 8 => m.cancel(false),
+                    9 | 10 => m.cancel(true),
+                    11 | 12 => m.pop(),
+                    13 | 14 => m.pop_if_at_most_in_window(),
+                    _ if m.rand().is_multiple_of(8) => m.save_restore(),
+                    _ => {}
                 }
             }
+            m.drain();
         }
-        while let Some((tick, item)) = q.pop() {
-            let Reverse((rt, ri)) = reference.pop().expect("reference in sync");
-            assert_eq!((tick, item), (rt, ri));
-        }
-        assert!(reference.is_empty());
     }
 
     #[test]
     fn interleaved_push_pop_matches_reference_heap() {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut q = CalendarQueue::new();
-        let mut reference: BinaryHeap<Reverse<(Tick, u64)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let mut now: Tick = 0;
-        // Deterministic pseudo-random walk: pushes clustered near `now`,
-        // with occasional far-future outliers, interleaved with pops.
-        let mut state = 0x9e37_79b9u64;
-        for step in 0..5_000 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let r = state >> 33;
-            if step % 3 != 2 {
-                let delay = match r % 10 {
-                    0..=6 => r % 300_000,                      // typical link/timer delays
-                    7 | 8 => r % (NUM_BUCKETS << BUCKET_BITS), // across the ring
-                    _ => (NUM_BUCKETS << BUCKET_BITS) * 3 + r % 1_000_000, // overflow
-                };
-                q.push(now + delay, seq, seq);
-                reference.push(Reverse((now + delay, seq)));
-                seq += 1;
-            } else if let Some((tick, item)) = q.pop() {
-                let Reverse((rt, ri)) = reference.pop().expect("reference in sync");
-                assert_eq!((tick, item), (rt, ri), "divergence at step {step}");
-                now = tick;
+        for seed in [0x9e37_79b9, 3, 41, 0x0bad_cafe] {
+            let mut m = ModelCheck::new(seed);
+            for _ in 0..5_000 {
+                match m.rand() % 16 {
+                    0..=5 => m.push_scattered(),
+                    6 => m.push_reversed_burst(),
+                    7 => m.push_gid_interleaved(),
+                    8..=11 => m.pop(),
+                    12..=14 => m.pop_if_at_most_in_window(),
+                    _ if m.rand().is_multiple_of(8) => m.save_restore(),
+                    _ => {}
+                }
             }
+            m.drain();
         }
-        while let Some((tick, item)) = q.pop() {
-            let Reverse((rt, ri)) = reference.pop().expect("reference in sync");
-            assert_eq!((tick, item), (rt, ri));
+    }
+
+    #[test]
+    fn in_order_window_pushes_stay_off_the_heap() {
+        // The common case — each push sorting after the open window's
+        // tail — is appended to the run; only an earlier key is late.
+        let mut q = CalendarQueue::new();
+        for order in 0..100u64 {
+            q.push(order * 10, order, order);
         }
-        assert!(reference.is_empty());
+        assert!(q.late.is_empty() && q.run.len() == 100);
+        q.push(5, 100, 100);
+        assert_eq!(q.late.len(), 1);
+        let popped: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
+        let mut want: Vec<u64> = (0..100).collect();
+        want.insert(1, 100);
+        assert_eq!(popped, want);
     }
 }

@@ -49,11 +49,11 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::Thread;
 use std::time::Instant;
 
-use crate::calendar::CalendarQueue;
+use crate::calendar::{read_entries, CalendarQueue};
 use crate::component::{ComponentId, Event, PortId};
 use crate::sim::{
-    decode_action, encode_action, open_checkpoint, seal_checkpoint, Action, ActionBody,
-    OutboundMsg, RunOutcome, Simulation, NUM_STREAMS,
+    decode_action, encode_queued, open_checkpoint, seal_checkpoint, Action, ActionBody,
+    OutboundMsg, PacketPark, Queued, RunOutcome, Simulation, NUM_STREAMS,
 };
 use crate::snapshot::{SnapshotError, StateReader, StateWriter};
 use crate::stats::StatsSnapshot;
@@ -935,9 +935,11 @@ impl ShardedSimulator {
         );
         let mut entries: Vec<(Tick, u64, Vec<u8>)> = Vec::new();
         for i in 0..self.shards.len() {
-            self.shard(i).shared.queue.borrow().for_each_live(|tick, order, action| {
+            let shared = &self.shard(i).shared;
+            let park = shared.park.borrow();
+            shared.queue.borrow().for_each_live(|tick, order, queued| {
                 let mut w = StateWriter::new();
-                encode_action(&mut w, action);
+                encode_queued(&mut w, queued, &park);
                 entries.push((tick, order, w.into_bytes()));
             });
         }
@@ -1013,29 +1015,16 @@ impl ShardedSimulator {
             push_counters.push(row);
         }
         // Queue entries: decode with the global counter audit, then route
-        // each to the shard that dispatches it.
-        let n_entries = r.usize()?;
-        let mut queues: Vec<CalendarQueue<Action>> =
-            (0..self.shards.len()).map(|_| CalendarQueue::with_cursor(now)).collect();
-        let mut last: Option<(Tick, u64)> = None;
-        for _ in 0..n_entries {
-            let tick = r.u64()?;
-            let order = r.u64()?;
-            if tick < now {
-                return Err(SnapshotError::Corrupt("queued entry is in the past".into()));
-            }
-            if let Some(prev) = last {
-                if prev >= (tick, order) {
-                    return Err(SnapshotError::Corrupt(
-                        "queue entries out of order or duplicated".into(),
-                    ));
-                }
-            }
-            last = Some((tick, order));
-            let action = decode_action(&mut r, &pkt_counters, &push_counters)?;
-            let shard = self.route_action(&action)?;
-            queues[shard].push_restored(tick, order, action);
-        }
+        // each (and its packet) to the shard that dispatches it.
+        let mut queues: Vec<(CalendarQueue<Queued>, PacketPark)> = (0..self.shards.len())
+            .map(|_| (CalendarQueue::with_cursor(now), PacketPark::default()))
+            .collect();
+        read_entries(now, &mut r, |r, tick, order| {
+            let action = decode_action(r, order, &pkt_counters, &push_counters)?;
+            let (queue, park) = &mut queues[self.route_action(&action)?];
+            queue.push_restored(tick, order, Queued::from_action(action, |pkt| park.park(pkt)));
+            Ok(())
+        })?;
         self.tracer.restore_ring(&mut r)?;
         let count = r.usize()?;
         if count != n {
@@ -1068,9 +1057,10 @@ impl ShardedSimulator {
             sr.finish(&name)?;
         }
         r.finish("sharded simulation")?;
-        for (i, queue) in queues.into_iter().enumerate() {
+        for (i, (queue, park)) in queues.into_iter().enumerate() {
             let sim = self.shard_mut(i);
             *sim.shared.queue.borrow_mut() = queue;
+            *sim.shared.park.borrow_mut() = park;
             sim.shared.now.set(now);
             sim.shared.last_event_tick.set(now);
             // The global totals live on shard 0; sums stay correct.

@@ -48,11 +48,114 @@ pub(crate) enum ActionBody {
     Retry { port: PortId },
 }
 
-/// A queued dispatch: which component to call and with what. Ordering
-/// (tick, order stamp) is owned by the [`CalendarQueue`].
+/// A dispatch in owned form: which component to call and with what. This
+/// is what a checkpoint entry decodes to; the calendar holds [`Queued`].
 pub(crate) struct Action {
     pub(crate) target: ComponentId,
     pub(crate) body: ActionBody,
+}
+
+/// A dispatch as the calendar holds it: 24 bytes, where an [`Event`] is
+/// 120. The packet of a `DelayedPacket` or `StampedPacket` waits in the
+/// [`PacketPark`] under `slot` from scheduling until dispatch, so bucket
+/// drains, slab writes and pops never copy it. Ordering (tick, order
+/// stamp) is owned by the [`CalendarQueue`].
+///
+/// `repr(u32)` lays each variant out in field order after a 4-byte tag,
+/// so an entry is three aligned words and moves as such; the default
+/// layout picked a 2-byte tag and copied the rest as overlapping 16- and
+/// 8-byte moves that stall store forwarding on every pop.
+#[derive(Debug, Clone, Copy)]
+#[repr(u32)]
+pub(crate) enum Queued {
+    Timer { target: ComponentId, kind: u32, data: u64 },
+    Retry { target: ComponentId, port: PortId },
+    Delayed { target: ComponentId, tag: u32, slot: u32 },
+    Stamped { target: ComponentId, tag: u32, slot: u32, stamp: Tick },
+}
+
+impl Queued {
+    /// The entry delivering `ev` to `target`; `park` stores its packet,
+    /// if it carries one, and returns the slot.
+    #[inline]
+    fn new(target: ComponentId, ev: Event, park: impl FnOnce(Packet) -> u32) -> Self {
+        match ev {
+            Event::Timer { kind, data } => Queued::Timer { target, kind, data },
+            Event::DelayedPacket { tag, pkt } => Queued::Delayed { target, tag, slot: park(pkt) },
+            Event::StampedPacket { tag, stamp, pkt } => {
+                Queued::Stamped { target, tag, stamp, slot: park(pkt) }
+            }
+        }
+    }
+
+    /// The entry for a decoded checkpoint [`Action`].
+    pub(crate) fn from_action(action: Action, park: impl FnOnce(Packet) -> u32) -> Self {
+        match action.body {
+            ActionBody::Event(ev) => Queued::new(action.target, ev, park),
+            ActionBody::Retry { port } => Queued::Retry { target: action.target, port },
+        }
+    }
+
+    #[inline]
+    fn target(&self) -> ComponentId {
+        match *self {
+            Queued::Timer { target, .. }
+            | Queued::Retry { target, .. }
+            | Queued::Delayed { target, .. }
+            | Queued::Stamped { target, .. } => target,
+        }
+    }
+
+    /// The event this entry delivers, its packet taken back out of `park`;
+    /// `Err(port)` for a retry grant on `port`.
+    #[inline(always)]
+    fn into_event(self, park: &RefCell<PacketPark>) -> Result<Event, PortId> {
+        Ok(match self {
+            Queued::Timer { kind, data, .. } => Event::Timer { kind, data },
+            Queued::Retry { port, .. } => return Err(port),
+            Queued::Delayed { tag, slot, .. } => {
+                Event::DelayedPacket { tag, pkt: park.borrow_mut().take(slot) }
+            }
+            Queued::Stamped { tag, stamp, slot, .. } => {
+                Event::StampedPacket { tag, stamp, pkt: park.borrow_mut().take(slot) }
+            }
+        })
+    }
+}
+
+/// Where the packets of queued events wait: a slot per packet, reused
+/// through a free list.
+#[derive(Default)]
+pub(crate) struct PacketPark {
+    slots: Vec<Option<Packet>>,
+    free: Vec<u32>,
+}
+
+impl PacketPark {
+    #[inline]
+    pub(crate) fn park(&mut self, pkt: Packet) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(pkt);
+                slot
+            }
+            None => {
+                self.slots.push(Some(pkt));
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    #[inline]
+    fn take(&mut self, slot: u32) -> Packet {
+        let pkt = self.slots[slot as usize].take().expect("queued entry names an empty park slot");
+        self.free.push(slot);
+        pkt
+    }
+
+    fn get(&self, slot: u32) -> &Packet {
+        self.slots[slot as usize].as_ref().expect("queued entry names an empty park slot")
+    }
 }
 
 type Endpoint = (ComponentId, PortId);
@@ -107,7 +210,9 @@ pub(crate) struct Shared {
     /// Dense routing table: `conns[component][port]` is the wired peer.
     /// Built at `connect` time so `try_send_*` is two array loads, no hash.
     conns: Vec<Vec<Option<Endpoint>>>,
-    pub(crate) queue: RefCell<CalendarQueue<Action>>,
+    pub(crate) queue: RefCell<CalendarQueue<Queued>>,
+    /// Packets of the queued packet-carrying events.
+    pub(crate) park: RefCell<PacketPark>,
     pub(crate) now: Cell<Tick>,
     /// Per-component packet-id counters (`PacketId` = gid | counter).
     pub(crate) pkt_counters: RefCell<Vec<u64>>,
@@ -139,17 +244,16 @@ impl Shared {
         (u64::from(gid) << ORDER_GID_SHIFT) | (u64::from(stream) << ORDER_STREAM_SHIFT) | counter
     }
 
+    /// The calendar entry delivering `ev` to `target`, its packet parked.
     #[inline]
-    fn push(
-        &self,
-        tick: Tick,
-        source: ComponentId,
-        stream: u8,
-        target: ComponentId,
-        body: ActionBody,
-    ) -> EventHandle {
+    fn queued(&self, target: ComponentId, ev: Event) -> Queued {
+        Queued::new(target, ev, |pkt| self.park.borrow_mut().park(pkt))
+    }
+
+    #[inline]
+    fn push(&self, tick: Tick, source: ComponentId, stream: u8, queued: Queued) -> EventHandle {
         let order = self.order_key(source.0, stream);
-        self.queue.borrow_mut().push(tick, order, Action { target, body })
+        self.queue.borrow_mut().push(tick, order, queued)
     }
 
     #[inline]
@@ -299,13 +403,8 @@ impl Ctx<'_> {
         // hours can push `now + delay` past u64::MAX picoseconds; a wrapped
         // tick would land the event in the past and corrupt causality, so
         // pin it to the end of time instead.
-        self.shared.push(
-            self.now().saturating_add(delay),
-            self.self_id,
-            stream,
-            self.self_id,
-            ActionBody::Event(ev),
-        )
+        let queued = self.shared.queued(self.self_id, ev);
+        self.shared.push(self.now().saturating_add(delay), self.self_id, stream, queued)
     }
 
     /// Mints the next order stamp of (this component, `stream`) without
@@ -331,8 +430,8 @@ impl Ctx<'_> {
         debug_assert_eq!(order >> ORDER_GID_SHIFT, u64::from(self.self_id.0), "foreign stamp");
         let tick = self.now().saturating_add(delay);
         debug_assert!(self.is_ahead(tick, order), "reserved key already dispatched past");
-        let action = Action { target: self.self_id, body: ActionBody::Event(ev) };
-        self.shared.queue.borrow_mut().push(tick, order, action)
+        let queued = self.shared.queued(self.self_id, ev);
+        self.shared.queue.borrow_mut().push(tick, order, queued)
     }
 
     /// Whether an event keyed `(tick, order)` pops after the event being
@@ -368,11 +467,9 @@ impl Ctx<'_> {
     /// timeout timers be armed pervasively without disturbing quiesce
     /// times on the happy path.
     pub fn cancel_scheduled(&mut self, handle: EventHandle) -> Option<Event> {
-        match self.shared.queue.borrow_mut().cancel(handle) {
-            Some(Action { body: ActionBody::Event(ev), .. }) => Some(ev),
-            Some(_) => None, // retries are not cancellable; treat as stale
-            None => None,
-        }
+        let queued = self.shared.queue.borrow_mut().cancel(handle)?;
+        // Retries are not cancellable; treat as stale.
+        queued.into_event(&self.shared.park).ok()
     }
 
     /// Sends a request packet out of `port`. The peer's
@@ -473,13 +570,8 @@ impl Ctx<'_> {
     #[inline]
     pub fn send_retry_stream(&mut self, port: PortId, stream: u8) {
         let (peer, peer_port) = self.peer(port);
-        self.shared.push(
-            self.now(),
-            self.self_id,
-            stream,
-            peer,
-            ActionBody::Retry { port: peer_port },
-        );
+        let queued = Queued::Retry { target: peer, port: peer_port };
+        self.shared.push(self.now(), self.self_id, stream, queued);
     }
 
     /// Requests the simulation loop to stop after the current event.
@@ -558,6 +650,7 @@ impl Simulation {
                 names: Vec::new(),
                 conns: Vec::new(),
                 queue: RefCell::new(CalendarQueue::new()),
+                park: RefCell::default(),
                 now: Cell::new(0),
                 pkt_counters: RefCell::new(Vec::new()),
                 push_counters: RefCell::new(Vec::new()),
@@ -711,7 +804,7 @@ impl Simulation {
     }
 
     #[inline]
-    fn dispatch(&self, tick: Tick, order: u64, action: Action) {
+    fn dispatch(&self, tick: Tick, order: u64, queued: Queued) {
         debug_assert!(tick >= self.now(), "time went backwards");
         self.shared.now.set(tick);
         self.shared.last_event_tick.set(tick);
@@ -720,9 +813,13 @@ impl Simulation {
         // the event's global order — the key that merges per-shard traces
         // back into the exact serial stream.
         self.shared.tracer.set_stamp(order);
-        self.shared.with_component(action.target, |c, ctx| match action.body {
-            ActionBody::Event(ev) => c.handle(ctx, ev),
-            ActionBody::Retry { port } => c.retry_granted(ctx, port),
+        // The packet leaves the park before the handler runs (which may
+        // schedule, and so park), straight into the handler's argument.
+        self.shared.with_component(queued.target(), |c, ctx| {
+            match queued.into_event(&self.shared.park) {
+                Ok(ev) => c.handle(ctx, ev),
+                Err(port) => c.retry_granted(ctx, port),
+            }
         });
     }
 
@@ -781,7 +878,7 @@ impl Simulation {
         loop {
             let popped = { self.shared.queue.borrow_mut().pop_if_at_most(end - 1) };
             match popped {
-                Ok(Some((tick, order, action))) => self.dispatch(tick, order, action),
+                Ok(Some((tick, order, queued))) => self.dispatch(tick, order, queued),
                 Ok(None) | Err(_) => break,
             }
         }
@@ -810,11 +907,8 @@ impl Simulation {
     /// the receiving half of the inter-shard mailbox. The key was minted
     /// by [`Ctx::remote_schedule`] on the sending shard.
     pub fn push_keyed(&self, tick: Tick, order: u64, target: ComponentId, ev: Event) {
-        self.shared.queue.borrow_mut().push(
-            tick,
-            order,
-            Action { target, body: ActionBody::Event(ev) },
-        );
+        let queued = self.shared.queued(target, ev);
+        self.shared.queue.borrow_mut().push(tick, order, queued);
     }
 
     /// Runs until the event queue is empty or a component stops the run.
@@ -881,7 +975,8 @@ impl Simulation {
                 body.u64(c);
             }
         }
-        self.shared.queue.borrow().save(&mut body, encode_action);
+        let park = self.shared.park.borrow();
+        self.shared.queue.borrow().save(&mut body, |w, queued| encode_queued(w, queued, &park));
         self.shared.tracer.save_ring(&mut body);
         body.usize(self.shared.arena.len());
         for (i, cell) in self.shared.arena.iter().enumerate() {
@@ -931,8 +1026,10 @@ impl Simulation {
             }
             push_counters.push(row);
         }
-        let queue = CalendarQueue::restore(now, &mut r, |r| {
-            decode_action(r, &pkt_counters, &push_counters)
+        let mut park = PacketPark::default();
+        let queue = CalendarQueue::restore(now, &mut r, |r, order| {
+            let action = decode_action(r, order, &pkt_counters, &push_counters)?;
+            Ok(Queued::from_action(action, |pkt| park.park(pkt)))
         })?;
         self.shared.tracer.restore_ring(&mut r)?;
         let count = r.usize()?;
@@ -959,6 +1056,7 @@ impl Simulation {
         }
         r.finish("simulation")?;
         *self.shared.queue.borrow_mut() = queue;
+        *self.shared.park.borrow_mut() = park;
         self.shared.now.set(now);
         self.shared.last_event_tick.set(now);
         *self.shared.pkt_counters.borrow_mut() = pkt_counters;
@@ -1016,34 +1114,39 @@ pub(crate) fn open_checkpoint(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
     Ok(body)
 }
 
-pub(crate) fn encode_action(w: &mut StateWriter, a: &Action) {
-    w.u32(a.target.0);
-    match &a.body {
-        ActionBody::Event(Event::Timer { kind, data }) => {
+/// Writes one queue entry, its packet read from `park`. The bytes are
+/// those of the owned [`Action`] that [`decode_action`] reads back.
+pub(crate) fn encode_queued(w: &mut StateWriter, queued: &Queued, park: &PacketPark) {
+    w.u32(queued.target().0);
+    match *queued {
+        Queued::Timer { kind, data, .. } => {
             w.u8(0);
-            w.u32(*kind);
-            w.u64(*data);
+            w.u32(kind);
+            w.u64(data);
         }
-        ActionBody::Event(Event::DelayedPacket { tag, pkt }) => {
+        Queued::Delayed { tag, slot, .. } => {
             w.u8(1);
-            w.u32(*tag);
-            pkt.encode(w);
+            w.u32(tag);
+            park.get(slot).encode(w);
         }
-        ActionBody::Retry { port } => {
+        Queued::Retry { port, .. } => {
             w.u8(2);
             w.u16(port.0);
         }
-        ActionBody::Event(Event::StampedPacket { tag, stamp, pkt }) => {
+        Queued::Stamped { tag, stamp, slot, .. } => {
             w.u8(3);
-            w.u32(*tag);
-            w.u64(*stamp);
-            pkt.encode(w);
+            w.u32(tag);
+            w.u64(stamp);
+            park.get(slot).encode(w);
         }
     }
 }
 
+/// Reads one queue entry keyed by order stamp `order`, auditing it
+/// against the restored counters.
 pub(crate) fn decode_action(
     r: &mut StateReader<'_>,
+    order: u64,
     pkt_counters: &[u64],
     push_counters: &[[u64; NUM_STREAMS]],
 ) -> Result<Action, SnapshotError> {
@@ -1051,7 +1154,16 @@ pub(crate) fn decode_action(
     if target as usize >= pkt_counters.len() {
         return Err(SnapshotError::Corrupt(format!("event target c{target} out of range")));
     }
-    let _ = push_counters;
+    // The stamp must predate its scheduling stream's restored counter,
+    // or the run would mint it a second time.
+    let gid = (order >> ORDER_GID_SHIFT) as usize;
+    let stream = usize::from((order >> ORDER_STREAM_SHIFT) as u8);
+    let counter = order & ORDER_COUNTER_MASK;
+    if push_counters.get(gid).and_then(|row| row.get(stream)).is_none_or(|&c| counter >= c) {
+        return Err(SnapshotError::Corrupt(format!(
+            "queued stamp {order:#x} is beyond component {gid}'s stream {stream} order counter"
+        )));
+    }
     // Continuity audit: a queued packet must predate its owning
     // component's restored allocator cursor, or future allocations
     // would collide.
@@ -1183,6 +1295,53 @@ mod tests {
         assert_eq!(a.now(), b.now());
         assert_eq!(a.events_processed(), b.events_processed());
         assert_eq!(b.next_event_tick(), Some(30));
+    }
+
+    #[test]
+    fn restore_rejects_queued_stamps_the_counters_would_mint_again() {
+        // One timer chain paused with its third timer (stamp counter 2)
+        // queued and its stream-0 counter at 3.
+        let chain = || {
+            let mut sim = Simulation::new();
+            sim.add(Box::new(TimerChain {
+                name: "t".into(),
+                fired: Rc::new(RefCell::new(Vec::new())),
+                remaining: 10,
+                period: 10,
+            }));
+            sim
+        };
+        let mut sim = chain();
+        assert_eq!(sim.run(25, u64::MAX), RunOutcome::TimeLimit);
+        let snap = sim.checkpoint();
+        // Body offsets: fingerprint, now, events, one packet counter, then
+        // the two stream counters, the entry count, and the entry's key.
+        const STREAM0: usize = 16 + 8 * 4;
+        const ORDER: usize = STREAM0 + 8 * 2 + 8 * 2;
+        let patched = |at: usize, value: u64| {
+            let mut body = snap[16..].to_vec();
+            body[at - 16..at - 8].copy_from_slice(&value.to_le_bytes());
+            seal_checkpoint(body)
+        };
+        assert_eq!(u64::from_le_bytes(snap[STREAM0..STREAM0 + 8].try_into().unwrap()), 3);
+        assert_eq!(u64::from_le_bytes(snap[ORDER..ORDER + 8].try_into().unwrap()), 2);
+        assert_eq!(chain().restore(&patched(STREAM0, 3)), Ok(()));
+        for (what, at, value) in [
+            ("counter below the stamp", STREAM0, 0),
+            ("counter equal to the stamp", STREAM0, 2),
+            ("stamp of an unknown component", ORDER, (5 << ORDER_GID_SHIFT) | 2),
+            ("stamp on an unknown stream", ORDER, (2 << ORDER_STREAM_SHIFT) | 2),
+        ] {
+            let err = chain().restore(&patched(at, value)).expect_err(what);
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "{what}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn queued_entries_fit_in_24_bytes() {
+        // The calendar's slab slot is the entry plus its order stamp.
+        assert!(std::mem::size_of::<Queued>() <= 24, "{}", std::mem::size_of::<Queued>());
+        assert!(std::mem::size_of::<(u64, Option<Queued>)>() <= 32);
     }
 
     #[test]

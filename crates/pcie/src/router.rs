@@ -24,7 +24,7 @@
 //! throughput — the "packets too fast for the switch port to handle"
 //! effect behind the x8 collapse of Fig. 9(b).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use pcisim_kernel::addr::AddrRange;
 use pcisim_kernel::calendar::EventHandle;
@@ -200,10 +200,10 @@ pub struct PcieRouter {
     stats: RouterStats,
     /// Outstanding non-posted upstream requests, keyed by packet id
     /// (completion-timeout tracking; empty when the knob is off).
-    pending: HashMap<u64, PendingCompletion>,
+    pending: BTreeMap<u64, PendingCompletion>,
     /// Ids whose timeout already fired: a completion showing up now is an
     /// Unexpected Completion and must be swallowed, not forwarded.
-    timed_out: HashSet<u64>,
+    timed_out: BTreeSet<u64>,
     /// CXL HDM decoder routes: requests to these address windows forward to
     /// the named downstream pair, in parallel with the VP2P bridge windows.
     /// Installed at build time by the topology planner ([`Self::add_hdm_route`])
@@ -234,8 +234,8 @@ impl PcieRouter {
             upstream_vp2p: None,
             ports: (0..2 + 2 * n).map(|_| PortBuffers::default()).collect(),
             stats: RouterStats::default(),
-            pending: HashMap::new(),
-            timed_out: HashSet::new(),
+            pending: BTreeMap::new(),
+            timed_out: BTreeSet::new(),
             hdm_routes: Vec::new(),
         }
     }
@@ -264,8 +264,8 @@ impl PcieRouter {
             upstream_vp2p: Some(upstream_vp2p),
             ports: (0..2 + 2 * n).map(|_| PortBuffers::default()).collect(),
             stats: RouterStats::default(),
-            pending: HashMap::new(),
-            timed_out: HashSet::new(),
+            pending: BTreeMap::new(),
+            timed_out: BTreeSet::new(),
             hdm_routes: Vec::new(),
         }
     }
@@ -781,22 +781,15 @@ impl Component for PcieRouter {
         self.stats.unsupported_requests.encode(w);
         self.stats.completion_timeouts.encode(w);
         self.stats.late_completions.encode(w);
-        // HashMap/HashSet iterate in hash order; sort so the byte stream
-        // (and hence the checkpoint's checksum) is deterministic.
-        let mut ids: Vec<u64> = self.pending.keys().copied().collect();
-        ids.sort_unstable();
-        w.usize(ids.len());
-        for id in ids {
-            let p = &self.pending[&id];
+        w.usize(self.pending.len());
+        for (&id, p) in &self.pending {
             w.u64(id);
             p.timer.encode(w);
             p.request.encode(w);
             w.opt_u64(p.pair.map(|i| i as u64));
         }
-        let mut timed_out: Vec<u64> = self.timed_out.iter().copied().collect();
-        timed_out.sort_unstable();
-        w.usize(timed_out.len());
-        for id in timed_out {
+        w.usize(self.timed_out.len());
+        for &id in &self.timed_out {
             w.u64(id);
         }
     }
@@ -831,7 +824,7 @@ impl Component for PcieRouter {
         self.stats.completion_timeouts = Counter::decode(r)?;
         self.stats.late_completions = Counter::decode(r)?;
         let n_pending = r.usize()?;
-        let mut pending = HashMap::with_capacity(n_pending.min(4096));
+        let mut pending = BTreeMap::new();
         for _ in 0..n_pending {
             let id = r.u64()?;
             let timer = EventHandle::decode(r)?;
@@ -841,7 +834,7 @@ impl Component for PcieRouter {
         }
         self.pending = pending;
         let n_timed_out = r.usize()?;
-        let mut timed_out = HashSet::with_capacity(n_timed_out.min(4096));
+        let mut timed_out = BTreeSet::new();
         for _ in 0..n_timed_out {
             timed_out.insert(r.u64()?);
         }

@@ -41,6 +41,11 @@ use pcisim::system::workload::nic_tx::NicTxConfig;
 const MAX_TIME: Tick = 5 * TICKS_PER_SEC;
 const MAX_EVENTS: u64 = 2_000_000_000;
 
+/// The committed golden checkpoint (see
+/// `golden_checkpoint_fixture_restores_and_matches_anchors`).
+const FIXTURE: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/validation_dd64k_warm.ckpt");
+
 /// Derives a link configuration from one generator byte so the sweep
 /// covers every generation/width pairing the paper models.
 fn link_for(b: u8) -> LinkConfig {
@@ -434,8 +439,6 @@ fn version_bump_fails_loudly() {
 /// `PCISIM_BLESS_FIXTURE=1 cargo test --test snapshot_equivalence golden`
 #[test]
 fn golden_checkpoint_fixture_restores_and_matches_anchors() {
-    const FIXTURE: &str =
-        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/validation_dd64k_warm.ckpt");
     const GOLDEN_QUIESCE_TICK: Tick = 633_960_600;
     const GOLDEN_STATS_FNV: u64 = 0x28e0_5435_bbfc_efe7;
 
@@ -452,6 +455,17 @@ fn golden_checkpoint_fixture_restores_and_matches_anchors() {
     assert!(report.borrow().done, "restored run must complete the block");
     assert_eq!(built.sim.now(), GOLDEN_QUIESCE_TICK, "quiesce tick anchor");
     assert_eq!(built.sim.stats().fnv(), GOLDEN_STATS_FNV, "stats fingerprint anchor");
+}
+
+/// Today's writer reproduces the committed fixture byte for byte: the
+/// in-memory queue representation may change, the checkpoint format may
+/// not (without a `SNAPSHOT_VERSION` bump and a re-blessed fixture).
+#[test]
+fn checkpoint_writer_reproduces_the_golden_fixture() {
+    let committed = std::fs::read(FIXTURE).expect("fixture readable");
+    let written = warmed_validation(64 * 1024).checkpoint();
+    assert_eq!(written.len(), committed.len(), "checkpoint length");
+    assert!(written == committed, "checkpoint bytes differ from the committed fixture");
 }
 
 /// Checkpoint a virtio-blk run in mid-request — descriptor chains in
