@@ -273,7 +273,7 @@ impl CxlExpander {
     }
 
     /// Admits an HDM load/store: bank-serialized timing, then completion.
-    fn admit_mem(&mut self, ctx: &mut Ctx<'_>, mut pkt: Packet) {
+    fn admit_mem(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
         let hdm = self.hdm();
         if pkt.cmd().is_read() {
             self.stats.reads.inc();
@@ -294,9 +294,8 @@ impl CxlExpander {
         // Admission order equals issue order, so read-your-write holds per
         // address even with many accesses in flight.
         if pkt.cmd().is_write() {
-            if let Some(buf) = pkt.take_payload() {
-                self.store_write(pkt.addr(), &buf);
-                ctx.recycle_payload(buf);
+            if let Some(buf) = pkt.payload() {
+                self.store_write(pkt.addr(), buf);
             }
         }
         let bank = (((pkt.addr() - hdm.start()) / CXL_BLOCK) % self.config.banks as u64) as usize;
@@ -320,7 +319,7 @@ impl CxlExpander {
         ctx.schedule(self.config.pio_latency, Event::DelayedPacket { tag: TAG_DONE, pkt });
     }
 
-    fn complete(&mut self, ctx: &mut Ctx<'_>, mut pkt: Packet) {
+    fn complete(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
         if pkt.is_posted() {
             self.outstanding -= 1;
             self.grant_owed_retry(ctx);
@@ -328,7 +327,7 @@ impl CxlExpander {
         }
         let resp = if pkt.cmd().is_read() {
             let size = pkt.size() as usize;
-            let mut data = ctx.alloc_payload(size);
+            let mut data = vec![0; size];
             if self.hdm().contains(pkt.addr()) {
                 self.store_read(pkt.addr(), &mut data);
             } else {
@@ -340,9 +339,6 @@ impl CxlExpander {
             }
             pkt.into_read_response(data)
         } else {
-            if let Some(buf) = pkt.take_payload() {
-                ctx.recycle_payload(buf);
-            }
             pkt.into_response()
         };
         self.blocked_resp.push_back(resp);
@@ -378,7 +374,7 @@ impl Component for CxlExpander {
         &self.name
     }
 
-    fn recv_request(&mut self, ctx: &mut Ctx<'_>, port: PortId, mut pkt: Packet) -> RecvResult {
+    fn recv_request(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) -> RecvResult {
         assert_eq!(port, CXL_PIO_PORT, "{}: request on unexpected port {port}", self.name);
         if self.outstanding >= self.config.max_outstanding {
             self.stats.ingress_refusals.inc();
@@ -391,11 +387,6 @@ impl Component for CxlExpander {
         if hdm.contains(pkt.addr()) {
             self.admit_mem(ctx, pkt);
         } else if bar0 != 0 && AddrRange::with_size(bar0, 0x1000).contains(pkt.addr()) {
-            if pkt.cmd().is_write() {
-                if let Some(buf) = pkt.take_payload() {
-                    ctx.recycle_payload(buf);
-                }
-            }
             self.admit_pio(ctx, pkt);
         } else {
             // Outside both the HDM window and the control BAR: the device
@@ -404,11 +395,7 @@ impl Component for CxlExpander {
             self.stats.hdm_rejects.inc();
             if pkt.is_posted() {
                 self.outstanding -= 1;
-                ctx.recycle_packet(pkt);
                 return RecvResult::Accepted;
-            }
-            if let Some(buf) = pkt.take_payload() {
-                ctx.recycle_payload(buf);
             }
             let resp = pkt.into_error_response(CompletionStatus::CompleterAbort);
             // Never respond synchronously from recv_request: bounce the

@@ -230,7 +230,6 @@ impl<T: DmaTag> DmaEngine<T> {
         }
         let id = pkt.id().0;
         if self.irq_inflight.remove(&id) {
-            ctx.recycle_packet(pkt);
             return;
         }
         // The disk tracks nothing per TLP; spare it the hash.
@@ -245,7 +244,6 @@ impl<T: DmaTag> DmaEngine<T> {
                 delivered = 1;
             }
         }
-        ctx.recycle_packet(pkt);
         self.outstanding -= 1;
         ctx.schedule(0, Event::Timer { kind: self.pump_kind, data: delivered });
     }

@@ -251,7 +251,7 @@ impl IdeDisk {
             let size = self.config.cacheline;
             let mut pkt =
                 Packet::request(id, Command::WriteReq, self.cur_addr, size, ctx.self_id())
-                    .with_payload(ctx.alloc_payload(size as usize));
+                    .with_payload(vec![0; size as usize]);
             pkt.set_posted(self.config.posted_writes);
             self.tlps_to_send -= 1;
             self.cur_addr += u64::from(size);

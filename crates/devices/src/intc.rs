@@ -84,7 +84,7 @@ impl Component for InterruptController {
         &self.name
     }
 
-    fn recv_request(&mut self, ctx: &mut Ctx<'_>, port: PortId, mut pkt: Packet) -> RecvResult {
+    fn recv_request(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) -> RecvResult {
         assert_eq!(port, INTC_FABRIC_PORT, "{}: interrupts arrive on the fabric port", self.name);
         let is_doorbell = pkt.cmd() == Command::WriteReq;
         assert!(
@@ -94,9 +94,6 @@ impl Component for InterruptController {
             pkt.cmd()
         );
         assert!(self.range.contains(pkt.addr()));
-        if let Some(buf) = pkt.take_payload() {
-            ctx.recycle_payload(buf);
-        }
         let irq = (self.range.offset(pkt.addr()) / 4) as u8;
         ctx.schedule(0, Event::Timer { kind: 0, data: u64::from(irq) });
         if is_doorbell {
@@ -118,7 +115,7 @@ impl Component for InterruptController {
                         let id = ctx.alloc_packet_id();
                         let addr = irq_message_addr(self.range.start(), irq);
                         let msg = Packet::request(id, Command::Message, addr, 4, ctx.self_id())
-                            .with_payload(ctx.alloc_payload(4));
+                            .with_payload(vec![0; 4]);
                         // CPU-side observers must always accept interrupt
                         // wakeups.
                         ctx.try_send_request(cpu_port, msg).unwrap_or_else(|_| {

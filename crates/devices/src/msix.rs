@@ -26,10 +26,7 @@ pub(crate) fn legacy_message(
         .map(|(addr, _data)| addr)
         .or_else(|| intx.map(|(irq, base)| irq_message_addr(base, irq)))?;
     let id = ctx.alloc_packet_id();
-    Some(
-        Packet::request(id, Command::Message, addr, 4, ctx.self_id())
-            .with_payload(ctx.alloc_payload(4)),
-    )
+    Some(Packet::request(id, Command::Message, addr, 4, ctx.self_id()).with_payload(vec![0; 4]))
 }
 
 /// A function's MSI-X structures: the BAR-resident vector table (4 dwords
@@ -119,9 +116,8 @@ impl MsixBlock {
         self.sent.inc();
         let id = ctx.alloc_packet_id();
         ctx.emit(TraceCategory::Device, TraceKind::Interrupt, Some(id), None, addr);
-        let mut buf = ctx.alloc_payload(4);
-        buf.copy_from_slice(&data.to_le_bytes());
-        let pkt = Packet::request(id, Command::WriteReq, addr, 4, ctx.self_id()).with_payload(buf);
+        let pkt = Packet::request(id, Command::WriteReq, addr, 4, ctx.self_id())
+            .with_payload(data.to_le_bytes().to_vec());
         dma.send_interrupt(ctx, pkt);
     }
 

@@ -620,7 +620,7 @@ impl Nic {
             let id = ctx.alloc_packet_id();
             let pkt = if job.write {
                 Packet::request(id, Command::WriteReq, job.addr, chunk, ctx.self_id())
-                    .with_payload(ctx.alloc_payload(chunk as usize))
+                    .with_payload(vec![0; chunk as usize])
             } else {
                 Packet::request(id, Command::ReadReq, job.addr, chunk, ctx.self_id())
             };
@@ -1477,11 +1477,8 @@ mod tests {
         fn name(&self) -> &str {
             &self.name
         }
-        fn recv_request(&mut self, ctx: &mut Ctx<'_>, _p: PortId, mut pkt: Packet) -> RecvResult {
+        fn recv_request(&mut self, ctx: &mut Ctx<'_>, _p: PortId, pkt: Packet) -> RecvResult {
             self.seen.borrow_mut().push((pkt.cmd(), pkt.addr()));
-            if let Some(buf) = pkt.take_payload() {
-                ctx.recycle_payload(buf);
-            }
             match pkt.cmd() {
                 Command::ReadReq => {
                     let data = vec![0u8; pkt.size() as usize];

@@ -893,11 +893,9 @@ impl Virtio {
     /// non-posted kind whose completion the walk waits for.
     fn dma_write(&mut self, ctx: &mut Ctx<'_>, addr: u64, data: &[u8], tag: Option<DmaTag>) {
         let id = ctx.alloc_packet_id();
-        let mut buf = ctx.alloc_payload(data.len());
-        buf.copy_from_slice(data);
         let mut pkt =
             Packet::request(id, Command::WriteReq, addr, data.len() as u32, ctx.self_id())
-                .with_payload(buf);
+                .with_payload(data.to_vec());
         pkt.set_posted(tag.is_none());
         self.dma.send(ctx, pkt, tag);
     }

@@ -24,8 +24,8 @@
 //! Items themselves live in a slab and are addressed by slot index from
 //! the ring, run and heaps, so bucket drains, sorts and heap sifts move
 //! 24-byte keys instead of items; each item is written and read exactly
-//! once. The kernel's items are 24-byte queued entries whose packets
-//! wait outside the calendar (see `crate::sim`).
+//! once. The kernel's items are queued entries of at most 32 bytes, a
+//! packet held by its one-pointer handle (see `crate::sim`).
 //!
 //! Determinism: every push carries a caller-supplied **order stamp**, and
 //! [`CalendarQueue::pop`] always yields the globally smallest

@@ -227,17 +227,12 @@ impl Component for Dram {
     }
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
-        let Event::DelayedPacket { mut pkt, .. } = ev else {
+        let Event::DelayedPacket { pkt, .. } = ev else {
             panic!("{}: unexpected timer", self.name)
         };
-        // The terminator consumes write payloads here; hand the buffers back
-        // to the pool so the next DMA burst reuses them.
-        if pkt.cmd().is_write() {
-            if let Some(buf) = pkt.take_payload() {
-                if self.functional {
-                    self.store_write(pkt.addr(), &buf);
-                }
-                ctx.recycle_payload(buf);
+        if self.functional && pkt.cmd().is_write() {
+            if let Some(buf) = pkt.payload() {
+                self.store_write(pkt.addr(), buf);
             }
         }
         if pkt.is_posted() {
@@ -246,7 +241,7 @@ impl Component for Dram {
         }
         let resp = if pkt.cmd().is_read() {
             let size = pkt.size() as usize;
-            let mut data = ctx.alloc_payload(size);
+            let mut data = vec![0; size];
             if self.functional {
                 let addr = pkt.addr();
                 self.store_read(addr, &mut data);

@@ -238,25 +238,24 @@ const INLINE_HOPS: usize = 4;
 const NO_HOP: RouteHop = RouteHop { component: ComponentId(0), port: PortId(0) };
 
 /// LIFO hop stack with inline storage for the common shallow case, so
-/// creating, forwarding and dropping a packet performs no heap allocation.
+/// creating, forwarding and dropping a packet allocates nothing for its
+/// route.
 #[derive(Debug, Clone)]
 struct RouteStack {
     inline: [RouteHop; INLINE_HOPS],
     len: u8,
-    /// Hops beyond the inline capacity, oldest first (rarely allocated).
-    /// Boxed so the never-spilling common case pays one pointer, not an
-    /// inline `Vec` — this keeps `Packet` a cache line smaller.
-    #[allow(clippy::box_collection)]
-    spill: Option<Box<Vec<RouteHop>>>,
+    /// Hops beyond the inline capacity, oldest first (an empty `Vec` does
+    /// not allocate, so the never-spilling common case pays nothing).
+    spill: Vec<RouteHop>,
 }
 
 impl RouteStack {
     const fn new() -> Self {
-        Self { inline: [NO_HOP; INLINE_HOPS], len: 0, spill: None }
+        Self { inline: [NO_HOP; INLINE_HOPS], len: 0, spill: Vec::new() }
     }
 
     fn depth(&self) -> usize {
-        self.len as usize + self.spill.as_ref().map_or(0, |s| s.len())
+        self.len as usize + self.spill.len()
     }
 
     #[inline]
@@ -265,16 +264,14 @@ impl RouteStack {
             self.inline[self.len as usize] = hop;
             self.len += 1;
         } else {
-            self.spill.get_or_insert_with(Default::default).push(hop);
+            self.spill.push(hop);
         }
     }
 
     #[inline]
     fn pop(&mut self) -> Option<RouteHop> {
-        if let Some(spill) = &mut self.spill {
-            if let Some(hop) = spill.pop() {
-                return Some(hop);
-            }
+        if let Some(hop) = self.spill.pop() {
+            return Some(hop);
         }
         if self.len == 0 {
             return None;
@@ -285,26 +282,19 @@ impl RouteStack {
 
     #[inline]
     fn last(&self) -> Option<&RouteHop> {
-        if let Some(spill) = &self.spill {
-            if let Some(hop) = spill.last() {
-                return Some(hop);
-            }
-        }
-        if self.len == 0 {
-            None
-        } else {
-            Some(&self.inline[self.len as usize - 1])
-        }
+        self.spill.last().or_else(|| self.inline[..self.len as usize].last())
+    }
+
+    /// The live hops, oldest first.
+    fn hops(&self) -> impl Iterator<Item = &RouteHop> {
+        self.inline[..self.len as usize].iter().chain(&self.spill)
     }
 }
 
 impl PartialEq for RouteStack {
     fn eq(&self, other: &Self) -> bool {
         // Logical comparison: only the live hops count, not the storage.
-        self.depth() == other.depth()
-            && (0..self.len as usize).all(|i| self.inline[i] == other.inline[i])
-            && self.spill.as_ref().map_or(&[] as &[RouteHop], |s| s)
-                == other.spill.as_ref().map_or(&[] as &[RouteHop], |s| s)
+        self.depth() == other.depth() && self.hops().eq(other.hops())
     }
 }
 impl Eq for RouteStack {}
@@ -314,8 +304,16 @@ impl Eq for RouteStack {}
 /// Construct requests with [`Packet::request`] and turn them into responses
 /// with [`Packet::into_response`], which preserves identity, route and the
 /// PCI bus number.
+///
+/// Like gem5's `PacketPtr`, a packet is one pointer to its heap-held
+/// fields: passing it through a port, a queue or the event calendar moves
+/// eight bytes. [`Clone`] copies the fields (payload and route included)
+/// into a packet independent of the original.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Packet(Box<Fields>);
+
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Packet {
+struct Fields {
     id: PacketId,
     cmd: Command,
     addr: u64,
@@ -328,6 +326,24 @@ pub struct Packet {
     payload: Option<Vec<u8>>,
     route: RouteStack,
     status: CompletionStatus,
+}
+
+impl fmt::Debug for Packet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let p = &*self.0;
+        f.debug_struct("Packet")
+            .field("id", &p.id)
+            .field("cmd", &p.cmd)
+            .field("addr", &p.addr)
+            .field("size", &p.size)
+            .field("requester", &p.requester)
+            .field("pci_bus", &p.pci_bus)
+            .field("posted", &p.posted)
+            .field("payload", &p.payload)
+            .field("route", &p.route)
+            .field("status", &p.status)
+            .finish()
+    }
 }
 
 impl Packet {
@@ -344,7 +360,7 @@ impl Packet {
         requester: ComponentId,
     ) -> Self {
         assert!(cmd.is_request(), "{cmd:?} is not a request command");
-        Self {
+        Self(Box::new(Fields {
             id,
             cmd,
             addr,
@@ -355,89 +371,89 @@ impl Packet {
             payload: None,
             route: RouteStack::new(),
             status: CompletionStatus::SuccessfulCompletion,
-        }
+        }))
     }
 
     /// Completion status of the packet. Meaningful on responses; requests
     /// always report [`CompletionStatus::SuccessfulCompletion`].
     pub fn status(&self) -> CompletionStatus {
-        self.status
+        self.0.status
     }
 
     /// Shorthand for `status().is_error()`.
     pub fn is_error(&self) -> bool {
-        self.status.is_error()
+        self.0.status.is_error()
     }
 
     /// Packet identity (preserved across request/response).
     pub fn id(&self) -> PacketId {
-        self.id
+        self.0.id
     }
 
     /// The packet's command.
     pub fn cmd(&self) -> Command {
-        self.cmd
+        self.0.cmd
     }
 
     /// Target physical address.
     pub fn addr(&self) -> u64 {
-        self.addr
+        self.0.addr
     }
 
     /// Access size in bytes.
     pub fn size(&self) -> u32 {
-        self.size
+        self.0.size
     }
 
     /// The component that originated the request.
     pub fn requester(&self) -> ComponentId {
-        self.requester
+        self.0.requester
     }
 
     /// Shorthand for `cmd().is_request()`.
     pub fn is_request(&self) -> bool {
-        self.cmd.is_request()
+        self.0.cmd.is_request()
     }
 
     /// Shorthand for `cmd().is_response()`.
     pub fn is_response(&self) -> bool {
-        self.cmd.is_response()
+        self.0.cmd.is_response()
     }
 
     /// PCI bus number recorded on the packet, if any (the paper's new packet
     /// field, initialised to -1 / `None`).
     pub fn pci_bus(&self) -> Option<u8> {
-        self.pci_bus
+        self.0.pci_bus
     }
 
     /// Stamps the PCI bus number. Only the first stamp sticks, matching the
     /// paper: a slave port sets the field only when it is still -1.
     pub fn stamp_pci_bus(&mut self, bus: u8) {
-        if self.pci_bus.is_none() {
-            self.pci_bus = Some(bus);
+        if self.0.pci_bus.is_none() {
+            self.0.pci_bus = Some(bus);
         }
     }
 
     /// Clears the PCI bus number (used by tests and by the root complex when
     /// a response leaves the PCI-Express fabric).
     pub fn clear_pci_bus(&mut self) {
-        self.pci_bus = None;
+        self.0.pci_bus = None;
     }
 
     /// Whether this request needs no response (posted write/message).
     pub fn is_posted(&self) -> bool {
-        self.posted
+        self.0.posted
     }
 
     /// Marks a write request as posted (no completion expected). Models the
     /// posted-write extension discussed in the paper's evaluation.
     pub fn set_posted(&mut self, posted: bool) {
-        self.posted = posted;
+        self.0.posted = posted;
     }
 
     /// The data carried by the packet, if any.
     pub fn payload(&self) -> Option<&[u8]> {
-        self.payload.as_deref()
+        self.0.payload.as_deref()
     }
 
     /// Attaches a payload; builder-style.
@@ -446,83 +462,53 @@ impl Packet {
     ///
     /// Panics if the payload length does not match the packet size.
     pub fn with_payload(mut self, payload: Vec<u8>) -> Self {
-        assert_eq!(payload.len() as u32, self.size, "payload length must equal packet size");
-        self.payload = Some(payload);
+        assert_eq!(payload.len() as u32, self.0.size, "payload length must equal packet size");
+        self.0.payload = Some(payload);
         self
     }
 
     /// Number of payload bytes on the wire (0 when no payload is attached).
     pub fn payload_len(&self) -> u32 {
-        match self.cmd {
+        match self.0.cmd {
             // Reads carry no data in the request direction; writes carry the
             // full access size even when the simulator elides the bytes.
             Command::ReadReq | Command::ConfigRead | Command::CxlMemRd => 0,
             Command::WriteReq | Command::ConfigWrite | Command::Message | Command::CxlMemWr => {
-                self.size
+                self.0.size
             }
-            Command::ReadResp | Command::ConfigReadResp | Command::CxlMemDrs => self.size,
+            Command::ReadResp | Command::ConfigReadResp | Command::CxlMemDrs => self.0.size,
             Command::WriteResp | Command::ConfigWriteResp | Command::CxlMemNdr => 0,
         }
     }
 
     /// Detaches and returns the payload buffer, leaving the packet without
-    /// data. Components that consume a payload should hand the buffer back
-    /// to [`crate::sim::Ctx::recycle_payload`] so DMA bursts reuse
-    /// allocations instead of hitting the heap per TLP.
+    /// data.
     pub fn take_payload(&mut self) -> Option<Vec<u8>> {
-        self.payload.take()
-    }
-
-    /// Clones the packet, carrying its data in `payload` (a buffer already
-    /// filled with a copy of this packet's payload bytes — typically drawn
-    /// from the scheduler's recycled-buffer pool via
-    /// [`crate::sim::Ctx::clone_packet`] rather than a fresh allocation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `payload` presence or length disagrees with this packet.
-    pub fn clone_with_payload(&self, payload: Option<Vec<u8>>) -> Packet {
-        assert_eq!(
-            payload.as_ref().map(Vec::len),
-            self.payload.as_ref().map(Vec::len),
-            "clone payload must mirror the original"
-        );
-        Packet {
-            id: self.id,
-            cmd: self.cmd,
-            addr: self.addr,
-            size: self.size,
-            requester: self.requester,
-            pci_bus: self.pci_bus,
-            posted: self.posted,
-            payload,
-            route: self.route.clone(),
-            status: self.status,
-        }
+        self.0.payload.take()
     }
 
     /// Pushes a routing hop (done by a forwarding component on the request
     /// path so it can route the response back).
     #[inline]
     pub fn push_route(&mut self, component: ComponentId, port: PortId) {
-        self.route.push(RouteHop { component, port });
+        self.0.route.push(RouteHop { component, port });
     }
 
     /// Pops the most recent routing hop (done on the response path).
     #[inline]
     pub fn pop_route(&mut self) -> Option<RouteHop> {
-        self.route.pop()
+        self.0.route.pop()
     }
 
     /// Most recent routing hop without removing it.
     #[inline]
     pub fn peek_route(&self) -> Option<&RouteHop> {
-        self.route.last()
+        self.0.route.last()
     }
 
     /// Depth of the route stack.
     pub fn route_depth(&self) -> usize {
-        self.route.depth()
+        self.0.route.depth()
     }
 
     /// Converts this request into its response, preserving id, address,
@@ -533,10 +519,10 @@ impl Packet {
     /// Panics if the packet is not a request or is posted.
     pub fn into_response(mut self) -> Packet {
         assert!(self.is_request(), "cannot respond to a response");
-        assert!(!self.posted, "posted requests take no response");
-        self.cmd = self.cmd.response();
-        if self.cmd.is_write() {
-            self.payload = None;
+        assert!(!self.0.posted, "posted requests take no response");
+        self.0.cmd = self.0.cmd.response();
+        if self.0.cmd.is_write() {
+            self.0.payload = None;
         }
         self
     }
@@ -549,13 +535,13 @@ impl Packet {
     /// from the request size.
     pub fn into_read_response(mut self, data: Vec<u8>) -> Packet {
         assert!(
-            matches!(self.cmd, Command::ReadReq | Command::ConfigRead | Command::CxlMemRd),
+            matches!(self.0.cmd, Command::ReadReq | Command::ConfigRead | Command::CxlMemRd),
             "into_read_response on {:?}",
-            self.cmd
+            self.0.cmd
         );
-        assert_eq!(data.len() as u32, self.size, "response data length must equal request size");
-        self.cmd = self.cmd.response();
-        self.payload = Some(data);
+        assert_eq!(data.len() as u32, self.0.size, "response data length must equal request size");
+        self.0.cmd = self.0.cmd.response();
+        self.0.payload = Some(data);
         self
     }
 
@@ -573,17 +559,17 @@ impl Packet {
     /// [`CompletionStatus::SuccessfulCompletion`].
     pub fn into_error_response(mut self, status: CompletionStatus) -> Packet {
         assert!(self.is_request(), "cannot synthesize a completion for a response");
-        assert!(!self.posted, "posted requests take no completion");
+        assert!(!self.0.posted, "posted requests take no completion");
         assert!(status.is_error(), "error completions must carry an error status");
-        self.status = status;
-        match self.cmd {
+        self.0.status = status;
+        match self.0.cmd {
             Command::ReadReq | Command::ConfigRead | Command::CxlMemRd => {
-                self.cmd = self.cmd.response();
-                self.payload = Some(vec![0xff; self.size as usize]);
+                self.0.cmd = self.0.cmd.response();
+                self.0.payload = Some(vec![0xff; self.0.size as usize]);
             }
             _ => {
-                self.cmd = self.cmd.response();
-                self.payload = None;
+                self.0.cmd = self.0.cmd.response();
+                self.0.payload = None;
             }
         }
         self
@@ -592,31 +578,35 @@ impl Packet {
     /// Serializes the packet — identity, header fields, payload and the
     /// full route stack — into a checkpoint.
     pub fn encode(&self, w: &mut StateWriter) {
-        w.u64(self.id.0);
-        w.u8(self.cmd.encode());
-        w.u64(self.addr);
-        w.u32(self.size);
-        w.u32(self.requester.0);
-        w.opt_u8(self.pci_bus);
-        w.bool(self.posted);
-        match &self.payload {
+        w.u64(self.0.id.0);
+        w.u8(self.0.cmd.encode());
+        w.u64(self.0.addr);
+        w.u32(self.0.size);
+        w.u32(self.0.requester.0);
+        w.opt_u8(self.0.pci_bus);
+        w.bool(self.0.posted);
+        match &self.0.payload {
             Some(p) => {
                 w.bool(true);
                 w.bytes(p);
             }
             None => w.bool(false),
         }
-        w.usize(self.route.depth());
+        w.usize(self.0.route.depth());
         // Oldest hop first, so decode can push in order.
-        let spill: &[RouteHop] = self.route.spill.as_ref().map_or(&[], |s| s);
-        for hop in self.route.inline[..self.route.len as usize].iter().chain(spill) {
+        for hop in self.0.route.hops() {
             w.u32(hop.component.0);
             w.u16(hop.port.0);
         }
-        w.u8(self.status.encode());
+        w.u8(self.0.status.encode());
     }
 
     /// Deserializes a packet from a checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] when a payload is present and its length
+    /// is not the packet size — the invariant every constructor enforces.
     pub fn decode(r: &mut StateReader<'_>) -> Result<Self, SnapshotError> {
         let id = PacketId(r.u64()?);
         let cmd = Command::decode(r.u8()?)?;
@@ -626,6 +616,14 @@ impl Packet {
         let pci_bus = r.opt_u8()?;
         let posted = r.bool()?;
         let payload = if r.bool()? { Some(r.bytes()?.to_vec()) } else { None };
+        if let Some(p) = &payload {
+            if p.len() != size as usize {
+                return Err(SnapshotError::Corrupt(format!(
+                    "{id} carries {} payload bytes for size {size}",
+                    p.len()
+                )));
+            }
+        }
         let depth = r.usize()?;
         let mut route = RouteStack::new();
         for _ in 0..depth {
@@ -634,7 +632,18 @@ impl Packet {
             route.push(RouteHop { component, port });
         }
         let status = CompletionStatus::decode(r.u8()?)?;
-        Ok(Self { id, cmd, addr, size, requester, pci_bus, posted, payload, route, status })
+        Ok(Self(Box::new(Fields {
+            id,
+            cmd,
+            addr,
+            size,
+            requester,
+            pci_bus,
+            posted,
+            payload,
+            route,
+            status,
+        })))
     }
 }
 
@@ -660,7 +669,7 @@ pub fn decode_packet_queue(
 
 impl fmt::Display for Packet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {:?} addr={:#x} size={}", self.id, self.cmd, self.addr, self.size)
+        write!(f, "{} {:?} addr={:#x} size={}", self.0.id, self.0.cmd, self.0.addr, self.0.size)
     }
 }
 
@@ -870,6 +879,68 @@ mod tests {
         let resp = req(Command::CxlMemRd).into_error_response(CompletionStatus::UnsupportedRequest);
         assert_eq!(resp.cmd(), Command::CxlMemDrs);
         assert!(resp.payload().unwrap().iter().all(|&b| b == 0xff));
+    }
+
+    #[test]
+    fn decode_rejects_a_payload_whose_length_is_not_the_size() {
+        // A hand-written record: an 8-byte write carrying 4 payload bytes.
+        let mut w = StateWriter::new();
+        w.u64(7);
+        w.u8(Command::WriteReq.encode());
+        w.u64(0x1000);
+        w.u32(8);
+        w.u32(3);
+        w.opt_u8(None);
+        w.bool(false);
+        w.bool(true);
+        w.bytes(&[0; 4]);
+        w.usize(0);
+        w.u8(CompletionStatus::SuccessfulCompletion.encode());
+        let bytes = w.into_bytes();
+        let err = Packet::decode(&mut StateReader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
+    }
+
+    #[test]
+    fn checkpoint_codec_roundtrips_a_spilled_route() {
+        let mut p = req(Command::WriteReq).with_payload(vec![5; 64]);
+        p.stamp_pci_bus(3);
+        for i in 0..INLINE_HOPS as u32 + 2 {
+            p.push_route(ComponentId(i), PortId(i as u16));
+        }
+        let mut w = StateWriter::new();
+        p.encode(&mut w);
+        let bytes = w.into_bytes();
+        let back = Packet::decode(&mut StateReader::new(&bytes)).unwrap();
+        assert_eq!(back, p);
+        assert_eq!(back.route_depth(), INLINE_HOPS + 2);
+        assert_eq!(back.peek_route().unwrap().component, ComponentId(INLINE_HOPS as u32 + 1));
+    }
+
+    #[test]
+    fn a_clone_is_independent_of_its_original() {
+        // The link's replay buffer keeps the original while a clone
+        // travels the wire: changing the clone must not reach back.
+        let mut orig = req(Command::WriteReq).with_payload(vec![9; 64]);
+        orig.push_route(ComponentId(1), PortId(2));
+        let snapshot = format!("{orig:?}");
+        let mut wire = orig.clone();
+        wire.push_route(ComponentId(4), PortId(5));
+        assert_eq!(wire.pop_route().unwrap().component, ComponentId(4));
+        assert_eq!(wire.pop_route().unwrap().component, ComponentId(1));
+        wire.stamp_pci_bus(6);
+        assert_eq!(wire.take_payload(), Some(vec![9; 64]));
+        assert_eq!(format!("{orig:?}"), snapshot);
+        assert_eq!(orig.route_depth(), 1);
+        assert_eq!(orig.pci_bus(), None);
+        assert_eq!(orig.payload(), Some(&[9u8; 64][..]));
+    }
+
+    #[test]
+    fn debug_output_names_the_packet_fields() {
+        let s = format!("{:?}", req(Command::ReadReq));
+        assert!(s.starts_with("Packet { id: PacketId(1), cmd: ReadReq, addr: 1073741824"), "{s}");
+        assert!(s.ends_with("status: SuccessfulCompletion }"), "{s}");
     }
 
     #[test]

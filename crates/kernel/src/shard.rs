@@ -53,7 +53,7 @@ use crate::calendar::{read_entries, CalendarQueue};
 use crate::component::{ComponentId, Event, PortId};
 use crate::sim::{
     decode_action, encode_queued, open_checkpoint, seal_checkpoint, Action, ActionBody,
-    OutboundMsg, PacketPark, Queued, RunOutcome, Simulation, NUM_STREAMS,
+    OutboundMsg, Queued, RunOutcome, Simulation, NUM_STREAMS,
 };
 use crate::snapshot::{SnapshotError, StateReader, StateWriter};
 use crate::stats::StatsSnapshot;
@@ -936,10 +936,9 @@ impl ShardedSimulator {
         let mut entries: Vec<(Tick, u64, Vec<u8>)> = Vec::new();
         for i in 0..self.shards.len() {
             let shared = &self.shard(i).shared;
-            let park = shared.park.borrow();
             shared.queue.borrow().for_each_live(|tick, order, queued| {
                 let mut w = StateWriter::new();
-                encode_queued(&mut w, queued, &park);
+                encode_queued(&mut w, queued);
                 entries.push((tick, order, w.into_bytes()));
             });
         }
@@ -1015,14 +1014,13 @@ impl ShardedSimulator {
             push_counters.push(row);
         }
         // Queue entries: decode with the global counter audit, then route
-        // each (and its packet) to the shard that dispatches it.
-        let mut queues: Vec<(CalendarQueue<Queued>, PacketPark)> = (0..self.shards.len())
-            .map(|_| (CalendarQueue::with_cursor(now), PacketPark::default()))
-            .collect();
+        // each to the shard that dispatches it.
+        let mut queues: Vec<CalendarQueue<Queued>> =
+            (0..self.shards.len()).map(|_| CalendarQueue::with_cursor(now)).collect();
         read_entries(now, &mut r, |r, tick, order| {
             let action = decode_action(r, order, &pkt_counters, &push_counters)?;
-            let (queue, park) = &mut queues[self.route_action(&action)?];
-            queue.push_restored(tick, order, Queued::from_action(action, |pkt| park.park(pkt)));
+            let queue = &mut queues[self.route_action(&action)?];
+            queue.push_restored(tick, order, Queued::from_action(action));
             Ok(())
         })?;
         self.tracer.restore_ring(&mut r)?;
@@ -1057,10 +1055,9 @@ impl ShardedSimulator {
             sr.finish(&name)?;
         }
         r.finish("sharded simulation")?;
-        for (i, (queue, park)) in queues.into_iter().enumerate() {
+        for (i, queue) in queues.into_iter().enumerate() {
             let sim = self.shard_mut(i);
             *sim.shared.queue.borrow_mut() = queue;
-            *sim.shared.park.borrow_mut() = park;
             sim.shared.now.set(now);
             sim.shared.last_event_tick.set(now);
             // The global totals live on shard 0; sums stay correct.

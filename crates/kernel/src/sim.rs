@@ -55,43 +55,39 @@ pub(crate) struct Action {
     pub(crate) body: ActionBody,
 }
 
-/// A dispatch as the calendar holds it: 24 bytes, where an [`Event`] is
-/// 120. The packet of a `DelayedPacket` or `StampedPacket` waits in the
-/// [`PacketPark`] under `slot` from scheduling until dispatch, so bucket
-/// drains, slab writes and pops never copy it. Ordering (tick, order
-/// stamp) is owned by the [`CalendarQueue`].
+/// A dispatch as the calendar holds it, at most 32 bytes: the target and
+/// the event's fields flattened into one enum, a `DelayedPacket`'s or
+/// `StampedPacket`'s packet (itself one pointer) included. Ordering (tick,
+/// order stamp) is owned by the [`CalendarQueue`].
 ///
 /// `repr(u32)` lays each variant out in field order after a 4-byte tag,
-/// so an entry is three aligned words and moves as such; the default
-/// layout picked a 2-byte tag and copied the rest as overlapping 16- and
-/// 8-byte moves that stall store forwarding on every pop.
-#[derive(Debug, Clone, Copy)]
+/// so an entry moves as aligned words; the default layout picked a 2-byte
+/// tag and copied the rest as overlapping 16- and 8-byte moves that stall
+/// store forwarding on every pop.
+#[derive(Debug)]
 #[repr(u32)]
 pub(crate) enum Queued {
     Timer { target: ComponentId, kind: u32, data: u64 },
     Retry { target: ComponentId, port: PortId },
-    Delayed { target: ComponentId, tag: u32, slot: u32 },
-    Stamped { target: ComponentId, tag: u32, slot: u32, stamp: Tick },
+    Delayed { target: ComponentId, tag: u32, pkt: Packet },
+    Stamped { target: ComponentId, tag: u32, stamp: Tick, pkt: Packet },
 }
 
 impl Queued {
-    /// The entry delivering `ev` to `target`; `park` stores its packet,
-    /// if it carries one, and returns the slot.
+    /// The entry delivering `ev` to `target`.
     #[inline]
-    fn new(target: ComponentId, ev: Event, park: impl FnOnce(Packet) -> u32) -> Self {
+    fn new(target: ComponentId, ev: Event) -> Self {
         match ev {
             Event::Timer { kind, data } => Queued::Timer { target, kind, data },
-            Event::DelayedPacket { tag, pkt } => Queued::Delayed { target, tag, slot: park(pkt) },
-            Event::StampedPacket { tag, stamp, pkt } => {
-                Queued::Stamped { target, tag, stamp, slot: park(pkt) }
-            }
+            Event::DelayedPacket { tag, pkt } => Queued::Delayed { target, tag, pkt },
+            Event::StampedPacket { tag, stamp, pkt } => Queued::Stamped { target, tag, stamp, pkt },
         }
     }
 
     /// The entry for a decoded checkpoint [`Action`].
-    pub(crate) fn from_action(action: Action, park: impl FnOnce(Packet) -> u32) -> Self {
+    pub(crate) fn from_action(action: Action) -> Self {
         match action.body {
-            ActionBody::Event(ev) => Queued::new(action.target, ev, park),
+            ActionBody::Event(ev) => Queued::new(action.target, ev),
             ActionBody::Retry { port } => Queued::Retry { target: action.target, port },
         }
     }
@@ -106,64 +102,20 @@ impl Queued {
         }
     }
 
-    /// The event this entry delivers, its packet taken back out of `park`;
-    /// `Err(port)` for a retry grant on `port`.
+    /// The event this entry delivers; `Err(port)` for a retry grant on
+    /// `port`.
     #[inline(always)]
-    fn into_event(self, park: &RefCell<PacketPark>) -> Result<Event, PortId> {
+    fn into_event(self) -> Result<Event, PortId> {
         Ok(match self {
             Queued::Timer { kind, data, .. } => Event::Timer { kind, data },
             Queued::Retry { port, .. } => return Err(port),
-            Queued::Delayed { tag, slot, .. } => {
-                Event::DelayedPacket { tag, pkt: park.borrow_mut().take(slot) }
-            }
-            Queued::Stamped { tag, stamp, slot, .. } => {
-                Event::StampedPacket { tag, stamp, pkt: park.borrow_mut().take(slot) }
-            }
+            Queued::Delayed { tag, pkt, .. } => Event::DelayedPacket { tag, pkt },
+            Queued::Stamped { tag, stamp, pkt, .. } => Event::StampedPacket { tag, stamp, pkt },
         })
     }
 }
 
-/// Where the packets of queued events wait: a slot per packet, reused
-/// through a free list.
-#[derive(Default)]
-pub(crate) struct PacketPark {
-    slots: Vec<Option<Packet>>,
-    free: Vec<u32>,
-}
-
-impl PacketPark {
-    #[inline]
-    pub(crate) fn park(&mut self, pkt: Packet) -> u32 {
-        match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = Some(pkt);
-                slot
-            }
-            None => {
-                self.slots.push(Some(pkt));
-                (self.slots.len() - 1) as u32
-            }
-        }
-    }
-
-    #[inline]
-    fn take(&mut self, slot: u32) -> Packet {
-        let pkt = self.slots[slot as usize].take().expect("queued entry names an empty park slot");
-        self.free.push(slot);
-        pkt
-    }
-
-    fn get(&self, slot: u32) -> &Packet {
-        self.slots[slot as usize].as_ref().expect("queued entry names an empty park slot")
-    }
-}
-
 type Endpoint = (ComponentId, PortId);
-
-/// Cap on recycled payload buffers held by the pool; beyond this, returned
-/// buffers are simply dropped. Bounds steady-state memory while covering
-/// every in-flight DMA burst the experiments produce.
-const PAYLOAD_POOL_CAP: usize = 256;
 
 /// Bit layout of the order stamp: `gid:16 | stream:8 | counter:40`.
 /// The stamp is a pure function of *which component* scheduled the event,
@@ -211,8 +163,6 @@ pub(crate) struct Shared {
     /// Built at `connect` time so `try_send_*` is two array loads, no hash.
     conns: Vec<Vec<Option<Endpoint>>>,
     pub(crate) queue: RefCell<CalendarQueue<Queued>>,
-    /// Packets of the queued packet-carrying events.
-    pub(crate) park: RefCell<PacketPark>,
     pub(crate) now: Cell<Tick>,
     /// Per-component packet-id counters (`PacketId` = gid | counter).
     pub(crate) pkt_counters: RefCell<Vec<u64>>,
@@ -227,8 +177,6 @@ pub(crate) struct Shared {
     pub(crate) outbox: RefCell<Vec<OutboundMsg>>,
     trace: Cell<bool>,
     pub(crate) tracer: Tracer,
-    /// Free list of payload buffers recycled across DMA bursts.
-    payload_pool: RefCell<Vec<Vec<u8>>>,
 }
 
 impl Shared {
@@ -242,12 +190,6 @@ impl Shared {
         *c += 1;
         debug_assert!(counter <= ORDER_COUNTER_MASK, "order counter overflow");
         (u64::from(gid) << ORDER_GID_SHIFT) | (u64::from(stream) << ORDER_STREAM_SHIFT) | counter
-    }
-
-    /// The calendar entry delivering `ev` to `target`, its packet parked.
-    #[inline]
-    fn queued(&self, target: ComponentId, ev: Event) -> Queued {
-        Queued::new(target, ev, |pkt| self.park.borrow_mut().park(pkt))
     }
 
     #[inline]
@@ -324,52 +266,6 @@ impl Ctx<'_> {
         PacketId((u64::from(gid) << PKT_GID_SHIFT) | counter)
     }
 
-    /// Hands out a zeroed payload buffer of `len` bytes, reusing a
-    /// recycled allocation when one is available. Pair with
-    /// [`Ctx::recycle_payload`] at the point the payload is consumed.
-    #[inline]
-    pub fn alloc_payload(&mut self, len: usize) -> Vec<u8> {
-        let mut buf = self.shared.payload_pool.borrow_mut().pop().unwrap_or_default();
-        buf.clear();
-        buf.resize(len, 0);
-        buf
-    }
-
-    /// Returns a payload buffer to the free list for reuse by a later
-    /// [`Ctx::alloc_payload`]. Dropping the buffer instead is always safe —
-    /// recycling is purely an allocation-traffic optimisation.
-    #[inline]
-    pub fn recycle_payload(&mut self, mut buf: Vec<u8>) {
-        buf.clear();
-        let mut pool = self.shared.payload_pool.borrow_mut();
-        if pool.len() < PAYLOAD_POOL_CAP {
-            pool.push(buf);
-        }
-    }
-
-    /// Clones `pkt` with its payload copied into a pooled buffer instead of
-    /// a fresh allocation — the data-link layer uses this to put a wire copy
-    /// of a replay-buffer TLP on the link without per-transmission mallocs.
-    #[inline]
-    pub fn clone_packet(&mut self, pkt: &Packet) -> Packet {
-        let payload = pkt.payload().map(|src| {
-            let mut buf = self.shared.payload_pool.borrow_mut().pop().unwrap_or_default();
-            buf.clear();
-            buf.extend_from_slice(src);
-            buf
-        });
-        pkt.clone_with_payload(payload)
-    }
-
-    /// Recycles every owned buffer of a packet that has reached the end of
-    /// its life (delivered, acknowledged, or absorbed), then drops it.
-    #[inline]
-    pub fn recycle_packet(&mut self, mut pkt: Packet) {
-        if let Some(buf) = pkt.take_payload() {
-            self.recycle_payload(buf);
-        }
-    }
-
     #[inline]
     fn peer(&self, port: PortId) -> Endpoint {
         self.shared
@@ -403,7 +299,7 @@ impl Ctx<'_> {
         // hours can push `now + delay` past u64::MAX picoseconds; a wrapped
         // tick would land the event in the past and corrupt causality, so
         // pin it to the end of time instead.
-        let queued = self.shared.queued(self.self_id, ev);
+        let queued = Queued::new(self.self_id, ev);
         self.shared.push(self.now().saturating_add(delay), self.self_id, stream, queued)
     }
 
@@ -430,7 +326,7 @@ impl Ctx<'_> {
         debug_assert_eq!(order >> ORDER_GID_SHIFT, u64::from(self.self_id.0), "foreign stamp");
         let tick = self.now().saturating_add(delay);
         debug_assert!(self.is_ahead(tick, order), "reserved key already dispatched past");
-        let queued = self.shared.queued(self.self_id, ev);
+        let queued = Queued::new(self.self_id, ev);
         self.shared.queue.borrow_mut().push(tick, order, queued)
     }
 
@@ -469,7 +365,7 @@ impl Ctx<'_> {
     pub fn cancel_scheduled(&mut self, handle: EventHandle) -> Option<Event> {
         let queued = self.shared.queue.borrow_mut().cancel(handle)?;
         // Retries are not cancellable; treat as stale.
-        queued.into_event(&self.shared.park).ok()
+        queued.into_event().ok()
     }
 
     /// Sends a request packet out of `port`. The peer's
@@ -650,7 +546,6 @@ impl Simulation {
                 names: Vec::new(),
                 conns: Vec::new(),
                 queue: RefCell::new(CalendarQueue::new()),
-                park: RefCell::default(),
                 now: Cell::new(0),
                 pkt_counters: RefCell::new(Vec::new()),
                 push_counters: RefCell::new(Vec::new()),
@@ -660,7 +555,6 @@ impl Simulation {
                 outbox: RefCell::new(Vec::new()),
                 trace: Cell::new(false),
                 tracer: Tracer::new(),
-                payload_pool: RefCell::new(Vec::new()),
             },
             initialized: false,
         }
@@ -813,13 +707,9 @@ impl Simulation {
         // the event's global order — the key that merges per-shard traces
         // back into the exact serial stream.
         self.shared.tracer.set_stamp(order);
-        // The packet leaves the park before the handler runs (which may
-        // schedule, and so park), straight into the handler's argument.
-        self.shared.with_component(queued.target(), |c, ctx| {
-            match queued.into_event(&self.shared.park) {
-                Ok(ev) => c.handle(ctx, ev),
-                Err(port) => c.retry_granted(ctx, port),
-            }
+        self.shared.with_component(queued.target(), |c, ctx| match queued.into_event() {
+            Ok(ev) => c.handle(ctx, ev),
+            Err(port) => c.retry_granted(ctx, port),
         });
     }
 
@@ -907,8 +797,7 @@ impl Simulation {
     /// the receiving half of the inter-shard mailbox. The key was minted
     /// by [`Ctx::remote_schedule`] on the sending shard.
     pub fn push_keyed(&self, tick: Tick, order: u64, target: ComponentId, ev: Event) {
-        let queued = self.shared.queued(target, ev);
-        self.shared.queue.borrow_mut().push(tick, order, queued);
+        self.shared.queue.borrow_mut().push(tick, order, Queued::new(target, ev));
     }
 
     /// Runs until the event queue is empty or a component stops the run.
@@ -975,8 +864,7 @@ impl Simulation {
                 body.u64(c);
             }
         }
-        let park = self.shared.park.borrow();
-        self.shared.queue.borrow().save(&mut body, |w, queued| encode_queued(w, queued, &park));
+        self.shared.queue.borrow().save(&mut body, encode_queued);
         self.shared.tracer.save_ring(&mut body);
         body.usize(self.shared.arena.len());
         for (i, cell) in self.shared.arena.iter().enumerate() {
@@ -1026,10 +914,8 @@ impl Simulation {
             }
             push_counters.push(row);
         }
-        let mut park = PacketPark::default();
         let queue = CalendarQueue::restore(now, &mut r, |r, order| {
-            let action = decode_action(r, order, &pkt_counters, &push_counters)?;
-            Ok(Queued::from_action(action, |pkt| park.park(pkt)))
+            decode_action(r, order, &pkt_counters, &push_counters).map(Queued::from_action)
         })?;
         self.shared.tracer.restore_ring(&mut r)?;
         let count = r.usize()?;
@@ -1056,7 +942,6 @@ impl Simulation {
         }
         r.finish("simulation")?;
         *self.shared.queue.borrow_mut() = queue;
-        *self.shared.park.borrow_mut() = park;
         self.shared.now.set(now);
         self.shared.last_event_tick.set(now);
         *self.shared.pkt_counters.borrow_mut() = pkt_counters;
@@ -1114,30 +999,30 @@ pub(crate) fn open_checkpoint(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
     Ok(body)
 }
 
-/// Writes one queue entry, its packet read from `park`. The bytes are
-/// those of the owned [`Action`] that [`decode_action`] reads back.
-pub(crate) fn encode_queued(w: &mut StateWriter, queued: &Queued, park: &PacketPark) {
+/// Writes one queue entry. The bytes are those of the owned [`Action`]
+/// that [`decode_action`] reads back.
+pub(crate) fn encode_queued(w: &mut StateWriter, queued: &Queued) {
     w.u32(queued.target().0);
-    match *queued {
+    match queued {
         Queued::Timer { kind, data, .. } => {
             w.u8(0);
-            w.u32(kind);
-            w.u64(data);
+            w.u32(*kind);
+            w.u64(*data);
         }
-        Queued::Delayed { tag, slot, .. } => {
+        Queued::Delayed { tag, pkt, .. } => {
             w.u8(1);
-            w.u32(tag);
-            park.get(slot).encode(w);
+            w.u32(*tag);
+            pkt.encode(w);
         }
         Queued::Retry { port, .. } => {
             w.u8(2);
             w.u16(port.0);
         }
-        Queued::Stamped { tag, stamp, slot, .. } => {
+        Queued::Stamped { tag, stamp, pkt, .. } => {
             w.u8(3);
-            w.u32(tag);
-            w.u64(stamp);
-            park.get(slot).encode(w);
+            w.u32(*tag);
+            w.u64(*stamp);
+            pkt.encode(w);
         }
     }
 }
@@ -1338,10 +1223,14 @@ mod tests {
     }
 
     #[test]
-    fn queued_entries_fit_in_24_bytes() {
+    fn packets_and_queued_entries_are_a_few_words() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Packet>(), 8);
+        assert!(size_of::<Event>() <= 24, "{}", size_of::<Event>());
+        assert!(size_of::<RecvResult>() <= 8, "{}", size_of::<RecvResult>());
+        assert!(size_of::<Queued>() <= 32, "{}", size_of::<Queued>());
         // The calendar's slab slot is the entry plus its order stamp.
-        assert!(std::mem::size_of::<Queued>() <= 24, "{}", std::mem::size_of::<Queued>());
-        assert!(std::mem::size_of::<(u64, Option<Queued>)>() <= 32);
+        assert!(size_of::<(u64, Option<Queued>)>() <= 40);
     }
 
     #[test]

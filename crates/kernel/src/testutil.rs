@@ -56,7 +56,7 @@ impl Requester {
             let id = ctx.alloc_packet_id();
             let mut pkt = Packet::request(id, cmd, addr, size, ctx.self_id());
             if cmd.is_write() || cmd == Command::Message {
-                pkt = pkt.with_payload(ctx.alloc_payload(size as usize));
+                pkt = pkt.with_payload(vec![0; size as usize]);
             }
             let posted = pkt.is_posted();
             match ctx.try_send_request(REQUESTER_PORT, pkt) {
@@ -87,10 +87,7 @@ impl Component for Requester {
         self.pump(ctx);
     }
 
-    fn recv_response(&mut self, ctx: &mut Ctx<'_>, _port: PortId, mut pkt: Packet) -> RecvResult {
-        if let Some(buf) = pkt.take_payload() {
-            ctx.recycle_payload(buf);
-        }
+    fn recv_response(&mut self, ctx: &mut Ctx<'_>, _port: PortId, pkt: Packet) -> RecvResult {
         self.completions.borrow_mut().push((pkt.id(), ctx.now()));
         RecvResult::Accepted
     }
@@ -196,21 +193,16 @@ impl Component for Responder {
     }
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
-        let Event::DelayedPacket { mut pkt, .. } = ev else {
+        let Event::DelayedPacket { pkt, .. } = ev else {
             panic!("{}: unexpected timer", self.name)
         };
         *self.served.borrow_mut() += 1;
-        if pkt.cmd().is_write() {
-            if let Some(buf) = pkt.take_payload() {
-                ctx.recycle_payload(buf);
-            }
-        }
         if pkt.is_posted() {
             return;
         }
         let resp = if pkt.cmd().is_read() {
             let size = pkt.size() as usize;
-            let data = ctx.alloc_payload(size);
+            let data = vec![0; size];
             pkt.into_read_response(data)
         } else {
             pkt.into_response()

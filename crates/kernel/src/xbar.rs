@@ -279,7 +279,6 @@ impl Component for Crossbar {
                 );
             }
             if pkt.is_posted() {
-                ctx.recycle_packet(pkt);
                 return RecvResult::Accepted;
             }
             let resp = pkt.into_error_response(CompletionStatus::UnsupportedRequest);
@@ -480,7 +479,7 @@ mod tests {
     }
 
     /// Sends one scripted request and captures the full response packet,
-    /// which [`Requester`] cannot (it recycles payloads on arrival).
+    /// which [`Requester`] cannot (it keeps only the id and arrival tick).
     #[derive(Debug)]
     struct Probe {
         script: Vec<(Command, u64, u32, bool)>,

@@ -167,14 +167,6 @@ impl ReplayBuffer {
         self.entries.get(self.next_tx).map(|(s, _, p)| (*s, p.clone()))
     }
 
-    /// The next TLP to put on the wire without cloning it, if any. The
-    /// transmission path copies it onto the wire via pooled buffers
-    /// ([`pcisim_kernel::sim::Ctx::clone_packet`]) instead.
-    #[inline]
-    pub fn next_to_transmit_ref(&self) -> Option<(u32, &Packet)> {
-        self.entries.get(self.next_tx).map(|(s, _, p)| (*s, p))
-    }
-
     /// Marks the head-of-cursor TLP as transmitted.
     ///
     /// # Panics
@@ -191,17 +183,10 @@ impl ReplayBuffer {
     /// Processes a cumulative ACK: drops every entry with sequence number
     /// ≤ `seq`. Returns how many entries were released.
     pub fn ack(&mut self, seq: u32) -> usize {
-        self.ack_drain(seq, |_| {})
-    }
-
-    /// Like [`ReplayBuffer::ack`], but hands each released TLP to `release`
-    /// so the caller can recycle its buffers instead of dropping them.
-    pub fn ack_drain(&mut self, seq: u32, mut release: impl FnMut(Packet)) -> usize {
         let mut released = 0;
         while let Some(&(front_seq, _, _)) = self.entries.front() {
             if seq_le(front_seq, seq) {
-                let (_, _, pkt) = self.entries.pop_front().expect("peeked front");
-                release(pkt);
+                self.entries.pop_front();
                 released += 1;
             } else {
                 break;
@@ -217,13 +202,7 @@ impl ReplayBuffer {
     /// Processes a NAK: entries ≤ `seq` are acknowledged, the rest rewind
     /// for retransmission. Returns how many TLPs will be replayed.
     pub fn nak(&mut self, seq: u32) -> usize {
-        self.nak_drain(seq, |_| {})
-    }
-
-    /// Like [`ReplayBuffer::nak`], but hands each entry the ACK prefix
-    /// releases to `release` for buffer recycling.
-    pub fn nak_drain(&mut self, seq: u32, release: impl FnMut(Packet)) -> usize {
-        self.ack_drain(seq, release);
+        self.ack(seq);
         self.rewind()
     }
 

@@ -643,10 +643,9 @@ impl LinkEnd {
                 send_to_peer(ctx, self.peer, self.end, t + prop, Event::Timer { kind, data });
                 continue;
             }
-            if let Some((seq, held)) = self.st.tx.next_to_transmit_ref() {
-                // Wire copy via the pooled allocator; the replay buffer
-                // keeps the original until it is acknowledged.
-                let pkt = ctx.clone_packet(held);
+            // The wire carries a copy; the replay buffer keeps the original
+            // until it is acknowledged.
+            if let Some((seq, pkt)) = self.st.tx.next_to_transmit() {
                 self.st.tx.mark_transmitted();
                 // The admission tick rides along the wire so the receiver
                 // can attribute delivery latency without reaching into
@@ -803,7 +802,6 @@ impl LinkEnd {
                 None,
                 u64::from(seq),
             );
-            ctx.recycle_packet(pkt);
             // NAK the last good sequence number back to the sender.
             // Before anything has been received, `expected() - 1` is the
             // sequence number just behind the first one sent; the replay
@@ -827,7 +825,6 @@ impl LinkEnd {
                 None,
                 u64::from(seq),
             );
-            ctx.recycle_packet(pkt);
             // A duplicate of something already delivered means the
             // sender's replay timer beat our acknowledgement: re-ACK the
             // cumulative high-water mark immediately so the replay burst
@@ -896,7 +893,6 @@ impl LinkEnd {
                         u64::from(seq),
                     );
                 }
-                ctx.recycle_packet(dropped);
             }
         }
     }
@@ -964,7 +960,7 @@ impl LinkEnd {
         match dllp {
             Dllp::Nak { seq } => {
                 self.st.tx_stats.naks_rx.inc();
-                let replayed = self.st.tx.nak_drain(seq, |pkt| ctx.recycle_packet(pkt));
+                let replayed = self.st.tx.nak(seq);
                 self.st.tx_stats.replays.add(replayed as u64);
                 replay_event = replayed > 0;
                 if replayed > 0 {
@@ -979,7 +975,7 @@ impl LinkEnd {
             }
             Dllp::Ack { seq } => {
                 self.st.tx_stats.acks_rx.inc();
-                self.st.tx.ack_drain(seq, |pkt| ctx.recycle_packet(pkt));
+                self.st.tx.ack(seq);
                 // Acknowledged progress resets the consecutive-replay
                 // count.
                 self.st.replay_num = 0;
@@ -1516,9 +1512,8 @@ mod tests {
         fn name(&self) -> &str {
             self.name
         }
-        fn recv_request(&mut self, ctx: &mut Ctx<'_>, _p: PortId, pkt: Packet) -> RecvResult {
+        fn recv_request(&mut self, _ctx: &mut Ctx<'_>, _p: PortId, pkt: Packet) -> RecvResult {
             self.log.borrow_mut().push(pkt.id());
-            ctx.recycle_packet(pkt);
             RecvResult::Accepted
         }
     }

@@ -108,7 +108,6 @@ impl Component for Source {
 
     fn recv_response(&mut self, ctx: &mut Ctx<'_>, _port: PortId, pkt: Packet) -> RecvResult {
         self.log.borrow_mut().push((pkt.id(), ctx.now()));
-        ctx.recycle_packet(pkt);
         RecvResult::Accepted
     }
 
@@ -173,7 +172,7 @@ impl Component for LogSink {
     fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
         match ev {
             Event::Timer { .. } => ctx.send_retry(PORT),
-            Event::DelayedPacket { pkt, .. } if pkt.is_posted() => ctx.recycle_packet(pkt),
+            Event::DelayedPacket { pkt, .. } if pkt.is_posted() => {}
             Event::DelayedPacket { pkt, .. } => {
                 let resp = if pkt.cmd().is_read() {
                     let size = pkt.size() as usize;

@@ -490,7 +490,6 @@ impl PcieRouter {
                         let pkt = self.ports[ingress].ingress.pop_front().expect("head exists");
                         self.stats.unsupported_requests.inc();
                         self.record_master_abort(&pkt, Self::pair_of(ingress));
-                        ctx.recycle_packet(pkt);
                         if self.ports[ingress].owe_ingress_retry && !self.ingress_full(ingress) {
                             self.ports[ingress].owe_ingress_retry = false;
                             ctx.send_retry(PortId(ingress as u16));
@@ -546,15 +545,11 @@ impl PcieRouter {
         let egress = p.service_egress;
         p.engine_busy = false;
         if std::mem::replace(&mut p.service_unrouted, false) {
-            if let Some(buf) = pkt.take_payload() {
-                ctx.recycle_payload(buf);
-            }
             // The request dies here, so the completion-timeout entry armed
             // at admission must die with it — otherwise the timer would
             // fire and send the requester a second, spurious completion.
             if let Some(pending) = self.pending.remove(&pkt.id().0) {
                 ctx.cancel_scheduled(pending.timer);
-                ctx.recycle_packet(pending.request);
             }
             pkt = pkt.into_error_response(CompletionStatus::UnsupportedRequest);
         }
@@ -622,7 +617,7 @@ impl PcieRouter {
                 if let Some(timeout) = self.config.completion_timeout {
                     let timer = ctx
                         .schedule(timeout, Event::Timer { kind: K_CPL_TIMEOUT, data: pkt.id().0 });
-                    let request = ctx.clone_packet(&pkt);
+                    let request = pkt.clone();
                     let pair = self
                         .downstream_by_window(pkt.addr(), None)
                         .or_else(|| self.hdm_route_for(pkt.addr()));
@@ -641,7 +636,6 @@ impl PcieRouter {
             let id = pkt.id().0;
             if let Some(p) = self.pending.remove(&id) {
                 ctx.cancel_scheduled(p.timer);
-                ctx.recycle_packet(p.request);
             } else if self.timed_out.remove(&id) {
                 // The requester already saw a synthesized timeout
                 // completion; this one is an Unexpected Completion and
@@ -654,7 +648,6 @@ impl PcieRouter {
                     aer::uncor::UNEXPECTED_COMPLETION,
                     source,
                 );
-                ctx.recycle_packet(pkt);
                 return RecvResult::Accepted;
             }
             self.stats.responses.inc();
@@ -681,15 +674,12 @@ impl PcieRouter {
         let Some(p) = self.pending.remove(&id) else { return };
         self.timed_out.insert(id);
         self.stats.completion_timeouts.inc();
-        let mut req = p.request;
+        let req = p.request;
         {
             let cs = self.attributed_cs(p.pair);
             let mut cs = cs.borrow_mut();
             let source = u16::from(req.pci_bus().unwrap_or(0)) << 8;
             aer_record_uncorrectable(&mut cs, aer::uncor::COMPLETION_TIMEOUT, source);
-        }
-        if let Some(buf) = req.take_payload() {
-            ctx.recycle_payload(buf);
         }
         if ctx.tracing(TraceCategory::Router) {
             ctx.emit(
@@ -1010,8 +1000,7 @@ mod tests {
         fn name(&self) -> &str {
             "blackhole"
         }
-        fn recv_request(&mut self, ctx: &mut Ctx<'_>, _p: PortId, pkt: Packet) -> RecvResult {
-            ctx.recycle_packet(pkt);
+        fn recv_request(&mut self, _ctx: &mut Ctx<'_>, _p: PortId, _pkt: Packet) -> RecvResult {
             RecvResult::Accepted
         }
     }

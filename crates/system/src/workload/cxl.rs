@@ -272,7 +272,7 @@ impl CxlHostApp {
         let id = ctx.alloc_packet_id();
         let mut pkt = Packet::request(id, cmd, addr, self.config.access_bytes, ctx.self_id());
         if is_write {
-            let mut data = ctx.alloc_payload(self.config.access_bytes as usize);
+            let mut data = vec![0; self.config.access_bytes as usize];
             for (i, b) in data.iter_mut().enumerate() {
                 *b = (addr as u8).wrapping_add(i as u8);
             }
@@ -295,8 +295,7 @@ impl CxlHostApp {
             let addr = self.chain_addr(i);
             let next = self.chain_addr(i + 1);
             let id = ctx.alloc_packet_id();
-            let mut data = ctx.alloc_payload(self.config.access_bytes as usize);
-            data.fill(0);
+            let mut data = vec![0; self.config.access_bytes as usize];
             data[..8].copy_from_slice(&next.to_le_bytes());
             let pkt = Packet::request(
                 id,
@@ -436,9 +435,6 @@ impl Component for CxlHostApp {
                     ctx.schedule(self.config.cpu_overhead, Event::Timer { kind: K_STEP, data: 0 });
                 }
             }
-        }
-        if let Some(data) = payload {
-            ctx.recycle_payload(data);
         }
         self.maybe_finish(ctx.now());
         RecvResult::Accepted

@@ -388,7 +388,6 @@ impl Component for MsixTxApp {
                         let mut b = [0u8; 4];
                         let n = p.len().min(4);
                         b[..n].copy_from_slice(&p[..n]);
-                        ctx.recycle_payload(p);
                         u32::from_le_bytes(b)
                     })
                     .unwrap_or(0);
@@ -399,16 +398,13 @@ impl Component for MsixTxApp {
         RecvResult::Accepted
     }
 
-    fn recv_request(&mut self, ctx: &mut Ctx<'_>, port: PortId, mut pkt: Packet) -> RecvResult {
+    fn recv_request(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) -> RecvResult {
         // An MSI-X doorbell delivery: the interrupt controller forwards
         // vector `v` out of the port wired to `msix_tx_irq_port(v)`.
         assert_eq!(pkt.cmd(), Command::Message);
         assert!(port.0 >= 1, "{}: interrupts arrive on the vector ports", self.name);
         let v = u32::from(port.0 - 1);
         assert!(v < self.config.queues, "{}: unexpected vector {v}", self.name);
-        if let Some(buf) = pkt.take_payload() {
-            ctx.recycle_payload(buf);
-        }
         self.report.borrow_mut().irqs += 1;
         let q = v as usize; // tx_vector(q) == q
         if !self.queues[q].reading {

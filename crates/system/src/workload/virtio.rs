@@ -582,9 +582,6 @@ impl Component for VirtioApp {
                     self.service_used(ctx, idx);
                 }
                 // The ISR read needs no decoding: reading it cleared it.
-                if let Some(buf) = data {
-                    ctx.recycle_payload(buf);
-                }
             }
             other => panic!("{}: unexpected completion {other:?}", self.name),
         }
@@ -592,12 +589,9 @@ impl Component for VirtioApp {
         RecvResult::Accepted
     }
 
-    fn recv_request(&mut self, ctx: &mut Ctx<'_>, port: PortId, mut pkt: Packet) -> RecvResult {
+    fn recv_request(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) -> RecvResult {
         assert!(port.0 >= 1, "{}: interrupts arrive on the vector ports", self.name);
         assert_eq!(pkt.cmd(), Command::Message);
-        if let Some(buf) = pkt.take_payload() {
-            ctx.recycle_payload(buf);
-        }
         self.report.borrow_mut().irqs += 1;
         if !self.used_check_queued {
             self.used_check_queued = true;

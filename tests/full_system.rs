@@ -324,7 +324,7 @@ fn peer_to_peer_read_across_sibling_root_ports_is_traced() {
         }
         fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
             let Event::DelayedPacket { pkt, .. } = ev else { panic!() };
-            let mut data = ctx.alloc_payload(pkt.size() as usize);
+            let mut data = vec![0; pkt.size() as usize];
             for (i, b) in data.iter_mut().enumerate() {
                 *b = [0xa5, 0x5a, 0xc3, 0x3c][i % 4];
             }

@@ -58,11 +58,8 @@ impl Component for VectorCounter {
     fn name(&self) -> &str {
         "vectors"
     }
-    fn recv_request(&mut self, ctx: &mut Ctx<'_>, port: PortId, mut pkt: Packet) -> RecvResult {
+    fn recv_request(&mut self, _ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) -> RecvResult {
         assert_eq!(pkt.cmd(), Command::Message);
-        if let Some(buf) = pkt.take_payload() {
-            ctx.recycle_payload(buf);
-        }
         self.counts.borrow_mut()[usize::from(port.0)] += 1;
         RecvResult::Accepted
     }
@@ -191,7 +188,6 @@ impl Component for ChaosDriver {
                         let mut b = [0u8; 4];
                         let n = p.len().min(4);
                         b[..n].copy_from_slice(&p[..n]);
-                        ctx.recycle_payload(p);
                         u32::from_le_bytes(b)
                     })
                     .unwrap_or(u32::MAX);
