@@ -237,21 +237,24 @@ fn push_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Reads one canonical LEB128 `u64`, the form [`push_varint`] writes.
+/// `None` for a truncated varint and for any other encoding of a value:
+/// a zero final group after the first byte (over-long), a 10th byte
+/// carrying more than bit 63, or an 11th byte.
 fn read_varint(data: &[u8], offset: &mut usize) -> Option<u64> {
     let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
+    for shift in (0..64).step_by(7) {
         let byte = *data.get(*offset)?;
         *offset += 1;
-        if shift >= 64 {
-            return None; // over-long encoding
+        if (shift > 0 && byte == 0) || (shift == 63 && byte > 1) {
+            return None;
         }
         v |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
             return Some(v);
         }
-        shift += 7;
     }
+    unreachable!("a 10th byte either ends the varint or is rejected")
 }
 
 /// Serializes a frame sequence into the binary trace format:
@@ -320,20 +323,22 @@ impl TraceCursor {
         self.emitted
     }
 
-    /// Next frame, or `None` at end of trace. A truncated body also ends
-    /// the stream (the header count is the source of truth for honesty
-    /// checks via [`TraceCursor::total`]).
+    /// Next frame, or `None` at end of trace. A truncated or malformed
+    /// body also ends the stream: a varint [`encode_trace`] would not have
+    /// written, or a `flow` or `bytes` past `u32::MAX`. (The header count
+    /// is the source of truth for honesty checks via
+    /// [`TraceCursor::total`].)
     pub fn next_frame(&mut self) -> Option<FrameEvent> {
         if self.emitted >= self.total {
             return None;
         }
         let mut off = self.offset;
         let delta = read_varint(&self.data, &mut off)?;
-        let flow = read_varint(&self.data, &mut off)?;
-        let bytes = read_varint(&self.data, &mut off)?;
+        let flow = u32::try_from(read_varint(&self.data, &mut off)?).ok()?;
+        let bytes = u32::try_from(read_varint(&self.data, &mut off)?).ok()?;
         self.offset = off;
         self.emitted += 1;
-        Some(FrameEvent { delta, flow: flow as u32, bytes: bytes as u32 })
+        Some(FrameEvent { delta, flow, bytes })
     }
 }
 
@@ -585,5 +590,64 @@ mod tests {
             assert_eq!(cursor.next_frame(), Some(f));
         }
         assert_eq!(cursor.next_frame(), None);
+    }
+
+    /// Every frame a cursor over `data` yields and the offset it stopped
+    /// at; `None` when the header is rejected.
+    fn read_all(data: Vec<u8>) -> Option<(Vec<FrameEvent>, usize)> {
+        let mut cursor = TraceCursor::new(Arc::new(data)).ok()?;
+        let frames = std::iter::from_fn(|| cursor.next_frame()).collect();
+        Some((frames, cursor.offset))
+    }
+
+    #[test]
+    fn every_truncation_yields_a_prefix_of_the_frames() {
+        let trace = record_trace(&TrafficConfig { frames: 48, ..heavy_config() });
+        let (full, _) = read_all(trace.clone()).expect("valid");
+        assert_eq!(full.len(), 48);
+        for len in 0..=trace.len() {
+            match read_all(trace[..len].to_vec()) {
+                None => assert!(len < 12, "a {len}-byte prefix holds the whole header"),
+                Some((frames, _)) => assert_eq!(frames, full[..frames.len()], "prefix {len}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_rejected_or_re_encodes_to_the_bytes_read() {
+        let trace = record_trace(&TrafficConfig { frames: 16, ..heavy_config() });
+        for bit in 0..trace.len() * 8 {
+            let mut flipped = trace.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let Some((frames, end)) = read_all(flipped.clone()) else { continue };
+            assert_eq!(encode_trace(&frames)[12..], flipped[12..end], "flip of bit {bit}");
+        }
+    }
+
+    #[test]
+    fn values_past_their_width_end_the_stream() {
+        // One frame announced; the body is the three varints given.
+        let frames = |body: &[u8]| {
+            let mut data = encode_trace(&[]);
+            data[8..12].copy_from_slice(&1u32.to_le_bytes());
+            data.extend_from_slice(body);
+            read_all(data).expect("valid header").0
+        };
+        let nine_ff = [0xff; 9];
+        // The longest legal varint: u64::MAX, whose 10th byte is 0x01.
+        let max = [&nine_ff[..], &[0x01, 0, 0]].concat();
+        assert_eq!(frames(&max), [FrameEvent { delta: u64::MAX, flow: 0, bytes: 0 }]);
+        let tenth_byte_2 = [&nine_ff[..], &[0x02, 0, 0]].concat();
+        assert_eq!(frames(&tenth_byte_2), []);
+        let eleven_bytes = [&[0x80; 10][..], &[0x01, 0, 0]].concat();
+        assert_eq!(frames(&eleven_bytes), []);
+        let over_long_zero = [0x80, 0x00, 0, 0];
+        assert_eq!(frames(&over_long_zero), []);
+        for (flow, bytes) in [(1 << 32, 0), (0, 1 << 32)] {
+            let mut body = vec![0];
+            push_varint(&mut body, flow);
+            push_varint(&mut body, bytes);
+            assert_eq!(frames(&body), [], "flow {flow} bytes {bytes}");
+        }
     }
 }

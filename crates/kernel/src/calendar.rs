@@ -27,6 +27,14 @@
 //! once. The kernel's items are queued entries of at most 32 bytes, a
 //! packet held by its one-pointer handle (see `crate::sim`).
 //!
+//! Popping is split in two so the item never travels through a return
+//! value: [`CalendarQueue::pop_key_if_at_most`] unlinks the head and hands
+//! back its `(tick, order, slot)`, and [`CalendarQueue::take_popped`]
+//! moves the item out of that slot and frees it. The dispatch loop reads
+//! the entry's fields straight from the slot that way.
+//! [`CalendarQueue::pop`] and [`CalendarQueue::pop_if_at_most`] are the
+//! pair in one call.
+//!
 //! Determinism: every push carries a caller-supplied **order stamp**, and
 //! [`CalendarQueue::pop`] always yields the globally smallest
 //! `(tick, order)` pair. The simulation kernel derives the stamp from the
@@ -156,6 +164,9 @@ pub struct CalendarQueue<T> {
     /// carry slot hints from the *old* queue, so cancels resolve through
     /// this map when the hint misses. Entries are pruned lazily.
     restored: BTreeMap<u64, u32>,
+    /// `(slot, order)` of the entry popped but not yet taken.
+    #[cfg(debug_assertions)]
+    popped: Option<(u32, u64)>,
 }
 
 impl<T> Default for CalendarQueue<T> {
@@ -179,6 +190,8 @@ impl<T> CalendarQueue<T> {
             ring_len: 0,
             len: 0,
             restored: BTreeMap::new(),
+            #[cfg(debug_assertions)]
+            popped: None,
         }
     }
 
@@ -369,21 +382,53 @@ impl<T> CalendarQueue<T> {
         self.pop_if_at_most(Tick::MAX).ok().flatten().map(|(tick, _, item)| (tick, item))
     }
 
-    /// Fused peek-and-pop for the dispatch loop: settles once, then pops
-    /// the head (with its order stamp) only if its tick is `<= limit`.
-    /// `Err(head_tick)` reports a head beyond the limit without disturbing
-    /// it; `Ok(None)` means empty.
+    /// [`CalendarQueue::pop_key_if_at_most`] and
+    /// [`CalendarQueue::take_popped`] in one call: the head with its order
+    /// stamp and item, if its tick is `<= limit`.
     #[inline]
     pub fn pop_if_at_most(&mut self, limit: Tick) -> Result<Option<(Tick, u64, T)>, Tick> {
+        let popped = self.pop_key_if_at_most(limit)?;
+        Ok(popped.map(|(tick, order, slot)| (tick, order, self.take_popped(slot))))
+    }
+
+    /// Fused peek-and-pop for the dispatch loop: settles once, then pops
+    /// the head's `(tick, order, slot)` only if its tick is `<= limit`.
+    /// The item stays in its slab slot, off the queue, until
+    /// [`CalendarQueue::take_popped`] moves it out; call that before any
+    /// other method. `Err(head_tick)` reports a head beyond the limit
+    /// without disturbing it; `Ok(None)` means empty.
+    #[inline]
+    pub fn pop_key_if_at_most(&mut self, limit: Tick) -> Result<Option<(Tick, u64, u32)>, Tick> {
         let Some(head) = self.settle_live() else { return Ok(None) };
         if head.tick > limit {
             return Err(head.tick);
         }
         self.remove_open_head(head);
         self.len -= 1;
-        let item = self.slab[head.slot as usize].1.take().expect("live head after settle_live");
-        self.free.push(head.slot);
-        Ok(Some((head.tick, head.order, item)))
+        #[cfg(debug_assertions)]
+        {
+            assert!(self.popped.is_none(), "popped twice without take_popped");
+            self.popped = Some((head.slot, head.order));
+        }
+        Ok(Some((head.tick, head.order, head.slot)))
+    }
+
+    /// Moves out the item [`CalendarQueue::pop_key_if_at_most`] just
+    /// popped from `slot`, and frees the slot.
+    #[inline]
+    pub fn take_popped(&mut self, slot: u32) -> T {
+        // Free the slot first: with nothing that can unwind after the
+        // take, the item never needs a stack home of its own, and a caller
+        // that matches on it reads its fields straight from the slot.
+        self.free.push(slot);
+        let entry = &mut self.slab[slot as usize];
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            self.popped.take(),
+            Some((slot, entry.0)),
+            "take_popped of a slot that did not pop"
+        );
+        entry.1.take().expect("popped slot holds its item")
     }
 
     /// Creates an empty queue with the calendar cursor positioned for
@@ -807,6 +852,31 @@ mod tests {
             }
         }
 
+        /// Pops the head's key, then takes its item out of the slot — the
+        /// dispatch loop's pair — under a limit inside the open window or
+        /// none at all.
+        fn pop_split(&mut self) {
+            let limit = match self.rand() % 2 {
+                0 => self.now + self.rand() % (self.window_end() - self.now),
+                _ => Tick::MAX,
+            };
+            match self.q.pop_key_if_at_most(limit) {
+                Ok(Some((tick, order, slot))) => {
+                    assert_eq!(self.reference.pop_first(), Some((tick, order)));
+                    assert!(tick <= limit);
+                    assert_eq!(self.q.take_popped(slot), order, "item pushed under the key");
+                    self.now = tick;
+                }
+                Ok(None) => assert!(self.reference.is_empty()),
+                Err(head) => {
+                    let &(tick, _) = self.reference.first().expect("a head beyond the limit");
+                    assert_eq!(head, tick);
+                    assert!(head > limit);
+                }
+            }
+            assert_eq!(self.q.len(), self.reference.len());
+        }
+
         /// Cancels a random handle — live, popped or already cancelled —
         /// preferring one in the open window when `open_window`.
         fn cancel(&mut self, open_window: bool) {
@@ -858,7 +928,7 @@ mod tests {
         for seed in [0x1234_5678, 7, 99, 0xdead_beef] {
             let mut m = ModelCheck::new(seed);
             for _ in 0..5_000 {
-                match m.rand() % 16 {
+                match m.rand() % 18 {
                     0..=4 => m.push_scattered(),
                     5 => m.push_reversed_burst(),
                     6 => m.push_gid_interleaved(),
@@ -866,6 +936,7 @@ mod tests {
                     9 | 10 => m.cancel(true),
                     11 | 12 => m.pop(),
                     13 | 14 => m.pop_if_at_most_in_window(),
+                    15 | 16 => m.pop_split(),
                     _ if m.rand().is_multiple_of(8) => m.save_restore(),
                     _ => {}
                 }
@@ -879,12 +950,13 @@ mod tests {
         for seed in [0x9e37_79b9, 3, 41, 0x0bad_cafe] {
             let mut m = ModelCheck::new(seed);
             for _ in 0..5_000 {
-                match m.rand() % 16 {
+                match m.rand() % 19 {
                     0..=5 => m.push_scattered(),
                     6 => m.push_reversed_burst(),
                     7 => m.push_gid_interleaved(),
                     8..=11 => m.pop(),
                     12..=14 => m.pop_if_at_most_in_window(),
+                    15..=17 => m.pop_split(),
                     _ if m.rand().is_multiple_of(8) => m.save_restore(),
                     _ => {}
                 }

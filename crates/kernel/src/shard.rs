@@ -214,12 +214,6 @@ impl Mailboxes {
     }
 }
 
-/// "No event": the published next-event tick of a shard with an empty
-/// queue and nothing sent. An event saturated to the end of time is
-/// indistinguishable from it — such an event is never reached by a
-/// window either, since a window's end is capped at `Tick::MAX`.
-const NEVER: Tick = Tick::MAX;
-
 /// Staged trace records (summed over shards) at which the shards stop for
 /// a trace quiesce, bounding the staging memory of a long traced run.
 /// (Tiny under `cfg(test)` so the unit tests merge mid-run.)
@@ -232,7 +226,11 @@ const TRACE_MERGE_BATCH: usize = if cfg!(test) { 4 } else { 1 << 16 };
 #[repr(align(64))]
 #[derive(Default)]
 struct Published {
-    /// `min(next local event, earliest tick sent this round)`, or [`NEVER`].
+    /// Whether the shard has a next tick: a local event or a message sent
+    /// this round. (An event saturated to `Tick::MAX` is still an event.)
+    has_next: AtomicBool,
+    /// `min(next local event, earliest tick sent this round)`, when
+    /// `has_next`.
     next: AtomicU64,
     /// The shard's `events_processed`.
     events: AtomicU64,
@@ -506,10 +504,10 @@ impl Lockstep<'_> {
         let _poison = PoisonOnUnwind(&self.barrier);
         let mut waiter = self.barrier.waiter(me);
         let mut totals = SyncStats::default();
-        // End of the window this shard just ran: nothing it sent may land
-        // below it. 0 for the first round, which only exchanges what
-        // `init` (or an earlier `run`) left behind.
-        let mut end: Tick = 0;
+        // Last tick of the window this shard just ran: everything it sent
+        // must land after it. `None` for the first round, which only
+        // exchanges what `init` (or an earlier `run`) left behind.
+        let mut ran: Option<Tick> = None;
         let mut events_before = 0u64;
         let mut round = 0usize;
         loop {
@@ -518,24 +516,26 @@ impl Lockstep<'_> {
                 // SAFETY: thread `me` is the only one touching shard `me`
                 // (ShardCell invariant); the borrow ends before the barrier.
                 let sim = unsafe { &mut *self.shards[me].0.get() };
-                let mut sent_min = NEVER;
+                let mut sent_min = None;
                 sim.drain_outbox(|msg| {
                     let edge = self.edges[msg.edge as usize];
                     debug_assert_eq!(edge.from_shard as usize, me, "edge staged on wrong shard");
-                    assert!(
-                        msg.tick >= end,
-                        "cross-shard message at tick {} inside window ending at {}: \
-                         the edge's lookahead horizon is wrong",
-                        msg.tick,
-                        end
-                    );
-                    sent_min = sent_min.min(msg.tick);
+                    if let Some(last) = ran {
+                        assert!(
+                            msg.tick > last,
+                            "cross-shard message at tick {} inside the window through tick \
+                             {last}: the edge's lookahead horizon is wrong",
+                            msg.tick,
+                        );
+                    }
+                    sent_min = earliest(sent_min, Some(msg.tick));
                     waiter.stats.messages_sent += 1;
                     self.mail.slot(parity, me, edge.to_shard as usize).push(msg);
                 });
                 let slot = &self.published[parity][me];
-                let next = sim.next_event_tick().unwrap_or(NEVER).min(sent_min);
-                slot.next.store(next, Ordering::Relaxed);
+                let next = earliest(sim.next_event_tick(), sent_min);
+                slot.has_next.store(next.is_some(), Ordering::Relaxed);
+                slot.next.store(next.unwrap_or(0), Ordering::Relaxed);
                 slot.events.store(sim.events_processed(), Ordering::Relaxed);
                 slot.stop.store(sim.take_stop_request(), Ordering::Relaxed);
                 if self.tracing {
@@ -544,9 +544,11 @@ impl Lockstep<'_> {
             }
             self.barrier.wait(&mut waiter).ok()?;
 
-            let (mut t_min, mut events, mut stop, mut staged) = (NEVER, 0u64, false, 0usize);
+            let (mut t_min, mut events, mut stop, mut staged) = (None, 0u64, false, 0usize);
             for p in &self.published[parity] {
-                t_min = t_min.min(p.next.load(Ordering::Relaxed));
+                let next =
+                    p.has_next.load(Ordering::Relaxed).then(|| p.next.load(Ordering::Relaxed));
+                t_min = earliest(t_min, next);
                 events += p.events.load(Ordering::Relaxed);
                 stop |= p.stop.load(Ordering::Relaxed);
                 staged += p.staged_traces.load(Ordering::Relaxed);
@@ -581,25 +583,30 @@ impl Lockstep<'_> {
                     sim.push_keyed(msg.tick, msg.order, self.edges[msg.edge as usize].dest, msg.ev);
                 }
             }
-            let outcome = if stop {
-                RunOutcome::Stopped
-            } else if t_min == NEVER {
-                RunOutcome::QueueEmpty
-            } else if t_min > self.until {
-                RunOutcome::TimeLimit
-            } else if events >= self.budget_end {
-                RunOutcome::EventLimit
-            } else {
-                end = t_min.saturating_add(self.delta).min(self.until.saturating_add(1));
-                let before = sim.events_processed();
-                sim.run_window(end);
-                waiter.stats.idle_windows += u64::from(sim.events_processed() == before);
-                round += 1;
-                continue;
+            let outcome = match t_min {
+                _ if stop => RunOutcome::Stopped,
+                None => RunOutcome::QueueEmpty,
+                Some(t) if t > self.until => RunOutcome::TimeLimit,
+                Some(_) if events >= self.budget_end => RunOutcome::EventLimit,
+                Some(t) => {
+                    // The window `[t, t + Δ)`, by its last tick.
+                    let last = t.saturating_add(self.delta - 1).min(self.until);
+                    let before = sim.events_processed();
+                    sim.run_window(last);
+                    waiter.stats.idle_windows += u64::from(sim.events_processed() == before);
+                    ran = Some(last);
+                    round += 1;
+                    continue;
+                }
             };
             return Some(Driven { outcome, sync: waiter.stats, totals });
         }
     }
+}
+
+/// The earlier of two optional ticks; `None` only when both are.
+fn earliest(a: Option<Tick>, b: Option<Tick>) -> Option<Tick> {
+    a.into_iter().chain(b).min()
 }
 
 /// K-way-merges the staged trace records of `staged` (one tracer per
@@ -1270,22 +1277,20 @@ mod tests {
 
     type FiredLog = Rc<RefCell<Vec<(Tick, String)>>>;
 
+    /// `(remaining, period)` of tickers `a` and `b`.
+    type PairSpec = [(u64, Tick); 2];
+    const PAIR: PairSpec = [(4, 7), (6, 7)];
+
+    fn ticker(name: &str, fired: &FiredLog, (remaining, period): (u64, Tick)) -> Box<Ticker> {
+        Box::new(Ticker { name: name.into(), fired: fired.clone(), remaining, period })
+    }
+
     /// Serial reference: both tickers in one simulation.
-    fn serial_pair() -> (Simulation, FiredLog) {
+    fn serial_pair([a, b]: PairSpec) -> (Simulation, FiredLog) {
         let fired = Rc::new(RefCell::new(Vec::new()));
         let mut sim = Simulation::new();
-        sim.add(Box::new(Ticker {
-            name: "a".into(),
-            fired: fired.clone(),
-            remaining: 4,
-            period: 7,
-        }));
-        sim.add(Box::new(Ticker {
-            name: "b".into(),
-            fired: fired.clone(),
-            remaining: 6,
-            period: 7,
-        }));
+        sim.add(ticker("a", &fired, a));
+        sim.add(ticker("b", &fired, b));
         (sim, fired)
     }
 
@@ -1294,25 +1299,15 @@ mod tests {
     /// log — harness `Rc` state must never be shared across shards.
     type SharedLog = Rc<RefCell<Vec<(Tick, String)>>>;
 
-    fn sharded_pair() -> (ShardedSimulator, SharedLog, SharedLog) {
+    fn sharded_pair([a, b]: PairSpec) -> (ShardedSimulator, SharedLog, SharedLog) {
         let fired_a: SharedLog = Rc::new(RefCell::new(Vec::new()));
         let fired_b: SharedLog = Rc::new(RefCell::new(Vec::new()));
         let mut s0 = Simulation::new();
-        s0.add(Box::new(Ticker {
-            name: "a".into(),
-            fired: fired_a.clone(),
-            remaining: 4,
-            period: 7,
-        }));
+        s0.add(ticker("a", &fired_a, a));
         s0.add_remote("b");
         let mut s1 = Simulation::new();
         s1.add_remote("a");
-        s1.add(Box::new(Ticker {
-            name: "b".into(),
-            fired: fired_b.clone(),
-            remaining: 6,
-            period: 7,
-        }));
+        s1.add(ticker("b", &fired_b, b));
         let plan = ShardPlan {
             placements: vec![Placement::Shard(0), Placement::Shard(1)],
             edges: vec![],
@@ -1328,11 +1323,11 @@ mod tests {
 
     #[test]
     fn independent_shards_match_the_serial_run() {
-        let (mut serial, _fired_s) = serial_pair();
+        let (mut serial, _fired_s) = serial_pair(PAIR);
         serial.set_trace_mask(TraceCategory::ALL);
         assert_eq!(serial.run_to_quiesce(), RunOutcome::QueueEmpty);
 
-        let (mut sharded, _fa, _fb) = sharded_pair();
+        let (mut sharded, _fa, _fb) = sharded_pair(PAIR);
         sharded.set_trace_mask(TraceCategory::ALL);
         assert_eq!(sharded.run_to_quiesce(), RunOutcome::QueueEmpty);
 
@@ -1349,8 +1344,8 @@ mod tests {
 
     #[test]
     fn time_limited_windows_resume_exactly() {
-        let (mut serial, fired_s) = serial_pair();
-        let (mut sharded, fired_a, fired_b) = sharded_pair();
+        let (mut serial, fired_s) = serial_pair(PAIR);
+        let (mut sharded, fired_a, fired_b) = sharded_pair(PAIR);
         assert_eq!(serial.run(20, u64::MAX), RunOutcome::TimeLimit);
         assert_eq!(sharded.run(20, u64::MAX), RunOutcome::TimeLimit);
         assert_eq!(sharded.now(), serial.now());
@@ -1361,6 +1356,23 @@ mod tests {
         assert_eq!(sharded.now(), serial.now());
         assert_eq!(only(&fired_s, "a"), *fired_a.borrow());
         assert_eq!(only(&fired_s, "b"), *fired_b.borrow());
+    }
+
+    #[test]
+    fn an_event_saturated_to_the_end_of_time_fires_as_serially() {
+        // `schedule` saturates `now + delay` at `Tick::MAX`: ticker `a`
+        // fires once, there, after `b` has finished.
+        let spec = [(1, Tick::MAX), (4, 7)];
+        let (mut serial, fired_s) = serial_pair(spec);
+        let (mut sharded, fired_a, fired_b) = sharded_pair(spec);
+        assert_eq!(serial.run(Tick::MAX, u64::MAX), RunOutcome::QueueEmpty);
+        assert_eq!(sharded.run(Tick::MAX, u64::MAX), RunOutcome::QueueEmpty);
+        assert_eq!(*fired_a.borrow(), [(Tick::MAX, "a".to_owned())]);
+        assert_eq!(only(&fired_s, "a"), *fired_a.borrow());
+        assert_eq!(only(&fired_s, "b"), *fired_b.borrow());
+        assert_eq!((sharded.now(), serial.now()), (Tick::MAX, Tick::MAX));
+        assert_eq!(sharded.events_processed(), serial.events_processed());
+        assert_eq!(serial.events_processed(), 5);
     }
 
     /// A pair of components that volley a counter across a cut through
@@ -1577,15 +1589,15 @@ mod tests {
         // Checkpoint an independent-pair sharded run mid-flight and
         // restore it into a *serial* simulation: the bytes must be
         // accepted and the continuation must match.
-        let (mut sharded, _fa, _fb) = sharded_pair();
+        let (mut sharded, _fa, _fb) = sharded_pair(PAIR);
         assert_eq!(sharded.run(20, u64::MAX), RunOutcome::TimeLimit);
         let snap = sharded.checkpoint();
 
-        let (mut serial, fired_s) = serial_pair();
+        let (mut serial, fired_s) = serial_pair(PAIR);
         serial.restore(&snap).expect("serial restore of a sharded checkpoint");
         assert_eq!(serial.run_to_quiesce(), RunOutcome::QueueEmpty);
 
-        let (mut reference, fired_r) = serial_pair();
+        let (mut reference, fired_r) = serial_pair(PAIR);
         assert_eq!(reference.run(20, u64::MAX), RunOutcome::TimeLimit);
         fired_r.borrow_mut().clear();
         assert_eq!(reference.run_to_quiesce(), RunOutcome::QueueEmpty);
@@ -1594,22 +1606,22 @@ mod tests {
         assert_eq!(serial.events_processed(), reference.events_processed());
 
         // And the serial checkpoint at the same point is byte-identical.
-        let (mut serial2, _f) = serial_pair();
+        let (mut serial2, _f) = serial_pair(PAIR);
         assert_eq!(serial2.run(20, u64::MAX), RunOutcome::TimeLimit);
         assert_eq!(serial2.checkpoint(), snap, "sharded checkpoint must match serial bytes");
     }
 
     #[test]
     fn restore_routes_entries_to_owning_shards() {
-        let (mut serial, _f) = serial_pair();
+        let (mut serial, _f) = serial_pair(PAIR);
         assert_eq!(serial.run(20, u64::MAX), RunOutcome::TimeLimit);
         let snap = serial.checkpoint();
 
-        let (mut sharded, fired_a, fired_b) = sharded_pair();
+        let (mut sharded, fired_a, fired_b) = sharded_pair(PAIR);
         sharded.restore(&snap).expect("sharded restore of a serial checkpoint");
         assert_eq!(sharded.run_to_quiesce(), RunOutcome::QueueEmpty);
 
-        let (mut reference, fired_r) = serial_pair();
+        let (mut reference, fired_r) = serial_pair(PAIR);
         assert_eq!(reference.run(20, u64::MAX), RunOutcome::TimeLimit);
         assert_eq!(reference.run_to_quiesce(), RunOutcome::QueueEmpty);
         let tail = |name: &str| -> Vec<(Tick, String)> {

@@ -697,20 +697,37 @@ impl Simulation {
         self.shared.tracer.set_stamp(0);
     }
 
+    /// Dispatches the entry the calendar just popped under `(tick, order)`
+    /// from `slot`: the entry moves out of its slab slot and straight into
+    /// the handler call.
     #[inline]
-    fn dispatch(&self, tick: Tick, order: u64, queued: Queued) {
+    fn dispatch(&self, tick: Tick, order: u64, slot: u32) {
         debug_assert!(tick >= self.now(), "time went backwards");
-        self.shared.now.set(tick);
-        self.shared.last_event_tick.set(tick);
-        self.shared.events_processed.set(self.shared.events_processed.get() + 1);
+        let shared = &self.shared;
+        shared.now.set(tick);
+        shared.last_event_tick.set(tick);
+        shared.events_processed.set(shared.events_processed.get() + 1);
         // Stamp the tracer so records emitted during this dispatch carry
         // the event's global order — the key that merges per-shard traces
         // back into the exact serial stream.
-        self.shared.tracer.set_stamp(order);
-        self.shared.with_component(queued.target(), |c, ctx| match queued.into_event() {
-            Ok(ev) => c.handle(ctx, ev),
-            Err(port) => c.retry_granted(ctx, port),
-        });
+        shared.tracer.set_stamp(order);
+        let queued = shared.queue.borrow_mut().take_popped(slot);
+        match queued {
+            Queued::Timer { target, kind, data } => {
+                shared.with_component(target, |c, ctx| c.handle(ctx, Event::Timer { kind, data }))
+            }
+            Queued::Retry { target, port } => {
+                shared.with_component(target, |c, ctx| c.retry_granted(ctx, port));
+            }
+            Queued::Delayed { target, tag, pkt } => shared.with_component(target, |c, ctx| {
+                c.handle(ctx, Event::DelayedPacket { tag, pkt });
+            }),
+            Queued::Stamped { target, tag, stamp, pkt } => {
+                shared.with_component(target, |c, ctx| {
+                    c.handle(ctx, Event::StampedPacket { tag, stamp, pkt });
+                })
+            }
+        }
     }
 
     /// Runs until the queue drains, `until` is reached, a component stops
@@ -727,7 +744,7 @@ impl Simulation {
             // action stays queued (with its original order stamp) and the
             // caller can resume exactly where it left off. The fused
             // peek-and-pop settles the queue once per event.
-            let popped = {
+            let (tick, order, slot) = {
                 let mut queue = self.shared.queue.borrow_mut();
                 if self.events_processed() >= budget_end {
                     match queue.next_tick() {
@@ -739,40 +756,40 @@ impl Simulation {
                         Some(_) => return RunOutcome::EventLimit,
                     }
                 }
-                match queue.pop_if_at_most(until) {
+                match queue.pop_key_if_at_most(until) {
                     Ok(None) => return RunOutcome::QueueEmpty,
                     Err(_head) => {
                         self.shared.now.set(until);
                         return RunOutcome::TimeLimit;
                     }
-                    Ok(Some(popped)) => popped,
+                    Ok(Some(key)) => key,
                 }
             };
-            self.dispatch(popped.0, popped.1, popped.2);
+            self.dispatch(tick, order, slot);
         }
     }
 
-    /// Runs every queued event with tick strictly below `end`, leaving
-    /// `now` at `end - 1` (the same place [`Simulation::run`]`(end - 1, _)`
-    /// would leave it). This is the sharded driver's inner loop: within a
-    /// window no event at or beyond the barrier may exist that this shard
-    /// hasn't yet been told about, so draining below the barrier is safe.
+    /// Runs every queued event with tick at most `last`, leaving `now` at
+    /// `last` (the same place [`Simulation::run`]`(last, _)` would leave
+    /// it). This is the sharded driver's inner loop: within a window no
+    /// event up to its last tick may exist that this shard hasn't yet been
+    /// told about, so draining through it is safe.
     ///
     /// Unlike [`Simulation::run`], stop requests and event budgets are
     /// *not* checked here — the driver enforces both at window
     /// granularity — and a [`Ctx::stop`] flag is left set for the driver
     /// to read.
-    pub fn run_window(&mut self, end: Tick) {
+    pub fn run_window(&mut self, last: Tick) {
         self.ensure_init();
-        debug_assert!(end > self.now() || self.now() == 0);
+        debug_assert!(last >= self.now(), "window ends in the past");
         loop {
-            let popped = { self.shared.queue.borrow_mut().pop_if_at_most(end - 1) };
+            let popped = self.shared.queue.borrow_mut().pop_key_if_at_most(last);
             match popped {
-                Ok(Some((tick, order, queued))) => self.dispatch(tick, order, queued),
+                Ok(Some((tick, order, slot))) => self.dispatch(tick, order, slot),
                 Ok(None) | Err(_) => break,
             }
         }
-        self.shared.now.set(end - 1);
+        self.shared.now.set(last);
     }
 
     /// Tick of the earliest queued event, if any — the sharded driver's
@@ -1156,7 +1173,7 @@ mod tests {
 
     #[test]
     fn run_window_matches_inclusive_run() {
-        // run_window(end) must be exactly run(end - 1, MAX) minus the
+        // run_window(last) must be exactly run(last, MAX) minus the
         // stop/budget checks: same events fired, same final clock.
         let fired_a = Rc::new(RefCell::new(Vec::new()));
         let mut a = Simulation::new();
@@ -1175,11 +1192,27 @@ mod tests {
             remaining: 100,
             period: 10,
         }));
-        b.run_window(26);
+        b.run_window(25);
         assert_eq!(*fired_a.borrow(), *fired_b.borrow());
         assert_eq!(a.now(), b.now());
         assert_eq!(a.events_processed(), b.events_processed());
         assert_eq!(b.next_event_tick(), Some(30));
+    }
+
+    #[test]
+    fn a_window_through_tick_zero_runs_nothing_later() {
+        let fired = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulation::new();
+        sim.add(Box::new(TimerChain {
+            name: "t".into(),
+            fired: fired.clone(),
+            remaining: 3,
+            period: 10,
+        }));
+        sim.run_window(0);
+        assert!(fired.borrow().is_empty());
+        assert_eq!((sim.now(), sim.events_processed()), (0, 0));
+        assert_eq!(sim.next_event_tick(), Some(10));
     }
 
     #[test]
