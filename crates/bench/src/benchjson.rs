@@ -209,7 +209,7 @@ mod tests {
         assert_eq!(text.matches("\": 15000.0").count(), 4, "{text}");
         assert_eq!(text.matches("\": 8000000.5").count(), 4, "{text}");
         assert!(text.contains("\"sweep_wall_ms\": {\"fig9a\": 6000, \"fig9b\": 9000}"), "{text}");
-        for gone in ["pre_change", "floors", "warm_start", "shards"] {
+        for gone in ["pre_change", "floors", "warm", "shards"] {
             assert!(!text.contains(gone), "{gone} must not be rendered:\n{text}");
         }
     }

@@ -1,7 +1,7 @@
 //! `repro` — regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro [--full] [--jobs N] [--shards N] [--warm-start] [--trace PATH]
+//! repro [--full] [--jobs N] [--shards N] [--trace PATH]
 //!       [--checkpoint PATH] [--bench-json PATH]
 //!       [fig9a] [fig9b] [fig9c] [fig9d] [table2] [sector] [ext] [faults] [topology]
 //!       [msix] [pmd] [shard] [cxl] [virtio] [all]
@@ -28,7 +28,7 @@
 //! `pmd` (alias `--pmd`) runs the heavy-traffic poll-mode experiment:
 //! the classic interrupt-driven receive driver vs. the busy-poll driver
 //! (interrupts fully masked — zero doorbells) on identical million-flow
-//! heavy-tailed traffic, then a warm-forked offered-load ladder. Along
+//! heavy-tailed traffic, then an offered-load ladder. Along
 //! the way it asserts serial ≡ sharded bit-identity and that replaying
 //! the recorded binary trace reproduces the live generator bit-for-bit.
 //!
@@ -57,15 +57,10 @@
 //! configuration runs its own `Simulation`, and results are re-assembled in
 //! input order, so the printed tables are bit-identical to `--jobs 1`.
 //!
-//! `--warm-start` forks every `dd` / fault sweep point from a checkpoint
-//! taken after one warmed-up reference run instead of building and
-//! enumerating each point from scratch. Tables are bit-identical to cold
-//! runs; enumeration and the driver probe execute once per block size.
-//!
 //! `--checkpoint PATH` demonstrates file-backed checkpoint/restore: it
-//! warms up the validation system, writes the checkpoint to PATH,
-//! rebuilds the tree from the warm seed, restores from the file and runs
-//! to completion, printing the cold-vs-restored comparison.
+//! runs the validation `dd` experiment to `WARMUP_TICK`, writes the
+//! checkpoint to PATH, restores the file into a fresh build and runs to
+//! completion, printing the cold-vs-restored comparison.
 //!
 //! `--trace PATH` additionally re-runs the Table II point with full event
 //! tracing: a Chrome/Perfetto trace is written to PATH and a per-stage
@@ -95,7 +90,6 @@ const MB: u64 = 1024 * 1024;
 struct Opts {
     full: bool,
     jobs: usize,
-    warm_start: bool,
     shards: usize,
 }
 
@@ -109,22 +103,6 @@ fn block_sizes(opts: &Opts) -> Vec<u64> {
 
 fn fmt_block(bytes: u64) -> String {
     format!("{}MB", bytes / MB)
-}
-
-/// Runs a `dd` or fault sweep across the sweep runner — warm-started from
-/// one checkpoint per warm key under `--warm-start`, cold otherwise. Both
-/// paths produce bit-identical tables.
-fn sweep<E>(opts: &Opts, configs: &[E]) -> Vec<E::Outcome>
-where
-    E: Experiment + Sync,
-    E::WarmKey: Sync,
-    E::Outcome: Send,
-{
-    if opts.warm_start {
-        run_sweep_warm(configs, opts.jobs)
-    } else {
-        run_sweep(configs, opts.jobs, run_cold)
-    }
 }
 
 /// Prints one table row per `(label, outcome)` pair.
@@ -154,10 +132,10 @@ where
     serial.0
 }
 
-/// Runs every `DdExperiment` in `configs` through [`sweep`], asserting
-/// completion, and returns outcomes in input order.
+/// Runs every `DdExperiment` in `configs` across the sweep runner,
+/// asserting completion, and returns outcomes in input order.
 fn dd_sweep(opts: &Opts, label: &str, configs: &[DdExperiment]) -> Vec<DdOutcome> {
-    let outcomes = sweep(opts, configs);
+    let outcomes = run_sweep(configs, opts.jobs, run_cold);
     for (out, config) in outcomes.iter().zip(configs) {
         assert!(out.completed, "{label} run must complete: {config:?}");
     }
@@ -428,8 +406,6 @@ fn ext(opts: &Opts) {
         ("x8, credit FC (16)", DdExperiment { credit_fc: Some(16), ..x8 }),
     ];
     let configs: Vec<DdExperiment> = arms.iter().map(|(_, exp)| exp.clone()).collect();
-    // Cold even under `--warm-start`: only the Fig. 9 knobs are pinned as
-    // fork-safe, not the disk and link-protocol switches flipped here.
     let outcomes = run_sweep(&configs, opts.jobs, run_cold);
     let cut_through = run_cold(&CutThroughDd { block_bytes: block });
     let row = |label: &str, out: &DdOutcome| {
@@ -462,7 +438,6 @@ impl CutThroughDd {
 impl Experiment for CutThroughDd {
     type Reports = DdReportHandle;
     type Outcome = DdOutcome;
-    type WarmKey = ();
 
     fn topology(&self) -> Topology {
         let link =
@@ -502,7 +477,7 @@ fn faults(opts: &Opts) {
         .iter()
         .flat_map(|&(generation, width_all, _)| error_rate_ladder(generation, width_all, block))
         .collect();
-    let outcomes = sweep(opts, &configs);
+    let outcomes = run_sweep(&configs, opts.jobs, run_cold);
     let ladder_len = configs.len() / POINTS.len();
     print_rows(
         &["links", "err rate", "dd (Gb/s)", "corrupt", "replays", "naks", "dev AER cor"],
@@ -637,7 +612,7 @@ fn msix(opts: &Opts) {
 
 /// The heavy-traffic poll-mode tables: the interrupt-driven receive
 /// driver vs. the busy-poll driver on identical traffic, then the
-/// million-flow offered-load ladder (warm-forked across `--jobs`), with
+/// million-flow offered-load ladder (fanned across `--jobs`), with
 /// serial-vs-sharded identity and trace record→replay bit-identity
 /// asserted on the middle rung.
 fn pmd(opts: &Opts) {
@@ -676,7 +651,7 @@ fn pmd(opts: &Opts) {
     );
     println!("   poll mode settled {} frames with 0 interrupts", poll.rx_delivered);
 
-    println!("\n== PMD: offered-load ladder (busy-poll, warm-forked sweep) ==");
+    println!("\n== PMD: offered-load ladder (busy-poll) ==");
     println!("   same flow population and size tail, mean inter-arrival gap swept");
     let gaps = [ns(4000), ns(2500), ns(1500), ns(1000), ns(700)];
     let Some(TrafficSpec::Generate(base_cfg)) = base.traffic.clone() else { unreachable!() };
@@ -684,7 +659,7 @@ fn pmd(opts: &Opts) {
         .into_iter()
         .map(|t| PmdExperiment { traffic: Some(TrafficSpec::Generate(t)), ..base.clone() })
         .collect();
-    let outcomes = run_sweep_warm(&configs, opts.jobs);
+    let outcomes = run_sweep(&configs, opts.jobs, run_cold);
     print_rows(
         &["mean gap (ns)", "rx Gb/s", "delivered", "dropped", "polls", "p50 (ns)", "p99 (ns)"],
         gaps,
@@ -1072,24 +1047,23 @@ fn trace_dump(path: &str) {
     println!("{}", log.attribution().render());
 }
 
-/// Demonstrates file-backed checkpoint/restore: warms up the validation
-/// `dd` system, saves it to `path`, rebuilds the tree from the warm seed
-/// (no enumeration, no driver probe), restores the file's bytes and
-/// resumes to completion — asserting the restored run is bit-identical to
-/// an uninterrupted cold run.
+/// Demonstrates file-backed checkpoint/restore: runs the validation `dd`
+/// experiment to [`WARMUP_TICK`], saves the checkpoint to `path`, restores
+/// the file's bytes into a fresh build and resumes to completion —
+/// asserting the restored run is bit-identical to an uninterrupted cold
+/// run.
 fn checkpoint_demo(path: &str) {
-    println!("\n== Checkpoint demo: warm up, save, restore from file, resume ==");
+    println!("\n== Checkpoint demo: run to the warmup tick, save, restore from file, resume ==");
     let exp = DdExperiment { block_bytes: MB, ..DdExperiment::default() };
     let cold = run_cold(&exp);
 
-    let mut warm = warm_start(&exp);
-    std::fs::write(path, &warm.snapshot).expect("checkpoint written");
-    warm.snapshot = std::fs::read(path).expect("checkpoint read back");
-    let restored = run(&exp, Exec::Warm(&warm));
+    std::fs::write(path, checkpoint_at(&exp, WARMUP_TICK)).expect("checkpoint written");
+    let snapshot = std::fs::read(path).expect("checkpoint read back");
+    let restored = run(&exp, Exec::Restore { shards: 1, snapshot: &snapshot });
 
     assert_eq!(cold.sim_time, restored.sim_time, "restored run must match the cold run");
     assert_eq!(cold.throughput_gbps.to_bits(), restored.throughput_gbps.to_bits());
-    let bytes = warm.snapshot.len();
+    let bytes = snapshot.len();
     println!("checkpoint: {bytes} bytes (taken at tick {WARMUP_TICK}) -> {path}");
     println!("cold run:     {:.3} Gb/s, done at tick {}", cold.throughput_gbps, cold.sim_time);
     println!(
@@ -1159,17 +1133,13 @@ fn main() {
     let jobs = value_of("--jobs")
         .map(|v| v.parse::<usize>().unwrap_or_else(|_| panic!("--jobs needs a number, got {v}")))
         .unwrap_or_else(default_jobs);
-    let trace_path = args
-        .iter()
-        .position(|a| a == "--trace")
-        .map(|i| args.get(i + 1).cloned().unwrap_or_else(|| "repro_trace.json".into()));
+    let trace_path = value_of("--trace");
     let bench_json_path = value_of("--bench-json");
     let checkpoint_path = value_of("--checkpoint");
-    let warm_start = args.iter().any(|a| a == "--warm-start");
     let shards = value_of("--shards")
         .map(|v| v.parse::<usize>().unwrap_or_else(|_| panic!("--shards needs a number, got {v}")))
         .unwrap_or(4);
-    let opts = Opts { full, jobs, warm_start, shards };
+    let opts = Opts { full, jobs, shards };
     const VALUE_FLAGS: [&str; 5] =
         ["--trace", "--jobs", "--shards", "--bench-json", "--checkpoint"];
     let mut skip_next = false;
@@ -1186,7 +1156,7 @@ fn main() {
                 skip_next = true;
                 return false;
             }
-            *a != "--full" && *a != "--warm-start"
+            *a != "--full"
         })
         .map(|a| a.strip_prefix("--").unwrap_or(a))
         .collect();
@@ -1199,7 +1169,7 @@ fn main() {
     let run_all = picked.is_empty() || picked.contains(&"all");
 
     println!(
-        "pcisim repro — {} mode (block sizes {}), {jobs} sweep worker{}{}",
+        "pcisim repro — {} mode (block sizes {}), {jobs} sweep worker{}",
         if full { "full" } else { "quick" },
         if full {
             "64–512 MB as in the paper"
@@ -1207,7 +1177,6 @@ fn main() {
             "scaled down 16x; pass --full for the paper's sizes"
         },
         if jobs == 1 { "" } else { "s" },
-        if warm_start { ", warm-started dd/fault sweeps" } else { "" },
     );
     let mut sweep_wall_ms: Vec<(String, u64)> = Vec::new();
     for &(name, figure) in FIGURES {

@@ -830,10 +830,8 @@ impl Simulation {
 
     /// FNV-1a fingerprint of the component tree's *shape*: component names
     /// (in id order) and the complete port wiring. Configuration values are
-    /// deliberately excluded, so a checkpoint taken on one tree restores
-    /// into an identically shaped tree built with different parameters —
-    /// which is what makes warm-started parameter sweeps possible. Remote
-    /// slots carry the same name as the component they stand in for, so a
+    /// deliberately excluded: a checkpoint carries dynamic state only, so
+    /// the shape is all a restore has to match. Remote slots carry the same name as the component they stand in for, so a
     /// sharded build fingerprints identically to the serial build.
     pub fn topology_fingerprint(&self) -> u64 {
         let mut w = StateWriter::new();

@@ -6,10 +6,7 @@
 //! therefore targets a freshly built, identically shaped tree: the builder
 //! recreates every component with its (possibly different) configuration,
 //! and [`restore_state`](Snapshot::restore_state) overwrites just the parts
-//! that evolve with simulated time. That split is what makes warm-started
-//! parameter sweeps sound: one warmed-up snapshot forks into many sweep
-//! points that differ only in configuration (gem5 restores checkpoints
-//! "with a different CPU model" for the same reason).
+//! that evolve with simulated time.
 //!
 //! The codec is little-endian throughout, length-prefixed where variable,
 //! and deliberately dumb: no compression, no schema evolution beyond a

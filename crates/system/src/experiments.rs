@@ -1,15 +1,14 @@
 //! The experiments of the paper's evaluation (§VI) and the one way to run
 //! them.
 //!
-//! An [`Experiment`] describes a run in four steps — the tree it needs
+//! An [`Experiment`] describes a run in three steps — the tree it needs
 //! ([`Experiment::topology`]), the workloads it attaches
-//! ([`Experiment::attach`]), how the finished run is distilled
-//! ([`Experiment::collect`]) and which part of its configuration is baked
-//! into workload state by [`WARMUP_TICK`] ([`Experiment::warm_key`]).
-//! [`run`] drives any experiment through the same builder and the same
-//! driver, [`Exec`] saying only *how*: cold on N shards, or forked from a
-//! [`WarmStart`]. Each figure/table of the paper is one `Experiment` impl:
-//! `dd` throughput, the percentage of TLPs that were replayed, the
+//! ([`Experiment::attach`]) and how the finished run is distilled
+//! ([`Experiment::collect`]). [`run`] drives any experiment through the
+//! same builder and the same driver, [`Exec`] saying only *how*: cold on N
+//! shards, or resumed from a [`checkpoint_at`] snapshot restored into the
+//! same fresh build. Each figure/table of the paper is one `Experiment`
+//! impl: `dd` throughput, the percentage of TLPs that were replayed, the
 //! percentage that suffered a replay-timeout, and MMIO read latency.
 
 use std::time::Instant;
@@ -28,8 +27,6 @@ use pcisim_pci::host::SharedRegistry;
 use pcisim_pcie::params::{Generation, LinkConfig, LinkWidth};
 use pcisim_pcie::router::RouterConfig;
 
-use crate::snapshot::WarmSeed;
-use crate::sweep::run_sweep;
 use crate::topology::{
     build, DeviceSpec, EndpointHandle, EndpointKind, ShardedTopologySystem, Topology,
 };
@@ -48,19 +45,13 @@ const MAX_EVENTS: u64 = 20_000_000_000;
 /// Safety valve: no experiment runs longer than this much simulated time.
 const MAX_TIME: Tick = 60 * tick::TICKS_PER_SEC;
 
-/// Simulated tick at which warm-start checkpoints are taken.
+/// End of the simulated driver bring-up, and the tick the identity tests
+/// checkpoint every experiment at ([`checkpoint_at`]).
 ///
 /// At 100 µs the `dd` driver has finished its OS-side setup step (it runs
 /// at 10 ns) but its first block submission is still 300 µs away
-/// (`os_block_setup` defaults to 400 µs), so **no TLP has touched the
-/// fabric yet**: every link, router and queue holds its reset state, and
-/// the only pending work is the driver's armed timer. That makes the
-/// checkpoint independent of every fabric knob — switch/RC latency, link
-/// width/generation, replay buffers, port buffers, flow control, error
-/// injection — which is exactly what lets one warmed-up run fork an
-/// entire parameter sweep. The workload's own state *does* depend on some
-/// of its configuration (the `dd` block size, the poll-mode queue count);
-/// that part is the experiment's [`Experiment::warm_key`].
+/// (`os_block_setup` defaults to 400 µs), so no TLP has touched the
+/// fabric yet: the only pending work is the driver's armed timer.
 pub const WARMUP_TICK: Tick = tick::us(100);
 
 /// What a finished run leaves behind for [`Experiment::collect`].
@@ -103,9 +94,6 @@ pub trait Experiment {
     type Reports;
     /// What the run is distilled into.
     type Outcome;
-    /// See [`Experiment::warm_key`]; `()` for experiments that never warm
-    /// start.
-    type WarmKey: PartialEq + std::fmt::Debug;
 
     /// The tree this experiment runs over, fully parameterized.
     fn topology(&self) -> Topology;
@@ -115,53 +103,27 @@ pub trait Experiment {
 
     /// Distils the finished run.
     fn collect(&self, fin: &Finished, reports: &Self::Reports) -> Self::Outcome;
-
-    /// The part of the configuration baked into workload state by
-    /// [`WARMUP_TICK`]: two experiments with equal keys may fork from the
-    /// same [`WarmStart`], whatever their fabric knobs. `None` — the
-    /// default — means this run cannot warm start (its workload touches
-    /// the fabric before the warmup tick, or it records a trace, which
-    /// must cover the run from tick 0).
-    fn warm_key(&self) -> Option<Self::WarmKey> {
-        None
-    }
 }
 
-/// A warmed-up reference run, ready to fork sweep points from.
-///
-/// Produced once by [`warm_start`]; each forked point then builds its own
-/// differently parameterized tree from the [`WarmSeed`] (skipping
-/// enumeration and the driver probe) and restores the checkpoint into it.
-/// The struct is plain data, so one warm start is shared across parallel
-/// sweep workers.
-#[derive(Debug, Clone)]
-pub struct WarmStart<K> {
-    /// Checkpoint of the warmed-up system, taken at [`WARMUP_TICK`].
-    pub snapshot: Vec<u8>,
-    /// The functional enumeration + driver-probe results to replay.
-    pub seed: WarmSeed,
-    /// The [`Experiment::warm_key`] the reference run was attached with;
-    /// forked runs must match.
-    pub key: K,
-    /// Scheduler events the warmup simulated — the work each forked sweep
-    /// point skips re-executing (on top of enumeration + driver probe).
-    pub warm_events: u64,
-}
-
-/// How [`run`] executes an experiment.
+/// How [`run`] executes an experiment. Both arms build, enumerate and
+/// probe from scratch, partitioned across `shards` workers (1 = the
+/// serial kernel); the outcome is bit-identical at every count and in
+/// either arm.
 #[derive(Debug)]
-pub enum Exec<'a, K> {
-    /// Build, enumerate and probe from scratch, partitioned across
-    /// `shards` workers (1 = the serial kernel; the outcome is
-    /// bit-identical at every count).
+pub enum Exec<'a> {
+    /// Run from tick 0.
     Cold {
         /// Worker shards.
         shards: usize,
     },
-    /// Build from the warm start's seed, restore its checkpoint, resume.
-    /// Bit-identical to the cold run for any experiment whose
-    /// [`Experiment::warm_key`] matches.
-    Warm(&'a WarmStart<K>),
+    /// Restore `snapshot` — a [`checkpoint_at`] of the same experiment —
+    /// into the fresh build, then resume from its tick.
+    Restore {
+        /// Worker shards.
+        shards: usize,
+        /// The checkpoint to resume from.
+        snapshot: &'a [u8],
+    },
 }
 
 /// Builds, attaches and drives `exp`, returning the finished run before
@@ -170,28 +132,21 @@ pub enum Exec<'a, K> {
 ///
 /// # Panics
 ///
-/// Panics when a warm start's key differs from the experiment's (or the
-/// experiment cannot warm start at all).
-pub fn execute<E: Experiment>(exp: &E, exec: Exec<'_, E::WarmKey>) -> (Finished, E::Reports) {
-    let topo = exp.topology();
-    let (mut sys, warm) = match exec {
-        Exec::Cold { shards } => (build(&topo, None, shards), None),
-        Exec::Warm(warm) => {
-            assert_eq!(
-                exp.warm_key().as_ref(),
-                Some(&warm.key),
-                "this experiment's warm key differs from the warm start's: the workload \
-                 state at the warmup tick already depends on it"
-            );
-            (build(&topo, Some(&warm.seed), 1), Some(warm))
-        }
+/// Panics when a restored snapshot was not taken from this experiment's
+/// tree.
+pub fn execute<E: Experiment>(exp: &E, exec: Exec<'_>) -> (Finished, E::Reports) {
+    let (shards, snapshot) = match exec {
+        Exec::Cold { shards } => (shards, None),
+        Exec::Restore { shards, snapshot } => (shards, Some(snapshot)),
     };
+    let topo = exp.topology();
+    let mut sys = build(&topo, shards);
     let reports = exp.attach(&mut sys);
     let (shards, cut_links) = (sys.shard_count(), sys.cut_count());
     let (registry, endpoints) = (sys.registry.clone(), sys.endpoints.clone());
     let mut driver = sys.into_driver();
-    if let Some(warm) = warm {
-        driver.restore(&warm.snapshot).expect("a warm snapshot restores into its own tree shape");
+    if let Some(snapshot) = snapshot {
+        driver.restore(snapshot).expect("a checkpoint restores into its own experiment's tree");
     }
     let start = Instant::now();
     let outcome = driver.run(MAX_TIME, MAX_EVENTS);
@@ -213,65 +168,25 @@ pub fn execute<E: Experiment>(exp: &E, exec: Exec<'_, E::WarmKey>) -> (Finished,
 }
 
 /// Runs `exp` to completion the way `exec` says and returns its outcome.
-pub fn run<E: Experiment>(exp: &E, exec: Exec<'_, E::WarmKey>) -> E::Outcome {
+pub fn run<E: Experiment>(exp: &E, exec: Exec<'_>) -> E::Outcome {
     let (fin, reports) = execute(exp, exec);
     exp.collect(&fin, &reports)
 }
 
 /// Runs `exp` cold on the serial kernel — the common case, and the
-/// function sweeps hand to [`run_sweep`].
+/// function sweeps hand to [`run_sweep`](crate::sweep::run_sweep).
 pub fn run_cold<E: Experiment>(exp: &E) -> E::Outcome {
     run(exp, Exec::Cold { shards: 1 })
 }
 
-/// Builds `exp`'s system once, attaches its workloads, runs to
-/// [`WARMUP_TICK`] and captures the checkpoint + warm seed every
-/// experiment with the same [`Experiment::warm_key`] forks from.
-///
-/// # Panics
-///
-/// Panics when the experiment has no warm key.
-pub fn warm_start<E: Experiment>(exp: &E) -> WarmStart<E::WarmKey> {
-    let key = exp.warm_key().expect("this experiment cannot warm start");
-    let mut sys = build(&exp.topology(), None, 1);
-    let seed = sys.warm_seed();
+/// Builds `exp` on one shard, attaches its workloads, runs to `tick` and
+/// returns the checkpoint [`Exec::Restore`] resumes from.
+pub fn checkpoint_at<E: Experiment>(exp: &E, tick: Tick) -> Vec<u8> {
+    let mut sys = build(&exp.topology(), 1);
     exp.attach(&mut sys);
     let mut driver = sys.into_driver();
-    let outcome = driver.run(WARMUP_TICK, MAX_EVENTS);
-    assert_eq!(outcome, RunOutcome::TimeLimit, "warmup must pause at the warmup tick");
-    WarmStart { snapshot: driver.checkpoint(), seed, key, warm_events: driver.events_processed() }
-}
-
-/// One warm start per distinct warm key of `configs`, in first-appearance
-/// order (none for an empty sweep).
-fn warm_starts<E: Experiment>(configs: &[E]) -> Vec<WarmStart<E::WarmKey>> {
-    let mut warms: Vec<WarmStart<E::WarmKey>> = Vec::new();
-    for exp in configs {
-        if !warms.iter().any(|w| Some(&w.key) == exp.warm_key().as_ref()) {
-            warms.push(warm_start(exp));
-        }
-    }
-    warms
-}
-
-/// Warm-started sweep: enumerates + warms up once per distinct
-/// [`Experiment::warm_key`], then forks every point from the matching
-/// checkpoint across `jobs` workers. Results are bit-identical to
-/// `run_sweep(configs, jobs, run_cold)`.
-pub fn run_sweep_warm<E>(configs: &[E], jobs: usize) -> Vec<E::Outcome>
-where
-    E: Experiment + Sync,
-    E::WarmKey: Sync,
-    E::Outcome: Send,
-{
-    let warms = warm_starts(configs);
-    run_sweep(configs, jobs, |exp| {
-        let warm = warms
-            .iter()
-            .find(|w| Some(&w.key) == exp.warm_key().as_ref())
-            .expect("a warm start exists for every key in the sweep");
-        run(exp, Exec::Warm(warm))
-    })
+    driver.run(tick, MAX_EVENTS);
+    driver.checkpoint()
 }
 
 /// Parameters of one `dd` run over the validation topology.
@@ -387,13 +302,10 @@ fn dd_outcome(fin: &Finished, report: &DdReportHandle) -> DdOutcome {
 }
 
 /// One `dd` run on the paper's validation topology (disk — x1 link —
-/// switch — x4 link — root complex, Gen 2 by default). Warm starts are
-/// keyed by block size: the driver state at the warmup tick already
-/// depends on it.
+/// switch — x4 link — root complex, Gen 2 by default).
 impl Experiment for DdExperiment {
     type Reports = DdReportHandle;
     type Outcome = DdOutcome;
-    type WarmKey = u64;
 
     fn topology(&self) -> Topology {
         let tune = |router: &mut RouterConfig, latency| {
@@ -432,10 +344,6 @@ impl Experiment for DdExperiment {
 
     fn collect(&self, fin: &Finished, report: &DdReportHandle) -> DdOutcome {
         dd_outcome(fin, report)
-    }
-
-    fn warm_key(&self) -> Option<u64> {
-        (!self.trace).then_some(self.block_bytes)
     }
 }
 
@@ -479,7 +387,6 @@ pub struct MmioOutcome {
 impl Experiment for MmioExperiment {
     type Reports = MmioReportHandle;
     type Outcome = MmioOutcome;
-    type WarmKey = ();
 
     fn topology(&self) -> Topology {
         let mut topo = nic_direct_topology(LinkWidth::X1, self.trace, |_| {});
@@ -524,7 +431,6 @@ pub struct SectorMicrobench {
 impl Experiment for SectorMicrobench {
     type Reports = DdReportHandle;
     type Outcome = DdOutcome;
-    type WarmKey = ();
 
     fn topology(&self) -> Topology {
         let gen2 = |width| LinkConfig::new(Generation::Gen2, width);
@@ -614,14 +520,11 @@ pub struct FaultOutcome {
 
 /// One fault-campaign point: the validation `dd` workload with
 /// `error_interval` applied to both links. Injection is a pure function
-/// of each interface's transmit count — zero at [`WARMUP_TICK`] — so the
-/// run is deterministic, campaign points fan out with [`run_sweep`], and
-/// every ladder point forks from the same fault-free warm start (keyed,
-/// like `dd`, by block size).
+/// of each interface's transmit count, so the run is deterministic and
+/// campaign points fan out with [`run_sweep`](crate::sweep::run_sweep).
 impl Experiment for FaultExperiment {
     type Reports = DdReportHandle;
     type Outcome = FaultOutcome;
-    type WarmKey = u64;
 
     fn topology(&self) -> Topology {
         let (root_link, device_link) = validation_links(self.generation, self.width_all, |link| {
@@ -668,10 +571,6 @@ impl Experiment for FaultExperiment {
             device_aer_uncor: uncor,
             completed: r.done && fin.drained,
         }
-    }
-
-    fn warm_key(&self) -> Option<u64> {
-        Some(self.block_bytes)
     }
 }
 
@@ -760,7 +659,6 @@ fn nic_direct_topology(
 impl Experiment for NicTxExperiment {
     type Reports = NicTxReportHandle;
     type Outcome = NicTxOutcome;
-    type WarmKey = ();
 
     fn topology(&self) -> Topology {
         nic_direct_topology(self.width, self.trace, |nic| nic.tx_wire_time = self.tx_wire_time)
@@ -831,7 +729,6 @@ pub struct NicRxOutcome {
 impl Experiment for NicRxExperiment {
     type Reports = NicRxReportHandle;
     type Outcome = NicRxOutcome;
-    type WarmKey = ();
 
     fn topology(&self) -> Topology {
         nic_direct_topology(self.width, false, |nic| {
@@ -923,7 +820,6 @@ struct ContentionArm<'a> {
 impl Experiment for ContentionArm<'_> {
     type Reports = [NicTxReportHandle; 2];
     type Outcome = ContentionOutcome;
-    type WarmKey = ();
 
     fn topology(&self) -> Topology {
         let nic = NicConfig { tx_wire_time: self.exp.tx_wire_time, ..NicConfig::default() };
@@ -1041,7 +937,6 @@ pub enum MsixTxReports {
 impl Experiment for MsixTxExperiment {
     type Reports = MsixTxReports;
     type Outcome = MsixTxOutcome;
-    type WarmKey = ();
 
     fn topology(&self) -> Topology {
         let mut topo = nic_direct_topology(self.width, self.trace, |nic| {
@@ -1146,7 +1041,6 @@ pub struct ShardScaling {
 impl Experiment for ShardScaling {
     type Reports = Vec<DdReportHandle>;
     type Outcome = ShardScalingOutcome;
-    type WarmKey = ();
 
     fn topology(&self) -> Topology {
         self.topo.clone()
@@ -1252,20 +1146,9 @@ impl PmdExperiment {
 }
 
 /// The poll-mode arm: busy-poll driver, interrupts fully masked.
-///
-/// The warm checkpoint is taken before the driver's
-/// [`setup_delay`](PmdConfig::setup_delay) expires: no ring has been
-/// programmed and the traffic source has not emitted a single frame, so
-/// it is independent of the traffic spec, the burst size and the poll
-/// interval — one warmed fleet forks a whole offered-load ladder. The key
-/// is what *does* live in the restored state: the queue count (per-queue
-/// vectors are sized at construction), the TX budget counter, and whether
-/// the NIC carries a traffic source (its checkpoint tail is conditional
-/// on it).
 impl Experiment for PmdExperiment {
     type Reports = PmdReportHandle;
     type Outcome = PmdOutcome;
-    type WarmKey = (u32, u32, bool);
 
     fn topology(&self) -> Topology {
         nic_direct_topology(self.width, false, |nic| {
@@ -1309,10 +1192,6 @@ impl Experiment for PmdExperiment {
                 && r.tx_frames + r.rx_frames > 0,
         }
     }
-
-    fn warm_key(&self) -> Option<(u32, u32, bool)> {
-        Some((self.queues, self.tx_frames, self.traffic.is_some()))
-    }
 }
 
 /// The interrupt-driven baseline arm of a [`PmdExperiment`]: the same
@@ -1325,7 +1204,6 @@ pub struct IrqRxBaseline<'a>(pub &'a PmdExperiment);
 impl Experiment for IrqRxBaseline<'_> {
     type Reports = NicRxReportHandle;
     type Outcome = PmdOutcome;
-    type WarmKey = ();
 
     /// # Panics
     ///
@@ -1459,7 +1337,6 @@ pub struct CxlOutcome {
 impl Experiment for CxlExperiment {
     type Reports = Vec<CxlHostReportHandle>;
     type Outcome = CxlOutcome;
-    type WarmKey = ();
 
     fn topology(&self) -> Topology {
         match self.placement {
@@ -1627,7 +1504,6 @@ pub struct VirtioReports {
 impl Experiment for VirtioExperiment {
     type Reports = VirtioReports;
     type Outcome = VirtioOutcome;
-    type WarmKey = ();
 
     fn topology(&self) -> Topology {
         let class = |class| VirtioConfig { class, ..self.device.clone() };
@@ -1746,6 +1622,7 @@ impl Experiment for VirtioExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::run_sweep;
     use crate::traffic::heavy_traffic;
     use pcisim_pci::regs::aer::cor;
 
@@ -1755,30 +1632,32 @@ mod tests {
     /// event count, stats fingerprint and the rendered outcome.
     fn facts<E: Experiment>(
         exp: &E,
-        exec: Exec<'_, E::WarmKey>,
+        exec: Exec<'_>,
         render: impl Fn(&E::Outcome) -> String,
     ) -> (Tick, u64, u64, String) {
         let (fin, reports) = execute(exp, exec);
         (fin.now, fin.events, fin.stats.fnv(), render(&exp.collect(&fin, &reports)))
     }
 
-    /// `Cold { shards: 1 } == Cold { shards: 2 }`, and — where the warm key
-    /// allows — `== Warm`, forked from `sibling`: an experiment with the
-    /// same key but different fabric or load knobs, so one warm start is
-    /// shown to serve more than the point it was taken from.
+    /// `Cold { 1 } == Cold { 2 } == Restore { 1 } == Restore { 2 }`, each
+    /// restore resuming from `checkpoint_at(exp, WARMUP_TICK)` and from a
+    /// checkpoint halfway to the quiesce tick. The mmio and cxl runs drain
+    /// before `WARMUP_TICK`, so the second cut is the one that lands
+    /// mid-flight on every row.
     fn assert_exec_invariant<E: Experiment>(
         what: &str,
         exp: &E,
-        sibling: Option<&E>,
         render: impl Fn(&E::Outcome) -> String,
     ) {
         let serial = facts(exp, Exec::Cold { shards: 1 }, &render);
         assert!(serial.1 > 0, "{what}: the run must do work");
         assert_eq!(serial, facts(exp, Exec::Cold { shards: 2 }, &render), "{what}: 2 shards");
-        assert_eq!(exp.warm_key().is_some(), sibling.is_some(), "{what}: warm arm coverage");
-        if let Some(sibling) = sibling {
-            let warm = warm_start(sibling);
-            assert_eq!(serial, facts(exp, Exec::Warm(&warm), &render), "{what}: warm fork");
+        for tick in [WARMUP_TICK, serial.0 / 2] {
+            let snapshot = checkpoint_at(exp, tick);
+            for shards in [1, 2] {
+                let restored = facts(exp, Exec::Restore { shards, snapshot: &snapshot }, &render);
+                assert_eq!(serial, restored, "{what}: restored at {tick} on {shards} shards");
+            }
         }
     }
 
@@ -1794,53 +1673,43 @@ mod tests {
     }
 
     #[test]
-    fn every_experiment_is_bit_identical_cold_sharded_or_warm() {
+    fn every_experiment_is_bit_identical_cold_sharded_or_restored() {
         let dd = DdExperiment { block_bytes: 64 * 1024, ..DdExperiment::default() };
-        let dd_sibling = DdExperiment {
-            switch_latency: tick::ns(50),
-            width_all: Some(LinkWidth::X2),
-            replay_buffer: 2,
-            credit_fc: Some(16),
-            port_buffers: 24,
-            ..dd.clone()
-        };
-        assert_exec_invariant("dd", &dd, Some(&dd_sibling), debug);
+        assert_exec_invariant("dd", &dd, debug);
         let fault = FaultExperiment {
             block_bytes: 64 * 1024,
             error_interval: 13,
             ..FaultExperiment::default()
         };
-        let fault_free = FaultExperiment { error_interval: 0, ..fault.clone() };
-        assert_exec_invariant("fault", &fault, Some(&fault_free), debug);
+        assert_exec_invariant("fault", &fault, debug);
         let pmd = small_pmd(tick::ns(2500));
-        assert_exec_invariant("pmd", &pmd, Some(&small_pmd(tick::ns(1250))), debug);
-        assert_exec_invariant("irq rx", &IrqRxBaseline(&pmd), None, debug);
-
+        assert_exec_invariant("pmd", &pmd, debug);
+        assert_exec_invariant("irq rx", &IrqRxBaseline(&pmd), debug);
         let mmio = MmioExperiment { reads: 8, ..MmioExperiment::default() };
-        assert_exec_invariant("mmio", &mmio, None, debug);
+        assert_exec_invariant("mmio", &mmio, debug);
         let sector = SectorMicrobench { width: LinkWidth::X1, sectors: 16 };
-        assert_exec_invariant("sector", &sector, None, debug);
+        assert_exec_invariant("sector", &sector, debug);
         let nic_tx = NicTxExperiment { frames: 32, ..NicTxExperiment::default() };
-        assert_exec_invariant("nic tx", &nic_tx, None, debug);
+        assert_exec_invariant("nic tx", &nic_tx, debug);
         let nic_rx = NicRxExperiment { frames: 32, ..NicRxExperiment::default() };
-        assert_exec_invariant("nic rx", &nic_rx, None, debug);
+        assert_exec_invariant("nic rx", &nic_rx, debug);
         let contention = TopologyExperiment { frames: 32, ..TopologyExperiment::default() };
         for shared in [true, false] {
             let arm = ContentionArm { exp: &contention, shared };
-            assert_exec_invariant("contention", &arm, None, debug);
+            assert_exec_invariant("contention", &arm, debug);
         }
         for use_msix in [true, false] {
             let msix = MsixTxExperiment { frames: 64, use_msix, ..MsixTxExperiment::default() };
-            assert_exec_invariant("msix tx", &msix, None, debug);
+            assert_exec_invariant("msix tx", &msix, debug);
         }
         // Wall-clock, shard count and sync cost legitimately differ.
         let scaling = ShardScaling { topo: Topology::cascaded(3), block_bytes: 16 * 1024 };
-        assert_exec_invariant("shard scaling", &scaling, None, |o| {
+        assert_exec_invariant("shard scaling", &scaling, |o| {
             format!("{} {} {}", o.quiesce_tick, o.stats_fnv, o.events)
         });
         for placement in [CxlPlacement::LocalDram, CxlPlacement::Interleaved(2)] {
             let cxl = CxlExperiment { placement, requests: 64, ..CxlExperiment::default() };
-            assert_exec_invariant("cxl", &cxl, None, debug);
+            assert_exec_invariant("cxl", &cxl, debug);
         }
         let virtio = VirtioExperiment {
             arm: VirtioArm::Mixed,
@@ -1848,28 +1717,7 @@ mod tests {
             queue_depth: 2,
             ..VirtioExperiment::default()
         };
-        assert_exec_invariant("virtio", &virtio, None, debug);
-    }
-
-    #[test]
-    fn warm_sweeps_prepare_once_per_key_and_only_when_needed() {
-        let at = |block_bytes, lat| DdExperiment {
-            block_bytes,
-            switch_latency: tick::ns(lat),
-            ..DdExperiment::default()
-        };
-        let warms = warm_starts(&[at(64 * 1024, 50), at(256 * 1024, 50), at(64 * 1024, 130)]);
-        assert_eq!(warms.iter().map(|w| w.key).collect::<Vec<_>>(), [64 * 1024, 256 * 1024]);
-        assert!(warm_starts::<DdExperiment>(&[]).is_empty());
-        assert!(run_sweep_warm::<DdExperiment>(&[], 4).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "warm key differs")]
-    fn a_warm_start_refuses_an_experiment_with_another_key() {
-        let warm = warm_start(&DdExperiment { block_bytes: 64 * 1024, ..DdExperiment::default() });
-        let other = DdExperiment { block_bytes: 128 * 1024, ..DdExperiment::default() };
-        let _ = run(&other, Exec::Warm(&warm));
+        assert_exec_invariant("virtio", &virtio, debug);
     }
 
     // --- Fault campaign ---------------------------------------------------

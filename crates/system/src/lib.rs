@@ -13,9 +13,8 @@
 //! * [`experiments`] — one [`Experiment`](experiments::Experiment) per
 //!   figure/table of the paper's evaluation and the one
 //!   [`run`](experiments::run) that drives them;
-//! * [`snapshot`] — checkpoint/restore over built systems and the
-//!   [`WarmSeed`](snapshot::WarmSeed) that lets warm-started sweeps skip
-//!   enumeration and driver probing.
+//! * [`snapshot`] — checkpoint/restore over built systems, in memory or
+//!   through a file.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -32,21 +31,21 @@ pub mod workload;
 /// Convenient glob import for examples and the `repro` binary.
 pub mod prelude {
     pub use crate::experiments::{
-        error_rate_ladder, execute, run, run_cold, run_sweep_warm, run_topology_experiment,
-        warm_start, ContentionOutcome, CxlExperiment, CxlOutcome, CxlPlacement, DdExperiment,
-        DdOutcome, Exec, Experiment, FaultExperiment, FaultOutcome, Finished, IrqRxBaseline,
-        MmioExperiment, MmioOutcome, MsixTxExperiment, MsixTxOutcome, NicRxExperiment,
-        NicRxOutcome, NicTxExperiment, NicTxOutcome, PmdExperiment, PmdOutcome, SectorMicrobench,
-        ShardScaling, ShardScalingOutcome, TopologyExperiment, TopologyOutcome, VirtioArm,
-        VirtioExperiment, VirtioOutcome, WarmStart, WARMUP_TICK,
+        checkpoint_at, error_rate_ladder, execute, run, run_cold, run_topology_experiment,
+        ContentionOutcome, CxlExperiment, CxlOutcome, CxlPlacement, DdExperiment, DdOutcome, Exec,
+        Experiment, FaultExperiment, FaultOutcome, Finished, IrqRxBaseline, MmioExperiment,
+        MmioOutcome, MsixTxExperiment, MsixTxOutcome, NicRxExperiment, NicRxOutcome,
+        NicTxExperiment, NicTxOutcome, PmdExperiment, PmdOutcome, SectorMicrobench, ShardScaling,
+        ShardScalingOutcome, TopologyExperiment, TopologyOutcome, VirtioArm, VirtioExperiment,
+        VirtioOutcome, WARMUP_TICK,
     };
     pub use crate::platform;
-    pub use crate::snapshot::{SystemHandle, WarmSeed};
+    pub use crate::snapshot::SystemHandle;
     pub use crate::sweep::{default_jobs, run_sweep};
     pub use crate::topology::{
-        build_legacy_system, build_topology, build_topology_sharded, build_topology_warm,
-        Attachment, Backend, DeviceSpec, EndpointHandle, EndpointKind, Node, PlannedTopology,
-        ShardedTopologySystem, System, Topology, TopologySystem,
+        build_legacy_system, build_topology, build_topology_sharded, Attachment, Backend,
+        DeviceSpec, EndpointHandle, EndpointKind, Node, PlannedTopology, ShardedTopologySystem,
+        System, Topology, TopologySystem,
     };
     pub use crate::traffic::{
         heavy_traffic, offered_load_ladder, record_trace, ArrivalProcess, SizeDist, TrafficConfig,

@@ -1,48 +1,19 @@
-//! System-level checkpoint/restore and warm-start seeds.
+//! System-level checkpoint/restore.
 //!
 //! The kernel's [`Simulation::checkpoint`]/[`Simulation::restore`] carry
-//! the complete dynamic state of a component tree; this module adds the
-//! system-side plumbing around them:
-//!
-//! * [`SystemHandle`] — `checkpoint`/`restore` plus file-backed
-//!   `checkpoint_to`/`restore_from` over a [`TopologySystem`]. The on-disk
-//!   format is the kernel's checksummed checkpoint, whose body leads with
-//!   the topology fingerprint — a checkpoint written from one tree refuses
-//!   to restore into a differently shaped one.
-//! * [`WarmSeed`] — the plain-data record of what the functional
-//!   enumeration software and driver probe computed for a tree. Building
-//!   a second, identically shaped tree from a seed
-//!   ([`build_topology_warm`](crate::topology::build_topology_warm)) skips
-//!   both walks; restoring a checkpoint then supplies every config-space
-//!   image. The seed is `Send + Sync`, so one warmed-up reference run can
-//!   fork every point of a parallel sweep.
+//! the complete dynamic state of a component tree; [`SystemHandle`] adds
+//! `checkpoint`/`restore` plus file-backed `checkpoint_to`/`restore_from`
+//! over a [`TopologySystem`]. The on-disk format is the kernel's
+//! checksummed checkpoint, whose body leads with the topology fingerprint
+//! — a checkpoint written from one tree refuses to restore into a
+//! differently shaped one.
 
 use std::path::Path;
 
-use pcisim_devices::driver::ProbeInfo;
 use pcisim_kernel::sim::Simulation;
 use pcisim_kernel::snapshot::SnapshotError;
-use pcisim_pci::enumeration::EnumerationReport;
 
-use crate::topology::{System, TopologySystem};
-
-/// What one functional enumeration + driver-probe pass over a topology
-/// computed, captured as plain data so it can be shared across sweep
-/// worker threads and replayed into identically shaped trees.
-///
-/// A seed deliberately holds no `Rc` handles into the tree it came from:
-/// cloning it is cheap and the clone is independent of the originating
-/// simulation's lifetime.
-#[derive(Debug, Clone)]
-pub struct WarmSeed {
-    /// What the enumeration software found (BDFs, BARs, bus ranges).
-    pub report: EnumerationReport,
-    /// The driver probe result — present when the tree carries exactly
-    /// one endpoint, mirroring [`System::probe`].
-    pub probe: Option<ProbeInfo>,
-    /// Interrupt line of each endpoint, in depth-first endpoint order.
-    pub irqs: Vec<u8>,
-}
+use crate::topology::TopologySystem;
 
 /// Checkpoint/restore over any built system.
 ///
@@ -110,44 +81,31 @@ impl SystemHandle for TopologySystem {
     }
 }
 
-impl<B> System<B> {
-    /// Captures the warm-start seed of this system: everything the
-    /// enumeration software and driver probe computed, as plain data.
-    pub fn warm_seed(&self) -> WarmSeed {
-        WarmSeed {
-            report: self.report.clone(),
-            probe: self.probe.clone(),
-            irqs: self.endpoints.iter().map(|e| e.irq).collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{build_topology, build_topology_warm, Topology};
+    use crate::topology::{build_topology, Topology};
     use crate::workload::dd::DdConfig;
     use pcisim_kernel::sim::RunOutcome;
     use pcisim_kernel::tick::{us, TICKS_PER_SEC};
 
-    fn warm_system() -> (TopologySystem, WarmSeed) {
+    fn paused_system() -> TopologySystem {
         let mut built = build_topology(Topology::validation());
-        let seed = built.warm_seed();
         let _ = built.attach_dd(0, DdConfig { block_bytes: 64 * 1024, ..DdConfig::default() });
         assert_eq!(built.sim.run(us(100), u64::MAX), RunOutcome::TimeLimit);
-        (built, seed)
+        built
     }
 
     #[test]
     fn checkpoint_file_round_trips_through_disk() {
-        let (mut built, seed) = warm_system();
+        let mut built = paused_system();
         let dir = std::env::temp_dir().join("pcisim_snapshot_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("round_trip.ckpt");
         let written = built.checkpoint_to(&path).expect("checkpoint written");
         assert_eq!(written, std::fs::metadata(&path).unwrap().len() as usize);
 
-        let mut fresh = build_topology_warm(&Topology::validation(), &seed);
+        let mut fresh = build_topology(Topology::validation());
         let report = fresh.attach_dd(0, DdConfig { block_bytes: 64 * 1024, ..DdConfig::default() });
         fresh.restore_from(&path).expect("checkpoint restores");
         assert_eq!(fresh.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
@@ -157,14 +115,14 @@ mod tests {
 
     #[test]
     fn missing_file_is_a_typed_io_error() {
-        let (mut built, _) = warm_system();
+        let mut built = paused_system();
         let err = built.restore_from("/nonexistent/pcisim.ckpt").unwrap_err();
         assert!(matches!(err, SnapshotError::Io(_)), "{err:?}");
     }
 
     #[test]
     fn mismatched_tree_is_rejected() {
-        let (mut built, _) = warm_system();
+        let mut built = paused_system();
         let snap = built.checkpoint();
         // A dual-disk tree has a different shape; the fingerprint gate
         // must refuse the checkpoint.

@@ -60,7 +60,6 @@ use pcisim_pcie::router::{
 };
 
 use crate::platform;
-use crate::snapshot::WarmSeed;
 use crate::workload::cxl::{CxlHostConfig, CxlHostReportHandle};
 use crate::workload::dd::{DdConfig, DdReportHandle};
 use crate::workload::mmio::{MmioProbeConfig, MmioReportHandle};
@@ -1100,27 +1099,7 @@ impl ShardedTopologySystem {
 /// Panics when enumeration or the driver probe fails, or when `use_msi`
 /// is set on a tree that does not carry exactly one endpoint.
 pub fn build_topology(topo: Topology) -> TopologySystem {
-    build(&topo, None, 1).into_serial()
-}
-
-/// Builds the system for a [`Topology`] *without* running enumeration or
-/// the driver probe, replaying a [`WarmSeed`] captured from a previous
-/// build of an identically shaped tree instead.
-///
-/// Because the functional walks are skipped, every configuration space
-/// stays at its reset values: the returned system is only meaningful once
-/// a checkpoint from the seeding run is restored into it (the checkpoint
-/// carries every config-space image through the PCI host section). The
-/// tree's *configuration* — link widths, latencies, buffer depths — comes
-/// entirely from `topo`, which is what makes warm-started parameter
-/// sweeps possible: one warmed-up reference run forks into many
-/// differently parameterized points.
-///
-/// # Panics
-///
-/// Panics when the seed does not match the tree's endpoint count.
-pub fn build_topology_warm(topo: &Topology, seed: &WarmSeed) -> TopologySystem {
-    build(topo, Some(seed), 1).into_serial()
+    build(&topo, 1).into_serial()
 }
 
 /// Builds the full system for a [`Topology`] partitioned across `shards`
@@ -1133,7 +1112,7 @@ pub fn build_topology_warm(topo: &Topology, seed: &WarmSeed) -> TopologySystem {
 ///
 /// Same contract as [`build_topology`], plus `shards >= 1`.
 pub fn build_topology_sharded(topo: Topology, shards: usize) -> ShardedTopologySystem {
-    build(&topo, None, shards)
+    build(&topo, shards)
 }
 
 /// Builds the legacy (pre-PCIe) topology: gem5's stock arrangement, where
@@ -1243,30 +1222,14 @@ pub fn build_legacy_system() -> TopologySystem {
     System { sim, registry, report, probe: Some(probe), endpoints: vec![endpoint] }
 }
 
-/// The one build path: the functional front half (fresh, or replayed from
-/// `seed`), the partition, then instantiation and wiring. The serial
+/// The one build path: the functional front half (enumeration and driver
+/// probe), the partition, then instantiation and wiring. The serial
 /// builders are the one-shard case, so every topology — sharded or not —
 /// is wired by the same code in the same component order, which is what
 /// makes `--shards N` bit-identical to `--shards 1`.
-pub(crate) fn build(
-    topo: &Topology,
-    seed: Option<&WarmSeed>,
-    shards: usize,
-) -> ShardedTopologySystem {
+pub(crate) fn build(topo: &Topology, shards: usize) -> ShardedTopologySystem {
     let plan = topo.plan();
-    let (report, probe, irqs) = match seed {
-        None => enumerate_and_probe(topo, &plan),
-        Some(seed) => {
-            assert_eq!(
-                plan.endpoints.len(),
-                seed.irqs.len(),
-                "warm seed records {} endpoints, tree has {}",
-                seed.irqs.len(),
-                plan.endpoints.len()
-            );
-            (seed.report.clone(), seed.probe.clone(), seed.irqs.clone())
-        }
-    };
+    let (report, probe, irqs) = enumerate_and_probe(topo, &plan);
     let assignment = partition_plan(&plan, shards);
     build_planned(topo, plan, report, probe, irqs, &assignment, shards)
 }

@@ -52,11 +52,7 @@ pub struct PmdConfig {
     /// Frames the NIC's traffic source will offer (0 = TX-only run; must
     /// match the `rx_source` frame count so termination is detectable).
     pub rx_expect: u32,
-    /// OS driver bring-up delay before the first ring write. Defaults past
-    /// [`WARMUP_TICK`](crate::experiments::WARMUP_TICK) so a warm-start
-    /// checkpoint holds nothing but this armed timer — no ring state, no
-    /// traffic-source state — and one warmed run can fork a whole
-    /// offered-load ladder.
+    /// OS driver bring-up delay before the first ring write.
     pub setup_delay: Tick,
     /// BAR0 of the NIC, from the driver probe.
     pub nic_bar: u64,

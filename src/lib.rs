@@ -44,6 +44,12 @@ pub use pcisim_pci as pci;
 pub use pcisim_pcie as pcie;
 pub use pcisim_system as system;
 
+/// Runs the README's `rust` snippets as doctests, so they cannot drift
+/// from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 /// One flat import for examples and quick experiments.
 pub mod prelude {
     pub use pcisim_devices::prelude::*;

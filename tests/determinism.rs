@@ -8,8 +8,7 @@ use pcisim::kernel::sim::RunOutcome;
 use pcisim::kernel::tick::{ns, TICKS_PER_SEC};
 use pcisim::pcie::params::Generation;
 use pcisim::system::experiments::{
-    error_rate_ladder, execute, run_cold, run_sweep_warm, warm_start, DdExperiment, DdOutcome,
-    Exec, FaultExperiment, FaultOutcome,
+    error_rate_ladder, run_cold, DdExperiment, DdOutcome, FaultExperiment, FaultOutcome,
 };
 use pcisim::system::sweep::run_sweep;
 use pcisim::system::workload::dd::DdConfig;
@@ -380,75 +379,6 @@ fn msix_sweep_serial_equals_parallel() {
     let parallel = run_sweep(&configs, 4, run_cold);
     let fp = |v: &[MsixTxOutcome]| v.iter().map(fingerprint).collect::<Vec<_>>();
     assert_eq!(fp(&serial), fp(&parallel));
-}
-
-// --- Warm-start equivalence ------------------------------------------------
-//
-// A warm sweep forks every point from one checkpoint taken before any TLP
-// touches the fabric, so each fork must be indistinguishable from a cold
-// build — across worker threads, block sizes and the fault campaign.
-
-/// A warm `dd` sweep (one shared warm start per distinct block size,
-/// fanned across threads) is bit-identical to the serial cold sweep.
-#[test]
-fn warm_dd_sweep_matches_cold_serial() {
-    let configs: Vec<DdExperiment> = [(64 * KB, 50u64), (256 * KB, 50), (64 * KB, 130)]
-        .into_iter()
-        .map(|(block_bytes, lat)| DdExperiment {
-            block_bytes,
-            switch_latency: ns(lat),
-            ..DdExperiment::default()
-        })
-        .collect();
-    let cold = run_sweep(&configs, 1, run_cold);
-    let warm = run_sweep_warm(&configs, 4);
-    let fingerprints = |v: &[DdOutcome]| v.iter().map(outcome_fingerprint).collect::<Vec<_>>();
-    assert_eq!(fingerprints(&cold), fingerprints(&warm));
-}
-
-/// The warm fault campaign reproduces the cold serial campaign exactly —
-/// error injection, replays and AER state all survive the fork.
-#[test]
-fn warm_fault_sweep_matches_cold_serial() {
-    let ladder = error_rate_ladder(Generation::Gen2, None, 64 * KB);
-    let cold = run_sweep(&ladder, 1, run_cold);
-    let warm = run_sweep_warm(&ladder, 4);
-    let fingerprints = |v: &[FaultOutcome]| v.iter().map(fault_fingerprint).collect::<Vec<_>>();
-    assert_eq!(fingerprints(&cold), fingerprints(&warm));
-}
-
-/// The PacketId allocator survives the warm fork: a restored run resumes
-/// from the checkpointed allocator value (no IDs are reused or skipped)
-/// and finishes with exactly the cold run's final allocator state.
-#[test]
-fn warm_start_preserves_packet_id_continuity() {
-    use pcisim::system::snapshot::SystemHandle;
-    use pcisim::system::topology::{build_topology, build_topology_warm, Topology};
-
-    let exp = DdExperiment { block_bytes: 64 * KB, ..DdExperiment::default() };
-    let config = DdConfig { block_bytes: 64 * KB, ..DdConfig::default() };
-
-    let mut cold = build_topology(Topology::validation());
-    let _ = cold.attach_dd(0, config.clone());
-    assert_eq!(cold.sim.run(5 * TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
-    let cold_final_id = cold.sim.packet_ids_allocated();
-    let cold_quiesce = cold.sim.now();
-
-    let warm = warm_start(&exp);
-    let mut resumed = build_topology_warm(&Topology::validation(), &warm.seed);
-    let _ = resumed.attach_dd(0, config);
-    resumed.restore(&warm.snapshot).expect("warm snapshot restores");
-    let id_at_fork = resumed.sim.packet_ids_allocated();
-    assert_eq!(resumed.sim.run(5 * TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
-
-    assert!(id_at_fork <= cold_final_id, "fork cannot start past the cold run's allocator");
-    assert_eq!(resumed.sim.packet_ids_allocated(), cold_final_id, "allocator continuity");
-    assert_eq!(resumed.sim.now(), cold_quiesce, "quiesce tick");
-    assert_eq!(resumed.sim.stats().fnv(), cold.sim.stats().fnv(), "stats");
-
-    // The runner's warm path lands on the same run.
-    let (fin, _) = execute(&exp, Exec::Warm(&warm));
-    assert_eq!((fin.now, fin.stats.fnv()), (cold_quiesce, cold.sim.stats().fnv()));
 }
 
 // Golden anchor for the virtio device family: the mixed virtio tree

@@ -7,8 +7,8 @@
 //! stream exactly — for any topology, any shard count and any workload
 //! mix. This suite checks that promise three ways:
 //!
-//! * fixed mixed disk/NIC trees at 1, 2 and 4 shards (the CI
-//!   `shard-conformance` ladder);
+//! * fixed mixed disk/NIC trees at 1, 2 and 4 shards (CI also runs this
+//!   suite pinned to one core);
 //! * random trees × random shard counts (1..=8) × dd/NIC-transmit
 //!   workloads, property-tested;
 //! * a mid-run checkpoint taken from a sharded run at a barrier tick,

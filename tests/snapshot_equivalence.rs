@@ -241,7 +241,7 @@ proptest! {
 }
 
 /// Builds the warmed-up validation `dd` system the corruption tests and
-/// the golden fixture use, paused at the warm-start tick.
+/// the golden fixture use, paused at `WARMUP_TICK`.
 fn warmed_validation(block_bytes: u64) -> TopologySystem {
     let mut built = build_topology(Topology::validation());
     let _ = built.attach_dd(0, DdConfig { block_bytes, ..DdConfig::default() });
@@ -429,7 +429,7 @@ fn version_bump_fails_loudly() {
 }
 
 /// The committed golden checkpoint: the validation topology with a 64 KB
-/// `dd`, checkpointed at the warm-start tick. Recorded anchors below are
+/// `dd`, checkpointed at `WARMUP_TICK`. Recorded anchors below are
 /// the quiesce tick and stats fingerprint of the *cold* 64 KB run (the
 /// same `GOLDEN_STATS_FNV` the determinism suite asserts), so this test
 /// proves an old file restores on today's build and completes to the
