@@ -24,11 +24,11 @@
 //! into the standard endpoint link pairing, never used — a .mem expander
 //! masters nothing).
 
-use std::collections::{BTreeMap, VecDeque};
-
 use pcisim_kernel::addr::AddrRange;
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
-use pcisim_kernel::packet::{decode_packet_queue, encode_packet_queue, CompletionStatus, Packet};
+use pcisim_kernel::dram::BlockStore;
+use pcisim_kernel::packet::{CompletionStatus, Packet};
+use pcisim_kernel::queue::TimedQueue;
 use pcisim_kernel::sim::Ctx;
 use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
 use pcisim_kernel::stats::{Counter, StatsBuilder};
@@ -182,13 +182,12 @@ pub struct CxlExpander {
     config_space: SharedConfigSpace,
     /// Per-bank busy horizon (bank = block index modulo `banks`).
     bank_busy: Vec<Tick>,
-    /// Sparse backing store: 64 B blocks keyed by block-aligned address.
-    /// BTreeMap so checkpoints serialize in address order.
-    store: BTreeMap<u64, Vec<u8>>,
+    /// Sparse backing store of the HDM window.
+    store: BlockStore,
     outstanding: usize,
-    blocked_resp: VecDeque<Packet>,
-    waiting_retry: bool,
-    owe_retry: bool,
+    /// Completions waiting for the port; owes the port its retry, which
+    /// `outstanding`, not this lane, bounds.
+    resp: TimedQueue,
     stats: ExpanderStats,
 }
 
@@ -205,11 +204,9 @@ impl CxlExpander {
                 bank_busy: vec![0; config.banks],
                 config,
                 config_space: cs.clone(),
-                store: BTreeMap::new(),
+                store: BlockStore::default(),
                 outstanding: 0,
-                blocked_resp: VecDeque::new(),
-                waiting_retry: false,
-                owe_retry: false,
+                resp: TimedQueue::unbounded(),
                 stats: ExpanderStats::default(),
             },
             cs,
@@ -228,37 +225,6 @@ impl CxlExpander {
 
     fn bar0(&self) -> u64 {
         bar_base(&self.config_space.borrow(), 0)
-    }
-
-    /// Copies `data` into the backing store at `addr`.
-    fn store_write(&mut self, addr: u64, data: &[u8]) {
-        let mut off = 0usize;
-        while off < data.len() {
-            let a = addr + off as u64;
-            let block = a & !(CXL_BLOCK - 1);
-            let within = (a - block) as usize;
-            let n = (CXL_BLOCK as usize - within).min(data.len() - off);
-            let buf = self.store.entry(block).or_insert_with(|| vec![0; CXL_BLOCK as usize]);
-            buf[within..within + n].copy_from_slice(&data[off..off + n]);
-            off += n;
-        }
-    }
-
-    /// Copies `len` bytes at `addr` out of the backing store into `out`
-    /// (unwritten bytes read as zero).
-    fn store_read(&self, addr: u64, out: &mut [u8]) {
-        let mut off = 0usize;
-        while off < out.len() {
-            let a = addr + off as u64;
-            let block = a & !(CXL_BLOCK - 1);
-            let within = (a - block) as usize;
-            let n = (CXL_BLOCK as usize - within).min(out.len() - off);
-            match self.store.get(&block) {
-                Some(buf) => out[off..off + n].copy_from_slice(&buf[within..within + n]),
-                None => out[off..off + n].fill(0),
-            }
-            off += n;
-        }
     }
 
     fn reg_read(&self, offset: u64) -> u32 {
@@ -295,7 +261,7 @@ impl CxlExpander {
         // address even with many accesses in flight.
         if pkt.cmd().is_write() {
             if let Some(buf) = pkt.payload() {
-                self.store_write(pkt.addr(), buf);
+                self.store.write(pkt.addr(), buf);
             }
         }
         let bank = (((pkt.addr() - hdm.start()) / CXL_BLOCK) % self.config.banks as u64) as usize;
@@ -322,14 +288,14 @@ impl CxlExpander {
     fn complete(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
         if pkt.is_posted() {
             self.outstanding -= 1;
-            self.grant_owed_retry(ctx);
+            self.resp.grant_retry(ctx, CXL_PIO_PORT);
             return;
         }
         let resp = if pkt.cmd().is_read() {
             let size = pkt.size() as usize;
             let mut data = vec![0; size];
             if self.hdm().contains(pkt.addr()) {
-                self.store_read(pkt.addr(), &mut data);
+                self.store.read(pkt.addr(), &mut data);
             } else {
                 // BAR0 register read.
                 let v = self.reg_read(pkt.addr() - self.bar0()).to_le_bytes();
@@ -341,30 +307,15 @@ impl CxlExpander {
         } else {
             pkt.into_response()
         };
-        self.blocked_resp.push_back(resp);
+        self.resp.push(resp);
         self.flush(ctx);
     }
 
-    fn grant_owed_retry(&mut self, ctx: &mut Ctx<'_>) {
-        if self.owe_retry && self.outstanding < self.config.max_outstanding {
-            self.owe_retry = false;
-            ctx.send_retry(CXL_PIO_PORT);
-        }
-    }
-
+    /// Each completion that leaves releases its access slot.
     fn flush(&mut self, ctx: &mut Ctx<'_>) {
-        while !self.waiting_retry {
-            let Some(pkt) = self.blocked_resp.pop_front() else { return };
-            match ctx.try_send_response(CXL_PIO_PORT, pkt) {
-                Ok(()) => {
-                    self.outstanding -= 1;
-                    self.grant_owed_retry(ctx);
-                }
-                Err(back) => {
-                    self.blocked_resp.push_front(back);
-                    self.waiting_retry = true;
-                }
-            }
+        while self.resp.send_head(ctx, CXL_PIO_PORT).is_some() {
+            self.outstanding -= 1;
+            self.resp.grant_retry(ctx, CXL_PIO_PORT);
         }
     }
 }
@@ -378,8 +329,7 @@ impl Component for CxlExpander {
         assert_eq!(port, CXL_PIO_PORT, "{}: request on unexpected port {port}", self.name);
         if self.outstanding >= self.config.max_outstanding {
             self.stats.ingress_refusals.inc();
-            self.owe_retry = true;
-            return RecvResult::Refused(pkt);
+            return self.resp.refuse(pkt);
         }
         self.outstanding += 1;
         let hdm = self.hdm();
@@ -409,7 +359,7 @@ impl Component for CxlExpander {
         match ev {
             Event::DelayedPacket { tag: TAG_DONE, pkt } => self.complete(ctx, pkt),
             Event::DelayedPacket { tag: TAG_ABORT, pkt } => {
-                self.blocked_resp.push_back(pkt);
+                self.resp.push(pkt);
                 self.flush(ctx);
             }
             _ => panic!("{}: unexpected event", self.name),
@@ -417,7 +367,7 @@ impl Component for CxlExpander {
     }
 
     fn retry_granted(&mut self, ctx: &mut Ctx<'_>, _port: PortId) {
-        self.waiting_retry = false;
+        self.resp.unblock();
         self.flush(ctx);
     }
 
@@ -435,15 +385,9 @@ impl Component for CxlExpander {
         for &b in &self.bank_busy {
             w.u64(b);
         }
-        w.usize(self.store.len());
-        for (&block, data) in &self.store {
-            w.u64(block);
-            w.bytes(data);
-        }
+        self.store.save(w);
         w.usize(self.outstanding);
-        encode_packet_queue(w, &self.blocked_resp);
-        w.bool(self.waiting_retry);
-        w.bool(self.owe_retry);
+        self.resp.save(w);
         self.stats.reads.encode(w);
         self.stats.writes.encode(w);
         self.stats.bytes.encode(w);
@@ -464,25 +408,9 @@ impl Component for CxlExpander {
         for b in &mut self.bank_busy {
             *b = r.u64()?;
         }
-        let blocks = r.usize()?;
-        let mut store = BTreeMap::new();
-        for _ in 0..blocks {
-            let block = r.u64()?;
-            let data = r.bytes()?.to_vec();
-            if data.len() != CXL_BLOCK as usize {
-                return Err(SnapshotError::Corrupt(format!(
-                    "{}: HDM block {block:#x} has {} bytes",
-                    self.name,
-                    data.len()
-                )));
-            }
-            store.insert(block, data);
-        }
-        self.store = store;
+        self.store.restore(r)?;
         self.outstanding = r.usize()?;
-        self.blocked_resp = decode_packet_queue(r)?;
-        self.waiting_retry = r.bool()?;
-        self.owe_retry = r.bool()?;
+        self.resp.restore(r)?;
         self.stats.reads = Counter::decode(r)?;
         self.stats.writes = Counter::decode(r)?;
         self.stats.bytes = Counter::decode(r)?;
@@ -682,7 +610,7 @@ mod tests {
         let d = sim.add(Box::new(expander(CxlExpanderConfig::default())));
         sim.connect((r, REQUESTER_PORT), (d, CXL_PIO_PORT));
         sim.run_to_quiesce();
-        src.store_write(HDM_BASE + 7, &[1, 2, 3]);
+        src.store.write(HDM_BASE + 7, &[1, 2, 3]);
         src.bank_busy[3] = 12345;
         src.stats.reads.inc();
         let mut w = StateWriter::new();

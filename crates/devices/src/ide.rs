@@ -16,6 +16,7 @@
 
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, Packet};
+use pcisim_kernel::queue::TimedQueue;
 use pcisim_kernel::sim::Ctx;
 use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
 use pcisim_kernel::stats::{Counter, StatsBuilder};
@@ -25,7 +26,7 @@ use pcisim_pci::config::{shared, ConfigSpace, SharedConfigSpace};
 use pcisim_pci::header::{bar_base, Bar, Type0Header};
 
 use crate::dma::DmaEngine;
-use crate::mmio::{self, set_hi32, set_lo32, RegisterPort};
+use crate::mmio::{self, set_hi32, set_lo32};
 use crate::msix::legacy_message;
 
 /// MMIO register port (slave).
@@ -159,7 +160,8 @@ pub struct IdeDisk {
     /// from stacked pump events.
     sector_active: bool,
     dma: DmaEngine<()>,
-    pio: RegisterPort,
+    /// BAR0 completions on their way out of the PIO port.
+    pio: TimedQueue,
     stats: DiskStats,
 }
 
@@ -186,7 +188,7 @@ impl IdeDisk {
                 tlps_to_send: 0,
                 sector_active: false,
                 dma: DmaEngine::new(IDE_DMA_PORT, K_PUMP, cs.clone()),
-                pio: RegisterPort::new(IDE_PIO_PORT, TAG_PIO_RESP, config.pio_latency),
+                pio: TimedQueue::unbounded(),
                 stats: DiskStats::default(),
                 config,
             },
@@ -289,9 +291,10 @@ impl Component for IdeDisk {
     }
 
     fn recv_request(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) -> RecvResult {
+        assert_eq!(port, IDE_PIO_PORT, "MMIO arrives on the PIO port");
         let bar0 = self.bar0();
         let resp = mmio::serve(self, ctx, bar0, BAR0_SIZE, pkt, Self::reg_read, Self::reg_write);
-        self.pio.respond(ctx, port, resp);
+        self.pio.delay(ctx, self.config.pio_latency, TAG_PIO_RESP, resp);
         RecvResult::Accepted
     }
 
@@ -311,7 +314,10 @@ impl Component for IdeDisk {
                 }
             }
             Event::Timer { kind, .. } => panic!("{}: unknown timer {kind}", self.name),
-            Event::DelayedPacket { tag: TAG_PIO_RESP, pkt } => self.pio.deliver(ctx, pkt),
+            Event::DelayedPacket { tag: TAG_PIO_RESP, pkt } => {
+                self.pio.arrive(pkt);
+                self.pio.flush(ctx, IDE_PIO_PORT);
+            }
             Event::DelayedPacket { tag, .. } => panic!("{}: unknown tag {tag}", self.name),
             Event::StampedPacket { .. } => panic!("{}: unexpected stamped packet", self.name),
         }
@@ -324,7 +330,10 @@ impl Component for IdeDisk {
                     self.pump_dma(ctx);
                 }
             }
-            IDE_PIO_PORT => self.pio.retry(ctx),
+            IDE_PIO_PORT => {
+                self.pio.unblock();
+                self.pio.flush(ctx, port);
+            }
             other => panic!("{}: retry on unknown port {other}", self.name),
         }
     }

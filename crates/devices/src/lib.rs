@@ -15,9 +15,10 @@
 //! building blocks: `dma::DmaEngine` owns the DMA master port (ordered
 //! lane with one stalled TLP, interrupt lane, completion tracking with
 //! the continuation on a pump event, counters, trace records at
-//! acceptance, the UR/CA/timeout latch), `mmio::RegisterPort` serves BAR0
-//! (decode, dword marshal, delayed response, blocked queue), and
-//! `msix::MsixBlock` holds the MSI-X table/PBA/masks and sends doorbells.
+//! acceptance, the UR/CA/timeout latch), `mmio::serve` decodes BAR0 and
+//! marshals dword registers (the completion then waits out the PIO
+//! latency and the port in a kernel `TimedQueue`), and `msix::MsixBlock`
+//! holds the MSI-X table/PBA/masks and sends doorbells.
 //!
 //! Around them:
 //!

@@ -33,6 +33,7 @@ use std::collections::VecDeque;
 
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, Packet};
+use pcisim_kernel::queue::TimedQueue;
 use pcisim_kernel::sim::Ctx;
 use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
 use pcisim_kernel::stats::{Counter, Histogram, StatsBuilder};
@@ -43,7 +44,7 @@ use pcisim_pci::config::{shared, ConfigSpace, SharedConfigSpace};
 use pcisim_pci::header::{bar_base, Bar, Type0Header};
 
 use crate::dma::DmaEngine;
-use crate::mmio::{self, set_hi32, set_lo32, RegisterPort};
+use crate::mmio::{self, set_hi32, set_lo32};
 use crate::msix::{legacy_message, MsixBlock};
 use crate::traffic::{TrafficFeed, TrafficSpec};
 
@@ -447,7 +448,8 @@ pub struct Nic {
     msix: MsixBlock,
     itr_holdoff: Vec<bool>,
     itr_pending: Vec<bool>,
-    pio: RegisterPort,
+    /// BAR0 completions on their way out of the PIO port.
+    pio: TimedQueue,
     stats: NicStats,
 }
 
@@ -489,7 +491,7 @@ impl Nic {
                 msix: MsixBlock::new(cs.clone(), msix_vectors, MSIX_TABLE_OFFSET, MSIX_PBA_OFFSET),
                 itr_holdoff: vec![false; usize::from(vectors)],
                 itr_pending: vec![false; usize::from(vectors)],
-                pio: RegisterPort::new(NIC_PIO_PORT, TAG_PIO_RESP, config.pio_latency),
+                pio: TimedQueue::unbounded(),
                 stats: NicStats::default(),
                 config,
             },
@@ -895,9 +897,10 @@ impl Component for Nic {
     }
 
     fn recv_request(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) -> RecvResult {
+        assert_eq!(port, NIC_PIO_PORT, "MMIO arrives on the PIO port");
         let bar0 = self.bar0();
         let resp = mmio::serve(self, ctx, bar0, BAR0_SIZE, pkt, Self::reg_read, Self::reg_write);
-        self.pio.respond(ctx, port, resp);
+        self.pio.delay(ctx, self.config.pio_latency, TAG_PIO_RESP, resp);
         // Any MMIO access re-evaluates PBA-latched vectors (software may
         // just have unmasked one, via the table or config space).
         if self.msix.any_pending() {
@@ -921,7 +924,10 @@ impl Component for Nic {
             Event::Timer { kind: K_RX_TRAFFIC, data } => self.rx_traffic_arrived(ctx, data),
             Event::Timer { kind: K_ITR, data } => self.itr_expired(ctx, data as u16),
             Event::Timer { kind, .. } => panic!("{}: unknown timer {kind}", self.name),
-            Event::DelayedPacket { tag: TAG_PIO_RESP, pkt } => self.pio.deliver(ctx, pkt),
+            Event::DelayedPacket { tag: TAG_PIO_RESP, pkt } => {
+                self.pio.arrive(pkt);
+                self.pio.flush(ctx, NIC_PIO_PORT);
+            }
             Event::DelayedPacket { tag, .. } => panic!("{}: unknown tag {tag}", self.name),
             Event::StampedPacket { .. } => panic!("{}: unexpected stamped packet", self.name),
         }
@@ -934,7 +940,10 @@ impl Component for Nic {
                     self.pump_dma(ctx);
                 }
             }
-            NIC_PIO_PORT => self.pio.retry(ctx),
+            NIC_PIO_PORT => {
+                self.pio.unblock();
+                self.pio.flush(ctx, port);
+            }
             other => panic!("{}: retry on unknown port {other}", self.name),
         }
     }

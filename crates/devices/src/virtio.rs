@@ -36,6 +36,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, Packet};
+use pcisim_kernel::queue::TimedQueue;
 use pcisim_kernel::sim::Ctx;
 use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
 use pcisim_kernel::stats::{Counter, StatsBuilder};
@@ -48,7 +49,7 @@ use pcisim_pci::config::{shared, ConfigSpace, SharedConfigSpace};
 use pcisim_pci::header::{bar_base, Bar, Type0Header};
 
 use crate::dma::{self, DmaEngine};
-use crate::mmio::{self, set_hi32, set_lo32, RegisterPort};
+use crate::mmio::{self, set_hi32, set_lo32};
 use crate::msix::{legacy_message, MsixBlock};
 use crate::traffic::{TrafficFeed, TrafficSpec};
 
@@ -616,7 +617,8 @@ pub struct Virtio {
     rx_started: bool,
     rx_fifo: VecDeque<(u32, u32)>,
     rx_octets: u64,
-    pio: RegisterPort,
+    /// BAR0 completions on their way out of the PIO port.
+    pio: TimedQueue,
     stats: VirtioStats,
 }
 
@@ -652,7 +654,7 @@ impl Virtio {
                 rx_started: false,
                 rx_fifo: VecDeque::new(),
                 rx_octets: 0,
-                pio: RegisterPort::new(VIRTIO_PIO_PORT, TAG_PIO_RESP, config.pio_latency),
+                pio: TimedQueue::unbounded(),
                 stats: VirtioStats::default(),
                 config,
             },
@@ -1370,9 +1372,10 @@ impl Component for Virtio {
     }
 
     fn recv_request(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) -> RecvResult {
+        assert_eq!(port, VIRTIO_PIO_PORT, "MMIO arrives on the PIO port");
         let bar0 = self.bar0();
         let resp = mmio::serve(self, ctx, bar0, BAR0_SIZE, pkt, Self::reg_read, Self::reg_write);
-        self.pio.respond(ctx, port, resp);
+        self.pio.delay(ctx, self.config.pio_latency, TAG_PIO_RESP, resp);
         // Any MMIO access re-evaluates PBA-latched vectors (off a fresh
         // event — the doorbell write rides the link the vector would
         // immediately ride back).
@@ -1408,7 +1411,10 @@ impl Component for Virtio {
             Event::Timer { kind: K_DOORBELL, data } => self.doorbell(ctx, data as usize),
             Event::Timer { kind: K_MSIX_DRAIN, .. } => self.msix_unmasked(ctx),
             Event::Timer { kind, .. } => panic!("{}: unknown timer {kind}", self.name),
-            Event::DelayedPacket { tag: TAG_PIO_RESP, pkt } => self.pio.deliver(ctx, pkt),
+            Event::DelayedPacket { tag: TAG_PIO_RESP, pkt } => {
+                self.pio.arrive(pkt);
+                self.pio.flush(ctx, VIRTIO_PIO_PORT);
+            }
             Event::DelayedPacket { tag, .. } => panic!("{}: unknown tag {tag}", self.name),
             Event::StampedPacket { .. } => panic!("{}: unexpected stamped packet", self.name),
         }
@@ -1419,7 +1425,10 @@ impl Component for Virtio {
             VIRTIO_DMA_PORT => {
                 self.dma.retry(ctx);
             }
-            VIRTIO_PIO_PORT => self.pio.retry(ctx),
+            VIRTIO_PIO_PORT => {
+                self.pio.unblock();
+                self.pio.flush(ctx, port);
+            }
             other => panic!("{}: retry on unknown port {other}", self.name),
         }
     }

@@ -6,10 +6,9 @@
 //! forwards them. Responses travel the opposite way. The paper builds its
 //! root complex and switch on top of this component's structure (§III).
 
-use std::collections::VecDeque;
-
 use crate::component::{Component, Event, PortId, RecvResult};
-use crate::packet::{decode_packet_queue, encode_packet_queue, Packet};
+use crate::packet::Packet;
+use crate::queue::TimedQueue;
 use crate::sim::Ctx;
 use crate::snapshot::{SnapshotError, StateReader, StateWriter};
 use crate::stats::{Counter, StatsBuilder};
@@ -21,8 +20,13 @@ pub const BRIDGE_MEM_SIDE: PortId = PortId(0);
 /// Port facing the I/O bus (emits requests, receives responses).
 pub const BRIDGE_IO_SIDE: PortId = PortId(1);
 
-const TAG_REQ: u32 = 0;
-const TAG_RESP: u32 = 1;
+/// Response queue depth (gem5's default order).
+const RESP_CAPACITY: usize = 16;
+
+/// The port a packet received on `port` leaves by.
+fn across(port: PortId) -> PortId {
+    PortId(port.0 ^ 1)
+}
 
 /// Builder for [`Bridge`]; see [`Bridge::builder`].
 #[derive(Debug)]
@@ -30,7 +34,6 @@ pub struct BridgeBuilder {
     name: String,
     delay: Tick,
     req_capacity: usize,
-    resp_capacity: usize,
 }
 
 impl BridgeBuilder {
@@ -47,28 +50,12 @@ impl BridgeBuilder {
         self
     }
 
-    /// Sets the response queue depth.
-    pub fn resp_capacity(mut self, n: usize) -> Self {
-        assert!(n > 0, "response queue must hold at least one packet");
-        self.resp_capacity = n;
-        self
-    }
-
     /// Builds the bridge.
     pub fn build(self) -> Bridge {
         Bridge {
             name: self.name,
             delay: self.delay,
-            req_capacity: self.req_capacity,
-            resp_capacity: self.resp_capacity,
-            req_inflight: 0,
-            resp_inflight: 0,
-            req_q: VecDeque::new(),
-            resp_q: VecDeque::new(),
-            req_waiting_peer: false,
-            resp_waiting_peer: false,
-            owe_mem_retry: false,
-            owe_io_retry: false,
+            lanes: [TimedQueue::bounded(self.req_capacity), TimedQueue::bounded(RESP_CAPACITY)],
             forwarded: Counter::new(),
             refusals: Counter::new(),
         }
@@ -76,20 +63,15 @@ impl BridgeBuilder {
 }
 
 /// Unidirectional request bridge with bounded queues in both directions.
+///
+/// The `DelayedPacket` tag is the port the packet arrived on.
 #[derive(Debug)]
 pub struct Bridge {
     name: String,
     delay: Tick,
-    req_capacity: usize,
-    resp_capacity: usize,
-    req_inflight: usize,
-    resp_inflight: usize,
-    req_q: VecDeque<Packet>,
-    resp_q: VecDeque<Packet>,
-    req_waiting_peer: bool,
-    resp_waiting_peer: bool,
-    owe_mem_retry: bool,
-    owe_io_retry: bool,
+    /// `lanes[p]` carries what arrives on port `p` to the other port:
+    /// requests mem → io, responses io → mem.
+    lanes: [TimedQueue; 2],
     forwarded: Counter,
     refusals: Counter,
 }
@@ -98,57 +80,38 @@ impl Bridge {
     /// Starts building a bridge named `name` with a 50 ns delay and 16-deep
     /// queues (gem5's defaults are of this order).
     pub fn builder(name: impl Into<String>) -> BridgeBuilder {
-        BridgeBuilder {
-            name: name.into(),
-            delay: crate::tick::ns(50),
-            req_capacity: 16,
-            resp_capacity: 16,
-        }
+        BridgeBuilder { name: name.into(), delay: crate::tick::ns(50), req_capacity: 16 }
     }
 
-    fn drain_req(&mut self, ctx: &mut Ctx<'_>) {
-        while !self.req_waiting_peer {
-            let Some(pkt) = self.req_q.pop_front() else { return };
-            match ctx.try_send_request(BRIDGE_IO_SIDE, pkt) {
-                Ok(()) => {
-                    self.forwarded.inc();
-                    if self.owe_mem_retry && !self.req_full() {
-                        self.owe_mem_retry = false;
-                        ctx.send_retry(BRIDGE_MEM_SIDE);
-                    }
-                }
-                Err(back) => {
-                    self.req_q.push_front(back);
-                    self.req_waiting_peer = true;
-                }
+    fn accept(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) -> RecvResult {
+        let lane = &mut self.lanes[usize::from(port.0)];
+        if lane.is_full() {
+            self.refusals.inc();
+            return lane.refuse(pkt);
+        }
+        if ctx.tracing(TraceCategory::Fabric) {
+            ctx.emit(
+                TraceCategory::Fabric,
+                TraceKind::FabricForward,
+                Some(pkt.id()),
+                Some(pkt.cmd()),
+                u64::from(across(port).0),
+            );
+        }
+        lane.delay(ctx, self.delay, u32::from(port.0), pkt);
+        RecvResult::Accepted
+    }
+
+    /// Forwards the lane fed by port `from`, granting its sender the owed
+    /// retry as room frees.
+    fn drain(&mut self, ctx: &mut Ctx<'_>, from: PortId) {
+        let i = usize::from(from.0);
+        while self.lanes[i].send_head(ctx, across(from)).is_some() {
+            if from == BRIDGE_MEM_SIDE {
+                self.forwarded.inc();
             }
+            self.lanes[i].grant_retry(ctx, from);
         }
-    }
-
-    fn drain_resp(&mut self, ctx: &mut Ctx<'_>) {
-        while !self.resp_waiting_peer {
-            let Some(pkt) = self.resp_q.pop_front() else { return };
-            match ctx.try_send_response(BRIDGE_MEM_SIDE, pkt) {
-                Ok(()) => {
-                    if self.owe_io_retry && !self.resp_full() {
-                        self.owe_io_retry = false;
-                        ctx.send_retry(BRIDGE_IO_SIDE);
-                    }
-                }
-                Err(back) => {
-                    self.resp_q.push_front(back);
-                    self.resp_waiting_peer = true;
-                }
-            }
-        }
-    }
-
-    fn req_full(&self) -> bool {
-        self.req_q.len() + self.req_inflight >= self.req_capacity
-    }
-
-    fn resp_full(&self) -> bool {
-        self.resp_q.len() + self.resp_inflight >= self.resp_capacity
     }
 }
 
@@ -159,77 +122,27 @@ impl Component for Bridge {
 
     fn recv_request(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) -> RecvResult {
         assert_eq!(port, BRIDGE_MEM_SIDE, "{}: requests only cross mem→io", self.name);
-        if self.req_full() {
-            self.refusals.inc();
-            self.owe_mem_retry = true;
-            return RecvResult::Refused(pkt);
-        }
-        if ctx.tracing(TraceCategory::Fabric) {
-            ctx.emit(
-                TraceCategory::Fabric,
-                TraceKind::FabricForward,
-                Some(pkt.id()),
-                Some(pkt.cmd()),
-                u64::from(BRIDGE_IO_SIDE.0),
-            );
-        }
-        self.req_inflight += 1;
-        ctx.schedule(self.delay, Event::DelayedPacket { tag: TAG_REQ, pkt });
-        RecvResult::Accepted
+        self.accept(ctx, port, pkt)
     }
 
     fn recv_response(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) -> RecvResult {
         assert_eq!(port, BRIDGE_IO_SIDE, "{}: responses only cross io→mem", self.name);
-        if self.resp_full() {
-            self.refusals.inc();
-            self.owe_io_retry = true;
-            return RecvResult::Refused(pkt);
-        }
-        if ctx.tracing(TraceCategory::Fabric) {
-            ctx.emit(
-                TraceCategory::Fabric,
-                TraceKind::FabricForward,
-                Some(pkt.id()),
-                Some(pkt.cmd()),
-                u64::from(BRIDGE_MEM_SIDE.0),
-            );
-        }
-        self.resp_inflight += 1;
-        ctx.schedule(self.delay, Event::DelayedPacket { tag: TAG_RESP, pkt });
-        RecvResult::Accepted
+        self.accept(ctx, port, pkt)
     }
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
         let Event::DelayedPacket { tag, pkt } = ev else {
             panic!("{}: unexpected timer", self.name)
         };
-        match tag {
-            TAG_REQ => {
-                self.req_inflight -= 1;
-                self.req_q.push_back(pkt);
-                self.drain_req(ctx);
-            }
-            TAG_RESP => {
-                self.resp_inflight -= 1;
-                self.resp_q.push_back(pkt);
-                self.drain_resp(ctx);
-            }
-            other => panic!("{}: unknown tag {other}", self.name),
-        }
+        let from = PortId(tag as u16);
+        self.lanes[usize::from(from.0)].arrive(pkt);
+        self.drain(ctx, from);
     }
 
     fn retry_granted(&mut self, ctx: &mut Ctx<'_>, port: PortId) {
-        match port {
-            BRIDGE_IO_SIDE => {
-                self.req_waiting_peer = false;
-                self.drain_req(ctx);
-            }
-            BRIDGE_MEM_SIDE => {
-                self.resp_waiting_peer = false;
-                self.drain_resp(ctx);
-            }
-            other => panic!("{}: retry on unknown port {other}", self.name),
-        }
+        let from = across(port);
+        self.lanes[usize::from(from.0)].unblock();
+        self.drain(ctx, from);
     }
 
     fn report_stats(&self, out: &mut StatsBuilder) {
@@ -238,27 +151,17 @@ impl Component for Bridge {
     }
 
     fn save_state(&self, w: &mut StateWriter) {
-        w.usize(self.req_inflight);
-        w.usize(self.resp_inflight);
-        encode_packet_queue(w, &self.req_q);
-        encode_packet_queue(w, &self.resp_q);
-        w.bool(self.req_waiting_peer);
-        w.bool(self.resp_waiting_peer);
-        w.bool(self.owe_mem_retry);
-        w.bool(self.owe_io_retry);
+        for lane in &self.lanes {
+            lane.save(w);
+        }
         self.forwarded.encode(w);
         self.refusals.encode(w);
     }
 
     fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.req_inflight = r.usize()?;
-        self.resp_inflight = r.usize()?;
-        self.req_q = decode_packet_queue(r)?;
-        self.resp_q = decode_packet_queue(r)?;
-        self.req_waiting_peer = r.bool()?;
-        self.resp_waiting_peer = r.bool()?;
-        self.owe_mem_retry = r.bool()?;
-        self.owe_io_retry = r.bool()?;
+        for lane in &mut self.lanes {
+            lane.restore(r)?;
+        }
         self.forwarded = Counter::decode(r)?;
         self.refusals = Counter::decode(r)?;
         Ok(())

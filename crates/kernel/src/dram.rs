@@ -5,13 +5,15 @@
 //! bounds the number of in-flight accesses (refusing above it). It stands in
 //! for gem5's memory controller + DRAM models: the paper's experiments only
 //! need memory to be fast enough never to be the bottleneck, which the
-//! defaults guarantee.
+//! defaults guarantee. [`BlockStore`] is the sparse byte store behind a
+//! functional memory, here and in the CXL expander.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use crate::addr::AddrRange;
 use crate::component::{Component, Event, PortId, RecvResult};
-use crate::packet::{decode_packet_queue, encode_packet_queue, Packet};
+use crate::packet::Packet;
+use crate::queue::TimedQueue;
 use crate::sim::Ctx;
 use crate::snapshot::{SnapshotError, StateReader, StateWriter};
 use crate::stats::{Counter, StatsBuilder};
@@ -20,6 +22,78 @@ use crate::trace::{TraceCategory, TraceKind};
 
 /// The single port of a [`Dram`].
 pub const DRAM_PORT: PortId = PortId(0);
+
+/// Granularity of a [`BlockStore`] in bytes.
+const STORE_BLOCK: u64 = 64;
+
+/// Sparse memory contents: 64-byte blocks keyed by their aligned address,
+/// created on first write; unwritten bytes read as zero. A `BTreeMap` so
+/// checkpoints serialize in address order.
+#[derive(Debug, Default, PartialEq)]
+pub struct BlockStore(BTreeMap<u64, Vec<u8>>);
+
+impl BlockStore {
+    /// The block holding `at`, the offset of `at` in it, and how many of
+    /// `left` bytes from `at` fit before the block ends.
+    fn split(at: u64, left: usize) -> (u64, usize, usize) {
+        let block = at / STORE_BLOCK * STORE_BLOCK;
+        let off = (at - block) as usize;
+        (block, off, left.min(STORE_BLOCK as usize - off))
+    }
+
+    /// Copies `data` into the store at `addr`.
+    pub fn write(&mut self, addr: u64, data: &[u8]) {
+        let mut pos = 0;
+        while pos < data.len() {
+            let (block, off, n) = Self::split(addr + pos as u64, data.len() - pos);
+            let buf = self.0.entry(block).or_insert_with(|| vec![0; STORE_BLOCK as usize]);
+            buf[off..off + n].copy_from_slice(&data[pos..pos + n]);
+            pos += n;
+        }
+    }
+
+    /// Fills `out` from the store at `addr`.
+    pub fn read(&self, addr: u64, out: &mut [u8]) {
+        let mut pos = 0;
+        while pos < out.len() {
+            let (block, off, n) = Self::split(addr + pos as u64, out.len() - pos);
+            match self.0.get(&block) {
+                Some(buf) => out[pos..pos + n].copy_from_slice(&buf[off..off + n]),
+                None => out[pos..pos + n].fill(0),
+            }
+            pos += n;
+        }
+    }
+
+    /// Appends the block count, then each `(block, bytes)` pair.
+    pub fn save(&self, w: &mut StateWriter) {
+        w.usize(self.0.len());
+        for (&block, buf) in &self.0 {
+            w.u64(block);
+            w.bytes(buf);
+        }
+    }
+
+    /// Restores what [`Self::save`] wrote, rejecting a block of the wrong
+    /// length.
+    pub fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        let n = r.usize()?;
+        let mut blocks = BTreeMap::new();
+        for _ in 0..n {
+            let block = r.u64()?;
+            let buf = r.bytes()?;
+            if buf.len() != STORE_BLOCK as usize {
+                return Err(SnapshotError::Corrupt(format!(
+                    "store block {block:#x} has {} bytes",
+                    buf.len()
+                )));
+            }
+            blocks.insert(block, buf.to_vec());
+        }
+        self.0 = blocks;
+        Ok(())
+    }
+}
 
 /// Builder for [`Dram`]; see [`Dram::builder`].
 #[derive(Debug)]
@@ -53,7 +127,7 @@ impl DramBuilder {
     }
 
     /// Makes the memory functional: write payloads are retained in a
-    /// sparse block store and reads return them. The default (timing-only)
+    /// [`BlockStore`] and reads return them. The default (timing-only)
     /// memory discards writes and reads back zeroes, which is all the
     /// bandwidth experiments need; virtqueues, whose descriptor rings are
     /// genuinely walked through DMA, require the contents to survive.
@@ -72,20 +146,15 @@ impl DramBuilder {
             max_outstanding: self.max_outstanding,
             outstanding: 0,
             busy_until: 0,
-            blocked_resp: VecDeque::new(),
-            waiting_retry: false,
-            owe_retry: false,
+            resp: TimedQueue::unbounded(),
             functional: self.functional,
-            store: BTreeMap::new(),
+            store: BlockStore::default(),
             reads: Counter::new(),
             writes: Counter::new(),
             bytes: Counter::new(),
         }
     }
 }
-
-/// Granularity of the sparse functional store.
-const STORE_BLOCK: u64 = 64;
 
 /// Fixed-latency, bandwidth-limited memory.
 #[derive(Debug)]
@@ -97,11 +166,11 @@ pub struct Dram {
     max_outstanding: usize,
     outstanding: usize,
     busy_until: Tick,
-    blocked_resp: VecDeque<Packet>,
-    waiting_retry: bool,
-    owe_retry: bool,
+    /// Responses waiting for the port; owes the port its retry, which
+    /// `outstanding`, not this lane, bounds.
+    resp: TimedQueue,
     functional: bool,
-    store: BTreeMap<u64, Vec<u8>>,
+    store: BlockStore,
     reads: Counter,
     writes: Counter,
     bytes: Counter,
@@ -121,60 +190,10 @@ impl Dram {
         }
     }
 
-    /// The address range this memory claims.
-    pub fn range(&self) -> AddrRange {
-        self.range
-    }
-
-    /// Whether write payloads are retained (see [`DramBuilder::functional`]).
-    pub fn is_functional(&self) -> bool {
-        self.functional
-    }
-
-    fn store_write(&mut self, addr: u64, data: &[u8]) {
-        let mut pos = 0;
-        while pos < data.len() {
-            let at = addr + pos as u64;
-            let block = at / STORE_BLOCK * STORE_BLOCK;
-            let off = (at - block) as usize;
-            let n = data.len().min(pos + (STORE_BLOCK as usize - off)) - pos;
-            let buf = self.store.entry(block).or_insert_with(|| vec![0; STORE_BLOCK as usize]);
-            buf[off..off + n].copy_from_slice(&data[pos..pos + n]);
-            pos += n;
-        }
-    }
-
-    fn store_read(&self, addr: u64, out: &mut [u8]) {
-        let mut pos = 0;
-        while pos < out.len() {
-            let at = addr + pos as u64;
-            let block = at / STORE_BLOCK * STORE_BLOCK;
-            let off = (at - block) as usize;
-            let n = out.len().min(pos + (STORE_BLOCK as usize - off)) - pos;
-            match self.store.get(&block) {
-                Some(buf) => out[pos..pos + n].copy_from_slice(&buf[off..off + n]),
-                None => out[pos..pos + n].fill(0),
-            }
-            pos += n;
-        }
-    }
-
     fn flush(&mut self, ctx: &mut Ctx<'_>) {
-        while !self.waiting_retry {
-            let Some(pkt) = self.blocked_resp.pop_front() else { return };
-            match ctx.try_send_response(DRAM_PORT, pkt) {
-                Ok(()) => {
-                    self.outstanding -= 1;
-                    if self.owe_retry {
-                        self.owe_retry = false;
-                        ctx.send_retry(DRAM_PORT);
-                    }
-                }
-                Err(back) => {
-                    self.blocked_resp.push_front(back);
-                    self.waiting_retry = true;
-                }
-            }
+        while self.resp.send_head(ctx, DRAM_PORT).is_some() {
+            self.outstanding -= 1;
+            self.resp.grant_retry(ctx, DRAM_PORT);
         }
     }
 }
@@ -194,8 +213,7 @@ impl Component for Dram {
             self.range
         );
         if self.outstanding >= self.max_outstanding {
-            self.owe_retry = true;
-            return RecvResult::Refused(pkt);
+            return self.resp.refuse(pkt);
         }
         self.outstanding += 1;
         if pkt.cmd().is_read() {
@@ -232,30 +250,29 @@ impl Component for Dram {
         };
         if self.functional && pkt.cmd().is_write() {
             if let Some(buf) = pkt.payload() {
-                self.store_write(pkt.addr(), buf);
+                self.store.write(pkt.addr(), buf);
             }
         }
         if pkt.is_posted() {
             self.outstanding -= 1;
+            self.resp.grant_retry(ctx, DRAM_PORT);
             return;
         }
         let resp = if pkt.cmd().is_read() {
-            let size = pkt.size() as usize;
-            let mut data = vec![0; size];
+            let mut data = vec![0; pkt.size() as usize];
             if self.functional {
-                let addr = pkt.addr();
-                self.store_read(addr, &mut data);
+                self.store.read(pkt.addr(), &mut data);
             }
             pkt.into_read_response(data)
         } else {
             pkt.into_response()
         };
-        self.blocked_resp.push_back(resp);
+        self.resp.push(resp);
         self.flush(ctx);
     }
 
     fn retry_granted(&mut self, ctx: &mut Ctx<'_>, _port: PortId) {
-        self.waiting_retry = false;
+        self.resp.unblock();
         self.flush(ctx);
     }
 
@@ -268,46 +285,26 @@ impl Component for Dram {
     fn save_state(&self, w: &mut StateWriter) {
         w.usize(self.outstanding);
         w.u64(self.busy_until);
-        encode_packet_queue(w, &self.blocked_resp);
-        w.bool(self.waiting_retry);
-        w.bool(self.owe_retry);
+        self.resp.save(w);
         self.reads.encode(w);
         self.writes.encode(w);
         self.bytes.encode(w);
         // The store is appended only for functional memories, so timing-only
-        // checkpoints keep their pre-existing byte layout.
+        // checkpoints carry no store section.
         if self.functional {
-            w.usize(self.store.len());
-            for (&block, buf) in &self.store {
-                w.u64(block);
-                w.bytes(buf);
-            }
+            self.store.save(w);
         }
     }
 
     fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         self.outstanding = r.usize()?;
         self.busy_until = r.u64()?;
-        self.blocked_resp = decode_packet_queue(r)?;
-        self.waiting_retry = r.bool()?;
-        self.owe_retry = r.bool()?;
+        self.resp.restore(r)?;
         self.reads = Counter::decode(r)?;
         self.writes = Counter::decode(r)?;
         self.bytes = Counter::decode(r)?;
         if self.functional {
-            self.store.clear();
-            let n = r.usize()?;
-            for _ in 0..n {
-                let block = r.u64()?;
-                let buf = r.bytes()?.to_vec();
-                if buf.len() != STORE_BLOCK as usize {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "dram store block of {} bytes",
-                        buf.len()
-                    )));
-                }
-                self.store.insert(block, buf);
-            }
+            self.store.restore(r)?;
         }
         Ok(())
     }
@@ -391,18 +388,18 @@ mod tests {
             Dram::builder("dram", AddrRange::with_size(BASE, 0x1000_0000)).functional(true).build();
         // A write straddling three 64 B blocks, at an unaligned offset.
         let data: Vec<u8> = (0..150u8).collect();
-        d.store_write(BASE + 37, &data);
+        d.store.write(BASE + 37, &data);
         let mut back = vec![0xAA; 150];
-        d.store_read(BASE + 37, &mut back);
+        d.store.read(BASE + 37, &mut back);
         assert_eq!(back, data);
         // Untouched bytes read as zero.
         let mut hole = vec![0xAA; 8];
-        d.store_read(BASE + 0x9000, &mut hole);
+        d.store.read(BASE + 0x9000, &mut hole);
         assert_eq!(hole, vec![0; 8]);
         // Overlapping rewrite wins.
-        d.store_write(BASE + 40, &[0xFF; 4]);
+        d.store.write(BASE + 40, &[0xFF; 4]);
         let mut again = vec![0; 8];
-        d.store_read(BASE + 37, &mut again);
+        d.store.read(BASE + 37, &mut again);
         assert_eq!(again, [0, 1, 2, 0xFF, 0xFF, 0xFF, 0xFF, 7]);
     }
 
@@ -410,7 +407,7 @@ mod tests {
     fn functional_store_survives_snapshot() {
         let mut d =
             Dram::builder("dram", AddrRange::with_size(BASE, 0x1000_0000)).functional(true).build();
-        d.store_write(BASE + 0x100, &[1, 2, 3, 4]);
+        d.store.write(BASE + 0x100, &[1, 2, 3, 4]);
         let mut w = StateWriter::new();
         d.save_state(&mut w);
         let bytes = w.into_bytes();
@@ -419,7 +416,7 @@ mod tests {
         let mut r = StateReader::new(&bytes);
         fresh.restore_state(&mut r).unwrap();
         let mut back = vec![0; 4];
-        fresh.store_read(BASE + 0x100, &mut back);
+        fresh.store.read(BASE + 0x100, &mut back);
         assert_eq!(back, [1, 2, 3, 4]);
     }
 }

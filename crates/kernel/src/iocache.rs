@@ -4,49 +4,36 @@
 //! bus "to ensure the coherency of DMA accesses from the off-chip devices as
 //! well as act as a bandwidth buffer between connections of different
 //! widths" (§III). This model captures the timing-relevant behaviour: a
-//! lookup latency on the request path, a fill latency on the response path,
-//! and an MSHR-style bound on outstanding misses that backpressures the
-//! device side when memory is slow.
-
-use std::collections::VecDeque;
+//! fixed lookup latency on the request path, a fixed fill latency on the
+//! response path, and an MSHR-style bound on outstanding misses that
+//! backpressures the device side when memory is slow.
 
 use crate::component::{Component, Event, PortId, RecvResult};
-use crate::packet::{decode_packet_queue, encode_packet_queue, Packet};
+use crate::packet::Packet;
+use crate::queue::{Sent, TimedQueue};
 use crate::sim::Ctx;
 use crate::snapshot::{SnapshotError, StateReader, StateWriter};
 use crate::stats::{Counter, StatsBuilder};
-use crate::tick::Tick;
+use crate::tick::{ns, Tick};
 
 /// Port facing the device/root-complex side (receives DMA requests).
 pub const IOCACHE_DEV_SIDE: PortId = PortId(0);
 /// Port facing the memory bus (sends requests onward).
 pub const IOCACHE_MEM_SIDE: PortId = PortId(1);
 
-const TAG_REQ: u32 = 0;
-const TAG_RESP: u32 = 1;
+/// Tag-lookup latency added on the request path (gem5-like).
+const LOOKUP_LATENCY: Tick = ns(2);
+/// Fill latency added on the response path (gem5-like).
+const FILL_LATENCY: Tick = ns(2);
 
 /// Builder for [`IoCache`]; see [`IoCache::builder`].
 #[derive(Debug)]
 pub struct IoCacheBuilder {
     name: String,
-    lookup_latency: Tick,
-    fill_latency: Tick,
     mshrs: usize,
 }
 
 impl IoCacheBuilder {
-    /// Sets the tag-lookup latency added on the request path.
-    pub fn lookup_latency(mut self, t: Tick) -> Self {
-        self.lookup_latency = t;
-        self
-    }
-
-    /// Sets the fill latency added on the response path.
-    pub fn fill_latency(mut self, t: Tick) -> Self {
-        self.fill_latency = t;
-        self
-    }
-
     /// Sets the maximum number of outstanding misses.
     pub fn mshrs(mut self, n: usize) -> Self {
         assert!(n > 0, "need at least one MSHR");
@@ -58,15 +45,9 @@ impl IoCacheBuilder {
     pub fn build(self) -> IoCache {
         IoCache {
             name: self.name,
-            lookup_latency: self.lookup_latency,
-            fill_latency: self.fill_latency,
             mshrs: self.mshrs,
             outstanding: 0,
-            req_q: VecDeque::new(),
-            resp_q: VecDeque::new(),
-            req_waiting_peer: false,
-            resp_waiting_peer: false,
-            owe_dev_retry: false,
+            lanes: Default::default(),
             accesses: Counter::new(),
             refusals: Counter::new(),
         }
@@ -74,75 +55,38 @@ impl IoCacheBuilder {
 }
 
 /// Timing model of the DMA IOCache.
+///
+/// The `DelayedPacket` tag is the port the packet arrived on.
 #[derive(Debug)]
 pub struct IoCache {
     name: String,
-    lookup_latency: Tick,
-    fill_latency: Tick,
     mshrs: usize,
     /// Requests accepted and not yet answered (delayed, queued or at
     /// memory).
     outstanding: usize,
-    req_q: VecDeque<Packet>,
-    resp_q: VecDeque<Packet>,
-    req_waiting_peer: bool,
-    resp_waiting_peer: bool,
-    owe_dev_retry: bool,
+    /// `lanes[p]` carries what arrives on port `p` to the other port:
+    /// requests to memory, responses back to the device side. The MSHRs,
+    /// not the lanes, bound admission; the request lane owes the device
+    /// side its retry.
+    lanes: [TimedQueue; 2],
     accesses: Counter,
     refusals: Counter,
 }
 
 impl IoCache {
-    /// Starts building an IOCache with gem5-like defaults (2 ns lookup,
-    /// 2 ns fill, 16 MSHRs).
+    /// Starts building an IOCache with 16 MSHRs (gem5-like).
     pub fn builder(name: impl Into<String>) -> IoCacheBuilder {
-        IoCacheBuilder {
-            name: name.into(),
-            lookup_latency: crate::tick::ns(2),
-            fill_latency: crate::tick::ns(2),
-            mshrs: 16,
-        }
+        IoCacheBuilder { name: name.into(), mshrs: 16 }
     }
 
-    fn drain_req(&mut self, ctx: &mut Ctx<'_>) {
-        while !self.req_waiting_peer {
-            let Some(pkt) = self.req_q.pop_front() else { return };
-            let posted = pkt.is_posted();
-            match ctx.try_send_request(IOCACHE_MEM_SIDE, pkt) {
-                Ok(()) => {
-                    // Posted requests get no response; release the MSHR at
-                    // forward time.
-                    if posted {
-                        self.outstanding -= 1;
-                        if self.owe_dev_retry {
-                            self.owe_dev_retry = false;
-                            ctx.send_retry(IOCACHE_DEV_SIDE);
-                        }
-                    }
-                }
-                Err(back) => {
-                    self.req_q.push_front(back);
-                    self.req_waiting_peer = true;
-                }
-            }
-        }
-    }
-
-    fn drain_resp(&mut self, ctx: &mut Ctx<'_>) {
-        while !self.resp_waiting_peer {
-            let Some(pkt) = self.resp_q.pop_front() else { return };
-            match ctx.try_send_response(IOCACHE_DEV_SIDE, pkt) {
-                Ok(()) => {
-                    self.outstanding -= 1;
-                    if self.owe_dev_retry {
-                        self.owe_dev_retry = false;
-                        ctx.send_retry(IOCACHE_DEV_SIDE);
-                    }
-                }
-                Err(back) => {
-                    self.resp_q.push_front(back);
-                    self.resp_waiting_peer = true;
-                }
+    /// Forwards the lane fed by port `from`. A response, or a posted
+    /// request (which gets none), releases its MSHR as it leaves.
+    fn drain(&mut self, ctx: &mut Ctx<'_>, from: PortId) {
+        let out = PortId(from.0 ^ 1);
+        while let Some(sent) = self.lanes[usize::from(from.0)].send_head(ctx, out) {
+            if sent != Sent::Request {
+                self.outstanding -= 1;
+                self.lanes[0].grant_retry(ctx, IOCACHE_DEV_SIDE);
             }
         }
     }
@@ -157,18 +101,17 @@ impl Component for IoCache {
         assert_eq!(port, IOCACHE_DEV_SIDE, "{}: DMA requests enter on the device side", self.name);
         if self.outstanding >= self.mshrs {
             self.refusals.inc();
-            self.owe_dev_retry = true;
-            return RecvResult::Refused(pkt);
+            return self.lanes[0].refuse(pkt);
         }
         self.outstanding += 1;
         self.accesses.inc();
-        ctx.schedule(self.lookup_latency, Event::DelayedPacket { tag: TAG_REQ, pkt });
+        self.lanes[0].delay(ctx, LOOKUP_LATENCY, u32::from(port.0), pkt);
         RecvResult::Accepted
     }
 
     fn recv_response(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) -> RecvResult {
         assert_eq!(port, IOCACHE_MEM_SIDE, "{}: memory responses enter on the mem side", self.name);
-        ctx.schedule(self.fill_latency, Event::DelayedPacket { tag: TAG_RESP, pkt });
+        self.lanes[1].delay(ctx, FILL_LATENCY, u32::from(port.0), pkt);
         RecvResult::Accepted
     }
 
@@ -176,31 +119,15 @@ impl Component for IoCache {
         let Event::DelayedPacket { tag, pkt } = ev else {
             panic!("{}: unexpected timer", self.name)
         };
-        match tag {
-            TAG_REQ => {
-                self.req_q.push_back(pkt);
-                self.drain_req(ctx);
-            }
-            TAG_RESP => {
-                self.resp_q.push_back(pkt);
-                self.drain_resp(ctx);
-            }
-            other => panic!("{}: unknown tag {other}", self.name),
-        }
+        let from = PortId(tag as u16);
+        self.lanes[usize::from(from.0)].arrive(pkt);
+        self.drain(ctx, from);
     }
 
     fn retry_granted(&mut self, ctx: &mut Ctx<'_>, port: PortId) {
-        match port {
-            IOCACHE_MEM_SIDE => {
-                self.req_waiting_peer = false;
-                self.drain_req(ctx);
-            }
-            IOCACHE_DEV_SIDE => {
-                self.resp_waiting_peer = false;
-                self.drain_resp(ctx);
-            }
-            other => panic!("{}: retry on unknown port {other}", self.name),
-        }
+        let from = PortId(port.0 ^ 1);
+        self.lanes[usize::from(from.0)].unblock();
+        self.drain(ctx, from);
     }
 
     fn report_stats(&self, out: &mut StatsBuilder) {
@@ -211,22 +138,18 @@ impl Component for IoCache {
 
     fn save_state(&self, w: &mut StateWriter) {
         w.usize(self.outstanding);
-        encode_packet_queue(w, &self.req_q);
-        encode_packet_queue(w, &self.resp_q);
-        w.bool(self.req_waiting_peer);
-        w.bool(self.resp_waiting_peer);
-        w.bool(self.owe_dev_retry);
+        for lane in &self.lanes {
+            lane.save(w);
+        }
         self.accesses.encode(w);
         self.refusals.encode(w);
     }
 
     fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         self.outstanding = r.usize()?;
-        self.req_q = decode_packet_queue(r)?;
-        self.resp_q = decode_packet_queue(r)?;
-        self.req_waiting_peer = r.bool()?;
-        self.resp_waiting_peer = r.bool()?;
-        self.owe_dev_retry = r.bool()?;
+        for lane in &mut self.lanes {
+            lane.restore(r)?;
+        }
         self.accesses = Counter::decode(r)?;
         self.refusals = Counter::decode(r)?;
         Ok(())
@@ -239,20 +162,13 @@ mod tests {
     use crate::packet::Command;
     use crate::sim::{RunOutcome, Simulation};
     use crate::testutil::{Requester, Responder, REQUESTER_PORT, RESPONDER_PORT};
-    use crate::tick::ns;
 
     fn run_iocache(n: u64, mshrs: usize, service: Tick) -> (usize, Tick, f64) {
         let mut sim = Simulation::new();
         let script = (0..n).map(|i| (Command::WriteReq, 0x8000_0000 + i * 64, 64)).collect();
         let (req, done) = Requester::new("dma", script);
         let r = sim.add(Box::new(req));
-        let c = sim.add(Box::new(
-            IoCache::builder("iocache")
-                .lookup_latency(ns(2))
-                .fill_latency(ns(2))
-                .mshrs(mshrs)
-                .build(),
-        ));
+        let c = sim.add(Box::new(IoCache::builder("iocache").mshrs(mshrs).build()));
         let (resp, _) = Responder::new("mem", service);
         let m = sim.add(Box::new(resp));
         sim.connect((r, REQUESTER_PORT), (c, IOCACHE_DEV_SIDE));

@@ -10,6 +10,8 @@
 //! * [`component`]/[`sim`] — components, gem5-style timing ports with a
 //!   refusal/retry flow-control handshake, and the deterministic event loop;
 //! * [`addr`] — address ranges and routing maps;
+//! * [`queue`] — the timed packet queue (FIFO, delay pipe, capacity and
+//!   refusal/retry bookkeeping) under every buffered port;
 //! * [`xbar`], [`bridge`], [`iocache`], [`dram`] — the stock gem5 fabric
 //!   models the paper builds upon (MemBus/IOBus crossbars, the
 //!   MemBus↔IOBus bridge, the DMA IOCache, and a DRAM terminator);
@@ -42,6 +44,7 @@ pub mod component;
 pub mod dram;
 pub mod iocache;
 pub mod packet;
+pub mod queue;
 pub mod shard;
 pub mod sim;
 pub mod snapshot;

@@ -12,7 +12,8 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use crate::component::{Component, Event, PortId, RecvResult};
-use crate::packet::{decode_packet_queue, encode_packet_queue, Command, Packet, PacketId};
+use crate::packet::{Command, Packet, PacketId};
+use crate::queue::TimedQueue;
 use crate::sim::Ctx;
 use crate::snapshot::{SnapshotError, StateReader, StateWriter};
 use crate::tick::Tick;
@@ -144,8 +145,7 @@ pub struct Responder {
     name: String,
     delay: Tick,
     served: ServeCount,
-    blocked: VecDeque<Packet>,
-    waiting_retry: bool,
+    blocked: TimedQueue,
 }
 
 /// The single port a [`Responder`] listens on.
@@ -161,24 +161,10 @@ impl Responder {
                 name: name.into(),
                 delay,
                 served: served.clone(),
-                blocked: VecDeque::new(),
-                waiting_retry: false,
+                blocked: TimedQueue::unbounded(),
             },
             served,
         )
-    }
-
-    fn flush(&mut self, ctx: &mut Ctx<'_>) {
-        while !self.waiting_retry {
-            let Some(pkt) = self.blocked.pop_front() else { return };
-            match ctx.try_send_response(RESPONDER_PORT, pkt) {
-                Ok(()) => {}
-                Err(back) => {
-                    self.blocked.push_front(back);
-                    self.waiting_retry = true;
-                }
-            }
-        }
     }
 }
 
@@ -207,24 +193,21 @@ impl Component for Responder {
         } else {
             pkt.into_response()
         };
-        self.blocked.push_back(resp);
-        self.flush(ctx);
+        self.blocked.push(resp);
+        self.blocked.flush(ctx, RESPONDER_PORT);
     }
 
     fn retry_granted(&mut self, ctx: &mut Ctx<'_>, _port: PortId) {
-        self.waiting_retry = false;
-        self.flush(ctx);
+        self.blocked.unblock();
+        self.blocked.flush(ctx, RESPONDER_PORT);
     }
 
     fn save_state(&self, w: &mut StateWriter) {
-        encode_packet_queue(w, &self.blocked);
-        w.bool(self.waiting_retry);
+        self.blocked.save(w);
     }
 
     fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.blocked = decode_packet_queue(r)?;
-        self.waiting_retry = r.bool()?;
-        Ok(())
+        self.blocked.restore(r)
     }
 }
 

@@ -7,11 +7,10 @@
 //! queues with the kernel's refusal/retry flow control — loosely following
 //! the ARM AXI-style crossbar gem5 implements.
 
-use std::collections::VecDeque;
-
 use crate::addr::{AddrMap, AddrRange};
 use crate::component::{Component, Event, PortId, RecvResult};
-use crate::packet::{decode_packet_queue, encode_packet_queue, CompletionStatus, Packet};
+use crate::packet::{CompletionStatus, Packet};
+use crate::queue::{TimedQueue, Waiters};
 use crate::sim::Ctx;
 use crate::snapshot::{SnapshotError, StateReader, StateWriter};
 use crate::stats::{Counter, StatsBuilder};
@@ -101,44 +100,33 @@ impl CrossbarBuilder {
     }
 }
 
-#[derive(Debug)]
+/// One crossbar port's egress side: a response lane and a request lane
+/// toward the peer, and the ingress ports each lane refused.
+#[derive(Debug, Default)]
 struct PortState {
-    out_req: VecDeque<Packet>,
-    out_resp: VecDeque<Packet>,
-    capacity: usize,
-    /// Packets accepted and in the latency pipe, destined for this egress.
-    inflight_req: usize,
-    inflight_resp: usize,
-    /// Our send to the peer was refused; waiting for its retry.
-    waiting_peer: bool,
+    resp: TimedQueue,
+    req: TimedQueue,
     /// Egress serialization horizon.
     busy_until: Tick,
-    /// Ingress ports refused because this egress was full; owed retries.
-    waiting_req_ingress: Vec<PortId>,
-    waiting_resp_ingress: Vec<PortId>,
+    resp_waiters: Waiters,
+    req_waiters: Waiters,
 }
 
 impl PortState {
     fn new(capacity: usize) -> Self {
-        Self {
-            out_req: VecDeque::new(),
-            out_resp: VecDeque::new(),
-            capacity,
-            inflight_req: 0,
-            inflight_resp: 0,
-            waiting_peer: false,
-            busy_until: 0,
-            waiting_req_ingress: Vec::new(),
-            waiting_resp_ingress: Vec::new(),
+        let lane = || TimedQueue::bounded(capacity);
+        Self { resp: lane(), req: lane(), ..Self::default() }
+    }
+
+    /// Space freed in this port's lanes: grant the refused ingress peers
+    /// their retries.
+    fn notify_waiters(&mut self, ctx: &mut Ctx<'_>) {
+        if !self.req.is_full() {
+            self.req_waiters.retry_all(ctx);
         }
-    }
-
-    fn req_full(&self) -> bool {
-        self.out_req.len() + self.inflight_req >= self.capacity
-    }
-
-    fn resp_full(&self) -> bool {
-        self.out_resp.len() + self.inflight_resp >= self.capacity
+        if !self.resp.is_full() {
+            self.resp_waiters.retry_all(ctx);
+        }
     }
 }
 
@@ -201,57 +189,17 @@ impl Crossbar {
         finish - now
     }
 
+    /// Sends the port's queued packets, responses first — response
+    /// progress must never be blocked behind requests or the fabric can
+    /// deadlock. One refusal blocks both lanes until the peer's retry.
     fn drain(&mut self, ctx: &mut Ctx<'_>, egress: PortId) {
-        let idx = egress.0 as usize;
-        loop {
-            if self.ports[idx].waiting_peer {
+        let p = &mut self.ports[egress.0 as usize];
+        while !p.resp.peer_blocked() && !p.req.peer_blocked() {
+            let lane = if p.resp.is_empty() { &mut p.req } else { &mut p.resp };
+            if lane.send_head(ctx, egress).is_none() {
                 return;
             }
-            // Responses first: response progress must never be blocked
-            // behind requests or the fabric can deadlock.
-            if let Some(pkt) = self.ports[idx].out_resp.pop_front() {
-                match ctx.try_send_response(egress, pkt) {
-                    Ok(()) => {
-                        self.notify_waiters(ctx, egress);
-                        continue;
-                    }
-                    Err(pkt) => {
-                        self.ports[idx].out_resp.push_front(pkt);
-                        self.ports[idx].waiting_peer = true;
-                        return;
-                    }
-                }
-            }
-            if let Some(pkt) = self.ports[idx].out_req.pop_front() {
-                match ctx.try_send_request(egress, pkt) {
-                    Ok(()) => {
-                        self.notify_waiters(ctx, egress);
-                        continue;
-                    }
-                    Err(pkt) => {
-                        self.ports[idx].out_req.push_front(pkt);
-                        self.ports[idx].waiting_peer = true;
-                        return;
-                    }
-                }
-            }
-            return;
-        }
-    }
-
-    /// Space freed in `egress` queues: grant retries to refused ingress
-    /// peers.
-    fn notify_waiters(&mut self, ctx: &mut Ctx<'_>, egress: PortId) {
-        let idx = egress.0 as usize;
-        if !self.ports[idx].req_full() {
-            for ingress in std::mem::take(&mut self.ports[idx].waiting_req_ingress) {
-                ctx.send_retry(ingress);
-            }
-        }
-        if !self.ports[idx].resp_full() {
-            for ingress in std::mem::take(&mut self.ports[idx].waiting_resp_ingress) {
-                ctx.send_retry(ingress);
-            }
+            p.notify_waiters(ctx);
         }
     }
 }
@@ -282,18 +230,14 @@ impl Component for Crossbar {
                 return RecvResult::Accepted;
             }
             let resp = pkt.into_error_response(CompletionStatus::UnsupportedRequest);
-            let idx = port.0 as usize;
-            self.ports[idx].inflight_resp += 1;
             let delay = self.pipe_delay(ctx.now(), port, &resp);
-            ctx.schedule(delay, Event::DelayedPacket { tag: u32::from(port.0), pkt: resp });
+            self.ports[port.0 as usize].resp.delay(ctx, delay, u32::from(port.0), resp);
             return RecvResult::Accepted;
         };
         let idx = egress.0 as usize;
-        if self.ports[idx].req_full() {
+        if self.ports[idx].req.is_full() {
             self.stats.refusals.inc();
-            if !self.ports[idx].waiting_req_ingress.contains(&port) {
-                self.ports[idx].waiting_req_ingress.push(port);
-            }
+            self.ports[idx].req_waiters.add(port);
             return RecvResult::Refused(pkt);
         }
         self.stats.reqs.inc();
@@ -308,9 +252,8 @@ impl Component for Crossbar {
             );
         }
         pkt.push_route(ctx.self_id(), port);
-        self.ports[idx].inflight_req += 1;
         let delay = self.pipe_delay(ctx.now(), egress, &pkt);
-        ctx.schedule(delay, Event::DelayedPacket { tag: u32::from(egress.0), pkt });
+        self.ports[idx].req.delay(ctx, delay, u32::from(egress.0), pkt);
         RecvResult::Accepted
     }
 
@@ -327,11 +270,9 @@ impl Component for Crossbar {
         );
         let egress = hop.port;
         let idx = egress.0 as usize;
-        if self.ports[idx].resp_full() {
+        if self.ports[idx].resp.is_full() {
             self.stats.refusals.inc();
-            if !self.ports[idx].waiting_resp_ingress.contains(&port) {
-                self.ports[idx].waiting_resp_ingress.push(port);
-            }
+            self.ports[idx].resp_waiters.add(port);
             return RecvResult::Refused(pkt);
         }
         pkt.pop_route();
@@ -346,9 +287,8 @@ impl Component for Crossbar {
                 u64::from(egress.0),
             );
         }
-        self.ports[idx].inflight_resp += 1;
         let delay = self.pipe_delay(ctx.now(), egress, &pkt);
-        ctx.schedule(delay, Event::DelayedPacket { tag: u32::from(egress.0), pkt });
+        self.ports[idx].resp.delay(ctx, delay, u32::from(egress.0), pkt);
         RecvResult::Accepted
     }
 
@@ -357,19 +297,19 @@ impl Component for Crossbar {
             panic!("{}: unexpected timer", self.name);
         };
         let egress = PortId(tag as u16);
-        let idx = egress.0 as usize;
+        let p = &mut self.ports[egress.0 as usize];
         if pkt.is_request() {
-            self.ports[idx].inflight_req -= 1;
-            self.ports[idx].out_req.push_back(pkt);
+            p.req.arrive(pkt);
         } else {
-            self.ports[idx].inflight_resp -= 1;
-            self.ports[idx].out_resp.push_back(pkt);
+            p.resp.arrive(pkt);
         }
         self.drain(ctx, egress);
     }
 
     fn retry_granted(&mut self, ctx: &mut Ctx<'_>, port: PortId) {
-        self.ports[port.0 as usize].waiting_peer = false;
+        let p = &mut self.ports[port.0 as usize];
+        p.resp.unblock();
+        p.req.unblock();
         self.drain(ctx, port);
     }
 
@@ -384,20 +324,11 @@ impl Component for Crossbar {
     fn save_state(&self, w: &mut StateWriter) {
         w.usize(self.ports.len());
         for p in &self.ports {
-            encode_packet_queue(w, &p.out_req);
-            encode_packet_queue(w, &p.out_resp);
-            w.usize(p.inflight_req);
-            w.usize(p.inflight_resp);
-            w.bool(p.waiting_peer);
+            p.resp.save(w);
+            p.req.save(w);
             w.u64(p.busy_until);
-            w.usize(p.waiting_req_ingress.len());
-            for ingress in &p.waiting_req_ingress {
-                w.u16(ingress.0);
-            }
-            w.usize(p.waiting_resp_ingress.len());
-            for ingress in &p.waiting_resp_ingress {
-                w.u16(ingress.0);
-            }
+            p.resp_waiters.save(w);
+            p.req_waiters.save(w);
         }
         self.stats.reqs.encode(w);
         self.stats.resps.encode(w);
@@ -416,18 +347,11 @@ impl Component for Crossbar {
             )));
         }
         for p in &mut self.ports {
-            p.out_req = decode_packet_queue(r)?;
-            p.out_resp = decode_packet_queue(r)?;
-            p.inflight_req = r.usize()?;
-            p.inflight_resp = r.usize()?;
-            p.waiting_peer = r.bool()?;
+            p.resp.restore(r)?;
+            p.req.restore(r)?;
             p.busy_until = r.u64()?;
-            let n_req = r.usize()?;
-            p.waiting_req_ingress =
-                (0..n_req).map(|_| r.u16().map(PortId)).collect::<Result<_, _>>()?;
-            let n_resp = r.usize()?;
-            p.waiting_resp_ingress =
-                (0..n_resp).map(|_| r.u16().map(PortId)).collect::<Result<_, _>>()?;
+            p.resp_waiters.restore(r, n)?;
+            p.req_waiters.restore(r, n)?;
         }
         self.stats.reqs = Counter::decode(r)?;
         self.stats.resps = Counter::decode(r)?;
@@ -469,6 +393,22 @@ mod tests {
         assert_eq!(*served.borrow(), 1);
         // 5 ns each crossing (req + resp) + 100 ns service.
         assert_eq!(done.borrow()[0].1, ns(110));
+    }
+
+    #[test]
+    fn restore_rejects_a_waiting_port_outside_the_crossbar() {
+        for resp in [false, true] {
+            let mut x = two_port_xbar();
+            let p = &mut x.ports[1];
+            if resp { &mut p.resp_waiters } else { &mut p.req_waiters }.add(PortId(2));
+            let mut w = StateWriter::new();
+            x.save_state(&mut w);
+            let bytes = w.into_bytes();
+            let err = two_port_xbar()
+                .restore_state(&mut StateReader::new(&bytes))
+                .expect_err("port 2 of a 2-port crossbar");
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
+        }
     }
 
     #[test]

@@ -1,13 +1,153 @@
 //! Property-based tests of the simulation kernel: address-map correctness,
-//! event-ordering determinism, and crossbar conservation under arbitrary
-//! traffic.
+//! event-ordering determinism, crossbar conservation under arbitrary
+//! traffic, and the buffered fabric stages under back-pressure from every
+//! side.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 
 use pcisim_kernel::addr::{AddrMap, AddrRange};
+use pcisim_kernel::bridge::{Bridge, BRIDGE_IO_SIDE, BRIDGE_MEM_SIDE};
+use pcisim_kernel::dram::DRAM_PORT;
+use pcisim_kernel::iocache::{IOCACHE_DEV_SIDE, IOCACHE_MEM_SIDE};
 use pcisim_kernel::packet::Command;
 use pcisim_kernel::prelude::*;
-use pcisim_kernel::testutil::{Requester, Responder, REQUESTER_PORT, RESPONDER_PORT};
+use pcisim_kernel::queue::TimedQueue;
+use pcisim_kernel::testutil::{
+    CompletionLog, Requester, Responder, REQUESTER_PORT, RESPONDER_PORT,
+};
+
+const DRAM_BASE: u64 = 0x8000_0000;
+const SINK_BASE: u64 = 0x1000;
+
+/// Ids a [`Refuser`] served, in service order.
+type ServedLog = Rc<RefCell<Vec<PacketId>>>;
+
+/// Answers requests after `service`, but refuses every `k`-th one it is
+/// offered and grants the owed retry a nanosecond later.
+struct Refuser {
+    k: u64,
+    offered: u64,
+    service: Tick,
+    served: ServedLog,
+    resp: TimedQueue,
+}
+
+impl Component for Refuser {
+    fn name(&self) -> &str {
+        "sink"
+    }
+
+    fn recv_request(&mut self, ctx: &mut Ctx<'_>, _port: PortId, pkt: Packet) -> RecvResult {
+        self.offered += 1;
+        if self.offered.is_multiple_of(self.k) {
+            ctx.schedule(ns(1), Event::Timer { kind: 0, data: 0 });
+            return self.resp.refuse(pkt);
+        }
+        ctx.schedule(self.service, Event::DelayedPacket { tag: 0, pkt });
+        RecvResult::Accepted
+    }
+
+    fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+        match ev {
+            Event::Timer { .. } => self.resp.grant_retry(ctx, PortId(0)),
+            Event::DelayedPacket { pkt, .. } => {
+                self.served.borrow_mut().push(pkt.id());
+                if pkt.is_posted() {
+                    return;
+                }
+                let resp = if pkt.cmd().is_read() {
+                    let data = vec![0; pkt.size() as usize];
+                    pkt.into_read_response(data)
+                } else {
+                    pkt.into_response()
+                };
+                self.resp.push(resp);
+                self.resp.flush(ctx, PortId(0));
+            }
+            Event::StampedPacket { .. } => panic!("sink: stamped packet"),
+        }
+    }
+
+    fn retry_granted(&mut self, ctx: &mut Ctx<'_>, _port: PortId) {
+        self.resp.unblock();
+        self.resp.flush(ctx, PortId(0));
+    }
+
+    fn save_state(&self, w: &mut StateWriter) {
+        w.u64(self.offered);
+        self.resp.save(w);
+    }
+
+    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        self.offered = r.u64()?;
+        self.resp.restore(r)
+    }
+}
+
+/// Buffer depths of [`fabric`]'s stages.
+#[derive(Debug, Clone, Copy)]
+struct Depths {
+    bridge: usize,
+    xbar: usize,
+    mshrs: usize,
+    dram: usize,
+    /// The sink refuses every `refuse_every`-th offer.
+    refuse_every: u64,
+}
+
+/// requester → bridge → crossbar, whose port 1 leads through an IOCache to
+/// a DRAM slower than the bridge (addresses from [`DRAM_BASE`]) and whose port 2 leads to a
+/// [`Refuser`] (addresses from [`SINK_BASE`]). Returns the simulation, the
+/// requester's completions, the sink's service log and the DRAM's id.
+fn fabric(
+    script: Vec<(Command, u64, u32)>,
+    d: Depths,
+) -> (Simulation, CompletionLog, ServedLog, ComponentId) {
+    let mut sim = Simulation::new();
+    let (req, done) = Requester::new("gen", script);
+    let r = sim.add(Box::new(req));
+    let b = sim.add(Box::new(Bridge::builder("bridge").req_capacity(d.bridge).build()));
+    let x = sim.add(Box::new(
+        Crossbar::builder("xbar")
+            .num_ports(3)
+            .queue_capacity(d.xbar)
+            .route(AddrRange::with_size(DRAM_BASE, 0x1000_0000), PortId(1))
+            .route(AddrRange::with_size(SINK_BASE, 0x1000_0000), PortId(2))
+            .build(),
+    ));
+    let c = sim.add(Box::new(IoCache::builder("iocache").mshrs(d.mshrs).build()));
+    let m = sim.add(Box::new(
+        Dram::builder("dram", AddrRange::with_size(DRAM_BASE, 0x1000_0000))
+            .latency(ns(200))
+            .max_outstanding(d.dram)
+            .build(),
+    ));
+    let served = ServedLog::default();
+    let sink = sim.add(Box::new(Refuser {
+        k: d.refuse_every,
+        offered: 0,
+        service: ns(20),
+        served: served.clone(),
+        resp: TimedQueue::unbounded(),
+    }));
+    sim.connect((r, REQUESTER_PORT), (b, BRIDGE_MEM_SIDE));
+    sim.connect((b, BRIDGE_IO_SIDE), (x, PortId(0)));
+    sim.connect((x, PortId(1)), (c, IOCACHE_DEV_SIDE));
+    sim.connect((c, IOCACHE_MEM_SIDE), (m, DRAM_PORT));
+    sim.connect((x, PortId(2)), (sink, PortId(0)));
+    (sim, done, served, m)
+}
+
+/// The `i`-th packet of a mixed script: reads, writes and posted messages,
+/// to DRAM or to the sink as bit `i` of `to_sink` says.
+fn mixed(i: u64, to_sink: u64) -> (Command, u64, u32) {
+    let cmd = [Command::ReadReq, Command::WriteReq, Command::Message][(i % 3) as usize];
+    let base = if (to_sink >> (i % 64)) & 1 == 1 { SINK_BASE } else { DRAM_BASE };
+    (cmd, base + i * 64, 64)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -162,7 +302,6 @@ proptest! {
     /// Completions from a FIFO pipeline preserve issue order.
     #[test]
     fn bridge_preserves_order(n in 1u64..48, cap in 1usize..6) {
-        use pcisim_kernel::bridge::{Bridge, BRIDGE_IO_SIDE, BRIDGE_MEM_SIDE};
         let mut sim = Simulation::new();
         let script: Vec<_> = (0..n).map(|i| (Command::ReadReq, 0x1000 + i * 4, 4u32)).collect();
         let (req, done) = Requester::new("gen", script);
@@ -182,6 +321,92 @@ proptest! {
             prop_assert!(w[0].1 <= w[1].1);
         }
     }
+
+    /// Random depths at every stage and a sink that refuses every k-th
+    /// offer: every packet is delivered exactly once, and each lane —
+    /// DRAM-bound and sink-bound — completes in issue order.
+    #[test]
+    fn iocache_and_dram_preserve_order_and_conserve(
+        n in 1u64..48,
+        bridge in 1usize..6,
+        xbar in 1usize..6,
+        mshrs in 1usize..6,
+        dram in 1usize..6,
+        refuse_every in 2u64..6,
+        to_sink in any::<u64>(),
+    ) {
+        let script: Vec<_> = (0..n).map(|i| mixed(i, to_sink)).collect();
+        let depths = Depths { bridge, xbar, mshrs, dram, refuse_every };
+        let (mut sim, done, served, _) = fabric(script.clone(), depths);
+        prop_assert_eq!(sim.run_to_quiesce(), RunOutcome::QueueEmpty);
+        // Ids are allocated in issue order, so the i-th smallest completed
+        // id is script entry i.
+        let mut ids: Vec<PacketId> = done.borrow().iter().map(|&(id, _)| id).collect();
+        ids.sort();
+        ids.dedup();
+        prop_assert_eq!(ids.len() as u64, n, "every packet completes exactly once");
+        let at_sink = |i: usize| script[i].1 < DRAM_BASE;
+        let sink_ids: Vec<PacketId> = (0..ids.len()).filter(|&i| at_sink(i)).map(|i| ids[i]).collect();
+        prop_assert_eq!(&*served.borrow(), &sink_ids, "the sink serves its lane once, in order");
+        let stats = sim.stats();
+        let dram_served = stats.get("dram.reads").unwrap() + stats.get("dram.writes").unwrap();
+        prop_assert_eq!(dram_served as usize, ids.len() - sink_ids.len(), "DRAM serves its lane once");
+        for sink_lane in [false, true] {
+            let lane: Vec<PacketId> = done
+                .borrow()
+                .iter()
+                .map(|&(id, _)| id)
+                .filter(|id| {
+                    let i = ids.binary_search(id).expect("issued id");
+                    at_sink(i) == sink_lane && script[i].0 != Command::Message
+                })
+                .collect();
+            prop_assert!(lane.windows(2).all(|w| w[0] < w[1]), "lane completes in issue order");
+        }
+    }
+}
+
+/// A chain whose every stage is one packet deep — bridge, crossbar and
+/// DRAM hold one, the IOCache has one MSHR — in front of a sink that
+/// refuses every third offer, checkpointed at every event boundary and
+/// restored into a fresh build: each restored run ends at the uninterrupted
+/// run's quiesce tick with its statistics and PacketId count.
+#[test]
+fn one_deep_chain_checkpoints_at_every_event_and_restores_identically() {
+    // A posted message leaves the IOCache as soon as its lookup ends, so
+    // one queued behind another reaches the still-busy DRAM and is refused.
+    let script: Vec<_> = (0..24).map(|i| mixed(i, 0b1100_0000_1100_0000)).collect();
+    let depths = Depths { bridge: 1, xbar: 1, mshrs: 1, dram: 1, refuse_every: 3 };
+
+    let (mut traced, _, _, dram) = fabric(script.clone(), depths);
+    traced.set_trace_mask(TraceCategory::Hop.bit());
+    assert_eq!(traced.run_to_quiesce(), RunOutcome::QueueEmpty);
+    let stats = traced.stats();
+    for stage in ["bridge", "xbar", "iocache"] {
+        assert!(stats.get(&format!("{stage}.refusals")).unwrap() > 0.0, "{stage} must refuse");
+    }
+    let trace = traced.take_trace();
+    let dram_refused =
+        trace.events.iter().any(|e| e.kind == TraceKind::HopRefused && e.component == dram);
+    assert!(dram_refused, "the DRAM must refuse");
+
+    let (mut reference, done, served, _) = fabric(script.clone(), depths);
+    assert_eq!(reference.run_to_quiesce(), RunOutcome::QueueEmpty);
+    assert_eq!(done.borrow().len(), script.len(), "every request completes");
+    assert!(served.borrow().len() >= 3, "the sink was offered enough to refuse");
+    let (ref_tick, ref_fnv) = (reference.now(), reference.stats().fnv());
+    let ref_pid = reference.packet_ids_allocated();
+    for cut in 1..reference.events_processed() {
+        let (mut interrupted, _, _, _) = fabric(script.clone(), depths);
+        assert_eq!(interrupted.run(Tick::MAX, cut), RunOutcome::EventLimit);
+        let snap = interrupted.checkpoint();
+        let (mut restored, _, _, _) = fabric(script.clone(), depths);
+        restored.restore(&snap).expect("restores");
+        assert_eq!(restored.run_to_quiesce(), RunOutcome::QueueEmpty);
+        assert_eq!(restored.now(), ref_tick, "quiesce tick after cut {cut}");
+        assert_eq!(restored.stats().fnv(), ref_fnv, "stats after cut {cut}");
+        assert_eq!(restored.packet_ids_allocated(), ref_pid, "packet ids after cut {cut}");
+    }
 }
 
 /// Open-loop arrival scheduling at multi-second horizons: `now + delay`
@@ -190,9 +415,6 @@ proptest! {
 /// calendar queue). Regression test for the traffic-generator path.
 #[test]
 fn long_horizon_scheduling_saturates_instead_of_wrapping() {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
     struct FarFuture {
         fired: Rc<RefCell<Vec<Tick>>>,
     }

@@ -9,12 +9,13 @@
 //! as "no device here".
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use pcisim_kernel::addr::AddrRange;
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
-use pcisim_kernel::packet::{decode_packet_queue, encode_packet_queue, Command, Packet};
+use pcisim_kernel::packet::{Command, Packet};
+use pcisim_kernel::queue::TimedQueue;
 use pcisim_kernel::sim::Ctx;
 use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
 use pcisim_kernel::stats::{Counter, StatsBuilder};
@@ -129,8 +130,7 @@ pub struct PciHost {
     ecam: AddrRange,
     latency: Tick,
     registry: SharedRegistry,
-    blocked: VecDeque<Packet>,
-    waiting_retry: bool,
+    blocked: TimedQueue,
     reads: Counter,
     writes: Counter,
     misses: Counter,
@@ -151,29 +151,10 @@ impl PciHost {
             ecam: AddrRange::with_size(ecam_base, ecam_size),
             latency,
             registry,
-            blocked: VecDeque::new(),
-            waiting_retry: false,
+            blocked: TimedQueue::unbounded(),
             reads: Counter::new(),
             writes: Counter::new(),
             misses: Counter::new(),
-        }
-    }
-
-    /// The ECAM window this host claims.
-    pub fn ecam_range(&self) -> AddrRange {
-        self.ecam
-    }
-
-    fn flush(&mut self, ctx: &mut Ctx<'_>) {
-        while !self.waiting_retry {
-            let Some(pkt) = self.blocked.pop_front() else { return };
-            match ctx.try_send_response(PCI_HOST_PORT, pkt) {
-                Ok(()) => {}
-                Err(back) => {
-                    self.blocked.push_front(back);
-                    self.waiting_retry = true;
-                }
-            }
         }
     }
 }
@@ -235,13 +216,13 @@ impl Component for PciHost {
             other => panic!("{}: unexpected {other:?}", self.name),
         };
         drop(registry);
-        self.blocked.push_back(resp);
-        self.flush(ctx);
+        self.blocked.push(resp);
+        self.blocked.flush(ctx, PCI_HOST_PORT);
     }
 
     fn retry_granted(&mut self, ctx: &mut Ctx<'_>, _port: PortId) {
-        self.waiting_retry = false;
-        self.flush(ctx);
+        self.blocked.unblock();
+        self.blocked.flush(ctx, PCI_HOST_PORT);
     }
 
     fn report_stats(&self, out: &mut StatsBuilder) {
@@ -251,8 +232,7 @@ impl Component for PciHost {
     }
 
     fn save_state(&self, w: &mut StateWriter) {
-        encode_packet_queue(w, &self.blocked);
-        w.bool(self.waiting_retry);
+        self.blocked.save(w);
         self.reads.encode(w);
         self.writes.encode(w);
         self.misses.encode(w);
@@ -275,8 +255,7 @@ impl Component for PciHost {
     }
 
     fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.blocked = decode_packet_queue(r)?;
-        self.waiting_retry = r.bool()?;
+        self.blocked.restore(r)?;
         self.reads = Counter::decode(r)?;
         self.writes = Counter::decode(r)?;
         self.misses = Counter::decode(r)?;

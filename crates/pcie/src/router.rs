@@ -24,12 +24,13 @@
 //! throughput — the "packets too fast for the switch port to handle"
 //! effect behind the x8 collapse of Fig. 9(b).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use pcisim_kernel::addr::AddrRange;
 use pcisim_kernel::calendar::EventHandle;
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
-use pcisim_kernel::packet::{decode_packet_queue, encode_packet_queue, CompletionStatus, Packet};
+use pcisim_kernel::packet::{CompletionStatus, Packet};
+use pcisim_kernel::queue::{TimedQueue, Waiters};
 use pcisim_kernel::sim::Ctx;
 use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
 use pcisim_kernel::stats::{Counter, StatsBuilder};
@@ -136,22 +137,28 @@ const K_CPL_TIMEOUT: u32 = 1;
 
 #[derive(Debug, Default)]
 struct PortBuffers {
-    ingress: VecDeque<Packet>,
+    /// Admitted packets waiting for the service engine; owes the feeding
+    /// peer a retry once it has room.
+    ingress: TimedQueue,
     in_service: Option<Packet>,
     service_egress: usize,
     /// The packet in service matched no route: convert it to an
     /// Unsupported Request completion when service finishes.
     service_unrouted: bool,
     engine_busy: bool,
-    /// Peer refused admission; owed a retry when ingress space frees.
-    owe_ingress_retry: bool,
-    egress: VecDeque<Packet>,
-    /// Packets finished with service, in the pipeline toward this egress.
-    egress_inflight: usize,
-    /// Our egress send was refused; waiting for the peer's retry.
-    egress_waiting_peer: bool,
-    /// Ingress ports stalled because this egress was full.
-    egress_waiters: Vec<usize>,
+    /// Serviced packets toward this port's peer; the delay pipe holds those
+    /// past service and still in the pipeline latency.
+    egress: TimedQueue,
+    /// Ingress ports whose engines stalled because this egress was full;
+    /// restarted, not sent retries, when it frees.
+    egress_waiters: Waiters,
+}
+
+impl PortBuffers {
+    fn new(buffer_size: usize) -> Self {
+        let lane = || TimedQueue::bounded(buffer_size);
+        Self { ingress: lane(), egress: lane(), ..Self::default() }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -226,13 +233,14 @@ impl PcieRouter {
         config.check();
         assert!(!vp2ps.is_empty(), "a root complex needs at least one root port");
         let n = vp2ps.len();
+        let ports = (0..2 + 2 * n).map(|_| PortBuffers::new(config.buffer_size)).collect();
         Self {
             name: name.into(),
             kind: RouterKind::RootComplex,
             config,
             vp2ps,
             upstream_vp2p: None,
-            ports: (0..2 + 2 * n).map(|_| PortBuffers::default()).collect(),
+            ports,
             stats: RouterStats::default(),
             pending: BTreeMap::new(),
             timed_out: BTreeSet::new(),
@@ -256,13 +264,14 @@ impl PcieRouter {
         config.check();
         assert!(!downstream_vp2ps.is_empty(), "a switch needs at least one downstream port");
         let n = downstream_vp2ps.len();
+        let ports = (0..2 + 2 * n).map(|_| PortBuffers::new(config.buffer_size)).collect();
         Self {
             name: name.into(),
             kind: RouterKind::Switch,
             config,
             vp2ps: downstream_vp2ps,
             upstream_vp2p: Some(upstream_vp2p),
-            ports: (0..2 + 2 * n).map(|_| PortBuffers::default()).collect(),
+            ports,
             stats: RouterStats::default(),
             pending: BTreeMap::new(),
             timed_out: BTreeSet::new(),
@@ -462,15 +471,6 @@ impl PcieRouter {
         }
     }
 
-    fn ingress_full(&self, port: usize) -> bool {
-        self.ports[port].ingress.len() >= self.config.buffer_size
-    }
-
-    fn egress_full(&self, port: usize) -> bool {
-        let p = &self.ports[port];
-        p.egress.len() + p.egress_inflight >= self.config.buffer_size
-    }
-
     /// Starts the service engine of `ingress` if idle and the head packet's
     /// egress has room.
     fn try_start(&mut self, ctx: &mut Ctx<'_>, ingress: usize) {
@@ -487,26 +487,21 @@ impl PcieRouter {
                 Some(e) => (e, false),
                 None => {
                     if head.is_posted() {
-                        let pkt = self.ports[ingress].ingress.pop_front().expect("head exists");
+                        let pkt = self.ports[ingress].ingress.pop().expect("head exists");
                         self.stats.unsupported_requests.inc();
                         self.record_master_abort(&pkt, Self::pair_of(ingress));
-                        if self.ports[ingress].owe_ingress_retry && !self.ingress_full(ingress) {
-                            self.ports[ingress].owe_ingress_retry = false;
-                            ctx.send_retry(PortId(ingress as u16));
-                        }
+                        self.ports[ingress].ingress.grant_retry(ctx, PortId(ingress as u16));
                         continue;
                     }
                     (ingress, true)
                 }
             };
-            if self.egress_full(egress) {
+            if self.ports[egress].egress.is_full() {
                 self.stats.egress_stalls.inc();
-                if !self.ports[egress].egress_waiters.contains(&ingress) {
-                    self.ports[egress].egress_waiters.push(ingress);
-                }
+                self.ports[egress].egress_waiters.add(PortId(ingress as u16));
                 return;
             }
-            let pkt = self.ports[ingress].ingress.pop_front().expect("head exists");
+            let pkt = self.ports[ingress].ingress.pop().expect("head exists");
             if unrouted {
                 self.stats.unsupported_requests.inc();
                 self.record_master_abort(&pkt, Self::pair_of(ingress));
@@ -525,16 +520,13 @@ impl PcieRouter {
             p.in_service = Some(pkt);
             p.service_egress = egress;
             p.service_unrouted = unrouted;
-            self.ports[egress].egress_inflight += 1;
+            self.ports[egress].egress.reserve();
             ctx.schedule(
                 self.config.service_interval,
                 Event::Timer { kind: K_SERVICE_DONE, data: ingress as u64 },
             );
             // Ingress space freed: grant the feeding peer a retry.
-            if self.ports[ingress].owe_ingress_retry && !self.ingress_full(ingress) {
-                self.ports[ingress].owe_ingress_retry = false;
-                ctx.send_retry(PortId(ingress as u16));
-            }
+            self.ports[ingress].ingress.grant_retry(ctx, PortId(ingress as u16));
             return;
         }
     }
@@ -569,30 +561,11 @@ impl PcieRouter {
     }
 
     fn drain_egress(&mut self, ctx: &mut Ctx<'_>, egress: usize) {
-        loop {
-            if self.ports[egress].egress_waiting_peer {
-                return;
-            }
-            let Some(pkt) = self.ports[egress].egress.pop_front() else { return };
-            let port = PortId(egress as u16);
-            let result = if pkt.is_request() {
-                ctx.try_send_request(port, pkt)
-            } else {
-                ctx.try_send_response(port, pkt)
-            };
-            match result {
-                Ok(()) => {
-                    // Space freed: restart any ingress engines stalled on
-                    // this egress.
-                    for ing in std::mem::take(&mut self.ports[egress].egress_waiters) {
-                        self.try_start(ctx, ing);
-                    }
-                }
-                Err(back) => {
-                    self.ports[egress].egress.push_front(back);
-                    self.ports[egress].egress_waiting_peer = true;
-                    return;
-                }
+        while self.ports[egress].egress.send_head(ctx, PortId(egress as u16)).is_some() {
+            // Space freed: restart any ingress engines stalled on this
+            // egress.
+            for ing in self.ports[egress].egress_waiters.take() {
+                self.try_start(ctx, usize::from(ing.0));
             }
         }
     }
@@ -600,10 +573,9 @@ impl PcieRouter {
     fn admit(&mut self, ctx: &mut Ctx<'_>, port: PortId, mut pkt: Packet) -> RecvResult {
         let ingress = port.0 as usize;
         assert!(ingress < self.ports.len(), "{}: unknown port {port}", self.name);
-        if self.ingress_full(ingress) {
+        if self.ports[ingress].ingress.is_full() {
             self.stats.ingress_refusals.inc();
-            self.ports[ingress].owe_ingress_retry = true;
-            return RecvResult::Refused(pkt);
+            return self.ports[ingress].ingress.refuse(pkt);
         }
         if pkt.is_request() {
             self.stats.requests.inc();
@@ -652,7 +624,7 @@ impl PcieRouter {
             }
             self.stats.responses.inc();
         }
-        self.ports[ingress].ingress.push_back(pkt);
+        self.ports[ingress].ingress.push(pkt);
         if ctx.tracing(TraceCategory::Router) {
             ctx.emit(
                 TraceCategory::Router,
@@ -692,7 +664,8 @@ impl PcieRouter {
         }
         let resp = req.into_error_response(CompletionStatus::CompletionTimeout);
         let up_slave = PORT_UPSTREAM_SLAVE.0 as usize;
-        self.ports[up_slave].egress.push_back(resp);
+        // Past the buffer's capacity if need be: the requester must hear back.
+        self.ports[up_slave].egress.push(resp);
         self.drain_egress(ctx, up_slave);
     }
 }
@@ -717,8 +690,7 @@ impl Component for PcieRouter {
             Event::Timer { kind, .. } => panic!("{}: unknown timer {kind}", self.name),
             Event::DelayedPacket { tag, pkt } => {
                 let egress = tag as usize;
-                self.ports[egress].egress_inflight -= 1;
-                self.ports[egress].egress.push_back(pkt);
+                self.ports[egress].egress.arrive(pkt);
                 self.drain_egress(ctx, egress);
             }
             Event::StampedPacket { .. } => panic!("{}: unexpected stamped packet", self.name),
@@ -727,7 +699,7 @@ impl Component for PcieRouter {
 
     fn retry_granted(&mut self, ctx: &mut Ctx<'_>, port: PortId) {
         let egress = port.0 as usize;
-        self.ports[egress].egress_waiting_peer = false;
+        self.ports[egress].egress.unblock();
         self.drain_egress(ctx, egress);
     }
 
@@ -744,7 +716,7 @@ impl Component for PcieRouter {
     fn save_state(&self, w: &mut StateWriter) {
         w.usize(self.ports.len());
         for p in &self.ports {
-            encode_packet_queue(w, &p.ingress);
+            p.ingress.save(w);
             match &p.in_service {
                 Some(pkt) => {
                     w.bool(true);
@@ -755,14 +727,8 @@ impl Component for PcieRouter {
             w.usize(p.service_egress);
             w.bool(p.service_unrouted);
             w.bool(p.engine_busy);
-            w.bool(p.owe_ingress_retry);
-            encode_packet_queue(w, &p.egress);
-            w.usize(p.egress_inflight);
-            w.bool(p.egress_waiting_peer);
-            w.usize(p.egress_waiters.len());
-            for &ing in &p.egress_waiters {
-                w.usize(ing);
-            }
+            p.egress.save(w);
+            p.egress_waiters.save(w);
         }
         self.stats.requests.encode(w);
         self.stats.responses.encode(w);
@@ -794,17 +760,19 @@ impl Component for PcieRouter {
             )));
         }
         for p in &mut self.ports {
-            p.ingress = decode_packet_queue(r)?;
+            p.ingress.restore(r)?;
             p.in_service = if r.bool()? { Some(Packet::decode(r)?) } else { None };
             p.service_egress = r.usize()?;
+            if p.service_egress >= n {
+                return Err(SnapshotError::Corrupt(format!(
+                    "{}: service egress {} of {n} ports",
+                    self.name, p.service_egress
+                )));
+            }
             p.service_unrouted = r.bool()?;
             p.engine_busy = r.bool()?;
-            p.owe_ingress_retry = r.bool()?;
-            p.egress = decode_packet_queue(r)?;
-            p.egress_inflight = r.usize()?;
-            p.egress_waiting_peer = r.bool()?;
-            let n_waiters = r.usize()?;
-            p.egress_waiters = (0..n_waiters).map(|_| r.usize()).collect::<Result<_, _>>()?;
+            p.egress.restore(r)?;
+            p.egress_waiters.restore(r, n)?;
         }
         self.stats.requests = Counter::decode(r)?;
         self.stats.responses = Counter::decode(r)?;
@@ -1458,6 +1426,24 @@ mod tests {
         let stats = sim.stats();
         assert!(stats.get("rc.egress_stalls").unwrap() > 0.0, "the engine must have stalled");
         assert!(stats.get("rc.ingress_refusals").unwrap() > 0.0, "backpressure must propagate");
+    }
+
+    #[test]
+    fn restore_rejects_port_indices_outside_the_router() {
+        // Two root ports make six kernel ports; index 6 names none.
+        fn restore_after(corrupt: impl Fn(&mut PcieRouter)) -> Result<(), SnapshotError> {
+            let mut rc = rc_two_ports(RouterConfig::default());
+            corrupt(&mut rc);
+            let mut w = StateWriter::new();
+            rc.save_state(&mut w);
+            let bytes = w.into_bytes();
+            rc_two_ports(RouterConfig::default()).restore_state(&mut StateReader::new(&bytes))
+        }
+        assert_eq!(restore_after(|_| {}), Ok(()));
+        let service = restore_after(|rc| rc.ports[3].service_egress = 6);
+        assert!(matches!(service, Err(SnapshotError::Corrupt(_))), "{service:?}");
+        let waiter = restore_after(|rc| rc.ports[2].egress_waiters.add(PortId(6)));
+        assert!(matches!(waiter, Err(SnapshotError::Corrupt(_))), "{waiter:?}");
     }
 
     #[test]

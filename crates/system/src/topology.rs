@@ -163,8 +163,6 @@ pub struct Topology {
     pub dram_latency: Tick,
     /// DRAM sustained bandwidth in bytes/second (0 = infinite).
     pub dram_bandwidth: u64,
-    /// IOCache outstanding-miss limit.
-    pub iocache_mshrs: usize,
     /// PCI host configuration-access service latency.
     pub pcihost_latency: Tick,
     /// Give the (single) endpoint a functional MSI capability and have
@@ -192,7 +190,6 @@ impl Topology {
             membus_frontend: ns(5),
             dram_latency: ns(30),
             dram_bandwidth: 25_600_000_000,
-            iocache_mshrs: 16,
             pcihost_latency: ns(20),
             use_msi: false,
             use_msix: false,
@@ -1192,8 +1189,7 @@ pub fn build_legacy_system() -> TopologySystem {
         mem.pcihost_latency,
         registry.clone(),
     )));
-    let iocache_id =
-        sim.add(Box::new(IoCache::builder("iocache").mshrs(mem.iocache_mshrs).build()));
+    let iocache_id = sim.add(Box::new(IoCache::builder("iocache").build()));
     let bridge_id = sim.add(Box::new(Bridge::builder("bridge").delay(ns(50)).build()));
     let disk_id = sim.add(Box::new(disk));
 
@@ -1609,8 +1605,7 @@ fn build_planned(
             plan.registry.clone(),
         )),
     );
-    let iocache_id =
-        set.add(0, Box::new(IoCache::builder("iocache").mshrs(topo.iocache_mshrs).build()));
+    let iocache_id = set.add(0, Box::new(IoCache::builder("iocache").build()));
 
     let rc = &plan.routers[0];
     let mut rc_router =
