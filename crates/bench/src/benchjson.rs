@@ -42,12 +42,12 @@ impl MicroResult {
     }
 }
 
-/// Runs `exp` cold on the serial kernel and returns `(ops, events, secs)`
+/// Runs `exp` cold and returns `(ops, events, secs)`
 /// for the run alone: build, enumeration, probe and attach are outside
 /// the timed region. `ops` checks the outcome and says how many
 /// operations it stands for.
 fn measure<E: Experiment>(exp: &E, ops: impl FnOnce(E::Outcome) -> u64) -> (u64, u64, f64) {
-    let (fin, reports) = execute(exp, Exec::Cold { shards: 1 });
+    let (fin, reports) = execute(exp, Exec::Cold);
     (ops(exp.collect(&fin, &reports)), fin.events, fin.wall_secs)
 }
 

@@ -1,10 +1,10 @@
 //! `repro` — regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro [--full] [--jobs N] [--shards N] [--trace PATH]
+//! repro [--full] [--jobs N] [--trace PATH]
 //!       [--checkpoint PATH] [--bench-json PATH]
 //!       [fig9a] [fig9b] [fig9c] [fig9d] [table2] [sector] [ext] [faults] [topology]
-//!       [msix] [pmd] [shard] [cxl] [virtio] [all]
+//!       [msix] [pmd] [cxl] [virtio] [all]
 //! ```
 //!
 //! `ext` runs the extension experiments beyond the paper's evaluation:
@@ -29,28 +29,19 @@
 //! the classic interrupt-driven receive driver vs. the busy-poll driver
 //! (interrupts fully masked — zero doorbells) on identical million-flow
 //! heavy-tailed traffic, then an offered-load ladder. Along
-//! the way it asserts serial ≡ sharded bit-identity and that replaying
-//! the recorded binary trace reproduces the live generator bit-for-bit.
+//! the way it asserts that replaying the recorded binary trace
+//! reproduces the live generator bit-for-bit.
 //!
 //! `cxl` (alias `--cxl`) runs the CXL.mem memory-expansion experiment:
 //! host load/store streams against local DRAM vs a CXL-attached expander
 //! (open-loop window sweep), the placement penalty of putting the
 //! expander behind a switch (dependent pointer chase), and 2–4-way HDM
-//! interleaving aggregate bandwidth — asserting serial ≡ sharded
-//! bit-identity on the interleaved tree.
+//! interleaving aggregate bandwidth.
 //!
 //! `virtio` (alias `--virtio`) runs the virtio-over-PCIe experiment:
 //! virtio-blk against the IDE `dd` baseline on per-request latency,
 //! virtio-net transmit against the e1000e NIC on payload throughput,
-//! and a queue-depth sweep of the blk virtqueue — asserting serial ≡
-//! sharded bit-identity on the mixed blk + net + IDE fleet.
-//!
-//! `shard` (alias `--shard`) runs the shard-scaling experiment: the same
-//! multi-endpoint `dd` run partitioned across 1, 2, … worker shards
-//! (conservative link-lookahead sync), printing aggregate events/sec per
-//! shard count and asserting every count reproduces the serial quiesce
-//! tick and stats FNV bit-for-bit. `--shards N` raises the top of the
-//! ladder (default 4).
+//! and a queue-depth sweep of the blk virtqueue.
 //!
 //! `--jobs N` fans the independent configurations of each Fig. 9 / Table II
 //! sweep across N worker threads (default: all available cores). Every
@@ -76,6 +67,8 @@
 //! paper's 64–512 MB) so the whole suite finishes in seconds; `--full`
 //! runs the paper's sizes.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use pcisim_bench::{benchjson, reference, table};
@@ -90,7 +83,6 @@ const MB: u64 = 1024 * 1024;
 struct Opts {
     full: bool,
     jobs: usize,
-    shards: usize,
 }
 
 fn block_sizes(opts: &Opts) -> Vec<u64> {
@@ -114,22 +106,6 @@ fn print_rows<L, O>(
 ) {
     let rows: Vec<_> = labels.into_iter().zip(outcomes).map(|(l, o)| row(l, o)).collect();
     println!("{}", table::render(headers, &rows));
-}
-
-/// Asserts that `exp` on two shards reproduces its serial run bit-for-bit,
-/// prints the identity anchors and returns the serial outcome.
-fn identity_check<E: Experiment>(exp: &E, what: &str) -> E::Outcome
-where
-    E::Outcome: PartialEq + std::fmt::Debug,
-{
-    let at = |shards| {
-        let (fin, reports) = execute(exp, Exec::Cold { shards });
-        (exp.collect(&fin, &reports), fin.now, fin.stats.fnv())
-    };
-    let (serial, sharded) = (at(1), at(2));
-    assert_eq!(serial, sharded, "sharded {what} must reproduce the serial run bit-for-bit");
-    println!("   serial == 2-shard: quiesce tick {}, stats fnv {:#018x}", serial.1, serial.2);
-    serial.0
 }
 
 /// Runs every `DdExperiment` in `configs` across the sweep runner,
@@ -449,7 +425,7 @@ impl Experiment for CutThroughDd {
         )
     }
 
-    fn attach(&self, sys: &mut ShardedTopologySystem) -> DdReportHandle {
+    fn attach(&self, sys: &mut TopologySystem) -> DdReportHandle {
         self.dd().attach(sys)
     }
 
@@ -612,9 +588,8 @@ fn msix(opts: &Opts) {
 
 /// The heavy-traffic poll-mode tables: the interrupt-driven receive
 /// driver vs. the busy-poll driver on identical traffic, then the
-/// million-flow offered-load ladder (fanned across `--jobs`), with
-/// serial-vs-sharded identity and trace record→replay bit-identity
-/// asserted on the middle rung.
+/// million-flow offered-load ladder (fanned across `--jobs`), with trace
+/// record→replay bit-identity asserted on the middle rung.
 fn pmd(opts: &Opts) {
     use std::sync::Arc;
     let frames: u32 = if opts.full { 4096 } else { 1024 };
@@ -681,7 +656,7 @@ fn pmd(opts: &Opts) {
 
     println!("\n== PMD: identity checks on the middle rung ==");
     let mid = &configs[gaps.len() / 2];
-    let live = identity_check(mid, "pmd");
+    let live = run_cold(mid);
     let Some(TrafficSpec::Generate(mid_cfg)) = &mid.traffic else { unreachable!() };
     let trace = record_trace(mid_cfg);
     let replayed = run_cold(&PmdExperiment {
@@ -699,8 +674,7 @@ fn pmd(opts: &Opts) {
 /// The CXL.mem memory-expansion tables: local-DRAM vs CXL-attached
 /// load/store latency and bandwidth (open-loop window sweep), the
 /// behind-switch placement penalty measured with a fully dependent
-/// pointer chase, and the 2–4-way HDM-interleaving aggregate, with
-/// serial-vs-sharded bit-identity asserted on the interleaved tree.
+/// pointer chase, and the 2–4-way HDM-interleaving aggregate.
 fn cxl(opts: &Opts) {
     let requests: u32 = if opts.full { 1024 } else { 256 };
 
@@ -798,15 +772,11 @@ fn cxl(opts: &Opts) {
             format!("{:.2}x", out.gbps / base),
         ]
     });
-
-    println!("\n== CXL: identity check on the 2-way interleaved tree ==");
-    identity_check(&ileave_configs[1], "cxl");
 }
 
 /// The virtio-over-PCIe tables: virtio-blk vs the IDE `dd` baseline on
 /// per-request latency, virtio-net transmit vs the e1000e NIC on payload
-/// throughput, and a queue-depth sweep of the blk virtqueue, with
-/// serial-vs-sharded bit-identity asserted on the mixed-fleet tree.
+/// throughput, and a queue-depth sweep of the blk virtqueue.
 fn virtio(opts: &Opts) {
     let requests: u32 = if opts.full { 512 } else { 128 };
 
@@ -899,138 +869,6 @@ fn virtio(opts: &Opts) {
             ]
         },
     );
-
-    println!("\n== Virtio: identity check on the mixed fleet (blk + net + IDE) ==");
-    let mixed = VirtioExperiment {
-        arm: VirtioArm::Mixed,
-        requests: 32,
-        queue_depth: 2,
-        ..VirtioExperiment::default()
-    };
-    let serial = identity_check(&mixed, "virtio");
-    assert!(serial.completed, "mixed fleet must complete: {serial:?}");
-}
-
-/// The shard-scaling tables: the same multi-endpoint `dd` run partitioned
-/// across 1, 2, … worker shards with conservative link-lookahead sync.
-/// Every shard count must reproduce the serial quiesce tick and stats FNV
-/// bit-for-bit; what varies is only the aggregate event rate.
-fn shard_scaling(opts: &Opts) {
-    println!("\n== Shard scaling: conservative link-lookahead parallel runs ==");
-    let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    println!(
-        "   host has {cpus} core{}: parallel speedup needs shards <= cores; \
-         identity holds regardless",
-        if cpus == 1 { "" } else { "s" }
-    );
-    let mut ladder: Vec<usize> = Vec::new();
-    let mut n = 1;
-    while n < opts.shards.max(1) {
-        ladder.push(n);
-        n *= 2;
-    }
-    ladder.push(opts.shards.max(1));
-    // The 256-bus architectural limit caps a PCI segment below 256
-    // endpoints (every link consumes a bus number): fanout(3,8,8) — 192
-    // disks on 247 buses — is the widest 3-level tree the spec admits.
-    let arms: Vec<(&str, Topology, u64)> = if opts.full {
-        vec![
-            ("cascaded(3)", Topology::cascaded(3), 16 * MB),
-            ("fanout(3,8,8), 192 disks", Topology::fanout(3, 8, 8), 256 * 1024),
-        ]
-    } else {
-        vec![
-            ("cascaded(3)", Topology::cascaded(3), MB),
-            ("fanout(2,4,4), 32 disks", Topology::fanout(2, 4, 4), 256 * 1024),
-        ]
-    };
-    for (label, topo, block) in arms {
-        println!("\n   {label}, one {}KB dd stream per disk:", block / 1024);
-        let mut rows = Vec::new();
-        let mut sync_tables = Vec::new();
-        let mut base: Option<ShardScalingOutcome> = None;
-        for &shards in &ladder {
-            let scaling = ShardScaling { topo: topo.clone(), block_bytes: block };
-            let out = run(&scaling, Exec::Cold { shards });
-            if let Some(b) = &base {
-                assert_eq!(out.quiesce_tick, b.quiesce_tick, "{label}: quiesce tick must match");
-                assert_eq!(out.stats_fnv, b.stats_fnv, "{label}: stats FNV must match");
-            }
-            if out.shards > 1 {
-                sync_tables.push(render_sync_stats(&out));
-            }
-            rows.push(vec![
-                out.shards.to_string(),
-                out.cut_links.to_string(),
-                out.events.to_string(),
-                format!("{:.1}", out.wall_secs * 1e3),
-                format!("{:.0}", out.events_per_sec()),
-                base.as_ref().map_or("1.00x".to_string(), |b| {
-                    format!("{:.2}x", out.events_per_sec() / b.events_per_sec())
-                }),
-            ]);
-            if base.is_none() {
-                base = Some(out);
-            }
-        }
-        let b = base.expect("ladder is non-empty");
-        println!(
-            "   bit-identical at every shard count: quiesce tick {}, stats fnv {:#018x}",
-            b.quiesce_tick, b.stats_fnv
-        );
-        println!(
-            "{}",
-            table::render(
-                &["shards", "cut links", "events", "wall ms", "events/s", "vs serial"],
-                &rows
-            )
-        );
-        for t in sync_tables {
-            println!("{t}");
-        }
-    }
-}
-
-/// One ladder rung's `ShardedSimulator::sync_stats`: what the window
-/// protocol cost, overall and per shard thread.
-fn render_sync_stats(out: &ShardScalingOutcome) -> String {
-    let sync = &out.sync;
-    let rows: Vec<Vec<String>> = sync
-        .shards
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            vec![
-                i.to_string(),
-                s.idle_windows.to_string(),
-                s.messages_sent.to_string(),
-                s.spin_waits.to_string(),
-                format!("{:.1}", s.spin_ns as f64 / 1e6),
-                s.park_waits.to_string(),
-                format!("{:.1}", s.park_ns as f64 / 1e6),
-            ]
-        })
-        .collect();
-    format!(
-        "   sync at {} shards: {} windows, {:.1} events/window (max {}), {} mailbox messages\n{}",
-        out.shards,
-        sync.windows,
-        sync.mean_window_events(),
-        sync.max_window_events,
-        sync.mailbox_messages(),
-        table::render(
-            &[
-                "shard",
-                "idle windows",
-                "msgs sent",
-                "spin waits",
-                "spin ms",
-                "park waits",
-                "park ms"
-            ],
-            &rows
-        )
-    )
 }
 
 /// Re-runs the Table II 150 ns point with tracing, dumps Perfetto JSON to
@@ -1059,7 +897,7 @@ fn checkpoint_demo(path: &str) {
 
     std::fs::write(path, checkpoint_at(&exp, WARMUP_TICK)).expect("checkpoint written");
     let snapshot = std::fs::read(path).expect("checkpoint read back");
-    let restored = run(&exp, Exec::Restore { shards: 1, snapshot: &snapshot });
+    let restored = run(&exp, Exec::Restore { snapshot: &snapshot });
 
     assert_eq!(cold.sim_time, restored.sim_time, "restored run must match the cold run");
     assert_eq!(cold.throughput_gbps.to_bits(), restored.throughput_gbps.to_bits());
@@ -1114,7 +952,6 @@ const FIGURES: &[Figure] = &[
     ("topology", topology),
     ("msix", msix),
     ("pmd", pmd),
-    ("shard", shard_scaling),
     ("cxl", cxl),
     ("virtio", virtio),
 ];
@@ -1136,12 +973,8 @@ fn main() {
     let trace_path = value_of("--trace");
     let bench_json_path = value_of("--bench-json");
     let checkpoint_path = value_of("--checkpoint");
-    let shards = value_of("--shards")
-        .map(|v| v.parse::<usize>().unwrap_or_else(|_| panic!("--shards needs a number, got {v}")))
-        .unwrap_or(4);
-    let opts = Opts { full, jobs, shards };
-    const VALUE_FLAGS: [&str; 5] =
-        ["--trace", "--jobs", "--shards", "--bench-json", "--checkpoint"];
+    let opts = Opts { full, jobs };
+    const VALUE_FLAGS: [&str; 4] = ["--trace", "--jobs", "--bench-json", "--checkpoint"];
     let mut skip_next = false;
     // A figure is picked by name or, as CI spells some of them, `--name`.
     let picked: Vec<&str> = args

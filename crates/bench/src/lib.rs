@@ -5,6 +5,7 @@
 //! result tables; the `repro` binary regenerates each figure/table and
 //! prints paper-vs-measured rows, which EXPERIMENTS.md records.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -32,6 +32,7 @@
 //! * [`traffic`] — deterministic open-loop traffic generation and binary
 //!   trace replay feeding both NIC models' receive paths.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -38,11 +38,11 @@
 //! Determinism: every push carries a caller-supplied **order stamp**, and
 //! [`CalendarQueue::pop`] always yields the globally smallest
 //! `(tick, order)` pair. The simulation kernel derives the stamp from the
-//! scheduling component's id and a per-component counter, which makes the
-//! pop order *partition-independent*: a simulation split across shards
-//! (see `crate::shard`) generates the identical stamp for every event it
-//! would generate serially, so same-tick ties break identically no matter
-//! how the component tree is divided. Order stamps must be unique among
+//! scheduling component's id and a per-component counter, so same-tick
+//! ties break by which component scheduled the event, then by that
+//! component's own sequence. No component's order depends on how many
+//! events any other component queued, which is what lets one component
+//! drop an event without moving anyone else's. Order stamps must be unique among
 //! concurrently queued entries — the kernel guarantees this by never
 //! reusing a `(component, stream, counter)` triple. The invariants that
 //! make the window-jumping correct are spelled out in DESIGN.md §"Scheduler
@@ -434,7 +434,7 @@ impl<T> CalendarQueue<T> {
     /// Creates an empty queue with the calendar cursor positioned for
     /// simulated time `now` (purely a placement optimisation; pop order is
     /// independent of the cursor).
-    pub(crate) fn with_cursor(now: Tick) -> Self {
+    fn with_cursor(now: Tick) -> Self {
         let mut q = Self::new();
         q.cur_window = now >> BUCKET_BITS;
         q
@@ -443,7 +443,7 @@ impl<T> CalendarQueue<T> {
     /// Pushes a checkpoint-restored entry and registers it in the
     /// order-stamp side map, so [`EventHandle`]s minted before the
     /// checkpoint can still cancel it.
-    pub(crate) fn push_restored(&mut self, tick: Tick, order: u64, item: T) {
+    fn push_restored(&mut self, tick: Tick, order: u64, item: T) {
         let handle = self.push(tick, order, item);
         self.restored.insert(order, handle.slot);
     }
@@ -457,23 +457,11 @@ impl<T> CalendarQueue<T> {
             .chain(self.buckets.iter().flatten())
     }
 
-    /// Visits every live (non-cancelled) entry in arbitrary order. Used by
-    /// checkpointing and by the sharded driver's global state gather.
-    pub fn for_each_live(&self, mut f: impl FnMut(Tick, u64, &T)) {
-        for key in self.keys() {
-            if let (stamp, Some(item)) = &self.slab[key.slot as usize] {
-                debug_assert_eq!(*stamp, key.order);
-                f(key.tick, key.order, item);
-            }
-        }
-    }
-
     /// Serializes the queue into a checkpoint as portable `(tick, order)`
     /// entries sorted by pop order. Cancelled tombstones are *not* saved —
     /// they are logically gone — and slab slots are not preserved: the
-    /// format is independent of the physical layout, which is what lets a
-    /// checkpoint taken by an N-shard run restore into an M-shard (or
-    /// serial) run. Live items are encoded by `enc`.
+    /// format is independent of the physical layout. Live items are
+    /// encoded by `enc`.
     pub fn save(&self, w: &mut StateWriter, mut enc: impl FnMut(&mut StateWriter, &T)) {
         let mut live: Vec<Key> =
             self.keys().filter(|key| self.slab[key.slot as usize].1.is_some()).copied().collect();
@@ -510,9 +498,8 @@ impl<T> CalendarQueue<T> {
 
 /// Reads the entry list [`CalendarQueue::save`] wrote, rejecting entries
 /// in the past of `now` and keys out of order or duplicated, and hands
-/// each `(tick, order)` to `entry` to decode its item from `r`. The
-/// sharded restore uses this directly to route entries among shards.
-pub(crate) fn read_entries(
+/// each `(tick, order)` to `entry` to decode its item from `r`.
+fn read_entries(
     now: Tick,
     r: &mut StateReader<'_>,
     mut entry: impl FnMut(&mut StateReader<'_>, Tick, u64) -> Result<(), SnapshotError>,
@@ -577,8 +564,7 @@ mod tests {
 
     #[test]
     fn same_tick_ties_break_on_order_not_insertion() {
-        // The stamp, not the push sequence, decides same-tick ordering —
-        // the property that makes sharded execution order-identical.
+        // The stamp, not the push sequence, decides same-tick ordering.
         let mut q = CalendarQueue::new();
         q.push(40, 7, "late");
         q.push(40, 3, "early");

@@ -89,8 +89,7 @@ pub enum Event {
     /// A delayed packet that also carries an origin timestamp — used by the
     /// link layer to ship a TLP's admission tick along the wire, so the
     /// receiving end can attribute delivery latency without reaching into
-    /// the transmitting end's state (the two ends may live in different
-    /// shards).
+    /// the transmitting end's state.
     StampedPacket {
         /// Component-private discriminator.
         tag: u32,

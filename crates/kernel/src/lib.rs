@@ -34,6 +34,7 @@
 //! # let _ = dram;
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

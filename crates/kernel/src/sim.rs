@@ -6,10 +6,10 @@
 //! accept/refuse outcome immediately. Timers and retry notifications are
 //! queued and fire in strict `(tick, order stamp)` order, where the stamp
 //! is derived from the *scheduling* component's id and a per-component
-//! counter — never from global insertion order. That makes the dispatch
-//! order **partition-independent**: a simulation split across shards (see
-//! [`crate::shard`]) stamps every event exactly as the serial run would,
-//! so sharded execution is bit-identical to serial execution.
+//! counter — never from global insertion order. Same-tick events therefore
+//! fire grouped by the component that scheduled them, each component's in
+//! its own sequence, and adding or dropping one component's event moves
+//! no other component's.
 //!
 //! ```
 //! use pcisim_kernel::sim::Simulation;
@@ -42,19 +42,6 @@ pub enum RunOutcome {
     EventLimit,
 }
 
-#[derive(Debug)]
-pub(crate) enum ActionBody {
-    Event(Event),
-    Retry { port: PortId },
-}
-
-/// A dispatch in owned form: which component to call and with what. This
-/// is what a checkpoint entry decodes to; the calendar holds [`Queued`].
-pub(crate) struct Action {
-    pub(crate) target: ComponentId,
-    pub(crate) body: ActionBody,
-}
-
 /// A dispatch as the calendar holds it, at most 32 bytes: the target and
 /// the event's fields flattened into one enum, a `DelayedPacket`'s or
 /// `StampedPacket`'s packet (itself one pointer) included. Ordering (tick,
@@ -66,7 +53,7 @@ pub(crate) struct Action {
 /// store forwarding on every pop.
 #[derive(Debug)]
 #[repr(u32)]
-pub(crate) enum Queued {
+enum Queued {
     Timer { target: ComponentId, kind: u32, data: u64 },
     Retry { target: ComponentId, port: PortId },
     Delayed { target: ComponentId, tag: u32, pkt: Packet },
@@ -81,14 +68,6 @@ impl Queued {
             Event::Timer { kind, data } => Queued::Timer { target, kind, data },
             Event::DelayedPacket { tag, pkt } => Queued::Delayed { target, tag, pkt },
             Event::StampedPacket { tag, stamp, pkt } => Queued::Stamped { target, tag, stamp, pkt },
-        }
-    }
-
-    /// The entry for a decoded checkpoint [`Action`].
-    pub(crate) fn from_action(action: Action) -> Self {
-        match action.body {
-            ActionBody::Event(ev) => Queued::new(action.target, ev),
-            ActionBody::Retry { port } => Queued::Retry { target: action.target, port },
         }
     }
 
@@ -119,64 +98,45 @@ type Endpoint = (ComponentId, PortId);
 
 /// Bit layout of the order stamp: `gid:16 | stream:8 | counter:40`.
 /// The stamp is a pure function of *which component* scheduled the event,
-/// on *which stream*, for the *how-many-th* time — all quantities every
-/// shard computes identically — so same-tick ties break the same way no
-/// matter how the component tree is partitioned.
-pub(crate) const ORDER_GID_SHIFT: u32 = 48;
-pub(crate) const ORDER_STREAM_SHIFT: u32 = 40;
-pub(crate) const ORDER_COUNTER_MASK: u64 = (1 << ORDER_STREAM_SHIFT) - 1;
+/// on *which stream*, for the *how-many-th* time. Same-tick ties therefore
+/// break by scheduler id, then stream, then that stream's own sequence,
+/// and no stream's stamps depend on what any other stream scheduled.
+const ORDER_GID_SHIFT: u32 = 48;
+const ORDER_STREAM_SHIFT: u32 = 40;
+const ORDER_COUNTER_MASK: u64 = (1 << ORDER_STREAM_SHIFT) - 1;
 
 /// Number of independent scheduling streams per component. Stream 0 is the
-/// default; the split-capable link layer uses one stream per physical link
-/// end so each half of a cut link burns its own counter sequence.
-pub(crate) const NUM_STREAMS: usize = 2;
+/// default; the link layer stamps from one stream per physical end, so
+/// each end's events keep their order against the other end's whatever
+/// traffic either end carries.
+const NUM_STREAMS: usize = 2;
 
 /// Bit layout of a [`PacketId`]: `gid:24 | counter:40`, allocated per
-/// component rather than from a global cursor for the same
-/// partition-independence reason as the order stamp.
-pub(crate) const PKT_GID_SHIFT: u32 = 40;
-pub(crate) const PKT_COUNTER_MASK: u64 = (1 << PKT_GID_SHIFT) - 1;
-
-/// One event bound for a component in another shard, recorded by
-/// [`Ctx::remote_schedule`] and drained by the sharded driver at the next
-/// window barrier. `edge` indexes the shard plan's directed cut-edge
-/// table; `tick` and `order` are final — the receiving shard queues the
-/// event with exactly this key, so it dispatches precisely when and where
-/// the serial run would have dispatched it.
-#[derive(Debug)]
-pub struct OutboundMsg {
-    /// Index into the shard plan's edge table.
-    pub edge: u32,
-    /// Absolute delivery tick (schedule tick + delay).
-    pub tick: Tick,
-    /// Global order stamp minted by the sender at staging time.
-    pub order: u64,
-    /// The event to dispatch into the edge's destination component.
-    pub ev: Event,
-}
+/// component rather than from a global cursor, so a component's ids do
+/// not depend on how many packets any other component created.
+const PKT_GID_SHIFT: u32 = 40;
+const PKT_COUNTER_MASK: u64 = (1 << PKT_GID_SHIFT) - 1;
 
 /// Shared mutable simulation state reachable from nested dispatches.
-pub(crate) struct Shared {
-    pub(crate) arena: Vec<RefCell<Option<Box<dyn Component>>>>,
-    pub(crate) names: Vec<String>,
+struct Shared {
+    arena: Vec<RefCell<Box<dyn Component>>>,
+    names: Vec<String>,
     /// Dense routing table: `conns[component][port]` is the wired peer.
     /// Built at `connect` time so `try_send_*` is two array loads, no hash.
     conns: Vec<Vec<Option<Endpoint>>>,
-    pub(crate) queue: RefCell<CalendarQueue<Queued>>,
-    pub(crate) now: Cell<Tick>,
+    queue: RefCell<CalendarQueue<Queued>>,
+    now: Cell<Tick>,
     /// Per-component packet-id counters (`PacketId` = gid | counter).
-    pub(crate) pkt_counters: RefCell<Vec<u64>>,
+    pkt_counters: RefCell<Vec<u64>>,
     /// Per-(component, stream) order-stamp counters.
-    pub(crate) push_counters: RefCell<Vec<[u64; NUM_STREAMS]>>,
-    pub(crate) stop_requested: Cell<bool>,
-    pub(crate) events_processed: Cell<u64>,
-    /// Tick of the most recently dispatched event — the quiesce time of a
-    /// drained shard, aggregated across shards by the sharded driver.
-    pub(crate) last_event_tick: Cell<Tick>,
-    /// Events bound for other shards, staged until the window barrier.
-    pub(crate) outbox: RefCell<Vec<OutboundMsg>>,
+    push_counters: RefCell<Vec<[u64; NUM_STREAMS]>>,
+    stop_requested: Cell<bool>,
+    events_processed: Cell<u64>,
+    /// Order stamp of the event being dispatched: with `now`, the key
+    /// [`Ctx::is_ahead`] compares against.
+    dispatching: Cell<u64>,
     trace: Cell<bool>,
-    pub(crate) tracer: Tracer,
+    tracer: Tracer,
 }
 
 impl Shared {
@@ -203,23 +163,16 @@ impl Shared {
         self.conns.get(ep.0 .0 as usize)?.get(ep.1 .0 as usize).copied().flatten()
     }
 
-    pub(crate) fn with_component<R>(
+    fn with_component<R>(
         &self,
         id: ComponentId,
         f: impl FnOnce(&mut dyn Component, &mut Ctx<'_>) -> R,
     ) -> R {
         let cell = &self.arena[id.0 as usize];
-        let mut slot = cell.try_borrow_mut().unwrap_or_else(|_| {
+        let mut comp = cell.try_borrow_mut().unwrap_or_else(|_| {
             panic!(
                 "re-entrant dispatch into {:?}: a receiver must not synchronously \
                  send back toward its caller; schedule a zero-delay event instead",
-                self.names[id.0 as usize]
-            )
-        });
-        let comp = slot.as_mut().unwrap_or_else(|| {
-            panic!(
-                "dispatch into {:?}, which lives in another shard: a cut must \
-                 only be crossed through the link layer's mailbox stubs",
                 self.names[id.0 as usize]
             )
         });
@@ -252,9 +205,7 @@ impl Ctx<'_> {
     }
 
     /// Allocates a fresh packet id, unique across the whole simulation.
-    /// Ids are minted from a per-component counter (`gid | counter`), so
-    /// every shard of a partitioned run allocates exactly the ids the
-    /// serial run would.
+    /// Ids are minted from a per-component counter (`gid | counter`).
     #[inline]
     pub fn alloc_packet_id(&mut self) -> PacketId {
         let gid = self.self_id.0;
@@ -289,10 +240,10 @@ impl Ctx<'_> {
     }
 
     /// Like [`Ctx::schedule`], but stamps the event from scheduling stream
-    /// `stream` instead of the default stream 0. A component whose state
-    /// can be split across shards (the link layer) gives each splittable
-    /// half its own stream, so the half runs through the identical counter
-    /// sequence whether it executes fused with its peer or alone.
+    /// `stream` instead of the default stream 0. A component made of
+    /// independent halves (the link's two ends) gives each half its own
+    /// stream, so one half's same-tick order never depends on how many
+    /// events the other half scheduled.
     #[inline]
     pub fn schedule_stream(&mut self, delay: Tick, stream: u8, ev: Event) -> EventHandle {
         // Saturating: an open-loop arrival process running for simulated
@@ -331,27 +282,12 @@ impl Ctx<'_> {
     }
 
     /// Whether an event keyed `(tick, order)` pops after the event being
-    /// dispatched now — the `(now, stamp)` key `dispatch` hands the
-    /// tracer. A reserved key that is no longer ahead is one an eager
-    /// schedule would already have dispatched.
+    /// dispatched now, whose key is `(now, its order stamp)`. A reserved
+    /// key that is no longer ahead is one an eager schedule would already
+    /// have dispatched.
     #[inline]
     pub fn is_ahead(&self, tick: Tick, order: u64) -> bool {
-        (tick, order) > (self.now(), self.shared.tracer.stamp())
-    }
-
-    /// Schedules `ev` for delivery to the component at the far side of
-    /// directed cut edge `edge` (a shard-plan index), after `delay` ticks.
-    /// The event is staged in this shard's outbox and injected into the
-    /// destination shard's queue at the next window barrier; its tick and
-    /// order stamp are computed *now*, on the sending side, so it fires
-    /// exactly as if [`Ctx::schedule_stream`] had queued it locally.
-    /// `delay` must be at least the edge's lookahead horizon — the sharded
-    /// driver asserts it lands beyond the current window.
-    #[inline]
-    pub fn remote_schedule(&mut self, edge: u32, delay: Tick, stream: u8, ev: Event) {
-        let tick = self.now().saturating_add(delay);
-        let order = self.shared.order_key(self.self_id.0, stream);
-        self.shared.outbox.borrow_mut().push(OutboundMsg { edge, tick, order, ev });
+        (tick, order) > (self.now(), self.shared.dispatching.get())
     }
 
     /// Cancels an event previously scheduled by this component, returning
@@ -460,9 +396,7 @@ impl Ctx<'_> {
     }
 
     /// Like [`Ctx::send_retry`], but mints the retry's order stamp from
-    /// scheduling stream `stream`. A splittable component (the link layer)
-    /// must stamp retries from the owning half's stream, or the stamp
-    /// counters of a split run drift from the fused run's.
+    /// scheduling stream `stream` (see [`Ctx::schedule_stream`]).
     #[inline]
     pub fn send_retry_stream(&mut self, port: PortId, stream: u8) {
         let (peer, peer_port) = self.peer(port);
@@ -527,8 +461,8 @@ impl Ctx<'_> {
 
 /// Owns components, wiring and the event queue; drives simulated time.
 pub struct Simulation {
-    pub(crate) shared: Shared,
-    pub(crate) initialized: bool,
+    shared: Shared,
+    initialized: bool,
 }
 
 impl Default for Simulation {
@@ -551,8 +485,7 @@ impl Simulation {
                 push_counters: RefCell::new(Vec::new()),
                 stop_requested: Cell::new(false),
                 events_processed: Cell::new(0),
-                last_event_tick: Cell::new(0),
-                outbox: RefCell::new(Vec::new()),
+                dispatching: Cell::new(0),
                 trace: Cell::new(false),
                 tracer: Tracer::new(),
             },
@@ -602,11 +535,6 @@ impl Simulation {
         self.shared.events_processed.get()
     }
 
-    /// Tick of the most recently dispatched event (0 before any dispatch).
-    pub fn last_event_tick(&self) -> Tick {
-        self.shared.last_event_tick.get()
-    }
-
     /// Number of events still queued.
     pub fn pending_events(&self) -> usize {
         self.shared.queue.borrow().len()
@@ -620,19 +548,6 @@ impl Simulation {
     /// simulation has started.
     pub fn add(&mut self, component: Box<dyn Component>) -> ComponentId {
         let name = component.name().to_owned();
-        self.add_slot(name, Some(component))
-    }
-
-    /// Reserves the next component id for a component that lives in
-    /// *another shard* of a partitioned run. The slot keeps the global
-    /// name and id (so wiring, fingerprints and checkpoints line up with
-    /// the serial build) but holds no component; dispatching into it
-    /// panics, which is how misrouted cross-shard events fail loudly.
-    pub fn add_remote(&mut self, name: &str) -> ComponentId {
-        self.add_slot(name.to_owned(), None)
-    }
-
-    fn add_slot(&mut self, name: String, component: Option<Box<dyn Component>>) -> ComponentId {
         assert!(!self.shared.names.contains(&name), "duplicate component name {name:?}");
         assert!(!self.initialized, "cannot add components after the simulation started");
         let id = ComponentId(self.shared.arena.len() as u32);
@@ -679,22 +594,18 @@ impl Simulation {
         self.shared.lookup_peer(ep)
     }
 
-    pub(crate) fn ensure_init(&mut self) {
+    fn ensure_init(&mut self) {
         if self.initialized {
             return;
         }
         self.initialized = true;
         for i in 0..self.shared.arena.len() {
-            // Remote slots init in the shard that owns them.
-            if self.shared.arena[i].borrow().is_some() {
-                // Init runs before any dispatch; stamp its trace records
-                // with the component's minimal order key so per-shard init
-                // records merge back in global component order.
-                self.shared.tracer.set_stamp((i as u64) << ORDER_GID_SHIFT);
-                self.shared.with_component(ComponentId(i as u32), |c, ctx| c.init(ctx));
-            }
+            // Init runs before any dispatch, under the component's smallest
+            // order key, for [`Ctx::is_ahead`].
+            self.shared.dispatching.set((i as u64) << ORDER_GID_SHIFT);
+            self.shared.with_component(ComponentId(i as u32), |c, ctx| c.init(ctx));
         }
-        self.shared.tracer.set_stamp(0);
+        self.shared.dispatching.set(0);
     }
 
     /// Dispatches the entry the calendar just popped under `(tick, order)`
@@ -705,12 +616,8 @@ impl Simulation {
         debug_assert!(tick >= self.now(), "time went backwards");
         let shared = &self.shared;
         shared.now.set(tick);
-        shared.last_event_tick.set(tick);
         shared.events_processed.set(shared.events_processed.get() + 1);
-        // Stamp the tracer so records emitted during this dispatch carry
-        // the event's global order — the key that merges per-shard traces
-        // back into the exact serial stream.
-        shared.tracer.set_stamp(order);
+        shared.dispatching.set(order);
         let queued = shared.queue.borrow_mut().take_popped(slot);
         match queued {
             Queued::Timer { target, kind, data } => {
@@ -769,54 +676,6 @@ impl Simulation {
         }
     }
 
-    /// Runs every queued event with tick at most `last`, leaving `now` at
-    /// `last` (the same place [`Simulation::run`]`(last, _)` would leave
-    /// it). This is the sharded driver's inner loop: within a window no
-    /// event up to its last tick may exist that this shard hasn't yet been
-    /// told about, so draining through it is safe.
-    ///
-    /// Unlike [`Simulation::run`], stop requests and event budgets are
-    /// *not* checked here — the driver enforces both at window
-    /// granularity — and a [`Ctx::stop`] flag is left set for the driver
-    /// to read.
-    pub fn run_window(&mut self, last: Tick) {
-        self.ensure_init();
-        debug_assert!(last >= self.now(), "window ends in the past");
-        loop {
-            let popped = self.shared.queue.borrow_mut().pop_key_if_at_most(last);
-            match popped {
-                Ok(Some((tick, order, slot))) => self.dispatch(tick, order, slot),
-                Ok(None) | Err(_) => break,
-            }
-        }
-        self.shared.now.set(last);
-    }
-
-    /// Tick of the earliest queued event, if any — the sharded driver's
-    /// input for computing the next window barrier.
-    pub fn next_event_tick(&self) -> Option<Tick> {
-        self.shared.queue.borrow_mut().next_tick()
-    }
-
-    /// Hands every cross-shard message staged by [`Ctx::remote_schedule`]
-    /// since the last call to `sink`, in staging order. The outbox keeps
-    /// its buffer, so a steady-state window allocates nothing.
-    pub fn drain_outbox(&mut self, sink: impl FnMut(OutboundMsg)) {
-        self.shared.outbox.borrow_mut().drain(..).for_each(sink);
-    }
-
-    /// Whether a component requested a stop that has not been consumed.
-    pub fn take_stop_request(&mut self) -> bool {
-        self.shared.stop_requested.replace(false)
-    }
-
-    /// Queues `ev` for `target` with an explicit `(tick, order)` key —
-    /// the receiving half of the inter-shard mailbox. The key was minted
-    /// by [`Ctx::remote_schedule`] on the sending shard.
-    pub fn push_keyed(&self, tick: Tick, order: u64, target: ComponentId, ev: Event) {
-        self.shared.queue.borrow_mut().push(tick, order, Queued::new(target, ev));
-    }
-
     /// Runs until the event queue is empty or a component stops the run.
     pub fn run_to_quiesce(&mut self) -> RunOutcome {
         self.run(Tick::MAX, u64::MAX)
@@ -831,8 +690,7 @@ impl Simulation {
     /// FNV-1a fingerprint of the component tree's *shape*: component names
     /// (in id order) and the complete port wiring. Configuration values are
     /// deliberately excluded: a checkpoint carries dynamic state only, so
-    /// the shape is all a restore has to match. Remote slots carry the same name as the component they stand in for, so a
-    /// sharded build fingerprints identically to the serial build.
+    /// the shape is all a restore has to match.
     pub fn topology_fingerprint(&self) -> u64 {
         let mut w = StateWriter::new();
         w.usize(self.shared.names.len());
@@ -862,9 +720,7 @@ impl Simulation {
     /// ring, and every component's [`Component::save_state`] section —
     /// into a self-contained, checksummed checkpoint. Runs `init` first if
     /// the simulation has never run, so a restored simulation never
-    /// re-runs it. The format is independent of how (or whether) the run
-    /// was sharded; `kernel::shard` assembles the identical bytes from a
-    /// partitioned run.
+    /// re-runs it.
     pub fn checkpoint(&mut self) -> Vec<u8> {
         self.ensure_init();
         let mut body = StateWriter::new();
@@ -883,11 +739,9 @@ impl Simulation {
         self.shared.tracer.save_ring(&mut body);
         body.usize(self.shared.arena.len());
         for (i, cell) in self.shared.arena.iter().enumerate() {
-            let slot = cell.borrow();
-            let comp = slot.as_ref().expect("component missing during checkpoint");
             body.str(&self.shared.names[i]);
             let mut section = StateWriter::new();
-            comp.save_state(&mut section);
+            cell.borrow().save_state(&mut section);
             body.bytes(&section.into_bytes());
         }
         let body = body.into_bytes();
@@ -930,7 +784,7 @@ impl Simulation {
             push_counters.push(row);
         }
         let queue = CalendarQueue::restore(now, &mut r, |r, order| {
-            decode_action(r, order, &pkt_counters, &push_counters).map(Queued::from_action)
+            decode_queued(r, order, &pkt_counters, &push_counters, &self.shared)
         })?;
         self.shared.tracer.restore_ring(&mut r)?;
         let count = r.usize()?;
@@ -950,15 +804,12 @@ impl Simulation {
             }
             let section = r.bytes()?;
             let mut sr = StateReader::new(section);
-            let mut slot = cell.borrow_mut();
-            let comp = slot.as_mut().expect("component slot empty");
-            comp.restore_state(&mut sr)?;
+            cell.borrow_mut().restore_state(&mut sr)?;
             sr.finish(&name)?;
         }
         r.finish("simulation")?;
         *self.shared.queue.borrow_mut() = queue;
         self.shared.now.set(now);
-        self.shared.last_event_tick.set(now);
         *self.shared.pkt_counters.borrow_mut() = pkt_counters;
         *self.shared.push_counters.borrow_mut() = push_counters;
         self.shared.events_processed.set(events_processed);
@@ -969,15 +820,12 @@ impl Simulation {
         Ok(())
     }
 
-    /// Collects statistics from every component (remote slots excluded —
-    /// their shard reports them).
+    /// Collects statistics from every component.
     pub fn stats(&self) -> StatsSnapshot {
         let mut all = std::collections::BTreeMap::new();
         for (i, cell) in self.shared.arena.iter().enumerate() {
-            let slot = cell.borrow();
-            let Some(comp) = slot.as_ref() else { continue };
             let mut b = StatsBuilder::new(self.shared.names[i].clone());
-            comp.report_stats(&mut b);
+            cell.borrow().report_stats(&mut b);
             all.extend(b.into_values());
         }
         StatsSnapshot::from_values(all)
@@ -985,7 +833,7 @@ impl Simulation {
 }
 
 /// Wraps a checkpoint body in the magic/version/checksum header.
-pub(crate) fn seal_checkpoint(body: Vec<u8>) -> Vec<u8> {
+fn seal_checkpoint(body: Vec<u8>) -> Vec<u8> {
     let mut out = Vec::with_capacity(body.len() + 16);
     out.extend_from_slice(&SNAPSHOT_MAGIC.to_le_bytes());
     out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
@@ -995,7 +843,7 @@ pub(crate) fn seal_checkpoint(body: Vec<u8>) -> Vec<u8> {
 }
 
 /// Validates the header of `bytes` and returns the checkpoint body.
-pub(crate) fn open_checkpoint(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
+fn open_checkpoint(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
     let mut header = StateReader::new(bytes);
     let magic = header.u32()?;
     if magic != SNAPSHOT_MAGIC {
@@ -1014,9 +862,8 @@ pub(crate) fn open_checkpoint(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
     Ok(body)
 }
 
-/// Writes one queue entry. The bytes are those of the owned [`Action`]
-/// that [`decode_action`] reads back.
-pub(crate) fn encode_queued(w: &mut StateWriter, queued: &Queued) {
+/// Writes one queue entry; [`decode_queued`] reads it back.
+fn encode_queued(w: &mut StateWriter, queued: &Queued) {
     w.u32(queued.target().0);
     match queued {
         Queued::Timer { kind, data, .. } => {
@@ -1043,13 +890,14 @@ pub(crate) fn encode_queued(w: &mut StateWriter, queued: &Queued) {
 }
 
 /// Reads one queue entry keyed by order stamp `order`, auditing it
-/// against the restored counters.
-pub(crate) fn decode_action(
+/// against the restored counters and `shared`'s wiring.
+fn decode_queued(
     r: &mut StateReader<'_>,
     order: u64,
     pkt_counters: &[u64],
     push_counters: &[[u64; NUM_STREAMS]],
-) -> Result<Action, SnapshotError> {
+    shared: &Shared,
+) -> Result<Queued, SnapshotError> {
     let target = r.u32()?;
     if target as usize >= pkt_counters.len() {
         return Err(SnapshotError::Corrupt(format!("event target c{target} out of range")));
@@ -1079,25 +927,32 @@ pub(crate) fn decode_action(
         }
         Ok(())
     };
-    let body = match r.u8()? {
-        0 => ActionBody::Event(Event::Timer { kind: r.u32()?, data: r.u64()? }),
+    let target = ComponentId(target);
+    Ok(match r.u8()? {
+        0 => Queued::Timer { target, kind: r.u32()?, data: r.u64()? },
         1 => {
             let tag = r.u32()?;
             let pkt = Packet::decode(r)?;
             audit(&pkt)?;
-            ActionBody::Event(Event::DelayedPacket { tag, pkt })
+            Queued::Delayed { target, tag, pkt }
         }
-        2 => ActionBody::Retry { port: PortId(r.u16()?) },
+        2 => {
+            // A retry is only ever granted toward the peer of a wired port.
+            let port = PortId(r.u16()?);
+            if shared.lookup_peer((target, port)).is_none() {
+                return Err(SnapshotError::Corrupt(format!("retry to unwired {target} {port}")));
+            }
+            Queued::Retry { target, port }
+        }
         3 => {
             let tag = r.u32()?;
             let stamp = r.u64()?;
             let pkt = Packet::decode(r)?;
             audit(&pkt)?;
-            ActionBody::Event(Event::StampedPacket { tag, stamp, pkt })
+            Queued::Stamped { target, tag, stamp, pkt }
         }
         other => return Err(SnapshotError::Corrupt(format!("action tag {other}"))),
-    };
-    Ok(Action { target: ComponentId(target), body })
+    })
 }
 
 // Components that need post-run inspection share state with the harness via
@@ -1149,7 +1004,6 @@ mod tests {
         assert_eq!(*fired.borrow(), vec![(10, 3), (20, 2), (30, 1)]);
         assert_eq!(sim.now(), 30);
         assert_eq!(sim.events_processed(), 3);
-        assert_eq!(sim.last_event_tick(), 30);
     }
 
     #[test]
@@ -1170,47 +1024,19 @@ mod tests {
     }
 
     #[test]
-    fn run_window_matches_inclusive_run() {
-        // run_window(last) must be exactly run(last, MAX) minus the
-        // stop/budget checks: same events fired, same final clock.
-        let fired_a = Rc::new(RefCell::new(Vec::new()));
-        let mut a = Simulation::new();
-        a.add(Box::new(TimerChain {
-            name: "t".into(),
-            fired: fired_a.clone(),
-            remaining: 100,
-            period: 10,
-        }));
-        assert_eq!(a.run(25, u64::MAX), RunOutcome::TimeLimit);
-        let fired_b = Rc::new(RefCell::new(Vec::new()));
-        let mut b = Simulation::new();
-        b.add(Box::new(TimerChain {
-            name: "t".into(),
-            fired: fired_b.clone(),
-            remaining: 100,
-            period: 10,
-        }));
-        b.run_window(25);
-        assert_eq!(*fired_a.borrow(), *fired_b.borrow());
-        assert_eq!(a.now(), b.now());
-        assert_eq!(a.events_processed(), b.events_processed());
-        assert_eq!(b.next_event_tick(), Some(30));
-    }
-
-    #[test]
-    fn a_window_through_tick_zero_runs_nothing_later() {
+    fn a_schedule_past_the_end_of_time_saturates_to_it() {
+        // `now + delay` saturates at `Tick::MAX`: both timers fire there.
         let fired = Rc::new(RefCell::new(Vec::new()));
         let mut sim = Simulation::new();
         sim.add(Box::new(TimerChain {
             name: "t".into(),
             fired: fired.clone(),
-            remaining: 3,
-            period: 10,
+            remaining: 2,
+            period: Tick::MAX,
         }));
-        sim.run_window(0);
-        assert!(fired.borrow().is_empty());
-        assert_eq!((sim.now(), sim.events_processed()), (0, 0));
-        assert_eq!(sim.next_event_tick(), Some(10));
+        assert_eq!(sim.run_to_quiesce(), RunOutcome::QueueEmpty);
+        assert_eq!(*fired.borrow(), vec![(Tick::MAX, 2), (Tick::MAX, 1)]);
+        assert_eq!(sim.now(), Tick::MAX);
     }
 
     #[test]
@@ -1390,6 +1216,46 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_a_queued_retry_on_an_unwired_port() {
+        // Paused right after the server's first completion: the retry it
+        // owes the refused producer is the one queued entry.
+        let paused = || {
+            let mut sim = Simulation::new();
+            let p = sim.add(Box::new(Producer {
+                name: "prod".into(),
+                to_send: 2,
+                stalled: None,
+                acked: Rc::new(RefCell::new(0)),
+            }));
+            let s = sim.add(Box::new(Server {
+                name: "serv".into(),
+                busy_with: None,
+                refused: false,
+                served: Rc::new(RefCell::new(0)),
+                delay: 100,
+            }));
+            sim.connect((p, P_OUT), (s, S_IN));
+            sim
+        };
+        let mut sim = paused();
+        assert_eq!(sim.run(Tick::MAX, 2), RunOutcome::EventLimit);
+        let snap = sim.checkpoint();
+        // Body offsets: fingerprint, now, events, two packet counters, four
+        // stream counters, the entry count, the entry's key and target.
+        const TAG: usize = 16 + 8 * 3 + 8 * 2 + 8 * 4 + 8 + 8 * 2 + 4;
+        assert_eq!(snap[TAG], 2, "the queued entry is a retry");
+        assert_eq!(snap[TAG + 1..TAG + 3], P_OUT.0.to_le_bytes());
+        let patched = |port: u16| {
+            let mut body = snap[16..].to_vec();
+            body[TAG + 1 - 16..TAG + 3 - 16].copy_from_slice(&port.to_le_bytes());
+            seal_checkpoint(body)
+        };
+        assert_eq!(paused().restore(&patched(P_OUT.0)), Ok(()));
+        let err = paused().restore(&patched(5)).expect_err("port 5 is not wired");
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
+    }
+
+    #[test]
     fn packet_ids_are_unique_and_component_scoped() {
         let acked = Rc::new(RefCell::new(0));
         let served = Rc::new(RefCell::new(0));
@@ -1486,40 +1352,6 @@ mod tests {
         let mut sim = Simulation::new();
         sim.add(Box::new(Stub("x")));
         sim.add(Box::new(Stub("x")));
-    }
-
-    #[test]
-    #[should_panic(expected = "lives in another shard")]
-    fn dispatch_into_a_remote_slot_panics() {
-        struct Poker;
-        impl Component for Poker {
-            fn name(&self) -> &str {
-                "poker"
-            }
-            fn init(&mut self, ctx: &mut Ctx<'_>) {
-                let id = ctx.alloc_packet_id();
-                let pkt = Packet::request(id, Command::ReadReq, 0, 4, ctx.self_id());
-                let _ = ctx.try_send_request(PortId(0), pkt);
-            }
-        }
-        let mut sim = Simulation::new();
-        let p = sim.add(Box::new(Poker));
-        let ghost = sim.add_remote("elsewhere");
-        sim.connect((p, PortId(0)), (ghost, PortId(0)));
-        sim.run_to_quiesce();
-    }
-
-    #[test]
-    fn remote_slots_share_the_fingerprint_and_name_space() {
-        let mut a = Simulation::new();
-        a.add(Box::new(Stub("x")));
-        a.add(Box::new(Stub("y")));
-        a.connect((ComponentId(0), PortId(0)), (ComponentId(1), PortId(0)));
-        let mut b = Simulation::new();
-        b.add(Box::new(Stub("x")));
-        b.add_remote("y");
-        b.connect((ComponentId(0), PortId(0)), (ComponentId(1), PortId(0)));
-        assert_eq!(a.topology_fingerprint(), b.topology_fingerprint());
     }
 
     #[test]
@@ -1679,8 +1511,6 @@ mod tests {
     fn same_tick_cross_component_order_is_by_id_not_insertion() {
         // Two components arm timers for the same tick; the lower component
         // id fires first regardless of which `schedule` call ran first.
-        // This is the partition-independent tiebreak: a shard that never
-        // saw the other component's push still agrees on the order.
         struct One {
             name: String,
             log: Rc<RefCell<Vec<String>>>,

@@ -169,11 +169,6 @@ impl StateWriter {
         self.buf.push(v);
     }
 
-    /// Appends already-encoded bytes verbatim (no length prefix).
-    pub(crate) fn append_raw(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
-
     /// Writes a little-endian u16.
     pub fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());

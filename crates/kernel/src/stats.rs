@@ -265,10 +265,6 @@ impl StatsSnapshot {
         Self { values }
     }
 
-    pub(crate) fn into_values(self) -> BTreeMap<String, f64> {
-        self.values
-    }
-
     /// Looks up a fully-qualified statistic (`component.key`).
     pub fn get(&self, key: &str) -> Option<f64> {
         self.values.get(key).copied()

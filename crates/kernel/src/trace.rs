@@ -288,15 +288,8 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
 pub struct Tracer {
     mask: Cell<u32>,
     capacity: Cell<usize>,
-    /// Each event is stored with the order stamp of the dispatch that
-    /// recorded it (see [`Tracer::set_stamp`]) — invisible to [`drain`]
-    /// and the checkpoint format, but the merge key that lets per-shard
-    /// traces interleave back into the exact serial record sequence.
-    ///
-    /// [`drain`]: Tracer::drain
-    buf: RefCell<VecDeque<(TraceEvent, u64)>>,
+    buf: RefCell<VecDeque<TraceEvent>>,
     dropped: Cell<u64>,
-    stamp: Cell<u64>,
 }
 
 impl Default for Tracer {
@@ -313,24 +306,7 @@ impl Tracer {
             capacity: Cell::new(DEFAULT_TRACE_CAPACITY),
             buf: RefCell::new(VecDeque::new()),
             dropped: Cell::new(0),
-            stamp: Cell::new(0),
         }
-    }
-
-    /// Sets the order stamp attached to subsequently recorded events. The
-    /// dispatch loop calls this with each popped event's global order
-    /// before running its handler, so every trace record carries the
-    /// dispatch it was emitted under.
-    #[inline]
-    pub fn set_stamp(&self, stamp: u64) {
-        self.stamp.set(stamp);
-    }
-
-    /// The order stamp of the dispatch in progress (see
-    /// [`Tracer::set_stamp`]).
-    #[inline]
-    pub fn stamp(&self) -> u64 {
-        self.stamp.get()
     }
 
     /// Enables exactly the categories in `mask` (a bit-or of
@@ -379,66 +355,36 @@ impl Tracer {
             buf.pop_front();
             self.dropped.set(self.dropped.get() + 1);
         }
-        buf.push_back((ev, self.stamp.get()));
+        buf.push_back(ev);
     }
 
     /// Drains every buffered event, oldest first.
     pub fn drain(&self) -> Vec<TraceEvent> {
-        self.buf.borrow_mut().drain(..).map(|(ev, _)| ev).collect()
-    }
-
-    /// Drains every buffered event with its dispatch order stamp, oldest
-    /// first. The sharded driver merges these streams by
-    /// `(at, stamp, record index)` to reconstruct the serial record order.
-    pub fn drain_stamped(&self) -> Vec<(TraceEvent, u64)> {
         self.buf.borrow_mut().drain(..).collect()
-    }
-
-    /// Appends a pre-stamped event, evicting the oldest when full — the
-    /// global-ring half of the sharded trace merge. Eviction accounting
-    /// matches [`Tracer::record`], so a merged sharded ring drops exactly
-    /// the events the serial ring would have dropped.
-    pub fn record_stamped(&self, ev: TraceEvent, stamp: u64) {
-        let mut buf = self.buf.borrow_mut();
-        if buf.len() >= self.capacity.get() {
-            buf.pop_front();
-            self.dropped.set(self.dropped.get() + 1);
-        }
-        buf.push_back((ev, stamp));
-    }
-
-    /// Adds `n` to the eviction counter (used when a restored global ring
-    /// carries eviction history from before a shard-count change).
-    pub fn add_dropped(&self, n: u64) {
-        self.dropped.set(self.dropped.get() + n);
     }
 
     /// Serializes the ring contents (oldest first) and the eviction count
     /// into a checkpoint, without draining. The enable mask and capacity
     /// are configuration and are *not* saved: they belong to the tree a
-    /// checkpoint restores into. Order stamps are not saved either — a
-    /// restored prefix is already merged, and any events recorded after
-    /// the restore happen at later ticks, so plain concatenation keeps
-    /// record order.
+    /// checkpoint restores into.
     pub fn save_ring(&self, w: &mut StateWriter) {
         let buf = self.buf.borrow();
         w.u64(self.dropped.get());
         w.usize(buf.len());
-        for (ev, _) in buf.iter() {
+        for ev in buf.iter() {
             ev.encode(w);
         }
     }
 
     /// Replaces the ring contents and eviction count from a checkpoint, so
     /// a restored run's drained trace equals prefix + suffix of the
-    /// uninterrupted run's. Restored events carry stamp 0: they are a
-    /// fully merged prefix, strictly older than anything recorded after.
+    /// uninterrupted run's.
     pub fn restore_ring(&self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         let dropped = r.u64()?;
         let n = r.usize()?;
         let mut buf = VecDeque::new();
         for _ in 0..n {
-            buf.push_back((TraceEvent::decode(r)?, 0));
+            buf.push_back(TraceEvent::decode(r)?);
         }
         self.dropped.set(dropped);
         *self.buf.borrow_mut() = buf;

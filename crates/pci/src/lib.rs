@@ -22,6 +22,7 @@
 //! # Ok::<(), pcisim_pci::enumeration::EnumerateError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

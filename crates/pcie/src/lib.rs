@@ -16,6 +16,7 @@
 //!   switch, with window-based request routing and bus-number-based
 //!   response routing (Figs. 6 and 7).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

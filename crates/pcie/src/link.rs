@@ -31,21 +31,15 @@
 //! direction: [`LinkEnd`] owns the transmit side of its own wire and the
 //! receive side of the peer's wire, and the only way the two ends interact
 //! is by the wire-arrival events themselves (a TLP carrying its admission
-//! tick, or a DLLP). That makes the link the natural *cut point* for
-//! sharded simulation: [`PcieLinkHalf`] hosts one end in one shard and
-//! ships wire arrivals through [`Ctx::remote_schedule`], while the fused
-//! [`PcieLink`] hosts both ends in one component and routes the same
-//! events back to itself. Both arrangements schedule an identical event
-//! sequence with identical order stamps, so a sharded run is bit-identical
-//! to a serial one.
-//!
-//! [`Ctx::remote_schedule`]: pcisim_kernel::sim::Ctx::remote_schedule
+//! tick, or a DLLP). [`PcieLink`] hosts both ends in one component and
+//! routes each event back to the end that owns it. Each end stamps its
+//! events from its own scheduling stream, so the same-tick order of one
+//! end's events never depends on how much traffic the other end carries.
 
 use std::collections::VecDeque;
 
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{decode_packet_queue, encode_packet_queue, Packet};
-use pcisim_kernel::shard::QueuedFor;
 use pcisim_kernel::sim::Ctx;
 use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
 use pcisim_kernel::stats::{Counter, Histogram, StatsBuilder};
@@ -109,14 +103,6 @@ const TAG_SEQ_MASK: u32 = SEQ_MODULUS - 1;
 const TAG_DIR_BIT: u32 = 1 << 30;
 const TAG_CORRUPT_BIT: u32 = 1 << 31;
 
-/// The smallest in-flight delay of any wire-crossing event: a DLLP frame's
-/// serialization plus propagation. Every TLP flight time is at least this
-/// (the shortest TLP is longer on the wire than the 8-byte DLLP), so it is
-/// a sound conservative lookahead horizon for a shard cut at this link.
-pub fn link_lookahead(config: &LinkConfig) -> Tick {
-    config.tx_time(DLLP_WIRE_BYTES) + config.propagation_delay
-}
-
 /// The physical end (0 = upstream, 1 = downstream) that must handle a
 /// self-addressed link event.
 fn event_dest_end(ev: &Event) -> u8 {
@@ -141,25 +127,6 @@ fn event_dest_end(ev: &Event) -> u8 {
             }
         }
         Event::DelayedPacket { .. } => 0,
-    }
-}
-
-/// Routes a queued action addressed to a split link to the physical end
-/// that owns it — the [`RouteEndFn`] a shard plan uses when restoring a
-/// checkpoint under a different partitioning. Retries arrive on the port
-/// that refused a delivery, and ports 0–1 belong to the upstream end.
-///
-/// [`RouteEndFn`]: pcisim_kernel::shard::RouteEndFn
-pub fn link_event_dest_end(q: &QueuedFor<'_>) -> u8 {
-    match q {
-        QueuedFor::Event(ev) => event_dest_end(ev),
-        QueuedFor::Retry { port } => {
-            if port.0 < 2 {
-                0
-            } else {
-                1
-            }
-        }
     }
 }
 
@@ -397,37 +364,12 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Where this end's wire terminates.
-#[derive(Debug, Clone, Copy)]
-enum PeerTx {
-    /// The far end lives in the same (fused) component: wire arrivals are
-    /// local self-schedules, routed back by [`event_dest_end`].
-    Fused,
-    /// The far end lives in another shard: wire arrivals cross through the
-    /// plan's directed cut edge `edge`.
-    Remote { edge: u32 },
-}
-
-/// Ships a wire-arrival event to the peer end. Local and remote schedules
-/// mint order stamps from the same per-(component, stream) counter, with
-/// `stream` fixed to the transmitting end — so a fused link and a split
-/// pair produce identical stamps for identical traffic.
-fn send_to_peer(ctx: &mut Ctx<'_>, peer: PeerTx, stream: u8, delay: Tick, ev: Event) {
-    match peer {
-        PeerTx::Fused => {
-            ctx.schedule_stream(delay, stream, ev);
-        }
-        PeerTx::Remote { edge } => ctx.remote_schedule(edge, delay, stream, ev),
-    }
-}
-
 /// One physical end of a link: transmitter of its own wire, receiver of
 /// the peer's. End 0 is the upstream interface (transmits Down, ports
 /// 0–1); end 1 is the downstream interface (transmits Up, ports 2–3).
 struct LinkEnd {
     name: String,
     end: u8,
-    peer: PeerTx,
     config: LinkConfig,
     replay_timeout: Tick,
     ack_timeout: Tick,
@@ -448,7 +390,7 @@ struct LinkEnd {
 #[derive(Debug, Default, Clone)]
 pub(crate) struct KickOracle {
     pub(crate) eager: bool,
-    pub(crate) log: std::sync::Arc<[std::sync::Mutex<Vec<Dispatch>>; 2]>,
+    pub(crate) log: std::rc::Rc<[std::cell::RefCell<Vec<Dispatch>>; 2]>,
 }
 
 /// One event a link end handled, as a [`KickOracle`] logs it.
@@ -469,12 +411,12 @@ impl KickOracle {
     fn record(&self, end: u8, at: Tick, ev: &Event, tx_idle: bool) {
         let kind = if let Event::Timer { kind, .. } = ev { *kind } else { u32::MAX };
         let idle_kick = kind & !1 == K_TX_KICK && tx_idle;
-        self.log[usize::from(end)].lock().unwrap().push(Dispatch { at, kind, idle_kick });
+        self.log[usize::from(end)].borrow_mut().push(Dispatch { at, kind, idle_kick });
     }
 }
 
 impl LinkEnd {
-    fn new(name: String, end: u8, peer: PeerTx, config: LinkConfig) -> Self {
+    fn new(name: String, end: u8, config: LinkConfig) -> Self {
         let rt = replay_timeout(&config);
         let at = ack_timeout(&config);
         let cap = config.replay_buffer_size;
@@ -482,7 +424,6 @@ impl LinkEnd {
         Self {
             name,
             end,
-            peer,
             replay_timeout: rt,
             ack_timeout: at,
             st: EndState::new(cap, credits),
@@ -615,8 +556,8 @@ impl LinkEnd {
     /// The transmission engine: one frame per iteration while the wire is
     /// free, priority ACK/NAK > replayed TLPs > new TLPs. While the wire is
     /// busy with a frame waiting, a TX kick is queued at the wire-free
-    /// tick, so transmission resumes without any help from the (possibly
-    /// remote) receiving end.
+    /// tick, so transmission resumes without any help from the receiving
+    /// end.
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
         loop {
             let now = ctx.now();
@@ -640,7 +581,7 @@ impl LinkEnd {
                     Dllp::UpdateFc { credits } => u64::from(credits) | (1 << 33),
                 };
                 let kind = K_DLLP_ARRIVE + self.tx_dir() as u32;
-                send_to_peer(ctx, self.peer, self.end, t + prop, Event::Timer { kind, data });
+                ctx.schedule_stream(t + prop, self.end, Event::Timer { kind, data });
                 continue;
             }
             // The wire carries a copy; the replay buffer keeps the original
@@ -692,11 +633,9 @@ impl LinkEnd {
                 } else {
                     t
                 };
-                send_to_peer(
-                    ctx,
-                    self.peer,
-                    self.end,
+                ctx.schedule_stream(
                     delivery + prop,
+                    self.end,
                     Event::StampedPacket { tag, stamp, pkt },
                 );
                 if !self.st.replay_armed {
@@ -1093,8 +1032,8 @@ impl LinkEnd {
     }
 
     /// Reports TX stats under this end's transmit direction and RX stats
-    /// under its receive direction, so the fused and split layouts produce
-    /// the same key set.
+    /// under its receive direction, so each direction's keys cover both
+    /// ends of its wire.
     fn report(&self, out: &mut StatsBuilder) {
         let t = self.tx_dir().label();
         out.counter(&format!("{t}.tlps_admitted"), &self.st.tx_stats.tlps_admitted);
@@ -1205,10 +1144,7 @@ impl PcieLink {
     pub fn new(name: impl Into<String>, config: LinkConfig) -> Self {
         let name = name.into();
         Self {
-            ends: [
-                LinkEnd::new(name.clone(), 0, PeerTx::Fused, config.clone()),
-                LinkEnd::new(name, 1, PeerTx::Fused, config),
-            ],
+            ends: [LinkEnd::new(name.clone(), 0, config.clone()), LinkEnd::new(name, 1, config)],
         }
     }
 
@@ -1299,14 +1235,12 @@ impl Component for PcieLink {
     }
 
     fn save_state(&self, w: &mut StateWriter) {
-        // Each end is a self-contained length-prefixed blob — byte-for-byte
-        // the layout a sharded checkpoint assembles from two
-        // [`PcieLinkHalf`] components, so checkpoints cross freely between
-        // fused and split topologies.
+        // Each end is a self-contained length-prefixed blob; the checkpoint
+        // format, and so the golden fixture, pins this layout.
         for end in &self.ends {
-            let mut half = StateWriter::new();
-            end.save(&mut half);
-            w.bytes(&half.into_bytes());
+            let mut blob = StateWriter::new();
+            end.save(&mut blob);
+            w.bytes(&blob.into_bytes());
         }
     }
 
@@ -1321,99 +1255,6 @@ impl Component for PcieLink {
     }
 }
 
-/// One physical end of a split link, hosted alone in a shard. The peer
-/// half lives in another shard; wire arrivals cross through the directed
-/// cut edge given at construction. Both halves must carry the *same* name
-/// (the fused link's name) so every shard builds an identical component
-/// table.
-pub struct PcieLinkHalf {
-    end: LinkEnd,
-}
-
-impl PcieLinkHalf {
-    /// The upstream half (transmits Down, owns ports 0–1). `edge` is the
-    /// index of the directed cut edge from this half's shard to the
-    /// peer's.
-    pub fn new_upstream(name: impl Into<String>, config: LinkConfig, edge: u32) -> Self {
-        Self { end: LinkEnd::new(name.into(), 0, PeerTx::Remote { edge }, config) }
-    }
-
-    /// The downstream half (transmits Up, owns ports 2–3).
-    pub fn new_downstream(name: impl Into<String>, config: LinkConfig, edge: u32) -> Self {
-        Self { end: LinkEnd::new(name.into(), 1, PeerTx::Remote { edge }, config) }
-    }
-
-    /// Attaches an AER-capable config space to this interface; see
-    /// [`PcieLink::attach_aer`].
-    pub fn attach_aer(&mut self, cs: Option<SharedConfigSpace>) {
-        self.end.aer = cs;
-    }
-
-    /// The link configuration.
-    pub fn config(&self) -> &LinkConfig {
-        &self.end.config
-    }
-
-    /// Installs the test oracle on this end.
-    #[cfg(test)]
-    pub(crate) fn set_kick_oracle(&mut self, oracle: &KickOracle) {
-        self.end.oracle = oracle.clone();
-    }
-}
-
-impl Component for PcieLinkHalf {
-    fn name(&self) -> &str {
-        &self.end.name
-    }
-
-    fn recv_request(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) -> RecvResult {
-        match (self.end.end, port) {
-            (0, PORT_UP_SLAVE) | (1, PORT_DOWN_SLAVE) => self.end.admit(ctx, 0, pkt),
-            (_, other) => panic!("{}: request on foreign port {other}", self.name()),
-        }
-    }
-
-    fn recv_response(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) -> RecvResult {
-        match (self.end.end, port) {
-            (0, PORT_UP_MASTER) | (1, PORT_DOWN_MASTER) => self.end.admit(ctx, 1, pkt),
-            (_, other) => panic!("{}: response on foreign port {other}", self.name()),
-        }
-    }
-
-    fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
-        debug_assert_eq!(
-            event_dest_end(&ev),
-            self.end.end,
-            "{}: event routed to the wrong link half",
-            self.name()
-        );
-        self.end.handle_event(ctx, ev);
-    }
-
-    fn retry_granted(&mut self, ctx: &mut Ctx<'_>, port: PortId) {
-        debug_assert_eq!(
-            u8::from(port.0 >= 2),
-            self.end.end,
-            "{}: retry routed to the wrong link half",
-            self.name()
-        );
-        self.end.retry_granted(ctx);
-    }
-
-    fn report_stats(&self, out: &mut StatsBuilder) {
-        self.end.report(out);
-    }
-
-    fn save_state(&self, w: &mut StateWriter) {
-        // Raw end blob: the sharded checkpoint assembler length-prefixes
-        // it, matching the fused [`PcieLink::save_state`] layout exactly.
-        self.end.save(w);
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.end.restore(r)
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2097,132 +1938,5 @@ mod tests {
         let stats = sim.stats();
         // 4 TLPs * 168 ns of TLP time, plus DLLP time.
         assert!(stats.get("link.down.busy_ticks").unwrap() >= (4 * ns(168)) as f64);
-    }
-
-    // ── split-link / sharded equivalence ──────────────────────────────
-
-    use pcisim_kernel::component::ComponentId;
-    use pcisim_kernel::shard::{EdgeSpec, Placement, ShardPlan, ShardedSimulator};
-
-    /// The same rig as [`build`], but cut at the link: the requester and
-    /// the upstream half live in shard 0, the responder and the downstream
-    /// half in shard 1. Both shards replay the full name table and wiring
-    /// so their topology fingerprints match the fused build.
-    fn build_split(
-        config: LinkConfig,
-        script: Vec<(Command, u64, u32)>,
-        service: Tick,
-    ) -> (ShardedSimulator, pcisim_kernel::testutil::CompletionLog) {
-        let h = link_lookahead(&config);
-        let mut s0 = Simulation::new();
-        let (req, done) = Requester::new("cpu", script);
-        let r = s0.add(Box::new(req));
-        let l = s0.add(Box::new(PcieLinkHalf::new_upstream("link", config.clone(), 0)));
-        let d = s0.add_remote("dev");
-        s0.connect((r, REQUESTER_PORT), (l, PORT_UP_SLAVE));
-        s0.connect((l, PORT_DOWN_MASTER), (d, RESPONDER_PORT));
-
-        let mut s1 = Simulation::new();
-        let r1 = s1.add_remote("cpu");
-        let l1 = s1.add(Box::new(PcieLinkHalf::new_downstream("link", config, 1)));
-        let (resp, _) = Responder::new("dev", service);
-        let d1 = s1.add(Box::new(resp));
-        s1.connect((r1, REQUESTER_PORT), (l1, PORT_UP_SLAVE));
-        s1.connect((l1, PORT_DOWN_MASTER), (d1, RESPONDER_PORT));
-
-        let plan = ShardPlan {
-            placements: vec![
-                Placement::Shard(0),
-                Placement::Split { end0: 0, end1: 1 },
-                Placement::Shard(1),
-            ],
-            edges: vec![
-                EdgeSpec { from_shard: 0, to_shard: 1, dest: ComponentId(1), horizon: h },
-                EdgeSpec { from_shard: 1, to_shard: 0, dest: ComponentId(1), horizon: h },
-            ],
-            route_end: link_event_dest_end,
-        };
-        (ShardedSimulator::new(vec![s0, s1], plan), done)
-    }
-
-    /// Configurations covering every cross-end mechanism: quiet timing,
-    /// nonzero propagation, error injection with replays/NAKs, and
-    /// credit-based flow control with UpdateFC returns.
-    fn split_configs() -> Vec<LinkConfig> {
-        let base = LinkConfig::new(Generation::Gen2, LinkWidth::X1);
-        vec![
-            quiet(base.clone()),
-            LinkConfig { propagation_delay: ns(600), ..quiet(base.clone()) },
-            LinkConfig { ack_immediate: true, error_interval: 3, ..base.clone() },
-            LinkConfig { credit_fc: Some(2), ..quiet(base) },
-        ]
-    }
-
-    #[test]
-    fn split_halves_match_the_fused_link_bit_for_bit() {
-        for config in split_configs() {
-            let script: Vec<_> = (0..12)
-                .map(|i| {
-                    let cmd = if i % 3 == 0 { Command::ReadReq } else { Command::WriteReq };
-                    (cmd, 0x4000_0000 + i * 64, 64u32)
-                })
-                .collect();
-            let (mut fused, fused_done) = build(config.clone(), script.clone(), ns(25));
-            fused.set_trace_mask(u32::MAX);
-            let fused_out = fused.run_to_quiesce();
-
-            let (mut split, split_done) = build_split(config.clone(), script, ns(25));
-            split.set_trace_mask(u32::MAX);
-            let split_out = split.run_to_quiesce();
-
-            assert_eq!(fused_out, split_out, "config {config:?}");
-            assert_eq!(*fused_done.borrow(), *split_done.borrow(), "config {config:?}");
-            assert_eq!(fused.now(), split.now(), "config {config:?}");
-            assert_eq!(fused.events_processed(), split.events_processed(), "config {config:?}");
-            assert_eq!(
-                fused.stats().iter().map(|(k, v)| (k.to_string(), v)).collect::<Vec<_>>(),
-                split.stats().iter().map(|(k, v)| (k.to_string(), v)).collect::<Vec<_>>(),
-                "config {config:?}"
-            );
-            let ft = fused.take_trace();
-            let st = split.take_trace();
-            assert_eq!(ft.dropped, st.dropped, "config {config:?}");
-            assert_eq!(ft.events, st.events, "config {config:?}");
-        }
-    }
-
-    #[test]
-    fn split_checkpoint_crosses_to_and_from_fused() {
-        let config = quiet(LinkConfig::new(Generation::Gen2, LinkWidth::X1));
-        let script: Vec<_> =
-            (0..10).map(|i| (Command::WriteReq, 0x4000_0000 + i * 64, 64u32)).collect();
-
-        // Stop mid-flight: wire arrivals, the ACK timer and live replay
-        // entries are all pending at ns(700).
-        let (mut fused, _) = build(config.clone(), script.clone(), ns(25));
-        assert_eq!(fused.run(ns(700), u64::MAX), RunOutcome::TimeLimit);
-        let snap = fused.checkpoint();
-
-        let (mut split, _) = build_split(config.clone(), script.clone(), ns(25));
-        assert_eq!(split.run(ns(700), u64::MAX), RunOutcome::TimeLimit);
-        assert_eq!(snap, split.checkpoint(), "fused and split checkpoints must be byte-identical");
-
-        // The same snapshot restores into either arrangement and drains to
-        // the same final state.
-        let (mut fused2, _) = build(config.clone(), script.clone(), ns(25));
-        fused2.restore(&snap).unwrap();
-        fused2.run_to_quiesce();
-
-        let (mut split2, _) = build_split(config, script, ns(25));
-        split2.restore(&snap).unwrap();
-        split2.run_to_quiesce();
-
-        assert_eq!(fused2.now(), split2.now());
-        assert_eq!(fused2.events_processed(), split2.events_processed());
-        assert_eq!(
-            fused2.stats().iter().map(|(k, v)| (k.to_string(), v)).collect::<Vec<_>>(),
-            split2.stats().iter().map(|(k, v)| (k.to_string(), v)).collect::<Vec<_>>(),
-        );
-        assert_eq!(fused2.checkpoint(), split2.checkpoint());
     }
 }

@@ -4,8 +4,8 @@
 //! earlier builds was minted and queues it only once a frame is waiting
 //! (`link::Kick`). The claim is that the surviving event stream is the
 //! eager stream with idle kicks deleted, so nothing simulated can move.
-//! This property drives random link configurations, fused and split, with
-//! random traffic in both directions through both rules — the eager one
+//! This property drives random link configurations with random traffic in
+//! both directions through both rules — the eager one
 //! kept only here, as a test-only switch on the link — and demands
 //! identical deliveries, statistics, traces, quiesce tick and packet ids,
 //! with the event-count difference accounted for kick by kick.
@@ -13,20 +13,18 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use pcisim_kernel::component::{Component, ComponentId, Event, PortId, RecvResult};
+use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, Packet, PacketId};
-use pcisim_kernel::shard::{EdgeSpec, Placement, ShardPlan, ShardedSimulator};
 use pcisim_kernel::sim::{Ctx, RunOutcome, Simulation};
 use pcisim_kernel::tick::{ns, Tick, TICKS_PER_SEC};
 use pcisim_kernel::trace::TraceEvent;
 
 use crate::link::{
-    link_event_dest_end, link_lookahead, Dispatch, KickOracle, PcieLink, PcieLinkHalf,
-    PORT_DOWN_MASTER, PORT_DOWN_SLAVE, PORT_UP_MASTER, PORT_UP_SLAVE,
+    Dispatch, KickOracle, PcieLink, PORT_DOWN_MASTER, PORT_DOWN_SLAVE, PORT_UP_MASTER,
+    PORT_UP_SLAVE,
 };
 use crate::params::{Generation, LinkConfig, LinkWidth};
 
@@ -227,108 +225,40 @@ impl Facts {
     }
 }
 
-/// Runs `traffic` over one link to quiesce, fused or cut into two shards,
-/// under the eager kick rule or the on-demand one. Components, in id
-/// order: `cpu` (requester, down-bound), `link`, `dev` (sink), `dma`
-/// (requester, up-bound), `mem` (sink); shard 0 owns `cpu`, `mem` and the
-/// upstream end, shard 1 the rest.
-fn run(config: &LinkConfig, traffic: &Traffic, split: bool, eager: bool) -> Facts {
-    let oracle = KickOracle { eager, log: Arc::default() };
-    let mut completions: [Option<DeliveryLog>; 2] = [None, None];
-    let mut deliveries: [Option<DeliveryLog>; 2] = [None, None];
-    let shards = if split { 2 } else { 1 };
-    let mut sims = Vec::new();
-    for shard in 0..shards {
-        let owns = |side: u8| !split || side == shard;
-        let mut sim = Simulation::new();
-        let cpu = if owns(0) {
-            let (source, log) = Source::new("cpu", &traffic.down);
-            completions[0] = Some(log);
-            sim.add(Box::new(source))
-        } else {
-            sim.add_remote("cpu")
-        };
-        let link = match (split, shard) {
-            (false, _) => {
-                let mut link = PcieLink::new("link", config.clone());
-                link.set_kick_oracle(&oracle);
-                sim.add(Box::new(link))
-            }
-            (true, end) => {
-                let mut half = if end == 0 {
-                    PcieLinkHalf::new_upstream("link", config.clone(), 0)
-                } else {
-                    PcieLinkHalf::new_downstream("link", config.clone(), 1)
-                };
-                half.set_kick_oracle(&oracle);
-                sim.add(Box::new(half))
-            }
-        };
-        let dev = if owns(1) {
-            let (sink, log) = LogSink::new("dev", &traffic.refusals[0], traffic.service[0]);
-            deliveries[0] = Some(log);
-            sim.add(Box::new(sink))
-        } else {
-            sim.add_remote("dev")
-        };
-        let dma = if owns(1) {
-            let (source, log) = Source::new("dma", &traffic.up);
-            completions[1] = Some(log);
-            sim.add(Box::new(source))
-        } else {
-            sim.add_remote("dma")
-        };
-        let mem = if owns(0) {
-            let (sink, log) = LogSink::new("mem", &traffic.refusals[1], traffic.service[1]);
-            deliveries[1] = Some(log);
-            sim.add(Box::new(sink))
-        } else {
-            sim.add_remote("mem")
-        };
-        sim.connect((cpu, PORT), (link, PORT_UP_SLAVE));
-        sim.connect((link, PORT_DOWN_MASTER), (dev, PORT));
-        sim.connect((dma, PORT), (link, PORT_DOWN_SLAVE));
-        sim.connect((link, PORT_UP_MASTER), (mem, PORT));
-        sims.push(sim);
-    }
-    // One shard of the sharded driver is a straight delegation to the
-    // serial kernel, so both arrangements run through the same driver.
-    let (placements, edges) = if split {
-        let h = link_lookahead(config);
-        let link = ComponentId(1);
-        let placements = vec![
-            Placement::Shard(0),
-            Placement::Split { end0: 0, end1: 1 },
-            Placement::Shard(1),
-            Placement::Shard(1),
-            Placement::Shard(0),
-        ];
-        let edges = vec![
-            EdgeSpec { from_shard: 0, to_shard: 1, dest: link, horizon: h },
-            EdgeSpec { from_shard: 1, to_shard: 0, dest: link, horizon: h },
-        ];
-        (placements, edges)
-    } else {
-        (vec![Placement::Shard(0); 5], Vec::new())
-    };
-    let plan = ShardPlan { placements, edges, route_end: link_event_dest_end };
-    let mut driver = ShardedSimulator::new(sims, plan);
-    driver.set_trace_mask(u32::MAX);
-    let outcome = driver.run(10 * TICKS_PER_SEC, 10_000_000);
+/// Runs `traffic` over one link to quiesce under the eager kick rule or
+/// the on-demand one. Components, in id order: `cpu` (requester,
+/// down-bound), `link`, `dev` (sink), `dma` (requester, up-bound), `mem`
+/// (sink).
+fn run(config: &LinkConfig, traffic: &Traffic, eager: bool) -> Facts {
+    let oracle = KickOracle { eager, log: Rc::default() };
+    let mut sim = Simulation::new();
+    let (source, cpu_log) = Source::new("cpu", &traffic.down);
+    let cpu = sim.add(Box::new(source));
+    let mut link = PcieLink::new("link", config.clone());
+    link.set_kick_oracle(&oracle);
+    let link = sim.add(Box::new(link));
+    let (sink, dev_log) = LogSink::new("dev", &traffic.refusals[0], traffic.service[0]);
+    let dev = sim.add(Box::new(sink));
+    let (source, dma_log) = Source::new("dma", &traffic.up);
+    let dma = sim.add(Box::new(source));
+    let (sink, mem_log) = LogSink::new("mem", &traffic.refusals[1], traffic.service[1]);
+    let mem = sim.add(Box::new(sink));
+    sim.connect((cpu, PORT), (link, PORT_UP_SLAVE));
+    sim.connect((link, PORT_DOWN_MASTER), (dev, PORT));
+    sim.connect((dma, PORT), (link, PORT_DOWN_SLAVE));
+    sim.connect((link, PORT_UP_MASTER), (mem, PORT));
+    sim.set_trace_mask(u32::MAX);
+    let outcome = sim.run(10 * TICKS_PER_SEC, 10_000_000);
     assert_eq!(outcome, RunOutcome::QueueEmpty, "{config:?} must quiesce");
-    // Each shard counts only the packet ids its own components minted.
-    let packet_ids =
-        (0..shards).map(|i| driver.shard_mut(usize::from(i)).packet_ids_allocated()).sum();
-    let log = |l: &Option<DeliveryLog>| l.as_ref().expect("owned by a shard").take();
     Facts {
-        now: driver.now(),
-        events: driver.events_processed(),
-        packet_ids,
-        stats: driver.stats().iter().map(|(k, v)| (k.to_string(), v)).collect(),
-        trace: driver.take_trace().events,
-        completions: [log(&completions[0]), log(&completions[1])],
-        deliveries: [log(&deliveries[0]), log(&deliveries[1])],
-        dispatches: oracle.log.each_ref().map(|log| log.lock().unwrap().clone()),
+        now: sim.now(),
+        events: sim.events_processed(),
+        packet_ids: sim.packet_ids_allocated(),
+        stats: sim.stats().iter().map(|(k, v)| (k.to_string(), v)).collect(),
+        trace: sim.take_trace().events,
+        completions: [cpu_log.take(), dma_log.take()],
+        deliveries: [dev_log.take(), mem_log.take()],
+        dispatches: oracle.log.each_ref().map(|log| log.borrow().clone()),
     }
 }
 
@@ -347,14 +277,10 @@ fn script(ops: &[(u64, u8, u32)], base: u64) -> Script {
 
 /// Runs `traffic` under both kick rules and asserts the on-demand run is
 /// the eager run with idle kicks deleted; returns both for further checks.
-fn assert_on_demand_matches_eager(
-    config: &LinkConfig,
-    traffic: &Traffic,
-    split: bool,
-) -> (Facts, Facts) {
-    let eager = run(config, traffic, split, true);
-    let lazy = run(config, traffic, split, false);
-    let case = format!("{config:?} split={split}");
+fn assert_on_demand_matches_eager(config: &LinkConfig, traffic: &Traffic) -> (Facts, Facts) {
+    let eager = run(config, traffic, true);
+    let lazy = run(config, traffic, false);
+    let case = format!("{config:?}");
     assert_eq!(lazy.now, eager.now, "quiesce tick: {case}");
     assert_eq!(lazy.completions, eager.completions, "completions: {case}");
     assert_eq!(lazy.deliveries, eager.deliveries, "deliveries: {case}");
@@ -407,14 +333,13 @@ proptest! {
             scale_timeout_with_width: flags & 16 != 0,
             ..LinkConfig::default()
         };
-        let split = flags & 32 != 0;
         let traffic = Traffic {
             down: script(&down, 0x4000_0000),
             up: script(&up, 0x8000_0000),
             service: [service.0 * 400, service.1 * 400],
             refusals: [refusals.0, refusals.1],
         };
-        let (eager, lazy) = assert_on_demand_matches_eager(&config, &traffic, split);
+        let (eager, lazy) = assert_on_demand_matches_eager(&config, &traffic);
         if config.cut_through {
             // Cut-through links keep the eager rule (see `arm_kick`).
             prop_assert_eq!(eager.events, lazy.events);
@@ -453,7 +378,7 @@ fn kick_keeps_its_stamp_against_a_same_tick_replay_chase() {
         service: [0, 0],
         refusals: [vec![false, true], Vec::new()],
     };
-    let (eager, _) = assert_on_demand_matches_eager(&config, &traffic, false);
+    let (eager, _) = assert_on_demand_matches_eager(&config, &traffic);
     let tie = [
         Dispatch { at: 769_600, kind: 0, idle_kick: false },
         Dispatch { at: 769_600, kind: 2, idle_kick: false },

@@ -14,6 +14,8 @@
 //! no shrinking — a failing case panics with the sampled values visible
 //! in the assertion message.
 
+#![forbid(unsafe_code)]
+
 /// How many cases each property runs.
 #[derive(Debug, Clone, Copy)]
 pub struct ProptestConfig {

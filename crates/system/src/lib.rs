@@ -16,6 +16,7 @@
 //! * [`snapshot`] — checkpoint/restore over built systems, in memory or
 //!   through a file.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -35,17 +36,16 @@ pub mod prelude {
         ContentionOutcome, CxlExperiment, CxlOutcome, CxlPlacement, DdExperiment, DdOutcome, Exec,
         Experiment, FaultExperiment, FaultOutcome, Finished, IrqRxBaseline, MmioExperiment,
         MmioOutcome, MsixTxExperiment, MsixTxOutcome, NicRxExperiment, NicRxOutcome,
-        NicTxExperiment, NicTxOutcome, PmdExperiment, PmdOutcome, SectorMicrobench, ShardScaling,
-        ShardScalingOutcome, TopologyExperiment, TopologyOutcome, VirtioArm, VirtioExperiment,
-        VirtioOutcome, WARMUP_TICK,
+        NicTxExperiment, NicTxOutcome, PmdExperiment, PmdOutcome, SectorMicrobench,
+        TopologyExperiment, TopologyOutcome, VirtioArm, VirtioExperiment, VirtioOutcome,
+        WARMUP_TICK,
     };
     pub use crate::platform;
     pub use crate::snapshot::SystemHandle;
     pub use crate::sweep::{default_jobs, run_sweep};
     pub use crate::topology::{
-        build_legacy_system, build_topology, build_topology_sharded, Attachment, Backend,
-        DeviceSpec, EndpointHandle, EndpointKind, Node, PlannedTopology, ShardedTopologySystem,
-        System, Topology, TopologySystem,
+        build_legacy_system, build_topology, Attachment, DeviceSpec, EndpointHandle, EndpointKind,
+        Node, PlannedTopology, Topology, TopologySystem,
     };
     pub use crate::traffic::{
         heavy_traffic, offered_load_ladder, record_trace, ArrivalProcess, SizeDist, TrafficConfig,
@@ -64,7 +64,6 @@ pub mod prelude {
     pub use crate::workload::{Attached, Workload};
     pub use pcisim_devices::cxl::CxlExpanderConfig;
     pub use pcisim_devices::virtio::{VirtioClass, VirtioConfig};
-    pub use pcisim_kernel::shard::ShardedSimulator;
     pub use pcisim_kernel::snapshot::SnapshotError;
     pub use pcisim_kernel::trace::{LatencyAttribution, Stage, TraceCategory, TraceLog};
 }

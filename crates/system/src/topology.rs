@@ -20,9 +20,9 @@
 //!
 //! The paper's two-link chain (Fig. 6) is [`Topology::chain`]; its
 //! validation setup (disk behind a switch on root port 0) is
-//! [`Topology::validation`]. Every build returns the one [`System`] type,
-//! whose generic [`attach`](System::attach) is the single surface CPU-side
-//! workloads are wired through — on the serial kernel and sharded alike.
+//! [`Topology::validation`]. Every build returns the one [`TopologySystem`]
+//! type, whose generic [`attach`](TopologySystem::attach) is the single
+//! surface CPU-side workloads are wired through.
 
 use std::collections::HashMap;
 
@@ -36,10 +36,9 @@ use pcisim_devices::nic::{Nic, NicConfig, NIC_DMA_PORT, NIC_PIO_PORT};
 use pcisim_devices::virtio::{Virtio, VirtioClass, VirtioConfig, VIRTIO_DMA_PORT, VIRTIO_PIO_PORT};
 use pcisim_kernel::addr::AddrRange;
 use pcisim_kernel::bridge::{Bridge, BRIDGE_IO_SIDE, BRIDGE_MEM_SIDE};
-use pcisim_kernel::component::{Component, ComponentId, PortId};
+use pcisim_kernel::component::{ComponentId, PortId};
 use pcisim_kernel::dram::{Dram, DRAM_PORT};
 use pcisim_kernel::iocache::{IoCache, IOCACHE_DEV_SIDE, IOCACHE_MEM_SIDE};
-use pcisim_kernel::shard::{EdgeSpec, Placement, ShardPlan, ShardedSimulator};
 use pcisim_kernel::sim::Simulation;
 use pcisim_kernel::tick::{ns, us, Tick};
 use pcisim_kernel::trace::TraceCategory;
@@ -50,8 +49,7 @@ use pcisim_pci::ecam::Bdf;
 use pcisim_pci::enumeration::{enumerate, EnumerationReport};
 use pcisim_pci::host::{shared_registry, PciHost, SharedRegistry, PCI_HOST_PORT};
 use pcisim_pcie::link::{
-    link_event_dest_end, link_lookahead, PcieLink, PcieLinkHalf, PORT_DOWN_MASTER, PORT_DOWN_SLAVE,
-    PORT_UP_MASTER, PORT_UP_SLAVE,
+    PcieLink, PORT_DOWN_MASTER, PORT_DOWN_SLAVE, PORT_UP_MASTER, PORT_UP_SLAVE,
 };
 use pcisim_pcie::params::{Generation, LinkConfig, LinkWidth};
 use pcisim_pcie::router::{
@@ -455,7 +453,7 @@ impl Topology {
 
     /// A mixed endpoint fleet: virtio-blk and virtio-net behind a switch
     /// on root port 0, the IDE disk on root port 1 — the tree the virtio
-    /// determinism anchor and the shard ladder pin down.
+    /// determinism anchor and the restore identity tests pin down.
     pub fn virtio_mixed(blk: VirtioConfig, net: VirtioConfig) -> Self {
         assert_eq!(blk.class, VirtioClass::Blk, "first config must be the blk function");
         assert_eq!(net.class, VirtioClass::Net, "second config must be the net function");
@@ -873,7 +871,7 @@ impl EndpointKind {
     }
 }
 
-/// One endpoint of a built [`System`]: everything a workload needs to
+/// One endpoint of a built [`TopologySystem`]: everything a workload needs to
 /// attach to it.
 #[derive(Debug, Clone)]
 pub struct EndpointHandle {
@@ -901,42 +899,12 @@ pub struct EndpointHandle {
     pub cpu_irq_ports: Vec<(ComponentId, PortId)>,
 }
 
-/// Where a built system's components live: the serial kernel or the
-/// per-shard simulation set. The only backend-specific step of attaching
-/// a workload is "add this CPU-side component (to shard 0) and replicate
-/// its connections".
-pub trait Backend {
-    /// Adds a CPU-side workload component. Workloads model code talking
-    /// to the memory bus and interrupt controller, so under sharding they
-    /// always run with the host cluster in shard 0.
-    fn add_cpu_side(&mut self, component: Box<dyn Component>) -> ComponentId;
-
-    /// Connects two component ports.
-    fn connect(&mut self, a: (ComponentId, PortId), b: (ComponentId, PortId));
-}
-
-impl Backend for Simulation {
-    fn add_cpu_side(&mut self, component: Box<dyn Component>) -> ComponentId {
-        self.add(component)
-    }
-
-    fn connect(&mut self, a: (ComponentId, PortId), b: (ComponentId, PortId)) {
-        Simulation::connect(self, a, b);
-    }
-}
-
 /// A wired, enumerated, driver-initialized system built from a
-/// [`Topology`], awaiting workloads. `B` is where the components live:
-/// [`TopologySystem`] holds one [`Simulation`], [`ShardedTopologySystem`]
-/// the per-shard set that [`into_driver`](System::into_driver) seals into
-/// a [`ShardedSimulator`]. Everything else — the endpoint handles and the
-/// attach surface — is this one definition.
-pub struct System<B> {
-    /// The simulation (or simulations) holding every component.
-    pub sim: B,
-    /// The PCI host registry (for further functional config access; under
-    /// sharding only before or after the driver runs — config spaces are
-    /// not synchronized across shards mid-run).
+/// [`Topology`], awaiting workloads.
+pub struct TopologySystem {
+    /// The simulation holding every component.
+    pub sim: Simulation,
+    /// The PCI host registry (for further functional config access).
     pub registry: SharedRegistry,
     /// What the enumeration software found.
     pub report: EnumerationReport,
@@ -947,12 +915,7 @@ pub struct System<B> {
     pub endpoints: Vec<EndpointHandle>,
 }
 
-/// A system on the serial kernel.
-pub type TopologySystem = System<Simulation>;
-/// A system partitioned across N shards.
-pub type ShardedTopologySystem = System<ShardSet>;
-
-impl<B: Backend> System<B> {
+impl TopologySystem {
     /// The endpoint with component name `name`.
     ///
     /// # Panics
@@ -1000,7 +963,7 @@ impl<B: Backend> System<B> {
             ep.kind
         );
         let Attached { component, wires, report } = workload.instantiate(index, ep);
-        let id = self.sim.add_cpu_side(component);
+        let id = self.sim.add(component);
         for (port, peer) in wires {
             self.sim.connect((id, port), peer);
         }
@@ -1058,32 +1021,11 @@ impl<B: Backend> System<B> {
     pub fn attach_virtio(&mut self, index: usize, config: VirtioAppConfig) -> VirtioReportHandle {
         self.attach(index, config)
     }
-}
 
-impl ShardedTopologySystem {
-    /// Number of shards the tree was partitioned across.
-    pub fn shard_count(&self) -> usize {
-        self.sim.sims.len()
-    }
-
-    /// Number of cut links (half the directed edge count).
-    pub fn cut_count(&self) -> usize {
-        self.sim.edges.len() / 2
-    }
-
-    /// Seals the system into the conservative parallel driver. Call after
-    /// every workload is attached.
-    pub fn into_driver(self) -> ShardedSimulator {
-        let ShardSet { sims, placements, edges } = self.sim;
-        ShardedSimulator::new(sims, ShardPlan { placements, edges, route_end: link_event_dest_end })
-    }
-
-    /// The one-shard set's simulation, moved onto the serial kernel.
-    fn into_serial(self) -> TopologySystem {
-        let System { sim, registry, report, probe, endpoints } = self;
-        let [sim] = <[Simulation; 1]>::try_from(sim.sims)
-            .unwrap_or_else(|sims| panic!("a serial system has one shard, got {}", sims.len()));
-        System { sim, registry, report, probe, endpoints }
+    /// The system's simulation, under the name the repository benchmark
+    /// harness calls. Only caller: `benchmark/src/workloads.rs`.
+    pub fn into_driver(self) -> Simulation {
+        self.sim
     }
 }
 
@@ -1096,20 +1038,16 @@ impl ShardedTopologySystem {
 /// Panics when enumeration or the driver probe fails, or when `use_msi`
 /// is set on a tree that does not carry exactly one endpoint.
 pub fn build_topology(topo: Topology) -> TopologySystem {
-    build(&topo, 1).into_serial()
+    let plan = topo.plan();
+    let (report, probe, irqs) = enumerate_and_probe(&topo, &plan);
+    build_planned(&topo, plan, report, probe, irqs)
 }
 
-/// Builds the full system for a [`Topology`] partitioned across `shards`
-/// simulations. `shards == 1` is the serial build driven through the
-/// sharded API (the bit-identity reference). The partition is chosen by
-/// `partition_plan`: deterministic, cut only at link boundaries, host
-/// cluster in shard 0.
-///
-/// # Panics
-///
-/// Same contract as [`build_topology`], plus `shards >= 1`.
-pub fn build_topology_sharded(topo: Topology, shards: usize) -> ShardedTopologySystem {
-    build(&topo, shards)
+/// [`build_topology`] under the name the repository benchmark harness
+/// calls; the shard count is ignored. Only caller:
+/// `benchmark/src/workloads.rs`.
+pub fn build_topology_sharded(topo: Topology, _shards: usize) -> TopologySystem {
+    build_topology(topo)
 }
 
 /// Builds the legacy (pre-PCIe) topology: gem5's stock arrangement, where
@@ -1215,19 +1153,7 @@ pub fn build_legacy_system() -> TopologySystem {
         cpu_irq_port: (intc_id, cpu_irq),
         cpu_irq_ports: vec![(intc_id, cpu_irq)],
     };
-    System { sim, registry, report, probe: Some(probe), endpoints: vec![endpoint] }
-}
-
-/// The one build path: the functional front half (enumeration and driver
-/// probe), the partition, then instantiation and wiring. The serial
-/// builders are the one-shard case, so every topology — sharded or not —
-/// is wired by the same code in the same component order, which is what
-/// makes `--shards N` bit-identical to `--shards 1`.
-pub(crate) fn build(topo: &Topology, shards: usize) -> ShardedTopologySystem {
-    let plan = topo.plan();
-    let (report, probe, irqs) = enumerate_and_probe(topo, &plan);
-    let assignment = partition_plan(&plan, shards);
-    build_planned(topo, plan, report, probe, irqs, &assignment, shards)
+    TopologySystem { sim, registry, report, probe: Some(probe), endpoints: vec![endpoint] }
 }
 
 fn enumerate_and_probe(
@@ -1286,222 +1212,15 @@ fn enumerate_and_probe(
     (report, probe, irqs)
 }
 
-/// One simulation per shard plus the placement table and cut edges built
-/// alongside them — the [`Backend`] of a [`ShardedTopologySystem`].
-///
-/// Every shard carries the full-length arena: the owning shard gets the
-/// real component, every other shard an empty *remote* slot under the
-/// same name, so global component ids, names and the connection table
-/// (and hence the topology fingerprint) agree across shards.
-pub struct ShardSet {
-    sims: Vec<Simulation>,
-    placements: Vec<Placement>,
-    edges: Vec<EdgeSpec>,
-}
-
-impl Backend for ShardSet {
-    fn add_cpu_side(&mut self, component: Box<dyn Component>) -> ComponentId {
-        self.add(0, component)
-    }
-
-    /// Replicates a connection into every shard's table.
-    fn connect(&mut self, a: (ComponentId, PortId), b: (ComponentId, PortId)) {
-        for sim in &mut self.sims {
-            sim.connect(a, b);
-        }
-    }
-}
-
-impl ShardSet {
-    fn new(n: usize, trace_mask: u32) -> Self {
-        let sims = (0..n)
-            .map(|_| {
-                let mut sim = Simulation::new();
-                sim.set_trace_mask(trace_mask);
-                sim
-            })
-            .collect();
-        Self { sims, placements: Vec::new(), edges: Vec::new() }
-    }
-
-    /// Adds `comp` to shard `shard`, remote slots elsewhere.
-    fn add(&mut self, shard: u32, comp: Box<dyn Component>) -> ComponentId {
-        let name = comp.name().to_owned();
-        let mut comp = Some(comp);
-        let mut id = None;
-        for (i, sim) in self.sims.iter_mut().enumerate() {
-            let cid = if i == shard as usize {
-                sim.add(comp.take().expect("one owner per component"))
-            } else {
-                sim.add_remote(&name)
-            };
-            debug_assert!(id.is_none_or(|p| p == cid), "gids must be global");
-            id = Some(cid);
-        }
-        self.placements.push(Placement::Shard(shard));
-        id.expect("at least one shard")
-    }
-
-    /// Adds a cut link's two halves under one shared gid: `h0` (physical
-    /// end 0, the upstream side) to shard `s0`, `h1` to `s1`.
-    fn add_split(
-        &mut self,
-        s0: u32,
-        h0: Box<dyn Component>,
-        s1: u32,
-        h1: Box<dyn Component>,
-    ) -> ComponentId {
-        assert_ne!(s0, s1, "a split link's halves must live in different shards");
-        debug_assert_eq!(h0.name(), h1.name());
-        let name = h0.name().to_owned();
-        let (mut h0, mut h1) = (Some(h0), Some(h1));
-        let mut id = None;
-        for (i, sim) in self.sims.iter_mut().enumerate() {
-            let cid = if i == s0 as usize {
-                sim.add(h0.take().expect("one owner per half"))
-            } else if i == s1 as usize {
-                sim.add(h1.take().expect("one owner per half"))
-            } else {
-                sim.add_remote(&name)
-            };
-            debug_assert!(id.is_none_or(|p| p == cid), "gids must be global");
-            id = Some(cid);
-        }
-        self.placements.push(Placement::Split { end0: s0, end1: s1 });
-        id.expect("at least one shard")
-    }
-}
-
-/// Which shard each tree node of a plan runs in. The root complex (and
-/// the whole host cluster) is always shard 0.
-struct Assignment {
-    /// Shard per [`PlannedTopology::routers`] index.
-    router_shard: Vec<u32>,
-    /// Shard per [`PlannedTopology::endpoints`] index.
-    endpoint_shard: Vec<u32>,
-}
-
-impl Assignment {
-    fn serial(plan: &PlannedTopology) -> Self {
-        Self {
-            router_shard: vec![0; plan.routers.len()],
-            endpoint_shard: vec![0; plan.endpoints.len()],
-        }
-    }
-}
-
-/// Host-cluster weight preloaded into shard 0's bin: the memory side,
-/// interrupt controller, PCI host, IOCache and root complex, plus the
-/// CPU-side workloads that always run there.
-const HOST_PRELOAD: usize = 6;
-
-/// Partitions a planned tree over `shards` bins at link boundaries.
-///
-/// Units start as the root-port subtrees; the largest unit is split at
-/// its root switch (the switch stays a singleton unit, its child subtrees
-/// become units of their own) until there are at least `2 * shards` units
-/// or nothing splittable remains. Units then go to bins by LPT greedy —
-/// largest first, into the least-loaded bin — with the host cluster
-/// preloaded into bin 0. Every link whose two sides land in different
-/// bins becomes a cut; the whole procedure is deterministic, so a given
-/// `(topology, shards)` pair always yields the same partition.
-fn partition_plan(plan: &PlannedTopology, shards: usize) -> Assignment {
-    assert!(shards >= 1, "at least one shard required");
-    let mut assignment = Assignment::serial(plan);
-    if shards == 1 {
-        return assignment;
-    }
-
-    // Children of each router, in depth-first order.
-    let mut children: Vec<Vec<PlannedItem>> = vec![Vec::new(); plan.routers.len()];
-    for item in &plan.order {
-        let parent = match item {
-            PlannedItem::Switch(i) => {
-                plan.routers[*i].parent.as_ref().expect("switch has a parent").router
-            }
-            PlannedItem::Endpoint(i) => plan.endpoints[*i].parent.router,
-        };
-        children[parent].push(*item);
-    }
-    fn subtree(children: &[Vec<PlannedItem>], item: PlannedItem, out: &mut Vec<PlannedItem>) {
-        out.push(item);
-        if let PlannedItem::Switch(i) = item {
-            for c in &children[i] {
-                subtree(children, *c, out);
-            }
-        }
-    }
-
-    struct Unit {
-        root: PlannedItem,
-        items: Vec<PlannedItem>,
-    }
-    let mut units: Vec<Unit> = children[0]
-        .iter()
-        .map(|&root| {
-            let mut items = Vec::new();
-            subtree(&children, root, &mut items);
-            Unit { root, items }
-        })
-        .collect();
-
-    // Split the largest splittable unit until there are enough units for
-    // the bins to balance (2x gives LPT room to even out sizes).
-    while units.len() < 2 * shards {
-        let Some(pos) = units
-            .iter()
-            .enumerate()
-            .filter(|(_, u)| {
-                matches!(u.root, PlannedItem::Switch(i) if !children[i].is_empty())
-                    && u.items.len() > 1
-            })
-            .max_by_key(|(_, u)| u.items.len())
-            .map(|(p, _)| p)
-        else {
-            break;
-        };
-        let unit = units.swap_remove(pos);
-        let PlannedItem::Switch(r) = unit.root else { unreachable!() };
-        units.push(Unit { root: unit.root, items: vec![unit.root] });
-        for &c in &children[r] {
-            let mut items = Vec::new();
-            subtree(&children, c, &mut items);
-            units.push(Unit { root: c, items });
-        }
-    }
-
-    // LPT greedy, host cluster preloaded in bin 0. Stable sort keeps the
-    // tree order among equal-weight units.
-    units.sort_by_key(|u| std::cmp::Reverse(u.items.len()));
-    let mut load = vec![0usize; shards];
-    load[0] = HOST_PRELOAD;
-    for unit in &units {
-        let bin = (0..shards).min_by_key(|&b| load[b]).expect("at least one bin") as u32;
-        load[bin as usize] += unit.items.len();
-        for &item in &unit.items {
-            match item {
-                PlannedItem::Switch(i) => assignment.router_shard[i] = bin,
-                PlannedItem::Endpoint(i) => assignment.endpoint_shard[i] = bin,
-            }
-        }
-    }
-    assignment
-}
-
-/// Instantiates and wires every component of the plan across `shards`
-/// simulations according to `assignment`. Tree links whose two sides land
-/// in different shards become [`PcieLinkHalf`] pairs sharing the fused
-/// link's name and gid, with a directed [`EdgeSpec`] pair whose lookahead
-/// horizon is [`link_lookahead`] of the cut link's configuration.
+/// Instantiates and wires every component of the plan: the memory side
+/// first, then the PCIe tree depth-first.
 fn build_planned(
     topo: &Topology,
     plan: PlannedTopology,
     report: EnumerationReport,
     probe: Option<ProbeInfo>,
     irqs: Vec<u8>,
-    assignment: &Assignment,
-    shards: usize,
-) -> ShardedTopologySystem {
+) -> TopologySystem {
     // Patch each device's interrupt target now that the IRQs are known.
     let mut devices = plan.devices;
     for (dev, &irq) in devices.iter_mut().zip(&irqs) {
@@ -1532,7 +1251,8 @@ fn build_planned(
     }
 
     // --- Components: memory side first, then the PCIe tree depth-first.
-    let mut set = ShardSet::new(shards, topo.trace_mask);
+    let mut sim = Simulation::new();
+    sim.set_trace_mask(topo.trace_mask);
     let mut intc = InterruptController::new("gic", platform::intc_range());
     // Per-endpoint interrupt vector lists: one legacy line or MSI vector,
     // or — under MSI-X — one doorbell word per table entry, base + index.
@@ -1578,34 +1298,28 @@ fn build_planned(
     if plan.endpoints.iter().any(|e| e.kind == EndpointKind::CxlExpander) {
         membus = membus.route(platform::cxl_hdm_range(), PortId(4));
     }
-    let membus_id = set.add(0, Box::new(membus.build()));
+    let membus_id = sim.add(Box::new(membus.build()));
     // Virtqueues live in DRAM and are walked through real reads, so trees
     // carrying a virtio function need the functional backing store. Gated
     // so virtio-free topologies keep their exact historical DRAM snapshot
     // layout (and golden fingerprints).
     let functional_dram = plan.endpoints.iter().any(|e| e.kind.is_virtio());
-    let dram_id = set.add(
-        0,
-        Box::new(
-            Dram::builder("dram", platform::dram_range())
-                .latency(topo.dram_latency)
-                .bandwidth(topo.dram_bandwidth)
-                .functional(functional_dram)
-                .build(),
-        ),
-    );
-    let intc_id = set.add(0, Box::new(intc));
-    let host_id = set.add(
-        0,
-        Box::new(PciHost::new(
-            "pcihost",
-            platform::PCI_CONFIG_BASE,
-            platform::PCI_CONFIG_SIZE,
-            topo.pcihost_latency,
-            plan.registry.clone(),
-        )),
-    );
-    let iocache_id = set.add(0, Box::new(IoCache::builder("iocache").build()));
+    let dram_id = sim.add(Box::new(
+        Dram::builder("dram", platform::dram_range())
+            .latency(topo.dram_latency)
+            .bandwidth(topo.dram_bandwidth)
+            .functional(functional_dram)
+            .build(),
+    ));
+    let intc_id = sim.add(Box::new(intc));
+    let host_id = sim.add(Box::new(PciHost::new(
+        "pcihost",
+        platform::PCI_CONFIG_BASE,
+        platform::PCI_CONFIG_SIZE,
+        topo.pcihost_latency,
+        plan.registry.clone(),
+    )));
+    let iocache_id = sim.add(Box::new(IoCache::builder("iocache").build()));
 
     let rc = &plan.routers[0];
     let mut rc_router =
@@ -1613,74 +1327,38 @@ fn build_planned(
     for &(range, pair) in &hdm_routes[0] {
         rc_router.add_hdm_route(range, pair);
     }
-    let rc_id = set.add(0, Box::new(rc_router));
+    let rc_id = sim.add(Box::new(rc_router));
 
-    set.connect((membus_id, PortId(1)), (dram_id, DRAM_PORT));
-    set.connect((membus_id, PortId(2)), (intc_id, INTC_FABRIC_PORT));
-    set.connect((membus_id, PortId(3)), (host_id, PCI_HOST_PORT));
-    set.connect((membus_id, PortId(4)), (rc_id, PORT_UPSTREAM_SLAVE));
-    set.connect((rc_id, PORT_UPSTREAM_MASTER), (iocache_id, IOCACHE_DEV_SIDE));
-    set.connect((iocache_id, IOCACHE_MEM_SIDE), (membus_id, PortId(5)));
+    sim.connect((membus_id, PortId(1)), (dram_id, DRAM_PORT));
+    sim.connect((membus_id, PortId(2)), (intc_id, INTC_FABRIC_PORT));
+    sim.connect((membus_id, PortId(3)), (host_id, PCI_HOST_PORT));
+    sim.connect((membus_id, PortId(4)), (rc_id, PORT_UPSTREAM_SLAVE));
+    sim.connect((rc_id, PORT_UPSTREAM_MASTER), (iocache_id, IOCACHE_DEV_SIDE));
+    sim.connect((iocache_id, IOCACHE_MEM_SIDE), (membus_id, PortId(5)));
 
     // PCIe tree: every edge gets a link whose AER endpoints are the
-    // parent port's VP2P and the child's upstream config space. Links
-    // whose two sides land in different shards are built as half-link
-    // pairs over a directed mailbox edge pair; each half carries only the
-    // config space its own shard touches, so no `Rc` state crosses a cut.
+    // parent port's VP2P and the child's upstream config space.
     let mut router_ids = vec![rc_id];
     let mut devices = devices.into_iter();
     let mut endpoint_handles = Vec::with_capacity(plan.endpoints.len());
     for item in &plan.order {
-        let (edge, child_cs, child_shard) = match item {
+        let (edge, child_cs) = match item {
             PlannedItem::Switch(i) => {
                 let r = &plan.routers[*i];
-                (
-                    r.parent.as_ref().expect("switch has a parent"),
-                    r.upstream_vp2p.clone().unwrap(),
-                    assignment.router_shard[*i],
-                )
+                (r.parent.as_ref().expect("switch has a parent"), r.upstream_vp2p.clone().unwrap())
             }
             PlannedItem::Endpoint(i) => {
                 let ep = &plan.endpoints[*i];
-                (&ep.parent, ep.config_space.clone(), assignment.endpoint_shard[*i])
+                (&ep.parent, ep.config_space.clone())
             }
         };
-        let parent_shard = assignment.router_shard[edge.router];
         let parent_id = router_ids[edge.router];
         let parent_cs = plan.routers[edge.router].downstream_vp2ps[edge.pair].clone();
-        let link_id = if parent_shard == child_shard {
-            let mut link = PcieLink::new(edge.link_name.clone(), edge.link.clone());
-            link.attach_aer(Some(parent_cs), Some(child_cs));
-            set.add(parent_shard, Box::new(link))
-        } else {
-            let horizon = link_lookahead(&edge.link);
-            assert!(horizon > 0, "cut link {} has zero lookahead", edge.link_name);
-            let fwd = set.edges.len() as u32;
-            set.edges.push(EdgeSpec {
-                from_shard: parent_shard,
-                to_shard: child_shard,
-                dest: ComponentId(0), // patched below, once the gid is known
-                horizon,
-            });
-            let rev = set.edges.len() as u32;
-            set.edges.push(EdgeSpec {
-                from_shard: child_shard,
-                to_shard: parent_shard,
-                dest: ComponentId(0),
-                horizon,
-            });
-            let mut up = PcieLinkHalf::new_upstream(edge.link_name.clone(), edge.link.clone(), fwd);
-            up.attach_aer(Some(parent_cs));
-            let mut down =
-                PcieLinkHalf::new_downstream(edge.link_name.clone(), edge.link.clone(), rev);
-            down.attach_aer(Some(child_cs));
-            let id = set.add_split(parent_shard, Box::new(up), child_shard, Box::new(down));
-            set.edges[fwd as usize].dest = id;
-            set.edges[rev as usize].dest = id;
-            id
-        };
-        set.connect((parent_id, port_downstream_master(edge.pair)), (link_id, PORT_UP_SLAVE));
-        set.connect((parent_id, port_downstream_slave(edge.pair)), (link_id, PORT_UP_MASTER));
+        let mut link = PcieLink::new(edge.link_name.clone(), edge.link.clone());
+        link.attach_aer(Some(parent_cs), Some(child_cs));
+        let link_id = sim.add(Box::new(link));
+        sim.connect((parent_id, port_downstream_master(edge.pair)), (link_id, PORT_UP_SLAVE));
+        sim.connect((parent_id, port_downstream_slave(edge.pair)), (link_id, PORT_UP_MASTER));
         match item {
             PlannedItem::Switch(i) => {
                 let r = &plan.routers[*i];
@@ -1694,29 +1372,21 @@ fn build_planned(
                 for &(range, pair) in &hdm_routes[*i] {
                     switch.add_hdm_route(range, pair);
                 }
-                let id = set.add(child_shard, Box::new(switch));
+                let id = sim.add(Box::new(switch));
                 router_ids.push(id);
-                set.connect((link_id, PORT_DOWN_MASTER), (id, PORT_UPSTREAM_SLAVE));
-                set.connect((link_id, PORT_DOWN_SLAVE), (id, PORT_UPSTREAM_MASTER));
+                sim.connect((link_id, PORT_DOWN_MASTER), (id, PORT_UPSTREAM_SLAVE));
+                sim.connect((link_id, PORT_DOWN_SLAVE), (id, PORT_UPSTREAM_MASTER));
             }
             PlannedItem::Endpoint(i) => {
                 let ep = &plan.endpoints[*i];
                 let (dev_id, pio, dma) = match devices.next().expect("device per endpoint") {
-                    EndpointDevice::Disk(disk) => {
-                        (set.add(child_shard, disk), IDE_PIO_PORT, IDE_DMA_PORT)
-                    }
-                    EndpointDevice::Nic(nic) => {
-                        (set.add(child_shard, nic), NIC_PIO_PORT, NIC_DMA_PORT)
-                    }
-                    EndpointDevice::Cxl(exp) => {
-                        (set.add(child_shard, exp), CXL_PIO_PORT, CXL_DMA_PORT)
-                    }
-                    EndpointDevice::Virtio(dev) => {
-                        (set.add(child_shard, dev), VIRTIO_PIO_PORT, VIRTIO_DMA_PORT)
-                    }
+                    EndpointDevice::Disk(disk) => (sim.add(disk), IDE_PIO_PORT, IDE_DMA_PORT),
+                    EndpointDevice::Nic(nic) => (sim.add(nic), NIC_PIO_PORT, NIC_DMA_PORT),
+                    EndpointDevice::Cxl(exp) => (sim.add(exp), CXL_PIO_PORT, CXL_DMA_PORT),
+                    EndpointDevice::Virtio(dev) => (sim.add(dev), VIRTIO_PIO_PORT, VIRTIO_DMA_PORT),
                 };
-                set.connect((link_id, PORT_DOWN_MASTER), (dev_id, pio));
-                set.connect((link_id, PORT_DOWN_SLAVE), (dev_id, dma));
+                sim.connect((link_id, PORT_DOWN_MASTER), (dev_id, pio));
+                sim.connect((link_id, PORT_DOWN_SLAVE), (dev_id, dma));
                 let info = report.at(ep.bdf).expect("endpoint enumerated");
                 let bar0 = match &probe {
                     Some(p) => p.bar0,
@@ -1739,7 +1409,7 @@ fn build_planned(
         }
     }
 
-    System { sim: set, registry: plan.registry, report, probe, endpoints: endpoint_handles }
+    TopologySystem { sim, registry: plan.registry, report, probe, endpoints: endpoint_handles }
 }
 
 #[cfg(test)]
@@ -2014,81 +1684,6 @@ mod tests {
         assert!(dd.borrow().done, "dd must complete through three switch hops");
     }
 
-    /// A 16 KB `dd` on every disk of `sys`, through either backend.
-    fn attach_dds<B: Backend>(sys: &mut System<B>) -> Vec<DdReportHandle> {
-        sys.endpoints_of(EndpointKind::Disk)
-            .into_iter()
-            .map(|i| sys.attach_dd(i, DdConfig { block_bytes: 16 * 1024, ..DdConfig::default() }))
-            .collect()
-    }
-
-    /// Serial and N-shard runs of the same topology + workloads must be
-    /// indistinguishable: quiesce tick, event count, stats, trace.
-    fn assert_shards_match_serial(topo: Topology, shards: usize) {
-        let mut serial = build_topology(topo.clone().with_tracing());
-        let serial_dds = attach_dds(&mut serial);
-        let outcome = serial.sim.run(TICKS_PER_SEC, u64::MAX);
-
-        let mut sharded = build_topology_sharded(topo.with_tracing(), shards);
-        assert_eq!(sharded.shard_count(), shards);
-        let sharded_dds = attach_dds(&mut sharded);
-        let mut driver = sharded.into_driver();
-        assert_eq!(driver.run(TICKS_PER_SEC, u64::MAX), outcome);
-
-        assert_eq!(driver.now(), serial.sim.now());
-        assert_eq!(driver.events_processed(), serial.sim.events_processed());
-        for (s, p) in serial_dds.iter().zip(&sharded_dds) {
-            assert_eq!(s.borrow().done, p.borrow().done);
-            assert_eq!((s.borrow().bytes, s.borrow().end), (p.borrow().bytes, p.borrow().end));
-        }
-        let a: Vec<_> = serial.sim.stats().iter().map(|(k, v)| (k.to_owned(), v)).collect();
-        let b: Vec<_> = driver.stats().iter().map(|(k, v)| (k.to_owned(), v)).collect();
-        assert_eq!(a, b);
-        let st = serial.sim.take_trace();
-        let sh = driver.take_trace();
-        assert_eq!(st.dropped, sh.dropped);
-        assert_eq!(st.events, sh.events);
-    }
-
-    #[test]
-    fn cascaded_three_shards_match_serial_bit_for_bit() {
-        assert_shards_match_serial(Topology::cascaded(3), 2);
-    }
-
-    #[test]
-    fn three_root_ports_across_four_shards_match_serial() {
-        assert_shards_match_serial(Topology::three_root_ports(), 4);
-    }
-
-    #[test]
-    fn fanout_tree_across_shards_matches_serial() {
-        assert_shards_match_serial(Topology::fanout(2, 2, 2), 3);
-    }
-
-    #[test]
-    fn one_shard_drives_the_serial_build_through_the_sharded_api() {
-        assert_shards_match_serial(Topology::validation(), 1);
-    }
-
-    #[test]
-    fn partitioner_splits_fanout_trees_into_balanced_cuts() {
-        let topo = Topology::fanout(3, 4, 4);
-        let plan = topo.plan();
-        let a = partition_plan(&plan, 4);
-        // Every bin is used.
-        let mut used = [false; 4];
-        for &s in a.router_shard.iter().chain(&a.endpoint_shard) {
-            used[s as usize] = true;
-        }
-        assert!(used.iter().all(|&u| u), "all four bins carry tree nodes: {used:?}");
-        // The root complex stays in shard 0.
-        assert_eq!(a.router_shard[0], 0);
-        // Cuts only at link boundaries is structural; check the built
-        // system reports a plausible cut count (at least shards - 1).
-        let sys = build_topology_sharded(Topology::fanout(3, 4, 4), 4);
-        assert!(sys.cut_count() >= 3, "expected >= 3 cuts, got {}", sys.cut_count());
-    }
-
     #[test]
     fn cxl_direct_probes_the_expander_and_assigns_its_hdm_window() {
         let built = build_topology(Topology::cxl_direct(Default::default()));
@@ -2166,33 +1761,6 @@ mod tests {
             assert!(h.borrow().done);
             assert_eq!(h.borrow().completed, 32);
         }
-    }
-
-    #[test]
-    fn cxl_trees_match_serial_across_shards() {
-        use crate::workload::cxl::{CxlHostConfig, CxlHostMode};
-        let config = CxlHostConfig {
-            mode: CxlHostMode::PointerChase,
-            requests: 48,
-            chain_blocks: 12,
-            ..CxlHostConfig::default()
-        };
-
-        let mut serial = build_topology(Topology::cxl_behind_switch(Default::default()));
-        let sh = serial.attach_cxl_host(0, config.clone());
-        assert_eq!(serial.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
-
-        let mut sharded =
-            build_topology_sharded(Topology::cxl_behind_switch(Default::default()), 2);
-        let ph = sharded.attach_cxl_host(0, config);
-        let mut driver = sharded.into_driver();
-        assert_eq!(driver.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
-
-        assert_eq!(driver.now(), serial.sim.now());
-        let a: Vec<_> = serial.sim.stats().iter().map(|(k, v)| (k.to_owned(), v)).collect();
-        let b: Vec<_> = driver.stats().iter().map(|(k, v)| (k.to_owned(), v)).collect();
-        assert_eq!(a, b);
-        assert_eq!(sh.borrow().latencies, ph.borrow().latencies);
     }
 
     #[test]
@@ -2296,40 +1864,20 @@ mod tests {
     }
 
     // A NIC driver must not be wired to a foreign BAR — an expander's or a
-    // virtio function's. The generic `attach` makes the kind check once;
-    // each backend is exercised once per device.
+    // virtio function's. The generic `attach` makes the kind check once.
 
-    fn nic_tx_on_expander<B: Backend>(mut sys: System<B>) {
+    #[test]
+    #[should_panic(expected = "endpoint 0 (mem0) is a CxlExpander; this workload drives [Nic]")]
+    fn nic_driver_on_a_cxl_expander_panics() {
+        let mut sys = build_topology(Topology::cxl_direct(Default::default()));
         let _ = sys.attach_nic_tx(0, NicTxConfig::default());
     }
 
-    fn pmd_on_virtio<B: Backend>(mut sys: System<B>) {
+    #[test]
+    #[should_panic(expected = "endpoint 0 (vblk0) is a VirtioBlk; this workload drives [Nic]")]
+    fn nic_driver_on_a_virtio_function_panics() {
+        let mut sys = build_topology(Topology::virtio_blk_direct(VirtioConfig::default()));
         let _ = sys.attach_pmd(0, crate::workload::pmd::PmdConfig::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "endpoint 0 (mem0) is a CxlExpander; this workload drives [Nic]")]
-    fn nic_driver_on_a_cxl_expander_panics_serial() {
-        nic_tx_on_expander(build_topology(Topology::cxl_direct(Default::default())));
-    }
-
-    #[test]
-    #[should_panic(expected = "endpoint 0 (mem0) is a CxlExpander; this workload drives [Nic]")]
-    fn nic_driver_on_a_cxl_expander_panics_sharded() {
-        nic_tx_on_expander(build_topology_sharded(Topology::cxl_direct(Default::default()), 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "endpoint 0 (vblk0) is a VirtioBlk; this workload drives [Nic]")]
-    fn nic_driver_on_a_virtio_function_panics_serial() {
-        pmd_on_virtio(build_topology(Topology::virtio_blk_direct(VirtioConfig::default())));
-    }
-
-    #[test]
-    #[should_panic(expected = "endpoint 0 (vblk0) is a VirtioBlk; this workload drives [Nic]")]
-    fn nic_driver_on_a_virtio_function_panics_sharded() {
-        let topo = Topology::virtio_blk_direct(VirtioConfig::default());
-        pmd_on_virtio(build_topology_sharded(topo, 2));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! System-level traffic orchestration.
 //!
 //! The generator itself lives in [`pcisim_devices::traffic`] (it feeds the
-//! NIC's receive path directly, so sharded builds keep the stream on the
-//! device's shard); this module re-exports it and adds the experiment-side
+//! NIC's receive path directly); this module re-exports it and adds the experiment-side
 //! conveniences: canonical heavy-traffic shapes and offered-load ladders
 //! for the `repro pmd` sweeps.
 

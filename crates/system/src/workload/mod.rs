@@ -3,7 +3,7 @@
 //! Every workload is a configuration type implementing [`Workload`]: given
 //! the endpoint it should drive, it returns the component, the wires from
 //! the component's ports to the platform, and the report handle. The
-//! system's generic [`attach`](crate::topology::System::attach) does the
+//! system's generic [`attach`](crate::topology::TopologySystem::attach) does the
 //! rest, so the decision "how is this driver wired to an endpoint" lives
 //! in exactly one body per workload.
 

@@ -38,6 +38,8 @@
 //! assert!(outcome.completed);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use pcisim_devices as devices;
 pub use pcisim_kernel as kernel;
 pub use pcisim_pci as pci;

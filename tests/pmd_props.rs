@@ -7,9 +7,9 @@
 //!   tick and stats fingerprint;
 //! * replaying a recorded trace through the NIC is bit-identical to
 //!   generating the same stream live;
-//! * partitioning the system across 2 or 4 shards reproduces the
-//!   single-shard run bit-for-bit (quiesce tick, counters, latency
-//!   percentiles);
+//! * a checkpoint taken mid-run and restored into a fresh build finishes
+//!   bit-identical to the uninterrupted run (quiesce tick, counters,
+//!   latency percentiles);
 //! * the workload report's rates are total functions — zero, never NaN
 //!   or infinity, when nothing moved.
 
@@ -18,7 +18,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use pcisim::kernel::tick::ns;
-use pcisim::system::experiments::{run, run_cold, Exec, PmdExperiment, PmdOutcome};
+use pcisim::system::experiments::{checkpoint_at, run, run_cold, Exec, PmdExperiment, PmdOutcome};
 use pcisim::system::traffic::{record_trace, ArrivalProcess, SizeDist, TrafficConfig, TrafficSpec};
 use pcisim::system::workload::pmd::PmdReport;
 
@@ -87,10 +87,11 @@ proptest! {
         assert_outcomes_identical(&live, &replayed, "record -> replay");
     }
 
-    /// The sharded driver reproduces the single-shard run bit-for-bit at
-    /// 2 and 4 shards, for any traffic shape and burst size.
+    /// A checkpoint taken a third and two thirds of the way to the quiesce
+    /// tick restores into a fresh build and finishes bit-identical to the
+    /// cold run, for any traffic shape and burst size.
     #[test]
-    fn sharded_pmd_reproduces_the_serial_run(
+    fn restored_pmd_reproduces_the_cold_run(
         seed in 1u64..u64::MAX,
         frames in 8u32..32,
         shape in 0u8..9,
@@ -98,11 +99,12 @@ proptest! {
     ) {
         let cfg = traffic_from(seed, frames, shape, 1200);
         let exp = experiment(TrafficSpec::Generate(cfg), burst);
-        let serial = run_cold(&exp);
-        prop_assert!(serial.completed, "serial run must settle: {:?}", serial);
-        for shards in [2usize, 4] {
-            let sharded = run(&exp, Exec::Cold { shards });
-            assert_outcomes_identical(&serial, &sharded, &format!("{shards} shards"));
+        let cold = run_cold(&exp);
+        prop_assert!(cold.completed, "cold run must settle: {:?}", cold);
+        for tick in [cold.quiesce_tick / 3, 2 * cold.quiesce_tick / 3] {
+            let snapshot = checkpoint_at(&exp, tick);
+            let restored = run(&exp, Exec::Restore { snapshot: &snapshot });
+            assert_outcomes_identical(&cold, &restored, &format!("restored at {tick}"));
         }
     }
 }
