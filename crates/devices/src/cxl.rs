@@ -30,7 +30,6 @@ use pcisim_kernel::dram::BlockStore;
 use pcisim_kernel::packet::{CompletionStatus, Packet};
 use pcisim_kernel::queue::TimedQueue;
 use pcisim_kernel::sim::Ctx;
-use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
 use pcisim_kernel::stats::{Counter, StatsBuilder};
 use pcisim_kernel::tick::{ns, transfer_time, Tick};
 use pcisim_kernel::trace::{TraceCategory, TraceKind};
@@ -380,45 +379,10 @@ impl Component for CxlExpander {
         out.counter("ingress_refusals", &self.stats.ingress_refusals);
     }
 
-    fn save_state(&self, w: &mut StateWriter) {
-        w.usize(self.bank_busy.len());
-        for &b in &self.bank_busy {
-            w.u64(b);
-        }
-        self.store.save(w);
-        w.usize(self.outstanding);
-        self.resp.save(w);
-        self.stats.reads.encode(w);
-        self.stats.writes.encode(w);
-        self.stats.bytes.encode(w);
-        self.stats.hdm_rejects.encode(w);
-        self.stats.bank_conflicts.encode(w);
-        self.stats.ingress_refusals.encode(w);
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.usize()?;
-        if n != self.bank_busy.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "{}: checkpoint has {n} banks, component has {}",
-                self.name,
-                self.bank_busy.len()
-            )));
-        }
-        for b in &mut self.bank_busy {
-            *b = r.u64()?;
-        }
-        self.store.restore(r)?;
-        self.outstanding = r.usize()?;
-        self.resp.restore(r)?;
-        self.stats.reads = Counter::decode(r)?;
-        self.stats.writes = Counter::decode(r)?;
-        self.stats.bytes = Counter::decode(r)?;
-        self.stats.hdm_rejects = Counter::decode(r)?;
-        self.stats.bank_conflicts = Counter::decode(r)?;
-        self.stats.ingress_refusals = Counter::decode(r)?;
-        Ok(())
-    }
+    pcisim_kernel::state_fields!(component self;
+        [bank_busy; len], store, outstanding, resp, stats.reads, stats.writes, stats.bytes,
+        stats.hdm_rejects, stats.bank_conflicts, stats.ingress_refusals,
+    );
 }
 
 #[cfg(test)]

@@ -18,7 +18,6 @@ use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, Packet};
 use pcisim_kernel::queue::TimedQueue;
 use pcisim_kernel::sim::Ctx;
-use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
 use pcisim_kernel::stats::{Counter, StatsBuilder};
 use pcisim_kernel::tick::{ns, us, Tick};
 use pcisim_pci::caps::{write_aer_capability, CapChain, Capability, Generation, PortType};
@@ -347,40 +346,12 @@ impl Component for IdeDisk {
         out.counter("irqs", &self.stats.irqs);
     }
 
-    fn save_state(&self, w: &mut StateWriter) {
-        // Config (latencies, sector geometry, intx target) and the config
-        // space (owned by the PCI host registry) are not serialized.
-        w.u32(self.sector_count);
-        w.u64(self.dma_addr);
-        w.bool(self.busy);
-        w.bool(self.irq_pending);
-        w.u32(self.sectors_remaining);
-        w.u64(self.cur_addr);
-        w.u32(self.tlps_to_send);
-        w.bool(self.sector_active);
-        self.dma.save(w);
-        self.pio.save(w);
-        self.stats.commands.encode(w);
-        self.stats.sectors.encode(w);
-        self.stats.irqs.encode(w);
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.sector_count = r.u32()?;
-        self.dma_addr = r.u64()?;
-        self.busy = r.bool()?;
-        self.irq_pending = r.bool()?;
-        self.sectors_remaining = r.u32()?;
-        self.cur_addr = r.u64()?;
-        self.tlps_to_send = r.u32()?;
-        self.sector_active = r.bool()?;
-        self.dma.restore(r)?;
-        self.pio.restore(r)?;
-        self.stats.commands = Counter::decode(r)?;
-        self.stats.sectors = Counter::decode(r)?;
-        self.stats.irqs = Counter::decode(r)?;
-        Ok(())
-    }
+    // Config (latencies, sector geometry, intx target) and the config
+    // space (owned by the PCI host registry) are not serialized.
+    pcisim_kernel::state_fields!(component self;
+        sector_count, dma_addr, busy, irq_pending, sectors_remaining, cur_addr, tlps_to_send,
+        sector_active, dma, pio, stats.commands, stats.sectors, stats.irqs,
+    );
 }
 
 #[cfg(test)]

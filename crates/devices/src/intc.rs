@@ -23,7 +23,6 @@ use pcisim_kernel::addr::AddrRange;
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, Packet};
 use pcisim_kernel::sim::Ctx;
-use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
 use pcisim_kernel::stats::{Counter, StatsBuilder};
 
 /// Port 0 receives interrupt messages from the fabric; ports 1.. are CPU
@@ -141,18 +140,9 @@ impl Component for InterruptController {
         out.counter("spurious", &self.spurious);
     }
 
-    fn save_state(&self, w: &mut StateWriter) {
-        // The irq routing table is wired at build time; only counters are
-        // dynamic.
-        self.raised.encode(w);
-        self.spurious.encode(w);
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.raised = Counter::decode(r)?;
-        self.spurious = Counter::decode(r)?;
-        Ok(())
-    }
+    // The irq routing table is wired at build time; only counters are
+    // dynamic.
+    pcisim_kernel::state_fields!(component self; raised, spurious);
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 
 use pcisim_kernel::packet::{Command, Packet};
 use pcisim_kernel::sim::Ctx;
-use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
+use pcisim_kernel::snapshot::State;
 use pcisim_kernel::stats::Counter;
 use pcisim_kernel::trace::{TraceCategory, TraceKind};
 use pcisim_pci::caps::{msi_target, msix, msix_enabled, msix_function_masked};
@@ -149,34 +149,12 @@ impl MsixBlock {
             self.table[i] = value;
         }
     }
+}
 
-    /// Serializes table and PBA.
-    pub fn save(&self, w: &mut StateWriter) {
-        w.usize(self.table.len());
-        for dword in &self.table {
-            w.u32(*dword);
-        }
-        w.u64(self.pba);
-        self.sent.encode(w);
-    }
-
-    /// Restores what [`Self::save`] wrote; the table size is fixed by the
-    /// device's configuration, so a snapshot that disagrees is corrupt.
-    pub fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.usize()?;
-        if n != self.table.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "MSI-X table size mismatch: snapshot has {n} dwords, device {}",
-                self.table.len()
-            )));
-        }
-        for dword in &mut self.table {
-            *dword = r.u32()?;
-        }
-        self.pba = r.u64()?;
-        self.sent = Counter::decode(r)?;
-        Ok(())
-    }
+/// Table, PBA and the doorbell counter. The table size is fixed by the
+/// device's configuration, so a checkpoint that disagrees is corrupt.
+impl State for MsixBlock {
+    pcisim_kernel::state_fields!(state self; [table; len], pba, sent);
 }
 
 #[cfg(test)]
@@ -185,6 +163,8 @@ mod tests {
 
     use super::*;
     use crate::nic::{nic_config_space_for, NicConfig};
+    use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
+    use pcisim_kernel::testutil::check_state_codec;
 
     const TABLE: u64 = 0x1_0000;
     const PBA: u64 = 0x1_8000;
@@ -195,12 +175,6 @@ mod tests {
         let cs = shared(nic_config_space_for(&config));
         cs.borrow_mut().write(0xa0 + msix::CONTROL, 2, u32::from(msix::CONTROL_ENABLE));
         MsixBlock::new(cs, 4, TABLE, PBA)
-    }
-
-    fn saved(b: &MsixBlock) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        b.save(&mut w);
-        w.into_bytes()
     }
 
     #[test]
@@ -236,28 +210,27 @@ mod tests {
         assert_eq!(off.mmio_read(PBA), None);
     }
 
-    #[test]
-    fn state_round_trips_and_rejects_hostile_bytes() {
+    fn busy_block() -> MsixBlock {
         let mut b = block();
         b.mmio_write(TABLE, 0xfee0_0000);
         b.latch_if_masked(2);
         b.sent.add(5);
-        let bytes = saved(&b);
-        let mut fresh = block();
-        fresh.restore(&mut StateReader::new(&bytes)).expect("intact state restores");
-        assert_eq!(saved(&fresh), bytes);
-        for len in 0..bytes.len() {
-            assert!(fresh.restore(&mut StateReader::new(&bytes[..len])).is_err(), "prefix {len}");
-        }
-        for bit in 0..bytes.len() * 8 {
-            let mut bad = bytes.clone();
-            bad[bit / 8] ^= 1 << (bit % 8);
-            let _ = fresh.restore(&mut StateReader::new(&bad));
-        }
-        // A snapshot of a differently sized table is corrupt, not resized.
+        b
+    }
+
+    #[test]
+    fn block_survives_the_hostile_bytes_check() {
+        check_state_codec(&busy_block(), block);
+    }
+
+    #[test]
+    fn a_differently_sized_table_is_corrupt_not_resized() {
+        let mut w = StateWriter::new();
+        busy_block().save(&mut w);
+        let bytes = w.into_bytes();
         let cs = shared(nic_config_space_for(&NicConfig::default()));
         let mut smaller = MsixBlock::new(cs, 2, TABLE, PBA);
-        let err = smaller.restore(&mut StateReader::new(&bytes)).unwrap_err();
+        let err = smaller.load(&mut StateReader::new(&bytes)).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
     }
 }

@@ -38,17 +38,18 @@ use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, Packet};
 use pcisim_kernel::queue::TimedQueue;
 use pcisim_kernel::sim::Ctx;
-use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
+use pcisim_kernel::snapshot::{Bounded, SnapshotError, State, StateReader, StateWriter};
 use pcisim_kernel::stats::{Counter, StatsBuilder};
 use pcisim_kernel::tick::{ns, transfer_time, us, Tick};
 use pcisim_kernel::trace::{TraceCategory, TraceKind};
+use pcisim_kernel::{state_enum, state_fields};
 use pcisim_pci::caps::{
     vendor_cap, vendor_structures, write_aer_capability, CapChain, Capability, Generation, PortType,
 };
 use pcisim_pci::config::{shared, ConfigSpace, SharedConfigSpace};
 use pcisim_pci::header::{bar_base, Bar, Type0Header};
 
-use crate::dma::{self, DmaEngine};
+use crate::dma::DmaEngine;
 use crate::mmio::{self, set_hi32, set_lo32};
 use crate::msix::{legacy_message, MsixBlock};
 use crate::traffic::{TrafficFeed, TrafficSpec};
@@ -394,12 +395,16 @@ const K_MSIX_DRAIN: u32 = 6;
 const TAG_PIO_RESP: u32 = 0;
 
 /// One parsed virtqueue descriptor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Desc {
     addr: u64,
     len: u32,
     flags: u16,
     next: u16,
+}
+
+impl State for Desc {
+    state_fields!(state self; addr, len, flags, next);
 }
 
 impl Desc {
@@ -437,24 +442,27 @@ enum DmaTag {
     UsedIdx { q: u8 },
 }
 
-impl dma::DmaTag for DmaTag {
-    fn encode(self, w: &mut StateWriter) {
-        let (kind, q, arg) = match self {
+/// A blank a checkpoint loads an in-flight tag into.
+impl Default for DmaTag {
+    fn default() -> Self {
+        DmaTag::AvailIdx { q: 0 }
+    }
+}
+
+impl DmaTag {
+    /// The tag's wire form: a kind byte, the queue, and one argument (zero
+    /// unless the kind carries one).
+    fn parts(self) -> (u8, u8, u32) {
+        match self {
             DmaTag::AvailIdx { q } => (0, q, 0),
             DmaTag::AvailEntry { q } => (1, q, 0),
             DmaTag::Desc { q } => (2, q, 0),
             DmaTag::Payload { q, offset } => (3, q, offset),
             DmaTag::UsedIdx { q } => (4, q, 0),
-        };
-        w.u8(kind);
-        w.u8(q);
-        w.u32(arg);
+        }
     }
 
-    fn decode(r: &mut StateReader<'_>) -> Result<Self, SnapshotError> {
-        let kind = r.u8()?;
-        let q = r.u8()?;
-        let arg = r.u32()?;
+    fn from_parts(kind: u8, q: u8, arg: u32) -> Result<Self, SnapshotError> {
         Ok(match kind {
             0 => DmaTag::AvailIdx { q },
             1 => DmaTag::AvailEntry { q },
@@ -463,6 +471,27 @@ impl dma::DmaTag for DmaTag {
             4 => DmaTag::UsedIdx { q },
             other => return Err(SnapshotError::Corrupt(format!("virtio dma tag {other}"))),
         })
+    }
+}
+
+impl State for DmaTag {
+    fn save(&self, w: &mut StateWriter) {
+        let (kind, q, arg) = self.parts();
+        w.u8(kind);
+        w.u8(q);
+        w.u32(arg);
+    }
+
+    fn load(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        *self = Self::from_parts(r.u8()?, r.u8()?, r.u32()?)?;
+        Ok(())
+    }
+}
+
+/// Every tag names one of the device's queues.
+impl Bounded for DmaTag {
+    fn within(&self, queues: &usize) -> bool {
+        self.parts().1.within(queues)
     }
 }
 
@@ -487,34 +516,16 @@ enum VqPhase {
     Retire,
 }
 
-impl VqPhase {
-    fn encode(self) -> u8 {
-        match self {
-            VqPhase::Idle => 0,
-            VqPhase::FetchAvailIdx => 1,
-            VqPhase::FetchAvailEntry => 2,
-            VqPhase::FetchDesc => 3,
-            VqPhase::FetchPayload => 4,
-            VqPhase::Access => 5,
-            VqPhase::Wire => 6,
-            VqPhase::Retire => 7,
-        }
-    }
-
-    fn decode(b: u8) -> Result<Self, SnapshotError> {
-        Ok(match b {
-            0 => VqPhase::Idle,
-            1 => VqPhase::FetchAvailIdx,
-            2 => VqPhase::FetchAvailEntry,
-            3 => VqPhase::FetchDesc,
-            4 => VqPhase::FetchPayload,
-            5 => VqPhase::Access,
-            6 => VqPhase::Wire,
-            7 => VqPhase::Retire,
-            other => return Err(SnapshotError::Corrupt(format!("virtio phase {other}"))),
-        })
-    }
-}
+state_enum!(VqPhase {
+    Idle = 0,
+    FetchAvailIdx = 1,
+    FetchAvailEntry = 2,
+    FetchDesc = 3,
+    FetchPayload = 4,
+    Access = 5,
+    Wire = 6,
+    Retire = 7,
+});
 
 /// One virtqueue's device-side state.
 #[derive(Debug, Clone)]
@@ -1461,142 +1472,55 @@ impl Component for Virtio {
         }
     }
 
-    fn save_state(&self, w: &mut StateWriter) {
-        w.u32(self.device_status);
-        w.u32(self.driver_features);
-        w.u32(self.config_msix_vector);
-        w.u32(self.queue_select);
-        w.u32(self.isr_status);
-        for vq in &self.queues {
-            w.u64(vq.desc);
-            w.u64(vq.avail);
-            w.u64(vq.used);
-            w.bool(vq.enable);
-            w.u32(vq.msix_vector);
-            w.u8(vq.phase.encode());
-            w.u16(vq.last_seen);
-            w.u16(vq.avail_idx);
-            w.u16(vq.used_idx);
-            w.bool(vq.repoll);
-            w.bool(vq.broken);
-            w.u16(vq.head);
-            w.usize(vq.chain.len());
-            for d in &vq.chain {
-                w.u64(d.addr);
-                w.u32(d.len);
-                w.u16(d.flags);
-                w.u16(d.next);
-            }
-            w.bytes(&vq.staging);
-            w.u32(vq.payload_pending);
-            w.u32(vq.used_len);
-        }
-        w.usize(self.store.len());
-        for (&sector, buf) in &self.store {
-            w.u64(sector);
-            w.bytes(buf);
-        }
-        self.dma.save(w);
-        self.msix.save(w);
-        w.bool(self.rx_started);
-        w.u32(self.rx_feed.as_ref().map_or(0, |f| f.emitted()));
-        w.usize(self.rx_fifo.len());
-        for &(flow, bytes) in &self.rx_fifo {
-            w.u32(flow);
-            w.u32(bytes);
-        }
-        w.u64(self.rx_octets);
-        self.pio.save(w);
-        self.stats.mmio_reads.encode(w);
-        self.stats.mmio_writes.encode(w);
-        self.stats.doorbells.encode(w);
-        self.stats.chains_used.encode(w);
-        self.stats.desc_reads.encode(w);
-        self.stats.payload_bytes_read.encode(w);
-        self.stats.payload_bytes_written.encode(w);
-        self.stats.desc_faults.encode(w);
-        self.stats.irqs.encode(w);
-        self.stats.frames_tx.encode(w);
-        self.stats.frames_rx.encode(w);
-        self.stats.rx_overruns.encode(w);
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.device_status = r.u32()?;
-        self.driver_features = r.u32()?;
-        self.config_msix_vector = r.u32()?;
-        self.queue_select = r.u32()?;
-        self.isr_status = r.u32()?;
-        for vq in &mut self.queues {
-            vq.desc = r.u64()?;
-            vq.avail = r.u64()?;
-            vq.used = r.u64()?;
-            vq.enable = r.bool()?;
-            vq.msix_vector = r.u32()?;
-            vq.phase = VqPhase::decode(r.u8()?)?;
-            vq.last_seen = r.u16()?;
-            vq.avail_idx = r.u16()?;
-            vq.used_idx = r.u16()?;
-            vq.repoll = r.bool()?;
-            vq.broken = r.bool()?;
-            vq.head = r.u16()?;
-            let n = r.usize()?;
-            vq.chain.clear();
-            for _ in 0..n {
-                vq.chain.push(Desc {
-                    addr: r.u64()?,
-                    len: r.u32()?,
-                    flags: r.u16()?,
-                    next: r.u16()?,
-                });
-            }
-            vq.staging = r.bytes()?.to_vec();
-            vq.payload_pending = r.u32()?;
-            vq.used_len = r.u32()?;
-        }
-        self.store.clear();
-        let n = r.usize()?;
-        for _ in 0..n {
-            let sector = r.u64()?;
-            let buf = r.bytes()?.to_vec();
-            if buf.len() != BLK_SECTOR_SIZE as usize {
+    state_fields!(component self;
+        device_status, driver_features, config_msix_vector, queue_select, isr_status,
+        [queues] {
+            desc, avail, used, enable, msix_vector, phase, last_seen, avail_idx, used_idx,
+            repoll, broken, head, chain, staging, payload_pending, used_len,
+        },
+        store,
+        // Validation only: the block store holds whole sectors.
+        save(_w) {}
+        load(_r) {
+            if let Some(buf) = self.store.values().find(|b| b.len() != BLK_SECTOR_SIZE as usize) {
                 return Err(SnapshotError::Corrupt(format!(
                     "virtio store sector of {} bytes",
                     buf.len()
                 )));
             }
-            self.store.insert(sector, buf);
+        },
+        dma: index < self.queues.len(),
+        msix, rx_started,
+        // The feed is described by its position: restore re-derives the
+        // stream and skips the emitted prefix.
+        save(w) {
+            w.u32(self.rx_feed.as_ref().map_or(0, |f| f.emitted()));
         }
-        self.dma.restore(r)?;
-        self.msix.restore(r)?;
-        self.rx_started = r.bool()?;
-        let emitted = r.u32()?;
-        self.rx_feed = match &self.config.rx_source {
-            Some(source) if self.rx_started => Some(TrafficFeed::resume(source, emitted)),
-            _ => None,
-        };
-        self.rx_fifo.clear();
-        let n = r.usize()?;
-        for _ in 0..n {
-            let flow = r.u32()?;
-            let bytes = r.u32()?;
-            self.rx_fifo.push_back((flow, bytes));
-        }
-        self.rx_octets = r.u64()?;
-        self.pio.restore(r)?;
-        self.stats.mmio_reads = Counter::decode(r)?;
-        self.stats.mmio_writes = Counter::decode(r)?;
-        self.stats.doorbells = Counter::decode(r)?;
-        self.stats.chains_used = Counter::decode(r)?;
-        self.stats.desc_reads = Counter::decode(r)?;
-        self.stats.payload_bytes_read = Counter::decode(r)?;
-        self.stats.payload_bytes_written = Counter::decode(r)?;
-        self.stats.desc_faults = Counter::decode(r)?;
-        self.stats.irqs = Counter::decode(r)?;
-        self.stats.frames_tx = Counter::decode(r)?;
-        self.stats.frames_rx = Counter::decode(r)?;
-        self.stats.rx_overruns = Counter::decode(r)?;
-        Ok(())
+        load(r) {
+            let emitted = r.u32()?;
+            self.rx_feed = match &self.config.rx_source {
+                Some(source) if self.rx_started => Some(TrafficFeed::resume(source, emitted)),
+                _ => None,
+            };
+        },
+        rx_fifo, rx_octets, pio, stats.mmio_reads, stats.mmio_writes, stats.doorbells,
+        stats.chains_used, stats.desc_reads, stats.payload_bytes_read, stats.payload_bytes_written,
+        stats.desc_faults, stats.irqs, stats.frames_tx, stats.frames_rx, stats.rx_overruns,
+    );
+}
+
+#[cfg(test)]
+impl Virtio {
+    /// Points one in-flight DMA tag at a queue this device does not have;
+    /// `false` when nothing is in flight.
+    pub(crate) fn misroute_a_dma_tag(&mut self) -> bool {
+        let missing = self.queues.len() as u8;
+        let tag = self.dma.tags_mut().next();
+        tag.map(|tag| {
+            let (kind, _, arg) = tag.parts();
+            *tag = DmaTag::from_parts(kind, missing, arg).expect("kind of a live tag");
+        })
+        .is_some()
     }
 }
 

@@ -10,7 +10,6 @@ use crate::component::{Component, Event, PortId, RecvResult};
 use crate::packet::Packet;
 use crate::queue::TimedQueue;
 use crate::sim::Ctx;
-use crate::snapshot::{SnapshotError, StateReader, StateWriter};
 use crate::stats::{Counter, StatsBuilder};
 use crate::tick::Tick;
 use crate::trace::{TraceCategory, TraceKind};
@@ -150,22 +149,7 @@ impl Component for Bridge {
         out.counter("refusals", &self.refusals);
     }
 
-    fn save_state(&self, w: &mut StateWriter) {
-        for lane in &self.lanes {
-            lane.save(w);
-        }
-        self.forwarded.encode(w);
-        self.refusals.encode(w);
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        for lane in &mut self.lanes {
-            lane.restore(r)?;
-        }
-        self.forwarded = Counter::decode(r)?;
-        self.refusals = Counter::decode(r)?;
-        Ok(())
-    }
+    crate::state_fields!(component self; lanes, forwarded, refusals);
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
-use crate::snapshot::{SnapshotError, StateReader, StateWriter};
+use crate::snapshot::{SnapshotError, State, StateReader, StateWriter};
 use crate::tick::Tick;
 
 /// log2 of the bucket window size in ticks. With 1 tick = 1 ps this makes
@@ -83,28 +83,17 @@ struct Key {
 /// slot doubles as a *hint*: a handle that survived a checkpoint/restore
 /// cycle may name a stale slot, in which case the cancel falls back to the
 /// order-stamp side map built during [`CalendarQueue::restore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventHandle {
     slot: u32,
     order: u64,
 }
 
-impl EventHandle {
-    /// Serializes the handle for a checkpoint. Order stamps are globally
-    /// unique and never reused, so a restored handle cancels the same
-    /// logical entry it did before the checkpoint even though slab slots
-    /// are reassigned on restore.
-    pub fn encode(&self, w: &mut StateWriter) {
-        w.u32(self.slot);
-        w.u64(self.order);
-    }
-
-    /// Deserializes a handle written by [`EventHandle::encode`].
-    pub fn decode(r: &mut StateReader<'_>) -> Result<Self, SnapshotError> {
-        let slot = r.u32()?;
-        let order = r.u64()?;
-        Ok(Self { slot, order })
-    }
+/// Order stamps are globally unique and never reused, so a restored
+/// handle cancels the same logical entry it did before the checkpoint
+/// even though slab slots are reassigned on restore.
+impl State for EventHandle {
+    crate::state_fields!(state self; slot, order);
 }
 
 impl PartialEq for Key {

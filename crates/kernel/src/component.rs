@@ -30,13 +30,17 @@ use std::fmt;
 
 use crate::packet::Packet;
 use crate::sim::Ctx;
-use crate::snapshot::{SnapshotError, StateReader, StateWriter};
+use crate::snapshot::{Bounded, SnapshotError, State, StateReader, StateWriter};
 use crate::stats::StatsBuilder;
 use crate::tick::Tick;
 
 /// Identifies a component within a [`Simulation`](crate::sim::Simulation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ComponentId(pub u32);
+
+impl State for ComponentId {
+    crate::state_fields!(state self; 0);
+}
 
 impl fmt::Display for ComponentId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -46,8 +50,19 @@ impl fmt::Display for ComponentId {
 
 /// Identifies a port local to one component. Port numbering is a private
 /// convention of each component (e.g. "port 0 is the PIO port").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PortId(pub u16);
+
+impl State for PortId {
+    crate::state_fields!(state self; 0);
+}
+
+/// A port is an index into its component's port count.
+impl Bounded for PortId {
+    fn within(&self, ports: &usize) -> bool {
+        self.0.within(ports)
+    }
+}
 
 impl fmt::Display for PortId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

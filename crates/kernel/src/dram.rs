@@ -15,7 +15,7 @@ use crate::component::{Component, Event, PortId, RecvResult};
 use crate::packet::Packet;
 use crate::queue::TimedQueue;
 use crate::sim::Ctx;
-use crate::snapshot::{SnapshotError, StateReader, StateWriter};
+use crate::snapshot::{SnapshotError, State};
 use crate::stats::{Counter, StatsBuilder};
 use crate::tick::{transfer_time, Tick};
 use crate::trace::{TraceCategory, TraceKind};
@@ -64,35 +64,23 @@ impl BlockStore {
             pos += n;
         }
     }
+}
 
-    /// Appends the block count, then each `(block, bytes)` pair.
-    pub fn save(&self, w: &mut StateWriter) {
-        w.usize(self.0.len());
-        for (&block, buf) in &self.0 {
-            w.u64(block);
-            w.bytes(buf);
-        }
-    }
-
-    /// Restores what [`Self::save`] wrote, rejecting a block of the wrong
-    /// length.
-    pub fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.usize()?;
-        let mut blocks = BTreeMap::new();
-        for _ in 0..n {
-            let block = r.u64()?;
-            let buf = r.bytes()?;
-            if buf.len() != STORE_BLOCK as usize {
+/// The block count, then each `(block, bytes)` pair; a block of the wrong
+/// length is [`SnapshotError::Corrupt`].
+impl State for BlockStore {
+    crate::state_fields!(state self;
+        0,
+        save(_w) {}
+        load(_r) {
+            if let Some((block, buf)) = self.0.iter().find(|(_, b)| b.len() != STORE_BLOCK as usize) {
                 return Err(SnapshotError::Corrupt(format!(
                     "store block {block:#x} has {} bytes",
                     buf.len()
                 )));
             }
-            blocks.insert(block, buf.to_vec());
-        }
-        self.0 = blocks;
-        Ok(())
-    }
+        },
+    );
 }
 
 /// Builder for [`Dram`]; see [`Dram::builder`].
@@ -282,32 +270,21 @@ impl Component for Dram {
         out.counter("bytes", &self.bytes);
     }
 
-    fn save_state(&self, w: &mut StateWriter) {
-        w.usize(self.outstanding);
-        w.u64(self.busy_until);
-        self.resp.save(w);
-        self.reads.encode(w);
-        self.writes.encode(w);
-        self.bytes.encode(w);
-        // The store is appended only for functional memories, so timing-only
-        // checkpoints carry no store section.
-        if self.functional {
-            self.store.save(w);
+    crate::state_fields!(component self;
+        outstanding, busy_until, resp, reads, writes, bytes,
+        // The store is appended only for functional memories, so
+        // timing-only checkpoints carry no store section.
+        save(w) {
+            if self.functional {
+                self.store.save(w);
+            }
         }
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.outstanding = r.usize()?;
-        self.busy_until = r.u64()?;
-        self.resp.restore(r)?;
-        self.reads = Counter::decode(r)?;
-        self.writes = Counter::decode(r)?;
-        self.bytes = Counter::decode(r)?;
-        if self.functional {
-            self.store.restore(r)?;
-        }
-        Ok(())
-    }
+        load(r) {
+            if self.functional {
+                self.store.load(r)?;
+            }
+        },
+    );
 }
 
 #[cfg(test)]
@@ -404,19 +381,9 @@ mod tests {
     }
 
     #[test]
-    fn functional_store_survives_snapshot() {
-        let mut d =
-            Dram::builder("dram", AddrRange::with_size(BASE, 0x1000_0000)).functional(true).build();
-        d.store.write(BASE + 0x100, &[1, 2, 3, 4]);
-        let mut w = StateWriter::new();
-        d.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut fresh =
-            Dram::builder("dram", AddrRange::with_size(BASE, 0x1000_0000)).functional(true).build();
-        let mut r = StateReader::new(&bytes);
-        fresh.restore_state(&mut r).unwrap();
-        let mut back = vec![0; 4];
-        fresh.store.read(BASE + 0x100, &mut back);
-        assert_eq!(back, [1, 2, 3, 4]);
+    fn block_store_survives_the_hostile_bytes_check() {
+        let mut store = BlockStore::default();
+        store.write(BASE + 0x100, &[1, 2, 3, 4]);
+        crate::testutil::check_state_codec(&store, BlockStore::default);
     }
 }

@@ -12,7 +12,6 @@ use crate::component::{Component, Event, PortId, RecvResult};
 use crate::packet::Packet;
 use crate::queue::{Sent, TimedQueue};
 use crate::sim::Ctx;
-use crate::snapshot::{SnapshotError, StateReader, StateWriter};
 use crate::stats::{Counter, StatsBuilder};
 use crate::tick::{ns, Tick};
 
@@ -136,24 +135,7 @@ impl Component for IoCache {
         out.scalar("outstanding", self.outstanding as f64);
     }
 
-    fn save_state(&self, w: &mut StateWriter) {
-        w.usize(self.outstanding);
-        for lane in &self.lanes {
-            lane.save(w);
-        }
-        self.accesses.encode(w);
-        self.refusals.encode(w);
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.outstanding = r.usize()?;
-        for lane in &mut self.lanes {
-            lane.restore(r)?;
-        }
-        self.accesses = Counter::decode(r)?;
-        self.refusals = Counter::decode(r)?;
-        Ok(())
-    }
+    crate::state_fields!(component self; outstanding, lanes, accesses, refusals);
 }
 
 #[cfg(test)]

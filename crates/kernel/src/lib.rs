@@ -64,7 +64,7 @@ pub mod prelude {
     pub use crate::iocache::IoCache;
     pub use crate::packet::{Command, CompletionStatus, Packet, PacketId};
     pub use crate::sim::{Ctx, RunOutcome, Simulation};
-    pub use crate::snapshot::{Snapshot, SnapshotError, StateReader, StateWriter};
+    pub use crate::snapshot::{SnapshotError, State, StateReader, StateWriter};
     pub use crate::stats::{Counter, Histogram, StatsBuilder, StatsSnapshot};
     pub use crate::tick::{ns, ps, us, Tick};
     pub use crate::trace::{

@@ -10,12 +10,13 @@
 use std::fmt;
 
 use crate::component::{ComponentId, PortId};
-use crate::snapshot::{SnapshotError, StateReader, StateWriter};
+use crate::snapshot::{SnapshotError, State, StateReader, StateWriter};
 
 /// The transaction a packet performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Command {
     /// Read request; carries no payload, expects [`Command::ReadResp`].
+    #[default]
     ReadReq,
     /// Read response; carries the read payload.
     ReadResp,
@@ -120,46 +121,22 @@ impl fmt::Display for Command {
     }
 }
 
-impl Command {
-    /// Stable wire encoding for checkpoints.
-    pub fn encode(self) -> u8 {
-        match self {
-            Command::ReadReq => 0,
-            Command::ReadResp => 1,
-            Command::WriteReq => 2,
-            Command::WriteResp => 3,
-            Command::ConfigRead => 4,
-            Command::ConfigReadResp => 5,
-            Command::ConfigWrite => 6,
-            Command::ConfigWriteResp => 7,
-            Command::Message => 8,
-            Command::CxlMemRd => 9,
-            Command::CxlMemWr => 10,
-            Command::CxlMemDrs => 11,
-            Command::CxlMemNdr => 12,
-        }
-    }
-
-    /// Decodes a checkpoint byte back into a command.
-    pub fn decode(b: u8) -> Result<Self, SnapshotError> {
-        Ok(match b {
-            0 => Command::ReadReq,
-            1 => Command::ReadResp,
-            2 => Command::WriteReq,
-            3 => Command::WriteResp,
-            4 => Command::ConfigRead,
-            5 => Command::ConfigReadResp,
-            6 => Command::ConfigWrite,
-            7 => Command::ConfigWriteResp,
-            8 => Command::Message,
-            9 => Command::CxlMemRd,
-            10 => Command::CxlMemWr,
-            11 => Command::CxlMemDrs,
-            12 => Command::CxlMemNdr,
-            other => return Err(SnapshotError::Corrupt(format!("command byte {other:#04x}"))),
-        })
-    }
-}
+// Stable wire encoding for checkpoints.
+crate::state_enum!(Command {
+    ReadReq = 0,
+    ReadResp = 1,
+    WriteReq = 2,
+    WriteResp = 3,
+    ConfigRead = 4,
+    ConfigReadResp = 5,
+    ConfigWrite = 6,
+    ConfigWriteResp = 7,
+    Message = 8,
+    CxlMemRd = 9,
+    CxlMemWr = 10,
+    CxlMemDrs = 11,
+    CxlMemNdr = 12,
+});
 
 /// Completion status carried by a response packet — the TLP completion
 /// status field of the PCI-Express transaction layer, reduced to the
@@ -185,33 +162,23 @@ impl CompletionStatus {
     pub fn is_error(self) -> bool {
         self != CompletionStatus::SuccessfulCompletion
     }
-
-    /// Stable wire encoding for checkpoints.
-    pub fn encode(self) -> u8 {
-        match self {
-            CompletionStatus::SuccessfulCompletion => 0,
-            CompletionStatus::UnsupportedRequest => 1,
-            CompletionStatus::CompleterAbort => 2,
-            CompletionStatus::CompletionTimeout => 3,
-        }
-    }
-
-    /// Decodes a checkpoint byte back into a completion status.
-    pub fn decode(b: u8) -> Result<Self, SnapshotError> {
-        Ok(match b {
-            0 => CompletionStatus::SuccessfulCompletion,
-            1 => CompletionStatus::UnsupportedRequest,
-            2 => CompletionStatus::CompleterAbort,
-            3 => CompletionStatus::CompletionTimeout,
-            other => return Err(SnapshotError::Corrupt(format!("status byte {other:#04x}"))),
-        })
-    }
 }
+
+crate::state_enum!(CompletionStatus {
+    SuccessfulCompletion = 0,
+    UnsupportedRequest = 1,
+    CompleterAbort = 2,
+    CompletionTimeout = 3,
+});
 
 /// Unique identity of a packet, preserved from request to response so that
 /// components can match completions to outstanding transactions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PacketId(pub u64);
+
+impl State for PacketId {
+    crate::state_fields!(state self; 0);
+}
 
 impl fmt::Display for PacketId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -222,12 +189,16 @@ impl fmt::Display for PacketId {
 /// One hop recorded on a packet's route, used by crossbars and bridges to
 /// steer the response back to the port the request came in on (gem5's
 /// "sender state" stack).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouteHop {
     /// Component that forwarded the request.
     pub component: ComponentId,
     /// Ingress port on that component.
     pub port: PortId,
+}
+
+impl State for RouteHop {
+    crate::state_fields!(state self; component, port);
 }
 
 /// Number of route hops stored inline in every packet. Fabric paths in
@@ -291,6 +262,31 @@ impl RouteStack {
     }
 }
 
+impl Default for RouteStack {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// The depth, then the live hops oldest first, so a load pushes in order.
+impl State for RouteStack {
+    fn save(&self, w: &mut StateWriter) {
+        w.usize(self.depth());
+        for hop in self.hops() {
+            hop.save(w);
+        }
+    }
+
+    fn load(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        let depth = r.usize()?;
+        *self = Self::new();
+        for _ in 0..depth {
+            self.push(RouteHop::read(r)?);
+        }
+        Ok(())
+    }
+}
+
 impl PartialEq for RouteStack {
     fn eq(&self, other: &Self) -> bool {
         // Logical comparison: only the live hops count, not the storage.
@@ -309,10 +305,12 @@ impl Eq for RouteStack {}
 /// fields: passing it through a port, a queue or the event calendar moves
 /// eight bytes. [`Clone`] copies the fields (payload and route included)
 /// into a packet independent of the original.
-#[derive(Clone, PartialEq, Eq)]
+///
+/// The default packet is a blank a checkpoint loads a queued packet into.
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct Packet(Box<Fields>);
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Fields {
     id: PacketId,
     cmd: Command,
@@ -574,97 +572,29 @@ impl Packet {
         }
         self
     }
-
-    /// Serializes the packet — identity, header fields, payload and the
-    /// full route stack — into a checkpoint.
-    pub fn encode(&self, w: &mut StateWriter) {
-        w.u64(self.0.id.0);
-        w.u8(self.0.cmd.encode());
-        w.u64(self.0.addr);
-        w.u32(self.0.size);
-        w.u32(self.0.requester.0);
-        w.opt_u8(self.0.pci_bus);
-        w.bool(self.0.posted);
-        match &self.0.payload {
-            Some(p) => {
-                w.bool(true);
-                w.bytes(p);
-            }
-            None => w.bool(false),
-        }
-        w.usize(self.0.route.depth());
-        // Oldest hop first, so decode can push in order.
-        for hop in self.0.route.hops() {
-            w.u32(hop.component.0);
-            w.u16(hop.port.0);
-        }
-        w.u8(self.0.status.encode());
-    }
-
-    /// Deserializes a packet from a checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Corrupt`] when a payload is present and its length
-    /// is not the packet size — the invariant every constructor enforces.
-    pub fn decode(r: &mut StateReader<'_>) -> Result<Self, SnapshotError> {
-        let id = PacketId(r.u64()?);
-        let cmd = Command::decode(r.u8()?)?;
-        let addr = r.u64()?;
-        let size = r.u32()?;
-        let requester = ComponentId(r.u32()?);
-        let pci_bus = r.opt_u8()?;
-        let posted = r.bool()?;
-        let payload = if r.bool()? { Some(r.bytes()?.to_vec()) } else { None };
-        if let Some(p) = &payload {
-            if p.len() != size as usize {
-                return Err(SnapshotError::Corrupt(format!(
-                    "{id} carries {} payload bytes for size {size}",
-                    p.len()
-                )));
-            }
-        }
-        let depth = r.usize()?;
-        let mut route = RouteStack::new();
-        for _ in 0..depth {
-            let component = ComponentId(r.u32()?);
-            let port = PortId(r.u16()?);
-            route.push(RouteHop { component, port });
-        }
-        let status = CompletionStatus::decode(r.u8()?)?;
-        Ok(Self(Box::new(Fields {
-            id,
-            cmd,
-            addr,
-            size,
-            requester,
-            pci_bus,
-            posted,
-            payload,
-            route,
-            status,
-        })))
-    }
 }
 
-/// Serializes a packet queue oldest-first for a checkpoint.
-pub fn encode_packet_queue(w: &mut StateWriter, q: &std::collections::VecDeque<Packet>) {
-    w.usize(q.len());
-    for pkt in q {
-        pkt.encode(w);
-    }
-}
-
-/// Deserializes a packet queue written by [`encode_packet_queue`].
-pub fn decode_packet_queue(
-    r: &mut StateReader<'_>,
-) -> Result<std::collections::VecDeque<Packet>, SnapshotError> {
-    let n = r.usize()?;
-    let mut q = std::collections::VecDeque::with_capacity(n.min(4096));
-    for _ in 0..n {
-        q.push_back(Packet::decode(r)?);
-    }
-    Ok(q)
+/// Identity, header fields, payload and the full route stack. A payload
+/// whose length is not the packet size is [`SnapshotError::Corrupt`] —
+/// the invariant every constructor enforces.
+impl State for Packet {
+    crate::state_fields!(state self;
+        0.id, 0.cmd, 0.addr, 0.size, 0.requester, 0.pci_bus, 0.posted, 0.payload, 0.route,
+        0.status,
+        save(_w) {}
+        load(_r) {
+            if let Some(p) = &self.0.payload {
+                if p.len() != self.0.size as usize {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "{} carries {} payload bytes for size {}",
+                        self.0.id,
+                        p.len(),
+                        self.0.size
+                    )));
+                }
+            }
+        },
+    );
 }
 
 impl fmt::Display for Packet {
@@ -886,32 +816,33 @@ mod tests {
         // A hand-written record: an 8-byte write carrying 4 payload bytes.
         let mut w = StateWriter::new();
         w.u64(7);
-        w.u8(Command::WriteReq.encode());
+        Command::WriteReq.save(&mut w);
         w.u64(0x1000);
         w.u32(8);
         w.u32(3);
-        w.opt_u8(None);
+        None::<u8>.save(&mut w);
         w.bool(false);
         w.bool(true);
         w.bytes(&[0; 4]);
         w.usize(0);
-        w.u8(CompletionStatus::SuccessfulCompletion.encode());
+        CompletionStatus::SuccessfulCompletion.save(&mut w);
         let bytes = w.into_bytes();
-        let err = Packet::decode(&mut StateReader::new(&bytes)).unwrap_err();
+        let err = Packet::read(&mut StateReader::new(&bytes)).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
     }
 
     #[test]
-    fn checkpoint_codec_roundtrips_a_spilled_route() {
-        let mut p = req(Command::WriteReq).with_payload(vec![5; 64]);
+    fn a_spilled_route_survives_the_hostile_bytes_check() {
+        let mut p = req(Command::ReadReq);
         p.stamp_pci_bus(3);
         for i in 0..INLINE_HOPS as u32 + 2 {
             p.push_route(ComponentId(i), PortId(i as u16));
         }
+        let p = p.into_error_response(CompletionStatus::UnsupportedRequest);
+        crate::testutil::check_state_codec(&p, Packet::default);
         let mut w = StateWriter::new();
-        p.encode(&mut w);
-        let bytes = w.into_bytes();
-        let back = Packet::decode(&mut StateReader::new(&bytes)).unwrap();
+        p.save(&mut w);
+        let back = Packet::read(&mut StateReader::new(&w.into_bytes())).unwrap();
         assert_eq!(back, p);
         assert_eq!(back.route_depth(), INLINE_HOPS + 2);
         assert_eq!(back.peek_route().unwrap().component, ComponentId(INLINE_HOPS as u32 + 1));
@@ -945,11 +876,16 @@ mod tests {
 
     #[test]
     fn cxl_commands_roundtrip_the_checkpoint_codec() {
+        let byte = |cmd: Command| {
+            let mut w = StateWriter::new();
+            cmd.save(&mut w);
+            w.into_bytes()
+        };
         for cmd in [Command::CxlMemRd, Command::CxlMemWr, Command::CxlMemDrs, Command::CxlMemNdr] {
-            assert_eq!(Command::decode(cmd.encode()).unwrap(), cmd);
+            assert_eq!(Command::read(&mut StateReader::new(&byte(cmd))).unwrap(), cmd);
         }
         // Pre-CXL encodings are untouched: old checkpoints stay readable.
-        assert_eq!(Command::Message.encode(), 8);
-        assert_eq!(Command::CxlMemRd.encode(), 9);
+        assert_eq!(byte(Command::Message), [8]);
+        assert_eq!(byte(Command::CxlMemRd), [9]);
     }
 }

@@ -17,9 +17,9 @@
 use std::collections::VecDeque;
 
 use crate::component::{Event, PortId, RecvResult};
-use crate::packet::{decode_packet_queue, encode_packet_queue, Packet};
+use crate::packet::Packet;
 use crate::sim::Ctx;
-use crate::snapshot::{SnapshotError, StateReader, StateWriter};
+use crate::snapshot::{Bounded, State};
 use crate::tick::Tick;
 
 /// What [`TimedQueue::send_head`] handed to the peer.
@@ -193,23 +193,11 @@ impl TimedQueue {
     pub fn unblock(&mut self) {
         self.peer_blocked = false;
     }
+}
 
-    /// Appends the lane's dynamic state (the capacity is configuration).
-    pub fn save(&self, w: &mut StateWriter) {
-        encode_packet_queue(w, &self.queue);
-        w.usize(self.in_flight);
-        w.bool(self.peer_blocked);
-        w.bool(self.owe_retry);
-    }
-
-    /// Restores what [`Self::save`] wrote.
-    pub fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.queue = decode_packet_queue(r)?;
-        self.in_flight = r.usize()?;
-        self.peer_blocked = r.bool()?;
-        self.owe_retry = r.bool()?;
-        Ok(())
-    }
+/// The lane's dynamic state; the capacity is configuration.
+impl State for TimedQueue {
+    crate::state_fields!(state self; queue, in_flight, peer_blocked, owe_retry);
 }
 
 /// Ports refused because a lane was full, in refusal order and each at
@@ -240,35 +228,16 @@ impl Waiters {
     pub fn take(&mut self) -> Vec<PortId> {
         std::mem::take(&mut self.0)
     }
+}
 
-    /// Appends the waiter list.
-    pub fn save(&self, w: &mut StateWriter) {
-        w.usize(self.0.len());
-        for port in &self.0 {
-            w.u16(port.0);
-        }
-    }
+impl State for Waiters {
+    crate::state_fields!(state self; 0);
+}
 
-    /// Restores what [`Self::save`] wrote, rejecting a port outside the
-    /// component's `num_ports`.
-    pub fn restore(
-        &mut self,
-        r: &mut StateReader<'_>,
-        num_ports: usize,
-    ) -> Result<(), SnapshotError> {
-        let n = r.usize()?;
-        let mut ports = Vec::new();
-        for _ in 0..n {
-            let port = r.u16()?;
-            if usize::from(port) >= num_ports {
-                return Err(SnapshotError::Corrupt(format!(
-                    "waiting port {port} of a {num_ports}-port component"
-                )));
-            }
-            ports.push(PortId(port));
-        }
-        self.0 = ports;
-        Ok(())
+/// Every waiter is a port of the owning component.
+impl Bounded for Waiters {
+    fn within(&self, ports: &usize) -> bool {
+        self.0.within(ports)
     }
 }
 
@@ -277,6 +246,8 @@ mod tests {
     use super::*;
     use crate::component::ComponentId;
     use crate::packet::{Command, PacketId};
+    use crate::snapshot::{StateReader, StateWriter};
+    use crate::testutil::check_state_codec;
 
     fn request(id: u64, cmd: Command) -> Packet {
         Packet::request(PacketId(id), cmd, 0x1000 * id, 64, ComponentId(1))
@@ -307,45 +278,13 @@ mod tests {
     }
 
     #[test]
-    fn lane_state_round_trips() {
-        let lane = busy_lane();
-        let mut w = StateWriter::new();
-        lane.save(&mut w);
-        let bytes = w.into_bytes();
-        let mut fresh = TimedQueue::bounded(4);
-        fresh.restore(&mut StateReader::new(&bytes)).expect("intact state restores");
-        assert_eq!(fresh.queue, lane.queue);
-        assert_eq!(fresh.in_flight, 1);
-        assert!(fresh.peer_blocked() && fresh.owe_retry);
-        let mut again = StateWriter::new();
-        fresh.save(&mut again);
-        assert_eq!(again.into_bytes(), bytes, "save/restore/save is byte-stable");
-    }
-
-    #[test]
-    fn truncated_lane_state_is_an_error_and_bit_flips_never_panic() {
-        let mut w = StateWriter::new();
-        busy_lane().save(&mut w);
+    fn lane_and_waiters_survive_the_hostile_bytes_check() {
         let mut waiters = Waiters::default();
         waiters.add(PortId(3));
         waiters.add(PortId(1));
-        waiters.save(&mut w);
-        let bytes = w.into_bytes();
-        let decode = |b: &[u8]| {
-            let mut r = StateReader::new(b);
-            TimedQueue::unbounded().restore(&mut r)?;
-            Waiters::default().restore(&mut r, 4)?;
-            r.finish("lane")
-        };
-        decode(&bytes).expect("intact state decodes");
-        for len in 0..bytes.len() {
-            assert!(decode(&bytes[..len]).is_err(), "prefix {len} must be rejected");
-        }
-        for bit in 0..bytes.len() * 8 {
-            let mut bad = bytes.clone();
-            bad[bit / 8] ^= 1 << (bit % 8);
-            let _ = decode(&bad);
-        }
+        check_state_codec(&(busy_lane(), waiters), || {
+            (TimedQueue::unbounded(), Waiters::default())
+        });
     }
 
     #[test]
@@ -360,9 +299,9 @@ mod tests {
         assert_eq!(waiters.take(), vec![PortId(2), PortId(0), PortId(1)]);
         assert!(waiters.take().is_empty());
         let mut fresh = Waiters::default();
-        fresh.restore(&mut StateReader::new(&bytes), 3).expect("in range");
+        fresh.load(&mut StateReader::new(&bytes)).expect("intact state restores");
+        assert!(fresh.within(&3), "ports 0..3 of a 3-port component");
+        assert!(!fresh.within(&2), "port 2 of a 2-port component");
         assert_eq!(fresh.take(), vec![PortId(2), PortId(0), PortId(1)]);
-        let err = fresh.restore(&mut StateReader::new(&bytes), 2).expect_err("port 2 of 2");
-        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
     }
 }

@@ -23,7 +23,8 @@ use crate::calendar::{CalendarQueue, EventHandle};
 use crate::component::{Component, ComponentId, Event, PortId, RecvResult};
 use crate::packet::{Packet, PacketId};
 use crate::snapshot::{
-    fnv1a, SnapshotError, StateReader, StateWriter, FNV_OFFSET, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    fnv1a, SnapshotError, State, StateReader, StateWriter, FNV_OFFSET, SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
 };
 use crate::stats::{StatsBuilder, StatsSnapshot};
 use crate::tick::Tick;
@@ -693,24 +694,8 @@ impl Simulation {
     /// the shape is all a restore has to match.
     pub fn topology_fingerprint(&self) -> u64 {
         let mut w = StateWriter::new();
-        w.usize(self.shared.names.len());
-        for name in &self.shared.names {
-            w.str(name);
-        }
-        w.usize(self.shared.conns.len());
-        for row in &self.shared.conns {
-            w.usize(row.len());
-            for ep in row {
-                match ep {
-                    Some((c, p)) => {
-                        w.bool(true);
-                        w.u32(c.0);
-                        w.u16(p.0);
-                    }
-                    None => w.bool(false),
-                }
-            }
-        }
+        self.shared.names.save(&mut w);
+        self.shared.conns.save(&mut w);
         fnv1a(FNV_OFFSET, &w.into_bytes())
     }
 
@@ -727,14 +712,10 @@ impl Simulation {
         body.u64(self.topology_fingerprint());
         body.u64(self.now());
         body.u64(self.shared.events_processed.get());
-        for &c in self.shared.pkt_counters.borrow().iter() {
-            body.u64(c);
-        }
-        for row in self.shared.push_counters.borrow().iter() {
-            for &c in row {
-                body.u64(c);
-            }
-        }
+        // One packet-id counter and one order-counter row per component,
+        // in id order: the arena fixes the count, so no prefix.
+        self.shared.pkt_counters.borrow()[..].save(&mut body);
+        self.shared.push_counters.borrow()[..].save(&mut body);
         self.shared.queue.borrow().save(&mut body, encode_queued);
         self.shared.tracer.save_ring(&mut body);
         body.usize(self.shared.arena.len());
@@ -771,18 +752,10 @@ impl Simulation {
         let now = r.u64()?;
         let events_processed = r.u64()?;
         let n = self.shared.arena.len();
-        let mut pkt_counters = Vec::with_capacity(n);
-        for _ in 0..n {
-            pkt_counters.push(r.u64()?);
-        }
-        let mut push_counters = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut row = [0u64; NUM_STREAMS];
-            for c in &mut row {
-                *c = r.u64()?;
-            }
-            push_counters.push(row);
-        }
+        let mut pkt_counters = vec![0; n];
+        pkt_counters[..].load(&mut r)?;
+        let mut push_counters = vec![[0; NUM_STREAMS]; n];
+        push_counters[..].load(&mut r)?;
         let queue = CalendarQueue::restore(now, &mut r, |r, order| {
             decode_queued(r, order, &pkt_counters, &push_counters, &self.shared)
         })?;
@@ -874,7 +847,7 @@ fn encode_queued(w: &mut StateWriter, queued: &Queued) {
         Queued::Delayed { tag, pkt, .. } => {
             w.u8(1);
             w.u32(*tag);
-            pkt.encode(w);
+            pkt.save(w);
         }
         Queued::Retry { port, .. } => {
             w.u8(2);
@@ -884,7 +857,7 @@ fn encode_queued(w: &mut StateWriter, queued: &Queued) {
             w.u8(3);
             w.u32(*tag);
             w.u64(*stamp);
-            pkt.encode(w);
+            pkt.save(w);
         }
     }
 }
@@ -932,7 +905,7 @@ fn decode_queued(
         0 => Queued::Timer { target, kind: r.u32()?, data: r.u64()? },
         1 => {
             let tag = r.u32()?;
-            let pkt = Packet::decode(r)?;
+            let pkt = Packet::read(r)?;
             audit(&pkt)?;
             Queued::Delayed { target, tag, pkt }
         }
@@ -947,7 +920,7 @@ fn decode_queued(
         3 => {
             let tag = r.u32()?;
             let stamp = r.u64()?;
-            let pkt = Packet::decode(r)?;
+            let pkt = Packet::read(r)?;
             audit(&pkt)?;
             Queued::Stamped { target, tag, stamp, pkt }
         }

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::snapshot::{fnv1a, SnapshotError, StateReader, StateWriter, FNV_OFFSET};
+use crate::snapshot::{fnv1a, State, FNV_OFFSET};
 
 /// A monotonically increasing event counter.
 ///
@@ -44,16 +44,10 @@ impl Counter {
     pub fn value(&self) -> u64 {
         self.0
     }
+}
 
-    /// Serializes the counter into a checkpoint.
-    pub fn encode(&self, w: &mut StateWriter) {
-        w.u64(self.0);
-    }
-
-    /// Deserializes a counter from a checkpoint.
-    pub fn decode(r: &mut StateReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self(r.u64()?))
-    }
+impl State for Counter {
+    crate::state_fields!(state self; 0);
 }
 
 impl fmt::Display for Counter {
@@ -177,31 +171,12 @@ impl Histogram {
     pub fn p99(&self) -> Option<f64> {
         self.percentile(0.99)
     }
+}
 
-    /// Serializes the histogram into a checkpoint. Floats travel as raw
-    /// bit patterns so accumulated rounding state round-trips bit-exactly.
-    pub fn encode(&self, w: &mut StateWriter) {
-        w.u64(self.count);
-        w.f64(self.sum);
-        w.opt_f64(self.min);
-        w.opt_f64(self.max);
-        for &b in &self.buckets {
-            w.u64(b);
-        }
-    }
-
-    /// Deserializes a histogram from a checkpoint.
-    pub fn decode(r: &mut StateReader<'_>) -> Result<Self, SnapshotError> {
-        let count = r.u64()?;
-        let sum = r.f64()?;
-        let min = r.opt_f64()?;
-        let max = r.opt_f64()?;
-        let mut buckets = [0u64; HIST_BUCKETS];
-        for b in &mut buckets {
-            *b = r.u64()?;
-        }
-        Ok(Self { count, sum, min, max, buckets })
-    }
+/// Floats travel as raw bit patterns, so accumulated rounding state
+/// round-trips bit-exactly.
+impl State for Histogram {
+    crate::state_fields!(state self; count, sum, min, max, buckets);
 }
 
 /// Collects named statistics from one component.
@@ -351,6 +326,16 @@ impl fmt::Display for StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::check_state_codec;
+
+    #[test]
+    fn histogram_survives_the_hostile_bytes_check() {
+        let mut h = Histogram::default();
+        for v in [0.5, 3.0, 1e9, f64::NAN] {
+            h.record(v);
+        }
+        check_state_codec(&h, Histogram::default);
+    }
 
     #[test]
     fn counter_accumulates() {

@@ -38,15 +38,16 @@ use std::fmt::Write as _;
 
 use crate::component::ComponentId;
 use crate::packet::{Command, PacketId};
-use crate::snapshot::{SnapshotError, StateReader, StateWriter};
+use crate::snapshot::{SnapshotError, State, StateReader, StateWriter};
 use crate::tick::{to_ns, Tick};
 
 /// Coarse event classes, individually enabled in the [`Tracer`] mask.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[repr(u32)]
 pub enum TraceCategory {
     /// Custody transfers recorded by the kernel on every accepted packet
     /// delivery; the backbone of lifecycle reconstruction.
+    #[default]
     Hop = 1 << 0,
     /// Data-link-layer events: admissions, wire transmissions, ACK/NAK,
     /// replays, drops.
@@ -81,36 +82,17 @@ impl TraceCategory {
             TraceCategory::Device => "device",
         }
     }
-
-    /// Stable wire encoding for checkpoints.
-    pub fn encode(self) -> u8 {
-        match self {
-            TraceCategory::Hop => 0,
-            TraceCategory::Link => 1,
-            TraceCategory::Router => 2,
-            TraceCategory::Fabric => 3,
-            TraceCategory::Device => 4,
-        }
-    }
-
-    /// Decodes a checkpoint byte back into a category.
-    pub fn decode(b: u8) -> Result<Self, SnapshotError> {
-        Ok(match b {
-            0 => TraceCategory::Hop,
-            1 => TraceCategory::Link,
-            2 => TraceCategory::Router,
-            3 => TraceCategory::Fabric,
-            4 => TraceCategory::Device,
-            other => return Err(SnapshotError::Corrupt(format!("trace category {other}"))),
-        })
-    }
 }
+
+// Stable wire encoding for checkpoints.
+crate::state_enum!(TraceCategory { Hop = 0, Link = 1, Router = 2, Fabric = 3, Device = 4 });
 
 /// What a [`TraceEvent`] records. The `arg` field of the event carries
 /// the kind-specific detail named in each variant's doc.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TraceKind {
     /// A request was delivered into `component` (arg = ingress port).
+    #[default]
     HopRequest,
     /// A response was delivered into `component` (arg = ingress port).
     HopResponse,
@@ -191,48 +173,36 @@ impl TraceKind {
             TraceKind::VirtqueueUsed => "vq_used",
         }
     }
-
-    const ALL_KINDS: [TraceKind; 22] = [
-        TraceKind::HopRequest,
-        TraceKind::HopResponse,
-        TraceKind::HopRefused,
-        TraceKind::LinkAdmit,
-        TraceKind::LinkTxStart,
-        TraceKind::LinkDeliver,
-        TraceKind::LinkAck,
-        TraceKind::LinkNak,
-        TraceKind::LinkReplay,
-        TraceKind::LinkReplayTimeout,
-        TraceKind::LinkDrop,
-        TraceKind::RouteDecision,
-        TraceKind::BufferOccupancy,
-        TraceKind::ServiceDone,
-        TraceKind::FabricForward,
-        TraceKind::DramAccess,
-        TraceKind::DmaRead,
-        TraceKind::DmaWrite,
-        TraceKind::Doorbell,
-        TraceKind::Interrupt,
-        TraceKind::VirtqueueNotify,
-        TraceKind::VirtqueueUsed,
-    ];
-
-    /// Stable wire encoding for checkpoints.
-    pub fn encode(self) -> u8 {
-        Self::ALL_KINDS.iter().position(|&k| k == self).expect("kind in table") as u8
-    }
-
-    /// Decodes a checkpoint byte back into a kind.
-    pub fn decode(b: u8) -> Result<Self, SnapshotError> {
-        Self::ALL_KINDS
-            .get(b as usize)
-            .copied()
-            .ok_or_else(|| SnapshotError::Corrupt(format!("trace kind {b}")))
-    }
 }
 
+// Stable wire encoding for checkpoints.
+crate::state_enum!(TraceKind {
+    HopRequest = 0,
+    HopResponse = 1,
+    HopRefused = 2,
+    LinkAdmit = 3,
+    LinkTxStart = 4,
+    LinkDeliver = 5,
+    LinkAck = 6,
+    LinkNak = 7,
+    LinkReplay = 8,
+    LinkReplayTimeout = 9,
+    LinkDrop = 10,
+    RouteDecision = 11,
+    BufferOccupancy = 12,
+    ServiceDone = 13,
+    FabricForward = 14,
+    DramAccess = 15,
+    DmaRead = 16,
+    DmaWrite = 17,
+    Doorbell = 18,
+    Interrupt = 19,
+    VirtqueueNotify = 20,
+    VirtqueueUsed = 21,
+});
+
 /// One recorded event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceEvent {
     /// When it happened.
     pub at: Tick,
@@ -250,30 +220,8 @@ pub struct TraceEvent {
     pub arg: u64,
 }
 
-impl TraceEvent {
-    /// Serializes the event into a checkpoint.
-    pub fn encode(&self, w: &mut StateWriter) {
-        w.u64(self.at);
-        w.u32(self.component.0);
-        w.u8(self.category.encode());
-        w.u8(self.kind.encode());
-        w.opt_u64(self.packet.map(|p| p.0));
-        w.opt_u8(self.cmd.map(Command::encode));
-        w.u64(self.arg);
-    }
-
-    /// Deserializes an event from a checkpoint.
-    pub fn decode(r: &mut StateReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            at: r.u64()?,
-            component: ComponentId(r.u32()?),
-            category: TraceCategory::decode(r.u8()?)?,
-            kind: TraceKind::decode(r.u8()?)?,
-            packet: r.opt_u64()?.map(PacketId),
-            cmd: r.opt_u8()?.map(Command::decode).transpose()?,
-            arg: r.u64()?,
-        })
-    }
+impl State for TraceEvent {
+    crate::state_fields!(state self; at, component, category, kind, packet, cmd, arg);
 }
 
 /// Default ring capacity: enough for several million-event runs of the
@@ -368,12 +316,8 @@ impl Tracer {
     /// are configuration and are *not* saved: they belong to the tree a
     /// checkpoint restores into.
     pub fn save_ring(&self, w: &mut StateWriter) {
-        let buf = self.buf.borrow();
         w.u64(self.dropped.get());
-        w.usize(buf.len());
-        for ev in buf.iter() {
-            ev.encode(w);
-        }
+        self.buf.borrow().save(w);
     }
 
     /// Replaces the ring contents and eviction count from a checkpoint, so
@@ -381,11 +325,7 @@ impl Tracer {
     /// uninterrupted run's.
     pub fn restore_ring(&self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         let dropped = r.u64()?;
-        let n = r.usize()?;
-        let mut buf = VecDeque::new();
-        for _ in 0..n {
-            buf.push_back(TraceEvent::decode(r)?);
-        }
+        let buf = VecDeque::read(r)?;
         self.dropped.set(dropped);
         *self.buf.borrow_mut() = buf;
         Ok(())

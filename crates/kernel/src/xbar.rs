@@ -12,7 +12,6 @@ use crate::component::{Component, Event, PortId, RecvResult};
 use crate::packet::{CompletionStatus, Packet};
 use crate::queue::{TimedQueue, Waiters};
 use crate::sim::Ctx;
-use crate::snapshot::{SnapshotError, StateReader, StateWriter};
 use crate::stats::{Counter, StatsBuilder};
 use crate::tick::{transfer_time, Tick};
 use crate::trace::{TraceCategory, TraceKind};
@@ -321,45 +320,14 @@ impl Component for Crossbar {
         out.counter("unsupported_requests", &self.stats.unrouted);
     }
 
-    fn save_state(&self, w: &mut StateWriter) {
-        w.usize(self.ports.len());
-        for p in &self.ports {
-            p.resp.save(w);
-            p.req.save(w);
-            w.u64(p.busy_until);
-            p.resp_waiters.save(w);
-            p.req_waiters.save(w);
-        }
-        self.stats.reqs.encode(w);
-        self.stats.resps.encode(w);
-        self.stats.refusals.encode(w);
-        self.stats.bytes.encode(w);
-        self.stats.unrouted.encode(w);
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.usize()?;
-        if n != self.ports.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "{}: checkpoint has {n} ports, component has {}",
-                self.name,
-                self.ports.len()
-            )));
-        }
-        for p in &mut self.ports {
-            p.resp.restore(r)?;
-            p.req.restore(r)?;
-            p.busy_until = r.u64()?;
-            p.resp_waiters.restore(r, n)?;
-            p.req_waiters.restore(r, n)?;
-        }
-        self.stats.reqs = Counter::decode(r)?;
-        self.stats.resps = Counter::decode(r)?;
-        self.stats.refusals = Counter::decode(r)?;
-        self.stats.bytes = Counter::decode(r)?;
-        self.stats.unrouted = Counter::decode(r)?;
-        Ok(())
-    }
+    crate::state_fields!(component self;
+        [ports; len] {
+            resp, req, busy_until,
+            resp_waiters: index < self.ports.len(),
+            req_waiters: index < self.ports.len(),
+        },
+        stats.reqs, stats.resps, stats.refusals, stats.bytes, stats.unrouted,
+    );
 }
 
 #[cfg(test)]
@@ -367,6 +335,7 @@ mod tests {
     use super::*;
     use crate::packet::Command;
     use crate::sim::{RunOutcome, Simulation};
+    use crate::snapshot::{SnapshotError, StateReader, StateWriter};
     use crate::testutil::{Requester, Responder};
     use crate::tick::ns;
 

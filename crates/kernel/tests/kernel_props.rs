@@ -76,15 +76,7 @@ impl Component for Refuser {
         self.resp.flush(ctx, PortId(0));
     }
 
-    fn save_state(&self, w: &mut StateWriter) {
-        w.u64(self.offered);
-        self.resp.save(w);
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.offered = r.u64()?;
-        self.resp.restore(r)
-    }
+    pcisim_kernel::state_fields!(component self; offered, resp);
 }
 
 /// Buffer depths of [`fabric`]'s stages.

@@ -17,7 +17,7 @@ use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, Packet};
 use pcisim_kernel::queue::TimedQueue;
 use pcisim_kernel::sim::Ctx;
-use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
+use pcisim_kernel::snapshot::SnapshotError;
 use pcisim_kernel::stats::{Counter, StatsBuilder};
 use pcisim_kernel::tick::Tick;
 
@@ -231,64 +231,58 @@ impl Component for PciHost {
         out.counter("absent_function_accesses", &self.misses);
     }
 
-    fn save_state(&self, w: &mut StateWriter) {
-        self.blocked.save(w);
-        self.reads.encode(w);
-        self.writes.encode(w);
-        self.misses.encode(w);
+    pcisim_kernel::state_fields!(component self;
+        blocked, reads, writes, misses,
         // The host is the single owner of every configuration space in the
         // tree (endpoints and VP2Ps alike register here; routers and AER
         // reporters hold Rc clones), so their register values are saved
-        // exactly once, in ascending BDF order. Write masks are set at
-        // construction time and not saved.
-        let registry = self.registry.borrow();
-        let bdfs = registry.bdfs();
-        w.usize(bdfs.len());
-        for bdf in bdfs {
-            w.u8(bdf.bus);
-            w.u8(bdf.device);
-            w.u8(bdf.function);
-            let cs = registry.lookup(bdf).expect("bdf came from the registry");
-            let cs = cs.borrow();
-            w.bytes(cs.bytes());
+        // exactly once, in ascending BDF order, each checked against the
+        // registry on load. Write masks are set at construction time and
+        // not saved.
+        save(w) {
+            let registry = self.registry.borrow();
+            let bdfs = registry.bdfs();
+            w.usize(bdfs.len());
+            for bdf in bdfs {
+                w.u8(bdf.bus);
+                w.u8(bdf.device);
+                w.u8(bdf.function);
+                let cs = registry.lookup(bdf).expect("bdf came from the registry");
+                let cs = cs.borrow();
+                w.bytes(cs.bytes());
+            }
         }
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.blocked.restore(r)?;
-        self.reads = Counter::decode(r)?;
-        self.writes = Counter::decode(r)?;
-        self.misses = Counter::decode(r)?;
-        let registry = self.registry.borrow();
-        let n = r.usize()?;
-        if n != registry.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "{}: checkpoint has {n} PCI functions, registry has {}",
-                self.name,
-                registry.len()
-            )));
-        }
-        for _ in 0..n {
-            let bus = r.u8()?;
-            let device = r.u8()?;
-            let function = r.u8()?;
-            let image = r.bytes()?;
-            if image.len() != crate::config::CONFIG_SPACE_SIZE {
+        load(r) {
+            let registry = self.registry.borrow();
+            let n = r.usize()?;
+            if n != registry.len() {
                 return Err(SnapshotError::Corrupt(format!(
-                    "config image for {bus:02x}:{device:02x}.{function} is {} bytes",
-                    image.len()
+                    "{}: checkpoint has {n} PCI functions, registry has {}",
+                    self.name,
+                    registry.len()
                 )));
             }
-            let bdf = Bdf::new(bus, device, function);
-            let Some(cs) = registry.lookup(bdf) else {
-                return Err(SnapshotError::Corrupt(format!(
-                    "checkpoint names unregistered PCI function {bdf}"
-                )));
-            };
-            cs.borrow_mut().load_bytes(image);
-        }
-        Ok(())
-    }
+            for _ in 0..n {
+                let bus = r.u8()?;
+                let device = r.u8()?;
+                let function = r.u8()?;
+                let image = r.bytes()?;
+                if device >= 32 || function >= 8 || image.len() != crate::config::CONFIG_SPACE_SIZE {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "config image for {bus:02x}:{device:02x}.{function} is {} bytes",
+                        image.len()
+                    )));
+                }
+                let bdf = Bdf::new(bus, device, function);
+                let Some(cs) = registry.lookup(bdf) else {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "checkpoint names unregistered PCI function {bdf}"
+                    )));
+                };
+                cs.borrow_mut().load_bytes(image);
+            }
+        },
+    );
 }
 
 #[cfg(test)]

@@ -19,7 +19,8 @@
 use std::collections::VecDeque;
 
 use pcisim_kernel::packet::Packet;
-use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
+use pcisim_kernel::snapshot::{SnapshotError, State};
+use pcisim_kernel::state_fields;
 use pcisim_kernel::tick::Tick;
 
 use crate::params::LinkConfig;
@@ -233,61 +234,34 @@ impl ReplayBuffer {
     pub fn has_pending_tx(&self) -> bool {
         self.next_tx < self.entries.len()
     }
-
-    /// Serializes the dynamic state (entries, cursor, sequence counter)
-    /// for a checkpoint. Capacity is construction-time configuration and
-    /// is not written.
-    pub fn encode(&self, w: &mut StateWriter) {
-        w.usize(self.entries.len());
-        for (seq, tick, pkt) in &self.entries {
-            w.u32(*seq);
-            w.u64(*tick);
-            pkt.encode(w);
-        }
-        w.usize(self.next_tx);
-        w.bool(self.replaying);
-        w.u32(self.next_seq);
-    }
-
-    /// Restores state written by [`ReplayBuffer::encode`] into a freshly
-    /// built buffer of the same capacity.
-    pub fn decode_into(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.usize()?;
-        if n > self.capacity {
-            return Err(SnapshotError::Corrupt(format!(
-                "replay buffer holds {n} TLPs but capacity is {}",
-                self.capacity
-            )));
-        }
-        let mut entries = VecDeque::with_capacity(self.capacity);
-        for _ in 0..n {
-            let seq = decode_seq(r)?;
-            let tick = r.u64()?;
-            let pkt = Packet::decode(r)?;
-            entries.push_back((seq, tick, pkt));
-        }
-        self.entries = entries;
-        self.next_tx = r.usize()?;
-        if self.next_tx > self.entries.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "replay cursor {} beyond {} held TLPs",
-                self.next_tx,
-                self.entries.len()
-            )));
-        }
-        self.replaying = r.bool()?;
-        self.next_seq = decode_seq(r)?;
-        Ok(())
-    }
 }
 
-/// Reads a sequence number, rejecting values outside the sequence space.
-fn decode_seq(r: &mut StateReader<'_>) -> Result<u32, SnapshotError> {
-    let seq = r.u32()?;
-    if seq >= SEQ_MODULUS {
-        return Err(SnapshotError::Corrupt(format!("sequence number {seq} exceeds 2^28")));
-    }
-    Ok(seq)
+/// The sequence space as a bound for [`state_fields!`]'s index form.
+const SEQ_SPACE: usize = SEQ_MODULUS as usize;
+
+/// Entries, cursor and sequence counter; the capacity is configuration.
+impl State for ReplayBuffer {
+    state_fields!(state self;
+        entries,
+        // Validation only: the capacity is the fresh build's, and every held
+        // sequence number must lie in the sequence space.
+        save(_w) {}
+        load(_r) {
+            if self.entries.len() > self.capacity {
+                return Err(SnapshotError::Corrupt(format!(
+                    "replay buffer holds {} TLPs but capacity is {}",
+                    self.entries.len(),
+                    self.capacity
+                )));
+            }
+            if let Some((seq, ..)) = self.entries.iter().find(|(seq, ..)| *seq >= SEQ_MODULUS) {
+                return Err(SnapshotError::Corrupt(format!("sequence number {seq} exceeds 2^28")));
+            }
+        },
+        next_tx: index < self.entries.len() + 1,
+        replaying,
+        next_seq: index < SEQ_SPACE,
+    );
 }
 
 /// Sequence comparison modulo [`SEQ_MODULUS`] (window comparison, as the
@@ -339,19 +313,10 @@ impl RxState {
     pub fn last_received(&self) -> Option<u32> {
         self.received_any.then(|| seq_prev(self.next_seq))
     }
+}
 
-    /// Serializes the receiver state for a checkpoint.
-    pub fn encode(&self, w: &mut StateWriter) {
-        w.u32(self.next_seq);
-        w.bool(self.received_any);
-    }
-
-    /// Restores state written by [`RxState::encode`].
-    pub fn decode_into(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.next_seq = decode_seq(r)?;
-        self.received_any = r.bool()?;
-        Ok(())
-    }
+impl State for RxState {
+    state_fields!(state self; next_seq: index < SEQ_SPACE, received_any);
 }
 
 #[cfg(test)]
@@ -378,6 +343,7 @@ mod tests {
     use crate::params::{Generation, LinkConfig, LinkWidth};
     use pcisim_kernel::component::ComponentId;
     use pcisim_kernel::packet::{Command, PacketId};
+    use pcisim_kernel::snapshot::{StateReader, StateWriter};
     use pcisim_kernel::tick::ns;
 
     fn pkt(n: u64) -> Packet {
@@ -575,7 +541,7 @@ mod tests {
         w.u32(SEQ_MODULUS);
         w.bool(true);
         let bytes = w.into_bytes();
-        let err = RxState::new().decode_into(&mut StateReader::new(&bytes)).unwrap_err();
+        let err = RxState::new().load(&mut StateReader::new(&bytes)).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
     }
 }

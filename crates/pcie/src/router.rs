@@ -32,7 +32,8 @@ use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{CompletionStatus, Packet};
 use pcisim_kernel::queue::{TimedQueue, Waiters};
 use pcisim_kernel::sim::Ctx;
-use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
+use pcisim_kernel::snapshot::{Bounded, State};
+use pcisim_kernel::state_fields;
 use pcisim_kernel::stats::{Counter, StatsBuilder};
 use pcisim_kernel::tick::{ns, Tick};
 use pcisim_kernel::trace::{TraceCategory, TraceKind};
@@ -180,7 +181,7 @@ struct RouterStats {
 
 /// One outstanding non-posted request tracked by the completion-timeout
 /// engine at the upstream slave port.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct PendingCompletion {
     timer: EventHandle,
     /// Full clone of the admitted request, kept so a synthesized error
@@ -191,6 +192,17 @@ struct PendingCompletion {
     /// than blaming port 0 for every failure. `None` when no window
     /// claimed the address.
     pair: Option<usize>,
+}
+
+impl State for PendingCompletion {
+    state_fields!(state self; timer, request, pair);
+}
+
+/// The pair names one of the router's downstream VP2Ps.
+impl Bounded for PendingCompletion {
+    fn within(&self, pairs: &usize) -> bool {
+        self.pair.within(pairs)
+    }
 }
 
 /// The shared root-complex / switch component. Construct with
@@ -713,92 +725,18 @@ impl Component for PcieRouter {
         out.counter("late_completions", &self.stats.late_completions);
     }
 
-    fn save_state(&self, w: &mut StateWriter) {
-        w.usize(self.ports.len());
-        for p in &self.ports {
-            p.ingress.save(w);
-            match &p.in_service {
-                Some(pkt) => {
-                    w.bool(true);
-                    pkt.encode(w);
-                }
-                None => w.bool(false),
-            }
-            w.usize(p.service_egress);
-            w.bool(p.service_unrouted);
-            w.bool(p.engine_busy);
-            p.egress.save(w);
-            p.egress_waiters.save(w);
-        }
-        self.stats.requests.encode(w);
-        self.stats.responses.encode(w);
-        self.stats.ingress_refusals.encode(w);
-        self.stats.egress_stalls.encode(w);
-        self.stats.unsupported_requests.encode(w);
-        self.stats.completion_timeouts.encode(w);
-        self.stats.late_completions.encode(w);
-        w.usize(self.pending.len());
-        for (&id, p) in &self.pending {
-            w.u64(id);
-            p.timer.encode(w);
-            p.request.encode(w);
-            w.opt_u64(p.pair.map(|i| i as u64));
-        }
-        w.usize(self.timed_out.len());
-        for &id in &self.timed_out {
-            w.u64(id);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.usize()?;
-        if n != self.ports.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "{}: checkpoint has {n} ports, component has {}",
-                self.name,
-                self.ports.len()
-            )));
-        }
-        for p in &mut self.ports {
-            p.ingress.restore(r)?;
-            p.in_service = if r.bool()? { Some(Packet::decode(r)?) } else { None };
-            p.service_egress = r.usize()?;
-            if p.service_egress >= n {
-                return Err(SnapshotError::Corrupt(format!(
-                    "{}: service egress {} of {n} ports",
-                    self.name, p.service_egress
-                )));
-            }
-            p.service_unrouted = r.bool()?;
-            p.engine_busy = r.bool()?;
-            p.egress.restore(r)?;
-            p.egress_waiters.restore(r, n)?;
-        }
-        self.stats.requests = Counter::decode(r)?;
-        self.stats.responses = Counter::decode(r)?;
-        self.stats.ingress_refusals = Counter::decode(r)?;
-        self.stats.egress_stalls = Counter::decode(r)?;
-        self.stats.unsupported_requests = Counter::decode(r)?;
-        self.stats.completion_timeouts = Counter::decode(r)?;
-        self.stats.late_completions = Counter::decode(r)?;
-        let n_pending = r.usize()?;
-        let mut pending = BTreeMap::new();
-        for _ in 0..n_pending {
-            let id = r.u64()?;
-            let timer = EventHandle::decode(r)?;
-            let request = Packet::decode(r)?;
-            let pair = r.opt_u64()?.map(|i| i as usize);
-            pending.insert(id, PendingCompletion { timer, request, pair });
-        }
-        self.pending = pending;
-        let n_timed_out = r.usize()?;
-        let mut timed_out = BTreeSet::new();
-        for _ in 0..n_timed_out {
-            timed_out.insert(r.u64()?);
-        }
-        self.timed_out = timed_out;
-        Ok(())
-    }
+    state_fields!(component self;
+        [ports; len] {
+            ingress, in_service,
+            service_egress: index < self.ports.len(),
+            service_unrouted, engine_busy, egress,
+            egress_waiters: index < self.ports.len(),
+        },
+        stats.requests, stats.responses, stats.ingress_refusals, stats.egress_stalls,
+        stats.unsupported_requests, stats.completion_timeouts, stats.late_completions,
+        pending: index < self.vp2ps.len(),
+        timed_out,
+    );
 }
 
 #[cfg(test)]
@@ -807,6 +745,7 @@ mod tests {
     use pcisim_kernel::addr::AddrRange;
     use pcisim_kernel::packet::Command;
     use pcisim_kernel::sim::{RunOutcome, Simulation};
+    use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
     use pcisim_kernel::testutil::{Requester, Responder, REQUESTER_PORT, RESPONDER_PORT};
     use pcisim_pci::header::{program_io_window, program_memory_window};
     use pcisim_pci::regs::type1;
@@ -1444,6 +1383,12 @@ mod tests {
         assert!(matches!(service, Err(SnapshotError::Corrupt(_))), "{service:?}");
         let waiter = restore_after(|rc| rc.ports[2].egress_waiters.add(PortId(6)));
         assert!(matches!(waiter, Err(SnapshotError::Corrupt(_))), "{waiter:?}");
+        // ... and a pending completion's pair is one of the two VP2Ps.
+        let pair = restore_after(|rc| {
+            rc.pending
+                .insert(1, PendingCompletion { pair: Some(2), ..PendingCompletion::default() });
+        });
+        assert!(matches!(pair, Err(SnapshotError::Corrupt(_))), "{pair:?}");
     }
 
     #[test]

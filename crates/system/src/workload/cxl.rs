@@ -14,13 +14,11 @@ use std::rc::Rc;
 
 use pcisim_kernel::addr::AddrRange;
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
-use pcisim_kernel::packet::{
-    decode_packet_queue, encode_packet_queue, Command, CompletionStatus, Packet,
-};
+use pcisim_kernel::packet::{Command, CompletionStatus, Packet};
 use pcisim_kernel::sim::Ctx;
-use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
 use pcisim_kernel::stats::StatsBuilder;
 use pcisim_kernel::tick::{ns, to_ns, Tick, TICKS_PER_SEC};
+use pcisim_kernel::{snapshot, state_fields};
 
 use crate::platform;
 use crate::topology::{EndpointHandle, EndpointKind};
@@ -170,6 +168,10 @@ impl CxlHostReport {
 
 /// Shared handle to a [`CxlHostReport`].
 pub type CxlHostReportHandle = Rc<RefCell<CxlHostReport>>;
+
+impl snapshot::State for CxlHostReport {
+    state_fields!(state self; issued, completed, bytes, stalls, start, end, done, latencies);
+}
 
 /// Open-loop issue slot.
 const K_SLOT: u32 = 0;
@@ -456,59 +458,7 @@ impl Component for CxlHostApp {
         out.scalar("mean_latency_ns", r.mean_ns());
     }
 
-    fn save_state(&self, w: &mut StateWriter) {
-        w.u8(self.phase);
-        w.u32(self.setup_next);
-        w.u64(self.seq);
-        w.u64(self.chase_addr);
-        w.usize(self.in_flight.len());
-        for (&id, &t) in &self.in_flight {
-            w.u64(id);
-            w.u64(t);
-        }
-        encode_packet_queue(w, &self.pending);
-        let r = self.report.borrow();
-        w.u64(r.issued);
-        w.u64(r.completed);
-        w.u64(r.bytes);
-        w.u64(r.stalls);
-        w.opt_u64(r.start);
-        w.opt_u64(r.end);
-        w.bool(r.done);
-        w.usize(r.latencies.len());
-        for &t in &r.latencies {
-            w.u64(t);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.phase = r.u8()?;
-        self.setup_next = r.u32()?;
-        self.seq = r.u64()?;
-        self.chase_addr = r.u64()?;
-        let n = r.usize()?;
-        self.in_flight.clear();
-        for _ in 0..n {
-            let id = r.u64()?;
-            let t = r.u64()?;
-            self.in_flight.insert(id, t);
-        }
-        self.pending = decode_packet_queue(r)?;
-        let mut rep = self.report.borrow_mut();
-        rep.issued = r.u64()?;
-        rep.completed = r.u64()?;
-        rep.bytes = r.u64()?;
-        rep.stalls = r.u64()?;
-        rep.start = r.opt_u64()?;
-        rep.end = r.opt_u64()?;
-        rep.done = r.bool()?;
-        let n = r.usize()?;
-        rep.latencies = Vec::with_capacity(n.min(65536));
-        for _ in 0..n {
-            rep.latencies.push(r.u64()?);
-        }
-        Ok(())
-    }
+    state_fields!(component self; phase, setup_next, seq, chase_addr, in_flight, pending, report);
 }
 
 #[cfg(test)]

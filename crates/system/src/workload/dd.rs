@@ -15,9 +15,9 @@ use pcisim_devices::ide::{regs, CMD_READ_DMA};
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, Packet};
 use pcisim_kernel::sim::Ctx;
-use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
 use pcisim_kernel::stats::StatsBuilder;
 use pcisim_kernel::tick::{gbps, ns, us, Tick};
+use pcisim_kernel::{snapshot, state_enum, state_fields};
 
 use crate::platform;
 use crate::topology::{EndpointHandle, EndpointKind};
@@ -108,6 +108,10 @@ impl DdReport {
 /// Shared handle to a [`DdReport`].
 pub type DdReportHandle = Rc<RefCell<DdReport>>;
 
+impl snapshot::State for DdReport {
+    state_fields!(state self; done, bytes, start, end, commands);
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
     Setup,
@@ -120,6 +124,18 @@ enum State {
     RequestGap,
     Done,
 }
+
+state_enum!(State {
+    Setup = 0,
+    WriteSectorCount = 1,
+    WriteAddrLo = 2,
+    WriteAddrHi = 3,
+    WriteCommand = 4,
+    WaitIrq = 5,
+    AckIrq = 6,
+    RequestGap = 7,
+    Done = 8,
+});
 
 const K_STEP: u32 = 0;
 
@@ -291,65 +307,9 @@ impl Component for DdApp {
         out.scalar("throughput_gbps", r.throughput_gbps());
     }
 
-    fn save_state(&self, w: &mut StateWriter) {
-        w.u8(match self.state {
-            State::Setup => 0,
-            State::WriteSectorCount => 1,
-            State::WriteAddrLo => 2,
-            State::WriteAddrHi => 3,
-            State::WriteCommand => 4,
-            State::WaitIrq => 5,
-            State::AckIrq => 6,
-            State::RequestGap => 7,
-            State::Done => 8,
-        });
-        w.u32(self.blocks_left);
-        w.u64(self.sectors_left_in_block);
-        w.u32(self.cur_request_sectors);
-        let r = self.report.borrow();
-        w.bool(r.done);
-        w.u64(r.bytes);
-        w.u64(r.start);
-        w.u64(r.end);
-        w.u64(r.commands);
-        match &self.stalled {
-            Some(pkt) => {
-                w.bool(true);
-                pkt.encode(w);
-            }
-            None => w.bool(false),
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.state = match r.u8()? {
-            0 => State::Setup,
-            1 => State::WriteSectorCount,
-            2 => State::WriteAddrLo,
-            3 => State::WriteAddrHi,
-            4 => State::WriteCommand,
-            5 => State::WaitIrq,
-            6 => State::AckIrq,
-            7 => State::RequestGap,
-            8 => State::Done,
-            other => {
-                return Err(SnapshotError::Corrupt(format!("unknown dd state {other}")));
-            }
-        };
-        self.blocks_left = r.u32()?;
-        self.sectors_left_in_block = r.u64()?;
-        self.cur_request_sectors = r.u32()?;
-        {
-            let mut rep = self.report.borrow_mut();
-            rep.done = r.bool()?;
-            rep.bytes = r.u64()?;
-            rep.start = r.u64()?;
-            rep.end = r.u64()?;
-            rep.commands = r.u64()?;
-        }
-        self.stalled = if r.bool()? { Some(Packet::decode(r)?) } else { None };
-        Ok(())
-    }
+    state_fields!(component self;
+        state, blocks_left, sectors_left_in_block, cur_request_sectors, report, stalled,
+    );
 }
 
 #[cfg(test)]

@@ -13,9 +13,9 @@ use std::rc::Rc;
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, Packet};
 use pcisim_kernel::sim::Ctx;
-use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
 use pcisim_kernel::stats::StatsBuilder;
 use pcisim_kernel::tick::{to_ns, us, Tick};
+use pcisim_kernel::{snapshot, state_fields};
 
 use crate::topology::{EndpointHandle, EndpointKind};
 use crate::workload::{Attached, Workload};
@@ -90,6 +90,10 @@ impl MmioReport {
 
 /// Shared handle to an [`MmioReport`].
 pub type MmioReportHandle = Rc<RefCell<MmioReport>>;
+
+impl snapshot::State for MmioReport {
+    state_fields!(state self; done, latencies);
+}
 
 const K_ISSUE: u32 = 0;
 
@@ -167,29 +171,7 @@ impl Component for MmioProbe {
         out.scalar("mean_latency_ns", r.mean_ns());
     }
 
-    fn save_state(&self, w: &mut StateWriter) {
-        w.u32(self.remaining);
-        w.opt_u64(self.issued_at);
-        let r = self.report.borrow();
-        w.bool(r.done);
-        w.usize(r.latencies.len());
-        for &t in &r.latencies {
-            w.u64(t);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.remaining = r.u32()?;
-        self.issued_at = r.opt_u64()?;
-        let mut rep = self.report.borrow_mut();
-        rep.done = r.bool()?;
-        let n = r.usize()?;
-        rep.latencies = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            rep.latencies.push(r.u64()?);
-        }
-        Ok(())
-    }
+    state_fields!(component self; remaining, issued_at, report);
 }
 
 #[cfg(test)]

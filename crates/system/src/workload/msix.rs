@@ -22,9 +22,10 @@ use pcisim_devices::nic::{
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, Packet};
 use pcisim_kernel::sim::Ctx;
-use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
+use pcisim_kernel::snapshot;
 use pcisim_kernel::stats::StatsBuilder;
 use pcisim_kernel::tick::{gbps, ns, us, Tick};
+use pcisim_kernel::{state_enum, state_fields};
 use pcisim_pci::caps::msix;
 
 use crate::topology::{EndpointHandle, EndpointKind};
@@ -161,12 +162,18 @@ impl MsixTxReport {
 /// Shared handle to an [`MsixTxReport`].
 pub type MsixTxReportHandle = Rc<RefCell<MsixTxReport>>;
 
+impl snapshot::State for MsixTxReport {
+    state_fields!(state self; done, frames, bytes, start, end, irqs, [per_queue_frames]);
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
     Setup(usize),
     Run,
     Done,
 }
+
+state_enum!(State { Setup(step) = 0, Run = 1, Done = 2 });
 
 const K_STEP: u32 = 0;
 const K_POST: u32 = 1;
@@ -432,70 +439,9 @@ impl Component for MsixTxApp {
         out.scalar("irqs", r.irqs as f64);
     }
 
-    fn save_state(&self, w: &mut StateWriter) {
-        match self.state {
-            State::Setup(n) => {
-                w.u8(0);
-                w.usize(n);
-            }
-            State::Run => w.u8(1),
-            State::Done => w.u8(2),
-        }
-        for q in &self.queues {
-            w.u32(q.posted);
-            w.u32(q.completed);
-            w.u32(q.tail);
-            w.u32(q.last_head);
-            w.bool(q.reading);
-            w.bool(q.posting);
-        }
-        let r = self.report.borrow();
-        w.bool(r.done);
-        w.u64(r.frames);
-        w.u64(r.bytes);
-        w.u64(r.start);
-        w.u64(r.end);
-        w.u64(r.irqs);
-        for &f in &r.per_queue_frames {
-            w.u64(f);
-        }
-        w.usize(self.stalled.len());
-        for pkt in &self.stalled {
-            pkt.encode(w);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.state = match r.u8()? {
-            0 => State::Setup(r.usize()?),
-            1 => State::Run,
-            2 => State::Done,
-            other => {
-                return Err(SnapshotError::Corrupt(format!("unknown msix-tx state {other}")));
-            }
-        };
-        for q in &mut self.queues {
-            q.posted = r.u32()?;
-            q.completed = r.u32()?;
-            q.tail = r.u32()?;
-            q.last_head = r.u32()?;
-            q.reading = r.bool()?;
-            q.posting = r.bool()?;
-        }
-        {
-            let mut rep = self.report.borrow_mut();
-            rep.done = r.bool()?;
-            rep.frames = r.u64()?;
-            rep.bytes = r.u64()?;
-            rep.start = r.u64()?;
-            rep.end = r.u64()?;
-            rep.irqs = r.u64()?;
-            for f in rep.per_queue_frames.iter_mut() {
-                *f = r.u64()?;
-            }
-        }
-        let stalled = r.usize()?;
-        self.stalled = (0..stalled).map(|_| Packet::decode(r)).collect::<Result<_, _>>()?;
-        Ok(())
-    }
+    state_fields!(component self;
+        state,
+        [queues] { posted, completed, tail, last_head, reading, posting },
+        report, stalled,
+    );
 }

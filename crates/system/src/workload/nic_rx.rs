@@ -14,9 +14,10 @@ use pcisim_devices::nic::{regs, INT_RXT0};
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, Packet};
 use pcisim_kernel::sim::Ctx;
-use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
+use pcisim_kernel::snapshot;
 use pcisim_kernel::stats::StatsBuilder;
 use pcisim_kernel::tick::{gbps, ns, Tick};
+use pcisim_kernel::{state_enum, state_fields};
 
 use crate::topology::{EndpointHandle, EndpointKind};
 use crate::workload::{Attached, Workload};
@@ -89,6 +90,10 @@ impl NicRxReport {
 /// Shared handle to a [`NicRxReport`].
 pub type NicRxReportHandle = Rc<RefCell<NicRxReport>>;
 
+impl snapshot::State for NicRxReport {
+    state_fields!(state self; done, frames, bytes, start, end);
+}
+
 const K_STEP: u32 = 0;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,6 +102,8 @@ enum State {
     Receiving,
     Done,
 }
+
+state_enum!(State { Setup(step) = 0, Receiving = 1, Done = 2 });
 
 /// The receive-side driver + application component.
 pub struct NicRxApp {
@@ -230,54 +237,7 @@ impl Component for NicRxApp {
         out.scalar("done", f64::from(u8::from(r.done)));
     }
 
-    fn save_state(&self, w: &mut StateWriter) {
-        match self.state {
-            State::Setup(n) => {
-                w.u8(0);
-                w.usize(n);
-            }
-            State::Receiving => w.u8(1),
-            State::Done => w.u8(2),
-        }
-        w.u32(self.tail);
-        w.u32(self.frames_seen);
-        let r = self.report.borrow();
-        w.bool(r.done);
-        w.u64(r.frames);
-        w.u64(r.bytes);
-        w.u64(r.start);
-        w.u64(r.end);
-        match &self.stalled {
-            Some(pkt) => {
-                w.bool(true);
-                pkt.encode(w);
-            }
-            None => w.bool(false),
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.state = match r.u8()? {
-            0 => State::Setup(r.usize()?),
-            1 => State::Receiving,
-            2 => State::Done,
-            other => {
-                return Err(SnapshotError::Corrupt(format!("unknown nic-rx state {other}")));
-            }
-        };
-        self.tail = r.u32()?;
-        self.frames_seen = r.u32()?;
-        {
-            let mut rep = self.report.borrow_mut();
-            rep.done = r.bool()?;
-            rep.frames = r.u64()?;
-            rep.bytes = r.u64()?;
-            rep.start = r.u64()?;
-            rep.end = r.u64()?;
-        }
-        self.stalled = if r.bool()? { Some(Packet::decode(r)?) } else { None };
-        Ok(())
-    }
+    state_fields!(component self; state, tail, frames_seen, report, stalled);
 }
 
 #[cfg(test)]

@@ -14,9 +14,10 @@ use pcisim_devices::nic::{regs, INT_TXDW};
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, Packet};
 use pcisim_kernel::sim::Ctx;
-use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
+use pcisim_kernel::snapshot;
 use pcisim_kernel::stats::StatsBuilder;
 use pcisim_kernel::tick::{gbps, ns, us, Tick};
+use pcisim_kernel::{state_enum, state_fields};
 
 use crate::topology::{EndpointHandle, EndpointKind};
 use crate::workload::{Attached, Workload};
@@ -107,6 +108,10 @@ impl NicTxReport {
 /// Shared handle to a [`NicTxReport`].
 pub type NicTxReportHandle = Rc<RefCell<NicTxReport>>;
 
+impl snapshot::State for NicTxReport {
+    state_fields!(state self; done, frames, bytes, start, end);
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
     Setup(usize),
@@ -115,6 +120,8 @@ enum State {
     BatchGap,
     Done,
 }
+
+state_enum!(State { Setup(step) = 0, PostBatch = 1, WaitIrqs = 2, BatchGap = 3, Done = 4 });
 
 const K_STEP: u32 = 0;
 
@@ -272,60 +279,9 @@ impl Component for NicTxApp {
         out.scalar("throughput_gbps", r.throughput_gbps());
     }
 
-    fn save_state(&self, w: &mut StateWriter) {
-        match self.state {
-            State::Setup(n) => {
-                w.u8(0);
-                w.usize(n);
-            }
-            State::PostBatch => w.u8(1),
-            State::WaitIrqs => w.u8(2),
-            State::BatchGap => w.u8(3),
-            State::Done => w.u8(4),
-        }
-        w.u32(self.tail);
-        w.u32(self.frames_posted);
-        w.u32(self.irqs_outstanding);
-        let r = self.report.borrow();
-        w.bool(r.done);
-        w.u64(r.frames);
-        w.u64(r.bytes);
-        w.u64(r.start);
-        w.u64(r.end);
-        match &self.stalled {
-            Some(pkt) => {
-                w.bool(true);
-                pkt.encode(w);
-            }
-            None => w.bool(false),
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.state = match r.u8()? {
-            0 => State::Setup(r.usize()?),
-            1 => State::PostBatch,
-            2 => State::WaitIrqs,
-            3 => State::BatchGap,
-            4 => State::Done,
-            other => {
-                return Err(SnapshotError::Corrupt(format!("unknown nic-tx state {other}")));
-            }
-        };
-        self.tail = r.u32()?;
-        self.frames_posted = r.u32()?;
-        self.irqs_outstanding = r.u32()?;
-        {
-            let mut rep = self.report.borrow_mut();
-            rep.done = r.bool()?;
-            rep.frames = r.u64()?;
-            rep.bytes = r.u64()?;
-            rep.start = r.u64()?;
-            rep.end = r.u64()?;
-        }
-        self.stalled = if r.bool()? { Some(Packet::decode(r)?) } else { None };
-        Ok(())
-    }
+    state_fields!(component self;
+        state, tail, frames_posted, irqs_outstanding, report, stalled,
+    );
 }
 
 #[cfg(test)]

@@ -22,9 +22,10 @@ use pcisim_devices::nic::regs;
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, Packet};
 use pcisim_kernel::sim::Ctx;
-use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
+use pcisim_kernel::snapshot;
 use pcisim_kernel::stats::StatsBuilder;
 use pcisim_kernel::tick::{gbps, ns, to_seconds, us, Tick};
+use pcisim_kernel::{state_enum, state_fields};
 
 use crate::topology::{EndpointHandle, EndpointKind};
 use crate::workload::{Attached, Workload};
@@ -145,6 +146,12 @@ impl PmdReport {
 /// Shared handle to a [`PmdReport`].
 pub type PmdReportHandle = Rc<RefCell<PmdReport>>;
 
+impl snapshot::State for PmdReport {
+    state_fields!(state self;
+        done, tx_frames, tx_bytes, rx_frames, rx_bytes, rx_dropped, polls, start, end,
+    );
+}
+
 const K_STEP: u32 = 0;
 const K_POLL: u32 = 1;
 /// Zero-delay deferral: ring-head responses arrive nested inside the NIC's
@@ -162,6 +169,8 @@ enum State {
     /// Both directions drained; no further polls.
     Done,
 }
+
+state_enum!(State { Setup(step) = 0, Sleeping = 1, Awaiting = 2, Done = 3 });
 
 /// The poll-mode driver + application component.
 pub struct PmdApp {
@@ -512,95 +521,12 @@ impl Component for PmdApp {
         out.scalar("done", f64::from(u8::from(r.done)));
     }
 
-    fn save_state(&self, w: &mut StateWriter) {
-        match self.state {
-            State::Setup(n) => {
-                w.u8(0);
-                w.usize(n);
-            }
-            State::Sleeping => w.u8(1),
-            State::Awaiting => w.u8(2),
-            State::Done => w.u8(3),
-        }
-        for q in 0..self.config.queues as usize {
-            w.u32(self.tx_head[q]);
-            w.u32(self.tx_tail[q]);
-            w.u32(self.tx_inflight[q]);
-            w.u32(self.rx_head[q]);
-            w.u32(self.rx_tail[q]);
-            w.u32(self.tdh_stage[q]);
-            w.u32(self.rdh_stage[q]);
-        }
-        w.bool(self.tx_polled);
-        w.u32(self.tx_remaining);
-        w.u64(self.rx_consumed);
-        w.u32(self.gprc);
-        w.u32(self.mpc);
-        w.u32(self.gorc_lo);
-        w.u32(self.gorc_hi);
-        w.u32(self.outstanding);
-        w.bool(self.progressed);
-        let r = self.report.borrow();
-        w.bool(r.done);
-        w.u64(r.tx_frames);
-        w.u64(r.tx_bytes);
-        w.u64(r.rx_frames);
-        w.u64(r.rx_bytes);
-        w.u64(r.rx_dropped);
-        w.u64(r.polls);
-        w.u64(r.start);
-        w.u64(r.end);
-        w.usize(self.pending.len());
-        for pkt in &self.pending {
-            pkt.encode(w);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.state = match r.u8()? {
-            0 => State::Setup(r.usize()?),
-            1 => State::Sleeping,
-            2 => State::Awaiting,
-            3 => State::Done,
-            other => return Err(SnapshotError::Corrupt(format!("unknown pmd state {other}"))),
-        };
-        for q in 0..self.config.queues as usize {
-            self.tx_head[q] = r.u32()?;
-            self.tx_tail[q] = r.u32()?;
-            self.tx_inflight[q] = r.u32()?;
-            self.rx_head[q] = r.u32()?;
-            self.rx_tail[q] = r.u32()?;
-            self.tdh_stage[q] = r.u32()?;
-            self.rdh_stage[q] = r.u32()?;
-        }
-        self.tx_polled = r.bool()?;
-        self.tx_remaining = r.u32()?;
-        self.rx_consumed = r.u64()?;
-        self.gprc = r.u32()?;
-        self.mpc = r.u32()?;
-        self.gorc_lo = r.u32()?;
-        self.gorc_hi = r.u32()?;
-        self.outstanding = r.u32()?;
-        self.progressed = r.bool()?;
-        {
-            let mut rep = self.report.borrow_mut();
-            rep.done = r.bool()?;
-            rep.tx_frames = r.u64()?;
-            rep.tx_bytes = r.u64()?;
-            rep.rx_frames = r.u64()?;
-            rep.rx_bytes = r.u64()?;
-            rep.rx_dropped = r.u64()?;
-            rep.polls = r.u64()?;
-            rep.start = r.u64()?;
-            rep.end = r.u64()?;
-        }
-        let n = r.usize()?;
-        self.pending.clear();
-        for _ in 0..n {
-            self.pending.push_back(Packet::decode(r)?);
-        }
-        Ok(())
-    }
+    state_fields!(component self;
+        state,
+        [tx_head, tx_tail, tx_inflight, rx_head, rx_tail, tdh_stage, rdh_stage],
+        tx_polled, tx_remaining, rx_consumed, gprc, mpc, gorc_lo, gorc_hi, outstanding,
+        progressed, report, pending,
+    );
 }
 
 #[cfg(test)]

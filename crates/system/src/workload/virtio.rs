@@ -30,7 +30,8 @@ use pcisim_devices::virtio::{
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, Packet};
 use pcisim_kernel::sim::Ctx;
-use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
+use pcisim_kernel::snapshot::{self, SnapshotError, StateReader, StateWriter};
+use pcisim_kernel::state_fields;
 use pcisim_kernel::stats::StatsBuilder;
 use pcisim_kernel::tick::{gbps, ns, us, Tick};
 use pcisim_pci::caps::msix;
@@ -175,6 +176,12 @@ impl VirtioReport {
 /// Shared handle to a [`VirtioReport`].
 pub type VirtioReportHandle = Rc<RefCell<VirtioReport>>;
 
+impl snapshot::State for VirtioReport {
+    state_fields!(state self;
+        done, requests, bytes, start, end, irqs, lat_sum, lat_min, lat_max,
+    );
+}
+
 /// One micro-op of the driver's serialized MMIO/DRAM program. The
 /// engine issues one at a time and advances on its completion, which is
 /// how a CPU core doing uncached device writes behaves.
@@ -190,6 +197,42 @@ enum Op {
     MarkStart,
     /// Doorbell acknowledged: stamp the submission tick for latency.
     MarkSubmitted,
+}
+
+/// A blank a checkpoint loads a queued op into.
+impl Default for Op {
+    fn default() -> Self {
+        Op::ReadIsr
+    }
+}
+
+/// A tag byte, then `Write`'s address and data.
+impl snapshot::State for Op {
+    fn save(&self, w: &mut StateWriter) {
+        match self {
+            Op::Write { addr, data } => {
+                w.u8(0);
+                w.u64(*addr);
+                w.bytes(data);
+            }
+            Op::ReadIsr => w.u8(1),
+            Op::ReadUsedIdx => w.u8(2),
+            Op::MarkStart => w.u8(3),
+            Op::MarkSubmitted => w.u8(4),
+        }
+    }
+
+    fn load(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        *self = match r.u8()? {
+            0 => Op::Write { addr: r.u64()?, data: r.bytes()?.to_vec() },
+            1 => Op::ReadIsr,
+            2 => Op::ReadUsedIdx,
+            3 => Op::MarkStart,
+            4 => Op::MarkSubmitted,
+            other => return Err(SnapshotError::Corrupt(format!("unknown virtio op {other}"))),
+        };
+        Ok(())
+    }
 }
 
 const K_STEP: u32 = 0;
@@ -623,87 +666,8 @@ impl Component for VirtioApp {
         out.scalar("mean_latency_ns", r.mean_latency());
     }
 
-    fn save_state(&self, w: &mut StateWriter) {
-        w.usize(self.ops.len());
-        for op in &self.ops {
-            match op {
-                Op::Write { addr, data } => {
-                    w.u8(0);
-                    w.u64(*addr);
-                    w.bytes(data);
-                }
-                Op::ReadIsr => w.u8(1),
-                Op::ReadUsedIdx => w.u8(2),
-                Op::MarkStart => w.u8(3),
-                Op::MarkSubmitted => w.u8(4),
-            }
-        }
-        w.bool(self.inflight);
-        w.bool(self.used_check_queued);
-        w.u32(self.issued);
-        w.u32(self.completed);
-        w.u16(self.avail_idx);
-        w.u16(self.last_used);
-        w.usize(self.submit_ticks.len());
-        for &t in &self.submit_ticks {
-            w.u64(t);
-        }
-        let r = self.report.borrow();
-        w.bool(r.done);
-        w.u64(r.requests);
-        w.u64(r.bytes);
-        w.u64(r.start);
-        w.u64(r.end);
-        w.u64(r.irqs);
-        w.u64(r.lat_sum);
-        w.u64(r.lat_min);
-        w.u64(r.lat_max);
-        match &self.stalled {
-            Some(pkt) => {
-                w.bool(true);
-                pkt.encode(w);
-            }
-            None => w.bool(false),
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let ops = r.usize()?;
-        self.ops = (0..ops)
-            .map(|_| {
-                Ok(match r.u8()? {
-                    0 => Op::Write { addr: r.u64()?, data: r.bytes()?.to_vec() },
-                    1 => Op::ReadIsr,
-                    2 => Op::ReadUsedIdx,
-                    3 => Op::MarkStart,
-                    4 => Op::MarkSubmitted,
-                    other => {
-                        return Err(SnapshotError::Corrupt(format!("unknown virtio op {other}")));
-                    }
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        self.inflight = r.bool()?;
-        self.used_check_queued = r.bool()?;
-        self.issued = r.u32()?;
-        self.completed = r.u32()?;
-        self.avail_idx = r.u16()?;
-        self.last_used = r.u16()?;
-        let ticks = r.usize()?;
-        self.submit_ticks = (0..ticks).map(|_| r.u64()).collect::<Result<_, _>>()?;
-        {
-            let mut rep = self.report.borrow_mut();
-            rep.done = r.bool()?;
-            rep.requests = r.u64()?;
-            rep.bytes = r.u64()?;
-            rep.start = r.u64()?;
-            rep.end = r.u64()?;
-            rep.irqs = r.u64()?;
-            rep.lat_sum = r.u64()?;
-            rep.lat_min = r.u64()?;
-            rep.lat_max = r.u64()?;
-        }
-        self.stalled = if r.bool()? { Some(Packet::decode(r)?) } else { None };
-        Ok(())
-    }
+    state_fields!(component self;
+        ops, inflight, used_check_queued, issued, completed, avail_idx, last_used, submit_ticks,
+        report, stalled,
+    );
 }

@@ -17,7 +17,7 @@ use pcisim::devices::ide::IdeDiskConfig;
 use pcisim::devices::nic::NicConfig;
 use pcisim::kernel::packet::Command;
 use pcisim::kernel::sim::{RunOutcome, Simulation};
-use pcisim::kernel::snapshot::{SnapshotError, StateReader, StateWriter, SNAPSHOT_VERSION};
+use pcisim::kernel::snapshot::{SnapshotError, State, StateReader, StateWriter, SNAPSHOT_VERSION};
 use pcisim::kernel::testutil::{Requester, Responder, REQUESTER_PORT, RESPONDER_PORT};
 use pcisim::kernel::tick::{us, Tick, TICKS_PER_SEC};
 use pcisim::kernel::trace::{TraceCategory, TraceLog};
@@ -194,7 +194,7 @@ proptest! {
                 4 => w.usize(v as usize),
                 5 => w.bool(v & 1 == 1),
                 6 => w.f64(f64::from_bits(v)),
-                7 => w.opt_u64((v & 1 == 1).then_some(v)),
+                7 => (v & 1 == 1).then_some(v).save(&mut w),
                 8 => w.str(&format!("s{v:x}")),
                 _ => w.bytes(&v.to_le_bytes()[..(v % 9) as usize]),
             }
@@ -210,7 +210,7 @@ proptest! {
                 4 => prop_assert_eq!(r.usize().unwrap(), v as usize),
                 5 => prop_assert_eq!(r.bool().unwrap(), v & 1 == 1),
                 6 => prop_assert_eq!(r.f64().unwrap().to_bits(), v),
-                7 => prop_assert_eq!(r.opt_u64().unwrap(), (v & 1 == 1).then_some(v)),
+                7 => prop_assert_eq!(Option::<u64>::read(&mut r).unwrap(), (v & 1 == 1).then_some(v)),
                 8 => prop_assert_eq!(r.str().unwrap(), format!("s{v:x}")),
                 _ => prop_assert_eq!(r.bytes().unwrap(), &v.to_le_bytes()[..(v % 9) as usize]),
             }
@@ -228,7 +228,7 @@ proptest! {
         let _ = r.bool();
         let _ = r.u16();
         let _ = r.u32();
-        let _ = r.opt_u64();
+        let _ = Option::<u64>::read(&mut r);
         let _ = r.f64();
         let _ = r.str();
         let _ = r.bytes();
