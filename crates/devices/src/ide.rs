@@ -318,7 +318,6 @@ impl Component for IdeDisk {
                 self.pio.flush(ctx, IDE_PIO_PORT);
             }
             Event::DelayedPacket { tag, .. } => panic!("{}: unknown tag {tag}", self.name),
-            Event::StampedPacket { .. } => panic!("{}: unexpected stamped packet", self.name),
         }
     }
 

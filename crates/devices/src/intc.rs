@@ -124,7 +124,6 @@ impl Component for InterruptController {
                     None => self.spurious.inc(),
                 }
             }
-            Event::StampedPacket { .. } => panic!("{}: unexpected stamped packet", self.name),
             Event::DelayedPacket { pkt, .. } => {
                 // A refused completion retries after a short backoff rather
                 // than holding component state.

@@ -59,7 +59,8 @@ impl MsixBlock {
         Self { config_space, table_offset, pba_offset, table, pba: 0, sent: Counter::default() }
     }
 
-    fn vectors(&self) -> u16 {
+    /// The table size: 0 for a function without functional MSI-X.
+    pub(crate) fn vectors(&self) -> u16 {
         (self.table.len() / 4) as u16
     }
 

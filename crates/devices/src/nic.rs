@@ -932,7 +932,6 @@ impl Component for Nic {
                 self.pio.flush(ctx, NIC_PIO_PORT);
             }
             Event::DelayedPacket { tag, .. } => panic!("{}: unknown tag {tag}", self.name),
-            Event::StampedPacket { .. } => panic!("{}: unexpected stamped packet", self.name),
         }
     }
 

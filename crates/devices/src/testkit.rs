@@ -102,18 +102,30 @@ impl Component for Gate {
 }
 
 /// Scripted guest: issues its 4-byte MMIO writes to `bar0 + offset` at
-/// t = 0 and, to exercise a device's blocked-response path, refuses the
-/// first `refuse_responses` completions for 300 ns each.
+/// t = 0, then its 4-byte reads, and, to exercise a device's
+/// blocked-response path, refuses the first `refuse_responses`
+/// completions for 300 ns each.
 pub(crate) struct Guest {
     pub bar0: u64,
     pub writes: Vec<(u64, u32)>,
+    /// Offsets read after the writes.
+    pub reads: Vec<u64>,
+    /// The values the reads returned, in completion order.
+    pub read_back: Rc<RefCell<Vec<u32>>>,
     pub refuse_responses: u32,
     sent: bool,
 }
 
 impl Guest {
     pub fn new(bar0: u64, writes: Vec<(u64, u32)>) -> Self {
-        Self { bar0, writes, refuse_responses: 0, sent: false }
+        Self {
+            bar0,
+            writes,
+            reads: Vec::new(),
+            read_back: Rc::default(),
+            refuse_responses: 0,
+            sent: false,
+        }
     }
 }
 
@@ -137,6 +149,12 @@ impl Component for Guest {
                         .with_payload(value.to_le_bytes().to_vec());
                     ctx.try_send_request(PortId(0), pkt).expect("devices accept MMIO");
                 }
+                for &offset in &self.reads {
+                    let id = ctx.alloc_packet_id();
+                    let pkt =
+                        Packet::request(id, Command::ReadReq, self.bar0 + offset, 4, ctx.self_id());
+                    ctx.try_send_request(PortId(0), pkt).expect("devices accept MMIO");
+                }
             }
             Event::Timer { kind: 1, .. } => ctx.send_retry(PortId(0)),
             other => panic!("guest: unexpected {other:?}"),
@@ -145,6 +163,10 @@ impl Component for Guest {
 
     fn recv_response(&mut self, ctx: &mut Ctx<'_>, _port: PortId, pkt: Packet) -> RecvResult {
         if self.refuse_responses == 0 {
+            if let Some(data) = pkt.payload().filter(|_| pkt.cmd() == Command::ReadResp) {
+                let value = u32::from_le_bytes(data[..4].try_into().expect("4-byte read"));
+                self.read_back.borrow_mut().push(value);
+            }
             return RecvResult::Accepted;
         }
         self.refuse_responses -= 1;

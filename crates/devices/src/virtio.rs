@@ -552,8 +552,6 @@ struct Virtqueue {
     head: u16,
     /// Parsed descriptors of the chain in flight.
     chain: Vec<Desc>,
-    /// Next descriptor index to fetch, when following a chain.
-    next_desc: u16,
     /// Staging buffer for device-readable bytes.
     staging: Vec<u8>,
     /// Outstanding payload-read chunks.
@@ -578,7 +576,6 @@ impl Virtqueue {
             broken: false,
             head: 0,
             chain: Vec::new(),
-            next_desc: 0,
             staging: Vec::new(),
             payload_pending: 0,
             used_len: 0,
@@ -821,14 +818,15 @@ impl Virtio {
                     }
                 }
             }
-            common::CONFIG_MSIX_VECTOR => self.config_msix_vector = value,
+            common::CONFIG_MSIX_VECTOR => self.config_msix_vector = self.checked_vector(value),
             common::QUEUE_SELECT => self.queue_select = value,
             // Everything else addresses the selected queue; writes with
             // no queue selected are dropped.
             _ => {
+                let vector = self.checked_vector(value);
                 let Some(vq) = self.selected().map(|q| &mut self.queues[q]) else { return };
                 match offset {
-                    common::QUEUE_MSIX_VECTOR => vq.msix_vector = value,
+                    common::QUEUE_MSIX_VECTOR => vq.msix_vector = vector,
                     common::QUEUE_ENABLE => vq.enable = value & 1 != 0,
                     common::QUEUE_DESC_LO => set_lo32(&mut vq.desc, value),
                     common::QUEUE_DESC_HI => set_hi32(&mut vq.desc, value),
@@ -839,6 +837,18 @@ impl Virtio {
                     _ => {}
                 }
             }
+        }
+    }
+
+    /// The vector a driver's write selects. A value past the MSI-X table
+    /// cannot be mapped, so the event stays unmapped and the register
+    /// reads back `NO_VECTOR`, which is how the virtio spec has a driver
+    /// detect a failed mapping.
+    fn checked_vector(&self, value: u32) -> u32 {
+        if value < u32::from(self.msix.vectors()) {
+            value
+        } else {
+            MSIX_NO_VECTOR
         }
     }
 
@@ -974,7 +984,6 @@ impl Virtio {
         let vq = &mut self.queues[q];
         vq.head = head;
         vq.chain.clear();
-        vq.next_desc = head;
         vq.phase = VqPhase::FetchDesc;
         let addr = vq.desc + u64::from(head) * 16;
         self.stats.desc_reads.inc();
@@ -1000,7 +1009,6 @@ impl Virtio {
                 self.fault(ctx, q, "descriptor chain longer than the ring");
                 return;
             }
-            self.queues[q].next_desc = d.next;
             let addr = self.queues[q].desc + u64::from(d.next) * 16;
             self.stats.desc_reads.inc();
             self.dma_read(ctx, addr, 16, DmaTag::Desc { q: q as u8 });
@@ -1427,7 +1435,6 @@ impl Component for Virtio {
                 self.pio.flush(ctx, VIRTIO_PIO_PORT);
             }
             Event::DelayedPacket { tag, .. } => panic!("{}: unknown tag {tag}", self.name),
-            Event::StampedPacket { .. } => panic!("{}: unexpected stamped packet", self.name),
         }
     }
 
@@ -1479,13 +1486,25 @@ impl Component for Virtio {
             repoll, broken, head, chain, staging, payload_pending, used_len,
         },
         store,
-        // Validation only: the block store holds whole sectors.
+        // Validation only: the block store holds whole sectors, and every
+        // mapped MSI-X vector lies inside the table (the table size is the
+        // fresh build's).
         save(_w) {}
         load(_r) {
             if let Some(buf) = self.store.values().find(|b| b.len() != BLK_SECTOR_SIZE as usize) {
                 return Err(SnapshotError::Corrupt(format!(
                     "virtio store sector of {} bytes",
                     buf.len()
+                )));
+            }
+            let vectors = self.queues.iter().map(|q| q.msix_vector);
+            if let Some(v) = vectors
+                .chain([self.config_msix_vector])
+                .find(|&v| self.checked_vector(v) != v)
+            {
+                return Err(SnapshotError::Corrupt(format!(
+                    "virtio MSI-X vector {v} is outside the {}-entry table",
+                    self.msix.vectors()
                 )));
             }
         },
@@ -1642,6 +1661,16 @@ mod tests {
         preload: &[(u64, Vec<u8>)],
         patch_cs: impl FnOnce(&SharedConfigSpace),
     ) -> Simulation {
+        run_guest(config, mem, Guest::new(BAR0, writes), preload, patch_cs)
+    }
+
+    fn run_guest(
+        config: VirtioConfig,
+        mem: &SharedMem,
+        guest: Guest,
+        preload: &[(u64, Vec<u8>)],
+        patch_cs: impl FnOnce(&SharedConfigSpace),
+    ) -> Simulation {
         let mut sim = Simulation::new();
         let (mut dev, cs) = Virtio::new("vdev", config);
         cs.borrow_mut().write(0x10, 4, BAR0 as u32);
@@ -1649,7 +1678,7 @@ mod tests {
             dev.store_preload(*sector, data);
         }
         patch_cs(&cs);
-        let drv = sim.add(Box::new(Guest::new(BAR0, writes)));
+        let drv = sim.add(Box::new(guest));
         let d = sim.add(Box::new(dev));
         let m = sim.add(Box::new(FuncMem { mem: mem.clone(), latency: ns(30) }));
         sim.connect((drv, PortId(0)), (d, VIRTIO_PIO_PORT));
@@ -1808,6 +1837,66 @@ mod tests {
         let sim = run(VirtioConfig::default(), &mem, setup_writes(0), &[], |_| {});
         assert_eq!(sim.stats().get("vdev.desc_faults"), Some(1.0));
         assert_eq!(sim.stats().get("vdev.chains_used"), Some(0.0));
+    }
+
+    #[test]
+    fn out_of_table_msix_vectors_read_back_as_no_vector() {
+        use pcisim_pci::caps::{find_capability, msix};
+        use pcisim_pci::regs::cap_id;
+        let mem: SharedMem = Rc::new(RefCell::new(BTreeMap::new()));
+        put_desc(&mem, 0, RING + 0x4000, 16, DESC_F_NEXT, 1);
+        put_desc(&mem, 1, RING + 0x6000, 1, DESC_F_WRITE, 0);
+        mem_write(&mem, RING + 0x4000, &blk_header(BLK_T_IN, 0));
+        publish(&mem, &[0]);
+        let cfg = VirtioConfig { msix_capable: true, ..VirtioConfig::default() };
+        let table_size = u32::from(num_msix_vectors(cfg.class));
+        // Program and unmask every vector, then map both events one past
+        // the table.
+        let mut writes = Vec::new();
+        for v in 0..u64::from(table_size) {
+            let entry = MSIX_TABLE_OFFSET + v * 16;
+            writes.extend([
+                (entry, 0xfee0_0000),
+                (entry + 4, 0),
+                (entry + 8, 0x40),
+                (entry + 12, 0),
+            ]);
+        }
+        writes.extend([
+            (common::CONFIG_MSIX_VECTOR, table_size),
+            (common::QUEUE_SELECT, 0),
+            (common::QUEUE_MSIX_VECTOR, table_size),
+        ]);
+        writes.extend(setup_writes(0));
+        let mut guest = Guest::new(BAR0, writes);
+        guest.reads = vec![common::CONFIG_MSIX_VECTOR, common::QUEUE_MSIX_VECTOR];
+        let read_back = guest.read_back.clone();
+        let sim = run_guest(cfg, &mem, guest, &[], |cs| {
+            let off = find_capability(&cs.borrow(), cap_id::MSI_X).expect("capable");
+            cs.borrow_mut().write(off + msix::CONTROL, 2, u32::from(msix::CONTROL_ENABLE));
+        });
+        assert_eq!(*read_back.borrow(), [MSIX_NO_VECTOR; 2]);
+        let stats = sim.stats();
+        assert_eq!(stats.get("vdev.chains_used"), Some(1.0), "the request completes");
+        assert_eq!(stats.get("vdev.msix_irqs"), Some(0.0), "an unmapped event interrupts no one");
+    }
+
+    #[test]
+    fn restore_rejects_msix_vectors_outside_the_table() {
+        use pcisim_kernel::snapshot::{StateReader, StateWriter};
+        let cfg = VirtioConfig { msix_capable: true, ..VirtioConfig::default() };
+        let restore = |config_vector: u32| {
+            let (mut dev, _) = Virtio::new("vdev", cfg.clone());
+            dev.config_msix_vector = config_vector;
+            let mut w = StateWriter::new();
+            dev.save_state(&mut w);
+            let bytes = w.into_bytes();
+            Virtio::new("vdev", cfg.clone()).0.restore_state(&mut StateReader::new(&bytes))
+        };
+        let table_size = u32::from(num_msix_vectors(cfg.class));
+        assert_eq!(restore(table_size - 1), Ok(()));
+        assert_eq!(restore(MSIX_NO_VECTOR), Ok(()));
+        assert!(matches!(restore(table_size), Err(SnapshotError::Corrupt(_))));
     }
 
     #[test]

@@ -32,7 +32,6 @@ use crate::packet::Packet;
 use crate::sim::Ctx;
 use crate::snapshot::{Bounded, SnapshotError, State, StateReader, StateWriter};
 use crate::stats::StatsBuilder;
-use crate::tick::Tick;
 
 /// Identifies a component within a [`Simulation`](crate::sim::Simulation).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -81,11 +80,14 @@ pub enum RecvResult {
 }
 
 /// A self-scheduled occurrence delivered back to the component that
-/// scheduled it.
+/// scheduled it: 16 bytes, so a calendar entry stays three words.
 #[derive(Debug)]
 pub enum Event {
-    /// A plain timer. `kind` and `data` are private conventions of the
-    /// scheduling component (e.g. "kind 2 = replay timeout").
+    /// A timer. `kind` and `data` are private conventions of the
+    /// scheduling component (e.g. "kind 2 = replay timeout"). A timer may
+    /// also stand for a packet the component keeps in its own state: the
+    /// link's TLP arrival names a sequence number and a packet id, and the
+    /// transmitter's replay buffer holds the packet itself.
     Timer {
         /// Component-private discriminator.
         kind: u32,
@@ -93,23 +95,12 @@ pub enum Event {
         data: u64,
     },
     /// A packet the component handed to itself for later processing, e.g. a
-    /// crossbar modelling its forward latency. `tag` disambiguates multiple
-    /// uses within one component.
+    /// crossbar modelling its forward latency; the event owns the packet
+    /// until it fires. `tag` disambiguates multiple uses within one
+    /// component.
     DelayedPacket {
         /// Component-private discriminator.
         tag: u32,
-        /// The packet being delayed.
-        pkt: Packet,
-    },
-    /// A delayed packet that also carries an origin timestamp — used by the
-    /// link layer to ship a TLP's admission tick along the wire, so the
-    /// receiving end can attribute delivery latency without reaching into
-    /// the transmitting end's state.
-    StampedPacket {
-        /// Component-private discriminator.
-        tag: u32,
-        /// The tick the origin stamped on the packet (e.g. link admission).
-        stamp: Tick,
         /// The packet being delayed.
         pkt: Packet,
     },

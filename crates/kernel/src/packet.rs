@@ -485,6 +485,13 @@ impl Packet {
         self.0.payload.take()
     }
 
+    /// A copy of the header and route stack without the payload: what a
+    /// completion-timeout tracker keeps to answer a request that never
+    /// completes (see [`Packet::into_error_response`]).
+    pub fn header(&self) -> Packet {
+        Self(Box::new(Fields { payload: None, route: self.0.route.clone(), ..*self.0 }))
+    }
+
     /// Pushes a routing hop (done by a forwarding component on the request
     /// path so it can route the response back).
     #[inline]
@@ -644,6 +651,19 @@ mod tests {
     #[should_panic(expected = "no response command")]
     fn message_has_no_response() {
         let _ = Command::Message.response();
+    }
+
+    #[test]
+    fn header_copy_keeps_everything_but_the_payload() {
+        let mut w = req(Command::WriteReq).with_payload(vec![7; 64]);
+        w.stamp_pci_bus(2);
+        w.push_route(ComponentId(9), PortId(1));
+        let h = w.header();
+        let mut bare = w.clone();
+        bare.take_payload();
+        assert_eq!(h, bare);
+        let err = h.into_error_response(CompletionStatus::CompletionTimeout);
+        assert_eq!(err, w.into_error_response(CompletionStatus::CompletionTimeout));
     }
 
     #[test]

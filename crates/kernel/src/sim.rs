@@ -43,10 +43,10 @@ pub enum RunOutcome {
     EventLimit,
 }
 
-/// A dispatch as the calendar holds it, at most 32 bytes: the target and
-/// the event's fields flattened into one enum, a `DelayedPacket`'s or
-/// `StampedPacket`'s packet (itself one pointer) included. Ordering (tick,
-/// order stamp) is owned by the [`CalendarQueue`].
+/// A dispatch as the calendar holds it, at most 24 bytes: the target and
+/// the event's fields flattened into one enum, a `DelayedPacket`'s packet
+/// (itself one pointer) included. Ordering (tick, order stamp) is owned by
+/// the [`CalendarQueue`].
 ///
 /// `repr(u32)` lays each variant out in field order after a 4-byte tag,
 /// so an entry moves as aligned words; the default layout picked a 2-byte
@@ -58,7 +58,6 @@ enum Queued {
     Timer { target: ComponentId, kind: u32, data: u64 },
     Retry { target: ComponentId, port: PortId },
     Delayed { target: ComponentId, tag: u32, pkt: Packet },
-    Stamped { target: ComponentId, tag: u32, stamp: Tick, pkt: Packet },
 }
 
 impl Queued {
@@ -68,7 +67,6 @@ impl Queued {
         match ev {
             Event::Timer { kind, data } => Queued::Timer { target, kind, data },
             Event::DelayedPacket { tag, pkt } => Queued::Delayed { target, tag, pkt },
-            Event::StampedPacket { tag, stamp, pkt } => Queued::Stamped { target, tag, stamp, pkt },
         }
     }
 
@@ -77,8 +75,7 @@ impl Queued {
         match *self {
             Queued::Timer { target, .. }
             | Queued::Retry { target, .. }
-            | Queued::Delayed { target, .. }
-            | Queued::Stamped { target, .. } => target,
+            | Queued::Delayed { target, .. } => target,
         }
     }
 
@@ -90,7 +87,6 @@ impl Queued {
             Queued::Timer { kind, data, .. } => Event::Timer { kind, data },
             Queued::Retry { port, .. } => return Err(port),
             Queued::Delayed { tag, pkt, .. } => Event::DelayedPacket { tag, pkt },
-            Queued::Stamped { tag, stamp, pkt, .. } => Event::StampedPacket { tag, stamp, pkt },
         })
     }
 }
@@ -630,11 +626,6 @@ impl Simulation {
             Queued::Delayed { target, tag, pkt } => shared.with_component(target, |c, ctx| {
                 c.handle(ctx, Event::DelayedPacket { tag, pkt });
             }),
-            Queued::Stamped { target, tag, stamp, pkt } => {
-                shared.with_component(target, |c, ctx| {
-                    c.handle(ctx, Event::StampedPacket { tag, stamp, pkt });
-                })
-            }
         }
     }
 
@@ -853,12 +844,6 @@ fn encode_queued(w: &mut StateWriter, queued: &Queued) {
             w.u8(2);
             w.u16(port.0);
         }
-        Queued::Stamped { tag, stamp, pkt, .. } => {
-            w.u8(3);
-            w.u32(*tag);
-            w.u64(*stamp);
-            pkt.save(w);
-        }
     }
 }
 
@@ -916,13 +901,6 @@ fn decode_queued(
                 return Err(SnapshotError::Corrupt(format!("retry to unwired {target} {port}")));
             }
             Queued::Retry { target, port }
-        }
-        3 => {
-            let tag = r.u32()?;
-            let stamp = r.u64()?;
-            let pkt = Packet::read(r)?;
-            audit(&pkt)?;
-            Queued::Stamped { target, tag, stamp, pkt }
         }
         other => return Err(SnapshotError::Corrupt(format!("action tag {other}"))),
     })
@@ -1056,11 +1034,11 @@ mod tests {
     fn packets_and_queued_entries_are_a_few_words() {
         use std::mem::size_of;
         assert_eq!(size_of::<Packet>(), 8);
-        assert!(size_of::<Event>() <= 24, "{}", size_of::<Event>());
+        assert!(size_of::<Event>() <= 16, "{}", size_of::<Event>());
         assert!(size_of::<RecvResult>() <= 8, "{}", size_of::<RecvResult>());
-        assert!(size_of::<Queued>() <= 32, "{}", size_of::<Queued>());
+        assert!(size_of::<Queued>() <= 24, "{}", size_of::<Queued>());
         // The calendar's slab slot is the entry plus its order stamp.
-        assert!(size_of::<(u64, Option<Queued>)>() <= 40);
+        assert!(size_of::<(u64, Option<Queued>)>() <= 32);
     }
 
     #[test]

@@ -67,7 +67,6 @@ impl Component for Refuser {
                 self.resp.push(resp);
                 self.resp.flush(ctx, PortId(0));
             }
-            Event::StampedPacket { .. } => panic!("sink: stamped packet"),
         }
     }
 

@@ -18,7 +18,7 @@
 
 use std::collections::VecDeque;
 
-use pcisim_kernel::packet::Packet;
+use pcisim_kernel::packet::{Command, Packet, PacketId};
 use pcisim_kernel::snapshot::{SnapshotError, State};
 use pcisim_kernel::state_fields;
 use pcisim_kernel::tick::Tick;
@@ -95,13 +95,60 @@ pub fn ack_timeout(config: &LinkConfig) -> Tick {
     (symbols_x10 * 3 * config.symbol_time()).div_ceil(10) / 3
 }
 
+/// What the transmitter needs to put a held TLP on the wire: its sequence
+/// number and the header fields the wire time and the trace records need.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Frame {
+    /// Sequence number.
+    pub seq: u32,
+    /// The TLP's packet id.
+    pub id: PacketId,
+    /// The TLP's command.
+    pub cmd: Command,
+    /// Payload bytes, which size the frame on the wire.
+    pub payload_len: u32,
+}
+
+/// One unacknowledged TLP. The packet is `None` while the receiving end
+/// holds it: taken on in-sequence arrival, put back if delivery is
+/// refused, released by the ACK once delivered.
+#[derive(Debug, Default)]
+struct Entry {
+    frame: Frame,
+    /// Admission tick, for the receiver's delivery-latency histogram.
+    admitted: Tick,
+    pkt: Option<Packet>,
+}
+
+/// Sequence number, admission tick, header fields, then the packet if held.
+impl State for Entry {
+    state_fields!(state self;
+        frame.seq, admitted, frame.id, frame.cmd, frame.payload_len, pkt,
+        // Validation only: a held packet must match its header fields.
+        save(_w) {}
+        load(_r) {
+            let f = &self.frame;
+            if let Some(p) = self.pkt.as_ref().filter(|p| {
+                (p.id(), p.cmd(), p.payload_len()) != (f.id, f.cmd, f.payload_len)
+            }) {
+                return Err(SnapshotError::Corrupt(format!(
+                    "replay entry {} holds {} but records {} {:?} with {} payload bytes",
+                    f.seq, p, f.id, f.cmd, f.payload_len
+                )));
+            }
+        },
+    );
+}
+
 /// The sender half of the ACK/NAK protocol for one unidirectional link.
 ///
-/// Holds unacknowledged TLPs in sequence order plus a cursor separating
+/// The one owner of each TLP from admission until the receiving end
+/// delivers it: the wire carries only sequence numbers. Holds
+/// unacknowledged TLPs in sequence order plus a cursor separating
 /// already-transmitted entries from those still waiting for the wire.
 #[derive(Debug)]
 pub struct ReplayBuffer {
-    entries: VecDeque<(u32, Tick, Packet)>,
+    entries: VecDeque<Entry>,
     capacity: usize,
     /// Index of the next entry to (re)transmit.
     next_tx: usize,
@@ -144,7 +191,8 @@ impl ReplayBuffer {
         assert!(self.can_admit(), "replay buffer full or replaying");
         let seq = self.next_seq;
         self.next_seq = seq_next(seq);
-        self.entries.push_back((seq, now, pkt));
+        let frame = Frame { seq, id: pkt.id(), cmd: pkt.cmd(), payload_len: pkt.payload_len() };
+        self.entries.push_back(Entry { frame, admitted: now, pkt: Some(pkt) });
         seq
     }
 
@@ -157,15 +205,9 @@ impl ReplayBuffer {
         self.admit_at(0, pkt)
     }
 
-    /// The tick at which the TLP with sequence number `seq` was admitted,
-    /// if it is still held.
-    pub fn admit_tick_of(&self, seq: u32) -> Option<Tick> {
-        self.entries.iter().find(|(s, _, _)| *s == seq).map(|(_, t, _)| *t)
-    }
-
-    /// The next TLP to put on the wire, if any: `(seq, packet clone)`.
-    pub fn next_to_transmit(&self) -> Option<(u32, Packet)> {
-        self.entries.get(self.next_tx).map(|(s, _, p)| (*s, p.clone()))
+    /// The next TLP to put on the wire, if any. The packet stays here.
+    pub fn next_to_transmit(&self) -> Option<Frame> {
+        self.entries.get(self.next_tx).map(|e| e.frame)
     }
 
     /// Marks the head-of-cursor TLP as transmitted.
@@ -181,12 +223,58 @@ impl ReplayBuffer {
         }
     }
 
+    /// The index of the entry with sequence number `seq`. Entries hold
+    /// consecutive sequence numbers (restore checks it).
+    fn index_of(&self, seq: u32) -> Option<usize> {
+        let front = self.entries.front()?.frame.seq;
+        let i = (seq.wrapping_sub(front) & (SEQ_MODULUS - 1)) as usize;
+        (i < self.entries.len()).then_some(i)
+    }
+
+    /// Hands the TLP with sequence number `seq` to the receiving end,
+    /// with its admission tick; `None` when it is not held or already out.
+    pub(crate) fn take(&mut self, seq: u32) -> Option<(Tick, Packet)> {
+        let i = self.index_of(seq)?;
+        let entry = &mut self.entries[i];
+        Some((entry.admitted, entry.pkt.take()?))
+    }
+
+    /// Returns a TLP whose delivery the receiving end's port refused; it
+    /// stays held until a replay delivers it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `seq` is not held or its packet was never taken.
+    pub(crate) fn put_back(&mut self, seq: u32, pkt: Packet) {
+        let i = self.index_of(seq).expect("refused TLP is no longer held");
+        let slot = &mut self.entries[i].pkt;
+        assert!(slot.is_none(), "refused TLP {seq} was never taken");
+        *slot = Some(pkt);
+    }
+
+    /// Checks custody against the peer receiver, which expects `expected`
+    /// next: a TLP is out of the buffer exactly when the receiver took it,
+    /// that is when its sequence number lies behind `expected`.
+    pub(crate) fn check_custody(&self, expected: u32) -> Result<(), SnapshotError> {
+        for e in &self.entries {
+            let taken = !seq_le(expected, e.frame.seq);
+            if taken != e.pkt.is_none() {
+                let (seq, held) = (e.frame.seq, e.pkt.is_some());
+                return Err(SnapshotError::Corrupt(format!(
+                    "replay entry {seq} (TLP held: {held}) disagrees with the peer receiver \
+                     expecting {expected}"
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// Processes a cumulative ACK: drops every entry with sequence number
     /// ≤ `seq`. Returns how many entries were released.
     pub fn ack(&mut self, seq: u32) -> usize {
         let mut released = 0;
-        while let Some(&(front_seq, _, _)) = self.entries.front() {
-            if seq_le(front_seq, seq) {
+        while let Some(front) = self.entries.front() {
+            if seq_le(front.frame.seq, seq) {
                 self.entries.pop_front();
                 released += 1;
             } else {
@@ -243,8 +331,12 @@ const SEQ_SPACE: usize = SEQ_MODULUS as usize;
 impl State for ReplayBuffer {
     state_fields!(state self;
         entries,
-        // Validation only: the capacity is the fresh build's, and every held
-        // sequence number must lie in the sequence space.
+        next_tx: index < self.entries.len() + 1,
+        replaying,
+        next_seq: index < SEQ_SPACE,
+        // Validation only: the capacity is the fresh build's, and the held
+        // sequence numbers run consecutively up to the one before
+        // `next_seq`.
         save(_w) {}
         load(_r) {
             if self.entries.len() > self.capacity {
@@ -254,13 +346,18 @@ impl State for ReplayBuffer {
                     self.capacity
                 )));
             }
-            if let Some((seq, ..)) = self.entries.iter().find(|(seq, ..)| *seq >= SEQ_MODULUS) {
-                return Err(SnapshotError::Corrupt(format!("sequence number {seq} exceeds 2^28")));
+            let first = self.next_seq.wrapping_sub(self.entries.len() as u32) & (SEQ_MODULUS - 1);
+            let mut want = first;
+            for e in &self.entries {
+                if e.frame.seq != want {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "replay entry {} where sequence {want} belongs",
+                        e.frame.seq
+                    )));
+                }
+                want = seq_next(want);
             }
         },
-        next_tx: index < self.entries.len() + 1,
-        replaying,
-        next_seq: index < SEQ_SPACE,
     );
 }
 
@@ -342,7 +439,6 @@ mod tests {
     use super::*;
     use crate::params::{Generation, LinkConfig, LinkWidth};
     use pcisim_kernel::component::ComponentId;
-    use pcisim_kernel::packet::{Command, PacketId};
     use pcisim_kernel::snapshot::{StateReader, StateWriter};
     use pcisim_kernel::tick::ns;
 
@@ -400,11 +496,13 @@ mod tests {
         let mut rb = ReplayBuffer::new(4);
         rb.admit(pkt(0));
         rb.admit(pkt(1));
-        let (s0, _) = rb.next_to_transmit().unwrap();
-        assert_eq!(s0, 0);
+        let f0 = rb.next_to_transmit().unwrap();
+        assert_eq!(
+            (f0.seq, f0.id, f0.cmd, f0.payload_len),
+            (0, PacketId(0), Command::WriteReq, 64)
+        );
         rb.mark_transmitted();
-        let (s1, _) = rb.next_to_transmit().unwrap();
-        assert_eq!(s1, 1);
+        assert_eq!(rb.next_to_transmit().unwrap().seq, 1);
         rb.mark_transmitted();
         assert!(rb.next_to_transmit().is_none());
         assert!(!rb.has_pending_tx());
@@ -437,8 +535,7 @@ mod tests {
         assert!(!rb.can_admit(), "no new TLPs during retransmission");
         // Replay in order.
         for want in 0..3 {
-            let (s, _) = rb.next_to_transmit().unwrap();
-            assert_eq!(s, want);
+            assert_eq!(rb.next_to_transmit().unwrap().seq, want);
             rb.mark_transmitted();
         }
         assert!(!rb.is_replaying());
@@ -454,8 +551,11 @@ mod tests {
         }
         rb.rewind();
         rb.ack(0); // first entry acked mid-replay
-        let (s, _) = rb.next_to_transmit().unwrap();
-        assert_eq!(s, 1, "replay resumes at the first unacked TLP");
+        assert_eq!(
+            rb.next_to_transmit().unwrap().seq,
+            1,
+            "replay resumes at the first unacked TLP"
+        );
     }
 
     #[test]
@@ -467,8 +567,7 @@ mod tests {
         }
         let replayed = rb.nak(1);
         assert_eq!(replayed, 2);
-        let (s, _) = rb.next_to_transmit().unwrap();
-        assert_eq!(s, 2);
+        assert_eq!(rb.next_to_transmit().unwrap().seq, 2);
     }
 
     #[test]
@@ -485,8 +584,11 @@ mod tests {
         let replayed = rb.nak(seq_prev(0));
         assert_eq!(replayed, 3, "wrapped NAK must replay everything");
         assert_eq!(rb.len(), 3, "wrapped NAK must release nothing");
-        let (s, _) = rb.next_to_transmit().unwrap();
-        assert_eq!(s, 0, "replay restarts from the first held TLP");
+        assert_eq!(
+            rb.next_to_transmit().unwrap().seq,
+            0,
+            "replay restarts from the first held TLP"
+        );
     }
 
     #[test]
@@ -533,6 +635,77 @@ mod tests {
         assert_eq!(rx.advance(), SEQ_MODULUS - 1);
         assert_eq!(rx.expected(), 0);
         assert_eq!(rx.last_received(), Some(SEQ_MODULUS - 1));
+    }
+
+    #[test]
+    fn the_buffer_lends_each_tlp_to_the_receiver_and_takes_refusals_back() {
+        let mut rb = ReplayBuffer::new(4);
+        rb.admit_at(ns(1), pkt(0));
+        rb.admit_at(ns(2), pkt(1));
+        assert!(rb.take(2).is_none(), "sequence 2 was never admitted");
+        let (admitted, first) = rb.take(0).expect("held");
+        assert_eq!((admitted, first), (ns(1), pkt(0)));
+        assert!(rb.take(0).is_none(), "one TLP, one owner");
+        assert_eq!(rb.next_to_transmit().unwrap().id, PacketId(0), "replays need no packet");
+        let (_, second) = rb.take(1).expect("held");
+        rb.put_back(1, second);
+        assert_eq!(rb.check_custody(1), Ok(()), "0 taken, 1 back in the buffer");
+        assert_eq!(rb.ack(0), 1, "the ACK releases the taken entry");
+        assert_eq!(rb.take(1).expect("held again").1, pkt(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "never taken")]
+    fn putting_back_a_tlp_that_is_still_held_panics() {
+        let mut rb = ReplayBuffer::new(2);
+        rb.admit(pkt(0));
+        rb.put_back(0, pkt(0));
+    }
+
+    #[test]
+    fn custody_must_match_the_receivers_expected_sequence() {
+        let mut rb = ReplayBuffer::new(4);
+        for i in 0..3 {
+            rb.admit(pkt(i));
+        }
+        assert_eq!(rb.check_custody(0), Ok(()));
+        let err = rb.check_custody(1).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "the receiver cannot hold 0: {err:?}");
+        let _ = rb.take(0);
+        assert_eq!(rb.check_custody(1), Ok(()));
+        let err = rb.check_custody(0).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "0 is in neither place: {err:?}");
+    }
+
+    #[test]
+    fn replay_buffer_codec_survives_hostile_bytes() {
+        let mut rb = ReplayBuffer::new(4);
+        rb.start_sequence_at(SEQ_MODULUS - 1);
+        for i in 0..3 {
+            rb.admit_at(ns(i), pkt(i));
+        }
+        rb.mark_transmitted();
+        let _ = rb.take(SEQ_MODULUS - 1);
+        pcisim_kernel::testutil::check_state_codec(&rb, || ReplayBuffer::new(4));
+    }
+
+    #[test]
+    fn restore_rejects_gapped_sequences_and_mismatched_headers() {
+        let load = |rb: &ReplayBuffer| {
+            let mut w = StateWriter::new();
+            rb.save(&mut w);
+            let bytes = w.into_bytes();
+            ReplayBuffer::new(4).load(&mut StateReader::new(&bytes))
+        };
+        let mut rb = ReplayBuffer::new(4);
+        rb.admit(pkt(0));
+        rb.admit(pkt(1));
+        assert_eq!(load(&rb), Ok(()));
+        rb.entries[1].frame.seq = 5;
+        assert!(matches!(load(&rb), Err(SnapshotError::Corrupt(_))), "gap in the sequence");
+        rb.entries[1].frame.seq = 1;
+        rb.entries[1].frame.payload_len = 4;
+        assert!(matches!(load(&rb), Err(SnapshotError::Corrupt(_))), "header disagrees");
     }
 
     #[test]

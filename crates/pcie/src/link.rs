@@ -17,10 +17,11 @@
 //!          PORT_DOWN_MASTER (2)   PORT_DOWN_SLAVE (3)
 //! ```
 //!
-//! TLPs admitted from the attached ports get a sequence number, a copy in
-//! the replay buffer, and are serialized onto the wire with the Table I
-//! overheads. Receivers check sequence numbers, deliver to the attached
-//! port, and acknowledge — batched behind the ACK timer or immediately.
+//! TLPs admitted from the attached ports get a sequence number and a
+//! place in the replay buffer, and are serialized onto the wire with the
+//! Table I overheads. Receivers check sequence numbers, deliver to the
+//! attached port, and acknowledge — batched behind the ACK timer or
+//! immediately.
 //! Refused deliveries are dropped without advancing the receive sequence,
 //! so the sender's replay timer recovers them, exactly the congestion
 //! mechanism behind the paper's Figure 9(b)–(d).
@@ -29,17 +30,32 @@
 //!
 //! Internally the model is organized **per physical end**, not per
 //! direction: [`LinkEnd`] owns the transmit side of its own wire and the
-//! receive side of the peer's wire, and the only way the two ends interact
-//! is by the wire-arrival events themselves (a TLP carrying its admission
-//! tick, or a DLLP). [`PcieLink`] hosts both ends in one component and
-//! routes each event back to the end that owns it. Each end stamps its
-//! events from its own scheduling stream, so the same-tick order of one
-//! end's events never depends on how much traffic the other end carries.
+//! receive side of the peer's wire, and the two ends interact through the
+//! wire-arrival events (a TLP's sequence number, or a DLLP) and through
+//! the transmitter's replay buffer. [`PcieLink`] hosts both ends in one
+//! component and routes each event back to the end that owns it. Each end
+//! stamps its events from its own scheduling stream, so the same-tick
+//! order of one end's events never depends on how much traffic the other
+//! end carries.
+//!
+//! **The wire carries a sequence number; the buffer owns the TLP.** A
+//! TLP's arrival event names only its sequence number (and packet id, for
+//! trace records). The transmitter's [`ReplayBuffer`] keeps the one packet
+//! from admission until the receiving end delivers it: an in-sequence
+//! arrival *takes* it (with its admission tick, for the latency
+//! histogram), and a refused delivery *puts it back*; corrupt and
+//! out-of-sequence arrivals never touch it. No TLP is copied per
+//! transmission. This is exact because the wire is FIFO: when a replay
+//! arrives, every earlier transmission of its sequence number has arrived
+//! already, and was either delivered (so the replay is a duplicate and is
+//! dropped) or left the TLP in the buffer (refused and put back, corrupt,
+//! or ahead of the receiver). The ACK that releases an entry is sent only
+//! after its TLP was delivered.
 
 use std::collections::VecDeque;
 
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
-use pcisim_kernel::packet::Packet;
+use pcisim_kernel::packet::{Packet, PacketId};
 use pcisim_kernel::sim::Ctx;
 use pcisim_kernel::snapshot::{SnapshotError, State, StateReader, StateWriter};
 use pcisim_kernel::state_fields;
@@ -98,11 +114,13 @@ const K_TX_KICK: u32 = 0;
 const K_REPLAY_TIMEOUT: u32 = 2;
 const K_ACK_TIMER: u32 = 4;
 const K_DLLP_ARRIVE: u32 = 6;
-
-// StampedPacket tag layout: the sequence number fills the low 28 bits.
-const TAG_SEQ_MASK: u32 = SEQ_MODULUS - 1;
-const TAG_DIR_BIT: u32 = 1 << 30;
-const TAG_CORRUPT_BIT: u32 = 1 << 31;
+// A TLP's arrival, intact or corrupt: `kind = BASE + dir + (seq <<
+// KIND_BITS)` and `data` is the packet id. The 28-bit sequence number
+// fills the bits above the kind.
+const K_TLP_ARRIVE: u32 = 8;
+const K_TLP_CORRUPT: u32 = 10;
+const KIND_BITS: u32 = 4;
+const KIND_MASK: u32 = (1 << KIND_BITS) - 1;
 
 /// The physical end (0 = upstream, 1 = downstream) that must handle a
 /// self-addressed link event.
@@ -110,21 +128,13 @@ fn event_dest_end(ev: &Event) -> u8 {
     match ev {
         Event::Timer { kind, .. } => {
             let dir = (kind & 1) as u8;
-            match kind & !1 {
+            match kind & KIND_MASK & !1 {
                 // TX-side timers fire at the wire's transmitter.
                 K_TX_KICK | K_REPLAY_TIMEOUT => dir,
                 // The ACK timer for direction `dir` runs at its receiver;
-                // a DLLP that travelled on `dir` arrives at its sink.
-                K_ACK_TIMER | K_DLLP_ARRIVE => 1 - dir,
+                // a DLLP or TLP that travelled on `dir` arrives at its sink.
+                K_ACK_TIMER | K_DLLP_ARRIVE | K_TLP_ARRIVE | K_TLP_CORRUPT => 1 - dir,
                 _ => 0,
-            }
-        }
-        // A TLP travelling Up arrives at the upstream end, and vice versa.
-        Event::StampedPacket { tag, .. } => {
-            if tag & TAG_DIR_BIT != 0 {
-                0
-            } else {
-                1
             }
         }
         Event::DelayedPacket { .. } => 0,
@@ -355,13 +365,29 @@ struct LinkEnd {
 }
 
 /// Test-only oracle hooks: the eager kick rule of earlier builds (queue a
-/// kick after every frame, needed or not) and, per end, a log of every
-/// event the end handled.
+/// kick after every frame, needed or not); per end, a log of every event
+/// the end handled; per wire, its TLP transmissions and arrivals; and
+/// both replay buffers' occupancy.
 #[cfg(test)]
 #[derive(Debug, Default, Clone)]
 pub(crate) struct KickOracle {
     pub(crate) eager: bool,
     pub(crate) log: std::rc::Rc<[std::cell::RefCell<Vec<Dispatch>>; 2]>,
+    /// Per wire (indexed by direction), in the order they happened.
+    pub(crate) wire: std::rc::Rc<[std::cell::RefCell<Vec<WireStep>>; 2]>,
+    /// Each end's replay-buffer length after the link's latest event.
+    pub(crate) held: std::rc::Rc<std::cell::Cell<[usize; 2]>>,
+}
+
+/// A TLP transmission entering or leaving a wire, as a [`KickOracle`]
+/// logs it.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WireStep {
+    /// Sequence number `.0` went onto the wire.
+    Tx(u32),
+    /// Sequence number `.0` reached the receiver.
+    Arrive(u32),
 }
 
 /// One event a link end handled, as a [`KickOracle`] logs it.
@@ -369,7 +395,8 @@ pub(crate) struct KickOracle {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Dispatch {
     pub(crate) at: Tick,
-    /// The timer kind; a TLP arrival logs as `u32::MAX`.
+    /// The timer kind as scheduled (a TLP arrival's carries its sequence
+    /// number).
     pub(crate) kind: u32,
     /// A kick that found the wire free and no frame waiting.
     pub(crate) idle_kick: bool,
@@ -381,7 +408,7 @@ impl KickOracle {
     /// wire was free with no frame waiting.
     fn record(&self, end: u8, at: Tick, ev: &Event, tx_idle: bool) {
         let kind = if let Event::Timer { kind, .. } = ev { *kind } else { u32::MAX };
-        let idle_kick = kind & !1 == K_TX_KICK && tx_idle;
+        let idle_kick = kind & KIND_MASK & !1 == K_TX_KICK && tx_idle;
         self.log[usize::from(end)].borrow_mut().push(Dispatch { at, kind, idle_kick });
     }
 }
@@ -555,20 +582,13 @@ impl LinkEnd {
                 ctx.schedule_stream(t + prop, self.end, Event::Timer { kind, data });
                 continue;
             }
-            // The wire carries a copy; the replay buffer keeps the original
-            // until it is acknowledged.
-            if let Some((seq, pkt)) = self.st.tx.next_to_transmit() {
+            // The wire carries the sequence number; the replay buffer keeps
+            // the TLP until the receiving end takes it.
+            if let Some(frame) = self.st.tx.next_to_transmit() {
                 self.st.tx.mark_transmitted();
-                // The admission tick rides along the wire so the receiver
-                // can attribute delivery latency without reaching into
-                // this end's replay buffer; replays keep their original
-                // admission tick.
-                let stamp = self
-                    .st
-                    .tx
-                    .admit_tick_of(seq)
-                    .expect("transmitted TLP absent from replay buffer");
-                let wire = tlp_wire_bytes(pkt.payload_len());
+                #[cfg(test)]
+                self.oracle.wire[self.tx_dir() as usize].borrow_mut().push(WireStep::Tx(frame.seq));
+                let wire = tlp_wire_bytes(frame.payload_len);
                 let t = self.config.tx_time(wire);
                 self.st.wire_busy_until = now + t;
                 self.st.tx_stats.tlps_tx.inc();
@@ -579,8 +599,8 @@ impl LinkEnd {
                     ctx.emit(
                         TraceCategory::Link,
                         TraceKind::LinkTxStart,
-                        Some(pkt.id()),
-                        Some(pkt.cmd()),
+                        Some(frame.id),
+                        Some(frame.cmd),
                         u64::from(wire),
                     );
                 }
@@ -590,13 +610,8 @@ impl LinkEnd {
                 // — which no physical error process does.
                 let corrupt = self.config.error_interval != 0
                     && splitmix64(self.st.tx_count).is_multiple_of(self.config.error_interval);
-                let mut tag = seq;
-                if self.end == 1 {
-                    tag |= TAG_DIR_BIT;
-                }
-                if corrupt {
-                    tag |= TAG_CORRUPT_BIT;
-                }
+                let base = if corrupt { K_TLP_CORRUPT } else { K_TLP_ARRIVE };
+                let kind = base + self.tx_dir() as u32 + (frame.seq << KIND_BITS);
                 // Cut-through: the receiver sees the TLP after the header
                 // lands; store-and-forward: after the whole packet.
                 let delivery = if self.config.cut_through {
@@ -604,11 +619,8 @@ impl LinkEnd {
                 } else {
                     t
                 };
-                ctx.schedule_stream(
-                    delivery + prop,
-                    self.end,
-                    Event::StampedPacket { tag, stamp, pkt },
-                );
+                let arrival = Event::Timer { kind, data: frame.id.0 };
+                ctx.schedule_stream(delivery + prop, self.end, arrival);
                 if !self.st.replay_armed {
                     self.arm_replay(ctx);
                 }
@@ -693,25 +705,20 @@ impl LinkEnd {
         }
     }
 
-    /// A TLP reached this end; `stamp` is its admission tick at the peer.
+    /// The TLP `seq` (packet `id`) reached this end; the packet itself is
+    /// in `peer_tx`, the transmitting end's replay buffer.
     fn tlp_arrived(
         &mut self,
         ctx: &mut Ctx<'_>,
         seq: u32,
         corrupt: bool,
-        stamp: Tick,
-        pkt: Packet,
+        id: PacketId,
+        peer_tx: &mut ReplayBuffer,
     ) {
         let ack_immediate = self.config.ack_immediate;
         if corrupt {
             self.st.rx_stats.rx_dropped_corrupt.inc();
-            ctx.emit(
-                TraceCategory::Link,
-                TraceKind::LinkDrop,
-                Some(pkt.id()),
-                None,
-                u64::from(seq),
-            );
+            ctx.emit(TraceCategory::Link, TraceKind::LinkDrop, Some(id), None, u64::from(seq));
             // NAK the last good sequence number back to the sender.
             // Before anything has been received, `expected() - 1` is the
             // sequence number just behind the first one sent; the replay
@@ -728,13 +735,7 @@ impl LinkEnd {
             // Out-of-order (e.g. a replay of something already delivered):
             // discard without advancing, as the paper's model does.
             self.st.rx_stats.rx_dropped_seq.inc();
-            ctx.emit(
-                TraceCategory::Link,
-                TraceKind::LinkDrop,
-                Some(pkt.id()),
-                None,
-                u64::from(seq),
-            );
+            ctx.emit(TraceCategory::Link, TraceKind::LinkDrop, Some(id), None, u64::from(seq));
             // A duplicate of something already delivered means the
             // sender's replay timer beat our acknowledgement: re-ACK the
             // cumulative high-water mark immediately so the replay burst
@@ -751,6 +752,12 @@ impl LinkEnd {
             }
             return;
         }
+        // In sequence: no earlier arrival of `seq` was delivered (that would
+        // have advanced the receiver), so each left the packet with the
+        // transmitter or put it back there.
+        let (stamp, pkt) = peer_tx.take(seq).unwrap_or_else(|| {
+            panic!("{}: in-sequence TLP {seq} is not in the peer's replay buffer", self.name)
+        });
         if let Some(credits) = self.config.credit_fc {
             // Credit mode: the receive buffer always has room (the
             // transmitter consumed a credit), so receipt is unconditional;
@@ -790,19 +797,21 @@ impl LinkEnd {
                 self.st.rx_stats.delivery_latency_ns.record(to_ns(ctx.now().saturating_sub(stamp)));
                 self.send_ack(ctx, acked, ack_immediate);
             }
-            Err(dropped) => {
+            Err(refused) => {
                 // The attached port's buffers are full: do not increment the
-                // receiving sequence number; the sender replays on timeout.
+                // receiving sequence number; the TLP goes back to the sender,
+                // which replays it on timeout.
                 self.st.rx_stats.rx_dropped_refused.inc();
                 if traced.is_some() {
                     ctx.emit(
                         TraceCategory::Link,
                         TraceKind::LinkDrop,
-                        Some(dropped.id()),
-                        Some(dropped.cmd()),
+                        Some(refused.id()),
+                        Some(refused.cmd()),
                         u64::from(seq),
                     );
                 }
+                peer_tx.put_back(seq, refused);
             }
         }
     }
@@ -948,8 +957,9 @@ impl LinkEnd {
     }
 
     /// Dispatches a self-addressed event that [`event_dest_end`] routed to
-    /// this end.
-    fn handle_event(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+    /// this end; `peer_tx` is the other end's replay buffer, which holds
+    /// the TLPs arriving here.
+    fn handle_event(&mut self, ctx: &mut Ctx<'_>, ev: Event, peer_tx: &mut ReplayBuffer) {
         #[cfg(test)]
         self.oracle.record(
             self.end,
@@ -958,12 +968,15 @@ impl LinkEnd {
             ctx.now() >= self.st.wire_busy_until && !self.frame_waiting(),
         );
         match ev {
-            Event::StampedPacket { tag, stamp, pkt } => {
-                let corrupt = tag & TAG_CORRUPT_BIT != 0;
-                let seq = tag & TAG_SEQ_MASK;
-                self.tlp_arrived(ctx, seq, corrupt, stamp, pkt);
-            }
-            Event::Timer { kind, data } => match kind & !1 {
+            Event::Timer { kind, data } => match kind & KIND_MASK & !1 {
+                base @ (K_TLP_ARRIVE | K_TLP_CORRUPT) => {
+                    let (seq, corrupt) = (kind >> KIND_BITS, base == K_TLP_CORRUPT);
+                    #[cfg(test)]
+                    self.oracle.wire[self.rx_dir() as usize]
+                        .borrow_mut()
+                        .push(WireStep::Arrive(seq));
+                    self.tlp_arrived(ctx, seq, corrupt, PacketId(data), peer_tx);
+                }
                 K_TX_KICK => {
                     debug_assert!(matches!(self.st.kick, Some(Kick { queued: true, .. })));
                     self.st.kick = None;
@@ -1112,8 +1125,11 @@ impl Component for PcieLink {
     }
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
-        let end = event_dest_end(&ev);
-        self.ends[usize::from(end)].handle_event(ctx, ev);
+        let [up, down] = &mut self.ends;
+        let (end, peer) = if event_dest_end(&ev) == 0 { (up, down) } else { (down, up) };
+        end.handle_event(ctx, ev, &mut peer.st.tx);
+        #[cfg(test)]
+        self.ends[0].oracle.held.set(self.ends.each_ref().map(|end| end.st.tx.len()));
     }
 
     fn retry_granted(&mut self, ctx: &mut Ctx<'_>, port: PortId) {
@@ -1148,6 +1164,11 @@ impl Component for PcieLink {
             end.st.load(&mut hr)?;
             hr.finish("pcie link end")?;
         }
+        // Each TLP is in one place: the transmitter's buffer, or past the
+        // peer receiver that took it.
+        for (tx, rx) in [(0, 1), (1, 0)] {
+            self.ends[tx].st.tx.check_custody(self.ends[rx].st.rx.expected())?;
+        }
         Ok(())
     }
 }
@@ -1159,7 +1180,8 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    use pcisim_kernel::packet::{Command, PacketId};
+    use pcisim_kernel::component::ComponentId;
+    use pcisim_kernel::packet::Command;
     use pcisim_kernel::sim::{RunOutcome, Simulation};
     use pcisim_kernel::testutil::{Requester, Responder, REQUESTER_PORT, RESPONDER_PORT};
     use pcisim_kernel::tick::ns;
@@ -1824,6 +1846,35 @@ mod tests {
             0,
             "four consecutive replay events must latch the rollover"
         );
+    }
+
+    #[test]
+    fn restore_cross_checks_custody_between_the_ends() {
+        let cfg = LinkConfig::new(Generation::Gen2, LinkWidth::X1);
+        let restore = |link: &PcieLink| {
+            let mut w = StateWriter::new();
+            link.save_state(&mut w);
+            let bytes = w.into_bytes();
+            PcieLink::new("link", cfg.clone()).restore_state(&mut StateReader::new(&bytes))
+        };
+        let mut link = PcieLink::new("link", cfg.clone());
+        let write = |n| {
+            Packet::request(PacketId(n), Command::WriteReq, 0x4000_0000, 64, ComponentId(0))
+                .with_payload(vec![0; 64])
+        };
+        link.ends[0].st.tx.admit(write(0));
+        link.ends[0].st.tx.admit(write(1));
+        assert_eq!(restore(&link), Ok(()), "both TLPs held, receiver expects 0");
+        // The downstream end took TLP 0 and has not delivered it: it is in
+        // neither place.
+        let (_, taken) = link.ends[0].st.tx.take(0).expect("held");
+        assert!(matches!(restore(&link), Err(SnapshotError::Corrupt(_))));
+        // Delivered: the receiver has moved past it.
+        link.ends[1].st.rx.advance();
+        assert_eq!(restore(&link), Ok(()));
+        // A receiver past a TLP the buffer still holds is corrupt too.
+        link.ends[0].st.tx.put_back(0, taken);
+        assert!(matches!(restore(&link), Err(SnapshotError::Corrupt(_))));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The on-demand TX kick against its oracle.
+//! Two link oracles over random rigs: the on-demand TX kick, and TLP
+//! custody.
 //!
 //! A link end reserves its wake-up's order stamp where the eager kick of
 //! earlier builds was minted and queues it only once a frame is waiting
@@ -9,9 +10,16 @@
 //! kept only here, as a test-only switch on the link — and demands
 //! identical deliveries, statistics, traces, quiesce tick and packet ids,
 //! with the event-count difference accounted for kick by kick.
+//!
+//! The wire carries only sequence numbers: the transmitter's replay
+//! buffer owns each TLP until the receiving end takes it. The custody
+//! property demands that over the same rigs every TLP comes out of the
+//! link exactly once, in admission order and equal to the one admitted,
+//! and that both buffers are empty at quiesce — including runs where a
+//! replay goes onto the wire while its previous copy is still in flight.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use proptest::prelude::*;
@@ -23,7 +31,7 @@ use pcisim_kernel::tick::{ns, Tick, TICKS_PER_SEC};
 use pcisim_kernel::trace::TraceEvent;
 
 use crate::link::{
-    Dispatch, KickOracle, PcieLink, PORT_DOWN_MASTER, PORT_DOWN_SLAVE, PORT_UP_MASTER,
+    Dispatch, KickOracle, PcieLink, WireStep, PORT_DOWN_MASTER, PORT_DOWN_SLAVE, PORT_UP_MASTER,
     PORT_UP_SLAVE,
 };
 use crate::params::{Generation, LinkConfig, LinkWidth};
@@ -37,25 +45,67 @@ const PORT: PortId = PortId(0);
 /// `(issue tick, command, address, size)`, in issue order.
 type Script = Vec<(Tick, Command, u64, u32)>;
 
+/// The wires, as indices: an endpoint sends on one and receives on the
+/// other.
+const DOWN: usize = 0;
+const UP: usize = 1;
+
+/// Every packet admitted into, and delivered out of, each wire, in order.
+#[derive(Debug, Default)]
+struct Custody {
+    admitted: [RefCell<Vec<Packet>>; 2],
+    delivered: [RefCell<Vec<Packet>>; 2],
+}
+
+/// Tries to send `pkt` into the link, recording it as admitted on `wire`
+/// when the link takes it.
+fn send_into_link(
+    ctx: &mut Ctx<'_>,
+    custody: &Custody,
+    wire: usize,
+    pkt: Packet,
+) -> Result<(), Packet> {
+    let copy = pkt.clone();
+    let sent = if pkt.is_request() {
+        ctx.try_send_request(PORT, pkt)
+    } else {
+        ctx.try_send_response(PORT, pkt)
+    };
+    if sent.is_ok() {
+        custody.admitted[wire].borrow_mut().push(copy);
+    }
+    sent
+}
+
 /// Issues each scripted request at its tick (or behind the ones still
 /// refused), logging completions and posted sends.
 struct Source {
     name: &'static str,
+    /// The wire it sends on.
+    wire: usize,
     script: VecDeque<(Tick, Command, u64, u32)>,
     due: VecDeque<Packet>,
     waiting: bool,
     log: DeliveryLog,
+    custody: Rc<Custody>,
 }
 
 impl Source {
-    fn new(name: &'static str, script: &Script) -> (Self, DeliveryLog) {
+    fn new(
+        name: &'static str,
+        wire: usize,
+        script: &Script,
+        custody: &Rc<Custody>,
+    ) -> (Self, DeliveryLog) {
         let log = DeliveryLog::default();
         let source = Self {
             name,
+            wire,
             script: script.iter().copied().collect(),
             due: VecDeque::new(),
             waiting: false,
             log: log.clone(),
+            custody: custody.clone(),
         };
         (source, log)
     }
@@ -64,7 +114,7 @@ impl Source {
         while !self.waiting {
             let Some(pkt) = self.due.pop_front() else { return };
             let (id, posted) = (pkt.id(), pkt.is_posted());
-            match ctx.try_send_request(PORT, pkt) {
+            match send_into_link(ctx, &self.custody, self.wire, pkt) {
                 Ok(()) if posted => self.log.borrow_mut().push((id, ctx.now())),
                 Ok(()) => {}
                 Err(back) => {
@@ -95,10 +145,14 @@ impl Component for Source {
             }
             self.script.pop_front();
             let id = ctx.alloc_packet_id();
+            // Distinct payload bytes, a route hop and a bus number, so the
+            // custody check compares every field the link carries.
             let mut pkt = Packet::request(id, cmd, addr, size, ctx.self_id());
             if cmd != Command::ReadReq {
-                pkt = pkt.with_payload(vec![0; size as usize]);
+                pkt = pkt.with_payload((0..size).map(|i| (id.0 as u32 + i) as u8).collect());
             }
+            pkt.push_route(ctx.self_id(), PORT);
+            pkt.stamp_pci_bus(self.wire as u8 + 1);
             self.due.push_back(pkt);
         }
         self.flush(ctx);
@@ -106,6 +160,7 @@ impl Component for Source {
 
     fn recv_response(&mut self, ctx: &mut Ctx<'_>, _port: PortId, pkt: Packet) -> RecvResult {
         self.log.borrow_mut().push((pkt.id(), ctx.now()));
+        self.custody.delivered[1 - self.wire].borrow_mut().push(pkt);
         RecvResult::Accepted
     }
 
@@ -120,23 +175,34 @@ impl Component for Source {
 /// answers non-posted requests after `service`.
 struct LogSink {
     name: &'static str,
+    /// The wire it sends its responses on.
+    wire: usize,
     refusals: VecDeque<bool>,
     service: Tick,
     log: DeliveryLog,
     blocked: VecDeque<Packet>,
     waiting: bool,
+    custody: Rc<Custody>,
 }
 
 impl LogSink {
-    fn new(name: &'static str, refusals: &[bool], service: Tick) -> (Self, DeliveryLog) {
+    fn new(
+        name: &'static str,
+        wire: usize,
+        refusals: &[bool],
+        service: Tick,
+        custody: &Rc<Custody>,
+    ) -> (Self, DeliveryLog) {
         let log = DeliveryLog::default();
         let sink = Self {
             name,
+            wire,
             refusals: refusals.iter().copied().collect(),
             service,
             log: log.clone(),
             blocked: VecDeque::new(),
             waiting: false,
+            custody: custody.clone(),
         };
         (sink, log)
     }
@@ -144,7 +210,7 @@ impl LogSink {
     fn flush(&mut self, ctx: &mut Ctx<'_>) {
         while !self.waiting {
             let Some(pkt) = self.blocked.pop_front() else { return };
-            if let Err(back) = ctx.try_send_response(PORT, pkt) {
+            if let Err(back) = send_into_link(ctx, &self.custody, self.wire, pkt) {
                 self.blocked.push_front(back);
                 self.waiting = true;
             }
@@ -163,6 +229,7 @@ impl Component for LogSink {
             return RecvResult::Refused(pkt);
         }
         self.log.borrow_mut().push((pkt.id(), ctx.now()));
+        self.custody.delivered[1 - self.wire].borrow_mut().push(pkt.clone());
         ctx.schedule(self.service, Event::DelayedPacket { tag: 0, pkt });
         RecvResult::Accepted
     }
@@ -173,15 +240,14 @@ impl Component for LogSink {
             Event::DelayedPacket { pkt, .. } if pkt.is_posted() => {}
             Event::DelayedPacket { pkt, .. } => {
                 let resp = if pkt.cmd().is_read() {
-                    let size = pkt.size() as usize;
-                    pkt.into_read_response(vec![0; size])
+                    let data = (0..pkt.size()).map(|i| (pkt.id().0 as u32 ^ i) as u8).collect();
+                    pkt.into_read_response(data)
                 } else {
                     pkt.into_response()
                 };
                 self.blocked.push_back(resp);
                 self.flush(ctx);
             }
-            Event::StampedPacket { .. } => panic!("{}: unexpected stamped packet", self.name),
         }
     }
 
@@ -212,6 +278,11 @@ struct Facts {
     deliveries: [Vec<(PacketId, Tick)>; 2],
     /// What each link end handled.
     dispatches: [Vec<Dispatch>; 2],
+    custody: Rc<Custody>,
+    /// Per wire, each TLP copy's transmission and arrival.
+    wire: [Vec<WireStep>; 2],
+    /// Each end's replay-buffer length at quiesce.
+    held: [usize; 2],
 }
 
 impl Facts {
@@ -223,6 +294,29 @@ impl Facts {
     fn busy_dispatches(&self) -> [Vec<Dispatch>; 2] {
         self.dispatches.clone().map(|log| log.into_iter().filter(|d| !d.idle_kick).collect())
     }
+
+    /// Transmissions that put a TLP on the wire while an earlier copy of
+    /// it was still in flight.
+    fn overtaking_replays(&self) -> u64 {
+        let mut overtakes = 0;
+        for steps in &self.wire {
+            let mut in_flight = BTreeMap::<u32, u32>::new();
+            for &step in steps {
+                match step {
+                    WireStep::Tx(seq) => {
+                        let copies = in_flight.entry(seq).or_default();
+                        overtakes += u64::from(*copies > 0);
+                        *copies += 1;
+                    }
+                    WireStep::Arrive(seq) => {
+                        let copies = in_flight.get_mut(&seq).expect("arrival of a copy never sent");
+                        *copies -= 1;
+                    }
+                }
+            }
+        }
+        overtakes
+    }
 }
 
 /// Runs `traffic` over one link to quiesce under the eager kick rule or
@@ -230,18 +324,20 @@ impl Facts {
 /// down-bound), `link`, `dev` (sink), `dma` (requester, up-bound), `mem`
 /// (sink).
 fn run(config: &LinkConfig, traffic: &Traffic, eager: bool) -> Facts {
-    let oracle = KickOracle { eager, log: Rc::default() };
+    let oracle = KickOracle { eager, ..KickOracle::default() };
+    let custody = Rc::new(Custody::default());
     let mut sim = Simulation::new();
-    let (source, cpu_log) = Source::new("cpu", &traffic.down);
+    let (source, cpu_log) = Source::new("cpu", DOWN, &traffic.down, &custody);
     let cpu = sim.add(Box::new(source));
     let mut link = PcieLink::new("link", config.clone());
     link.set_kick_oracle(&oracle);
     let link = sim.add(Box::new(link));
-    let (sink, dev_log) = LogSink::new("dev", &traffic.refusals[0], traffic.service[0]);
+    let (refusals, service) = (&traffic.refusals, traffic.service);
+    let (sink, dev_log) = LogSink::new("dev", UP, &refusals[0], service[0], &custody);
     let dev = sim.add(Box::new(sink));
-    let (source, dma_log) = Source::new("dma", &traffic.up);
+    let (source, dma_log) = Source::new("dma", UP, &traffic.up, &custody);
     let dma = sim.add(Box::new(source));
-    let (sink, mem_log) = LogSink::new("mem", &traffic.refusals[1], traffic.service[1]);
+    let (sink, mem_log) = LogSink::new("mem", DOWN, &refusals[1], service[1], &custody);
     let mem = sim.add(Box::new(sink));
     sim.connect((cpu, PORT), (link, PORT_UP_SLAVE));
     sim.connect((link, PORT_DOWN_MASTER), (dev, PORT));
@@ -259,6 +355,9 @@ fn run(config: &LinkConfig, traffic: &Traffic, eager: bool) -> Facts {
         completions: [cpu_log.take(), dma_log.take()],
         deliveries: [dev_log.take(), mem_log.take()],
         dispatches: oracle.log.each_ref().map(|log| log.borrow().clone()),
+        custody,
+        wire: oracle.wire.each_ref().map(|steps| steps.take()),
+        held: oracle.held.get(),
     }
 }
 
@@ -273,6 +372,56 @@ fn script(ops: &[(u64, u8, u32)], base: u64) -> Script {
             (at, cmds[usize::from(c)], base + i as u64 * 64, size)
         })
         .collect()
+}
+
+/// Random link rigs: a configuration and traffic in both directions.
+/// Times are drawn in 400 ps steps, so wire-free ticks, timer deadlines
+/// and arrivals coincide often enough to test tie-breaks.
+struct Rigs;
+
+impl Strategy for Rigs {
+    type Value = (LinkConfig, Traffic);
+
+    fn sample(&self, rng: &mut TestRng) -> (LinkConfig, Traffic) {
+        let ops =
+            || collection::vec((prop_oneof![Just(0u64), 1u64..1000], 0u8..3, 1u32..65), 0..24);
+        let (generation, width, replay_buffer_size) = (0usize..3, 0usize..6, 1usize..9).sample(rng);
+        let errors = (0usize..3).sample(rng);
+        let flags = any::<u8>().sample(rng);
+        let credits = (1usize..9).sample(rng);
+        let propagation = prop_oneof![Just(0u64), 1u64..1750].sample(rng);
+        let (down, up) = (ops().sample(rng), ops().sample(rng));
+        let service = (0u64..750, 0u64..750).sample(rng);
+        let refusals = collection::vec(any::<bool>(), 0..12);
+        let refusals = [refusals.sample(rng), refusals.sample(rng)];
+        let config = LinkConfig {
+            generation: [Generation::Gen1, Generation::Gen2, Generation::Gen3][generation],
+            width: [
+                LinkWidth::X1,
+                LinkWidth::X2,
+                LinkWidth::X4,
+                LinkWidth::X8,
+                LinkWidth::X12,
+                LinkWidth::X16,
+            ][width],
+            propagation_delay: propagation * 400,
+            replay_buffer_size,
+            error_interval: [0, 7, 97][errors],
+            credit_fc: (flags & 1 != 0).then_some(credits),
+            cut_through: flags & 2 != 0,
+            ack_immediate: flags & 4 != 0,
+            ack_opportunistic: flags & 8 != 0,
+            scale_timeout_with_width: flags & 16 != 0,
+            ..LinkConfig::default()
+        };
+        let traffic = Traffic {
+            down: script(&down, 0x4000_0000),
+            up: script(&up, 0x8000_0000),
+            service: [service.0 * 400, service.1 * 400],
+            refusals,
+        };
+        (config, traffic)
+    }
 }
 
 /// Runs `traffic` under both kick rules and asserts the on-demand run is
@@ -305,49 +454,46 @@ proptest! {
     /// reproduces the eager rule's run bit for bit, and the events it
     /// saves are exactly kicks that would have found nothing to send.
     #[test]
-    fn on_demand_kicks_delete_only_idle_kicks_from_the_eager_stream(
-        shape in (0usize..3, 0usize..6, 1usize..9),
-        errors in 0usize..3,
-        flags in any::<u8>(),
-        credits in 1usize..9,
-        propagation in prop_oneof![Just(0u64), 1u64..1750],
-        down in collection::vec((prop_oneof![Just(0u64), 1u64..1000], 0u8..3, 1u32..65), 0..24),
-        up in collection::vec((prop_oneof![Just(0u64), 1u64..1000], 0u8..3, 1u32..65), 0..24),
-        service in (0u64..750, 0u64..750),
-        refusals in (collection::vec(any::<bool>(), 0..12), collection::vec(any::<bool>(), 0..12)),
-    ) {
-        // Times are drawn in 400 ps steps, so wire-free ticks, timer
-        // deadlines and arrivals coincide often enough to test tie-breaks.
-        let (generation, width, replay_buffer_size) = shape;
-        let config = LinkConfig {
-            generation: [Generation::Gen1, Generation::Gen2, Generation::Gen3][generation],
-            width: [LinkWidth::X1, LinkWidth::X2, LinkWidth::X4, LinkWidth::X8, LinkWidth::X12,
-                LinkWidth::X16][width],
-            propagation_delay: propagation * 400,
-            replay_buffer_size,
-            error_interval: [0, 7, 97][errors],
-            credit_fc: (flags & 1 != 0).then_some(credits),
-            cut_through: flags & 2 != 0,
-            ack_immediate: flags & 4 != 0,
-            ack_opportunistic: flags & 8 != 0,
-            scale_timeout_with_width: flags & 16 != 0,
-            ..LinkConfig::default()
-        };
-        let traffic = Traffic {
-            down: script(&down, 0x4000_0000),
-            up: script(&up, 0x8000_0000),
-            service: [service.0 * 400, service.1 * 400],
-            refusals: [refusals.0, refusals.1],
-        };
+    fn on_demand_kicks_delete_only_idle_kicks_from_the_eager_stream(rig in Rigs) {
+        let (config, traffic) = rig;
         let (eager, lazy) = assert_on_demand_matches_eager(&config, &traffic);
         if config.cut_through {
             // Cut-through links keep the eager rule (see `arm_kick`).
             prop_assert_eq!(eager.events, lazy.events);
-        } else if !(down.is_empty() && up.is_empty()) {
+        } else if !(traffic.down.is_empty() && traffic.up.is_empty()) {
             // The kick after each wire's last frame finds nothing to send.
             prop_assert!(eager.events > lazy.events);
         }
     }
+}
+
+/// Custody over the same rigs: each wire hands out every TLP it admitted
+/// exactly once, in admission order, equal field by field (id, command,
+/// address, size, payload, route, bus number) to the one admitted, and
+/// both replay buffers are empty at quiesce. The rigs must include
+/// replays that leave while the previous copy is still on the wire —
+/// the case where a duplicate arrives after its TLP was delivered.
+#[test]
+fn every_tlp_leaves_the_link_once_in_order_and_unchanged() {
+    let mut overtaking = 0;
+    for case in 0..512 {
+        let (config, traffic) = Rigs.sample(&mut TestRng::for_case("custody", case));
+        let facts = run(&config, &traffic, false);
+        for (dir, label) in ["down", "up"].into_iter().enumerate() {
+            let admitted = facts.custody.admitted[dir].borrow();
+            let delivered = facts.custody.delivered[dir].borrow();
+            assert!(
+                *delivered == *admitted,
+                "{label} wire: {} admitted, {} delivered, first difference at {:?}: {config:?}",
+                admitted.len(),
+                delivered.len(),
+                admitted.iter().zip(delivered.iter()).position(|(a, d)| a != d),
+            );
+        }
+        assert_eq!(facts.held, [0, 0], "replay buffers at quiesce: {config:?}");
+        overtaking += facts.overtaking_replays();
+    }
+    assert!(overtaking > 0, "no replay left while its previous copy was in flight");
 }
 
 /// The case the reserved stamp exists for: a kick and a replay-timer

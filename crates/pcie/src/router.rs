@@ -184,8 +184,9 @@ struct RouterStats {
 #[derive(Debug, Default)]
 struct PendingCompletion {
     timer: EventHandle,
-    /// Full clone of the admitted request, kept so a synthesized error
-    /// completion carries the real route stack back through the fabric.
+    /// The admitted request's header and route stack, kept so a
+    /// synthesized error completion carries the real route stack back
+    /// through the fabric.
     request: Packet,
     /// Downstream pair the request was routed toward (window match at
     /// admission), so a timeout latches in that port's registers rather
@@ -601,7 +602,7 @@ impl PcieRouter {
                 if let Some(timeout) = self.config.completion_timeout {
                     let timer = ctx
                         .schedule(timeout, Event::Timer { kind: K_CPL_TIMEOUT, data: pkt.id().0 });
-                    let request = pkt.clone();
+                    let request = pkt.header();
                     let pair = self
                         .downstream_by_window(pkt.addr(), None)
                         .or_else(|| self.hdm_route_for(pkt.addr()));
@@ -705,7 +706,6 @@ impl Component for PcieRouter {
                 self.ports[egress].egress.arrive(pkt);
                 self.drain_egress(ctx, egress);
             }
-            Event::StampedPacket { .. } => panic!("{}: unexpected stamped packet", self.name),
         }
     }
 

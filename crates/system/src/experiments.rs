@@ -1561,41 +1561,41 @@ mod tests {
     /// name.
     fn identity_table(t: &mut impl Row) {
         let dd = DdExperiment { block_bytes: 64 * 1024, ..DdExperiment::default() };
-        t.row("dd", &dd, [0x8006_ecc2_4025_429e, 0x8e9a_906b_bebc_dfad]);
+        t.row("dd", &dd, [0x9ceb_7d40_5809_0029, 0x95ba_9e1d_3b1f_9fb2]);
         let fault = FaultExperiment {
             block_bytes: 64 * 1024,
             error_interval: 13,
             ..FaultExperiment::default()
         };
-        t.row("fault", &fault, [0x8006_ecc2_4025_429e, 0x3628_4b06_8ad3_3501]);
+        t.row("fault", &fault, [0x9ceb_7d40_5809_0029, 0x3280_4cab_d3d4_a9b2]);
         let pmd = small_pmd(tick::ns(2500));
-        t.row("pmd", &pmd, [0x7f2c_7307_39b8_daa6, 0x3f60_d065_60b2_2379]);
-        t.row("irq rx", &IrqRxBaseline(&pmd), [0xbdc2_7c07_5c1b_77ce, 0x3fab_4aba_4333_31d2]);
+        t.row("pmd", &pmd, [0xc8b9_ae63_7a46_750b, 0x113d_edd1_78ea_2638]);
+        t.row("irq rx", &IrqRxBaseline(&pmd), [0xc864_66db_9156_3236, 0x2fa4_5eb2_6ab3_a1a1]);
         let mmio = MmioExperiment { reads: 8, ..MmioExperiment::default() };
-        t.row("mmio", &mmio, [0xf9a2_3b46_60c8_67fb, 0x74f4_8c4e_1f32_b50f]);
+        t.row("mmio", &mmio, [0xa66b_5b38_1520_c8b6, 0x0ac8_c892_eb59_a084]);
         let sector = SectorMicrobench { width: LinkWidth::X1, sectors: 16 };
-        t.row("sector", &sector, [0x9f83_d720_7c6b_f0ca, 0x94f8_1436_ef65_3ef7]);
+        t.row("sector", &sector, [0x4e37_c740_d9b4_5079, 0xaa4b_8ee6_286c_e47a]);
         let nic_tx = NicTxExperiment { frames: 32, ..NicTxExperiment::default() };
-        t.row("nic tx", &nic_tx, [0x4e0a_bb3a_5a21_662a, 0xc628_03d5_947f_c8a6]);
+        t.row("nic tx", &nic_tx, [0xfaad_4982_366f_9f9d, 0x451f_bde0_333c_8133]);
         let nic_rx = NicRxExperiment { frames: 32, ..NicRxExperiment::default() };
-        t.row("nic rx", &nic_rx, [0x7f36_616a_03cc_6e12, 0xf7b4_5885_b5bc_5c42]);
+        t.row("nic rx", &nic_rx, [0x1cfa_b222_bfcf_9e4e, 0xf5b9_cca6_8873_f609]);
         let contention = TopologyExperiment { frames: 32, ..TopologyExperiment::default() };
         for (shared, pins) in [
-            (true, [0xa132_5d7a_3eb0_1018, 0x4329_c1e1_4598_fcfa]),
-            (false, [0xafb5_8f7d_f9d7_0a90, 0x8d23_6ebe_f5a5_8835]),
+            (true, [0x6f24_8b6d_35a5_8747, 0xb1f3_8e4c_65d8_29e0]),
+            (false, [0xfdd6_3f42_a4eb_c958, 0xf28d_72d3_b02e_3180]),
         ] {
             t.row("contention", &ContentionArm { exp: &contention, shared }, pins);
         }
         for (use_msix, pins) in [
-            (true, [0xdc4b_df87_3274_0822, 0x1ec4_057b_794c_5e3e]),
-            (false, [0xef1e_5bc2_967f_0d14, 0x46e9_d165_3985_640a]),
+            (true, [0xd79c_cf2f_796f_8267, 0x49d7_9506_3dbf_e6cf]),
+            (false, [0xa399_53f2_f7e6_5cb3, 0xd8f9_c9f4_b3f1_a395]),
         ] {
             let msix = MsixTxExperiment { frames: 64, use_msix, ..MsixTxExperiment::default() };
             t.row("msix tx", &msix, pins);
         }
         for (placement, pins) in [
-            (CxlPlacement::LocalDram, [0x12c1_32a2_6901_5277, 0x6ee3_ee90_b69c_cdab]),
-            (CxlPlacement::Interleaved(2), [0x8369_f9f0_8abb_76cd, 0x884e_4021_5e66_78fd]),
+            (CxlPlacement::LocalDram, [0x2737_2a8d_c002_8922, 0xd62e_1fcc_152f_a6d8]),
+            (CxlPlacement::Interleaved(2), [0x67f6_c5b5_86bd_9868, 0x331f_3f6f_0b2c_abfa]),
         ] {
             let cxl = CxlExperiment { placement, requests: 64, ..CxlExperiment::default() };
             t.row("cxl", &cxl, pins);
@@ -1606,7 +1606,7 @@ mod tests {
             queue_depth: 2,
             ..VirtioExperiment::default()
         };
-        t.row("virtio", &virtio, [0x936b_533c_10f0_2e02, 0x8748_7a50_7390_07a8]);
+        t.row("virtio", &virtio, [0xf6e9_e201_6f73_38fb, 0xcedf_c6c1_fb98_4465]);
     }
 
     fn small_pmd(gap: Tick) -> PmdExperiment {
