@@ -5,11 +5,11 @@
 //! ACK-NAK machinery unchanged; what is new is the **transaction class**:
 //! host loads and stores arrive as [`Command::CxlMemRd`] / [`Command::CxlMemWr`]
 //! (M2S Req / RwD) and are answered with DRS / NDR completions, never with
-//! Memory Read/Write TLPs. The device model follows `kernel::dram` — a
-//! fixed access latency plus a bandwidth-serialization term — extended with
-//! a **per-bank busy model**: consecutive 64 B blocks stripe across
-//! `banks` banks, and accesses to a busy bank queue behind it, so strided
-//! and pointer-chase streams see realistic bank conflicts.
+//! Memory Read/Write TLPs. The device's timing is `kernel::dram`'s
+//! [`MemoryCore`] — a fixed access latency plus a bandwidth-serialization
+//! term — with a **per-bank busy model**: consecutive 64 B blocks stripe
+//! across `banks` banks, and accesses to a busy bank queue behind it, so
+//! strided and pointer-chase streams see realistic bank conflicts.
 //!
 //! The expander's **HDM decoder** (host-managed device memory window) is
 //! programmed through configuration space, like a BAR: enumeration (or the
@@ -26,19 +26,18 @@
 
 use pcisim_kernel::addr::AddrRange;
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
-use pcisim_kernel::dram::BlockStore;
+use pcisim_kernel::dram::{BlockStore, MemoryCore, DRAM_PORT};
 use pcisim_kernel::packet::{CompletionStatus, Packet};
-use pcisim_kernel::queue::TimedQueue;
 use pcisim_kernel::sim::Ctx;
 use pcisim_kernel::stats::{Counter, StatsBuilder};
-use pcisim_kernel::tick::{ns, transfer_time, Tick};
-use pcisim_kernel::trace::{TraceCategory, TraceKind};
+use pcisim_kernel::tick::{ns, Tick};
 use pcisim_pci::caps::{write_aer_capability, CapChain, Capability, Generation, PortType};
 use pcisim_pci::config::{shared, ConfigSpace, SharedConfigSpace};
 use pcisim_pci::header::{bar_base, Bar, Type0Header};
 
-/// Slave port: HDM loads/stores and BAR0 control-register accesses.
-pub const CXL_PIO_PORT: PortId = PortId(0);
+/// Slave port: HDM loads/stores and BAR0 control-register accesses (the
+/// memory core's port).
+pub const CXL_PIO_PORT: PortId = DRAM_PORT;
 /// Master port (unused; a .mem expander initiates nothing).
 pub const CXL_DMA_PORT: PortId = PortId(1);
 
@@ -158,36 +157,23 @@ pub fn hdm_window(cs: &ConfigSpace) -> AddrRange {
     }
 }
 
-const TAG_DONE: u32 = 0;
-const TAG_ABORT: u32 = 1;
-
-#[derive(Debug, Default)]
-struct ExpanderStats {
-    reads: Counter,
-    writes: Counter,
-    bytes: Counter,
+/// The CXL.mem memory-expander component: an HDM decoder and a BAR0
+/// register file in front of a [`MemoryCore`] with `banks` banks.
+pub struct CxlExpander {
+    name: String,
+    config: CxlExpanderConfig,
+    config_space: SharedConfigSpace,
+    /// Timing of HDM accesses (bank = block index modulo `banks`); BAR0
+    /// accesses and Completer Aborts share its slots and response lane.
+    core: MemoryCore<Vec<Tick>>,
+    /// Sparse backing store of the HDM window.
+    store: BlockStore,
     /// Accesses outside the programmed HDM window, answered with a
     /// Completer Abort.
     hdm_rejects: Counter,
     /// Accesses that queued behind a busy bank.
     bank_conflicts: Counter,
     ingress_refusals: Counter,
-}
-
-/// The CXL.mem memory-expander component.
-pub struct CxlExpander {
-    name: String,
-    config: CxlExpanderConfig,
-    config_space: SharedConfigSpace,
-    /// Per-bank busy horizon (bank = block index modulo `banks`).
-    bank_busy: Vec<Tick>,
-    /// Sparse backing store of the HDM window.
-    store: BlockStore,
-    outstanding: usize,
-    /// Completions waiting for the port; owes the port its retry, which
-    /// `outstanding`, not this lane, bounds.
-    resp: TimedQueue,
-    stats: ExpanderStats,
 }
 
 impl CxlExpander {
@@ -197,25 +183,26 @@ impl CxlExpander {
         assert!(config.banks > 0, "need at least one bank");
         assert!(config.max_outstanding > 0, "need at least one outstanding access");
         let cs = shared(cxl_config_space());
+        let core = MemoryCore::new(
+            config.access_latency,
+            config.bytes_per_sec,
+            config.max_outstanding,
+            vec![0; config.banks],
+        );
         (
             Self {
                 name: name.into(),
-                bank_busy: vec![0; config.banks],
                 config,
                 config_space: cs.clone(),
+                core,
                 store: BlockStore::default(),
-                outstanding: 0,
-                resp: TimedQueue::unbounded(),
-                stats: ExpanderStats::default(),
+                hdm_rejects: Counter::new(),
+                bank_conflicts: Counter::new(),
+                ingress_refusals: Counter::new(),
             },
             cs,
         )
     }
-
-    /// Accepted for uniformity with the other endpoints (the planner
-    /// patches every device's INTx target); a .mem expander never
-    /// interrupts, so the target is simply ignored.
-    pub fn set_intx(&mut self, _intx: Option<(u8, u64)>) {}
 
     /// The HDM decoder window currently programmed into config space.
     pub fn hdm(&self) -> AddrRange {
@@ -224,98 +211,6 @@ impl CxlExpander {
 
     fn bar0(&self) -> u64 {
         bar_base(&self.config_space.borrow(), 0)
-    }
-
-    fn reg_read(&self, offset: u64) -> u32 {
-        let hdm = self.hdm();
-        match offset {
-            regs::READS => self.stats.reads.value() as u32,
-            regs::WRITES => self.stats.writes.value() as u32,
-            regs::HDM_BASE_LO => hdm.start() as u32,
-            regs::HDM_BASE_HI => (hdm.start() >> 32) as u32,
-            _ => 0,
-        }
-    }
-
-    /// Admits an HDM load/store: bank-serialized timing, then completion.
-    fn admit_mem(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        let hdm = self.hdm();
-        if pkt.cmd().is_read() {
-            self.stats.reads.inc();
-        } else {
-            self.stats.writes.inc();
-        }
-        self.stats.bytes.add(u64::from(pkt.size()));
-        if ctx.tracing(TraceCategory::Fabric) {
-            ctx.emit(
-                TraceCategory::Fabric,
-                TraceKind::DramAccess,
-                Some(pkt.id()),
-                Some(pkt.cmd()),
-                u64::from(pkt.size()),
-            );
-        }
-        // Stores become visible at admission; loads sample at completion.
-        // Admission order equals issue order, so read-your-write holds per
-        // address even with many accesses in flight.
-        if pkt.cmd().is_write() {
-            if let Some(buf) = pkt.payload() {
-                self.store.write(pkt.addr(), buf);
-            }
-        }
-        let bank = (((pkt.addr() - hdm.start()) / CXL_BLOCK) % self.config.banks as u64) as usize;
-        let xfer = if self.config.bytes_per_sec == 0 {
-            0
-        } else {
-            transfer_time(u64::from(pkt.size()), self.config.bytes_per_sec)
-        };
-        let start = ctx.now().max(self.bank_busy[bank]);
-        if start > ctx.now() {
-            self.stats.bank_conflicts.inc();
-        }
-        let finish = start + xfer;
-        self.bank_busy[bank] = finish;
-        let done_at = finish + self.config.access_latency;
-        ctx.schedule(done_at - ctx.now(), Event::DelayedPacket { tag: TAG_DONE, pkt });
-    }
-
-    /// Admits a BAR0 control-register access.
-    fn admit_pio(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        ctx.schedule(self.config.pio_latency, Event::DelayedPacket { tag: TAG_DONE, pkt });
-    }
-
-    fn complete(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        if pkt.is_posted() {
-            self.outstanding -= 1;
-            self.resp.grant_retry(ctx, CXL_PIO_PORT);
-            return;
-        }
-        let resp = if pkt.cmd().is_read() {
-            let size = pkt.size() as usize;
-            let mut data = vec![0; size];
-            if self.hdm().contains(pkt.addr()) {
-                self.store.read(pkt.addr(), &mut data);
-            } else {
-                // BAR0 register read.
-                let v = self.reg_read(pkt.addr() - self.bar0()).to_le_bytes();
-                for (i, b) in data.iter_mut().enumerate() {
-                    *b = *v.get(i).unwrap_or(&0);
-                }
-            }
-            pkt.into_read_response(data)
-        } else {
-            pkt.into_response()
-        };
-        self.resp.push(resp);
-        self.flush(ctx);
-    }
-
-    /// Each completion that leaves releases its access slot.
-    fn flush(&mut self, ctx: &mut Ctx<'_>) {
-        while self.resp.send_head(ctx, CXL_PIO_PORT).is_some() {
-            self.outstanding -= 1;
-            self.resp.grant_retry(ctx, CXL_PIO_PORT);
-        }
     }
 }
 
@@ -326,71 +221,102 @@ impl Component for CxlExpander {
 
     fn recv_request(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) -> RecvResult {
         assert_eq!(port, CXL_PIO_PORT, "{}: request on unexpected port {port}", self.name);
-        if self.outstanding >= self.config.max_outstanding {
-            self.stats.ingress_refusals.inc();
-            return self.resp.refuse(pkt);
-        }
-        self.outstanding += 1;
+        let pkt = match self.core.admit(pkt) {
+            Ok(pkt) => pkt,
+            Err(refused) => {
+                self.ingress_refusals.inc();
+                return refused;
+            }
+        };
         let hdm = self.hdm();
         let bar0 = self.bar0();
         if hdm.contains(pkt.addr()) {
-            self.admit_mem(ctx, pkt);
+            // Stores become visible at admission; loads sample at
+            // completion. Admission order equals issue order, so
+            // read-your-write holds per address even with many accesses in
+            // flight.
+            if pkt.cmd().is_write() {
+                if let Some(buf) = pkt.payload() {
+                    self.store.write(pkt.addr(), buf);
+                }
+            }
+            let bank = ((pkt.addr() - hdm.start()) / CXL_BLOCK) % self.config.banks as u64;
+            if self.core.access(ctx, bank as usize, pkt) {
+                self.bank_conflicts.inc();
+            }
         } else if bar0 != 0 && AddrRange::with_size(bar0, 0x1000).contains(pkt.addr()) {
-            self.admit_pio(ctx, pkt);
+            ctx.schedule(self.config.pio_latency, Event::DelayedPacket { tag: 0, pkt });
         } else {
             // Outside both the HDM window and the control BAR: the device
             // claims the transaction (the fabric routed it here) but cannot
             // service it — Completer Abort, never a hang.
-            self.stats.hdm_rejects.inc();
+            self.hdm_rejects.inc();
             if pkt.is_posted() {
-                self.outstanding -= 1;
+                self.core.release(ctx);
                 return RecvResult::Accepted;
             }
             let resp = pkt.into_error_response(CompletionStatus::CompleterAbort);
             // Never respond synchronously from recv_request: bounce the
             // abort through a zero-delay event like every other completion.
-            ctx.schedule(0, Event::DelayedPacket { tag: TAG_ABORT, pkt: resp });
+            ctx.schedule(0, Event::DelayedPacket { tag: 0, pkt: resp });
         }
         RecvResult::Accepted
     }
 
+    /// A delayed request has completed and is answered; a delayed response
+    /// is a Completer Abort.
     fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
-        match ev {
-            Event::DelayedPacket { tag: TAG_DONE, pkt } => self.complete(ctx, pkt),
-            Event::DelayedPacket { tag: TAG_ABORT, pkt } => {
-                self.resp.push(pkt);
-                self.flush(ctx);
-            }
-            _ => panic!("{}: unexpected event", self.name),
+        let Event::DelayedPacket { pkt, .. } = ev else {
+            panic!("{}: unexpected event", self.name)
+        };
+        if !pkt.is_request() {
+            return self.core.push(ctx, pkt);
         }
+        let hdm = self.hdm();
+        let reg = (pkt.cmd().is_read() && !hdm.contains(pkt.addr())).then(|| {
+            let value = match pkt.addr() - self.bar0() {
+                regs::READS => self.core.reads.value() as u32,
+                regs::WRITES => self.core.writes.value() as u32,
+                regs::HDM_BASE_LO => hdm.start() as u32,
+                regs::HDM_BASE_HI => (hdm.start() >> 32) as u32,
+                _ => 0,
+            };
+            value.to_le_bytes()
+        });
+        let store = &self.store;
+        self.core.respond(ctx, pkt, |addr, data| match reg {
+            None => store.read(addr, data),
+            Some(v) => data.iter_mut().zip(v).for_each(|(b, v)| *b = v),
+        });
     }
 
     fn retry_granted(&mut self, ctx: &mut Ctx<'_>, _port: PortId) {
-        self.resp.unblock();
-        self.flush(ctx);
+        self.core.retry_granted(ctx);
     }
 
     fn report_stats(&self, out: &mut StatsBuilder) {
-        out.counter("reads", &self.stats.reads);
-        out.counter("writes", &self.stats.writes);
-        out.counter("bytes", &self.stats.bytes);
-        out.counter("hdm_rejects", &self.stats.hdm_rejects);
-        out.counter("bank_conflicts", &self.stats.bank_conflicts);
-        out.counter("ingress_refusals", &self.stats.ingress_refusals);
+        self.core.report_stats(out);
+        out.counter("hdm_rejects", &self.hdm_rejects);
+        out.counter("bank_conflicts", &self.bank_conflicts);
+        out.counter("ingress_refusals", &self.ingress_refusals);
     }
 
     pcisim_kernel::state_fields!(component self;
-        [bank_busy; len], store, outstanding, resp, stats.reads, stats.writes, stats.bytes,
-        stats.hdm_rejects, stats.bank_conflicts, stats.ingress_refusals,
+        [core.banks; len], store, core.outstanding, core.resp, core.reads, core.writes,
+        core.bytes, hdm_rejects, bank_conflicts, ingress_refusals,
+        save(_w) {}
+        load(_r) {
+            self.core.check_restored(&self.name)?;
+        },
     );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcisim_kernel::packet::{Command, PacketId};
+    use pcisim_kernel::packet::Command;
     use pcisim_kernel::sim::{RunOutcome, Simulation};
-    use pcisim_kernel::snapshot::{StateReader, StateWriter};
+    use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
     use pcisim_kernel::testutil::{Requester, REQUESTER_PORT};
     use pcisim_kernel::tick::us;
 
@@ -450,7 +376,6 @@ mod tests {
     #[test]
     fn stores_read_back_their_data() {
         let mut sim = Simulation::new();
-        use pcisim_kernel::component::ComponentId;
         use std::cell::RefCell;
         use std::rc::Rc;
         // A host that writes a pattern then reads it back.
@@ -501,7 +426,6 @@ mod tests {
         sim.connect((h, PortId(0)), (d, CXL_PIO_PORT));
         assert_eq!(sim.run_to_quiesce(), RunOutcome::QueueEmpty);
         assert_eq!(*got.borrow(), (0..64u8).collect::<Vec<_>>(), "written data reads back");
-        let _ = ComponentId(0);
     }
 
     #[test]
@@ -575,18 +499,30 @@ mod tests {
         sim.connect((r, REQUESTER_PORT), (d, CXL_PIO_PORT));
         sim.run_to_quiesce();
         src.store.write(HDM_BASE + 7, &[1, 2, 3]);
-        src.bank_busy[3] = 12345;
-        src.stats.reads.inc();
+        src.core.banks[3] = 12345;
+        src.core.reads.inc();
         let mut w = StateWriter::new();
         src.save_state(&mut w);
         let bytes = w.into_bytes();
         let mut dst = expander(CxlExpanderConfig::default());
         dst.restore_state(&mut StateReader::new(&bytes)).unwrap();
         assert_eq!(dst.store, src.store);
-        assert_eq!(dst.bank_busy, src.bank_busy);
+        assert_eq!(dst.core.banks, src.core.banks);
         let mut w2 = StateWriter::new();
         dst.save_state(&mut w2);
         assert_eq!(w2.into_bytes(), bytes, "save/restore/save is byte-stable");
+    }
+
+    #[test]
+    fn restore_rejects_outstanding_above_the_bound() {
+        let cfg = CxlExpanderConfig { max_outstanding: 2, ..Default::default() };
+        let mut src = expander(cfg.clone());
+        src.core.outstanding = 3;
+        let mut w = StateWriter::new();
+        src.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let err = expander(cfg).restore_state(&mut StateReader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
     }
 
     #[test]
@@ -595,7 +531,5 @@ mod tests {
         assert_eq!(cs.read(0x00, 2), 0x8086);
         assert_eq!(cs.read(0x02, 2), u32::from(CXL_DEVICE_ID));
         assert_eq!(cs.read(0x0a, 2), 0x0502, "CXL memory-device class");
-        let id = PacketId(0);
-        let _ = id;
     }
 }

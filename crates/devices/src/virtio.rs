@@ -1181,11 +1181,7 @@ impl Virtio {
     fn net_tx_payload_ready(&mut self, ctx: &mut Ctx<'_>, q: usize) {
         let frame_bytes = self.queues[q].staging.len() as u32 - NET_HEADER_BYTES;
         self.queues[q].phase = VqPhase::Wire;
-        let wire = if self.config.wire_bytes_per_sec == 0 {
-            0
-        } else {
-            transfer_time(u64::from(frame_bytes), self.config.wire_bytes_per_sec)
-        };
+        let wire = transfer_time(u64::from(frame_bytes), self.config.wire_bytes_per_sec);
         ctx.schedule(wire, Event::Timer { kind: K_TX_WIRE_DONE, data: q as u64 });
     }
 

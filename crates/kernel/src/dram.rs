@@ -5,15 +5,16 @@
 //! bounds the number of in-flight accesses (refusing above it). It stands in
 //! for gem5's memory controller + DRAM models: the paper's experiments only
 //! need memory to be fast enough never to be the bottleneck, which the
-//! defaults guarantee. [`BlockStore`] is the sparse byte store behind a
-//! functional memory, here and in the CXL expander.
+//! defaults guarantee. The timing lives in [`MemoryCore`], and
+//! [`BlockStore`] is the sparse byte store behind a functional memory;
+//! the CXL expander embeds both behind its HDM decoder.
 
 use std::collections::BTreeMap;
 
 use crate::addr::AddrRange;
 use crate::component::{Component, Event, PortId, RecvResult};
 use crate::packet::Packet;
-use crate::queue::TimedQueue;
+use crate::queue::{check_slots, TimedQueue};
 use crate::sim::Ctx;
 use crate::snapshot::{SnapshotError, State};
 use crate::stats::{Counter, StatsBuilder};
@@ -83,34 +84,167 @@ impl State for BlockStore {
     );
 }
 
-/// Builder for [`Dram`]; see [`Dram::builder`].
+/// The timing core under every memory. An admitted access holds one of
+/// `max_outstanding` slots until its response leaves through [`DRAM_PORT`]
+/// (a posted write: until it completes); its transfer serializes behind
+/// the previous one on its bank, and it completes the access latency
+/// later. `B` holds the banks' busy horizons: `[Tick; 1]` for [`Dram`], so
+/// its path stays free of a heap indirection, a `Vec` for the CXL
+/// expander. The state fields are public so that each memory checkpoints
+/// them in its own order; [`Self::check_restored`] validates them.
 #[derive(Debug)]
-pub struct DramBuilder {
-    name: String,
-    range: AddrRange,
+pub struct MemoryCore<B> {
     latency: Tick,
     bytes_per_sec: u64,
     max_outstanding: usize,
-    functional: bool,
+    /// Accesses admitted and not yet answered.
+    pub outstanding: usize,
+    /// When each bank's last admitted transfer ends.
+    pub banks: B,
+    /// Responses waiting for the port; owes the port its retry, which
+    /// `outstanding`, not this lane, bounds.
+    pub resp: TimedQueue,
+    /// Admitted reads.
+    pub reads: Counter,
+    /// Admitted writes.
+    pub writes: Counter,
+    /// Bytes the admitted accesses move.
+    pub bytes: Counter,
 }
+
+impl<B: AsMut<[Tick]>> MemoryCore<B> {
+    /// A core with the given access latency, per-bank bandwidth in bytes
+    /// per second (0 = infinite), in-flight bound and bank horizons.
+    pub fn new(latency: Tick, bytes_per_sec: u64, max_outstanding: usize, banks: B) -> Self {
+        Self {
+            latency,
+            bytes_per_sec,
+            max_outstanding,
+            outstanding: 0,
+            banks,
+            resp: TimedQueue::unbounded(),
+            reads: Counter::new(),
+            writes: Counter::new(),
+            bytes: Counter::new(),
+        }
+    }
+
+    /// Gives `pkt` an access slot, or refuses it, owing its sender a retry,
+    /// when every slot is taken.
+    pub fn admit(&mut self, pkt: Packet) -> Result<Packet, RecvResult> {
+        if self.outstanding >= self.max_outstanding {
+            return Err(self.resp.refuse(pkt));
+        }
+        self.outstanding += 1;
+        Ok(pkt)
+    }
+
+    /// Times an admitted access on `bank`: counts and traces it, serializes
+    /// its transfer behind the bank's previous one and schedules
+    /// `DelayedPacket { tag: 0, pkt }` for when it completes. Says whether
+    /// the access waited for its bank.
+    pub fn access(&mut self, ctx: &mut Ctx<'_>, bank: usize, pkt: Packet) -> bool {
+        if pkt.cmd().is_read() {
+            self.reads.inc();
+        } else {
+            self.writes.inc();
+        }
+        self.bytes.add(u64::from(pkt.size()));
+        if ctx.tracing(TraceCategory::Fabric) {
+            ctx.emit(
+                TraceCategory::Fabric,
+                TraceKind::DramAccess,
+                Some(pkt.id()),
+                Some(pkt.cmd()),
+                u64::from(pkt.size()),
+            );
+        }
+        let now = ctx.now();
+        let busy = &mut self.banks.as_mut()[bank];
+        let start = now.max(*busy);
+        *busy = start + transfer_time(u64::from(pkt.size()), self.bytes_per_sec);
+        ctx.schedule(*busy + self.latency - now, Event::DelayedPacket { tag: 0, pkt });
+        start > now
+    }
+
+    /// Answers a completed access: a posted request releases its slot; a
+    /// read gets its data, which `read` fills from the access address; a
+    /// non-posted write gets its completion.
+    pub fn respond(&mut self, ctx: &mut Ctx<'_>, pkt: Packet, read: impl FnOnce(u64, &mut [u8])) {
+        if pkt.is_posted() {
+            self.release(ctx);
+            return;
+        }
+        let resp = if pkt.cmd().is_read() {
+            let mut data = vec![0; pkt.size() as usize];
+            read(pkt.addr(), &mut data);
+            pkt.into_read_response(data)
+        } else {
+            pkt.into_response()
+        };
+        self.push(ctx, resp);
+    }
+
+    /// Queues a response behind the others and sends what the port takes.
+    pub fn push(&mut self, ctx: &mut Ctx<'_>, resp: Packet) {
+        self.resp.push(resp);
+        self.flush(ctx);
+    }
+
+    /// Frees an access slot, granting the owed retry.
+    pub fn release(&mut self, ctx: &mut Ctx<'_>) {
+        self.outstanding -= 1;
+        self.resp.grant_retry(ctx, DRAM_PORT);
+    }
+
+    /// Each response that leaves releases its slot.
+    fn flush(&mut self, ctx: &mut Ctx<'_>) {
+        while self.resp.send_head(ctx, DRAM_PORT).is_some() {
+            self.release(ctx);
+        }
+    }
+
+    /// The port granted its retry: responses may leave again.
+    pub fn retry_granted(&mut self, ctx: &mut Ctx<'_>) {
+        self.resp.unblock();
+        self.flush(ctx);
+    }
+
+    /// Reports `reads`, `writes` and `bytes`.
+    pub fn report_stats(&self, out: &mut StatsBuilder) {
+        out.counter("reads", &self.reads);
+        out.counter("writes", &self.writes);
+        out.counter("bytes", &self.bytes);
+    }
+
+    /// Rejects restored state whose `outstanding` exceeds the bound or does
+    /// not cover the responses in the lane.
+    pub fn check_restored(&self, name: &str) -> Result<(), SnapshotError> {
+        check_slots(name, self.outstanding, self.max_outstanding, self.resp.held())
+    }
+}
+
+/// Builder for [`Dram`]; see [`Dram::builder`].
+#[derive(Debug)]
+pub struct DramBuilder(Dram);
 
 impl DramBuilder {
     /// Sets the fixed access latency.
     pub fn latency(mut self, t: Tick) -> Self {
-        self.latency = t;
+        self.0.core.latency = t;
         self
     }
 
     /// Sets the sustained bandwidth in bytes per second (0 = infinite).
     pub fn bandwidth(mut self, bytes_per_sec: u64) -> Self {
-        self.bytes_per_sec = bytes_per_sec;
+        self.0.core.bytes_per_sec = bytes_per_sec;
         self
     }
 
     /// Sets the number of simultaneously in-flight accesses.
     pub fn max_outstanding(mut self, n: usize) -> Self {
         assert!(n > 0, "need at least one outstanding access");
-        self.max_outstanding = n;
+        self.0.core.max_outstanding = n;
         self
     }
 
@@ -120,69 +254,38 @@ impl DramBuilder {
     /// bandwidth experiments need; virtqueues, whose descriptor rings are
     /// genuinely walked through DMA, require the contents to survive.
     pub fn functional(mut self, yes: bool) -> Self {
-        self.functional = yes;
+        self.0.functional = yes;
         self
     }
 
     /// Builds the memory model.
     pub fn build(self) -> Dram {
-        Dram {
-            name: self.name,
-            range: self.range,
-            latency: self.latency,
-            bytes_per_sec: self.bytes_per_sec,
-            max_outstanding: self.max_outstanding,
-            outstanding: 0,
-            busy_until: 0,
-            resp: TimedQueue::unbounded(),
-            functional: self.functional,
-            store: BlockStore::default(),
-            reads: Counter::new(),
-            writes: Counter::new(),
-            bytes: Counter::new(),
-        }
+        self.0
     }
 }
 
-/// Fixed-latency, bandwidth-limited memory.
+/// Fixed-latency, bandwidth-limited memory: one bank, writes stored (when
+/// functional) at completion.
 #[derive(Debug)]
 pub struct Dram {
     name: String,
     range: AddrRange,
-    latency: Tick,
-    bytes_per_sec: u64,
-    max_outstanding: usize,
-    outstanding: usize,
-    busy_until: Tick,
-    /// Responses waiting for the port; owes the port its retry, which
-    /// `outstanding`, not this lane, bounds.
-    resp: TimedQueue,
+    core: MemoryCore<[Tick; 1]>,
     functional: bool,
     store: BlockStore,
-    reads: Counter,
-    writes: Counter,
-    bytes: Counter,
 }
 
 impl Dram {
     /// Starts building a DRAM covering `range`, with a 30 ns latency,
     /// 25.6 GB/s of bandwidth and 32 outstanding accesses.
     pub fn builder(name: impl Into<String>, range: AddrRange) -> DramBuilder {
-        DramBuilder {
+        DramBuilder(Dram {
             name: name.into(),
             range,
-            latency: crate::tick::ns(30),
-            bytes_per_sec: 25_600_000_000,
-            max_outstanding: 32,
+            core: MemoryCore::new(crate::tick::ns(30), 25_600_000_000, 32, [0]),
             functional: false,
-        }
-    }
-
-    fn flush(&mut self, ctx: &mut Ctx<'_>) {
-        while self.resp.send_head(ctx, DRAM_PORT).is_some() {
-            self.outstanding -= 1;
-            self.resp.grant_retry(ctx, DRAM_PORT);
-        }
+            store: BlockStore::default(),
+        })
     }
 }
 
@@ -200,36 +303,13 @@ impl Component for Dram {
             pkt.addr(),
             self.range
         );
-        if self.outstanding >= self.max_outstanding {
-            return self.resp.refuse(pkt);
+        match self.core.admit(pkt) {
+            Ok(pkt) => {
+                self.core.access(ctx, 0, pkt);
+                RecvResult::Accepted
+            }
+            Err(refused) => refused,
         }
-        self.outstanding += 1;
-        if pkt.cmd().is_read() {
-            self.reads.inc();
-        } else {
-            self.writes.inc();
-        }
-        self.bytes.add(u64::from(pkt.size()));
-        if ctx.tracing(TraceCategory::Fabric) {
-            ctx.emit(
-                TraceCategory::Fabric,
-                TraceKind::DramAccess,
-                Some(pkt.id()),
-                Some(pkt.cmd()),
-                u64::from(pkt.size()),
-            );
-        }
-        let xfer = if self.bytes_per_sec == 0 {
-            0
-        } else {
-            transfer_time(u64::from(pkt.size()), self.bytes_per_sec)
-        };
-        let start = ctx.now().max(self.busy_until);
-        let finish = start + xfer;
-        self.busy_until = finish;
-        let done_at = finish + self.latency;
-        ctx.schedule(done_at - ctx.now(), Event::DelayedPacket { tag: 0, pkt });
-        RecvResult::Accepted
     }
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
@@ -241,37 +321,24 @@ impl Component for Dram {
                 self.store.write(pkt.addr(), buf);
             }
         }
-        if pkt.is_posted() {
-            self.outstanding -= 1;
-            self.resp.grant_retry(ctx, DRAM_PORT);
-            return;
-        }
-        let resp = if pkt.cmd().is_read() {
-            let mut data = vec![0; pkt.size() as usize];
-            if self.functional {
-                self.store.read(pkt.addr(), &mut data);
+        let store = self.functional.then_some(&self.store);
+        self.core.respond(ctx, pkt, |addr, data| {
+            if let Some(store) = store {
+                store.read(addr, data);
             }
-            pkt.into_read_response(data)
-        } else {
-            pkt.into_response()
-        };
-        self.resp.push(resp);
-        self.flush(ctx);
+        });
     }
 
     fn retry_granted(&mut self, ctx: &mut Ctx<'_>, _port: PortId) {
-        self.resp.unblock();
-        self.flush(ctx);
+        self.core.retry_granted(ctx);
     }
 
     fn report_stats(&self, out: &mut StatsBuilder) {
-        out.counter("reads", &self.reads);
-        out.counter("writes", &self.writes);
-        out.counter("bytes", &self.bytes);
+        self.core.report_stats(out);
     }
 
     crate::state_fields!(component self;
-        outstanding, busy_until, resp, reads, writes, bytes,
+        core.outstanding, core.banks, core.resp, core.reads, core.writes, core.bytes,
         // The store is appended only for functional memories, so
         // timing-only checkpoints carry no store section.
         save(w) {
@@ -283,6 +350,7 @@ impl Component for Dram {
             if self.functional {
                 self.store.load(r)?;
             }
+            self.core.check_restored(&self.name)?;
         },
     );
 }
@@ -290,8 +358,10 @@ impl Component for Dram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::Command;
+    use crate::component::ComponentId;
+    use crate::packet::{Command, PacketId};
     use crate::sim::{RunOutcome, Simulation};
+    use crate::snapshot::{StateReader, StateWriter};
     use crate::testutil::{Requester, REQUESTER_PORT};
     use crate::tick::{ns, us};
 
@@ -378,6 +448,31 @@ mod tests {
         let mut again = vec![0; 8];
         d.store.read(BASE + 37, &mut again);
         assert_eq!(again, [0, 1, 2, 0xFF, 0xFF, 0xFF, 0xFF, 7]);
+    }
+
+    #[test]
+    fn restore_rejects_outstanding_outside_what_the_core_holds() {
+        let dram = || {
+            Dram::builder("dram", AddrRange::with_size(BASE, 0x1000_0000))
+                .max_outstanding(2)
+                .build()
+        };
+        for held_unclaimed in [false, true] {
+            let mut d = dram();
+            if held_unclaimed {
+                let pkt = Packet::request(PacketId(1), Command::ReadReq, BASE, 4, ComponentId(0));
+                d.core.resp.push(pkt.into_read_response(vec![0; 4]));
+            } else {
+                d.core.outstanding = 3;
+            }
+            let mut w = StateWriter::new();
+            d.save_state(&mut w);
+            let bytes = w.into_bytes();
+            let err = dram()
+                .restore_state(&mut StateReader::new(&bytes))
+                .expect_err("outstanding must cover the lane and stay within the bound");
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
+        }
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! * [`addr`] — address ranges and routing maps;
 //! * [`queue`] — the timed packet queue (FIFO, delay pipe, capacity and
 //!   refusal/retry bookkeeping) under every buffered port;
-//! * [`xbar`], [`bridge`], [`iocache`], [`dram`] — the stock gem5 fabric
-//!   models the paper builds upon (MemBus/IOBus crossbars, the
-//!   MemBus↔IOBus bridge, the DMA IOCache, and a DRAM terminator);
+//! * [`xbar`], [`stage`], [`dram`] — the stock gem5 fabric models the
+//!   paper builds upon (MemBus/IOBus crossbars; one buffered stage that is
+//!   both the MemBus↔IOBus bridge and the DMA IOCache; and a DRAM
+//!   terminator over the memory timing core the CXL expander shares);
 //! * [`stats`] — counters/histograms and snapshotting;
 //! * [`snapshot`] — deterministic checkpoint/restore over a versioned,
 //!   checksummed little-endian state codec.
@@ -39,16 +40,15 @@
 #![warn(rust_2018_idioms)]
 
 pub mod addr;
-pub mod bridge;
 pub mod calendar;
 pub mod component;
 pub mod dram;
-pub mod iocache;
 pub mod packet;
 pub mod queue;
 pub mod shard;
 pub mod sim;
 pub mod snapshot;
+pub mod stage;
 pub mod stats;
 pub mod testutil;
 pub mod tick;
@@ -58,10 +58,8 @@ pub mod xbar;
 /// Convenient glob import for downstream crates and examples.
 pub mod prelude {
     pub use crate::addr::{AddrMap, AddrRange};
-    pub use crate::bridge::Bridge;
     pub use crate::component::{Component, ComponentId, Event, PortId, RecvResult};
     pub use crate::dram::Dram;
-    pub use crate::iocache::IoCache;
     pub use crate::packet::{Command, CompletionStatus, Packet, PacketId};
     pub use crate::sim::{Ctx, RunOutcome, Simulation};
     pub use crate::snapshot::{SnapshotError, State, StateReader, StateWriter};

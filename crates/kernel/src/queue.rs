@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 use crate::component::{Event, PortId, RecvResult};
 use crate::packet::Packet;
 use crate::sim::Ctx;
-use crate::snapshot::{Bounded, State};
+use crate::snapshot::{Bounded, SnapshotError, State};
 use crate::tick::Tick;
 
 /// What [`TimedQueue::send_head`] handed to the peer.
@@ -77,7 +77,13 @@ impl TimedQueue {
     /// Whether queued plus in-flight packets have reached the capacity.
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.queue.len() + self.in_flight >= self.capacity
+        self.held() >= self.capacity
+    }
+
+    /// Packets queued or in the delay pipe.
+    #[inline]
+    pub fn held(&self) -> usize {
+        self.queue.len() + self.in_flight
     }
 
     /// Packets queued for the peer (the delay pipe excluded).
@@ -198,6 +204,24 @@ impl TimedQueue {
 /// The lane's dynamic state; the capacity is configuration.
 impl State for TimedQueue {
     crate::state_fields!(state self; queue, in_flight, peer_blocked, owe_retry);
+}
+
+/// Checks a restored count of `taken` slots of a component that bounds
+/// admission itself: at most `bound`, and at least the `held` packets in
+/// its lanes, each of which keeps its slot until it leaves. Packets the
+/// component holds only through the calendar are not visible here.
+pub(crate) fn check_slots(
+    name: &str,
+    taken: usize,
+    bound: usize,
+    held: usize,
+) -> Result<(), SnapshotError> {
+    if taken > bound || taken < held {
+        return Err(SnapshotError::Corrupt(format!(
+            "{name}: {taken} outstanding, but its lanes hold {held} and the bound is {bound}"
+        )));
+    }
+    Ok(())
 }
 
 /// Ports refused because a lane was full, in refusal order and each at

@@ -177,11 +177,7 @@ impl Crossbar {
     /// Computes when a packet entering now finishes crossing the crossbar
     /// toward `egress`, updating the serialization horizon.
     fn pipe_delay(&mut self, now: Tick, egress: PortId, pkt: &Packet) -> Tick {
-        let xfer = if self.bytes_per_sec == 0 {
-            0
-        } else {
-            transfer_time(u64::from(pkt.payload_len()), self.bytes_per_sec)
-        };
+        let xfer = transfer_time(u64::from(pkt.payload_len()), self.bytes_per_sec);
         let start = (now + self.frontend_latency).max(self.ports[egress.0 as usize].busy_until);
         let finish = start + xfer;
         self.ports[egress.0 as usize].busy_until = finish;

@@ -9,12 +9,11 @@ use std::rc::Rc;
 use proptest::prelude::*;
 
 use pcisim_kernel::addr::{AddrMap, AddrRange};
-use pcisim_kernel::bridge::{Bridge, BRIDGE_IO_SIDE, BRIDGE_MEM_SIDE};
 use pcisim_kernel::dram::DRAM_PORT;
-use pcisim_kernel::iocache::{IOCACHE_DEV_SIDE, IOCACHE_MEM_SIDE};
 use pcisim_kernel::packet::Command;
 use pcisim_kernel::prelude::*;
 use pcisim_kernel::queue::TimedQueue;
+use pcisim_kernel::stage::{Stage, STAGE_CPU_SIDE, STAGE_MEM_SIDE};
 use pcisim_kernel::testutil::{
     CompletionLog, Requester, Responder, REQUESTER_PORT, RESPONDER_PORT,
 };
@@ -100,7 +99,7 @@ fn fabric(
     let mut sim = Simulation::new();
     let (req, done) = Requester::new("gen", script);
     let r = sim.add(Box::new(req));
-    let b = sim.add(Box::new(Bridge::builder("bridge").req_capacity(d.bridge).build()));
+    let b = sim.add(Box::new(Stage::bridge("bridge").mshrs(d.bridge)));
     let x = sim.add(Box::new(
         Crossbar::builder("xbar")
             .num_ports(3)
@@ -109,7 +108,7 @@ fn fabric(
             .route(AddrRange::with_size(SINK_BASE, 0x1000_0000), PortId(2))
             .build(),
     ));
-    let c = sim.add(Box::new(IoCache::builder("iocache").mshrs(d.mshrs).build()));
+    let c = sim.add(Box::new(Stage::iocache("iocache").mshrs(d.mshrs)));
     let m = sim.add(Box::new(
         Dram::builder("dram", AddrRange::with_size(DRAM_BASE, 0x1000_0000))
             .latency(ns(200))
@@ -124,10 +123,10 @@ fn fabric(
         served: served.clone(),
         resp: TimedQueue::unbounded(),
     }));
-    sim.connect((r, REQUESTER_PORT), (b, BRIDGE_MEM_SIDE));
-    sim.connect((b, BRIDGE_IO_SIDE), (x, PortId(0)));
-    sim.connect((x, PortId(1)), (c, IOCACHE_DEV_SIDE));
-    sim.connect((c, IOCACHE_MEM_SIDE), (m, DRAM_PORT));
+    sim.connect((r, REQUESTER_PORT), (b, STAGE_CPU_SIDE));
+    sim.connect((b, STAGE_MEM_SIDE), (x, PortId(0)));
+    sim.connect((x, PortId(1)), (c, STAGE_CPU_SIDE));
+    sim.connect((c, STAGE_MEM_SIDE), (m, DRAM_PORT));
     sim.connect((x, PortId(2)), (sink, PortId(0)));
     (sim, done, served, m)
 }
@@ -297,11 +296,11 @@ proptest! {
         let script: Vec<_> = (0..n).map(|i| (Command::ReadReq, 0x1000 + i * 4, 4u32)).collect();
         let (req, done) = Requester::new("gen", script);
         let r = sim.add(Box::new(req));
-        let b = sim.add(Box::new(Bridge::builder("bridge").req_capacity(cap).build()));
+        let b = sim.add(Box::new(Stage::bridge("bridge").mshrs(cap)));
         let (resp, _) = Responder::new("dev", ns(10));
         let d = sim.add(Box::new(resp));
-        sim.connect((r, REQUESTER_PORT), (b, BRIDGE_MEM_SIDE));
-        sim.connect((b, BRIDGE_IO_SIDE), (d, RESPONDER_PORT));
+        sim.connect((r, REQUESTER_PORT), (b, STAGE_CPU_SIDE));
+        sim.connect((b, STAGE_MEM_SIDE), (d, RESPONDER_PORT));
         prop_assert_eq!(sim.run_to_quiesce(), RunOutcome::QueueEmpty);
         let done = done.borrow();
         prop_assert_eq!(done.len() as u64, n);
@@ -357,17 +356,19 @@ proptest! {
     }
 }
 
-/// A chain whose every stage is one packet deep — bridge, crossbar and
-/// DRAM hold one, the IOCache has one MSHR — in front of a sink that
-/// refuses every third offer, checkpointed at every event boundary and
-/// restored into a fresh build: each restored run ends at the uninterrupted
-/// run's quiesce tick with its statistics and PacketId count.
+/// A chain of the shallowest stages that still refuse one another — the
+/// crossbar and DRAM hold one packet, the IOCache has one MSHR and the
+/// bridge two (with one, the bridge holds its only request for the whole
+/// round trip and never offers the crossbar a second to refuse) — in front
+/// of a sink that refuses every third offer, checkpointed at every event
+/// boundary and restored into a fresh build: each restored run ends at the
+/// uninterrupted run's quiesce tick with its statistics and PacketId count.
 #[test]
 fn one_deep_chain_checkpoints_at_every_event_and_restores_identically() {
     // A posted message leaves the IOCache as soon as its lookup ends, so
     // one queued behind another reaches the still-busy DRAM and is refused.
     let script: Vec<_> = (0..24).map(|i| mixed(i, 0b1100_0000_1100_0000)).collect();
-    let depths = Depths { bridge: 1, xbar: 1, mshrs: 1, dram: 1, refuse_every: 3 };
+    let depths = Depths { bridge: 2, xbar: 1, mshrs: 1, dram: 1, refuse_every: 3 };
 
     let (mut traced, _, _, dram) = fabric(script.clone(), depths);
     traced.set_trace_mask(TraceCategory::Hop.bit());

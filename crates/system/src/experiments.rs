@@ -1561,41 +1561,41 @@ mod tests {
     /// name.
     fn identity_table(t: &mut impl Row) {
         let dd = DdExperiment { block_bytes: 64 * 1024, ..DdExperiment::default() };
-        t.row("dd", &dd, [0x9ceb_7d40_5809_0029, 0x95ba_9e1d_3b1f_9fb2]);
+        t.row("dd", &dd, [0x0afa_97a5_7421_32c8, 0x370b_13a4_5dab_7d6b]);
         let fault = FaultExperiment {
             block_bytes: 64 * 1024,
             error_interval: 13,
             ..FaultExperiment::default()
         };
-        t.row("fault", &fault, [0x9ceb_7d40_5809_0029, 0x3280_4cab_d3d4_a9b2]);
+        t.row("fault", &fault, [0x0afa_97a5_7421_32c8, 0x43e2_5668_e2ef_3dd3]);
         let pmd = small_pmd(tick::ns(2500));
-        t.row("pmd", &pmd, [0xc8b9_ae63_7a46_750b, 0x113d_edd1_78ea_2638]);
-        t.row("irq rx", &IrqRxBaseline(&pmd), [0xc864_66db_9156_3236, 0x2fa4_5eb2_6ab3_a1a1]);
+        t.row("pmd", &pmd, [0x08a2_f975_ca40_1ec0, 0xf52f_5257_7988_ad7f]);
+        t.row("irq rx", &IrqRxBaseline(&pmd), [0x47c6_bb39_a801_132b, 0x17c7_0853_d339_583c]);
         let mmio = MmioExperiment { reads: 8, ..MmioExperiment::default() };
-        t.row("mmio", &mmio, [0xa66b_5b38_1520_c8b6, 0x0ac8_c892_eb59_a084]);
+        t.row("mmio", &mmio, [0xea9d_2778_7437_90d9, 0x0edd_c4a5_bd12_751d]);
         let sector = SectorMicrobench { width: LinkWidth::X1, sectors: 16 };
-        t.row("sector", &sector, [0x4e37_c740_d9b4_5079, 0xaa4b_8ee6_286c_e47a]);
+        t.row("sector", &sector, [0x28fe_3ab5_df2a_502c, 0xcd6c_0f0d_5559_b15d]);
         let nic_tx = NicTxExperiment { frames: 32, ..NicTxExperiment::default() };
-        t.row("nic tx", &nic_tx, [0xfaad_4982_366f_9f9d, 0x451f_bde0_333c_8133]);
+        t.row("nic tx", &nic_tx, [0x1fdb_e5fb_4718_22f6, 0x9c3f_c3e0_a192_d12c]);
         let nic_rx = NicRxExperiment { frames: 32, ..NicRxExperiment::default() };
-        t.row("nic rx", &nic_rx, [0x1cfa_b222_bfcf_9e4e, 0xf5b9_cca6_8873_f609]);
+        t.row("nic rx", &nic_rx, [0x9533_a656_bd9f_e591, 0x6443_dc26_2d00_0156]);
         let contention = TopologyExperiment { frames: 32, ..TopologyExperiment::default() };
         for (shared, pins) in [
-            (true, [0x6f24_8b6d_35a5_8747, 0xb1f3_8e4c_65d8_29e0]),
-            (false, [0xfdd6_3f42_a4eb_c958, 0xf28d_72d3_b02e_3180]),
+            (true, [0x98b5_afaa_336a_49d8, 0xbd3d_0011_1566_307b]),
+            (false, [0x9677_31e4_c9aa_9e73, 0x1334_0188_b412_091f]),
         ] {
             t.row("contention", &ContentionArm { exp: &contention, shared }, pins);
         }
         for (use_msix, pins) in [
-            (true, [0xd79c_cf2f_796f_8267, 0x49d7_9506_3dbf_e6cf]),
-            (false, [0xa399_53f2_f7e6_5cb3, 0xd8f9_c9f4_b3f1_a395]),
+            (true, [0xd758_cffa_7838_7df2, 0xc51b_eeac_860d_d1c0]),
+            (false, [0x0959_13e1_b742_b740, 0x5925_4256_8016_9d10]),
         ] {
             let msix = MsixTxExperiment { frames: 64, use_msix, ..MsixTxExperiment::default() };
             t.row("msix tx", &msix, pins);
         }
         for (placement, pins) in [
-            (CxlPlacement::LocalDram, [0x2737_2a8d_c002_8922, 0xd62e_1fcc_152f_a6d8]),
-            (CxlPlacement::Interleaved(2), [0x67f6_c5b5_86bd_9868, 0x331f_3f6f_0b2c_abfa]),
+            (CxlPlacement::LocalDram, [0x89e6_3b94_6f6d_cd79, 0xc320_e2cc_c19b_ed89]),
+            (CxlPlacement::Interleaved(2), [0x893c_94a4_fa23_7bbb, 0x1fd8_db32_bbb5_d747]),
         ] {
             let cxl = CxlExperiment { placement, requests: 64, ..CxlExperiment::default() };
             t.row("cxl", &cxl, pins);
@@ -1606,7 +1606,7 @@ mod tests {
             queue_depth: 2,
             ..VirtioExperiment::default()
         };
-        t.row("virtio", &virtio, [0xf6e9_e201_6f73_38fb, 0xcedf_c6c1_fb98_4465]);
+        t.row("virtio", &virtio, [0x65cb_f5e9_3833_8edc, 0xb3b4_0cde_0dd7_5e1a]);
     }
 
     fn small_pmd(gap: Tick) -> PmdExperiment {

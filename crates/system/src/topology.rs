@@ -35,11 +35,10 @@ use pcisim_devices::intc::{InterruptController, INTC_FABRIC_PORT};
 use pcisim_devices::nic::{Nic, NicConfig, NIC_DMA_PORT, NIC_PIO_PORT};
 use pcisim_devices::virtio::{Virtio, VirtioClass, VirtioConfig, VIRTIO_DMA_PORT, VIRTIO_PIO_PORT};
 use pcisim_kernel::addr::AddrRange;
-use pcisim_kernel::bridge::{Bridge, BRIDGE_IO_SIDE, BRIDGE_MEM_SIDE};
 use pcisim_kernel::component::{ComponentId, PortId};
 use pcisim_kernel::dram::{Dram, DRAM_PORT};
-use pcisim_kernel::iocache::{IoCache, IOCACHE_DEV_SIDE, IOCACHE_MEM_SIDE};
 use pcisim_kernel::sim::Simulation;
+use pcisim_kernel::stage::{Stage, STAGE_CPU_SIDE, STAGE_MEM_SIDE};
 use pcisim_kernel::tick::{ns, us, Tick};
 use pcisim_kernel::trace::TraceCategory;
 use pcisim_kernel::xbar::Crossbar;
@@ -1127,19 +1126,19 @@ pub fn build_legacy_system() -> TopologySystem {
         mem.pcihost_latency,
         registry.clone(),
     )));
-    let iocache_id = sim.add(Box::new(IoCache::builder("iocache").build()));
-    let bridge_id = sim.add(Box::new(Bridge::builder("bridge").delay(ns(50)).build()));
+    let iocache_id = sim.add(Box::new(Stage::iocache("iocache")));
+    let bridge_id = sim.add(Box::new(Stage::bridge("bridge")));
     let disk_id = sim.add(Box::new(disk));
 
     sim.connect((membus_id, PortId(1)), (dram_id, DRAM_PORT));
     sim.connect((membus_id, PortId(2)), (intc_id, INTC_FABRIC_PORT));
     sim.connect((membus_id, PortId(3)), (host_id, PCI_HOST_PORT));
-    sim.connect((membus_id, PortId(4)), (bridge_id, BRIDGE_MEM_SIDE));
-    sim.connect((bridge_id, BRIDGE_IO_SIDE), (iobus_id, PortId(0)));
+    sim.connect((membus_id, PortId(4)), (bridge_id, STAGE_CPU_SIDE));
+    sim.connect((bridge_id, STAGE_MEM_SIDE), (iobus_id, PortId(0)));
     sim.connect((iobus_id, PortId(1)), (disk_id, IDE_PIO_PORT));
     sim.connect((disk_id, IDE_DMA_PORT), (iobus_id, PortId(2)));
-    sim.connect((iobus_id, PortId(3)), (iocache_id, IOCACHE_DEV_SIDE));
-    sim.connect((iocache_id, IOCACHE_MEM_SIDE), (membus_id, PortId(5)));
+    sim.connect((iobus_id, PortId(3)), (iocache_id, STAGE_CPU_SIDE));
+    sim.connect((iocache_id, STAGE_MEM_SIDE), (membus_id, PortId(5)));
 
     let endpoint = EndpointHandle {
         name: "disk".into(),
@@ -1228,7 +1227,7 @@ fn build_planned(
         match dev {
             EndpointDevice::Disk(disk) => disk.set_intx(intx),
             EndpointDevice::Nic(nic) => nic.set_intx(intx),
-            EndpointDevice::Cxl(exp) => exp.set_intx(intx),
+            EndpointDevice::Cxl(_) => {}
             EndpointDevice::Virtio(dev) => dev.set_intx(intx),
         }
     }
@@ -1319,7 +1318,7 @@ fn build_planned(
         topo.pcihost_latency,
         plan.registry.clone(),
     )));
-    let iocache_id = sim.add(Box::new(IoCache::builder("iocache").build()));
+    let iocache_id = sim.add(Box::new(Stage::iocache("iocache")));
 
     let rc = &plan.routers[0];
     let mut rc_router =
@@ -1333,8 +1332,8 @@ fn build_planned(
     sim.connect((membus_id, PortId(2)), (intc_id, INTC_FABRIC_PORT));
     sim.connect((membus_id, PortId(3)), (host_id, PCI_HOST_PORT));
     sim.connect((membus_id, PortId(4)), (rc_id, PORT_UPSTREAM_SLAVE));
-    sim.connect((rc_id, PORT_UPSTREAM_MASTER), (iocache_id, IOCACHE_DEV_SIDE));
-    sim.connect((iocache_id, IOCACHE_MEM_SIDE), (membus_id, PortId(5)));
+    sim.connect((rc_id, PORT_UPSTREAM_MASTER), (iocache_id, STAGE_CPU_SIDE));
+    sim.connect((iocache_id, STAGE_MEM_SIDE), (membus_id, PortId(5)));
 
     // PCIe tree: every edge gets a link whose AER endpoints are the
     // parent port's VP2P and the child's upstream config space.
