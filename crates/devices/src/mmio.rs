@@ -51,12 +51,7 @@ pub(crate) fn serve<D: Component>(
             pkt.into_read_response(data)
         }
         Command::WriteReq => {
-            let mut b = [0u8; 4];
-            if let Some(p) = pkt.payload() {
-                let n = p.len().min(4);
-                b[..n].copy_from_slice(&p[..n]);
-            }
-            write(dev, ctx, offset, u32::from_le_bytes(b));
+            write(dev, ctx, offset, pkt.dword());
             pkt.into_response()
         }
         other => panic!("{}: unexpected PIO command {other:?}", dev.name()),

@@ -454,6 +454,18 @@ impl Packet {
         self.0.payload.as_deref()
     }
 
+    /// The first (up to) four payload bytes as a little-endian `u32`,
+    /// zero-extended; 0 when there is no payload. How a 4-byte register
+    /// access reads its data.
+    pub fn dword(&self) -> u32 {
+        let mut b = [0u8; 4];
+        if let Some(p) = self.payload() {
+            let n = p.len().min(4);
+            b[..n].copy_from_slice(&p[..n]);
+        }
+        u32::from_le_bytes(b)
+    }
+
     /// Attaches a payload; builder-style.
     ///
     /// # Panics
@@ -682,6 +694,19 @@ mod tests {
             Some(&RouteHop { component: ComponentId(9), port: PortId(1) })
         );
         assert_eq!(resp.payload().unwrap().len(), 64);
+    }
+
+    #[test]
+    fn dword_zero_extends_the_first_four_payload_bytes() {
+        let write = |data: &[u8]| {
+            Packet::request(PacketId(1), Command::WriteReq, 0, data.len() as u32, ComponentId(3))
+                .with_payload(data.to_vec())
+        };
+        assert_eq!(req(Command::ReadReq).dword(), 0, "no payload");
+        assert_eq!(write(&[]).dword(), 0, "empty payload");
+        assert_eq!(write(&[0x34, 0x12]).dword(), 0x1234, "short payload");
+        assert_eq!(write(&[1, 2, 3, 4]).dword(), 0x0403_0201, "4-byte payload");
+        assert_eq!(write(&[1, 2, 3, 4, 5, 6]).dword(), 0x0403_0201, "long payload");
     }
 
     #[test]

@@ -132,7 +132,6 @@ struct Shared {
     /// Order stamp of the event being dispatched: with `now`, the key
     /// [`Ctx::is_ahead`] compares against.
     dispatching: Cell<u64>,
-    trace: Cell<bool>,
     tracer: Tracer,
 }
 
@@ -315,7 +314,6 @@ impl Ctx<'_> {
     pub fn try_send_request(&mut self, port: PortId, pkt: Packet) -> Result<(), Packet> {
         assert!(pkt.is_request(), "try_send_request with {:?}", pkt.cmd());
         let (peer, peer_port) = self.peer(port);
-        self.trace(|| format!("-> req {} to {peer}/{peer_port}", pkt));
         // Custody tracepoint: snapshot the identity fields before the packet
         // moves into the receiver, record only on an accepted delivery.
         let custody = self.shared.tracer.wants(TraceCategory::Hop).then(|| (pkt.id(), pkt.cmd()));
@@ -348,7 +346,6 @@ impl Ctx<'_> {
     pub fn try_send_response(&mut self, port: PortId, pkt: Packet) -> Result<(), Packet> {
         assert!(pkt.is_response(), "try_send_response with {:?}", pkt.cmd());
         let (peer, peer_port) = self.peer(port);
-        self.trace(|| format!("-> resp {} to {peer}/{peer_port}", pkt));
         let custody = self.shared.tracer.wants(TraceCategory::Hop).then(|| (pkt.id(), pkt.cmd()));
         match self.shared.with_component(peer, |c, ctx| c.recv_response(ctx, peer_port, pkt)) {
             RecvResult::Accepted => {
@@ -405,20 +402,6 @@ impl Ctx<'_> {
     #[inline]
     pub fn stop(&mut self) {
         self.shared.stop_requested.set(true);
-    }
-
-    /// Emits a trace line when tracing is enabled; the closure only runs
-    /// when needed.
-    #[inline]
-    pub fn trace(&self, f: impl FnOnce() -> String) {
-        if self.shared.trace.get() {
-            eprintln!(
-                "[{:>12}] {} {}",
-                self.now(),
-                self.shared.names[self.self_id.0 as usize],
-                f()
-            );
-        }
     }
 
     /// Whether structured tracing is enabled for `cat`. Tracepoints should
@@ -483,16 +466,10 @@ impl Simulation {
                 stop_requested: Cell::new(false),
                 events_processed: Cell::new(0),
                 dispatching: Cell::new(0),
-                trace: Cell::new(false),
                 tracer: Tracer::new(),
             },
             initialized: false,
         }
-    }
-
-    /// Enables or disables per-event tracing to stderr.
-    pub fn set_trace(&mut self, on: bool) {
-        self.shared.trace.set(on);
     }
 
     /// Enables structured tracing for the categories in `mask` (a bit-or

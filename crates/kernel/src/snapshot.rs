@@ -37,7 +37,7 @@ pub const SNAPSHOT_MAGIC: u32 = u32::from_le_bytes(*b"PCSN");
 
 /// Current checkpoint format version. Bump on any layout change; old
 /// files are rejected with [`SnapshotError::VersionMismatch`].
-pub const SNAPSHOT_VERSION: u32 = 7;
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

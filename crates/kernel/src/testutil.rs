@@ -14,7 +14,7 @@ use std::rc::Rc;
 
 use crate::component::{Component, Event, PortId, RecvResult};
 use crate::packet::{Command, Packet, PacketId};
-use crate::queue::TimedQueue;
+use crate::queue::{Sent, TimedQueue};
 use crate::sim::Ctx;
 use crate::snapshot::{fnv1a, SnapshotError, State, StateReader, StateWriter, FNV_OFFSET};
 use crate::tick::Tick;
@@ -29,7 +29,8 @@ pub type CompletionLog = Rc<RefCell<Vec<(PacketId, Tick)>>>;
 pub struct Requester {
     name: String,
     script: VecDeque<(Command, u64, u32)>,
-    stalled: Option<Packet>,
+    /// The next request, held until the peer accepts it.
+    lane: TimedQueue,
     completions: CompletionLog,
 }
 
@@ -45,32 +46,31 @@ impl Requester {
             Self {
                 name: name.into(),
                 script: script.into(),
-                stalled: None,
+                lane: TimedQueue::unbounded(),
                 completions: completions.clone(),
             },
             completions,
         )
     }
 
+    /// Sends the refused request, then the rest of the script, until the
+    /// peer refuses one.
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
-        while self.stalled.is_none() {
-            let Some((cmd, addr, size)) = self.script.pop_front() else { return };
-            let id = ctx.alloc_packet_id();
-            let mut pkt = Packet::request(id, cmd, addr, size, ctx.self_id());
-            if cmd.is_write() || cmd == Command::Message {
-                pkt = pkt.with_payload(vec![0; size as usize]);
+        loop {
+            if self.lane.is_empty() {
+                let Some((cmd, addr, size)) = self.script.pop_front() else { return };
+                let id = ctx.alloc_packet_id();
+                let mut pkt = Packet::request(id, cmd, addr, size, ctx.self_id());
+                if cmd.is_write() || cmd == Command::Message {
+                    pkt = pkt.with_payload(vec![0; size as usize]);
+                }
+                self.lane.push(pkt);
             }
-            let posted = pkt.is_posted();
-            match ctx.try_send_request(REQUESTER_PORT, pkt) {
-                Ok(()) => {
-                    if posted {
-                        self.completions.borrow_mut().push((id, ctx.now()));
-                    }
-                }
-                Err(back) => {
-                    self.stalled = Some(back);
-                    return;
-                }
+            let id = self.lane.front().expect("the lane holds the next request").id();
+            match self.lane.send_head(ctx, REQUESTER_PORT) {
+                Some(Sent::Posted) => self.completions.borrow_mut().push((id, ctx.now())),
+                Some(_) => {}
+                None => return,
             }
         }
     }
@@ -95,21 +95,7 @@ impl Component for Requester {
     }
 
     fn retry_granted(&mut self, ctx: &mut Ctx<'_>, _port: PortId) {
-        if let Some(pkt) = self.stalled.take() {
-            let posted = pkt.is_posted();
-            let id = pkt.id();
-            match ctx.try_send_request(REQUESTER_PORT, pkt) {
-                Ok(()) => {
-                    if posted {
-                        self.completions.borrow_mut().push((id, ctx.now()));
-                    }
-                }
-                Err(back) => {
-                    self.stalled = Some(back);
-                    return;
-                }
-            }
-        }
+        self.lane.unblock();
         self.pump(ctx);
     }
 
@@ -129,7 +115,7 @@ impl Component for Requester {
             })?;
             self.script.drain(..issued);
         },
-        stalled,
+        lane,
     );
 }
 

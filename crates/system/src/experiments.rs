@@ -864,8 +864,6 @@ pub struct MsixTxExperiment {
     pub use_msix: bool,
     /// Link width between the root port and the NIC.
     pub width: LinkWidth,
-    /// Record a full event trace of the run.
-    pub trace: bool,
 }
 
 impl Default for MsixTxExperiment {
@@ -877,7 +875,6 @@ impl Default for MsixTxExperiment {
             moderation: 0,
             use_msix: true,
             width: LinkWidth::X4,
-            trace: false,
         }
     }
 }
@@ -896,8 +893,6 @@ pub struct MsixTxOutcome {
     pub irqs_coalesced: u64,
     /// Whether the run completed.
     pub completed: bool,
-    /// The event trace, when the experiment asked for one.
-    pub trace: Option<TraceLog>,
 }
 
 /// The report of whichever driver an [`MsixTxExperiment`] attached.
@@ -916,7 +911,7 @@ impl Experiment for MsixTxExperiment {
     type Outcome = MsixTxOutcome;
 
     fn topology(&self) -> Topology {
-        let mut topo = nic_direct_topology(self.width, self.trace, |nic| {
+        let mut topo = nic_direct_topology(self.width, false, |nic| {
             if self.use_msix {
                 (nic.queues, nic.msix_capable, nic.moderation) =
                     (self.queues, true, self.moderation);
@@ -966,7 +961,6 @@ impl Experiment for MsixTxExperiment {
             irqs: fin.count("gic.raised"),
             irqs_coalesced: fin.count("nic.irqs_coalesced"),
             completed: done && fin.drained,
-            trace: fin.trace.clone(),
         }
     }
 }
@@ -1561,41 +1555,41 @@ mod tests {
     /// name.
     fn identity_table(t: &mut impl Row) {
         let dd = DdExperiment { block_bytes: 64 * 1024, ..DdExperiment::default() };
-        t.row("dd", &dd, [0x0afa_97a5_7421_32c8, 0x370b_13a4_5dab_7d6b]);
+        t.row("dd", &dd, [0xcdb3_85b4_e137_c6c2, 0x9cd9_5a72_5b10_d0ea]);
         let fault = FaultExperiment {
             block_bytes: 64 * 1024,
             error_interval: 13,
             ..FaultExperiment::default()
         };
-        t.row("fault", &fault, [0x0afa_97a5_7421_32c8, 0x43e2_5668_e2ef_3dd3]);
+        t.row("fault", &fault, [0xcdb3_85b4_e137_c6c2, 0xad32_e2c7_fc5d_5ca1]);
         let pmd = small_pmd(tick::ns(2500));
-        t.row("pmd", &pmd, [0x08a2_f975_ca40_1ec0, 0xf52f_5257_7988_ad7f]);
-        t.row("irq rx", &IrqRxBaseline(&pmd), [0x47c6_bb39_a801_132b, 0x17c7_0853_d339_583c]);
+        t.row("pmd", &pmd, [0x27dc_88b2_06d3_e757, 0x5e0b_cbd3_55d4_f327]);
+        t.row("irq rx", &IrqRxBaseline(&pmd), [0xadac_4677_332b_4983, 0x653c_5f9a_fa44_d93a]);
         let mmio = MmioExperiment { reads: 8, ..MmioExperiment::default() };
-        t.row("mmio", &mmio, [0xea9d_2778_7437_90d9, 0x0edd_c4a5_bd12_751d]);
+        t.row("mmio", &mmio, [0xd86e_205f_07be_b67c, 0x5518_ada0_8046_cf32]);
         let sector = SectorMicrobench { width: LinkWidth::X1, sectors: 16 };
-        t.row("sector", &sector, [0x28fe_3ab5_df2a_502c, 0xcd6c_0f0d_5559_b15d]);
+        t.row("sector", &sector, [0x201f_c32e_389b_faa7, 0xf097_79ff_7ff9_3add]);
         let nic_tx = NicTxExperiment { frames: 32, ..NicTxExperiment::default() };
-        t.row("nic tx", &nic_tx, [0x1fdb_e5fb_4718_22f6, 0x9c3f_c3e0_a192_d12c]);
+        t.row("nic tx", &nic_tx, [0xb9dd_d0cc_ba36_b197, 0xae3a_9c3e_55c8_6985]);
         let nic_rx = NicRxExperiment { frames: 32, ..NicRxExperiment::default() };
-        t.row("nic rx", &nic_rx, [0x9533_a656_bd9f_e591, 0x6443_dc26_2d00_0156]);
+        t.row("nic rx", &nic_rx, [0x2110_21e5_337e_57f1, 0x5f09_d07f_02e5_5fbf]);
         let contention = TopologyExperiment { frames: 32, ..TopologyExperiment::default() };
         for (shared, pins) in [
-            (true, [0x98b5_afaa_336a_49d8, 0xbd3d_0011_1566_307b]),
-            (false, [0x9677_31e4_c9aa_9e73, 0x1334_0188_b412_091f]),
+            (true, [0xa424_ee4d_891d_ba47, 0xa8a1_f263_79dc_dd07]),
+            (false, [0xc8d2_2e30_3f99_8426, 0x00aa_8378_c804_ebf2]),
         ] {
             t.row("contention", &ContentionArm { exp: &contention, shared }, pins);
         }
         for (use_msix, pins) in [
-            (true, [0xd758_cffa_7838_7df2, 0xc51b_eeac_860d_d1c0]),
-            (false, [0x0959_13e1_b742_b740, 0x5925_4256_8016_9d10]),
+            (true, [0x9f85_792d_2bf7_8d10, 0x691f_07d3_028c_f8c7]),
+            (false, [0x3d2a_2b09_1175_9aec, 0x1442_d689_01ac_484e]),
         ] {
             let msix = MsixTxExperiment { frames: 64, use_msix, ..MsixTxExperiment::default() };
             t.row("msix tx", &msix, pins);
         }
         for (placement, pins) in [
-            (CxlPlacement::LocalDram, [0x89e6_3b94_6f6d_cd79, 0xc320_e2cc_c19b_ed89]),
-            (CxlPlacement::Interleaved(2), [0x893c_94a4_fa23_7bbb, 0x1fd8_db32_bbb5_d747]),
+            (CxlPlacement::LocalDram, [0x8790_f7c2_270e_49b5, 0x45df_33d3_208d_61ab]),
+            (CxlPlacement::Interleaved(2), [0xcc5b_c349_7ba3_80df, 0xd10c_5e6f_7734_1fa2]),
         ] {
             let cxl = CxlExperiment { placement, requests: 64, ..CxlExperiment::default() };
             t.row("cxl", &cxl, pins);
@@ -1606,7 +1600,7 @@ mod tests {
             queue_depth: 2,
             ..VirtioExperiment::default()
         };
-        t.row("virtio", &virtio, [0x65cb_f5e9_3833_8edc, 0xb3b4_0cde_0dd7_5e1a]);
+        t.row("virtio", &virtio, [0xb58d_ea09_0d87_3883, 0x6cac_f57f_3388_4272]);
     }
 
     fn small_pmd(gap: Tick) -> PmdExperiment {

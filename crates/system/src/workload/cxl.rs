@@ -9,12 +9,13 @@
 //! what makes the local-vs-CXL comparison an apples-to-apples experiment.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use pcisim_kernel::addr::AddrRange;
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, CompletionStatus, Packet};
+use pcisim_kernel::queue::TimedQueue;
 use pcisim_kernel::sim::Ctx;
 use pcisim_kernel::stats::StatsBuilder;
 use pcisim_kernel::tick::{ns, to_ns, Tick, TICKS_PER_SEC};
@@ -197,8 +198,8 @@ pub struct CxlHostApp {
     chase_addr: u64,
     /// Issue tick per in-flight packet id.
     in_flight: BTreeMap<u64, Tick>,
-    /// A packet the fabric refused, waiting for the retry grant.
-    pending: VecDeque<Packet>,
+    /// Accesses on their way to the memory port, in issue order.
+    cpu: TimedQueue,
     report: CxlHostReportHandle,
 }
 
@@ -222,7 +223,7 @@ impl CxlHostApp {
                 seq: 0,
                 chase_addr: 0,
                 in_flight: BTreeMap::new(),
-                pending: VecDeque::new(),
+                cpu: TimedQueue::unbounded(),
                 config,
                 report: report.clone(),
             },
@@ -257,11 +258,10 @@ impl CxlHostApp {
         self.config.window.start() + (i % blocks) * self.config.stride
     }
 
-    /// Sends `pkt`, stashing it for the retry grant when refused.
+    /// Sends `pkt` behind any access the fabric refused.
     fn send(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        if let Err(back) = ctx.try_send_request(CXL_HOST_MEM_PORT, pkt) {
-            self.pending.push_back(back);
-        }
+        self.cpu.push(pkt);
+        self.cpu.flush(ctx, CXL_HOST_MEM_PORT);
     }
 
     /// Issues one timed access of the open-loop stream.
@@ -329,7 +329,7 @@ impl CxlHostApp {
         if self.phase == PHASE_RUN
             && self.seq >= u64::from(self.config.requests)
             && self.in_flight.is_empty()
-            && self.pending.is_empty()
+            && self.cpu.is_empty()
         {
             let mut r = self.report.borrow_mut();
             if !r.done {
@@ -361,7 +361,7 @@ impl Component for CxlHostApp {
         match ev {
             Event::Timer { kind: K_SLOT, .. } => {
                 if self.seq < u64::from(self.config.requests) {
-                    if self.in_flight.len() < self.config.outstanding && self.pending.is_empty() {
+                    if self.in_flight.len() < self.config.outstanding && self.cpu.is_empty() {
                         self.issue_open_loop(ctx);
                     } else {
                         self.report.borrow_mut().stalls += 1;
@@ -444,9 +444,8 @@ impl Component for CxlHostApp {
 
     fn retry_granted(&mut self, ctx: &mut Ctx<'_>, port: PortId) {
         assert_eq!(port, CXL_HOST_MEM_PORT);
-        if let Some(pkt) = self.pending.pop_front() {
-            self.send(ctx, pkt);
-        }
+        self.cpu.unblock();
+        self.cpu.flush(ctx, CXL_HOST_MEM_PORT);
     }
 
     fn report_stats(&self, out: &mut StatsBuilder) {
@@ -458,7 +457,7 @@ impl Component for CxlHostApp {
         out.scalar("mean_latency_ns", r.mean_ns());
     }
 
-    state_fields!(component self; phase, setup_next, seq, chase_addr, in_flight, pending, report);
+    state_fields!(component self; phase, setup_next, seq, chase_addr, in_flight, cpu, report);
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@ use std::rc::Rc;
 use pcisim_devices::ide::{regs, CMD_READ_DMA};
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, Packet};
+use pcisim_kernel::queue::TimedQueue;
 use pcisim_kernel::sim::Ctx;
 use pcisim_kernel::stats::StatsBuilder;
 use pcisim_kernel::tick::{gbps, ns, us, Tick};
@@ -21,7 +22,7 @@ use pcisim_kernel::{snapshot, state_enum, state_fields};
 
 use crate::platform;
 use crate::topology::{EndpointHandle, EndpointKind};
-use crate::workload::{Attached, Workload};
+use crate::workload::{mmio_write, Attached, Workload};
 
 /// Port wired to the memory bus (MMIO master).
 pub const DD_MEM_PORT: PortId = PortId(0);
@@ -148,7 +149,8 @@ pub struct DdApp {
     sectors_left_in_block: u64,
     cur_request_sectors: u32,
     report: DdReportHandle,
-    stalled: Option<Packet>,
+    /// Register writes on their way to the memory port.
+    cpu: TimedQueue,
 }
 
 impl DdApp {
@@ -171,20 +173,15 @@ impl DdApp {
                 sectors_left_in_block: 0,
                 cur_request_sectors: 0,
                 report: report.clone(),
-                stalled: None,
+                cpu: TimedQueue::unbounded(),
             },
             report,
         )
     }
 
-    fn mmio_write(&mut self, ctx: &mut Ctx<'_>, offset: u64, value: u32) {
-        let id = ctx.alloc_packet_id();
-        let pkt =
-            Packet::request(id, Command::WriteReq, self.config.disk_bar + offset, 4, ctx.self_id())
-                .with_payload(value.to_le_bytes().to_vec());
-        if let Err(back) = ctx.try_send_request(DD_MEM_PORT, pkt) {
-            self.stalled = Some(back);
-        }
+    fn write_reg(&mut self, ctx: &mut Ctx<'_>, offset: u64, value: u32) {
+        self.cpu.push(mmio_write(ctx, self.config.disk_bar + offset, value));
+        self.cpu.flush(ctx, DD_MEM_PORT);
     }
 
     /// Advances the state machine; called at block start, after each MMIO
@@ -201,27 +198,27 @@ impl DdApp {
                 self.cur_request_sectors =
                     self.sectors_left_in_block.min(u64::from(self.config.request_sectors)) as u32;
                 self.state = State::WriteAddrLo;
-                self.mmio_write(ctx, regs::SECTOR_COUNT, self.cur_request_sectors);
+                self.write_reg(ctx, regs::SECTOR_COUNT, self.cur_request_sectors);
             }
             State::WriteAddrLo => {
                 self.state = State::WriteAddrHi;
-                self.mmio_write(ctx, regs::DMA_ADDR_LO, self.config.dma_target as u32);
+                self.write_reg(ctx, regs::DMA_ADDR_LO, self.config.dma_target as u32);
             }
             State::WriteAddrHi => {
                 self.state = State::WriteCommand;
-                self.mmio_write(ctx, regs::DMA_ADDR_HI, (self.config.dma_target >> 32) as u32);
+                self.write_reg(ctx, regs::DMA_ADDR_HI, (self.config.dma_target >> 32) as u32);
             }
             State::WriteCommand => {
                 self.state = State::WaitIrq;
                 self.report.borrow_mut().commands += 1;
-                self.mmio_write(ctx, regs::COMMAND, CMD_READ_DMA);
+                self.write_reg(ctx, regs::COMMAND, CMD_READ_DMA);
             }
             State::WaitIrq => {
                 // Nothing to do: the interrupt drives the next step.
             }
             State::AckIrq => {
                 self.state = State::RequestGap;
-                self.mmio_write(ctx, regs::IRQ_ACK, 1);
+                self.write_reg(ctx, regs::IRQ_ACK, 1);
             }
             State::RequestGap => {
                 self.sectors_left_in_block -= u64::from(self.cur_request_sectors);
@@ -292,11 +289,8 @@ impl Component for DdApp {
 
     fn retry_granted(&mut self, ctx: &mut Ctx<'_>, port: PortId) {
         assert_eq!(port, DD_MEM_PORT);
-        if let Some(pkt) = self.stalled.take() {
-            if let Err(back) = ctx.try_send_request(DD_MEM_PORT, pkt) {
-                self.stalled = Some(back);
-            }
-        }
+        self.cpu.unblock();
+        self.cpu.flush(ctx, DD_MEM_PORT);
     }
 
     fn report_stats(&self, out: &mut StatsBuilder) {
@@ -308,7 +302,7 @@ impl Component for DdApp {
     }
 
     state_fields!(component self;
-        state, blocks_left, sectors_left_in_block, cur_request_sectors, report, stalled,
+        state, blocks_left, sectors_left_in_block, cur_request_sectors, report, cpu,
     );
 }
 

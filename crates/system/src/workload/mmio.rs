@@ -12,13 +12,14 @@ use std::rc::Rc;
 
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, Packet};
+use pcisim_kernel::queue::TimedQueue;
 use pcisim_kernel::sim::Ctx;
 use pcisim_kernel::stats::StatsBuilder;
 use pcisim_kernel::tick::{to_ns, us, Tick};
 use pcisim_kernel::{snapshot, state_fields};
 
 use crate::topology::{EndpointHandle, EndpointKind};
-use crate::workload::{Attached, Workload};
+use crate::workload::{mmio_read, Attached, Workload};
 
 /// The probe's single port, wired toward the fabric.
 pub const MMIO_MEM_PORT: PortId = PortId(0);
@@ -104,6 +105,9 @@ pub struct MmioProbe {
     remaining: u32,
     issued_at: Option<Tick>,
     report: MmioReportHandle,
+    /// The read on its way to the memory port. It never holds a packet
+    /// between events (`issue` asserts so), so it is not checkpointed.
+    cpu: TimedQueue,
 }
 
 impl MmioProbe {
@@ -118,17 +122,17 @@ impl MmioProbe {
                 config,
                 issued_at: None,
                 report: report.clone(),
+                cpu: TimedQueue::unbounded(),
             },
             report,
         )
     }
 
     fn issue(&mut self, ctx: &mut Ctx<'_>) {
-        let id = ctx.alloc_packet_id();
-        let pkt = Packet::request(id, Command::ReadReq, self.config.target, 4, ctx.self_id());
         self.issued_at = Some(ctx.now());
-        ctx.try_send_request(MMIO_MEM_PORT, pkt)
-            .expect("the fabric never refuses a lone MMIO read");
+        self.cpu.push(mmio_read(ctx, self.config.target));
+        self.cpu.flush(ctx, MMIO_MEM_PORT);
+        assert!(!self.cpu.peer_blocked(), "the fabric never refuses a lone MMIO read");
     }
 }
 

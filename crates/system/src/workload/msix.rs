@@ -12,7 +12,6 @@
 //! single doorbell.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 use pcisim_devices::intc::irq_message_addr;
@@ -21,6 +20,7 @@ use pcisim_devices::nic::{
 };
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, Packet};
+use pcisim_kernel::queue::TimedQueue;
 use pcisim_kernel::sim::Ctx;
 use pcisim_kernel::snapshot;
 use pcisim_kernel::stats::StatsBuilder;
@@ -29,7 +29,7 @@ use pcisim_kernel::{state_enum, state_fields};
 use pcisim_pci::caps::msix;
 
 use crate::topology::{EndpointHandle, EndpointKind};
-use crate::workload::{Attached, Workload};
+use crate::workload::{mmio_read, mmio_write, Attached, Workload};
 
 /// Port wired to the memory bus (MMIO master).
 pub const MSIX_TX_MEM_PORT: PortId = PortId(0);
@@ -200,7 +200,8 @@ pub struct MsixTxApp {
     /// MMIO programming sequence, derived from the config (not saved).
     setup_writes: Vec<(u64, u32)>,
     report: MsixTxReportHandle,
-    stalled: VecDeque<Packet>,
+    /// Register accesses on their way to the memory port, in issue order.
+    cpu: TimedQueue,
 }
 
 impl MsixTxApp {
@@ -226,7 +227,7 @@ impl MsixTxApp {
                 config,
                 state: State::Setup(0),
                 report: report.clone(),
-                stalled: VecDeque::new(),
+                cpu: TimedQueue::unbounded(),
             },
             report,
         )
@@ -270,23 +271,14 @@ impl MsixTxApp {
         writes
     }
 
-    fn mmio_write(&mut self, ctx: &mut Ctx<'_>, offset: u64, value: u32) {
-        let id = ctx.alloc_packet_id();
-        let pkt =
-            Packet::request(id, Command::WriteReq, self.config.nic_bar + offset, 4, ctx.self_id())
-                .with_payload(value.to_le_bytes().to_vec());
-        if let Err(back) = ctx.try_send_request(MSIX_TX_MEM_PORT, pkt) {
-            self.stalled.push_back(back);
-        }
+    fn write_reg(&mut self, ctx: &mut Ctx<'_>, offset: u64, value: u32) {
+        self.cpu.push(mmio_write(ctx, self.config.nic_bar + offset, value));
+        self.cpu.flush(ctx, MSIX_TX_MEM_PORT);
     }
 
-    fn mmio_read(&mut self, ctx: &mut Ctx<'_>, offset: u64) {
-        let id = ctx.alloc_packet_id();
-        let pkt =
-            Packet::request(id, Command::ReadReq, self.config.nic_bar + offset, 4, ctx.self_id());
-        if let Err(back) = ctx.try_send_request(MSIX_TX_MEM_PORT, pkt) {
-            self.stalled.push_back(back);
-        }
+    fn read_reg(&mut self, ctx: &mut Ctx<'_>, offset: u64) {
+        self.cpu.push(mmio_read(ctx, self.config.nic_bar + offset));
+        self.cpu.flush(ctx, MSIX_TX_MEM_PORT);
     }
 
     fn step_setup(&mut self, ctx: &mut Ctx<'_>) {
@@ -294,7 +286,7 @@ impl MsixTxApp {
         if n < self.setup_writes.len() {
             self.state = State::Setup(n + 1);
             let (off, val) = self.setup_writes[n];
-            self.mmio_write(ctx, off, val);
+            self.write_reg(ctx, off, val);
         } else {
             self.report.borrow_mut().start = ctx.now();
             self.state = State::Run;
@@ -313,7 +305,7 @@ impl MsixTxApp {
         self.queues[q].posted += batch;
         self.queues[q].tail = (self.queues[q].tail + batch) % self.config.ring_entries;
         let tail = self.queues[q].tail;
-        self.mmio_write(ctx, regs::per_queue(regs::TDT, q as u32), tail);
+        self.write_reg(ctx, regs::per_queue(regs::TDT, q as u32), tail);
     }
 
     /// Services a head-register read completion for queue `q`: the head
@@ -371,7 +363,7 @@ impl Component for MsixTxApp {
         }
     }
 
-    fn recv_response(&mut self, ctx: &mut Ctx<'_>, port: PortId, mut pkt: Packet) -> RecvResult {
+    fn recv_response(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) -> RecvResult {
         assert_eq!(port, MSIX_TX_MEM_PORT);
         match pkt.cmd() {
             Command::WriteResp => {
@@ -389,16 +381,7 @@ impl Component for MsixTxApp {
                     .unwrap_or_else(|| {
                         panic!("{}: read completion for unknown register {offset:#x}", self.name)
                     }) as usize;
-                let head = pkt
-                    .take_payload()
-                    .map(|p| {
-                        let mut b = [0u8; 4];
-                        let n = p.len().min(4);
-                        b[..n].copy_from_slice(&p[..n]);
-                        u32::from_le_bytes(b)
-                    })
-                    .unwrap_or(0);
-                self.service_head(ctx, q, head);
+                self.service_head(ctx, q, pkt.dword());
             }
             other => panic!("{}: unexpected completion {other:?}", self.name),
         }
@@ -416,18 +399,14 @@ impl Component for MsixTxApp {
         let q = v as usize; // tx_vector(q) == q
         if !self.queues[q].reading {
             self.queues[q].reading = true;
-            self.mmio_read(ctx, regs::per_queue(regs::TDH, v));
+            self.read_reg(ctx, regs::per_queue(regs::TDH, v));
         }
         RecvResult::Accepted
     }
 
     fn retry_granted(&mut self, ctx: &mut Ctx<'_>, _port: PortId) {
-        while let Some(pkt) = self.stalled.pop_front() {
-            if let Err(back) = ctx.try_send_request(MSIX_TX_MEM_PORT, pkt) {
-                self.stalled.push_front(back);
-                return;
-            }
-        }
+        self.cpu.unblock();
+        self.cpu.flush(ctx, MSIX_TX_MEM_PORT);
     }
 
     fn report_stats(&self, out: &mut StatsBuilder) {
@@ -442,6 +421,33 @@ impl Component for MsixTxApp {
     state_fields!(component self;
         state,
         [queues] { posted, completed, tail, last_head, reading, posting },
-        report, stalled,
+        report, cpu,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pcisim_kernel::sim::RunOutcome;
+
+    /// A vector interrupt arrives while the TDT write waits for its retry:
+    /// the TDH read it starts leaves after the write, since PCIe ordering
+    /// forbids a read to pass a memory write.
+    #[test]
+    fn head_read_waits_behind_a_refused_tail_write() {
+        let config = MsixTxConfig { queues: 1, frames: 8, ..MsixTxConfig::default() };
+        let bar = config.nic_bar;
+        // Offers 0..=8 program the table, ring and mask; offer 9 is TDT.
+        let (mut sim, log) = crate::workload::testpeer::rig(
+            MsixTxApp::new("msixtx", config).0,
+            (MSIX_TX_MEM_PORT, msix_tx_irq_port(tx_vector(0))),
+            vec![9],
+            vec![9],
+        );
+        assert_eq!(sim.run_to_quiesce(), RunOutcome::QueueEmpty);
+        let log = log.borrow();
+        assert_eq!(log.len(), 11, "nine setup writes, TDT, TDH");
+        assert_eq!(log[9], (Command::WriteReq, bar + regs::per_queue(regs::TDT, 0), 8));
+        assert_eq!(log[10], (Command::ReadReq, bar + regs::per_queue(regs::TDH, 0), 0));
+    }
 }

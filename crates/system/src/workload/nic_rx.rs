@@ -13,6 +13,7 @@ use std::rc::Rc;
 use pcisim_devices::nic::{regs, INT_RXT0};
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, Packet};
+use pcisim_kernel::queue::TimedQueue;
 use pcisim_kernel::sim::Ctx;
 use pcisim_kernel::snapshot;
 use pcisim_kernel::stats::StatsBuilder;
@@ -20,7 +21,7 @@ use pcisim_kernel::tick::{gbps, ns, Tick};
 use pcisim_kernel::{state_enum, state_fields};
 
 use crate::topology::{EndpointHandle, EndpointKind};
-use crate::workload::{Attached, Workload};
+use crate::workload::{mmio_write, Attached, Workload};
 
 /// Port wired to the memory bus (MMIO master).
 pub const NIC_RX_MEM_PORT: PortId = PortId(0);
@@ -113,7 +114,8 @@ pub struct NicRxApp {
     tail: u32,
     frames_seen: u32,
     report: NicRxReportHandle,
-    stalled: Option<Packet>,
+    /// Register writes on their way to the memory port.
+    cpu: TimedQueue,
 }
 
 impl NicRxApp {
@@ -129,20 +131,15 @@ impl NicRxApp {
                 tail: 0,
                 frames_seen: 0,
                 report: report.clone(),
-                stalled: None,
+                cpu: TimedQueue::unbounded(),
             },
             report,
         )
     }
 
-    fn mmio_write(&mut self, ctx: &mut Ctx<'_>, offset: u64, value: u32) {
-        let id = ctx.alloc_packet_id();
-        let pkt =
-            Packet::request(id, Command::WriteReq, self.config.nic_bar + offset, 4, ctx.self_id())
-                .with_payload(value.to_le_bytes().to_vec());
-        if let Err(back) = ctx.try_send_request(NIC_RX_MEM_PORT, pkt) {
-            self.stalled = Some(back);
-        }
+    fn write_reg(&mut self, ctx: &mut Ctx<'_>, offset: u64, value: u32) {
+        self.cpu.push(mmio_write(ctx, self.config.nic_bar + offset, value));
+        self.cpu.flush(ctx, NIC_RX_MEM_PORT);
     }
 
     fn step(&mut self, ctx: &mut Ctx<'_>) {
@@ -164,7 +161,7 @@ impl NicRxApp {
                         self.state = State::Receiving;
                     }
                     let (off, val) = writes[n];
-                    self.mmio_write(ctx, off, val);
+                    self.write_reg(ctx, off, val);
                 }
             }
             State::Receiving | State::Done => {}
@@ -182,7 +179,7 @@ impl NicRxApp {
         // Refill: hand the consumed buffer back to hardware.
         self.tail = (self.tail + 1) % self.config.ring_entries;
         let tail = self.tail;
-        self.mmio_write(ctx, regs::RDT, tail);
+        self.write_reg(ctx, regs::RDT, tail);
         if self.frames_seen >= self.config.expect_frames {
             self.report.borrow_mut().done = true;
             self.state = State::Done;
@@ -223,11 +220,8 @@ impl Component for NicRxApp {
     }
 
     fn retry_granted(&mut self, ctx: &mut Ctx<'_>, _port: PortId) {
-        if let Some(pkt) = self.stalled.take() {
-            if let Err(back) = ctx.try_send_request(NIC_RX_MEM_PORT, pkt) {
-                self.stalled = Some(back);
-            }
-        }
+        self.cpu.unblock();
+        self.cpu.flush(ctx, NIC_RX_MEM_PORT);
     }
 
     fn report_stats(&self, out: &mut StatsBuilder) {
@@ -237,7 +231,7 @@ impl Component for NicRxApp {
         out.scalar("done", f64::from(u8::from(r.done)));
     }
 
-    state_fields!(component self; state, tail, frames_seen, report, stalled);
+    state_fields!(component self; state, tail, frames_seen, report, cpu);
 }
 
 #[cfg(test)]
@@ -296,6 +290,25 @@ mod tests {
         assert_eq!(r.frames, 16);
         assert_eq!(stats.get("nic.rx_overruns"), Some(0.0));
         assert!(r.throughput_gbps() > 0.0);
+    }
+
+    /// Two interrupts arrive while the memory port refuses twice: both
+    /// RDT writes reach the NIC, in order, after the setup's.
+    #[test]
+    fn refused_rdt_writes_all_arrive_in_order() {
+        let config = NicRxConfig::default();
+        let rdt = config.nic_bar + regs::RDT;
+        // Offer 3 is the setup's RDT write; offers 4 and 5 are refused.
+        let (mut sim, log) = crate::workload::testpeer::rig(
+            NicRxApp::new("nicrx", config).0,
+            (NIC_RX_MEM_PORT, NIC_RX_IRQ_PORT),
+            vec![4, 5],
+            vec![3, 4],
+        );
+        assert_eq!(sim.run_to_quiesce(), RunOutcome::QueueEmpty);
+        let tails: Vec<u32> =
+            log.borrow().iter().filter(|&&(_, addr, _)| addr == rdt).map(|e| e.2).collect();
+        assert_eq!(tails, [255, 0, 1]);
     }
 
     #[test]

@@ -13,6 +13,7 @@ use std::rc::Rc;
 use pcisim_devices::nic::{regs, INT_TXDW};
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, Packet};
+use pcisim_kernel::queue::TimedQueue;
 use pcisim_kernel::sim::Ctx;
 use pcisim_kernel::snapshot;
 use pcisim_kernel::stats::StatsBuilder;
@@ -20,7 +21,7 @@ use pcisim_kernel::tick::{gbps, ns, us, Tick};
 use pcisim_kernel::{state_enum, state_fields};
 
 use crate::topology::{EndpointHandle, EndpointKind};
-use crate::workload::{Attached, Workload};
+use crate::workload::{mmio_write, Attached, Workload};
 
 /// Port wired to the memory bus (MMIO master).
 pub const NIC_TX_MEM_PORT: PortId = PortId(0);
@@ -134,7 +135,8 @@ pub struct NicTxApp {
     frames_posted: u32,
     irqs_outstanding: u32,
     report: NicTxReportHandle,
-    stalled: Option<Packet>,
+    /// Register writes on their way to the memory port.
+    cpu: TimedQueue,
 }
 
 impl NicTxApp {
@@ -152,20 +154,15 @@ impl NicTxApp {
                 frames_posted: 0,
                 irqs_outstanding: 0,
                 report: report.clone(),
-                stalled: None,
+                cpu: TimedQueue::unbounded(),
             },
             report,
         )
     }
 
-    fn mmio_write(&mut self, ctx: &mut Ctx<'_>, offset: u64, value: u32) {
-        let id = ctx.alloc_packet_id();
-        let pkt =
-            Packet::request(id, Command::WriteReq, self.config.nic_bar + offset, 4, ctx.self_id())
-                .with_payload(value.to_le_bytes().to_vec());
-        if let Err(back) = ctx.try_send_request(NIC_TX_MEM_PORT, pkt) {
-            self.stalled = Some(back);
-        }
+    fn write_reg(&mut self, ctx: &mut Ctx<'_>, offset: u64, value: u32) {
+        self.cpu.push(mmio_write(ctx, self.config.nic_bar + offset, value));
+        self.cpu.flush(ctx, NIC_TX_MEM_PORT);
     }
 
     fn step(&mut self, ctx: &mut Ctx<'_>) {
@@ -183,7 +180,7 @@ impl NicTxApp {
                 if n < writes.len() {
                     self.state = State::Setup(n + 1);
                     let (off, val) = writes[n];
-                    self.mmio_write(ctx, off, val);
+                    self.write_reg(ctx, off, val);
                 } else {
                     self.report.borrow_mut().start = ctx.now();
                     self.state = State::PostBatch;
@@ -197,7 +194,7 @@ impl NicTxApp {
                 self.irqs_outstanding = batch;
                 self.tail = (self.tail + batch) % self.config.ring_entries;
                 self.state = State::WaitIrqs;
-                self.mmio_write(ctx, regs::TDT, self.tail);
+                self.write_reg(ctx, regs::TDT, self.tail);
             }
             State::WaitIrqs => {
                 // Interrupts drive progress.
@@ -264,11 +261,8 @@ impl Component for NicTxApp {
     }
 
     fn retry_granted(&mut self, ctx: &mut Ctx<'_>, _port: PortId) {
-        if let Some(pkt) = self.stalled.take() {
-            if let Err(back) = ctx.try_send_request(NIC_TX_MEM_PORT, pkt) {
-                self.stalled = Some(back);
-            }
-        }
+        self.cpu.unblock();
+        self.cpu.flush(ctx, NIC_TX_MEM_PORT);
     }
 
     fn report_stats(&self, out: &mut StatsBuilder) {
@@ -280,7 +274,7 @@ impl Component for NicTxApp {
     }
 
     state_fields!(component self;
-        state, tail, frames_posted, irqs_outstanding, report, stalled,
+        state, tail, frames_posted, irqs_outstanding, report, cpu,
     );
 }
 

@@ -15,12 +15,12 @@
 //! million-flow generator or a recorded binary trace.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 use pcisim_devices::nic::regs;
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, Packet};
+use pcisim_kernel::queue::TimedQueue;
 use pcisim_kernel::sim::Ctx;
 use pcisim_kernel::snapshot;
 use pcisim_kernel::stats::StatsBuilder;
@@ -28,7 +28,7 @@ use pcisim_kernel::tick::{gbps, ns, to_seconds, us, Tick};
 use pcisim_kernel::{state_enum, state_fields};
 
 use crate::topology::{EndpointHandle, EndpointKind};
-use crate::workload::{Attached, Workload};
+use crate::workload::{mmio_read, mmio_write, Attached, Workload};
 
 /// Port wired to the memory bus (MMIO master). A poll-mode driver has no
 /// interrupt port at all.
@@ -206,8 +206,8 @@ pub struct PmdApp {
     /// Whether any frame moved during the current poll round.
     progressed: bool,
     report: PmdReportHandle,
-    /// MMIO packets refused by the fabric, resent on retry_granted in order.
-    pending: VecDeque<Packet>,
+    /// Register accesses on their way to the memory port, in issue order.
+    cpu: TimedQueue,
 }
 
 impl PmdApp {
@@ -245,36 +245,21 @@ impl PmdApp {
                 config,
                 state: State::Setup(0),
                 report: report.clone(),
-                pending: VecDeque::new(),
+                cpu: TimedQueue::unbounded(),
             },
             report,
         )
     }
 
-    fn send(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        if !self.pending.is_empty() {
-            self.pending.push_back(pkt);
-            return;
-        }
-        if let Err(back) = ctx.try_send_request(PMD_MEM_PORT, pkt) {
-            self.pending.push_back(back);
-        }
+    fn write_reg(&mut self, ctx: &mut Ctx<'_>, offset: u64, value: u32) {
+        self.cpu.push(mmio_write(ctx, self.config.nic_bar + offset, value));
+        self.cpu.flush(ctx, PMD_MEM_PORT);
     }
 
-    fn mmio_write(&mut self, ctx: &mut Ctx<'_>, offset: u64, value: u32) {
-        let id = ctx.alloc_packet_id();
-        let pkt =
-            Packet::request(id, Command::WriteReq, self.config.nic_bar + offset, 4, ctx.self_id())
-                .with_payload(value.to_le_bytes().to_vec());
-        self.send(ctx, pkt);
-    }
-
-    fn mmio_read(&mut self, ctx: &mut Ctx<'_>, offset: u64) {
-        let id = ctx.alloc_packet_id();
-        let pkt =
-            Packet::request(id, Command::ReadReq, self.config.nic_bar + offset, 4, ctx.self_id());
+    fn read_reg(&mut self, ctx: &mut Ctx<'_>, offset: u64) {
         self.outstanding += 1;
-        self.send(ctx, pkt);
+        self.cpu.push(mmio_read(ctx, self.config.nic_bar + offset));
+        self.cpu.flush(ctx, PMD_MEM_PORT);
     }
 
     /// The n-th ring-programming write, or None once setup is complete.
@@ -301,7 +286,7 @@ impl PmdApp {
         match self.setup_write(n) {
             Some((off, val)) => {
                 self.state = State::Setup(n + 1);
-                self.mmio_write(ctx, off, val);
+                self.write_reg(ctx, off, val);
             }
             None => {
                 for q in 0..self.config.queues as usize {
@@ -325,17 +310,17 @@ impl PmdApp {
         self.rdh_stage.copy_from_slice(&self.rx_head);
         for q in 0..self.config.queues {
             if self.tx_polled {
-                self.mmio_read(ctx, regs::per_queue(regs::TDH, q));
+                self.read_reg(ctx, regs::per_queue(regs::TDH, q));
             }
             if self.config.rx_expect > 0 {
-                self.mmio_read(ctx, regs::per_queue(regs::RDH, q));
+                self.read_reg(ctx, regs::per_queue(regs::RDH, q));
             }
         }
         if self.config.rx_expect > 0 {
-            self.mmio_read(ctx, regs::GPRC);
-            self.mmio_read(ctx, regs::MPC);
-            self.mmio_read(ctx, regs::GORCL);
-            self.mmio_read(ctx, regs::GORCH);
+            self.read_reg(ctx, regs::GPRC);
+            self.read_reg(ctx, regs::MPC);
+            self.read_reg(ctx, regs::GORCL);
+            self.read_reg(ctx, regs::GORCH);
         }
         self.state = State::Awaiting;
     }
@@ -362,7 +347,7 @@ impl PmdApp {
             self.tx_inflight[q] += post;
             self.tx_tail[q] = (self.tx_tail[q] + post) % ring;
             let tail = self.tx_tail[q];
-            self.mmio_write(ctx, regs::per_queue(regs::TDT, q as u32), tail);
+            self.write_reg(ctx, regs::per_queue(regs::TDT, q as u32), tail);
         }
     }
 
@@ -376,7 +361,7 @@ impl PmdApp {
             self.rx_consumed += u64::from(consumed);
             self.rx_tail[q] = (self.rx_tail[q] + consumed) % ring;
             let tail = self.rx_tail[q];
-            self.mmio_write(ctx, regs::per_queue(regs::RDT, q as u32), tail);
+            self.write_reg(ctx, regs::per_queue(regs::RDT, q as u32), tail);
         }
     }
 
@@ -411,15 +396,7 @@ impl PmdApp {
     /// [`PmdApp::process_round`], deferred behind a zero-delay event.
     fn read_returned(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) {
         let offset = pkt.addr().wrapping_sub(self.config.nic_bar);
-        let value = pkt
-            .payload()
-            .map(|p| {
-                let mut b = [0u8; 4];
-                let n = p.len().min(4);
-                b[..n].copy_from_slice(&p[..n]);
-                u32::from_le_bytes(b)
-            })
-            .unwrap_or(0);
+        let value = pkt.dword();
         match offset {
             regs::GPRC => self.gprc = value,
             regs::MPC => self.mpc = value,
@@ -504,12 +481,8 @@ impl Component for PmdApp {
     }
 
     fn retry_granted(&mut self, ctx: &mut Ctx<'_>, _port: PortId) {
-        while let Some(pkt) = self.pending.pop_front() {
-            if let Err(back) = ctx.try_send_request(PMD_MEM_PORT, pkt) {
-                self.pending.push_front(back);
-                break;
-            }
-        }
+        self.cpu.unblock();
+        self.cpu.flush(ctx, PMD_MEM_PORT);
     }
 
     fn report_stats(&self, out: &mut StatsBuilder) {
@@ -525,7 +498,7 @@ impl Component for PmdApp {
         state,
         [tx_head, tx_tail, tx_inflight, rx_head, rx_tail, tdh_stage, rdh_stage],
         tx_polled, tx_remaining, rx_consumed, gprc, mpc, gorc_lo, gorc_hi, outstanding,
-        progressed, report, pending,
+        progressed, report, cpu,
     );
 }
 

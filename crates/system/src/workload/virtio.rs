@@ -29,6 +29,7 @@ use pcisim_devices::virtio::{
 };
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, Packet};
+use pcisim_kernel::queue::TimedQueue;
 use pcisim_kernel::sim::Ctx;
 use pcisim_kernel::snapshot::{self, SnapshotError, StateReader, StateWriter};
 use pcisim_kernel::state_fields;
@@ -37,7 +38,7 @@ use pcisim_kernel::tick::{gbps, ns, us, Tick};
 use pcisim_pci::caps::msix;
 
 use crate::topology::{EndpointHandle, EndpointKind};
-use crate::workload::{Attached, Workload};
+use crate::workload::{mmio_read, Attached, Workload};
 
 /// Port wired to the memory bus (MMIO + DRAM master).
 pub const VIRTIO_APP_MEM_PORT: PortId = PortId(0);
@@ -259,7 +260,8 @@ pub struct VirtioApp {
     /// walks a queue's chains strictly in order).
     submit_ticks: VecDeque<Tick>,
     report: VirtioReportHandle,
-    stalled: Option<Packet>,
+    /// The op's request on its way to the memory port.
+    cpu: TimedQueue,
 }
 
 impl VirtioApp {
@@ -292,7 +294,7 @@ impl VirtioApp {
                 last_used: 0,
                 submit_ticks: VecDeque::new(),
                 report: report.clone(),
-                stalled: None,
+                cpu: TimedQueue::unbounded(),
             },
             report,
         )
@@ -485,49 +487,16 @@ impl VirtioApp {
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
         while !self.inflight {
             let Some(op) = self.ops.pop_front() else { return };
-            match op {
+            let pkt = match op {
                 Op::Write { addr, data } => {
-                    let id = ctx.alloc_packet_id();
-                    let pkt = Packet::request(
-                        id,
-                        Command::WriteReq,
-                        addr,
-                        data.len() as u32,
-                        ctx.self_id(),
-                    )
-                    .with_payload(data);
-                    self.inflight = true;
-                    if let Err(back) = ctx.try_send_request(VIRTIO_APP_MEM_PORT, pkt) {
-                        self.stalled = Some(back);
-                    }
+                    let (id, size) = (ctx.alloc_packet_id(), data.len() as u32);
+                    Packet::request(id, Command::WriteReq, addr, size, ctx.self_id())
+                        .with_payload(data)
                 }
-                Op::ReadIsr => {
-                    let id = ctx.alloc_packet_id();
-                    let pkt = Packet::request(
-                        id,
-                        Command::ReadReq,
-                        self.config.bar0 + ISR_OFFSET,
-                        4,
-                        ctx.self_id(),
-                    );
-                    self.inflight = true;
-                    if let Err(back) = ctx.try_send_request(VIRTIO_APP_MEM_PORT, pkt) {
-                        self.stalled = Some(back);
-                    }
-                }
+                Op::ReadIsr => mmio_read(ctx, self.config.bar0 + ISR_OFFSET),
                 Op::ReadUsedIdx => {
                     let id = ctx.alloc_packet_id();
-                    let pkt = Packet::request(
-                        id,
-                        Command::ReadReq,
-                        self.used_base() + 2,
-                        2,
-                        ctx.self_id(),
-                    );
-                    self.inflight = true;
-                    if let Err(back) = ctx.try_send_request(VIRTIO_APP_MEM_PORT, pkt) {
-                        self.stalled = Some(back);
-                    }
+                    Packet::request(id, Command::ReadReq, self.used_base() + 2, 2, ctx.self_id())
                 }
                 Op::MarkStart => {
                     self.report.borrow_mut().start = ctx.now();
@@ -540,11 +509,16 @@ impl VirtioApp {
                             Event::Timer { kind: K_SUBMIT, data: u64::from(seq) },
                         );
                     }
+                    continue;
                 }
                 Op::MarkSubmitted => {
                     self.submit_ticks.push_back(ctx.now());
+                    continue;
                 }
-            }
+            };
+            self.inflight = true;
+            self.cpu.push(pkt);
+            self.cpu.flush(ctx, VIRTIO_APP_MEM_PORT);
         }
     }
 
@@ -649,11 +623,8 @@ impl Component for VirtioApp {
 
     fn retry_granted(&mut self, ctx: &mut Ctx<'_>, port: PortId) {
         assert_eq!(port, VIRTIO_APP_MEM_PORT);
-        if let Some(pkt) = self.stalled.take() {
-            if let Err(back) = ctx.try_send_request(VIRTIO_APP_MEM_PORT, pkt) {
-                self.stalled = Some(back);
-            }
-        }
+        self.cpu.unblock();
+        self.cpu.flush(ctx, VIRTIO_APP_MEM_PORT);
     }
 
     fn report_stats(&self, out: &mut StatsBuilder) {
@@ -668,6 +639,6 @@ impl Component for VirtioApp {
 
     state_fields!(component self;
         ops, inflight, used_check_queued, issued, completed, avail_idx, last_used, submit_ticks,
-        report, stalled,
+        report, cpu,
     );
 }
