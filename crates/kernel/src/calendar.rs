@@ -13,11 +13,15 @@
 //! - a ring of [`NUM_BUCKETS`] buckets covers the windows immediately
 //!   after the currently open one (`cur_window`);
 //! - entries for the open window live in a *sorted run* plus a small
-//!   *late heap*: opening a bucket sorts it once into the run, a push
-//!   into the open window that sorts after the run's tail is appended to
-//!   it, any other one goes to the heap, and a pop takes the smaller of
-//!   the two heads — so same-window entries pop in exact `(tick, order)`
-//!   order at `O(1)` for in-order arrivals and `O(log n)` at worst;
+//!   *late heap*, and a pop takes the smaller of the two heads, so
+//!   same-window entries pop in exact `(tick, order)` order. Opening a
+//!   sparse bucket (at most [`DENSE`] keys) sorts it once into the run;
+//!   opening a dense one scatters it into [`SUBS`] sub-windows of
+//!   `2^SUB_BITS` ticks and sorts only the first occupied one into the
+//!   run, the next when the run is spent. A push into the open window
+//!   past the run's sub-window drops into its sub-window in `O(1)`; one
+//!   inside it is appended to the run when it sorts after the tail, and
+//!   goes to the heap otherwise;
 //! - entries beyond the ring horizon go to an overflow heap and migrate
 //!   into the ring as the calendar advances.
 //!
@@ -66,6 +70,18 @@ pub const BUCKET_BITS: u32 = 16;
 pub const NUM_BUCKETS: u64 = 1024;
 
 const MASK: u64 = NUM_BUCKETS - 1;
+
+/// A bucket holding more keys than this is split into sub-windows when it
+/// opens; a sparser one is sorted whole. Sparse windows (a single `dd`
+/// stream's hold 5–16 keys) would pay the 64-way scatter for nothing.
+const DENSE: usize = 16;
+
+/// Sub-windows per window: one bit each in [`CalendarQueue`]'s occupancy
+/// mask.
+const SUBS: usize = 64;
+
+/// log2 of a sub-window's size in ticks (1 024 ps ≈ 1 ns).
+const SUB_BITS: u32 = BUCKET_BITS - SUBS.trailing_zeros();
 
 /// Ordering key plus the slab slot holding the item. `order` is unique,
 /// so `slot` never participates in comparisons.
@@ -124,15 +140,29 @@ impl Ord for Key {
 /// 2. every overflow entry has window `>= cur_window + NUM_BUCKETS`, so
 ///    the ring always contains the earliest pending window whenever it is
 ///    non-empty;
-/// 3. `run[run_head..]` is sorted ascending; together with `late` it
-///    holds exactly the open window's entries.
+/// 3. `run[run_head..]` is sorted ascending; together with `late` and
+///    `subs` it holds exactly the open window's entries (and any pushed
+///    for an earlier window after the cursor moved past it);
+/// 4. every key in the run and `late` has `tick <= seg_last`, and every
+///    key in `subs[s]` lies in sub-window `s` of the open window, has
+///    `tick > seg_last`, and has bit `s` set in `sub_mask`, so the run
+///    and `late` always hold the open window's earliest entries.
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
     buckets: Vec<Vec<Key>>,
-    /// Open-window entries that arrived in order; `run[..run_head]` has
-    /// already popped.
+    /// Open-window entries in sorted order; `run[..run_head]` has already
+    /// popped.
     run: Vec<Key>,
     run_head: usize,
+    /// Last tick of the run's segment: the whole open window when it was
+    /// sparse, else the sub-window last opened.
+    seg_last: Tick,
+    /// A split window's sub-windows after the run's, by sub-window index;
+    /// bit `s` of `sub_mask` is set iff `subs[s]` is non-empty. Left empty
+    /// until the first dense window, so a queue that never splits one
+    /// allocates nothing for them.
+    subs: Vec<Vec<Key>>,
+    sub_mask: u64,
     /// Open-window entries that arrived out of order.
     late: BinaryHeap<Reverse<Key>>,
     /// Entries at or beyond `cur_window + NUM_BUCKETS` windows.
@@ -171,6 +201,9 @@ impl<T> CalendarQueue<T> {
             buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
             run: Vec::new(),
             run_head: 0,
+            seg_last: window_last(0),
+            subs: Vec::new(),
+            sub_mask: 0,
             late: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             slab: Vec::new(),
@@ -217,7 +250,15 @@ impl<T> CalendarQueue<T> {
         let key = Key { tick, order, slot };
         let w = tick >> BUCKET_BITS;
         if w <= self.cur_window {
-            self.push_open(key);
+            if tick <= self.seg_last {
+                self.push_run(key);
+            } else {
+                // Past the run's segment, so the open window is split (a
+                // sparse window's segment is the whole window).
+                let s = sub_window(tick);
+                self.subs[s].push(key);
+                self.sub_mask |= 1 << s;
+            }
         } else if w - self.cur_window < NUM_BUCKETS {
             self.ring_len += 1;
             self.buckets[(w & MASK) as usize].push(key);
@@ -227,10 +268,11 @@ impl<T> CalendarQueue<T> {
         EventHandle { slot, order }
     }
 
-    /// Files `key` into the open window: appended to the run when it
-    /// sorts after the run's tail (or the run is spent), else into `late`.
+    /// Files `key`, which sorts before every sub-window key, into the
+    /// run when it sorts after the run's tail (or the run is spent), else
+    /// into `late`.
     #[inline]
-    fn push_open(&mut self, key: Key) {
+    fn push_run(&mut self, key: Key) {
         if self.run_head == self.run.len() {
             self.run.clear();
             self.run_head = 0;
@@ -298,6 +340,10 @@ impl<T> CalendarQueue<T> {
     /// earliest entry (no-op when it already does, or the queue is empty).
     fn settle(&mut self) {
         while self.run_head == self.run.len() && self.late.is_empty() && self.len > 0 {
+            if self.sub_mask != 0 {
+                self.open_sub();
+                continue;
+            }
             // Find the earliest occupied window. By invariant 2 the ring
             // (when non-empty) always beats the overflow heap, and by
             // invariant 1 the first non-empty bucket after the cursor
@@ -313,33 +359,69 @@ impl<T> CalendarQueue<T> {
                 head.tick >> BUCKET_BITS
             };
             self.cur_window = target;
-            // Open the bucket for the new cursor window: it becomes the
-            // run (the spent run's buffer goes back to the ring), sorted
-            // once.
-            self.run.clear();
-            self.run_head = 0;
-            let bucket = &mut self.buckets[(target & MASK) as usize];
-            self.ring_len -= bucket.len();
-            std::mem::swap(&mut self.run, bucket);
-            debug_assert!(self.run.iter().all(|k| k.tick >> BUCKET_BITS == target));
-            self.run.sort_unstable();
             // Re-establish invariant 2: migrate overflow entries that now
-            // fall inside the ring horizon. They leave the heap in order,
-            // so open-window ones append to the run.
+            // fall inside the ring horizon, the new window's included, so
+            // the bucket about to open holds all of that window.
             while let Some(Reverse(head)) = self.overflow.peek() {
                 let w = head.tick >> BUCKET_BITS;
                 if w >= self.cur_window + NUM_BUCKETS {
                     break;
                 }
                 let Reverse(key) = self.overflow.pop().expect("peeked");
-                if w <= self.cur_window {
-                    self.push_open(key);
-                } else {
-                    self.ring_len += 1;
-                    self.buckets[(w & MASK) as usize].push(key);
-                }
+                self.ring_len += 1;
+                self.buckets[(w & MASK) as usize].push(key);
+            }
+            // Open the bucket for the new cursor window: it becomes the
+            // run (the spent run's buffer goes back to the ring), sorted
+            // once when sparse, scattered into sub-windows when dense.
+            self.run.clear();
+            self.run_head = 0;
+            let bucket = &mut self.buckets[(target & MASK) as usize];
+            self.ring_len -= bucket.len();
+            std::mem::swap(&mut self.run, bucket);
+            debug_assert!(self.run.iter().all(|k| k.tick >> BUCKET_BITS == target));
+            if self.run.len() > DENSE {
+                self.split_run();
+            } else {
+                self.run.sort_unstable();
+                self.seg_last = window_last(target);
             }
         }
+    }
+
+    /// Scatters the dense window just swapped into the run over the
+    /// sub-windows, then opens the first. Out of line: a sparse window's
+    /// pop path never runs it.
+    #[cold]
+    fn split_run(&mut self) {
+        if self.subs.is_empty() {
+            self.subs.resize_with(SUBS, Vec::new);
+        }
+        for key in self.run.drain(..) {
+            let s = sub_window(key.tick);
+            self.subs[s].push(key);
+            self.sub_mask |= 1 << s;
+        }
+        self.open_sub();
+    }
+
+    /// Makes the earliest occupied sub-window of the open window the run,
+    /// sorted once. The spent run's buffer takes its place. Out of line:
+    /// inlined into `settle`, it cost the sparse workloads' replayed
+    /// calendar streams up to 7 %.
+    #[inline(never)]
+    fn open_sub(&mut self) {
+        let s = self.sub_mask.trailing_zeros() as usize;
+        self.sub_mask &= self.sub_mask - 1;
+        self.run.clear();
+        self.run_head = 0;
+        std::mem::swap(&mut self.run, &mut self.subs[s]);
+        debug_assert!(self
+            .run
+            .iter()
+            .all(|k| k.tick >> BUCKET_BITS == self.cur_window && sub_window(k.tick) == s));
+        self.run.sort_unstable();
+        self.seg_last = (self.cur_window << BUCKET_BITS) | (((s as u64 + 1) << SUB_BITS) - 1);
     }
 
     /// Like [`CalendarQueue::settle`], but additionally discards cancelled
@@ -426,6 +508,7 @@ impl<T> CalendarQueue<T> {
     fn with_cursor(now: Tick) -> Self {
         let mut q = Self::new();
         q.cur_window = now >> BUCKET_BITS;
+        q.seg_last = window_last(q.cur_window);
         q
     }
 
@@ -437,13 +520,16 @@ impl<T> CalendarQueue<T> {
         self.restored.insert(order, handle.slot);
     }
 
-    /// Every queued key, tombstones included, in arbitrary order.
-    fn keys(&self) -> impl Iterator<Item = &Key> {
+    /// Every live (non-cancelled) entry as `(tick, order, item)`, in
+    /// arbitrary order.
+    pub(crate) fn live(&self) -> impl Iterator<Item = (Tick, u64, &T)> {
         self.run[self.run_head..]
             .iter()
             .chain(self.late.iter().map(|Reverse(k)| k))
             .chain(self.overflow.iter().map(|Reverse(k)| k))
+            .chain(self.subs.iter().flatten())
             .chain(self.buckets.iter().flatten())
+            .filter_map(|key| Some((key.tick, key.order, self.slab[key.slot as usize].1.as_ref()?)))
     }
 
     /// Serializes the queue into a checkpoint as portable `(tick, order)`
@@ -452,14 +538,13 @@ impl<T> CalendarQueue<T> {
     /// format is independent of the physical layout. Live items are
     /// encoded by `enc`.
     pub fn save(&self, w: &mut StateWriter, mut enc: impl FnMut(&mut StateWriter, &T)) {
-        let mut live: Vec<Key> =
-            self.keys().filter(|key| self.slab[key.slot as usize].1.is_some()).copied().collect();
-        live.sort_unstable();
+        let mut live: Vec<(Tick, u64, &T)> = self.live().collect();
+        live.sort_unstable_by_key(|&(tick, order, _)| (tick, order));
         w.usize(live.len());
-        for key in live {
-            w.u64(key.tick);
-            w.u64(key.order);
-            enc(w, self.slab[key.slot as usize].1.as_ref().expect("live entry"));
+        for (tick, order, item) in live {
+            w.u64(tick);
+            w.u64(order);
+            enc(w, item);
         }
     }
 
@@ -483,6 +568,17 @@ impl<T> CalendarQueue<T> {
         })?;
         Ok(q)
     }
+}
+
+/// The last tick of window `w`.
+fn window_last(w: u64) -> Tick {
+    (w << BUCKET_BITS) | ((1 << BUCKET_BITS) - 1)
+}
+
+/// The index of the sub-window `tick` falls in, within its window.
+#[inline]
+fn sub_window(tick: Tick) -> usize {
+    ((tick >> SUB_BITS) as usize) & (SUBS - 1)
 }
 
 /// Reads the entry list [`CalendarQueue::save`] wrote, rejecting entries
@@ -717,6 +813,10 @@ mod tests {
         assert!(CalendarQueue::<u64>::restore(0, &mut r, |r, _| r.u64()).is_err());
     }
 
+    /// How far apart in ticks one lockstep group's entries may lie: three
+    /// sub-windows.
+    const LOCKSTEP_SPREAD: Tick = 3 << SUB_BITS;
+
     /// Drives a calendar beside a sorted reference set of the same
     /// `(tick, stamp)` keys through a seeded operation mix, checking every
     /// pop against the reference. Stamps are shaped like the kernel's
@@ -725,7 +825,7 @@ mod tests {
         q: CalendarQueue<u64>,
         reference: BTreeSet<(Tick, u64)>,
         handles: Vec<(EventHandle, Tick, u64)>,
-        counters: [u64; 8],
+        counters: [u64; 32],
         now: Tick,
         rng: u64,
     }
@@ -736,7 +836,7 @@ mod tests {
                 q: CalendarQueue::new(),
                 reference: BTreeSet::new(),
                 handles: Vec::new(),
-                counters: [0; 8],
+                counters: [0; 32],
                 now: 0,
                 rng: seed,
             }
@@ -796,6 +896,74 @@ mod tests {
             let start = self.rand() as usize;
             for i in 0..8 {
                 let order = self.mint((start + 5 * i) % 8);
+                self.push(tick, order);
+            }
+        }
+
+        /// One lockstep step of `fanout32_dd`'s 32 streams: every entry
+        /// within a few sub-windows of the head pops, and the popping
+        /// components push their successors together, the group topped
+        /// up to 20–32 components (cancels and single pops thin it), unless
+        /// the queue is deep. A thin queue also gains a fresh group.
+        fn lockstep_step(&mut self) {
+            let mut gids: Vec<usize> = Vec::new();
+            if let Some(&(head, _)) = self.reference.first() {
+                while self.reference.first().is_some_and(|&(tick, _)| tick < head + LOCKSTEP_SPREAD)
+                {
+                    let got = self.q.pop();
+                    assert_eq!(got, self.reference.pop_first(), "lockstep pop");
+                    let (tick, order) = got.expect("a head");
+                    self.now = tick;
+                    gids.push((order >> 48) as usize);
+                }
+            }
+            if !gids.is_empty() && self.reference.len() < 256 {
+                self.push_group(gids);
+            }
+            if self.reference.len() < 64 {
+                self.push_group(Vec::new());
+            }
+            // Old handles, mostly stale by now, only slow `cancel` down.
+            if self.handles.len() > 4096 {
+                self.handles.drain(..2048);
+            }
+        }
+
+        /// One entry per component in `gids`, topped up or cut to 20–32
+        /// components, at one shared tick (half the
+        /// time jittered across a few sub-windows), delayed by
+        /// `fanout32_dd`'s measured mix: ≈10 % zero, ≈60 % 1k–65k ticks,
+        /// ≈28 % 65k–262k, a few past the ring.
+        fn push_group(&mut self, mut gids: Vec<usize>) {
+            let size = 20 + self.rand() as usize % 13;
+            let start = self.rand() as usize;
+            gids.truncate(size);
+            gids.extend((gids.len()..size).map(|i| (start + 7 * i) % 32));
+            let r = self.rand();
+            let delay = match r % 50 {
+                0..=4 => 0,
+                5..=34 => 1_000 + r % 64_536,
+                35..=48 => 65_536 + r % 196_608,
+                _ => (NUM_BUCKETS << BUCKET_BITS) + r % 1_000_000,
+            };
+            let jitter = if self.rand().is_multiple_of(2) { LOCKSTEP_SPREAD } else { 1 };
+            for gid in gids {
+                let tick = self.now + delay + self.rand() % jitter;
+                let order = self.mint(gid);
+                self.push(tick, order);
+            }
+        }
+
+        /// Peeks the head, which may move the cursor to a later window or
+        /// sub-window, then pushes entries between `now` and that head:
+        /// behind the cursor.
+        fn peek_then_push_behind(&mut self) {
+            let Some(head) = self.q.next_tick() else { return };
+            assert_eq!(Some(head), self.reference.first().map(|&(tick, _)| tick), "next_tick");
+            for _ in 0..1 + self.rand() % 4 {
+                let tick = self.now + self.rand() % (head - self.now + 1);
+                let gid = (self.rand() % 32) as usize;
+                let order = self.mint(gid);
                 self.push(tick, order);
             }
         }
@@ -941,19 +1109,71 @@ mod tests {
     }
 
     #[test]
-    fn in_order_window_pushes_stay_off_the_heap() {
-        // The common case — each push sorting after the open window's
-        // tail — is appended to the run; only an earlier key is late.
-        let mut q = CalendarQueue::new();
-        for order in 0..100u64 {
-            q.push(order * 10, order, order);
+    fn dense_windows_match_reference_heap() {
+        for seed in [0x5eed_0001, 17, 2024, 0xfa_0032] {
+            let mut m = ModelCheck::new(seed);
+            // Windows opened, and how many of them split.
+            let (mut opened, mut split, mut window) = (0, 0, 0);
+            for _ in 0..6_000 {
+                match m.rand() % 64 {
+                    0..=39 => m.lockstep_step(),
+                    40 => m.push_scattered(),
+                    41..=43 => m.peek_then_push_behind(),
+                    44..=47 => m.cancel(true),
+                    48..=51 => m.pop(),
+                    52..=55 => m.pop_if_at_most_in_window(),
+                    56..=59 => m.pop_split(),
+                    // Checkpoints land inside a split window, sub-windows
+                    // still waiting.
+                    _ if m.q.sub_mask != 0 => m.save_restore(),
+                    _ => {}
+                }
+                if m.q.cur_window != window {
+                    window = m.q.cur_window;
+                    opened += 1;
+                    split += usize::from(m.q.seg_last != window_last(window));
+                }
+            }
+            assert!(split * 2 > opened, "seed {seed:#x}: {split} of {opened} windows split");
+            m.drain();
         }
-        assert!(q.late.is_empty() && q.run.len() == 100);
-        q.push(5, 100, 100);
+    }
+
+    #[test]
+    fn a_dense_window_opens_one_sub_window_at_a_time() {
+        // 40 keys over window 1's sub-windows 0..40, plus one at tick 0.
+        let mut q = CalendarQueue::new();
+        let base = 1 << BUCKET_BITS;
+        q.push(0, 0, 0);
+        for i in 0..40u64 {
+            q.push(base + (i << SUB_BITS) + 7, 100 + i, 100 + i);
+        }
+        assert_eq!(q.pop(), Some((0, 0)));
+        assert_eq!(q.next_tick(), Some(base + 7));
+        // Only sub-window 0 is a sorted run; the rest wait unsorted.
+        assert_eq!(q.run[q.run_head..].len(), 1);
+        assert_eq!(q.sub_mask.count_ones(), 39);
+        assert_eq!(q.seg_last, base + (1 << SUB_BITS) - 1);
+        // A push past the run's sub-window drops into its own; one inside
+        // it after the tail appends; only an out-of-order one is late.
+        q.push(base + (50 << SUB_BITS), 200, 200);
+        assert!(q.sub_mask & (1 << 50) != 0 && q.subs[50].len() == 1);
+        q.push(base + 9, 201, 201);
+        assert!(q.late.is_empty());
+        q.push(base + 3, 202, 202);
         assert_eq!(q.late.len(), 1);
         let popped: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
-        let mut want: Vec<u64> = (0..100).collect();
-        want.insert(1, 100);
+        let mut want = vec![202, 100, 201];
+        want.extend(101..140);
+        want.push(200);
         assert_eq!(popped, want);
+        // A sparse window (at most `DENSE` keys) is sorted whole.
+        let base = 3 << BUCKET_BITS;
+        for i in 0..DENSE as u64 {
+            q.push(base + (i << SUB_BITS), 300 + i, 300 + i);
+        }
+        assert_eq!(q.next_tick(), Some(base));
+        assert_eq!((q.sub_mask, q.run[q.run_head..].len()), (0, DENSE));
+        assert_eq!(q.seg_last, window_last(3));
     }
 }

@@ -152,6 +152,15 @@ pub trait Component {
     fn restore_state(&mut self, _r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         Ok(())
     }
+
+    /// Checks one restored, still-queued [`Event::Timer`] of this
+    /// component against its restored state, so a checkpoint whose timer
+    /// [`Component::handle`] would panic on fails restore instead. Called
+    /// once per queued timer after every component's state has loaded.
+    /// The default accepts.
+    fn check_timer(&self, _kind: u32, _data: u64) -> Result<(), SnapshotError> {
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -749,6 +749,11 @@ impl Simulation {
             sr.finish(&name)?;
         }
         r.finish("simulation")?;
+        for (_, _, queued) in queue.live() {
+            if let Queued::Timer { target, kind, data } = *queued {
+                self.shared.arena[target.0 as usize].borrow().check_timer(kind, data)?;
+            }
+        }
         *self.shared.queue.borrow_mut() = queue;
         self.shared.now.set(now);
         *self.shared.pkt_counters.borrow_mut() = pkt_counters;

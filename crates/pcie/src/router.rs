@@ -32,7 +32,7 @@ use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{CompletionStatus, Packet};
 use pcisim_kernel::queue::{TimedQueue, Waiters};
 use pcisim_kernel::sim::Ctx;
-use pcisim_kernel::snapshot::{Bounded, State};
+use pcisim_kernel::snapshot::{Bounded, SnapshotError, State};
 use pcisim_kernel::state_fields;
 use pcisim_kernel::stats::{Counter, StatsBuilder};
 use pcisim_kernel::tick::{ns, Tick};
@@ -709,6 +709,23 @@ impl Component for PcieRouter {
         }
     }
 
+    fn check_timer(&self, kind: u32, data: u64) -> Result<(), SnapshotError> {
+        match kind {
+            K_SERVICE_DONE => {
+                let port = usize::try_from(data).ok().and_then(|i| self.ports.get(i));
+                if port.is_none_or(|p| p.in_service.is_none()) {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "{}: service-done timer for port {data}, which has no packet in service",
+                        self.name
+                    )));
+                }
+                Ok(())
+            }
+            K_CPL_TIMEOUT => Ok(()),
+            _ => Err(SnapshotError::Corrupt(format!("{}: unknown timer {kind}", self.name))),
+        }
+    }
+
     fn retry_granted(&mut self, ctx: &mut Ctx<'_>, port: PortId) {
         let egress = port.0 as usize;
         self.ports[egress].egress.unblock();
@@ -746,7 +763,7 @@ mod tests {
     use pcisim_kernel::packet::Command;
     use pcisim_kernel::sim::{RunOutcome, Simulation};
     use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
-    use pcisim_kernel::testutil::{Requester, Responder, REQUESTER_PORT, RESPONDER_PORT};
+    use pcisim_kernel::testutil::{reseal, Requester, Responder, REQUESTER_PORT, RESPONDER_PORT};
     use pcisim_pci::header::{program_io_window, program_memory_window};
     use pcisim_pci::regs::type1;
 
@@ -1389,6 +1406,47 @@ mod tests {
                 .insert(1, PendingCompletion { pair: Some(2), ..PendingCompletion::default() });
         });
         assert!(matches!(pair, Err(SnapshotError::Corrupt(_))), "{pair:?}");
+    }
+
+    #[test]
+    fn restore_rejects_timers_the_router_would_panic_on() {
+        // After the requester's first event the read sits in port 0's
+        // service engine, and its service-done timer is queued for the
+        // root complex (component 1).
+        let script = vec![(Command::ReadReq, mem0().start(), 4)];
+        let fresh = || build_rc_harness(RouterConfig::default(), script.clone()).sim;
+        let mut sim = fresh();
+        assert_eq!(sim.run(Tick::MAX, 1), RunOutcome::EventLimit);
+        let snap = sim.checkpoint();
+        let timer = |kind: u32, data: u64| {
+            let mut entry = 1u32.to_le_bytes().to_vec();
+            entry.push(0);
+            entry.extend(kind.to_le_bytes());
+            entry.extend(data.to_le_bytes());
+            entry
+        };
+        // The queue entry: tick, order stamp, then the timer itself.
+        let found = timer(K_SERVICE_DONE, 0);
+        let tick = RouterConfig::default().service_interval.to_le_bytes();
+        let at = (0..snap.len() - 16 - found.len())
+            .find(|&i| snap[i..i + 8] == tick && snap[i + 16..i + 16 + found.len()] == found)
+            .expect("queued service timer")
+            + 16;
+        let patched = |kind: u32, data: u64| {
+            let mut bytes = snap.clone();
+            bytes[at..at + found.len()].copy_from_slice(&timer(kind, data));
+            reseal(&mut bytes);
+            fresh().restore(&bytes)
+        };
+        assert_eq!(patched(K_SERVICE_DONE, 0), Ok(()));
+        for (kind, data, what) in [
+            (7, 0, "an unknown kind"),
+            (K_SERVICE_DONE, 6, "a port past the router's six"),
+            (K_SERVICE_DONE, 2, "a port with nothing in service"),
+        ] {
+            let err = patched(kind, data).expect_err(what);
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "{what}: {err:?}");
+        }
     }
 
     #[test]
