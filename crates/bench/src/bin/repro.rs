@@ -72,10 +72,8 @@
 use std::time::Instant;
 
 use pcisim_bench::{benchjson, reference, table};
-use pcisim_devices::ide::IdeDiskConfig;
 use pcisim_kernel::tick::ns;
 use pcisim_pcie::params::{Generation, LinkConfig, LinkWidth};
-use pcisim_pcie::router::RouterConfig;
 use pcisim_system::prelude::*;
 
 const MB: u64 = 1024 * 1024;
@@ -166,10 +164,9 @@ fn fig9b(opts: &Opts) {
     let configs: Vec<DdExperiment> = blocks
         .iter()
         .flat_map(|&block| {
-            LANES.iter().map(move |&lanes| DdExperiment {
-                block_bytes: block,
-                width_all: Some(LinkWidth::new(lanes)),
-                ..DdExperiment::default()
+            LANES.iter().map(move |&lanes| {
+                DdExperiment { block_bytes: block, ..DdExperiment::default() }
+                    .with_links(|link| LinkConfig { width: LinkWidth::new(lanes), ..link })
             })
         })
         .collect();
@@ -205,9 +202,9 @@ fn x8_sweep(
 ) {
     let base = DdExperiment {
         block_bytes: if opts.full { 256 * MB } else { 16 * MB },
-        width_all: Some(LinkWidth::X8),
         ..DdExperiment::default()
-    };
+    }
+    .with_links(|link| LinkConfig { width: LinkWidth::X8, ..link });
     let configs: Vec<DdExperiment> =
         paper_timeouts.iter().map(|&(value, _)| with_knob(base.clone(), value)).collect();
     let outcomes = dd_sweep(opts, label, &configs);
@@ -230,9 +227,8 @@ fn x8_sweep(
 fn fig9c(opts: &Opts) {
     println!("\n== Fig. 9(c): x8 links, replay buffer size sweep ==");
     println!("   paper timeout rates: rb1=0%, rb2=6%, rb3~27%, rb4~27%; rb3/4 throughput considerably lower");
-    x8_sweep(opts, "fig9c", "replay buf", &reference::FIG9C_TIMEOUT_PCT, |exp, rb| DdExperiment {
-        replay_buffer: rb,
-        ..exp
+    x8_sweep(opts, "fig9c", "replay buf", &reference::FIG9C_TIMEOUT_PCT, |exp, rb| {
+        exp.with_links(|link| LinkConfig { replay_buffer_size: rb, ..link })
     });
 }
 
@@ -373,18 +369,20 @@ fn ext(opts: &Opts) {
     println!("\n== Extension: dd ablations over design choices the paper calls out ==");
     println!("   validation chain (x4 root / x1 device) unless the arm says x8 on every link");
     let base = DdExperiment { block_bytes: block, ..DdExperiment::default() };
-    let x8 = DdExperiment { width_all: Some(LinkWidth::X8), ..base.clone() };
+    let links = |knob: fn(LinkConfig) -> LinkConfig| base.clone().with_links(knob);
+    let x8 = links(|link| LinkConfig { width: LinkWidth::X8, ..link });
     let arms = [
         ("baseline", base.clone()),
         ("posted DMA writes", DdExperiment { posted_writes: true, ..base.clone() }),
-        ("ACK per TLP", DdExperiment { ack_immediate: true, ..base }),
+        ("ACK per TLP", links(|link| LinkConfig { ack_immediate: true, ..link })),
+        // The paper's links store and forward.
+        ("cut-through links", links(|link| LinkConfig { cut_through: true, ..link })),
         ("x8, ACK/NAK only", x8.clone()),
-        ("x8, credit FC (16)", DdExperiment { credit_fc: Some(16), ..x8 }),
+        ("x8, credit FC (16)", x8.with_links(|link| LinkConfig { credit_fc: Some(16), ..link })),
     ];
     let configs: Vec<DdExperiment> = arms.iter().map(|(_, exp)| exp.clone()).collect();
     let outcomes = run_sweep(&configs, opts.jobs, run_cold);
-    let cut_through = run_cold(&CutThroughDd { block_bytes: block });
-    let row = |label: &str, out: &DdOutcome| {
+    print_rows(&["arm", "dd (Gb/s)", "replay%", "timeout%"], arms, &outcomes, |(label, _), out| {
         assert!(out.completed, "ablation arm must complete: {label}");
         vec![
             label.to_string(),
@@ -392,46 +390,7 @@ fn ext(opts: &Opts) {
             format!("{:.1}%", out.replay_pct),
             format!("{:.1}%", out.timeout_pct),
         ]
-    };
-    let mut rows: Vec<_> =
-        arms.iter().zip(&outcomes).map(|((label, _), out)| row(label, out)).collect();
-    rows.insert(3, row("cut-through links", &cut_through));
-    println!("{}", table::render(&["arm", "dd (Gb/s)", "replay%", "timeout%"], &rows));
-}
-
-/// The validation `dd` run with cut-through forwarding on both links
-/// (`LinkConfig::cut_through`; the paper's links store and forward).
-struct CutThroughDd {
-    block_bytes: u64,
-}
-
-impl CutThroughDd {
-    fn dd(&self) -> DdExperiment {
-        DdExperiment { block_bytes: self.block_bytes, ..DdExperiment::default() }
-    }
-}
-
-impl Experiment for CutThroughDd {
-    type Reports = DdReportHandle;
-    type Outcome = DdOutcome;
-
-    fn topology(&self) -> Topology {
-        let link =
-            |width| LinkConfig { cut_through: true, ..LinkConfig::new(Generation::Gen2, width) };
-        Topology::chain(
-            link(LinkWidth::X4),
-            Some((RouterConfig::default(), link(LinkWidth::X1))),
-            DeviceSpec::Disk(IdeDiskConfig::default()),
-        )
-    }
-
-    fn attach(&self, sys: &mut TopologySystem) -> DdReportHandle {
-        self.dd().attach(sys)
-    }
-
-    fn collect(&self, fin: &Finished, report: &DdReportHandle) -> DdOutcome {
-        self.dd().collect(fin, report)
-    }
+    });
 }
 
 /// The deterministic fault campaign: `dd` goodput under link-level error
@@ -443,31 +402,33 @@ fn faults(opts: &Opts) {
     println!("\n== Fault campaign: dd goodput under deterministic link error injection ==");
     println!("   a TLP is corrupted when splitmix64(tx_count) hits a multiple of the interval;");
     println!("   smaller interval = harsher (interval 0 = fault-free baseline)");
-    let block = if opts.full { 4 * MB } else { 256 * 1024 };
-    const POINTS: [(Generation, Option<LinkWidth>, &str); 3] = [
-        (Generation::Gen2, None, "Gen2 x4/x1"),
-        (Generation::Gen2, Some(LinkWidth::X4), "Gen2 x4 all"),
-        (Generation::Gen3, None, "Gen3 x4/x1"),
+    let base = DdExperiment {
+        block_bytes: if opts.full { 4 * MB } else { 256 * 1024 },
+        ..DdExperiment::default()
+    };
+    let points = [
+        ("Gen2 x4/x1", base.clone()),
+        (
+            "Gen2 x4 all",
+            base.clone().with_links(|link| LinkConfig { width: LinkWidth::X4, ..link }),
+        ),
+        ("Gen3 x4/x1", base.with_links(|link| LinkConfig { generation: Generation::Gen3, ..link })),
     ];
-    let configs: Vec<FaultExperiment> = POINTS
+    let (labels, configs): (Vec<&str>, Vec<DdExperiment>) = points
         .iter()
-        .flat_map(|&(generation, width_all, _)| error_rate_ladder(generation, width_all, block))
-        .collect();
+        .flat_map(|(label, exp)| error_rate_ladder(exp).into_iter().map(move |e| (*label, e)))
+        .unzip();
     let outcomes = run_sweep(&configs, opts.jobs, run_cold);
-    let ladder_len = configs.len() / POINTS.len();
     print_rows(
         &["links", "err rate", "dd (Gb/s)", "corrupt", "replays", "naks", "dev AER cor"],
-        (0..configs.len()).map(|i| POINTS[i / ladder_len].2),
+        labels.iter().zip(&configs),
         &outcomes,
-        |label, out| {
+        |(label, config), out| {
             assert!(out.completed, "fault campaign point must converge: {out:?}");
+            let interval = config.device_link.error_interval;
             vec![
                 label.to_string(),
-                if out.error_interval == 0 {
-                    "none".to_string()
-                } else {
-                    format!("1/{}", out.error_interval)
-                },
+                if interval == 0 { "none".to_string() } else { format!("1/{interval}") },
                 format!("{:.3}", out.throughput_gbps),
                 out.corrupt_drops.to_string(),
                 out.replays.to_string(),
@@ -876,10 +837,8 @@ fn virtio(opts: &Opts) {
 /// does the access latency go" question, answered from the trace).
 fn trace_dump(path: &str) {
     println!("\n== Traced run: Table II @ rc=150 ns, full event trace ==");
-    let out =
-        run_cold(&MmioExperiment { rc_latency: ns(150), reads: 8, cpu_overhead: 0, trace: true });
+    let (out, log) = run_traced(&MmioExperiment { rc_latency: ns(150), reads: 8, cpu_overhead: 0 });
     assert!(out.completed, "traced run must complete");
-    let log = out.trace.expect("trace requested");
     std::fs::write(path, log.to_perfetto_json()).expect("write trace file");
     println!("Perfetto trace written to {path} (open in ui.perfetto.dev).\n");
     println!("{}", log.attribution().render());

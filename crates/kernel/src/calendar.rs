@@ -502,12 +502,15 @@ impl<T> CalendarQueue<T> {
         entry.1.take().expect("popped slot holds its item")
     }
 
-    /// Creates an empty queue with the calendar cursor positioned for
-    /// simulated time `now` (purely a placement optimisation; pop order is
-    /// independent of the cursor).
+    /// Creates an empty queue with the calendar cursor on the window
+    /// before `now`'s, so entries for `now`'s window land in the ring and
+    /// the first [`CalendarQueue::settle`] opens it through the same
+    /// dense/sparse split as any other window. Window 0 has no window
+    /// before it and starts open, as in [`CalendarQueue::new`]. Pop order
+    /// is independent of the cursor.
     fn with_cursor(now: Tick) -> Self {
         let mut q = Self::new();
-        q.cur_window = now >> BUCKET_BITS;
+        q.cur_window = (now >> BUCKET_BITS).saturating_sub(1);
         q.seg_last = window_last(q.cur_window);
         q
     }
@@ -786,6 +789,27 @@ mod tests {
         assert_eq!(q2.pop(), Some((30, 300)));
         assert_eq!(q2.pop(), Some(((NUM_BUCKETS + 3) << BUCKET_BITS, 999)));
         assert_eq!(q2.pop(), None);
+    }
+
+    #[test]
+    fn a_restored_dense_window_splits_like_a_cold_one() {
+        // `DENSE + 8` keys over the sub-windows of `now`'s window 2.
+        let now = 2 << BUCKET_BITS;
+        let mut q = CalendarQueue::new();
+        let mut s = Seq(0);
+        for i in 0..DENSE as u64 + 8 {
+            s.push(&mut q, now + (i << SUB_BITS), i);
+        }
+        let mut w = StateWriter::new();
+        q.save(&mut w, |w, v| w.u64(*v));
+        let bytes = w.into_bytes();
+        let mut q: CalendarQueue<u64> =
+            CalendarQueue::restore(now, &mut StateReader::new(&bytes), |r, _| r.u64()).unwrap();
+        assert_eq!(q.pop(), Some((now, 0)));
+        assert_eq!(q.seg_last, now + (1 << SUB_BITS) - 1, "the run holds sub-window 0 only");
+        assert_eq!(q.sub_mask.count_ones(), DENSE as u32 + 7);
+        let popped: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
+        assert_eq!(popped, (1..DENSE as u64 + 8).collect::<Vec<_>>());
     }
 
     #[test]

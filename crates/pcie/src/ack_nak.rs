@@ -231,6 +231,12 @@ impl ReplayBuffer {
         (i < self.entries.len()).then_some(i)
     }
 
+    /// Whether the TLP with sequence number `seq` is held, ready for the
+    /// receiving end to [`take`](Self::take).
+    pub(crate) fn holds(&self, seq: u32) -> bool {
+        self.index_of(seq).is_some_and(|i| self.entries[i].pkt.is_some())
+    }
+
     /// Hands the TLP with sequence number `seq` to the receiving end,
     /// with its admission tick; `None` when it is not held or already out.
     pub(crate) fn take(&mut self, seq: u32) -> Option<(Tick, Packet)> {

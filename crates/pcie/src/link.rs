@@ -1171,6 +1171,28 @@ impl Component for PcieLink {
         }
         Ok(())
     }
+
+    /// Rejects the timers [`PcieLink::handle`] would panic on: an unknown
+    /// kind, and the intact arrival of the TLP its receiver expects next
+    /// when the transmitting end's replay buffer does not hold it.
+    fn check_timer(&self, kind: u32, data: u64) -> Result<(), SnapshotError> {
+        match kind & KIND_MASK & !1 {
+            K_TX_KICK | K_REPLAY_TIMEOUT | K_ACK_TIMER | K_DLLP_ARRIVE | K_TLP_CORRUPT => Ok(()),
+            K_TLP_ARRIVE => {
+                let seq = kind >> KIND_BITS;
+                let rx = usize::from(event_dest_end(&Event::Timer { kind, data }));
+                if self.ends[rx].st.rx.accepts(seq) && !self.ends[1 - rx].st.tx.holds(seq) {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "{}: arrival of TLP {seq}, which the receiver expects but the \
+                         transmitter's replay buffer does not hold",
+                        self.ends[rx].name
+                    )));
+                }
+                Ok(())
+            }
+            _ => Err(SnapshotError::Corrupt(format!("{}: unknown timer kind {kind}", self.name()))),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1183,7 +1205,7 @@ mod tests {
     use pcisim_kernel::component::ComponentId;
     use pcisim_kernel::packet::Command;
     use pcisim_kernel::sim::{RunOutcome, Simulation};
-    use pcisim_kernel::testutil::{Requester, Responder, REQUESTER_PORT, RESPONDER_PORT};
+    use pcisim_kernel::testutil::{reseal, Requester, Responder, REQUESTER_PORT, RESPONDER_PORT};
     use pcisim_kernel::tick::ns;
 
     /// A configuration with deterministic quiet-wire timing (no
@@ -1875,6 +1897,51 @@ mod tests {
         // A receiver past a TLP the buffer still holds is corrupt too.
         link.ends[0].st.tx.put_back(0, taken);
         assert!(matches!(restore(&link), Err(SnapshotError::Corrupt(_))));
+    }
+
+    #[test]
+    fn restore_rejects_timers_the_link_would_panic_on() {
+        // After the requester's first event the write is on the wire: the
+        // downstream end expects TLP 0, which the upstream end holds, and
+        // its arrival timer is queued for the link (component 1).
+        let cfg = LinkConfig::new(Generation::Gen2, LinkWidth::X1);
+        let script = vec![(Command::WriteReq, 0x4000_0000, 64)];
+        let fresh = || build(cfg.clone(), script.clone(), ns(10)).0;
+        let mut sim = fresh();
+        assert_eq!(sim.run(Tick::MAX, 1), RunOutcome::EventLimit);
+        let snap = sim.checkpoint();
+        let timer = |kind: u32| {
+            let mut entry = 1u32.to_le_bytes().to_vec();
+            entry.push(0);
+            entry.extend(kind.to_le_bytes());
+            entry
+        };
+        let arrive = |dir: Dir, seq: u32| K_TLP_ARRIVE + dir as u32 + (seq << KIND_BITS);
+        let found = timer(arrive(Dir::Down, 0));
+        let at = (0..snap.len() - found.len())
+            .filter(|&i| snap[i..i + found.len()] == found)
+            .collect::<Vec<_>>();
+        assert_eq!(at.len(), 1, "one queued arrival of TLP 0");
+        let patched = |kind: u32| {
+            let mut bytes = snap.clone();
+            bytes[at[0]..at[0] + found.len()].copy_from_slice(&timer(kind));
+            reseal(&mut bytes);
+            fresh().restore(&bytes)
+        };
+        assert_eq!(patched(arrive(Dir::Down, 0)), Ok(()));
+        assert_eq!(
+            patched(K_TLP_CORRUPT + Dir::Up as u32),
+            Ok(()),
+            "a corrupt arrival takes nothing"
+        );
+        assert_eq!(patched(arrive(Dir::Down, 1)), Ok(()), "an unexpected TLP is dropped");
+        for (kind, what) in [
+            (12, "an unknown kind"),
+            (arrive(Dir::Up, 0), "TLP 0 upstream, which the downstream end never sent"),
+        ] {
+            let err = patched(kind).expect_err(what);
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "{what}: {err:?}");
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! ([`Experiment::collect`]). [`run`] drives any experiment through the
 //! same builder and the same driver, [`Exec`] saying only *how*: cold, or
 //! resumed from a [`checkpoint_at`] snapshot restored into the same fresh
-//! build. Each figure/table of the paper is one `Experiment`
+//! build; [`run_traced`] is the same cold run with every trace category
+//! recorded. Each figure/table of the paper is one `Experiment`
 //! impl: `dd` throughput, the percentage of TLPs that were replayed, the
 //! percentage that suffered a replay-timeout, and MMIO read latency.
 
@@ -17,10 +18,10 @@ use pcisim_devices::cxl::CxlExpanderConfig;
 use pcisim_devices::ide::IdeDiskConfig;
 use pcisim_devices::nic::NicConfig;
 use pcisim_devices::virtio::{VirtioClass, VirtioConfig};
-use pcisim_kernel::sim::RunOutcome;
+use pcisim_kernel::sim::{RunOutcome, Simulation};
 use pcisim_kernel::stats::StatsSnapshot;
 use pcisim_kernel::tick::{self, to_ns, Tick};
-use pcisim_kernel::trace::{TraceCategory, TraceLog};
+use pcisim_kernel::trace::TraceLog;
 use pcisim_pci::caps::aer_status;
 use pcisim_pci::host::SharedRegistry;
 use pcisim_pcie::params::{Generation, LinkConfig, LinkWidth};
@@ -63,8 +64,6 @@ pub struct Finished {
     pub events: u64,
     /// Final statistics of every component.
     pub stats: StatsSnapshot,
-    /// The drained event trace, when the topology asked for tracing.
-    pub trace: Option<TraceLog>,
     /// The PCI host registry, for post-run config-space reads.
     pub registry: SharedRegistry,
     /// The endpoint handles of the built tree.
@@ -121,8 +120,17 @@ pub enum Exec<'a> {
 /// Panics when a restored snapshot was not taken from this experiment's
 /// tree.
 pub fn execute<E: Experiment>(exp: &E, exec: Exec<'_>) -> (Finished, E::Reports) {
-    let topo = exp.topology();
-    let traced = topo.trace_mask != 0;
+    let (fin, reports, _) = drive(exp, exp.topology(), exec);
+    (fin, reports)
+}
+
+/// Builds `topo`, attaches `exp`'s workloads and drives the run; the
+/// simulation is handed back for its trace.
+fn drive<E: Experiment>(
+    exp: &E,
+    topo: Topology,
+    exec: Exec<'_>,
+) -> (Finished, E::Reports, Simulation) {
     let mut sys = build_topology(topo);
     let reports = exp.attach(&mut sys);
     let TopologySystem { mut sim, registry, endpoints, .. } = sys;
@@ -137,18 +145,25 @@ pub fn execute<E: Experiment>(exp: &E, exec: Exec<'_>) -> (Finished, E::Reports)
         now: sim.now(),
         events: sim.events_processed(),
         stats: sim.stats(),
-        trace: traced.then(|| sim.take_trace()),
         registry,
         endpoints,
         wall_secs,
     };
-    (fin, reports)
+    (fin, reports, sim)
 }
 
 /// Runs `exp` to completion the way `exec` says and returns its outcome.
 pub fn run<E: Experiment>(exp: &E, exec: Exec<'_>) -> E::Outcome {
     let (fin, reports) = execute(exp, exec);
     exp.collect(&fin, &reports)
+}
+
+/// Runs `exp` cold with every trace category recorded and returns its
+/// outcome with the drained [`TraceLog`]. Tracing never moves a simulated
+/// value: the outcome equals [`run_cold`]'s.
+pub fn run_traced<E: Experiment>(exp: &E) -> (E::Outcome, TraceLog) {
+    let (fin, reports, mut sim) = drive(exp, exp.topology().with_tracing(), Exec::Cold);
+    (exp.collect(&fin, &reports), sim.take_trace())
 }
 
 /// Runs `exp` cold — the common case, and the function sweeps hand to
@@ -166,58 +181,47 @@ pub fn checkpoint_at<E: Experiment>(exp: &E, tick: Tick) -> Vec<u8> {
     sys.sim.checkpoint()
 }
 
-/// Parameters of one `dd` run over the validation topology.
+/// Parameters of one `dd` run over the paper's validation chain (disk —
+/// device link — switch — root link — root complex): Fig. 9(a)–(d), the
+/// fault campaign and the `dd` ablations all sweep one of these values.
 #[derive(Debug, Clone)]
 pub struct DdExperiment {
     /// Block size in bytes (the paper sweeps 64–512 MB).
     pub block_bytes: u64,
+    /// The root complex ↔ switch link (Gen 2 x4 in the paper).
+    pub root_link: LinkConfig,
+    /// The switch ↔ disk link (Gen 2 x1 in the paper).
+    pub device_link: LinkConfig,
     /// Switch processing latency (Fig. 9(a) sweeps 50–150 ns).
     pub switch_latency: Tick,
     /// Root-complex processing latency (fixed at 150 ns in the paper).
     pub rc_latency: Tick,
-    /// Width applied to *all* links, as Fig. 9(b) does; `None` keeps the
-    /// validation topology's x4 root / x1 device links.
-    pub width_all: Option<LinkWidth>,
-    /// Replay buffer capacity per link interface (Fig. 9(c) sweeps 1–4).
-    pub replay_buffer: usize,
     /// Switch/root port buffer depth (Fig. 9(d) sweeps 16–28).
     pub port_buffers: usize,
     /// Posted-write ablation (the paper's future-work discussion).
     pub posted_writes: bool,
-    /// Acknowledge every TLP immediately instead of batching (ablation).
-    pub ack_immediate: bool,
-    /// Link generation (Gen 2 throughout the paper's evaluation).
-    pub generation: Generation,
-    /// Override the switch/root-complex per-port service interval
-    /// (calibration knob; `None` keeps the default).
-    pub service_interval: Option<Tick>,
-    /// Override the disk's per-sector protocol overhead.
-    pub per_sector_overhead: Option<Tick>,
-    /// Credit-based flow control on every link, with this receive window
-    /// (extension; `None` = the paper's ACK/NAK-only protocol).
-    pub credit_fc: Option<usize>,
-    /// Record a full event trace of the run (all categories); the drained
-    /// [`TraceLog`] is returned in the outcome.
-    pub trace: bool,
 }
 
 impl Default for DdExperiment {
     fn default() -> Self {
         Self {
             block_bytes: 64 * 1024 * 1024,
+            root_link: LinkConfig::new(Generation::Gen2, LinkWidth::X4),
+            device_link: LinkConfig::new(Generation::Gen2, LinkWidth::X1),
             switch_latency: tick::ns(150),
             rc_latency: tick::ns(150),
-            width_all: None,
-            replay_buffer: 4,
             port_buffers: 16,
             posted_writes: false,
-            ack_immediate: false,
-            generation: Generation::Gen2,
-            service_interval: None,
-            per_sector_overhead: None,
-            credit_fc: None,
-            trace: false,
         }
+    }
+}
+
+impl DdExperiment {
+    /// This experiment with `f` applied to both links, the way Fig. 9(b)
+    /// sweeps the width of every link and the fault campaign and the
+    /// ablations set one link-layer knob on the whole chain.
+    pub fn with_links(self, f: impl Fn(LinkConfig) -> LinkConfig) -> Self {
+        Self { root_link: f(self.root_link), device_link: f(self.device_link), ..self }
     }
 }
 
@@ -238,21 +242,23 @@ pub struct DdOutcome {
     pub timeout_pct: f64,
     /// TLPs the device link transmitted upstream.
     pub upstream_tlps: u64,
+    /// TLPs dropped to injected corruption, summed over both links and
+    /// both directions.
+    pub corrupt_drops: u64,
+    /// Replayed TLPs, summed over both links and both directions.
+    pub replays: u64,
+    /// NAK DLLPs transmitted, summed over both links and both directions.
+    pub naks: u64,
+    /// Replay timeouts, summed over both links and both directions.
+    pub replay_timeouts: u64,
+    /// AER correctable-status mask latched in the endpoint's config
+    /// space (RECEIVER_ERROR / BAD_TLP / REPLAY_* bits).
+    pub device_aer_cor: u32,
+    /// AER uncorrectable-status mask latched in the endpoint's config
+    /// space (stays 0: injected corruption is correctable).
+    pub device_aer_uncor: u32,
     /// Whether the workload completed (false = safety valve tripped).
     pub completed: bool,
-    /// The event trace, when the experiment asked for one.
-    pub trace: Option<TraceLog>,
-}
-
-/// The validation chain's `(root, device)` links — x4 and x1, or
-/// `width_all` on both — each with `knobs` applied.
-fn validation_links(
-    generation: Generation,
-    width_all: Option<LinkWidth>,
-    knobs: impl Fn(LinkConfig) -> LinkConfig,
-) -> (LinkConfig, LinkConfig) {
-    let (root, device) = width_all.map_or((LinkWidth::X4, LinkWidth::X1), |w| (w, w));
-    (knobs(LinkConfig::new(generation, root)), knobs(LinkConfig::new(generation, device)))
 }
 
 /// Distils a finished `dd` run over the validation chain.
@@ -266,6 +272,22 @@ fn dd_outcome(fin: &Finished, report: &DdReportHandle) -> DdOutcome {
             0.0
         }
     };
+    // Sum a per-interface counter over both links and both directions.
+    let sum = |counter: &str| -> u64 {
+        ["root_link", "dev_link"]
+            .iter()
+            .flat_map(|link| {
+                ["down", "up"].iter().map(move |dir| format!("{link}.{dir}.{counter}"))
+            })
+            .map(|key| fin.stats.get(&key).unwrap_or(0.0))
+            .sum::<f64>() as u64
+    };
+    let (uncor, cor) = fin
+        .registry
+        .borrow()
+        .lookup(fin.endpoints[0].bdf)
+        .map(|cs| aer_status(&cs.borrow()))
+        .unwrap_or((0, 0));
     DdOutcome {
         throughput_gbps: r.throughput_gbps(),
         bytes: r.bytes,
@@ -273,8 +295,13 @@ fn dd_outcome(fin: &Finished, report: &DdReportHandle) -> DdOutcome {
         replay_pct: pct_of_tx("dev_link.up.replays"),
         timeout_pct: pct_of_tx("dev_link.up.timeouts"),
         upstream_tlps: up_tx as u64,
+        corrupt_drops: sum("rx_dropped_corrupt"),
+        replays: sum("replays"),
+        naks: sum("naks_tx"),
+        replay_timeouts: sum("timeouts"),
+        device_aer_cor: cor,
+        device_aer_uncor: uncor,
         completed: r.done && fin.drained,
-        trace: fin.trace.clone(),
     }
 }
 
@@ -285,33 +312,16 @@ impl Experiment for DdExperiment {
     type Outcome = DdOutcome;
 
     fn topology(&self) -> Topology {
-        let tune = |router: &mut RouterConfig, latency| {
-            router.latency = latency;
-            router.buffer_size = self.port_buffers;
-            if let Some(si) = self.service_interval {
-                router.service_interval = si;
-            }
-        };
-        let mut switch = RouterConfig::default();
-        tune(&mut switch, self.switch_latency);
-        let (root_link, device_link) =
-            validation_links(self.generation, self.width_all, |link| LinkConfig {
-                replay_buffer_size: self.replay_buffer,
-                ack_immediate: self.ack_immediate,
-                credit_fc: self.credit_fc,
-                ..link
-            });
-        let mut disk =
-            IdeDiskConfig { posted_writes: self.posted_writes, ..IdeDiskConfig::default() };
-        if let Some(oh) = self.per_sector_overhead {
-            disk.per_sector_overhead = oh;
-        }
-        let mut topo =
-            Topology::chain(root_link, Some((switch, device_link)), DeviceSpec::Disk(disk));
-        tune(&mut topo.rc, self.rc_latency);
-        if self.trace {
-            topo.trace_mask = TraceCategory::ALL;
-        }
+        let tune =
+            |router, latency| RouterConfig { latency, buffer_size: self.port_buffers, ..router };
+        let switch = tune(RouterConfig::default(), self.switch_latency);
+        let disk = IdeDiskConfig { posted_writes: self.posted_writes, ..IdeDiskConfig::default() };
+        let mut topo = Topology::chain(
+            self.root_link.clone(),
+            Some((switch, self.device_link.clone())),
+            DeviceSpec::Disk(disk),
+        );
+        topo.rc = tune(topo.rc.clone(), self.rc_latency);
         topo
     }
 
@@ -333,14 +343,11 @@ pub struct MmioExperiment {
     pub reads: u32,
     /// CPU-side timing-harness overhead included in each sample.
     pub cpu_overhead: Tick,
-    /// Record a full event trace of the run (all categories); the drained
-    /// [`TraceLog`] is returned in the outcome.
-    pub trace: bool,
 }
 
 impl Default for MmioExperiment {
     fn default() -> Self {
-        Self { rc_latency: tick::ns(150), reads: 64, cpu_overhead: tick::ns(70), trace: false }
+        Self { rc_latency: tick::ns(150), reads: 64, cpu_overhead: tick::ns(70) }
     }
 }
 
@@ -355,8 +362,6 @@ pub struct MmioOutcome {
     pub max_ns: f64,
     /// Whether all reads completed.
     pub completed: bool,
-    /// The event trace, when the experiment asked for one.
-    pub trace: Option<TraceLog>,
 }
 
 /// The Table II experiment: a NIC on root port 0, 4-byte register reads
@@ -366,7 +371,7 @@ impl Experiment for MmioExperiment {
     type Outcome = MmioOutcome;
 
     fn topology(&self) -> Topology {
-        let mut topo = nic_direct_topology(LinkWidth::X1, self.trace, |_| {});
+        let mut topo = Topology::nic_direct(LinkWidth::X1, NicConfig::default());
         topo.rc.latency = self.rc_latency;
         topo
     }
@@ -389,7 +394,6 @@ impl Experiment for MmioExperiment {
             min_ns: r.min_ns(),
             max_ns: r.max_ns(),
             completed: r.done && fin.drained,
-            trace: fin.trace.clone(),
         }
     }
 }
@@ -439,134 +443,16 @@ impl Experiment for SectorMicrobench {
     }
 }
 
-/// Parameters of one fault-campaign point: a `dd` run over the validation
-/// topology with deterministic error injection on *both* links.
-#[derive(Debug, Clone)]
-pub struct FaultExperiment {
-    /// Block size in bytes (small blocks keep campaign points fast).
-    pub block_bytes: u64,
-    /// Corrupt the TLP whenever `splitmix64(tx_count)` is a multiple of
-    /// this; `0` disables injection (the fault-free baseline), and a
-    /// *smaller* interval means *more* corruption.
-    pub error_interval: u64,
-    /// Link generation for both links.
-    pub generation: Generation,
-    /// Width applied to both links; `None` keeps the validation
-    /// topology's x4 root / x1 device links.
-    pub width_all: Option<LinkWidth>,
-}
-
-impl Default for FaultExperiment {
-    fn default() -> Self {
-        Self {
-            block_bytes: 256 * 1024,
-            error_interval: 0,
-            generation: Generation::Gen2,
-            width_all: None,
-        }
-    }
-}
-
-/// Measurements from one fault-campaign point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultOutcome {
-    /// The injection interval this point ran with (0 = fault-free).
-    pub error_interval: u64,
-    /// Goodput `dd` reports, in Gb/s.
-    pub throughput_gbps: f64,
-    /// Simulated wall time of the whole run.
-    pub sim_time: Tick,
-    /// TLPs dropped to injected corruption, summed over both links and
-    /// both directions.
-    pub corrupt_drops: u64,
-    /// Replayed TLPs, summed over both links and both directions.
-    pub replays: u64,
-    /// NAK DLLPs transmitted, summed over both links and both directions.
-    pub naks: u64,
-    /// Replay timeouts, summed over both links and both directions.
-    pub replay_timeouts: u64,
-    /// AER correctable-status mask latched in the endpoint's config
-    /// space (RECEIVER_ERROR / BAD_TLP / REPLAY_* bits).
-    pub device_aer_cor: u32,
-    /// AER uncorrectable-status mask latched in the endpoint's config
-    /// space (should stay 0: corruption is correctable).
-    pub device_aer_uncor: u32,
-    /// Whether the workload completed (false = safety valve tripped).
-    pub completed: bool,
-}
-
-/// One fault-campaign point: the validation `dd` workload with
-/// `error_interval` applied to both links. Injection is a pure function
-/// of each interface's transmit count, so the run is deterministic and
-/// campaign points fan out with [`run_sweep`](crate::sweep::run_sweep).
-impl Experiment for FaultExperiment {
-    type Reports = DdReportHandle;
-    type Outcome = FaultOutcome;
-
-    fn topology(&self) -> Topology {
-        let (root_link, device_link) = validation_links(self.generation, self.width_all, |link| {
-            LinkConfig { error_interval: self.error_interval, ..link }
-        });
-        Topology::chain(
-            root_link,
-            Some((RouterConfig::default(), device_link)),
-            DeviceSpec::Disk(IdeDiskConfig::default()),
-        )
-    }
-
-    fn attach(&self, sys: &mut TopologySystem) -> DdReportHandle {
-        sys.attach_dd(0, DdConfig { block_bytes: self.block_bytes, ..DdConfig::default() })
-    }
-
-    fn collect(&self, fin: &Finished, report: &DdReportHandle) -> FaultOutcome {
-        let r = report.borrow();
-        // Sum a per-interface counter over both links and both directions.
-        let sum = |counter: &str| -> u64 {
-            ["root_link", "dev_link"]
-                .iter()
-                .flat_map(|link| {
-                    ["down", "up"].iter().map(move |dir| format!("{link}.{dir}.{counter}"))
-                })
-                .map(|key| fin.stats.get(&key).unwrap_or(0.0))
-                .sum::<f64>() as u64
-        };
-        let (uncor, cor) = fin
-            .registry
-            .borrow()
-            .lookup(fin.endpoints[0].bdf)
-            .map(|cs| aer_status(&cs.borrow()))
-            .unwrap_or((0, 0));
-        FaultOutcome {
-            error_interval: self.error_interval,
-            throughput_gbps: r.throughput_gbps(),
-            sim_time: fin.now,
-            corrupt_drops: sum("rx_dropped_corrupt"),
-            replays: sum("replays"),
-            naks: sum("naks_tx"),
-            replay_timeouts: sum("timeouts"),
-            device_aer_cor: cor,
-            device_aer_uncor: uncor,
-            completed: r.done && fin.drained,
-        }
-    }
-}
-
-/// Builds the deterministic fault-campaign ladder: the fault-free
-/// baseline followed by progressively *harsher* injection (smaller
-/// intervals corrupt more TLPs) at the given generation/width point.
-pub fn error_rate_ladder(
-    generation: Generation,
-    width_all: Option<LinkWidth>,
-    block_bytes: u64,
-) -> Vec<FaultExperiment> {
+/// The deterministic fault-campaign ladder over `base`: the fault-free
+/// baseline followed by progressively *harsher* injection on both links
+/// (a smaller `error_interval` corrupts more TLPs). Injection is a pure
+/// function of each interface's transmit count, so every point is
+/// deterministic and the ladder fans out with
+/// [`run_sweep`](crate::sweep::run_sweep).
+pub fn error_rate_ladder(base: &DdExperiment) -> Vec<DdExperiment> {
     [0u64, 257, 61, 13]
         .into_iter()
-        .map(|error_interval| FaultExperiment {
-            block_bytes,
-            error_interval,
-            generation,
-            width_all,
-        })
+        .map(|error_interval| base.clone().with_links(|link| LinkConfig { error_interval, ..link }))
         .collect()
 }
 
@@ -583,20 +469,11 @@ pub struct NicTxExperiment {
     /// Time the NIC needs to put one frame on the medium; bounds the
     /// NIC-side rate (1514 B at 10 Gb/s ≈ 1.2 µs).
     pub tx_wire_time: Tick,
-    /// Record a full event trace of the run (all categories); the drained
-    /// [`TraceLog`] is returned in the outcome.
-    pub trace: bool,
 }
 
 impl Default for NicTxExperiment {
     fn default() -> Self {
-        Self {
-            width: LinkWidth::X1,
-            frames: 512,
-            frame_bytes: 1514,
-            tx_wire_time: tick::ns(1200),
-            trace: false,
-        }
+        Self { width: LinkWidth::X1, frames: 512, frame_bytes: 1514, tx_wire_time: tick::ns(1200) }
     }
 }
 
@@ -611,24 +488,14 @@ pub struct NicTxOutcome {
     pub dma_read_tlps: u64,
     /// Whether the run completed.
     pub completed: bool,
-    /// The event trace, when the experiment asked for one.
-    pub trace: Option<TraceLog>,
 }
 
 /// A NIC directly on root port 0 behind a Gen 2 link of `width`, with
 /// `nic` adjusting the default device model.
-fn nic_direct_topology(
-    width: LinkWidth,
-    trace: bool,
-    nic: impl FnOnce(&mut NicConfig),
-) -> Topology {
+fn nic_direct_topology(width: LinkWidth, nic: impl FnOnce(&mut NicConfig)) -> Topology {
     let mut config = NicConfig::default();
     nic(&mut config);
-    let mut topo = Topology::nic_direct(width, config);
-    if trace {
-        topo.trace_mask = TraceCategory::ALL;
-    }
-    topo
+    Topology::nic_direct(width, config)
 }
 
 /// A NIC transmit run: NIC directly on root port 0, frames fetched over
@@ -638,11 +505,11 @@ impl Experiment for NicTxExperiment {
     type Outcome = NicTxOutcome;
 
     fn topology(&self) -> Topology {
-        nic_direct_topology(self.width, self.trace, |nic| nic.tx_wire_time = self.tx_wire_time)
+        nic_direct_topology(self.width, |nic| nic.tx_wire_time = self.tx_wire_time)
     }
 
     fn attach(&self, sys: &mut TopologySystem) -> NicTxReportHandle {
-        sys.attach_nic_tx(
+        sys.attach(
             0,
             NicTxConfig {
                 frames: self.frames,
@@ -659,7 +526,6 @@ impl Experiment for NicTxExperiment {
             frames_per_sec: r.frames_per_sec(),
             dma_read_tlps: fin.count("nic.dma_read_tlps"),
             completed: r.done && fin.drained,
-            trace: fin.trace.clone(),
         }
     }
 }
@@ -708,13 +574,13 @@ impl Experiment for NicRxExperiment {
     type Outcome = NicRxOutcome;
 
     fn topology(&self) -> Topology {
-        nic_direct_topology(self.width, false, |nic| {
+        nic_direct_topology(self.width, |nic| {
             nic.rx_stream = Some((self.frame_bytes, self.interval, self.frames));
         })
     }
 
     fn attach(&self, sys: &mut TopologySystem) -> NicRxReportHandle {
-        sys.attach_nic_rx(
+        sys.attach(
             0,
             NicRxConfig {
                 expect_frames: self.frames,
@@ -809,7 +675,7 @@ impl Experiment for ContentionArm<'_> {
 
     fn attach(&self, sys: &mut TopologySystem) -> [NicTxReportHandle; 2] {
         [0, 1].map(|i| {
-            sys.attach_nic_tx(
+            sys.attach(
                 i,
                 NicTxConfig {
                     frames: self.exp.frames,
@@ -911,7 +777,7 @@ impl Experiment for MsixTxExperiment {
     type Outcome = MsixTxOutcome;
 
     fn topology(&self) -> Topology {
-        let mut topo = nic_direct_topology(self.width, false, |nic| {
+        let mut topo = nic_direct_topology(self.width, |nic| {
             if self.use_msix {
                 (nic.queues, nic.msix_capable, nic.moderation) =
                     (self.queues, true, self.moderation);
@@ -923,7 +789,7 @@ impl Experiment for MsixTxExperiment {
 
     fn attach(&self, sys: &mut TopologySystem) -> MsixTxReports {
         if self.use_msix {
-            MsixTxReports::Msix(sys.attach_msix_tx(
+            MsixTxReports::Msix(sys.attach(
                 0,
                 MsixTxConfig {
                     queues: self.queues,
@@ -933,7 +799,7 @@ impl Experiment for MsixTxExperiment {
                 },
             ))
         } else {
-            MsixTxReports::Legacy(sys.attach_nic_tx(
+            MsixTxReports::Legacy(sys.attach(
                 0,
                 NicTxConfig {
                     frames: self.frames,
@@ -1049,7 +915,7 @@ impl Experiment for PmdExperiment {
     type Outcome = PmdOutcome;
 
     fn topology(&self) -> Topology {
-        nic_direct_topology(self.width, false, |nic| {
+        nic_direct_topology(self.width, |nic| {
             nic.queues = self.queues;
             nic.rx_source = self.traffic.clone();
         })
@@ -1112,11 +978,11 @@ impl Experiment for IrqRxBaseline<'_> {
         assert_eq!(self.0.queues, 1, "the interrupt baseline drives one queue");
         assert_eq!(self.0.tx_frames, 0, "the interrupt baseline is RX-only");
         assert!(self.0.traffic.is_some(), "the interrupt baseline needs a traffic source");
-        nic_direct_topology(self.0.width, false, |nic| nic.rx_source = self.0.traffic.clone())
+        nic_direct_topology(self.0.width, |nic| nic.rx_source = self.0.traffic.clone())
     }
 
     fn attach(&self, sys: &mut TopologySystem) -> NicRxReportHandle {
-        sys.attach_nic_rx(
+        sys.attach(
             0,
             NicRxConfig {
                 expect_frames: self.0.rx_expect(),
@@ -1556,11 +1422,7 @@ mod tests {
     fn identity_table(t: &mut impl Row) {
         let dd = DdExperiment { block_bytes: 64 * 1024, ..DdExperiment::default() };
         t.row("dd", &dd, [0xcdb3_85b4_e137_c6c2, 0x9cd9_5a72_5b10_d0ea]);
-        let fault = FaultExperiment {
-            block_bytes: 64 * 1024,
-            error_interval: 13,
-            ..FaultExperiment::default()
-        };
+        let fault = dd.clone().with_links(|link| LinkConfig { error_interval: 13, ..link });
         t.row("fault", &fault, [0xcdb3_85b4_e137_c6c2, 0xad32_e2c7_fc5d_5ca1]);
         let pmd = small_pmd(tick::ns(2500));
         t.row("pmd", &pmd, [0x27dc_88b2_06d3_e757, 0x5e0b_cbd3_55d4_f327]);
@@ -1695,7 +1557,10 @@ mod tests {
 
     #[test]
     fn faulty_run_completes_with_replays_and_aer_evidence() {
-        let out = run_cold(&FaultExperiment { error_interval: 13, ..FaultExperiment::default() });
+        let out = run_cold(
+            &DdExperiment { block_bytes: 256 * 1024, ..DdExperiment::default() }
+                .with_links(|link| LinkConfig { error_interval: 13, ..link }),
+        );
         assert!(out.completed, "lossy links must still converge: {out:?}");
         assert!(out.corrupt_drops > 0, "interval 13 must corrupt TLPs: {out:?}");
         assert!(out.replays >= out.corrupt_drops, "every corrupt drop forces a replay: {out:?}");
@@ -1710,7 +1575,8 @@ mod tests {
 
     #[test]
     fn goodput_degrades_monotonically_with_error_rate() {
-        let outs = run_sweep(&error_rate_ladder(Generation::Gen2, None, 256 * 1024), 1, run_cold);
+        let base = DdExperiment { block_bytes: 256 * 1024, ..DdExperiment::default() };
+        let outs = run_sweep(&error_rate_ladder(&base), 1, run_cold);
         assert!(outs.iter().all(|o| o.completed), "{outs:?}");
         assert_eq!(outs[0].corrupt_drops, 0, "interval 0 must inject nothing");
         for pair in outs.windows(2) {
@@ -1761,16 +1627,15 @@ mod tests {
         assert!(gain < 1.15, "switch latency must be a second-order effect, gain {gain}");
     }
 
+    /// `exp` with every link `width` wide, as Fig. 9(b) sweeps.
+    fn all_links(exp: DdExperiment, width: LinkWidth) -> DdExperiment {
+        exp.with_links(|link| LinkConfig { width, ..link })
+    }
+
     #[test]
     fn width_x2_beats_x1_substantially() {
-        let x1 = run_cold(&small(DdExperiment {
-            width_all: Some(LinkWidth::X1),
-            ..DdExperiment::default()
-        }));
-        let x2 = run_cold(&small(DdExperiment {
-            width_all: Some(LinkWidth::X2),
-            ..DdExperiment::default()
-        }));
+        let x1 = run_cold(&all_links(small(DdExperiment::default()), LinkWidth::X1));
+        let x2 = run_cold(&all_links(small(DdExperiment::default()), LinkWidth::X2));
         let ratio = x2.throughput_gbps / x1.throughput_gbps;
         assert!(ratio > 1.3, "x2 must clearly beat x1, got {ratio}");
         assert!(ratio < 2.0, "OS overhead must keep the gain sublinear, got {ratio}");
@@ -1827,17 +1692,9 @@ mod tests {
     fn credit_flow_control_eliminates_replays_at_x8() {
         // The paper's ACK/NAK-only protocol replays heavily at x8; real
         // PCI-Express credit flow control replaces drops with stalls.
-        let acknak = run_cold(&DdExperiment {
-            block_bytes: 1024 * 1024,
-            width_all: Some(LinkWidth::X8),
-            ..DdExperiment::default()
-        });
-        let credits = run_cold(&DdExperiment {
-            block_bytes: 1024 * 1024,
-            width_all: Some(LinkWidth::X8),
-            credit_fc: Some(16),
-            ..DdExperiment::default()
-        });
+        let x8 = all_links(small(DdExperiment::default()), LinkWidth::X8);
+        let acknak = run_cold(&x8);
+        let credits = run_cold(&x8.with_links(|link| LinkConfig { credit_fc: Some(16), ..link }));
         assert!(acknak.completed && credits.completed);
         assert!(acknak.replay_pct > 10.0, "baseline must replay: {}", acknak.replay_pct);
         assert_eq!(credits.replay_pct, 0.0, "credits must eliminate replays");
@@ -1853,12 +1710,11 @@ mod tests {
 
     #[test]
     fn credit_flow_control_is_neutral_when_uncongested() {
-        let base = run_cold(&DdExperiment { block_bytes: 1024 * 1024, ..DdExperiment::default() });
-        let credits = run_cold(&DdExperiment {
-            block_bytes: 1024 * 1024,
-            credit_fc: Some(16),
-            ..DdExperiment::default()
-        });
+        let base = run_cold(&small(DdExperiment::default()));
+        let credits = run_cold(
+            &small(DdExperiment::default())
+                .with_links(|link| LinkConfig { credit_fc: Some(16), ..link }),
+        );
         assert!(base.completed && credits.completed);
         let ratio = credits.throughput_gbps / base.throughput_gbps;
         assert!((0.9..1.1).contains(&ratio), "uncongested x1 must be unaffected: {ratio}");

@@ -9,10 +9,14 @@
 //!   ([`build_legacy_system`](topology::build_legacy_system), Fig. 3);
 //! * [`workload`] — the CPU-side drivers (`dd`, the MMIO probe, the NIC,
 //!   poll-mode, CXL and virtio drivers) behind one
-//!   [`Workload`](workload::Workload) attach surface;
+//!   [`Workload`](workload::Workload) attach surface; a workload config
+//!   holds only what its caller chooses, and everything the endpoint
+//!   decides (BAR, DMA target, windows) is read off it at attach;
 //! * [`experiments`] — one [`Experiment`](experiments::Experiment) per
-//!   figure/table of the paper's evaluation and the one
-//!   [`run`](experiments::run) that drives them;
+//!   figure/table of the paper's evaluation, the one
+//!   [`run`](experiments::run) that drives them, and
+//!   [`run_traced`](experiments::run_traced) for the same run with its
+//!   event trace;
 //! * [`snapshot`] — checkpoint/restore over built systems, in memory or
 //!   through a file.
 
@@ -33,12 +37,11 @@ pub mod workload;
 pub mod prelude {
     pub use crate::experiments::{
         checkpoint_at, error_rate_ladder, execute, run, run_cold, run_topology_experiment,
-        ContentionOutcome, CxlExperiment, CxlOutcome, CxlPlacement, DdExperiment, DdOutcome, Exec,
-        Experiment, FaultExperiment, FaultOutcome, Finished, IrqRxBaseline, MmioExperiment,
-        MmioOutcome, MsixTxExperiment, MsixTxOutcome, NicRxExperiment, NicRxOutcome,
-        NicTxExperiment, NicTxOutcome, PmdExperiment, PmdOutcome, SectorMicrobench,
-        TopologyExperiment, TopologyOutcome, VirtioArm, VirtioExperiment, VirtioOutcome,
-        WARMUP_TICK,
+        run_traced, ContentionOutcome, CxlExperiment, CxlOutcome, CxlPlacement, DdExperiment,
+        DdOutcome, Exec, Experiment, Finished, IrqRxBaseline, MmioExperiment, MmioOutcome,
+        MsixTxExperiment, MsixTxOutcome, NicRxExperiment, NicRxOutcome, NicTxExperiment,
+        NicTxOutcome, PmdExperiment, PmdOutcome, SectorMicrobench, TopologyExperiment,
+        TopologyOutcome, VirtioArm, VirtioExperiment, VirtioOutcome, WARMUP_TICK,
     };
     pub use crate::platform;
     pub use crate::snapshot::SystemHandle;

@@ -60,9 +60,6 @@ use crate::platform;
 use crate::workload::cxl::{CxlHostConfig, CxlHostReportHandle};
 use crate::workload::dd::{DdConfig, DdReportHandle};
 use crate::workload::mmio::{MmioProbeConfig, MmioReportHandle};
-use crate::workload::msix::{MsixTxConfig, MsixTxReportHandle};
-use crate::workload::nic_rx::{NicRxConfig, NicRxReportHandle};
-use crate::workload::nic_tx::{NicTxConfig, NicTxReportHandle};
 use crate::workload::pmd::{PmdConfig, PmdReportHandle};
 use crate::workload::virtio::{VirtioAppConfig, VirtioReportHandle};
 use crate::workload::{Attached, Workload};
@@ -974,23 +971,6 @@ impl TopologySystem {
         self.attach(index, config)
     }
 
-    /// Attaches a NIC transmit workload (`nictx{index}`) to a NIC.
-    pub fn attach_nic_tx(&mut self, index: usize, config: NicTxConfig) -> NicTxReportHandle {
-        self.attach(index, config)
-    }
-
-    /// Attaches a NIC receive workload (`nicrx{index}`) to a NIC with
-    /// `rx_stream` configured.
-    pub fn attach_nic_rx(&mut self, index: usize, config: NicRxConfig) -> NicRxReportHandle {
-        self.attach(index, config)
-    }
-
-    /// Attaches the multi-queue MSI-X transmit driver (`msixtx{index}`) to
-    /// a NIC on a tree built with `use_msix`.
-    pub fn attach_msix_tx(&mut self, index: usize, config: MsixTxConfig) -> MsixTxReportHandle {
-        self.attach(index, config)
-    }
-
     /// Attaches the MMIO latency probe (`mmio_probe{index}`) against the
     /// endpoint's BAR0.
     pub fn attach_mmio_probe(&mut self, index: usize, config: MmioProbeConfig) -> MmioReportHandle {
@@ -1415,6 +1395,7 @@ fn build_planned(
 mod tests {
     use super::*;
     use crate::workload::dd::DdConfig;
+    use crate::workload::msix::MsixTxConfig;
     use crate::workload::nic_tx::NicTxConfig;
     use pcisim_kernel::sim::RunOutcome;
     use pcisim_kernel::tick::TICKS_PER_SEC;
@@ -1587,8 +1568,8 @@ mod tests {
     #[test]
     fn msix_tx_transmits_on_every_queue() {
         let mut built = build_topology(Topology::nic_msix(4, 0));
-        let report = built
-            .attach_msix_tx(0, MsixTxConfig { queues: 4, frames: 64, ..MsixTxConfig::default() });
+        let report =
+            built.attach(0, MsixTxConfig { queues: 4, frames: 64, ..MsixTxConfig::default() });
         assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
         let r = report.borrow();
         assert!(r.done, "all queues must drain");
@@ -1603,17 +1584,15 @@ mod tests {
     #[should_panic(expected = "MSI-X queue pairs need")]
     fn msix_tx_refuses_a_tree_built_without_msix() {
         let mut built = build_topology(Topology::nic_direct(LinkWidth::X1, NicConfig::default()));
-        let _ = built.attach_msix_tx(0, MsixTxConfig::default());
+        let _ = built.attach(0, MsixTxConfig::default());
     }
 
     #[test]
     fn msix_moderation_coalesces_interrupts() {
         let run = |moderation| {
             let mut built = build_topology(Topology::nic_msix(2, moderation));
-            let report = built.attach_msix_tx(
-                0,
-                MsixTxConfig { queues: 2, frames: 64, ..MsixTxConfig::default() },
-            );
+            let report =
+                built.attach(0, MsixTxConfig { queues: 2, frames: 64, ..MsixTxConfig::default() });
             assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
             let r = report.borrow().clone();
             assert!(r.done);
@@ -1660,7 +1639,7 @@ mod tests {
     fn three_root_ports_run_concurrent_workloads_to_quiescence() {
         let mut built = build_topology(Topology::three_root_ports());
         let dd0 = built.attach_dd(0, DdConfig { block_bytes: 256 * 1024, ..DdConfig::default() });
-        let tx = built.attach_nic_tx(1, NicTxConfig { frames: 64, ..NicTxConfig::default() });
+        let tx = built.attach(1, NicTxConfig { frames: 64, ..NicTxConfig::default() });
         let dd2 = built.attach_dd(2, DdConfig { block_bytes: 256 * 1024, ..DdConfig::default() });
         assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
         assert!(dd0.borrow().done && dd2.borrow().done);
@@ -1869,7 +1848,7 @@ mod tests {
     #[should_panic(expected = "endpoint 0 (mem0) is a CxlExpander; this workload drives [Nic]")]
     fn nic_driver_on_a_cxl_expander_panics() {
         let mut sys = build_topology(Topology::cxl_direct(Default::default()));
-        let _ = sys.attach_nic_tx(0, NicTxConfig::default());
+        let _ = sys.attach(0, NicTxConfig::default());
     }
 
     #[test]

@@ -42,9 +42,6 @@ pub enum CxlHostMode {
 /// Engine parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CxlHostConfig {
-    /// Address window the stream walks (patched at attach to the
-    /// endpoint's HDM window, or to a DRAM slice for the local arm).
-    pub window: AddrRange,
     /// Access pattern.
     pub mode: CxlHostMode,
     /// Total timed accesses (chase hops in [`CxlHostMode::PointerChase`]).
@@ -73,7 +70,6 @@ pub struct CxlHostConfig {
 impl Default for CxlHostConfig {
     fn default() -> Self {
         Self {
-            window: AddrRange::empty(),
             mode: CxlHostMode::OpenLoop,
             requests: 256,
             outstanding: 8,
@@ -103,16 +99,18 @@ impl Workload for CxlHostConfig {
         }
     }
 
-    fn instantiate(mut self, index: usize, ep: &EndpointHandle) -> Attached<CxlHostReportHandle> {
-        let name = if self.use_cxl {
-            self.window = ep.hdm;
-            format!("cxlhost{index}")
+    fn instantiate(self, index: usize, ep: &EndpointHandle) -> Attached<CxlHostReportHandle> {
+        let (name, window) = if self.use_cxl {
+            (format!("cxlhost{index}"), ep.hdm)
         } else {
-            self.window =
+            let dram =
                 AddrRange::with_size(platform::DRAM_BASE + 0x2000_0000, platform::CXL_HDM_STRIDE);
-            format!("dramhost{index}")
+            (format!("dramhost{index}"), dram)
         };
-        Attached::new(CxlHostApp::new(name, self), vec![(CXL_HOST_MEM_PORT, ep.cpu_mem_port)])
+        Attached::new(
+            CxlHostApp::new(name, self, window),
+            vec![(CXL_HOST_MEM_PORT, ep.cpu_mem_port)],
+        )
     }
 }
 
@@ -187,6 +185,8 @@ const PHASE_RUN: u8 = 1;
 pub struct CxlHostApp {
     name: String,
     config: CxlHostConfig,
+    /// Address window the stream walks.
+    window: AddrRange,
     /// Phase of the chase ([`PHASE_SETUP`] writes the chain first);
     /// open-loop streams start in [`PHASE_RUN`].
     phase: u8,
@@ -204,12 +204,18 @@ pub struct CxlHostApp {
 }
 
 impl CxlHostApp {
-    /// Creates the engine; returns the component and its report handle.
-    pub fn new(name: impl Into<String>, config: CxlHostConfig) -> (Self, CxlHostReportHandle) {
+    /// Creates the engine walking `window`; returns the component and its
+    /// report handle.
+    pub fn new(
+        name: impl Into<String>,
+        config: CxlHostConfig,
+        window: AddrRange,
+    ) -> (Self, CxlHostReportHandle) {
         assert!(config.requests > 0, "the engine needs at least one access");
         assert!(config.outstanding > 0, "the in-flight window must admit one access");
         assert!(config.stride > 0 && config.access_bytes > 0, "degenerate access shape");
         assert!(config.chain_blocks > 0, "a chase needs at least one block");
+        assert!(!window.is_empty(), "the stream needs a non-empty window");
         let report: CxlHostReportHandle = Rc::new(RefCell::new(CxlHostReport::default()));
         let phase = match config.mode {
             CxlHostMode::OpenLoop => PHASE_RUN,
@@ -225,6 +231,7 @@ impl CxlHostApp {
                 in_flight: BTreeMap::new(),
                 cpu: TimedQueue::unbounded(),
                 config,
+                window,
                 report: report.clone(),
             },
             report,
@@ -249,13 +256,13 @@ impl CxlHostApp {
 
     /// Blocks the window admits at the configured stride.
     fn span_blocks(&self) -> u64 {
-        (self.config.window.size() / self.config.stride).max(1)
+        (self.window.size() / self.config.stride).max(1)
     }
 
     /// Address of chain block `i`.
     fn chain_addr(&self, i: u64) -> u64 {
         let blocks = u64::from(self.config.chain_blocks).min(self.span_blocks());
-        self.config.window.start() + (i % blocks) * self.config.stride
+        self.window.start() + (i % blocks) * self.config.stride
     }
 
     /// Sends `pkt` behind any access the fabric refused.
@@ -267,7 +274,7 @@ impl CxlHostApp {
     /// Issues one timed access of the open-loop stream.
     fn issue_open_loop(&mut self, ctx: &mut Ctx<'_>) {
         let seq = self.seq;
-        let addr = self.config.window.start() + (seq % self.span_blocks()) * self.config.stride;
+        let addr = self.window.start() + (seq % self.span_blocks()) * self.config.stride;
         let is_write = self.config.write_every != 0
             && (seq + 1).is_multiple_of(u64::from(self.config.write_every));
         let cmd = if is_write { self.write_cmd() } else { self.read_cmd() };
@@ -346,7 +353,6 @@ impl Component for CxlHostApp {
     }
 
     fn init(&mut self, ctx: &mut Ctx<'_>) {
-        assert!(!self.config.window.is_empty(), "{}: window never patched", self.name);
         match self.config.mode {
             CxlHostMode::OpenLoop => {
                 ctx.schedule(self.config.gap, Event::Timer { kind: K_SLOT, data: 0 });
@@ -413,7 +419,7 @@ impl Component for CxlHostApp {
                 // data-integrity check of the expander's backing store.
                 let expected = {
                     let blocks = u64::from(self.config.chain_blocks).min(self.span_blocks());
-                    let i = (self.chase_addr - self.config.window.start()) / self.config.stride;
+                    let i = (self.chase_addr - self.window.start()) / self.config.stride;
                     self.chain_addr((i + 1) % blocks)
                 };
                 let next = match &payload {
@@ -479,8 +485,7 @@ mod tests {
         );
         program_hdm(&mut cs.borrow_mut(), window());
         let e = sim.add(Box::new(exp));
-        let (app, report) =
-            CxlHostApp::new("cxlhost", CxlHostConfig { window: window(), ..config });
+        let (app, report) = CxlHostApp::new("cxlhost", config, window());
         let a = sim.add(Box::new(app));
         sim.connect((a, CXL_HOST_MEM_PORT), (e, CXL_PIO_PORT));
         assert_eq!(sim.run(us(400_000), u64::MAX), RunOutcome::QueueEmpty);

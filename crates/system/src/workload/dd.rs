@@ -45,10 +45,6 @@ pub struct DdConfig {
     /// Kernel overhead per disk command (request build, interrupt handling,
     /// context switch back into `dd`).
     pub os_request_overhead: Tick,
-    /// BAR0 of the disk, from the driver probe.
-    pub disk_bar: u64,
-    /// DRAM address DMA lands at.
-    pub dma_target: u64,
 }
 
 impl Default for DdConfig {
@@ -60,8 +56,6 @@ impl Default for DdConfig {
             sector_size: 4096,
             os_block_setup: us(400),
             os_request_overhead: us(6),
-            disk_bar: 0x4000_0000,
-            dma_target: 0x8000_0000,
         }
     }
 }
@@ -73,12 +67,11 @@ impl Workload for DdConfig {
         &[EndpointKind::Disk]
     }
 
-    fn instantiate(mut self, index: usize, ep: &EndpointHandle) -> Attached<DdReportHandle> {
-        self.disk_bar = ep.bar0;
+    fn instantiate(self, index: usize, ep: &EndpointHandle) -> Attached<DdReportHandle> {
         // Distinct DMA buffers so DRAM traffic does not alias.
-        self.dma_target = platform::DRAM_BASE + index as u64 * 0x1000_0000;
+        let dma_target = platform::DRAM_BASE + index as u64 * 0x1000_0000;
         Attached::new(
-            DdApp::new(format!("dd{index}"), self),
+            DdApp::new(format!("dd{index}"), self, ep.bar0, dma_target),
             vec![(DD_MEM_PORT, ep.cpu_mem_port), (DD_IRQ_PORT, ep.cpu_irq_port)],
         )
     }
@@ -144,6 +137,10 @@ const K_STEP: u32 = 0;
 pub struct DdApp {
     name: String,
     config: DdConfig,
+    /// BAR0 of the disk.
+    disk_bar: u64,
+    /// DRAM address DMA lands at.
+    dma_target: u64,
     state: State,
     blocks_left: u32,
     sectors_left_in_block: u64,
@@ -154,8 +151,14 @@ pub struct DdApp {
 }
 
 impl DdApp {
-    /// Creates the workload; returns the component and its report handle.
-    pub fn new(name: impl Into<String>, config: DdConfig) -> (Self, DdReportHandle) {
+    /// Creates the workload driving the disk at `disk_bar`, its DMA landing
+    /// at `dma_target`; returns the component and its report handle.
+    pub fn new(
+        name: impl Into<String>,
+        config: DdConfig,
+        disk_bar: u64,
+        dma_target: u64,
+    ) -> (Self, DdReportHandle) {
         assert!(config.block_bytes > 0 && config.blocks > 0);
         assert!(config.request_sectors > 0);
         assert_eq!(
@@ -168,6 +171,8 @@ impl DdApp {
             Self {
                 name: name.into(),
                 config,
+                disk_bar,
+                dma_target,
                 state: State::Setup,
                 blocks_left: 0,
                 sectors_left_in_block: 0,
@@ -180,7 +185,7 @@ impl DdApp {
     }
 
     fn write_reg(&mut self, ctx: &mut Ctx<'_>, offset: u64, value: u32) {
-        self.cpu.push(mmio_write(ctx, self.config.disk_bar + offset, value));
+        self.cpu.push(mmio_write(ctx, self.disk_bar + offset, value));
         self.cpu.flush(ctx, DD_MEM_PORT);
     }
 
@@ -202,11 +207,11 @@ impl DdApp {
             }
             State::WriteAddrLo => {
                 self.state = State::WriteAddrHi;
-                self.write_reg(ctx, regs::DMA_ADDR_LO, self.config.dma_target as u32);
+                self.write_reg(ctx, regs::DMA_ADDR_LO, self.dma_target as u32);
             }
             State::WriteAddrHi => {
                 self.state = State::WriteCommand;
-                self.write_reg(ctx, regs::DMA_ADDR_HI, (self.config.dma_target >> 32) as u32);
+                self.write_reg(ctx, regs::DMA_ADDR_HI, (self.dma_target >> 32) as u32);
             }
             State::WriteCommand => {
                 self.state = State::WaitIrq;
@@ -314,6 +319,10 @@ mod tests {
     use pcisim_kernel::addr::AddrRange;
     use pcisim_kernel::prelude::*;
 
+    /// The disk's BAR0 and the DMA buffer of the closed loop below.
+    const BAR: u64 = 0x4000_0000;
+    const DMA: u64 = 0x8000_0000;
+
     /// Minimal closed loop: dd ↔ disk directly, interrupts via the
     /// controller, DMA into a fast responder.
     fn run_dd(config: DdConfig, disk_cfg: IdeDiskConfig) -> DdReport {
@@ -322,10 +331,10 @@ mod tests {
         let mut intc = InterruptController::new("gic", AddrRange::with_size(intc_base, 0x1000));
         let cpu_irq_port = intc.route_irq(32);
 
-        let (dd, report) = DdApp::new("dd", config.clone());
+        let (dd, report) = DdApp::new("dd", config, BAR, DMA);
         let (disk, cs) =
             IdeDisk::new("disk", IdeDiskConfig { intx: Some((32, intc_base)), ..disk_cfg });
-        cs.borrow_mut().write(0x10, 4, config.disk_bar as u32);
+        cs.borrow_mut().write(0x10, 4, BAR as u32);
 
         // DMA fans out by address: memory writes to one responder,
         // interrupt messages to the controller.
@@ -426,6 +435,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "block must be whole sectors")]
     fn ragged_block_size_panics() {
-        let _ = DdApp::new("dd", DdConfig { block_bytes: 1000, ..DdConfig::default() });
+        let _ = DdApp::new("dd", DdConfig { block_bytes: 1000, ..DdConfig::default() }, BAR, DMA);
     }
 }

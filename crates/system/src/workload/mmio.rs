@@ -27,8 +27,6 @@ pub const MMIO_MEM_PORT: PortId = PortId(0);
 /// Probe parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MmioProbeConfig {
-    /// Register address to read (a NIC register per the paper).
-    pub target: u64,
     /// Number of timed reads.
     pub reads: u32,
     /// Quiet gap between reads.
@@ -40,7 +38,7 @@ pub struct MmioProbeConfig {
 
 impl Default for MmioProbeConfig {
     fn default() -> Self {
-        Self { target: 0x4000_0000, reads: 64, gap: us(1), cpu_overhead: 0 }
+        Self { reads: 64, gap: us(1), cpu_overhead: 0 }
     }
 }
 
@@ -51,10 +49,10 @@ impl Workload for MmioProbeConfig {
         &EndpointKind::ALL
     }
 
-    fn instantiate(mut self, index: usize, ep: &EndpointHandle) -> Attached<MmioReportHandle> {
-        self.target = ep.bar0 + 0x0008; // the NIC status register
+    fn instantiate(self, index: usize, ep: &EndpointHandle) -> Attached<MmioReportHandle> {
+        let status = ep.bar0 + 0x0008; // the NIC status register
         Attached::new(
-            MmioProbe::new(format!("mmio_probe{index}"), self),
+            MmioProbe::new(format!("mmio_probe{index}"), self, status),
             vec![(MMIO_MEM_PORT, ep.cpu_mem_port)],
         )
     }
@@ -102,6 +100,8 @@ const K_ISSUE: u32 = 0;
 pub struct MmioProbe {
     name: String,
     config: MmioProbeConfig,
+    /// Register address to read (a NIC register per the paper).
+    target: u64,
     remaining: u32,
     issued_at: Option<Tick>,
     report: MmioReportHandle,
@@ -111,8 +111,13 @@ pub struct MmioProbe {
 }
 
 impl MmioProbe {
-    /// Creates the probe; returns the component and its report handle.
-    pub fn new(name: impl Into<String>, config: MmioProbeConfig) -> (Self, MmioReportHandle) {
+    /// Creates the probe reading register `target`; returns the component
+    /// and its report handle.
+    pub fn new(
+        name: impl Into<String>,
+        config: MmioProbeConfig,
+        target: u64,
+    ) -> (Self, MmioReportHandle) {
         assert!(config.reads > 0, "probe needs at least one read");
         let report: MmioReportHandle = Rc::new(RefCell::new(MmioReport::default()));
         (
@@ -120,6 +125,7 @@ impl MmioProbe {
                 name: name.into(),
                 remaining: config.reads,
                 config,
+                target,
                 issued_at: None,
                 report: report.clone(),
                 cpu: TimedQueue::unbounded(),
@@ -130,7 +136,7 @@ impl MmioProbe {
 
     fn issue(&mut self, ctx: &mut Ctx<'_>) {
         self.issued_at = Some(ctx.now());
-        self.cpu.push(mmio_read(ctx, self.config.target));
+        self.cpu.push(mmio_read(ctx, self.target));
         self.cpu.flush(ctx, MMIO_MEM_PORT);
         assert!(!self.cpu.peer_blocked(), "the fabric never refuses a lone MMIO read");
     }
@@ -187,7 +193,7 @@ mod tests {
 
     fn run_probe(config: MmioProbeConfig, service: Tick) -> MmioReport {
         let mut sim = Simulation::new();
-        let (probe, report) = MmioProbe::new("probe", config);
+        let (probe, report) = MmioProbe::new("probe", config, 0x4000_0008);
         let p = sim.add(Box::new(probe));
         let (resp, _) = Responder::new("nic", service);
         let n = sim.add(Box::new(resp));

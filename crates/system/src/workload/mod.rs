@@ -58,9 +58,9 @@ pub trait Workload {
     /// kind panics.
     fn accepts(&self) -> &'static [EndpointKind];
 
-    /// Fills the endpoint-derived fields of the configuration (BAR, DMA
-    /// window, vectors) and builds the component named `{prefix}{index}`
-    /// with its wires to `ep`'s reserved CPU-side ports.
+    /// Builds the component named `{prefix}{index}` from the
+    /// configuration and the values `ep` decides (BAR, DMA target,
+    /// windows), with its wires to `ep`'s reserved CPU-side ports.
     fn instantiate(self, index: usize, ep: &EndpointHandle) -> Attached<Self::Report>;
 }
 

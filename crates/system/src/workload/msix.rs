@@ -28,7 +28,8 @@ use pcisim_kernel::tick::{gbps, ns, us, Tick};
 use pcisim_kernel::{state_enum, state_fields};
 use pcisim_pci::caps::msix;
 
-use crate::topology::{EndpointHandle, EndpointKind};
+use crate::platform::INTC_BASE;
+use crate::topology::{EndpointHandle, EndpointKind, MSI_VECTOR};
 use crate::workload::{mmio_read, mmio_write, Attached, Workload};
 
 /// Port wired to the memory bus (MMIO master).
@@ -55,13 +56,6 @@ pub struct MsixTxConfig {
     pub ring_entries: u32,
     /// Kernel overhead per posted batch (xmit path, doorbell, IRQ return).
     pub os_batch_overhead: Tick,
-    /// BAR0 of the NIC, from the driver probe.
-    pub nic_bar: u64,
-    /// Interrupt-controller doorbell window base the table entries target.
-    pub doorbell_base: u64,
-    /// Platform vector number of MSI-X table entry 0 (entry `v` raises
-    /// `base_vector + v`).
-    pub base_vector: u8,
 }
 
 impl Default for MsixTxConfig {
@@ -73,9 +67,6 @@ impl Default for MsixTxConfig {
             batch: 8,
             ring_entries: 256,
             os_batch_overhead: us(2),
-            nic_bar: 0x4000_0000,
-            doorbell_base: crate::platform::INTC_BASE,
-            base_vector: crate::topology::MSI_VECTOR,
         }
     }
 }
@@ -94,7 +85,7 @@ impl Workload for MsixTxConfig {
     ///
     /// Panics when the tree was not built with `use_msix` or the NIC's
     /// table is too small for `self.queues` queue pairs.
-    fn instantiate(mut self, index: usize, ep: &EndpointHandle) -> Attached<MsixTxReportHandle> {
+    fn instantiate(self, index: usize, ep: &EndpointHandle) -> Attached<MsixTxReportHandle> {
         let (have, need) = (ep.cpu_irq_ports.len(), usize::from(num_msix_vectors(self.queues)));
         assert!(
             have >= need,
@@ -102,14 +93,11 @@ impl Workload for MsixTxConfig {
             ep.name,
             self.queues
         );
-        self.nic_bar = ep.bar0;
-        self.doorbell_base = crate::platform::INTC_BASE;
-        self.base_vector = crate::topology::MSI_VECTOR;
         let mut wires = vec![(MSIX_TX_MEM_PORT, ep.cpu_mem_port)];
         for v in (0..self.queues).map(tx_vector) {
             wires.push((msix_tx_irq_port(v), ep.cpu_irq_ports[usize::from(v)]));
         }
-        Attached::new(MsixTxApp::new(format!("msixtx{index}"), self), wires)
+        Attached::new(MsixTxApp::new(format!("msixtx{index}"), self, ep.bar0), wires)
     }
 }
 
@@ -195,6 +183,8 @@ struct Queue {
 pub struct MsixTxApp {
     name: String,
     config: MsixTxConfig,
+    /// BAR0 of the NIC.
+    nic_bar: u64,
     state: State,
     queues: Vec<Queue>,
     /// MMIO programming sequence, derived from the config (not saved).
@@ -205,8 +195,13 @@ pub struct MsixTxApp {
 }
 
 impl MsixTxApp {
-    /// Creates the workload; returns the component and its report handle.
-    pub fn new(name: impl Into<String>, config: MsixTxConfig) -> (Self, MsixTxReportHandle) {
+    /// Creates the workload driving the NIC at `nic_bar`; returns the
+    /// component and its report handle.
+    pub fn new(
+        name: impl Into<String>,
+        config: MsixTxConfig,
+        nic_bar: u64,
+    ) -> (Self, MsixTxReportHandle) {
         assert!(
             (1..=MAX_QUEUES).contains(&config.queues),
             "queues must be 1..={MAX_QUEUES}, got {}",
@@ -225,6 +220,7 @@ impl MsixTxApp {
                 queues: vec![Queue::default(); config.queues as usize],
                 setup_writes,
                 config,
+                nic_bar,
                 state: State::Setup(0),
                 report: report.clone(),
                 cpu: TimedQueue::unbounded(),
@@ -247,14 +243,15 @@ impl MsixTxApp {
     }
 
     /// The full MMIO programming sequence: MSI-X table entries (address,
-    /// data, unmask) for every TX vector, then the per-queue rings, then
-    /// the interrupt mask.
+    /// data, unmask) for every TX vector — entry `v` rings the interrupt
+    /// controller's doorbell for platform vector `MSI_VECTOR + v` — then
+    /// the per-queue rings, then the interrupt mask.
     fn setup_sequence(config: &MsixTxConfig) -> Vec<(u64, u32)> {
         let mut writes = Vec::new();
         for q in 0..config.queues {
             let v = tx_vector(q);
             let entry = msix_entry_offset(v);
-            let target = irq_message_addr(config.doorbell_base, config.base_vector + v as u8);
+            let target = irq_message_addr(INTC_BASE, MSI_VECTOR + v as u8);
             writes.push((entry + msix::ENTRY_ADDR_LO, target as u32));
             writes.push((entry + msix::ENTRY_ADDR_HI, (target >> 32) as u32));
             writes.push((entry + msix::ENTRY_DATA, 0x4000 | u32::from(v)));
@@ -272,12 +269,12 @@ impl MsixTxApp {
     }
 
     fn write_reg(&mut self, ctx: &mut Ctx<'_>, offset: u64, value: u32) {
-        self.cpu.push(mmio_write(ctx, self.config.nic_bar + offset, value));
+        self.cpu.push(mmio_write(ctx, self.nic_bar + offset, value));
         self.cpu.flush(ctx, MSIX_TX_MEM_PORT);
     }
 
     fn read_reg(&mut self, ctx: &mut Ctx<'_>, offset: u64) {
-        self.cpu.push(mmio_read(ctx, self.config.nic_bar + offset));
+        self.cpu.push(mmio_read(ctx, self.nic_bar + offset));
         self.cpu.flush(ctx, MSIX_TX_MEM_PORT);
     }
 
@@ -375,7 +372,7 @@ impl Component for MsixTxApp {
                 }
             }
             Command::ReadResp => {
-                let offset = pkt.addr().wrapping_sub(self.config.nic_bar);
+                let offset = pkt.addr().wrapping_sub(self.nic_bar);
                 let q = (0..self.config.queues)
                     .find(|&q| offset == regs::per_queue(regs::TDH, q))
                     .unwrap_or_else(|| {
@@ -436,10 +433,10 @@ mod tests {
     #[test]
     fn head_read_waits_behind_a_refused_tail_write() {
         let config = MsixTxConfig { queues: 1, frames: 8, ..MsixTxConfig::default() };
-        let bar = config.nic_bar;
+        let bar = 0x4000_0000;
         // Offers 0..=8 program the table, ring and mask; offer 9 is TDT.
         let (mut sim, log) = crate::workload::testpeer::rig(
-            MsixTxApp::new("msixtx", config).0,
+            MsixTxApp::new("msixtx", config, bar).0,
             (MSIX_TX_MEM_PORT, msix_tx_irq_port(tx_vector(0))),
             vec![9],
             vec![9],

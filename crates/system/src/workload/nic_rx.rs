@@ -40,13 +40,11 @@ pub struct NicRxConfig {
     pub frame_bytes: u32,
     /// RX descriptor ring size.
     pub ring_entries: u32,
-    /// BAR0 of the NIC, from the driver probe.
-    pub nic_bar: u64,
 }
 
 impl Default for NicRxConfig {
     fn default() -> Self {
-        Self { expect_frames: 256, frame_bytes: 1514, ring_entries: 256, nic_bar: 0x4000_0000 }
+        Self { expect_frames: 256, frame_bytes: 1514, ring_entries: 256 }
     }
 }
 
@@ -57,10 +55,9 @@ impl Workload for NicRxConfig {
         &[EndpointKind::Nic]
     }
 
-    fn instantiate(mut self, index: usize, ep: &EndpointHandle) -> Attached<NicRxReportHandle> {
-        self.nic_bar = ep.bar0;
+    fn instantiate(self, index: usize, ep: &EndpointHandle) -> Attached<NicRxReportHandle> {
         Attached::new(
-            NicRxApp::new(format!("nicrx{index}"), self),
+            NicRxApp::new(format!("nicrx{index}"), self, ep.bar0),
             vec![(NIC_RX_MEM_PORT, ep.cpu_mem_port), (NIC_RX_IRQ_PORT, ep.cpu_irq_port)],
         )
     }
@@ -110,6 +107,8 @@ state_enum!(State { Setup(step) = 0, Receiving = 1, Done = 2 });
 pub struct NicRxApp {
     name: String,
     config: NicRxConfig,
+    /// BAR0 of the NIC.
+    nic_bar: u64,
     state: State,
     tail: u32,
     frames_seen: u32,
@@ -119,14 +118,20 @@ pub struct NicRxApp {
 }
 
 impl NicRxApp {
-    /// Creates the workload; returns the component and its report handle.
-    pub fn new(name: impl Into<String>, config: NicRxConfig) -> (Self, NicRxReportHandle) {
+    /// Creates the workload driving the NIC at `nic_bar`; returns the
+    /// component and its report handle.
+    pub fn new(
+        name: impl Into<String>,
+        config: NicRxConfig,
+        nic_bar: u64,
+    ) -> (Self, NicRxReportHandle) {
         assert!(config.expect_frames > 0 && config.ring_entries > 1);
         let report: NicRxReportHandle = Rc::new(RefCell::new(NicRxReport::default()));
         (
             Self {
                 name: name.into(),
                 config,
+                nic_bar,
                 state: State::Setup(0),
                 tail: 0,
                 frames_seen: 0,
@@ -138,7 +143,7 @@ impl NicRxApp {
     }
 
     fn write_reg(&mut self, ctx: &mut Ctx<'_>, offset: u64, value: u32) {
-        self.cpu.push(mmio_write(ctx, self.config.nic_bar + offset, value));
+        self.cpu.push(mmio_write(ctx, self.nic_bar + offset, value));
         self.cpu.flush(ctx, NIC_RX_MEM_PORT);
     }
 
@@ -243,6 +248,9 @@ mod tests {
     use pcisim_kernel::prelude::*;
     use pcisim_kernel::tick::us;
 
+    /// The NIC's BAR0 in the closed loops below.
+    const BAR: u64 = 0x4000_0000;
+
     fn run(frames: u32, interval: Tick, mem_latency: Tick) -> (NicRxReport, StatsSnapshot) {
         let mut sim = Simulation::new();
         let intc_base = 0x2c00_0000;
@@ -251,6 +259,7 @@ mod tests {
         let (app, report) = NicRxApp::new(
             "nicrx",
             NicRxConfig { expect_frames: frames, frame_bytes: 1514, ..NicRxConfig::default() },
+            BAR,
         );
         let (nic, cs) = Nic::new(
             "nic",
@@ -260,7 +269,7 @@ mod tests {
                 ..NicConfig::default()
             },
         );
-        cs.borrow_mut().write(0x10, 4, 0x4000_0000);
+        cs.borrow_mut().write(0x10, 4, BAR as u32);
         let xbar = Crossbar::builder("dmabus")
             .num_ports(3)
             .queue_capacity(64)
@@ -296,11 +305,10 @@ mod tests {
     /// RDT writes reach the NIC, in order, after the setup's.
     #[test]
     fn refused_rdt_writes_all_arrive_in_order() {
-        let config = NicRxConfig::default();
-        let rdt = config.nic_bar + regs::RDT;
+        let rdt = BAR + regs::RDT;
         // Offer 3 is the setup's RDT write; offers 4 and 5 are refused.
         let (mut sim, log) = crate::workload::testpeer::rig(
-            NicRxApp::new("nicrx", config).0,
+            NicRxApp::new("nicrx", NicRxConfig::default(), BAR).0,
             (NIC_RX_MEM_PORT, NIC_RX_IRQ_PORT),
             vec![4, 5],
             vec![3, 4],

@@ -41,8 +41,6 @@ pub struct NicTxConfig {
     pub ring_entries: u32,
     /// Kernel overhead per posted batch (xmit path, doorbell, IRQ return).
     pub os_batch_overhead: Tick,
-    /// BAR0 of the NIC, from the driver probe.
-    pub nic_bar: u64,
 }
 
 impl Default for NicTxConfig {
@@ -53,7 +51,6 @@ impl Default for NicTxConfig {
             batch: 8,
             ring_entries: 256,
             os_batch_overhead: us(2),
-            nic_bar: 0x4000_0000,
         }
     }
 }
@@ -65,10 +62,9 @@ impl Workload for NicTxConfig {
         &[EndpointKind::Nic]
     }
 
-    fn instantiate(mut self, index: usize, ep: &EndpointHandle) -> Attached<NicTxReportHandle> {
-        self.nic_bar = ep.bar0;
+    fn instantiate(self, index: usize, ep: &EndpointHandle) -> Attached<NicTxReportHandle> {
         Attached::new(
-            NicTxApp::new(format!("nictx{index}"), self),
+            NicTxApp::new(format!("nictx{index}"), self, ep.bar0),
             vec![(NIC_TX_MEM_PORT, ep.cpu_mem_port), (NIC_TX_IRQ_PORT, ep.cpu_irq_port)],
         )
     }
@@ -130,6 +126,8 @@ const K_STEP: u32 = 0;
 pub struct NicTxApp {
     name: String,
     config: NicTxConfig,
+    /// BAR0 of the NIC.
+    nic_bar: u64,
     state: State,
     tail: u32,
     frames_posted: u32,
@@ -140,8 +138,13 @@ pub struct NicTxApp {
 }
 
 impl NicTxApp {
-    /// Creates the workload; returns the component and its report handle.
-    pub fn new(name: impl Into<String>, config: NicTxConfig) -> (Self, NicTxReportHandle) {
+    /// Creates the workload driving the NIC at `nic_bar`; returns the
+    /// component and its report handle.
+    pub fn new(
+        name: impl Into<String>,
+        config: NicTxConfig,
+        nic_bar: u64,
+    ) -> (Self, NicTxReportHandle) {
         assert!(config.frames > 0 && config.batch > 0);
         assert!(config.batch <= config.ring_entries, "batch must fit the ring");
         let report: NicTxReportHandle = Rc::new(RefCell::new(NicTxReport::default()));
@@ -149,6 +152,7 @@ impl NicTxApp {
             Self {
                 name: name.into(),
                 config,
+                nic_bar,
                 state: State::Setup(0),
                 tail: 0,
                 frames_posted: 0,
@@ -161,7 +165,7 @@ impl NicTxApp {
     }
 
     fn write_reg(&mut self, ctx: &mut Ctx<'_>, offset: u64, value: u32) {
-        self.cpu.push(mmio_write(ctx, self.config.nic_bar + offset, value));
+        self.cpu.push(mmio_write(ctx, self.nic_bar + offset, value));
         self.cpu.flush(ctx, NIC_TX_MEM_PORT);
     }
 
@@ -286,15 +290,18 @@ mod tests {
     use pcisim_kernel::addr::AddrRange;
     use pcisim_kernel::prelude::*;
 
+    /// The NIC's BAR0 in the closed loop below.
+    const BAR: u64 = 0x4000_0000;
+
     fn run(config: NicTxConfig) -> NicTxReport {
         let mut sim = Simulation::new();
         let intc_base = 0x2c00_0000;
         let mut intc = InterruptController::new("gic", AddrRange::with_size(intc_base, 0x1000));
         let cpu_irq = intc.route_irq(33);
-        let (app, report) = NicTxApp::new("nictx", config.clone());
+        let (app, report) = NicTxApp::new("nictx", config, BAR);
         let (nic, cs) =
             Nic::new("nic", NicConfig { intx: Some((33, intc_base)), ..NicConfig::default() });
-        cs.borrow_mut().write(0x10, 4, config.nic_bar as u32);
+        cs.borrow_mut().write(0x10, 4, BAR as u32);
 
         let xbar = Crossbar::builder("dmabus")
             .num_ports(3)
@@ -357,6 +364,7 @@ mod tests {
         let _ = NicTxApp::new(
             "t",
             NicTxConfig { batch: 512, ring_entries: 256, ..NicTxConfig::default() },
+            BAR,
         );
     }
 }

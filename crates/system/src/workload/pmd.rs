@@ -55,8 +55,6 @@ pub struct PmdConfig {
     pub rx_expect: u32,
     /// OS driver bring-up delay before the first ring write.
     pub setup_delay: Tick,
-    /// BAR0 of the NIC, from the driver probe.
-    pub nic_bar: u64,
 }
 
 impl Default for PmdConfig {
@@ -70,7 +68,6 @@ impl Default for PmdConfig {
             ring_entries: 256,
             rx_expect: 0,
             setup_delay: us(400),
-            nic_bar: 0x4000_0000,
         }
     }
 }
@@ -84,10 +81,9 @@ impl Workload for PmdConfig {
 
     /// Only the memory port is wired — the poll-mode datapath never takes
     /// an interrupt.
-    fn instantiate(mut self, index: usize, ep: &EndpointHandle) -> Attached<PmdReportHandle> {
-        self.nic_bar = ep.bar0;
+    fn instantiate(self, index: usize, ep: &EndpointHandle) -> Attached<PmdReportHandle> {
         Attached::new(
-            PmdApp::new(format!("pmd{index}"), self),
+            PmdApp::new(format!("pmd{index}"), self, ep.bar0),
             vec![(PMD_MEM_PORT, ep.cpu_mem_port)],
         )
     }
@@ -176,6 +172,8 @@ state_enum!(State { Setup(step) = 0, Sleeping = 1, Awaiting = 2, Done = 3 });
 pub struct PmdApp {
     name: String,
     config: PmdConfig,
+    /// BAR0 of the NIC.
+    nic_bar: u64,
     state: State,
     /// Last TDH seen per queue.
     tx_head: Vec<u32>,
@@ -211,8 +209,13 @@ pub struct PmdApp {
 }
 
 impl PmdApp {
-    /// Creates the workload; returns the component and its report handle.
-    pub fn new(name: impl Into<String>, config: PmdConfig) -> (Self, PmdReportHandle) {
+    /// Creates the workload driving the NIC at `nic_bar`; returns the
+    /// component and its report handle.
+    pub fn new(
+        name: impl Into<String>,
+        config: PmdConfig,
+        nic_bar: u64,
+    ) -> (Self, PmdReportHandle) {
         assert!(config.queues >= 1, "pmd: at least one queue pair");
         assert!(config.ring_entries > 1, "pmd: ring must hold two descriptors");
         assert!(config.burst >= 1, "pmd: burst must be at least one frame");
@@ -243,6 +246,7 @@ impl PmdApp {
                 outstanding: 0,
                 progressed: false,
                 config,
+                nic_bar,
                 state: State::Setup(0),
                 report: report.clone(),
                 cpu: TimedQueue::unbounded(),
@@ -252,13 +256,13 @@ impl PmdApp {
     }
 
     fn write_reg(&mut self, ctx: &mut Ctx<'_>, offset: u64, value: u32) {
-        self.cpu.push(mmio_write(ctx, self.config.nic_bar + offset, value));
+        self.cpu.push(mmio_write(ctx, self.nic_bar + offset, value));
         self.cpu.flush(ctx, PMD_MEM_PORT);
     }
 
     fn read_reg(&mut self, ctx: &mut Ctx<'_>, offset: u64) {
         self.outstanding += 1;
-        self.cpu.push(mmio_read(ctx, self.config.nic_bar + offset));
+        self.cpu.push(mmio_read(ctx, self.nic_bar + offset));
         self.cpu.flush(ctx, PMD_MEM_PORT);
     }
 
@@ -395,7 +399,7 @@ impl PmdApp {
     /// it must not send MMIO back; the doorbell writes happen in
     /// [`PmdApp::process_round`], deferred behind a zero-delay event.
     fn read_returned(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) {
-        let offset = pkt.addr().wrapping_sub(self.config.nic_bar);
+        let offset = pkt.addr().wrapping_sub(self.nic_bar);
         let value = pkt.dword();
         match offset {
             regs::GPRC => self.gprc = value,
@@ -514,7 +518,7 @@ mod tests {
 
     fn run(nic_config: NicConfig, pmd: PmdConfig) -> (PmdReport, StatsSnapshot) {
         let mut sim = Simulation::new();
-        let (app, report) = PmdApp::new("pmd", pmd);
+        let (app, report) = PmdApp::new("pmd", pmd, BAR);
         let (nic, cs) = Nic::new("nic", nic_config);
         cs.borrow_mut().write(0x10, 4, BAR as u32);
         let app_id = sim.add(Box::new(app));

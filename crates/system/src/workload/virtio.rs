@@ -37,7 +37,8 @@ use pcisim_kernel::stats::StatsBuilder;
 use pcisim_kernel::tick::{gbps, ns, us, Tick};
 use pcisim_pci::caps::msix;
 
-use crate::topology::{EndpointHandle, EndpointKind};
+use crate::platform::INTC_BASE;
+use crate::topology::{EndpointHandle, EndpointKind, MSI_VECTOR};
 use crate::workload::{mmio_read, Attached, Workload};
 
 /// Port wired to the memory bus (MMIO + DRAM master).
@@ -54,8 +55,6 @@ pub fn virtio_app_irq_port(v: u16) -> PortId {
 /// Parameters of one virtio driver run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VirtioAppConfig {
-    /// Which device class the driver binds (decides the chain shape).
-    pub class: VirtioClass,
     /// Net only: drive the receive queue (posting writable buffers)
     /// instead of the transmit queue.
     pub rx: bool,
@@ -69,20 +68,12 @@ pub struct VirtioAppConfig {
     pub request_bytes: u32,
     /// Kernel overhead per submission (request build, doorbell path).
     pub os_submit_overhead: Tick,
-    /// BAR0 of the function, from the driver probe.
-    pub bar0: u64,
-    /// Base of the DRAM window the rings and buffers are laid out in.
-    pub ring_base: u64,
     /// Ring entries; must not exceed the device's queue size.
     pub queue_size: u16,
     /// Drive completions through MSI-X vectors instead of INTx: the
     /// driver programs the function's MSI-X table over MMIO and routes
     /// the config vector to entry 0, queue `q` to entry `1 + q`.
     pub use_msix: bool,
-    /// Interrupt-controller doorbell window the MSI-X entries target.
-    pub doorbell_base: u64,
-    /// Platform vector number of MSI-X table entry 0.
-    pub base_vector: u8,
     /// Blk: device capacity the sector pattern wraps within.
     pub capacity_sectors: u64,
 }
@@ -90,19 +81,14 @@ pub struct VirtioAppConfig {
 impl Default for VirtioAppConfig {
     fn default() -> Self {
         Self {
-            class: VirtioClass::Blk,
             rx: false,
             write: false,
             requests: 32,
             queue_depth: 1,
             request_bytes: 4096,
             os_submit_overhead: us(2),
-            bar0: 0x4000_0000,
-            ring_base: crate::platform::virtio_ring_window(0).start(),
             queue_size: 128,
             use_msix: false,
-            doorbell_base: crate::platform::INTC_BASE,
-            base_vector: crate::topology::MSI_VECTOR,
             capacity_sectors: 1 << 21,
         }
     }
@@ -117,11 +103,9 @@ impl Workload for VirtioAppConfig {
 
     /// The device class, BAR0 and virtqueue window come from the handle;
     /// under MSI-X every table vector's doorbell port is wired.
-    fn instantiate(mut self, index: usize, ep: &EndpointHandle) -> Attached<VirtioReportHandle> {
-        self.class =
+    fn instantiate(self, index: usize, ep: &EndpointHandle) -> Attached<VirtioReportHandle> {
+        let class =
             if ep.kind == EndpointKind::VirtioBlk { VirtioClass::Blk } else { VirtioClass::Net };
-        self.bar0 = ep.bar0;
-        self.ring_base = ep.virtio_ring.start();
         let mut wires = vec![(VIRTIO_APP_MEM_PORT, ep.cpu_mem_port)];
         if self.use_msix {
             assert!(ep.cpu_irq_ports.len() > 1, "MSI-X vectors not enabled for {}", ep.name);
@@ -131,7 +115,9 @@ impl Workload for VirtioAppConfig {
         } else {
             wires.push((VIRTIO_APP_IRQ_PORT, ep.cpu_irq_port));
         }
-        Attached::new(VirtioApp::new(format!("vdrv{index}"), self), wires)
+        let app =
+            VirtioApp::new(format!("vdrv{index}"), self, class, ep.bar0, ep.virtio_ring.start());
+        Attached::new(app, wires)
     }
 }
 
@@ -243,6 +229,12 @@ const K_SUBMIT: u32 = 1;
 pub struct VirtioApp {
     name: String,
     config: VirtioAppConfig,
+    /// Which device class the driver binds (decides the chain shape).
+    class: VirtioClass,
+    /// BAR0 of the function.
+    bar0: u64,
+    /// Base of the DRAM window the rings and buffers are laid out in.
+    ring_base: u64,
     ops: VecDeque<Op>,
     /// An op's request is on the wire awaiting its completion.
     inflight: bool,
@@ -265,11 +257,19 @@ pub struct VirtioApp {
 }
 
 impl VirtioApp {
-    /// Creates the workload; returns the component and its report handle.
-    pub fn new(name: impl Into<String>, config: VirtioAppConfig) -> (Self, VirtioReportHandle) {
+    /// Creates the driver for a `class` function at `bar0` whose rings and
+    /// buffers live from `ring_base`; returns the component and its report
+    /// handle.
+    pub fn new(
+        name: impl Into<String>,
+        config: VirtioAppConfig,
+        class: VirtioClass,
+        bar0: u64,
+        ring_base: u64,
+    ) -> (Self, VirtioReportHandle) {
         assert!(config.requests > 0 && config.queue_depth > 0);
         assert!(config.request_bytes > 0 && config.request_bytes <= 4096);
-        let per_chain = Self::descs_per_chain(&config);
+        let per_chain = Self::descs_per_chain(class);
         assert!(
             config.queue_depth * per_chain <= u32::from(config.queue_size),
             "queue depth {} needs {} descriptors, ring has {}",
@@ -278,13 +278,16 @@ impl VirtioApp {
             config.queue_size
         );
         if config.rx {
-            assert_eq!(config.class, VirtioClass::Net, "rx mode is a net datapath");
+            assert_eq!(class, VirtioClass::Net, "rx mode is a net datapath");
         }
         let report: VirtioReportHandle = Rc::new(RefCell::new(VirtioReport::default()));
         (
             Self {
                 name: name.into(),
                 config,
+                class,
+                bar0,
+                ring_base,
                 ops: VecDeque::new(),
                 inflight: false,
                 used_check_queued: false,
@@ -300,8 +303,8 @@ impl VirtioApp {
         )
     }
 
-    fn descs_per_chain(config: &VirtioAppConfig) -> u32 {
-        match config.class {
+    fn descs_per_chain(class: VirtioClass) -> u32 {
+        match class {
             VirtioClass::Blk => 3,
             VirtioClass::Net => 2,
         }
@@ -309,7 +312,7 @@ impl VirtioApp {
 
     /// The virtqueue the benchmark drives.
     fn target_queue(&self) -> u16 {
-        match (self.config.class, self.config.rx) {
+        match (self.class, self.config.rx) {
             (VirtioClass::Blk, _) => 0,
             (VirtioClass::Net, true) => 0,
             (VirtioClass::Net, false) => 1,
@@ -322,7 +325,7 @@ impl VirtioApp {
     // ring area.
 
     fn desc_base(&self) -> u64 {
-        self.config.ring_base + u64::from(self.target_queue()) * 0x4000
+        self.ring_base + u64::from(self.target_queue()) * 0x4000
     }
 
     fn avail_base(&self) -> u64 {
@@ -334,26 +337,24 @@ impl VirtioApp {
     }
 
     fn hdr_addr(&self, slot: u32) -> u64 {
-        self.config.ring_base + 0x2_0000 + u64::from(slot) * 0x100
+        self.ring_base + 0x2_0000 + u64::from(slot) * 0x100
     }
 
     fn status_addr(&self, slot: u32) -> u64 {
-        self.config.ring_base + 0x3_0000 + u64::from(slot) * 0x40
+        self.ring_base + 0x3_0000 + u64::from(slot) * 0x40
     }
 
     fn payload_addr(&self, slot: u32) -> u64 {
-        self.config.ring_base + 0x4_0000 + u64::from(slot) * 0x1000
+        self.ring_base + 0x4_0000 + u64::from(slot) * 0x1000
     }
 
     fn head_desc(&self, slot: u32) -> u16 {
-        (slot * Self::descs_per_chain(&self.config)) as u16
+        (slot * Self::descs_per_chain(self.class)) as u16
     }
 
     fn push_mmio_write(&mut self, offset: u64, value: u32) {
-        self.ops.push_back(Op::Write {
-            addr: self.config.bar0 + offset,
-            data: value.to_le_bytes().to_vec(),
-        });
+        self.ops
+            .push_back(Op::Write { addr: self.bar0 + offset, data: value.to_le_bytes().to_vec() });
     }
 
     fn push_dram_write(&mut self, addr: u64, data: Vec<u8>) {
@@ -381,11 +382,10 @@ impl VirtioApp {
             status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK,
         );
         if self.config.use_msix {
-            let vectors = pcisim_devices::virtio::num_msix_vectors(self.config.class);
+            let vectors = pcisim_devices::virtio::num_msix_vectors(self.class);
             for v in 0..vectors {
                 let entry = MSIX_TABLE_OFFSET + u64::from(v) * msix::ENTRY_SIZE;
-                let target =
-                    irq_message_addr(self.config.doorbell_base, self.config.base_vector + v as u8);
+                let target = irq_message_addr(INTC_BASE, MSI_VECTOR + v as u8);
                 self.push_mmio_write(entry + msix::ENTRY_ADDR_LO, target as u32);
                 self.push_mmio_write(entry + msix::ENTRY_ADDR_HI, (target >> 32) as u32);
                 self.push_mmio_write(entry + msix::ENTRY_DATA, 0x4000 | u32::from(v));
@@ -411,7 +411,7 @@ impl VirtioApp {
         let bytes = self.config.request_bytes;
         for slot in 0..self.config.queue_depth {
             let head = self.head_desc(slot);
-            match (self.config.class, self.config.rx, self.config.write) {
+            match (self.class, self.config.rx, self.config.write) {
                 (VirtioClass::Blk, _, write) => {
                     let data_flags = DESC_F_NEXT | if write { 0 } else { DESC_F_WRITE };
                     self.push_desc(
@@ -458,7 +458,7 @@ impl VirtioApp {
     /// rewrite, avail ring entry, avail index publish, doorbell.
     fn build_submission(&mut self, seq: u32) {
         let slot = seq % self.config.queue_depth;
-        if self.config.class == VirtioClass::Blk {
+        if self.class == VirtioClass::Blk {
             let sectors = u64::from(self.config.request_bytes.div_ceil(BLK_SECTOR_SIZE));
             let span = self.config.capacity_sectors.saturating_sub(sectors).max(1);
             let sector = (u64::from(seq) * sectors) % span;
@@ -493,7 +493,7 @@ impl VirtioApp {
                     Packet::request(id, Command::WriteReq, addr, size, ctx.self_id())
                         .with_payload(data)
                 }
-                Op::ReadIsr => mmio_read(ctx, self.config.bar0 + ISR_OFFSET),
+                Op::ReadIsr => mmio_read(ctx, self.bar0 + ISR_OFFSET),
                 Op::ReadUsedIdx => {
                     let id = ctx.alloc_packet_id();
                     Packet::request(id, Command::ReadReq, self.used_base() + 2, 2, ctx.self_id())

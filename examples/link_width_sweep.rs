@@ -9,7 +9,7 @@
 //! cargo run --release --example link_width_sweep [block_mb]
 //! ```
 
-use pcisim::pcie::params::LinkWidth;
+use pcisim::pcie::params::{LinkConfig, LinkWidth};
 use pcisim::system::prelude::*;
 
 fn main() {
@@ -21,11 +21,9 @@ fn main() {
     );
     let mut previous: Option<f64> = None;
     for lanes in [1u8, 2, 4, 8] {
-        let out = run_cold(&DdExperiment {
-            block_bytes: block_mb * 1024 * 1024,
-            width_all: Some(LinkWidth::new(lanes)),
-            ..DdExperiment::default()
-        });
+        let exp = DdExperiment { block_bytes: block_mb * 1024 * 1024, ..DdExperiment::default() };
+        let out =
+            run_cold(&exp.with_links(|link| LinkConfig { width: LinkWidth::new(lanes), ..link }));
         assert!(out.completed, "run must finish");
         let gain =
             previous.map(|p| format!("  ({:.2}x)", out.throughput_gbps / p)).unwrap_or_default();

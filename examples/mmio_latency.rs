@@ -49,10 +49,8 @@ fn main() {
 /// per-stage attribution. `cpu_overhead` is zeroed so that the traced
 /// stages partition the measured latency exactly.
 fn trace_run(path: &str) {
-    let out =
-        run_cold(&MmioExperiment { rc_latency: ns(150), reads: 8, cpu_overhead: 0, trace: true });
+    let (out, log) = run_traced(&MmioExperiment { rc_latency: ns(150), reads: 8, cpu_overhead: 0 });
     assert!(out.completed);
-    let log = out.trace.expect("trace requested");
     std::fs::write(path, log.to_perfetto_json()).expect("write trace file");
     println!("\nPerfetto trace written to {path} (open in ui.perfetto.dev).");
 

@@ -67,10 +67,8 @@ fn main() {
 
     if let Some(pos) = args.iter().position(|a| a == "--trace") {
         let path = args.get(pos + 1).cloned().unwrap_or_else(|| "nic_tx_trace.json".into());
-        let out =
-            run_cold(&NicTxExperiment { frames: 8, trace: true, ..NicTxExperiment::default() });
+        let (out, log) = run_traced(&NicTxExperiment { frames: 8, ..NicTxExperiment::default() });
         assert!(out.completed);
-        let log = out.trace.expect("trace requested");
         std::fs::write(&path, log.to_perfetto_json()).expect("write trace file");
         println!("\nPerfetto trace of an 8-frame x1 TX run written to {path}");
         println!("(open in ui.perfetto.dev: doorbell, descriptor and buffer");

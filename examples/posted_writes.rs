@@ -9,18 +9,15 @@
 //! cargo run --release --example posted_writes
 //! ```
 
-use pcisim::pcie::params::LinkWidth;
+use pcisim::pcie::params::{LinkConfig, LinkWidth};
 use pcisim::system::prelude::*;
 
 fn main() {
     println!("dd throughput with and without posted DMA writes (8 MB block):\n");
     println!("{:>6} {:>16} {:>13} {:>8}", "width", "non-posted Gb/s", "posted Gb/s", "gain");
     for lanes in [1u8, 2, 4, 8] {
-        let base = DdExperiment {
-            block_bytes: 8 * 1024 * 1024,
-            width_all: Some(LinkWidth::new(lanes)),
-            ..DdExperiment::default()
-        };
+        let base = DdExperiment { block_bytes: 8 * 1024 * 1024, ..DdExperiment::default() }
+            .with_links(|link| LinkConfig { width: LinkWidth::new(lanes), ..link });
         let nonposted = run_cold(&base);
         let posted = run_cold(&DdExperiment { posted_writes: true, ..base });
         assert!(nonposted.completed && posted.completed);

@@ -6,9 +6,9 @@
 
 use pcisim::kernel::sim::RunOutcome;
 use pcisim::kernel::tick::{ns, TICKS_PER_SEC};
-use pcisim::pcie::params::Generation;
+use pcisim::pcie::params::{Generation, LinkConfig};
 use pcisim::system::experiments::{
-    error_rate_ladder, run_cold, DdExperiment, DdOutcome, FaultExperiment, FaultOutcome,
+    error_rate_ladder, run_cold, run_traced, DdExperiment, DdOutcome,
 };
 use pcisim::system::sweep::run_sweep;
 use pcisim::system::workload::dd::DdConfig;
@@ -32,11 +32,10 @@ fn outcome_fingerprint(o: &DdOutcome) -> [u64; 7] {
 
 #[test]
 fn identical_configs_produce_identical_outcomes_and_traces() {
-    let exp = DdExperiment { block_bytes: 64 * KB, trace: true, ..DdExperiment::default() };
-    let a = run_cold(&exp);
-    let b = run_cold(&exp);
+    let exp = DdExperiment { block_bytes: 64 * KB, ..DdExperiment::default() };
+    let (a, ta) = run_traced(&exp);
+    let (b, tb) = run_traced(&exp);
     assert_eq!(outcome_fingerprint(&a), outcome_fingerprint(&b));
-    let (ta, tb) = (a.trace.expect("traced run"), b.trace.expect("traced run"));
     assert_eq!(ta.dropped, tb.dropped);
     assert_eq!(ta.names, tb.names);
     assert_eq!(ta.events, tb.events, "event traces must be identical");
@@ -87,10 +86,10 @@ fn stats_snapshot_is_reproducible_and_matches_golden() {
     assert_eq!(a.fnv(), GOLDEN_STATS_FNV, "got {:#018x}", a.fnv());
 }
 
-/// Every field of a [`FaultOutcome`], floats compared bit-for-bit.
-fn fault_fingerprint(o: &FaultOutcome) -> [u64; 9] {
+/// Every link-error field of a [`DdOutcome`] beside the goodput, floats
+/// compared bit-for-bit.
+fn fault_fingerprint(o: &DdOutcome) -> [u64; 8] {
     [
-        o.error_interval,
         o.throughput_gbps.to_bits(),
         o.sim_time,
         o.corrupt_drops,
@@ -108,8 +107,8 @@ fn fault_fingerprint(o: &FaultOutcome) -> [u64; 9] {
 /// and which AER bits the endpoint latches.
 #[test]
 fn faulty_run_is_deterministic_and_matches_golden() {
-    let exp =
-        FaultExperiment { block_bytes: 64 * KB, error_interval: 13, ..FaultExperiment::default() };
+    let exp = DdExperiment { block_bytes: 64 * KB, ..DdExperiment::default() }
+        .with_links(|link| LinkConfig { error_interval: 13, ..link });
     let a = run_cold(&exp);
     let b = run_cold(&exp);
     assert_eq!(fault_fingerprint(&a), fault_fingerprint(&b));
@@ -128,10 +127,11 @@ fn faulty_run_is_deterministic_and_matches_golden() {
 /// must be bit-identical to the serial reference.
 #[test]
 fn fault_sweep_serial_equals_parallel() {
-    let ladder = error_rate_ladder(Generation::Gen2, None, 64 * KB);
+    let ladder =
+        error_rate_ladder(&DdExperiment { block_bytes: 64 * KB, ..DdExperiment::default() });
     let serial = run_sweep(&ladder, 1, run_cold);
     let parallel = run_sweep(&ladder, 4, run_cold);
-    let fingerprints = |v: &[FaultOutcome]| v.iter().map(fault_fingerprint).collect::<Vec<_>>();
+    let fingerprints = |v: &[DdOutcome]| v.iter().map(fault_fingerprint).collect::<Vec<_>>();
     assert_eq!(fingerprints(&serial), fingerprints(&parallel));
 }
 
@@ -143,11 +143,13 @@ fn serial_and_parallel_sweeps_are_bit_identical() {
     let configs: Vec<DdExperiment> = [50u64, 90, 130]
         .into_iter()
         .flat_map(|lat| {
-            [1usize, 4].map(|rb| DdExperiment {
-                block_bytes: 64 * KB,
-                switch_latency: ns(lat),
-                replay_buffer: rb,
-                ..DdExperiment::default()
+            [1usize, 4].map(|rb| {
+                DdExperiment {
+                    block_bytes: 64 * KB,
+                    switch_latency: ns(lat),
+                    ..DdExperiment::default()
+                }
+                .with_links(|link| LinkConfig { replay_buffer_size: rb, ..link })
             })
         })
         .collect();
@@ -182,7 +184,7 @@ fn three_root_port_topology_matches_golden() {
     let run = || {
         let mut built = build_topology(Topology::three_root_ports());
         let dd0 = built.attach_dd(0, Dd { block_bytes: 256 * KB, ..Dd::default() });
-        let tx = built.attach_nic_tx(1, NicTxConfig { frames: 64, ..NicTxConfig::default() });
+        let tx = built.attach(1, NicTxConfig { frames: 64, ..NicTxConfig::default() });
         let dd2 = built.attach_dd(2, Dd { block_bytes: 256 * KB, ..Dd::default() });
         assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
         assert!(dd0.borrow().done && dd2.borrow().done);

@@ -120,14 +120,12 @@ fn throughput_is_deterministic_across_runs() {
 #[test]
 fn mmio_trace_spans_sum_to_end_to_end_latency() {
     use pcisim::kernel::tick::{ns, Tick};
-    use pcisim::system::prelude::{run_cold, MmioExperiment, Stage};
+    use pcisim::system::prelude::{run_traced, MmioExperiment, Stage};
 
     // With the CPU-side overhead zeroed, the traced custody intervals
     // must partition each read's measured end-to-end latency exactly.
-    let out =
-        run_cold(&MmioExperiment { rc_latency: ns(150), reads: 4, cpu_overhead: 0, trace: true });
+    let (out, log) = run_traced(&MmioExperiment { rc_latency: ns(150), reads: 4, cpu_overhead: 0 });
     assert!(out.completed);
-    let log = out.trace.expect("trace requested");
     assert_eq!(log.dropped, 0, "a 4-read run must fit the ring");
 
     let attr = log.attribution();
@@ -157,12 +155,16 @@ fn mmio_trace_spans_sum_to_end_to_end_latency() {
 #[test]
 fn tracing_disabled_leaves_no_events_and_identical_results() {
     use pcisim::kernel::tick::ns;
-    use pcisim::system::prelude::{run_cold, MmioExperiment};
+    use pcisim::system::prelude::{run_cold, run_traced, Experiment, MmioExperiment};
 
-    let base = MmioExperiment { rc_latency: ns(150), reads: 4, cpu_overhead: 0, trace: false };
-    let off = run_cold(&base);
-    let on = run_cold(&MmioExperiment { trace: true, ..base });
-    assert!(off.trace.is_none(), "no trace unless asked");
+    let exp = MmioExperiment { rc_latency: ns(150), reads: 4, cpu_overhead: 0 };
+    let off = run_cold(&exp);
+    let (on, log) = run_traced(&exp);
+    assert!(!log.events.is_empty(), "a traced run records events");
+    let mut built = build_topology(exp.topology());
+    exp.attach(&mut built);
+    assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
+    assert!(built.sim.take_trace().events.is_empty(), "no trace unless asked");
     assert_eq!(off.mean_ns, on.mean_ns, "tracing must not perturb timing");
 }
 
@@ -199,10 +201,8 @@ fn msix_four_queue_doorbells_are_traced_through_the_fabric() {
     const QUEUES: u32 = 4;
     const FRAMES: u32 = 32;
     let mut built = build_topology(Topology::nic_msix(QUEUES, 0).with_tracing());
-    let report = built.attach_msix_tx(
-        0,
-        MsixTxConfig { queues: QUEUES, frames: FRAMES, ..MsixTxConfig::default() },
-    );
+    let report =
+        built.attach(0, MsixTxConfig { queues: QUEUES, frames: FRAMES, ..MsixTxConfig::default() });
     assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
 
     // Every queue carried its share and every completion interrupted.
@@ -256,8 +256,7 @@ fn msix_moderation_coalesces_under_load_end_to_end() {
     use pcisim::system::prelude::MsixTxConfig;
 
     let mut built = build_topology(Topology::nic_msix(4, us(100)));
-    let report =
-        built.attach_msix_tx(0, MsixTxConfig { queues: 4, frames: 64, ..MsixTxConfig::default() });
+    let report = built.attach(0, MsixTxConfig { queues: 4, frames: 64, ..MsixTxConfig::default() });
     assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
     let r = report.borrow().clone();
     assert!(r.done);

@@ -4,7 +4,7 @@
 //! silently bending the curves.
 
 use pcisim::kernel::tick::ns;
-use pcisim::pcie::params::LinkWidth;
+use pcisim::pcie::params::{Generation, LinkConfig, LinkWidth};
 use pcisim::system::prelude::*;
 
 const MB: u64 = 1024 * 1024;
@@ -15,6 +15,12 @@ fn dd(mutate: impl FnOnce(&mut DdExperiment)) -> DdOutcome {
     let out = run_cold(&exp);
     assert!(out.completed, "experiment must finish: {out:?}");
     out
+}
+
+/// Applies `knob` to both links of `exp`.
+fn links(exp: &mut DdExperiment, knob: impl Fn(&mut LinkConfig)) {
+    knob(&mut exp.root_link);
+    knob(&mut exp.device_link);
 }
 
 #[test]
@@ -40,8 +46,10 @@ fn fig9a_throughput_grows_with_block_size() {
 
 #[test]
 fn fig9b_width_scaling_matches_the_paper_trend() {
-    let out: Vec<DdOutcome> =
-        [1u8, 2, 4, 8].iter().map(|&l| dd(|e| e.width_all = Some(LinkWidth::new(l)))).collect();
+    let out: Vec<DdOutcome> = [1u8, 2, 4, 8]
+        .iter()
+        .map(|&l| dd(|e| links(e, |link| link.width = LinkWidth::new(l))))
+        .collect();
     let t: Vec<f64> = out.iter().map(|o| o.throughput_gbps).collect();
     // x1 → x2: the paper reports 1.67x; accept 1.4–1.9.
     let gain12 = t[1] / t[0];
@@ -65,8 +73,10 @@ fn fig9c_small_replay_buffers_source_throttle() {
         .iter()
         .map(|&rb| {
             dd(|e| {
-                e.width_all = Some(LinkWidth::X8);
-                e.replay_buffer = rb;
+                links(e, |link| {
+                    link.width = LinkWidth::X8;
+                    link.replay_buffer_size = rb;
+                })
             })
         })
         .collect();
@@ -88,7 +98,7 @@ fn fig9d_bigger_port_buffers_absorb_the_burst() {
         .iter()
         .map(|&pb| {
             dd(|e| {
-                e.width_all = Some(LinkWidth::X8);
+                links(e, |link| link.width = LinkWidth::X8);
                 e.port_buffers = pb;
             })
         })
@@ -111,7 +121,7 @@ fn fig9d_bigger_port_buffers_absorb_the_burst() {
 fn fig9d_saturation_sits_near_the_papers_five_gbps() {
     let out = dd(|e| {
         e.block_bytes = 8 * MB;
-        e.width_all = Some(LinkWidth::X8);
+        links(e, |link| link.width = LinkWidth::X8);
         e.port_buffers = 28;
     });
     // Paper: ~5.08 Gb/s saturated. Accept ±15%.
@@ -166,8 +176,8 @@ fn sector_microbench_sits_at_the_wire_limit() {
 
 #[test]
 fn gen3_outruns_gen2_on_the_same_lanes() {
-    let gen2 = dd(|e| e.generation = pcisim::pcie::params::Generation::Gen2);
-    let gen3 = dd(|e| e.generation = pcisim::pcie::params::Generation::Gen3);
+    let gen2 = dd(|e| links(e, |link| link.generation = Generation::Gen2));
+    let gen3 = dd(|e| links(e, |link| link.generation = Generation::Gen3));
     assert!(
         gen3.throughput_gbps > gen2.throughput_gbps,
         "Gen 3 (8 GT/s, 128b/130b) must beat Gen 2: {} vs {}",

@@ -117,7 +117,7 @@ fn build_with_workloads(shape: &[u8]) -> TopologySystem {
                 },
             );
         } else {
-            let _ = sys.attach_nic_tx(i, NicTxConfig { frames: 8, ..NicTxConfig::default() });
+            let _ = sys.attach(i, NicTxConfig { frames: 8, ..NicTxConfig::default() });
         }
     }
     sys
@@ -295,8 +295,8 @@ fn msix_moderation_checkpoint_restores_bit_identically() {
 
     let build = || {
         let mut built = build_topology(Topology::nic_msix(4, us(100)));
-        let report = built
-            .attach_msix_tx(0, MsixTxConfig { queues: 4, frames: 64, ..MsixTxConfig::default() });
+        let report =
+            built.attach(0, MsixTxConfig { queues: 4, frames: 64, ..MsixTxConfig::default() });
         (built, report)
     };
 
@@ -332,8 +332,8 @@ fn backpressured_endpoint_checkpoints_restore_bit_identically() {
 
     let nic = || {
         let mut built = build_topology(Topology::nic_msix(4, 0));
-        let report = built
-            .attach_msix_tx(0, MsixTxConfig { queues: 4, frames: 32, ..MsixTxConfig::default() });
+        let report =
+            built.attach(0, MsixTxConfig { queues: 4, frames: 32, ..MsixTxConfig::default() });
         (built, report)
     };
     let (_, report) = assert_cut_points_resume_bit_identically(nic, |r| r.borrow().done);

@@ -69,7 +69,7 @@ fn attach_all(sys: &mut TopologySystem) -> Vec<Report> {
                 }
                 EndpointKind::Nic => {
                     let tx = NicTxConfig { frames: NIC_FRAMES, ..NicTxConfig::default() };
-                    let r = sys.attach_nic_tx(i, tx);
+                    let r = sys.attach(i, tx);
                     Box::new(move || (r.borrow().done, r.borrow().frames))
                 }
                 EndpointKind::CxlExpander => {
