@@ -1,4 +1,5 @@
-//! Lightweight statistics: counters, histograms and a snapshot format.
+//! Lightweight statistics: counters, histograms, exact latency logs and a
+//! snapshot format.
 //!
 //! Components own their statistics as plain fields and export them through
 //! [`Component::report_stats`](crate::component::Component::report_stats)
@@ -8,7 +9,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::snapshot::{fnv1a, State, FNV_OFFSET};
+use crate::snapshot::{fnv1a, SnapshotError, State, StateReader, StateWriter, FNV_OFFSET};
+use crate::tick::Tick;
 
 /// A monotonically increasing event counter.
 ///
@@ -179,6 +181,105 @@ impl State for Histogram {
     crate::state_fields!(state self; count, sum, min, max, buckets);
 }
 
+/// An exact per-op latency log: every sample, in arrival order, held as
+/// run-length `(value, count)` runs.
+///
+/// A stream of equal latencies — a latency-bound probe, an uncontended
+/// memory stream — stays one run however long it grows, so memory is
+/// O(runs) rather than O(samples), and every query is O(runs).
+///
+/// ```
+/// use pcisim_kernel::stats::Latencies;
+/// let mut l = Latencies::default();
+/// for t in [5, 5, 5, 9] {
+///     l.push(t);
+/// }
+/// assert_eq!(l.len(), 4);
+/// assert_eq!((l.sum(), l.min(), l.max()), (24, Some(5), Some(9)));
+/// assert_eq!(l.iter().copied().collect::<Vec<_>>(), [5, 5, 5, 9]);
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Latencies {
+    /// `(sample, repeats)`; no run is empty and adjacent runs differ.
+    runs: Vec<(Tick, usize)>,
+}
+
+impl Latencies {
+    /// Appends one sample.
+    #[inline]
+    pub fn push(&mut self, t: Tick) {
+        self.push_run(t, 1);
+    }
+
+    /// Appends every sample of `other`, in its order.
+    pub fn extend_from(&mut self, other: &Latencies) {
+        for &(t, n) in &other.runs {
+            self.push_run(t, n);
+        }
+    }
+
+    /// Appends `n >= 1` copies of `t`, growing the last run when it holds `t`.
+    #[inline]
+    fn push_run(&mut self, t: Tick, n: usize) {
+        match self.runs.last_mut() {
+            Some((last, m)) if *last == t => *m += n,
+            _ => self.runs.push((t, n)),
+        }
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.runs.iter().map(|&(_, n)| n).sum()
+    }
+
+    /// Whether no sample was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+
+    /// Every sample, in arrival order.
+    pub fn iter(&self) -> impl Iterator<Item = &Tick> + '_ {
+        self.runs.iter().flat_map(|(t, n)| std::iter::repeat_n(t, *n))
+    }
+
+    /// Sum of the samples.
+    pub fn sum(&self) -> Tick {
+        self.runs.iter().map(|&(t, n)| t * n as Tick).sum()
+    }
+
+    /// Smallest sample, if any.
+    pub fn min(&self) -> Option<Tick> {
+        self.runs.iter().map(|&(t, _)| t).min()
+    }
+
+    /// Largest sample, if any.
+    pub fn max(&self) -> Option<Tick> {
+        self.runs.iter().map(|&(t, _)| t).max()
+    }
+}
+
+/// The same bytes a `Vec<Tick>` of the samples writes: the count, then
+/// every sample. Loading rebuilds the runs one sample at a time, so no
+/// allocation is sized by a length from the stream.
+impl State for Latencies {
+    fn save(&self, w: &mut StateWriter) {
+        w.usize(self.len());
+        for &t in self.iter() {
+            w.u64(t);
+        }
+    }
+
+    fn load(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        let n = r.usize()?;
+        let mut log = Latencies::default();
+        for _ in 0..n {
+            log.push(r.u64()?);
+        }
+        *self = log;
+        Ok(())
+    }
+}
+
 /// Collects named statistics from one component.
 #[derive(Debug, Default)]
 pub struct StatsBuilder {
@@ -327,6 +428,81 @@ impl fmt::Display for StatsSnapshot {
 mod tests {
     use super::*;
     use crate::testutil::check_state_codec;
+    use proptest::prelude::*;
+
+    /// Pushes from a four-value alphabet, so adjacent repeats form runs.
+    fn samples() -> impl Strategy<Value = Vec<Tick>> {
+        collection::vec(prop_oneof![Just(0), Just(52_500), Just(518_000), Just(1 << 40)], 0..48)
+    }
+
+    fn log_of(samples: &[Tick]) -> Latencies {
+        let mut log = Latencies::default();
+        for &t in samples {
+            log.push(t);
+        }
+        log
+    }
+
+    fn saved(v: &impl State) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        v.save(&mut w);
+        w.into_bytes()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The log answers every query exactly as the plain sample vector
+        /// does, and checkpoints to the vector's bytes.
+        #[test]
+        fn latencies_agree_with_a_sample_vec(v in samples()) {
+            let log = log_of(&v);
+            prop_assert_eq!(log.len(), v.len());
+            prop_assert_eq!(log.is_empty(), v.is_empty());
+            prop_assert_eq!(log.iter().copied().collect::<Vec<_>>(), v.clone());
+            prop_assert_eq!(log.sum(), v.iter().sum::<Tick>());
+            prop_assert_eq!(log.min(), v.iter().copied().min());
+            prop_assert_eq!(log.max(), v.iter().copied().max());
+            let changes = v.windows(2).filter(|w| w[0] != w[1]).count();
+            prop_assert_eq!(log.runs.len(), if v.is_empty() { 0 } else { changes + 1 });
+
+            let bytes = saved(&log);
+            prop_assert_eq!(&bytes, &saved(&v));
+            let mut back = log_of(&[7, 7]);
+            let mut r = StateReader::new(&bytes);
+            prop_assert_eq!(back.load(&mut r), Ok(()));
+            prop_assert_eq!(r.finish("log"), Ok(()));
+            prop_assert_eq!(&back, &log);
+            for len in 0..bytes.len() {
+                let mut cut = Latencies::default();
+                let got = cut.load(&mut StateReader::new(&bytes[..len]));
+                prop_assert!(matches!(got, Err(SnapshotError::Truncated { .. })), "{len}: {got:?}");
+            }
+        }
+
+        #[test]
+        fn extending_a_log_concatenates_its_samples(a in samples(), b in samples()) {
+            let mut log = log_of(&a);
+            log.extend_from(&log_of(&b));
+            prop_assert_eq!(log, log_of(&[a, b].concat()));
+        }
+    }
+
+    #[test]
+    fn equal_latencies_stay_one_run() {
+        let mut log = Latencies::default();
+        for _ in 0..1_000_000 {
+            log.push(518_000);
+        }
+        assert_eq!(log.runs, [(518_000, 1_000_000)]);
+        assert_eq!(log.len(), 1_000_000);
+        assert_eq!(log.sum(), 518_000 * 1_000_000);
+    }
+
+    #[test]
+    fn latencies_survive_the_hostile_bytes_check() {
+        check_state_codec(&log_of(&[3, 3, 9, 3]), Latencies::default);
+    }
 
     #[test]
     fn histogram_survives_the_hostile_bytes_check() {

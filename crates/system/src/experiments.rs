@@ -19,7 +19,7 @@ use pcisim_devices::ide::IdeDiskConfig;
 use pcisim_devices::nic::NicConfig;
 use pcisim_devices::virtio::{VirtioClass, VirtioConfig};
 use pcisim_kernel::sim::{RunOutcome, Simulation};
-use pcisim_kernel::stats::StatsSnapshot;
+use pcisim_kernel::stats::{Latencies, StatsSnapshot};
 use pcisim_kernel::tick::{self, to_ns, Tick};
 use pcisim_kernel::trace::TraceLog;
 use pcisim_pci::caps::aer_status;
@@ -1130,14 +1130,14 @@ impl Experiment for CxlExperiment {
     }
 
     fn collect(&self, fin: &Finished, reports: &Vec<CxlHostReportHandle>) -> CxlOutcome {
-        let mut latencies: Vec<Tick> = Vec::new();
+        let mut latencies = Latencies::default();
         let mut gbps = 0.0;
         let mut completed_accesses = 0u64;
         let mut stalls = 0u64;
         let mut done = true;
         for report in reports {
             let r = report.borrow();
-            latencies.extend_from_slice(&r.latencies);
+            latencies.extend_from(&r.latencies);
             gbps += r.throughput_gbps();
             completed_accesses += r.completed;
             stalls += r.stalls;
@@ -1146,12 +1146,12 @@ impl Experiment for CxlExperiment {
         let mean_ns = if latencies.is_empty() {
             0.0
         } else {
-            to_ns(latencies.iter().sum::<Tick>()) / latencies.len() as f64
+            to_ns(latencies.sum()) / latencies.len() as f64
         };
         CxlOutcome {
             mean_ns,
-            min_ns: latencies.iter().copied().min().map_or(0.0, to_ns),
-            max_ns: latencies.iter().copied().max().map_or(0.0, to_ns),
+            min_ns: latencies.min().map_or(0.0, to_ns),
+            max_ns: latencies.max().map_or(0.0, to_ns),
             gbps,
             completed_accesses,
             stalls,

@@ -57,7 +57,7 @@ use pcisim_pcie::router::{
 };
 
 use crate::platform;
-use crate::workload::cxl::{CxlHostConfig, CxlHostReportHandle};
+use crate::workload::cxl::{CxlHostConfig, CxlHostReportHandle, LocalDram};
 use crate::workload::dd::{DdConfig, DdReportHandle};
 use crate::workload::mmio::{MmioProbeConfig, MmioReportHandle};
 use crate::workload::pmd::{PmdConfig, PmdReportHandle};
@@ -985,14 +985,14 @@ impl TopologySystem {
     /// Attaches a CXL.mem host load/store stream (`cxlhost{index}`)
     /// against an expander's HDM window.
     pub fn attach_cxl_host(&mut self, index: usize, config: CxlHostConfig) -> CxlHostReportHandle {
-        self.attach(index, CxlHostConfig { use_cxl: true, ..config })
+        self.attach(index, config)
     }
 
     /// Attaches the same engine (`dramhost{index}`) against a local DRAM
     /// slice — the local arm of the local-vs-CXL comparison, using
     /// endpoint `index`'s reserved CPU port.
     pub fn attach_dram_host(&mut self, index: usize, config: CxlHostConfig) -> CxlHostReportHandle {
-        self.attach(index, CxlHostConfig { use_cxl: false, ..config })
+        self.attach(index, LocalDram(config))
     }
 
     /// Attaches a virtio guest driver (`vdrv{index}`) to a virtio
@@ -1672,6 +1672,38 @@ mod tests {
         assert!(built.probe.is_some(), "the CXL device table must match the expander");
     }
 
+    /// The attach wrapper alone picks the arm: `attach_cxl_host` names the
+    /// stream `cxlhost0` and aims it at the expander's HDM window,
+    /// `attach_dram_host` names it `dramhost0` and aims it at local DRAM.
+    #[test]
+    fn cxl_and_dram_wrappers_pick_the_name_and_window() {
+        use crate::workload::cxl::CxlHostConfig;
+        let config = CxlHostConfig { requests: 8, ..CxlHostConfig::default() };
+        let run = |cxl: bool| {
+            let mut built = build_topology(Topology::cxl_direct(Default::default()));
+            let report = if cxl {
+                built.attach_cxl_host(0, config.clone())
+            } else {
+                built.attach_dram_host(0, config.clone())
+            };
+            assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
+            assert!(report.borrow().done);
+            built.sim.stats()
+        };
+        let cxl = run(true);
+        assert_eq!(cxl.get("cxlhost0.completed"), Some(8.0));
+        assert_eq!(cxl.get("dramhost0.completed"), None);
+        assert_eq!(cxl.get("mem0.reads"), Some(8.0), "every load decodes into the HDM window");
+        assert_eq!(cxl.get("mem0.hdm_rejects"), Some(0.0));
+        assert_eq!(cxl.get("dram.reads"), Some(0.0));
+
+        let local = run(false);
+        assert_eq!(local.get("dramhost0.completed"), Some(8.0));
+        assert_eq!(local.get("cxlhost0.completed"), None);
+        assert_eq!(local.get("dram.reads"), Some(8.0), "every load lands in local DRAM");
+        assert_eq!(local.get("mem0.reads"), Some(0.0));
+    }
+
     #[test]
     fn cxl_host_chases_pointers_through_the_full_fabric() {
         use crate::workload::cxl::{CxlHostConfig, CxlHostMode};
@@ -1785,6 +1817,40 @@ mod tests {
         assert!(r.done, "all frames must transmit");
         assert_eq!(r.requests, 16);
         assert_eq!(r.bytes, 16 * 1514);
+    }
+
+    #[test]
+    fn virtio_net_rx_receives_every_generated_frame() {
+        use crate::workload::virtio::VirtioAppConfig;
+        use pcisim_devices::traffic::{TrafficConfig, TrafficSpec};
+        let cfg = VirtioConfig {
+            class: VirtioClass::Net,
+            rx_source: Some(TrafficSpec::Generate(TrafficConfig {
+                frames: 16,
+                ..TrafficConfig::default()
+            })),
+            ..Default::default()
+        };
+        let mut built = build_topology(Topology::virtio_net_direct(cfg));
+        let drv = built.attach_virtio(
+            0,
+            VirtioAppConfig {
+                requests: 16,
+                queue_depth: 4,
+                request_bytes: 1514,
+                rx: true,
+                ..VirtioAppConfig::default()
+            },
+        );
+        assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
+        let r = drv.borrow();
+        assert!(r.done, "every posted buffer must be filled");
+        assert_eq!(r.requests, 16);
+        assert_eq!(r.bytes, 16 * 1514);
+        let stats = built.sim.stats();
+        assert_eq!(stats.get("vnet0.frames_rx"), Some(16.0));
+        assert_eq!(stats.get("vnet0.desc_faults"), Some(0.0));
+        assert_eq!(stats.get("vnet0.rx_overruns"), Some(0.0));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, CompletionStatus, Packet};
 use pcisim_kernel::queue::TimedQueue;
 use pcisim_kernel::sim::Ctx;
-use pcisim_kernel::stats::StatsBuilder;
+use pcisim_kernel::stats::{Latencies, StatsBuilder};
 use pcisim_kernel::tick::{ns, to_ns, Tick, TICKS_PER_SEC};
 use pcisim_kernel::{snapshot, state_fields};
 
@@ -62,9 +62,6 @@ pub struct CxlHostConfig {
     /// Blocks in the pointer chain (the chase cycles when `requests`
     /// exceeds it).
     pub chain_blocks: u32,
-    /// Issue CXL.mem commands (`CxlMemRd`/`CxlMemWr`); `false` issues
-    /// plain Memory Read/Write TLPs for the local-DRAM arm.
-    pub use_cxl: bool,
 }
 
 impl Default for CxlHostConfig {
@@ -79,36 +76,45 @@ impl Default for CxlHostConfig {
             access_bytes: 64,
             cpu_overhead: ns(10),
             chain_blocks: 64,
-            use_cxl: true,
         }
     }
 }
 
-/// Both arms of the local-vs-CXL comparison: with `use_cxl` the stream
-/// (named `cxlhost{index}`) walks the expander's HDM window; without it
-/// the same engine (named `dramhost{index}`) walks a local DRAM slice with
-/// plain Memory Read/Write TLPs through any endpoint's reserved CPU port.
+/// The CXL arm of the local-vs-CXL comparison: the stream (named
+/// `cxlhost{index}`) walks the expander's HDM window with CXL.mem
+/// commands.
 impl Workload for CxlHostConfig {
     type Report = CxlHostReportHandle;
 
     fn accepts(&self) -> &'static [EndpointKind] {
-        if self.use_cxl {
-            &[EndpointKind::CxlExpander]
-        } else {
-            &EndpointKind::ALL
-        }
+        &[EndpointKind::CxlExpander]
     }
 
     fn instantiate(self, index: usize, ep: &EndpointHandle) -> Attached<CxlHostReportHandle> {
-        let (name, window) = if self.use_cxl {
-            (format!("cxlhost{index}"), ep.hdm)
-        } else {
-            let dram =
-                AddrRange::with_size(platform::DRAM_BASE + 0x2000_0000, platform::CXL_HDM_STRIDE);
-            (format!("dramhost{index}"), dram)
-        };
         Attached::new(
-            CxlHostApp::new(name, self, window),
+            CxlHostApp::new(format!("cxlhost{index}"), self, ep.hdm, true),
+            vec![(CXL_HOST_MEM_PORT, ep.cpu_mem_port)],
+        )
+    }
+}
+
+/// The local arm of the comparison: the same engine (named
+/// `dramhost{index}`) walks a local DRAM slice with plain Memory
+/// Read/Write TLPs through any endpoint's reserved CPU port.
+pub(crate) struct LocalDram(pub(crate) CxlHostConfig);
+
+impl Workload for LocalDram {
+    type Report = CxlHostReportHandle;
+
+    fn accepts(&self) -> &'static [EndpointKind] {
+        &EndpointKind::ALL
+    }
+
+    fn instantiate(self, index: usize, ep: &EndpointHandle) -> Attached<CxlHostReportHandle> {
+        let window =
+            AddrRange::with_size(platform::DRAM_BASE + 0x2000_0000, platform::CXL_HDM_STRIDE);
+        Attached::new(
+            CxlHostApp::new(format!("dramhost{index}"), self.0, window, false),
             vec![(CXL_HOST_MEM_PORT, ep.cpu_mem_port)],
         )
     }
@@ -125,8 +131,9 @@ pub struct CxlHostReport {
     pub bytes: u64,
     /// Open-loop slots skipped because the in-flight window was full.
     pub stalls: u64,
-    /// Per-access round-trip latencies (including `cpu_overhead`).
-    pub latencies: Vec<Tick>,
+    /// Every access's round-trip latency (including `cpu_overhead`), in
+    /// completion order; a run of equal accesses is stored once.
+    pub latencies: Latencies,
     /// Tick of the first timed issue.
     pub start: Option<Tick>,
     /// Tick of the last completion.
@@ -141,17 +148,17 @@ impl CxlHostReport {
         if self.latencies.is_empty() {
             return 0.0;
         }
-        to_ns(self.latencies.iter().sum::<Tick>()) / self.latencies.len() as f64
+        to_ns(self.latencies.sum()) / self.latencies.len() as f64
     }
 
     /// Smallest observed latency in nanoseconds.
     pub fn min_ns(&self) -> f64 {
-        self.latencies.iter().copied().min().map_or(0.0, to_ns)
+        self.latencies.min().map_or(0.0, to_ns)
     }
 
     /// Largest observed latency in nanoseconds.
     pub fn max_ns(&self) -> f64 {
-        self.latencies.iter().copied().max().map_or(0.0, to_ns)
+        self.latencies.max().map_or(0.0, to_ns)
     }
 
     /// Achieved bandwidth over the timed phase in Gb/s.
@@ -187,6 +194,9 @@ pub struct CxlHostApp {
     config: CxlHostConfig,
     /// Address window the stream walks.
     window: AddrRange,
+    /// Issue CXL.mem commands (`CxlMemRd`/`CxlMemWr`) rather than plain
+    /// Memory Read/Write TLPs.
+    cxl: bool,
     /// Phase of the chase ([`PHASE_SETUP`] writes the chain first);
     /// open-loop streams start in [`PHASE_RUN`].
     phase: u8,
@@ -204,12 +214,14 @@ pub struct CxlHostApp {
 }
 
 impl CxlHostApp {
-    /// Creates the engine walking `window`; returns the component and its
-    /// report handle.
+    /// Creates the engine walking `window`, with CXL.mem commands when
+    /// `cxl` holds and plain Memory Read/Write TLPs otherwise; returns the
+    /// component and its report handle.
     pub fn new(
         name: impl Into<String>,
         config: CxlHostConfig,
         window: AddrRange,
+        cxl: bool,
     ) -> (Self, CxlHostReportHandle) {
         assert!(config.requests > 0, "the engine needs at least one access");
         assert!(config.outstanding > 0, "the in-flight window must admit one access");
@@ -232,6 +244,7 @@ impl CxlHostApp {
                 cpu: TimedQueue::unbounded(),
                 config,
                 window,
+                cxl,
                 report: report.clone(),
             },
             report,
@@ -239,7 +252,7 @@ impl CxlHostApp {
     }
 
     fn read_cmd(&self) -> Command {
-        if self.config.use_cxl {
+        if self.cxl {
             Command::CxlMemRd
         } else {
             Command::ReadReq
@@ -247,7 +260,7 @@ impl CxlHostApp {
     }
 
     fn write_cmd(&self) -> Command {
-        if self.config.use_cxl {
+        if self.cxl {
             Command::CxlMemWr
         } else {
             Command::WriteReq
@@ -423,7 +436,7 @@ impl Component for CxlHostApp {
                     self.chain_addr((i + 1) % blocks)
                 };
                 let next = match &payload {
-                    Some(data) if self.config.use_cxl => {
+                    Some(data) if self.cxl => {
                         let mut b = [0u8; 8];
                         b.copy_from_slice(&data[..8]);
                         let got = u64::from_le_bytes(b);
@@ -485,7 +498,7 @@ mod tests {
         );
         program_hdm(&mut cs.borrow_mut(), window());
         let e = sim.add(Box::new(exp));
-        let (app, report) = CxlHostApp::new("cxlhost", config, window());
+        let (app, report) = CxlHostApp::new("cxlhost", config, window(), true);
         let a = sim.add(Box::new(app));
         sim.connect((a, CXL_HOST_MEM_PORT), (e, CXL_PIO_PORT));
         assert_eq!(sim.run(us(400_000), u64::MAX), RunOutcome::QueueEmpty);

@@ -14,7 +14,7 @@ use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{Command, Packet};
 use pcisim_kernel::queue::TimedQueue;
 use pcisim_kernel::sim::Ctx;
-use pcisim_kernel::stats::StatsBuilder;
+use pcisim_kernel::stats::{Latencies, StatsBuilder};
 use pcisim_kernel::tick::{to_ns, us, Tick};
 use pcisim_kernel::{snapshot, state_fields};
 
@@ -61,8 +61,9 @@ impl Workload for MmioProbeConfig {
 /// Result of a probe run.
 #[derive(Debug, Clone, Default)]
 pub struct MmioReport {
-    /// Individual read latencies in ticks (including the CPU overhead).
-    pub latencies: Vec<Tick>,
+    /// Every read's latency in ticks (including the CPU overhead), in
+    /// completion order; a run of equal reads is stored once.
+    pub latencies: Latencies,
     /// Whether all reads completed.
     pub done: bool,
 }
@@ -73,17 +74,17 @@ impl MmioReport {
         if self.latencies.is_empty() {
             return 0.0;
         }
-        to_ns(self.latencies.iter().sum::<Tick>()) / self.latencies.len() as f64
+        to_ns(self.latencies.sum()) / self.latencies.len() as f64
     }
 
     /// Smallest observed latency in nanoseconds.
     pub fn min_ns(&self) -> f64 {
-        self.latencies.iter().copied().min().map_or(0.0, to_ns)
+        self.latencies.min().map_or(0.0, to_ns)
     }
 
     /// Largest observed latency in nanoseconds.
     pub fn max_ns(&self) -> f64 {
-        self.latencies.iter().copied().max().map_or(0.0, to_ns)
+        self.latencies.max().map_or(0.0, to_ns)
     }
 }
 

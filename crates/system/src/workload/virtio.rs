@@ -56,7 +56,9 @@ pub fn virtio_app_irq_port(v: u16) -> PortId {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VirtioAppConfig {
     /// Net only: drive the receive queue (posting writable buffers)
-    /// instead of the transmit queue.
+    /// instead of the transmit queue. Frames come only from the device's
+    /// `VirtioConfig::rx_source`: without one the posted buffers are never
+    /// filled, and the run drains with `done == false` and zero frames.
     pub rx: bool,
     /// Blk only: issue writes instead of reads.
     pub write: bool,
